@@ -1,10 +1,7 @@
-"""Time-evolution kernels for the mode-discretized emission simulator.
+"""Time-evolution kernel for the mode-discretized emission simulator.
 
-Two implementations of the same Crank-Nicolson loop: a numba @njit kernel
-and a vectorized pure-numpy fallback.  Set CAUSALATOM_NO_NUMBA=1 to force
-the numpy path (it is also selected automatically if numba is missing).
-Each path is deterministic on its own: the mode reduction is a fixed-order
-sum, and no threading is used (parallel=False).
+A vectorized numpy Crank-Nicolson loop.  It is deterministic: the mode
+reduction is a fixed-order numpy sum, and no threading is used.
 
 The step is the Cayley form (I + i H dt/2) c+ = (I - i H dt/2) c with H the
 rotating-frame coupling Hamiltonian frozen at the midpoint, which is exactly
@@ -14,28 +11,26 @@ to one scalar division per step.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["evolve_amplitudes", "backend_name", "NUMPY_BACKEND_FORCED"]
-
-NUMPY_BACKEND_FORCED = os.environ.get("CAUSALATOM_NO_NUMBA", "").lower() in (
-    "1", "true", "yes")
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    if NUMPY_BACKEND_FORCED:
-        raise ImportError("numpy backend forced by CAUSALATOM_NO_NUMBA")
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    HAVE_NUMBA = False
+__all__ = ["evolve_amplitudes"]
 
 
-def _evolve_numpy(detunings, couplings, dt, n_steps, stride,
-                  ce_out, ck_out, norm_out, t_out):
+def evolve_amplitudes(detunings, couplings, dt, n_steps, stride):
+    """Run the Crank-Nicolson loop; returns (times, c_e, norms).
+
+    Samples are taken every ``stride`` steps; the norm at a sample is
+    |c_e|^2 plus the sum of |c_k|^2 over the live mode amplitudes, which are
+    not kept.  Inputs are in scaled units (caller's choice); the kernel is
+    unit-agnostic.
+    """
+    detunings = np.ascontiguousarray(detunings, dtype=np.float64)
+    couplings = np.ascontiguousarray(couplings, dtype=np.float64)
+    n_samples = n_steps // stride
+    ce_out = np.zeros(n_samples, dtype=np.complex128)
+    norm_out = np.zeros(n_samples, dtype=np.float64)
+    t_out = np.zeros(n_samples, dtype=np.float64)
+
     c_e = 1.0 + 0.0j
     c_k = np.zeros(detunings.shape[0], dtype=np.complex128)
     a = 0.5 * dt
@@ -55,75 +50,7 @@ def _evolve_numpy(detunings, couplings, dt, n_steps, stride,
         t += dt
         if (step + 1) % stride == 0:
             ce_out[idx] = c_e
-            ck_out[idx, :] = c_k
             norm_out[idx] = abs(c_e) ** 2 + float(np.sum(np.abs(c_k) ** 2))
             t_out[idx] = t
             idx += 1
-    return idx
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _evolve_numba(detunings, couplings, dt, n_steps, stride,
-                      ce_out, ck_out, norm_out, t_out):  # pragma: no cover
-        n = detunings.shape[0]
-        c_e = 1.0 + 0.0j
-        c_k = np.zeros(n, dtype=np.complex128)
-        a = 0.5 * dt
-        big_g = 0.0
-        for i in range(n):
-            big_g += couplings[i] * couplings[i]
-        denom = 1.0 + a * a * big_g
-        phase = np.empty(n, dtype=np.complex128)
-        step_phase = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            phase[i] = np.exp(1j * detunings[i] * 0.5 * dt)
-            step_phase[i] = np.exp(1j * detunings[i] * dt)
-        idx = 0
-        t = 0.0
-        for step in range(n_steps):
-            s = 0.0 + 0.0j
-            for i in range(n):
-                s += couplings[i] * phase[i] * c_k[i]
-            ce_new = ((1.0 - a * a * big_g) * c_e - 2j * a * s) / denom
-            csum = c_e + ce_new
-            for i in range(n):
-                h = couplings[i] * phase[i]
-                c_k[i] = c_k[i] - 1j * a * np.conj(h) * csum
-                phase[i] = phase[i] * step_phase[i]
-            c_e = ce_new
-            t += dt
-            if (step + 1) % stride == 0:
-                nrm = abs(c_e) ** 2
-                for i in range(n):
-                    ck_out[idx, i] = c_k[i]
-                    nrm += abs(c_k[i]) ** 2
-                ce_out[idx] = c_e
-                norm_out[idx] = nrm
-                t_out[idx] = t
-                idx += 1
-        return idx
-
-
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def evolve_amplitudes(detunings, couplings, dt, n_steps, stride):
-    """Run the Crank-Nicolson loop; returns (times, c_e, c_k, norms).
-
-    Samples are taken every ``stride`` steps.  Inputs are in scaled units
-    (caller's choice); the kernel is unit-agnostic.
-    """
-    detunings = np.ascontiguousarray(detunings, dtype=np.float64)
-    couplings = np.ascontiguousarray(couplings, dtype=np.float64)
-    n_samples = n_steps // stride
-    ce_out = np.zeros(n_samples, dtype=np.complex128)
-    ck_out = np.zeros((n_samples, detunings.shape[0]), dtype=np.complex128)
-    norm_out = np.zeros(n_samples, dtype=np.float64)
-    t_out = np.zeros(n_samples, dtype=np.float64)
-    kernel = _evolve_numba if HAVE_NUMBA else _evolve_numpy
-    filled = kernel(detunings, couplings, float(dt), int(n_steps), int(stride),
-                    ce_out, ck_out, norm_out, t_out)
-    return (t_out[:filled], ce_out[:filled], ck_out[:filled], norm_out[:filled])
+    return t_out, ce_out, norm_out

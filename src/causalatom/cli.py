@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,7 @@ from .observables import (
     extract_series_numerically,
     gamma_exact,
     gamma_leading,
+    hydrogen_1s2p_preset,
     lamb_reference,
     lineshift_log_bracket,
     lineshift_series,
@@ -45,12 +45,9 @@ from .observables import (
 )
 from .selfenergy import NormalizationConstants, split_check_report
 from .wavepacket import convergence_study
-from .wworacle import backend_name, build_grid, evolve, fit_decay
+from .wworacle import build_grid, evolve, fit_decay
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]
-
-COMMANDS = ("gamma", "shift", "ratio", "split-check", "series-check",
-            "wavepacket-check", "ww-sim", "constants")
 
 DEFAULT_FLAGS = {"gamma_denominator_power": 5, "z_resonant_weight": "inverse_u"}
 
@@ -182,9 +179,7 @@ def _write_output(text: str, out: str):
 def resolve_preset(name: str) -> AtomParams:
     """Resolve a preset name or JSON file path to AtomParams."""
     if name == "hydrogen-1s2p":
-        ref = resources.files("causalatom").joinpath("presets/hydrogen-1s2p.json")
-        doc = json.loads(ref.read_text())
-        return atom_from_dict(doc)
+        return hydrogen_1s2p_preset()
     if name.startswith("synthetic:"):
         # synthetic:<delta_u> testing preset, e.g. synthetic:1e-2
         try:
@@ -371,6 +366,48 @@ def _cmd_constants(atom, opts):
     }
 
 
+def _ww_sim_render(config, inputs, results):
+    """The trace CSV goes to --out and the JSON summary to stdout; with
+    --out '-' the trace takes stdout and the summary moves to stderr."""
+    summary, rows = results
+    trace_csv = _csv_from_rows(["t", "population", "re_c_e", "im_c_e"], rows)
+    doc = _dumps(emit_report("ww-sim", inputs, summary,
+                             extra_metadata={"ww_backend": "numpy",
+                                             "grid_conventions": (
+                                                 "uniform comb, flat couplings, "
+                                                 "golden-rule calibration; grid "
+                                                 "choices are this package's own")}))
+    if config.out == "-":
+        sys.stdout.write(trace_csv)
+        sys.stderr.write(doc)
+    else:
+        _write_output(trace_csv, config.out)
+        sys.stdout.write(doc)
+
+
+def _report_render(to_csv):
+    """Renderer writing to --out either ``to_csv(results)`` or the JSON envelope."""
+    def render(config, inputs, results):
+        text = (to_csv(results) if config.format == "csv"
+                else _dumps(emit_report(config.command, inputs, results)))
+        _write_output(text, config.out)
+    return render
+
+
+# name -> (handler(atom, opts) -> results, renderer(config, inputs, results))
+COMMAND_TABLE = {
+    "gamma": (_cmd_gamma, _report_render(_flat_csv)),
+    "shift": (_cmd_shift, _report_render(_flat_csv)),
+    "ratio": (_cmd_ratio, _report_render(_flat_csv)),
+    "split-check": (_cmd_split_check, _report_render(_split_check_csv)),
+    "series-check": (_cmd_series_check, _report_render(_flat_csv)),
+    "wavepacket-check": (_cmd_wavepacket_check, _report_render(_wavepacket_csv)),
+    "ww-sim": (_cmd_ww_sim, _ww_sim_render),
+    "constants": (_cmd_constants, _report_render(_flat_csv)),
+}
+COMMANDS = tuple(COMMAND_TABLE)
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -382,46 +419,8 @@ def run(config: RunConfig) -> int:
         atom = resolve_preset(config.preset)
         inputs = {"preset": config.preset, "atom": atom_to_dict(atom)}
         inputs.update({k: v for k, v in opts.items() if v is not None})
-
-        if config.command == "ww-sim":
-            summary, rows = _cmd_ww_sim(atom, opts)
-            trace_csv = _csv_from_rows(
-                ["t", "population", "re_c_e", "im_c_e"], rows)
-            doc = emit_report("ww-sim", inputs, summary,
-                              extra_metadata={"ww_backend": backend_name(),
-                                              "grid_conventions": (
-                                                  "uniform comb, flat couplings, "
-                                                  "golden-rule calibration; grid "
-                                                  "choices are this package's own")})
-            if config.out == "-":
-                sys.stdout.write(trace_csv)
-                sys.stderr.write(_dumps(doc))
-            else:
-                _write_output(trace_csv, config.out)
-                sys.stdout.write(_dumps(doc))
-            return 0
-
-        handler = {
-            "gamma": _cmd_gamma,
-            "shift": _cmd_shift,
-            "ratio": _cmd_ratio,
-            "split-check": _cmd_split_check,
-            "series-check": _cmd_series_check,
-            "wavepacket-check": _cmd_wavepacket_check,
-            "constants": _cmd_constants,
-        }[config.command]
-        results = handler(atom, opts)
-
-        if config.format == "csv":
-            if config.command == "split-check":
-                text = _split_check_csv(results)
-            elif config.command == "wavepacket-check":
-                text = _wavepacket_csv(results)
-            else:
-                text = _flat_csv(results)
-        else:
-            text = _dumps(emit_report(config.command, inputs, results))
-        _write_output(text, config.out)
+        handler, render = COMMAND_TABLE[config.command]
+        render(config, inputs, handler(atom, opts))
         return 0
     except (CausalAtomError, ValueError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc),

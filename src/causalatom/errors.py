@@ -20,15 +20,6 @@ class PoleLocationError(CausalAtomError):
     """Principal-value pole not strictly inside the integration interval."""
 
 
-class IllConditionedFitError(CausalAtomError):
-    """Least-squares design matrix too close to singular to trust."""
-
-    def __init__(self, message, offending_pair=None, condition=None):
-        super().__init__(message)
-        self.offending_pair = offending_pair
-        self.condition = condition
-
-
 class SingularMatrixError(CausalAtomError):
     """Linear system matrix is numerically singular."""
 
@@ -50,7 +41,8 @@ class SupportError(CausalAtomError):
 
 
 class GridResolutionError(CausalAtomError):
-    """Mode grid too coarse (or otherwise invalid) for the requested simulation."""
+    """Grid (mode comb, time step or sample points) too coarse or otherwise
+    invalid for the requested computation."""
 
 
 class NormDriftError(CausalAtomError):

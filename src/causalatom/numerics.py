@@ -1,4 +1,4 @@
-"""Deterministic quadrature and series-analysis kernels.
+"""Deterministic quadrature and small linear solves.
 
 Everything here is pure and single-threaded: identical inputs give
 bitwise-identical outputs.  Integrands must be numpy-vectorized
@@ -17,14 +17,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import legendre
 
 from .errors import (
-    IllConditionedFitError,
     PoleLocationError,
     QuadratureConvergenceError,
     SingularMatrixError,
@@ -33,19 +32,14 @@ from .errors import (
 __all__ = [
     "Interval",
     "QuadratureResult",
-    "SeriesFit",
-    "SERIES_BASIS_LABELS",
     "integrate_adaptive",
     "integrate_pv",
-    "fit_series",
     "solve_linear",
 ]
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-14
 DEFAULT_MAX_EVALUATIONS = 1_000_000
-
-SERIES_BASIS_LABELS = ("1", "x", "x^2", "x^3", "x^3 ln x")
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +113,6 @@ class QuadratureResult:
         v = complex(self.value)
         if math.isfinite(v.real) and math.isfinite(v.imag) and self.evaluations == 0:
             raise ValueError("a finite value requires evaluations > 0")
-
-
-@dataclass(frozen=True)
-class SeriesFit:
-    coefficients: dict
-    residual_norm: float
 
 
 # ---------------------------------------------------------------------------
@@ -304,77 +292,6 @@ def integrate_pv(
     if tol <= 0:
         raise ValueError("tol must be > 0")
     return _integrate_pv_any(f, pole, iv, tol)
-
-
-# ---------------------------------------------------------------------------
-# Series fitting
-# ---------------------------------------------------------------------------
-
-_BASIS_FUNCS = {
-    "1": lambda x: np.ones_like(x),
-    "x": lambda x: x,
-    "x^2": lambda x: x ** 2,
-    "x^3": lambda x: x ** 3,
-    "x^3 ln x": lambda x: x ** 3 * np.log(x),
-}
-
-# Refusal threshold on the condition of the raw (unscaled) design matrix.
-# With O(1) data, columns smaller than ~1e-13 of the largest carry no
-# information in double precision;  this is what makes x^3 and x^3 ln x
-# unusable on grids below ~1e-5.
-_CONDITION_LIMIT = 1e13
-
-
-def fit_series(
-    samples: Iterable[tuple],
-    basis: Sequence[str] = SERIES_BASIS_LABELS,
-) -> SeriesFit:
-    """Linear least squares against a subset of {1, x, x^2, x^3, x^3 ln x}.
-
-    Requires x > 0, at least twice as many samples as basis functions, and
-    an x-range spanning a decade.  An ill-conditioned design matrix raises
-    IllConditionedFitError naming the most collinear pair of columns.
-    """
-    basis = tuple(basis)
-    unknown = [b for b in basis if b not in _BASIS_FUNCS]
-    if unknown:
-        raise ValueError(f"unknown basis labels {unknown}; allowed: {SERIES_BASIS_LABELS}")
-    pts = list(samples)
-    if len(pts) < 2 * len(basis):
-        raise ValueError(f"need >= {2 * len(basis)} samples for {len(basis)} basis functions, got {len(pts)}")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("sample abscissae must be > 0")
-    if x.max() / x.min() < 10.0:
-        raise ValueError("sample abscissae must span at least one decade")
-
-    a = np.column_stack([_BASIS_FUNCS[b](x) for b in basis])
-    scale = np.abs(a).max(axis=0)
-    scale[scale == 0.0] = 1.0
-    a_scaled = a / scale
-
-    sv = np.linalg.svd(a, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
-    if cond > _CONDITION_LIMIT:
-        # name the most collinear column pair
-        norms = np.linalg.norm(a_scaled, axis=0)
-        gram = (a_scaled.T @ a_scaled) / np.outer(norms, norms)
-        np.fill_diagonal(gram, 0.0)
-        i, j = np.unravel_index(np.argmax(np.abs(gram)), gram.shape)
-        pair = (basis[min(i, j)], basis[max(i, j)])
-        raise IllConditionedFitError(
-            f"design matrix condition {cond:.3e} exceeds {_CONDITION_LIMIT:.0e}; "
-            f"columns {pair[0]!r} and {pair[1]!r} are numerically collinear",
-            offending_pair=pair,
-            condition=cond,
-        )
-
-    beta_scaled, *_ = np.linalg.lstsq(a_scaled, y, rcond=None)
-    beta = beta_scaled / scale
-    residual = float(np.linalg.norm(a @ beta - y))
-    return SeriesFit(coefficients={b: float(c) for b, c in zip(basis, beta)},
-                     residual_norm=residual)
 
 
 # ---------------------------------------------------------------------------

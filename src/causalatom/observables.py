@@ -29,6 +29,7 @@ from .errors import CausalAtomError, FitResidualError, PresetError
 from .numerics import solve_linear
 from .selfenergy import (
     NormalizationConstants,
+    _sym_bracket,
     t2_bracket_resonant,
     t2_prefactor,
 )
@@ -316,9 +317,7 @@ def _bracket_line_shift_mp(du, c: NormalizationConstants):
     u = 1 + du
     x = du * (2 + du)
     lnx = mp.log(du) + mp.log(2 + du)
-    re_b = (x ** 3 / (2 * u ** 4)) * (-2 * lnx) + 1 / u ** 2 - mp.mpf(5) / 2 \
-        + mp.mpf(11) * u ** 2 / 6 \
-        + mp.mpf(float(c.c0)) + mp.mpf(float(c.c1)) * u + mp.mpf(float(c.c2)) * u ** 2
+    re_b = _sym_bracket(u, x, lnx, 0, c)
     return 6 * re_b / u
 
 

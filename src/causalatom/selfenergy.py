@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchPointError, SingularPointError
+from .errors import BranchPointError, GridResolutionError, SingularPointError
 from .splitting import CausalDistribution1D
 
 __all__ = [
@@ -33,12 +33,14 @@ __all__ = [
     "t2_sym",
     "t2_prefactor",
     "r2_prefactor",
-    "t2_bracket",
     "t2_bracket_resonant",
     "as_causal_distribution",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# the extended real-difference fit has 4 terms; one more leaves a residual
+MIN_SPLIT_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -178,46 +180,60 @@ def _check_regular(u: float):
         raise SingularPointError(f"closed form singular at u = {u} (u in {{0, +-1}})")
 
 
+def _front_term(u, x, ln_abs_x, step):
+    """x^3/(2u^4) (step - 2 ln|x|), the branch-cut and log part of every bracket.
+
+    Generic over float, ndarray and mpf.  The caller supplies x = u^2 - 1
+    and ln|x| in whatever cancellation-free form it has, and step (2 pi i
+    on the support, 0 off it).
+    """
+    return x ** 3 / (2 * u ** 4) * (step - 2 * ln_abs_x)
+
+
+def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
+    """Symmetrized bracket, generic over float, ndarray and mpf:
+    B = x^3/(2u^4) (step - 2 ln|x|) + 1/u^2 - 5/2 + 11u^2/6 + C0 + C1 u + C2 u^2,
+    with the arguments of _front_term.  The terms are added left to right;
+    the CLI output depends on that order to the last bit.
+    """
+    return (_front_term(u, x, ln_abs_x, step) + 1.0 / u ** 2 - 2.5
+            + 11.0 * u ** 2 / 6.0 + c.c0 + c.c1 * u + c.c2 * u ** 2)
+
+
 def r2_tilde_closed(u: float, atom) -> SelfEnergyValue:
-    """Closed-form retarded self-energy at rest."""
+    """Closed-form retarded self-energy at rest.
+
+    Its rational part is half the symmetrized one, but it is summed in its
+    own order (pole, then the grouped polynomial), which split-check output
+    depends on to the last bit; so only the front term is shared.
+    """
     _check_regular(u)
     x = u * u - 1.0
-    front = x ** 3 / (2.0 * u ** 4)
-    step = front * (2j * math.pi * math.copysign(1.0, u) if x > 0.0 else 0.0)
-    log = front * (-2.0 * math.log(abs(x)))
+    front = _front_term(u, x, math.log(abs(x)),
+                        2j * math.pi * math.copysign(1.0, u) if x > 0.0 else 0.0)
     pole = 1.0 / (2.0 * u * u)
     poly = -1.25 + 11.0 * u * u / 12.0
     pref = r2_prefactor(atom)
-    total = pref * (step + log + pole + poly)
-    return SelfEnergyValue(total=total, log_term=log, pole_term=pole,
-                           step_term=step, polynomial_term=poly, prefactor=pref)
-
-
-def t2_bracket(u, c: NormalizationConstants):
-    """Symmetrized bracket, vectorized over real u away from {0, +-1}."""
-    u = np.asarray(u, dtype=float)
-    x = u * u - 1.0
-    front = x ** 3 / (2.0 * u ** 4)
-    ax = np.maximum(np.abs(x), 1e-300)  # clamp: log finite even at grid points
-    bracket = front * (np.where(x > 0.0, 2j * math.pi, 0.0) - 2.0 * np.log(ax))
-    bracket = bracket + 1.0 / u ** 2 - 2.5 + 11.0 * u ** 2 / 6.0
-    bracket = bracket + c.c0 + c.c1 * u + c.c2 * u ** 2
-    return bracket
+    total = pref * (front + pole + poly)
+    return SelfEnergyValue(total=total, log_term=front.real, pole_term=pole,
+                           step_term=1j * front.imag, polynomial_term=poly,
+                           prefactor=pref)
 
 
 def t2_sym(u: float, atom, c: NormalizationConstants = NormalizationConstants()) -> SelfEnergyValue:
     """Symmetrized self-energy combination for a resting atom."""
     _check_regular(u)
     x = u * u - 1.0
-    front = x ** 3 / (2.0 * u ** 4)
-    step = front * (2j * math.pi if x > 0.0 else 0.0)
-    log = front * (-2.0 * math.log(abs(x)))
-    pole = 1.0 / (u * u)
-    poly = -2.5 + 11.0 * u * u / 6.0 + c.c0 + c.c1 * u + c.c2 * u * u
+    args = (u, x, math.log(abs(x)), 2j * math.pi if x > 0.0 else 0.0)
+    front = _front_term(*args)
+    bracket = _sym_bracket(*args, c)
+    pole = 1.0 / u ** 2
     pref = t2_prefactor(atom)
-    total = pref * (step + log + pole + poly)
-    return SelfEnergyValue(total=total, log_term=log, pole_term=pole,
-                           step_term=step, polynomial_term=poly, prefactor=pref)
+    # the polynomial term is what the bracket holds beyond front and pole
+    return SelfEnergyValue(total=pref * bracket, log_term=front.real, pole_term=pole,
+                           step_term=1j * front.imag,
+                           polynomial_term=(bracket - front - pole).real,
+                           prefactor=pref)
 
 
 def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
@@ -228,14 +244,10 @@ def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
     over ``offset`` (used for narrow frequency windows around resonance).
     """
     um1 = np.asarray(delta_u + offset, dtype=float)   # u - 1
-    u = 1.0 + um1
     x = um1 * (2.0 + um1)                             # u^2 - 1, exact
-    front = x ** 3 / (2.0 * u ** 4)
-    ax = np.maximum(np.abs(x), 1e-300)
-    bracket = front * (np.where(x > 0.0, 2j * math.pi, 0.0) - 2.0 * np.log(ax))
-    bracket = bracket + 1.0 / u ** 2 - 2.5 + 11.0 * u ** 2 / 6.0
-    bracket = bracket + c.c0 + c.c1 * u + c.c2 * u ** 2
-    return bracket
+    ax = np.maximum(np.abs(x), 1e-300)  # clamp: log finite even at grid points
+    step = np.where(x > 0.0, 2j * math.pi, 0.0)
+    return _sym_bracket(1.0 + um1, x, np.log(ax), step, c)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +282,18 @@ class SplitCheckReport:
 def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     from .splitting import retarded_part_central  # local import keeps module load light
 
+    u = np.asarray(list(u_values), dtype=float)
+    if u.size < MIN_SPLIT_POINTS:
+        raise GridResolutionError(
+            f"split check needs at least {MIN_SPLIT_POINTS} points (4-term real "
+            f"fit plus one residual degree of freedom), got {u.size}")
     dist = as_causal_distribution(atom)
     pref = r2_prefactor(atom)
-    u = np.asarray(list(u_values), dtype=float)
     closed = np.array([r2_tilde_closed(x, atom).total for x in u])
     numeric = np.array([retarded_part_central(dist, float(x), tol) for x in u])
-    im_rel = np.abs(numeric.imag - closed.imag) / np.abs(closed.imag)
+    # off the support the closed form is real: scale by its modulus instead
+    scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
+    im_rel = np.abs(numeric.imag - closed.imag) / scale
 
     diff = (closed.real - numeric.real) / pref
     v = np.vander(u, 3, increasing=True)

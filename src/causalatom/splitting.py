@@ -93,8 +93,13 @@ def _check_point(d: CausalDistribution1D, p0: float, tol: float):
             f"support edge k_min = {d.k_min}")
 
 
-def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float) -> complex:
-    """Dispersion integral with Taylor subtraction about k = q."""
+def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
+                 pole_sign: float = 1.0) -> complex:
+    """Dispersion integral with Taylor subtraction about k = q.
+
+    pole_sign = 1 resolves 1/(p0 - k + i0) (retarded); -1 resolves the
+    mirrored 1/(p0 - k - i0), whose delta term has the opposite sign.
+    """
     om1 = d.singular_order + 1
 
     def kernel(k):
@@ -122,7 +127,7 @@ def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float) -> co
     if on_support:
         # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
         # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
-        result += 0.5 * complex(d.evaluate(np.array([p0]))[0])
+        result += pole_sign * 0.5 * complex(d.evaluate(np.array([p0]))[0])
     return result
 
 
@@ -152,35 +157,14 @@ def advanced_part(d: CausalDistribution1D, p0: float,
 
 def advanced_part_mirrored(d: CausalDistribution1D, p0: float,
                            tol: float = DEFAULT_TOL) -> complex:
-    """Advanced part computed independently via the mirrored prescription.
+    """Advanced part computed via the mirrored prescription.
 
-    Uses 1/(p0 - k - i0) in the dispersion integral (PV + i pi delta), so the
-    jump condition r - a = d is a genuine cross-check of the PV + pole-term
-    decomposition rather than an identity.
+    Uses 1/(p0 - k - i0) in the dispersion integral (PV + i pi delta) rather
+    than r - d, so the jump condition r - a = d checks the sign and weight
+    of the Sokhotski-Plemelj pole term.
     """
     _check_point(d, p0, tol)
-    om1 = d.singular_order + 1
-
-    def kernel(k):
-        return d.evaluate(k) / (k ** om1 * (p0 - k))
-
-    value = 0.0 + 0.0j
-    on_support = abs(p0) > d.k_min
-    left = Interval(-math.inf, -d.k_min)
-    right = Interval(d.k_min, math.inf)
-    if on_support:
-        pole_side = right if p0 > 0 else left
-        other = left if p0 > 0 else right
-        value += _integrate_pv_any(kernel, p0, pole_side, tol).value
-        value += integrate_adaptive(kernel, other, rel_tol=tol).value
-    else:
-        value += integrate_adaptive(kernel, left, rel_tol=tol).value
-        value += integrate_adaptive(kernel, right, rel_tol=tol).value
-
-    result = (1j / (2.0 * math.pi)) * p0 ** om1 * value
-    if on_support:
-        result -= 0.5 * complex(d.evaluate(np.array([p0]))[0])
-    return result
+    return _split_value(d, p0, 0.0, tol, pole_sign=-1.0)
 
 
 def make_retarded_central(d: CausalDistribution1D, tol: float = DEFAULT_TOL) -> RetardedPart:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ww_kernels import backend_name, evolve_amplitudes
+from ._ww_kernels import evolve_amplitudes
 from .errors import FitResidualError, GridResolutionError, NormDriftError
 from .observables import AtomParams, gamma_leading
 
@@ -35,7 +35,6 @@ __all__ = [
     "build_grid_window",
     "evolve",
     "fit_decay",
-    "backend_name",
 ]
 
 MIN_MODES = 1000
@@ -74,13 +73,12 @@ class ModeGrid:
 
 @dataclass(frozen=True)
 class AmplitudeState:
-    c_e: complex
-    c_k: np.ndarray
-    t: float
+    """Excited-state amplitude at time t, with the total norm
+    |c_e|^2 + sum |c_k|^2 of the full state at that time."""
 
-    @property
-    def norm(self) -> float:
-        return abs(self.c_e) ** 2 + float(np.sum(np.abs(self.c_k) ** 2))
+    c_e: complex
+    norm: float
+    t: float
 
 
 def _calibrated_grid(omega_lo: float, omega_hi: float, n_modes: int,
@@ -124,8 +122,13 @@ def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
 
     dt must resolve the fastest detuning (dt * max|Delta| < 0.2, i.e. the
     comb half-width criterion dt * bandwidth/2 < 0.1 for centered grids).
-    Raises NormDriftError if norm conservation degrades beyond 1e-6.
+    Raises GridResolutionError, before any allocation, for a non-finite or
+    non-positive dt or t_end, and NormDriftError if norm conservation
+    degrades beyond 1e-6.
     """
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise GridResolutionError(f"{name} must be finite and positive, got {value}")
     gamma = grid.gamma_target
     detun = grid.frequencies - atom.omega_eg
     max_det = float(np.abs(detun).max())
@@ -138,13 +141,13 @@ def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
         sample_stride = max(1, n_steps // 600)
 
     # scale time by the target rate so the kernel works near unity
-    ts, ces, cks, norms = evolve_amplitudes(
+    ts, ces, norms = evolve_amplitudes(
         detun / gamma, grid.couplings / gamma, dt * gamma, n_steps, sample_stride)
     drift = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
     if drift > NORM_TOLERANCE:
         raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE}",
                              drift=drift)
-    return [AmplitudeState(c_e=complex(ces[i]), c_k=cks[i], t=float(ts[i] / gamma))
+    return [AmplitudeState(c_e=complex(ces[i]), norm=float(norms[i]), t=float(ts[i] / gamma))
             for i in range(ts.size)]
 
 

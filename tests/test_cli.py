@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import jsonschema
 import pytest
@@ -126,6 +128,27 @@ class TestSplitCheckCommand:
         assert "real_agreement_status" in doc["results"]
 
 
+    def test_off_support_rel_err_finite(self, capsys):
+        # the closed form is real off the support, so the imaginary-part
+        # error is scaled by |closed| there instead of dividing by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "split-check", "--u-min", "0.2",
+                                     "--u-max", "0.9")
+        assert code == 0
+        assert err == ""
+        res = json.loads(out)["results"]
+        errs = [r["im_rel_err"] for r in res["rows"]] + [res["max_im_rel_err"]]
+        assert all(isinstance(e, (int, float)) and math.isfinite(e) for e in errs)
+
+    @pytest.mark.parametrize("points", ["0", "1", "4"])
+    def test_underdetermined_fit_refused(self, capsys, points):
+        code, out, err = run_cli(capsys, "split-check", "--points", points)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "GridResolutionError"
+
+
 class TestSeriesCheckCommand:
     def test_agreement(self, capsys, schema):
         code, out, _ = run_cli(capsys, "series-check", "--c0", "1.5",
@@ -167,7 +190,7 @@ class TestWWSimCommand:
         doc = json.loads(out)
         assert doc["results"]["rate_over_gamma_leading"] == pytest.approx(1.0, abs=0.02)
         assert doc["results"]["norm_drift"] <= 1e-6
-        assert doc["metadata"]["ww_backend"] in ("numba", "numpy")
+        assert doc["metadata"]["ww_backend"] == "numpy"
         lines = trace_path.read_text().strip().splitlines()
         assert lines[0] == "t,population,re_c_e,im_c_e"
         assert len(lines) > 100
@@ -179,6 +202,16 @@ class TestWWSimCommand:
         assert out.startswith("t,population")
         doc = json.loads(err)
         assert "rate_per_s" in doc["results"]
+
+
+    @pytest.mark.parametrize("flag", ["--dt-gammas", "--t-end-gammas"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_bad_time_inputs_refused(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "ww-sim", "--n-modes", "1000",
+                                 "--bandwidth-gammas", "50", flag, value)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "GridResolutionError"
 
 
 class TestErrorPaths:

@@ -6,14 +6,12 @@ import scipy.integrate
 
 from causalatom import numerics
 from causalatom.errors import (
-    IllConditionedFitError,
     PoleLocationError,
     QuadratureConvergenceError,
     SingularMatrixError,
 )
 from causalatom.numerics import (
     Interval,
-    fit_series,
     integrate_adaptive,
     integrate_pv,
     solve_linear,
@@ -172,68 +170,6 @@ class TestIntegratePV:
         # PV value = lim_{R->inf} F(R) - F(1) with symmetric pole exclusion (log terms cancel)
         exact = (0.0) - (-(0.25) * math.log(1.0) + 0.5 + 0.25 * math.log(1.0))
         assert abs(mine.value - exact) < 1e-10
-
-
-class TestFitSeries:
-    def test_affine_recovery(self):
-        x = np.linspace(0.1, 2.0, 12)
-        samples = [(xi, 2.0 + 3.0 * xi) for xi in x]
-        fit = fit_series(samples, basis=("1", "x"))
-        assert abs(fit.coefficients["1"] - 2.0) < 1e-12
-        assert abs(fit.coefficients["x"] - 3.0) < 1e-12
-        assert fit.residual_norm < 1e-12
-
-    def test_exact_basis_member(self):
-        x = np.logspace(-4, -2, 20)
-        samples = [(xi, xi ** 3 * math.log(xi)) for xi in x]
-        fit = fit_series(samples)
-        assert abs(fit.coefficients["x^3 ln x"] - 1.0) < 1e-8
-        for label in ("1", "x", "x^2", "x^3"):
-            assert abs(fit.coefficients[label]) < 1e-8
-        assert fit.residual_norm < 1e-10
-
-    def test_bracket_expansion_near_threshold(self):
-        # real part of the symmetrized self-energy bracket at u = 1 + x,
-        # C = 0: series is 1/3 + (5/3)x + (29/6)x^2 - (4 + 8 ln 2)x^3 - 8x^3 ln x
-        # (CAS-expanded from the closed form; frozen).
-        def bracket_re(x):
-            u = 1.0 + x
-            s = x * (2.0 + x)
-            return (s ** 3 / (2 * u ** 4)) * (-2.0 * np.log(s)) \
-                + 1.0 / u ** 2 - 2.5 + 11.0 * u ** 2 / 6.0
-
-        # plain double-precision LS: the truncated model leaves O(x_max)
-        # relative bias on the cubic coefficients (the high-precision
-        # extraction lives in observables); tolerances reflect that.
-        x = np.logspace(-5, -3, 24)
-        fit = fit_series([(xi, bracket_re(xi)) for xi in x])
-        assert abs(fit.coefficients["1"] - 1.0 / 3.0) < 1e-9
-        assert abs(fit.coefficients["x"] - 5.0 / 3.0) < 1e-6
-        assert abs(fit.coefficients["x^2"] - 29.0 / 6.0) < 5e-3
-        assert abs(fit.coefficients["x^3 ln x"] - (-8.0)) < 0.25
-
-    def test_collinear_columns_named(self):
-        # below 1e-5 the cubic columns carry no double-precision information
-        x = np.logspace(-8, -5, 30)
-        samples = [(xi, xi ** 3) for xi in x]
-        with pytest.raises(IllConditionedFitError) as exc:
-            fit_series(samples)
-        assert set(exc.value.offending_pair) == {"x^3", "x^3 ln x"}
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            fit_series([(0.1, 1.0)] * 3, basis=("1", "x"))
-        with pytest.raises(ValueError):
-            fit_series([(x, 1.0) for x in np.linspace(1.0, 2.0, 10)], basis=("1", "x"))
-        with pytest.raises(ValueError):
-            fit_series([(x, 1.0) for x in np.linspace(-1.0, 20.0, 10)], basis=("1", "x"))
-
-    def test_residual_reported(self):
-        x = np.logspace(-1, 1, 16)
-        rng = np.random.RandomState(3)
-        samples = [(xi, 1.0 + 0.1 * rng.randn()) for xi in x]
-        fit = fit_series(samples, basis=("1", "x"))
-        assert fit.residual_norm > 0.0
 
 
 class TestSolveLinear:
