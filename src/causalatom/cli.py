@@ -17,7 +17,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,28 +42,13 @@ from .observables import (
     solve_normalization,
     synthetic_atom,
 )
-from .selfenergy import NormalizationConstants, split_check_report
+from .selfenergy import NormalizationConstants, check_split_points, split_check_report
 from .wavepacket import convergence_study
 from .wworacle import build_grid, evolve, fit_decay
 
-__all__ = ["RunConfig", "run", "emit_report", "main"]
+__all__ = ["COMMANDS", "run", "emit_report", "main"]
 
 DEFAULT_FLAGS = {"gamma_denominator_power": 5, "z_resonant_weight": "inverse_u"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    preset: str = "hydrogen-1s2p"
-    format: str = "json"
-    out: str = "-"
-    options: dict = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +56,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return json.dumps(str(x))
+    if not math.isfinite(x):
+        raise CausalAtomError(f"result is not finite ({x}); nothing was written")
     return f"{x:.17g}"
 
 
@@ -241,12 +225,10 @@ def _cmd_ratio(atom, opts):
 
 
 def _cmd_split_check(atom, opts):
-    u_min = opts.get("u_min", 1.05)
-    u_max = opts.get("u_max", 5.0)
-    points = opts.get("points", 50)
-    tol = opts.get("tol", 1e-11)
-    grid = np.linspace(u_min, u_max, points)
-    rep = split_check_report(atom, grid, tol=tol)
+    points = opts["points"]
+    check_split_points(points)  # before np.linspace allocates the grid
+    grid = np.linspace(opts["u_min"], opts["u_max"], points)
+    rep = split_check_report(atom, grid, tol=opts["tol"])
     rows = [
         {"u": float(rep.u[i]),
          "re_closed": float(rep.re_closed[i]),
@@ -285,8 +267,7 @@ def _split_check_csv(results) -> str:
 
 
 def _cmd_series_check(atom, opts):
-    c = NormalizationConstants(opts.get("c0", 0.0), opts.get("c1", 0.0),
-                               opts.get("c2", 0.0))
+    c = NormalizationConstants(opts["c0"], opts["c1"], opts["c2"])
     ana = lineshift_series(atom, c)
     fit = extract_series_numerically(atom, c)
     names = ("c0", "c1", "c2", "c3", "c_log3")
@@ -305,10 +286,9 @@ def _cmd_series_check(atom, opts):
 
 
 def _cmd_wavepacket_check(atom, opts):
-    decades = opts.get("plateau_periods", [10, 100, 1000, 10000])
-    ramp_fraction = opts.get("ramp_fraction", 0.1)
+    decades = opts["plateau_periods"]
     study = convergence_study(atom, NormalizationConstants(), decades,
-                              ramp_fraction=ramp_fraction)
+                              ramp_fraction=opts["ramp_fraction"])
     rows = []
     for (t_g, zc), n in zip(study, decades):
         rows.append({
@@ -334,12 +314,12 @@ def _wavepacket_csv(results) -> str:
 
 def _cmd_ww_sim(atom, opts):
     gamma = gamma_leading(atom)
-    n_modes = opts.get("n_modes", 4000)
-    bandwidth = opts.get("bandwidth_gammas", 100.0) * gamma
-    t_end = opts.get("t_end_gammas", 5.0) / gamma
+    n_modes = opts["n_modes"]
+    bandwidth = opts["bandwidth_gammas"] * gamma
+    t_end = opts["t_end_gammas"] / gamma
     grid = build_grid(atom, bandwidth, n_modes)
     max_det = float(np.abs(grid.frequencies - atom.omega_eg).max())
-    dt = opts.get("dt_gammas", None)
+    dt = opts["dt_gammas"]
     dt = 0.19 / max_det if dt is None else dt / gamma
     trace = evolve(grid, atom, t_end, dt)
     fit = fit_decay(trace)
@@ -366,65 +346,79 @@ def _cmd_constants(atom, opts):
     }
 
 
-def _ww_sim_render(config, inputs, results):
+def _ww_sim_render(command, fmt, out, inputs, results):
     """The trace CSV goes to --out and the JSON summary to stdout; with
     --out '-' the trace takes stdout and the summary moves to stderr."""
     summary, rows = results
     trace_csv = _csv_from_rows(["t", "population", "re_c_e", "im_c_e"], rows)
-    doc = _dumps(emit_report("ww-sim", inputs, summary,
+    doc = _dumps(emit_report(command, inputs, summary,
                              extra_metadata={"ww_backend": "numpy",
                                              "grid_conventions": (
                                                  "uniform comb, flat couplings, "
                                                  "golden-rule calibration; grid "
                                                  "choices are this package's own")}))
-    if config.out == "-":
+    if out == "-":
         sys.stdout.write(trace_csv)
         sys.stderr.write(doc)
     else:
-        _write_output(trace_csv, config.out)
+        _write_output(trace_csv, out)
         sys.stdout.write(doc)
 
 
 def _report_render(to_csv):
     """Renderer writing to --out either ``to_csv(results)`` or the JSON envelope."""
-    def render(config, inputs, results):
-        text = (to_csv(results) if config.format == "csv"
-                else _dumps(emit_report(config.command, inputs, results)))
-        _write_output(text, config.out)
+    def render(command, fmt, out, inputs, results):
+        text = (to_csv(results) if fmt == "csv"
+                else _dumps(emit_report(command, inputs, results)))
+        _write_output(text, out)
     return render
 
 
-# name -> (handler(atom, opts) -> results, renderer(config, inputs, results))
-COMMAND_TABLE = {
-    "gamma": (_cmd_gamma, _report_render(_flat_csv)),
-    "shift": (_cmd_shift, _report_render(_flat_csv)),
-    "ratio": (_cmd_ratio, _report_render(_flat_csv)),
-    "split-check": (_cmd_split_check, _report_render(_split_check_csv)),
-    "series-check": (_cmd_series_check, _report_render(_flat_csv)),
-    "wavepacket-check": (_cmd_wavepacket_check, _report_render(_wavepacket_csv)),
-    "ww-sim": (_cmd_ww_sim, _ww_sim_render),
-    "constants": (_cmd_constants, _report_render(_flat_csv)),
+# The single declaration of every command:
+#   name -> (handler(atom, opts) -> results,
+#            renderer(command, fmt, out, inputs, results), help, {flag: default})
+# A flag's default fixes its argparse type: None means float, a list means one
+# or more ints.
+COMMANDS = {
+    "gamma": (_cmd_gamma, _report_render(_flat_csv), "spontaneous emission rate", {}),
+    "shift": (_cmd_shift, _report_render(_flat_csv),
+              "line shift, solved normalization, series", {}),
+    "ratio": (_cmd_ratio, _report_render(_flat_csv),
+              "line shift over the reference shift", {}),
+    "split-check": (_cmd_split_check, _report_render(_split_check_csv),
+                    "numerical central splitting vs the closed form",
+                    {"u_min": 1.05, "u_max": 5.0, "points": 50, "tol": 1e-11}),
+    "series-check": (_cmd_series_check, _report_render(_flat_csv),
+                     "fitted line-shift series vs the analytic coefficients",
+                     {"c0": 0.0, "c1": 0.0, "c2": 0.0}),
+    "wavepacket-check": (_cmd_wavepacket_check, _report_render(_wavepacket_csv),
+                         "slow-atom reduction convergence study",
+                         {"plateau_periods": [10, 100, 1000, 10000],
+                          "ramp_fraction": 0.1}),
+    "ww-sim": (_cmd_ww_sim, _ww_sim_render, "mode-discretized emission simulation",
+               {"n_modes": 4000, "bandwidth_gammas": 100.0, "t_end_gammas": 5.0,
+                "dt_gammas": None}),
+    "constants": (_cmd_constants, _report_render(_flat_csv),
+                  "physical constants registry", {}),
 }
-COMMANDS = tuple(COMMAND_TABLE)
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
-def run(config: RunConfig) -> int:
+def run(command: str, preset: str, fmt: str, out: str, opts: dict) -> int:
     """Execute one command; returns the process exit code."""
-    opts = config.options or {}
     try:
-        atom = resolve_preset(config.preset)
-        inputs = {"preset": config.preset, "atom": atom_to_dict(atom)}
+        atom = resolve_preset(preset)
+        inputs = {"preset": preset, "atom": atom_to_dict(atom)}
         inputs.update({k: v for k, v in opts.items() if v is not None})
-        handler, render = COMMAND_TABLE[config.command]
-        render(config, inputs, handler(atom, opts))
+        handler, render, _, _ = COMMANDS[command]
+        render(command, fmt, out, inputs, handler(atom, opts))
         return 0
     except (CausalAtomError, ValueError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc),
-                "command": config.command}
+                "command": command}
         sys.stderr.write(_dumps(diag))
         return 1
 
@@ -436,59 +430,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "distribution splitting: decay rate, line shift, and the "
                     "numerical cross-checking oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, _, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--preset", default="hydrogen-1s2p",
                        help="built-in name ('hydrogen-1s2p', 'synthetic:<delta_u>') "
                             "or path to an atom JSON file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-
-    common(sub.add_parser("gamma", help="spontaneous emission rate"))
-    common(sub.add_parser("shift", help="line shift, solved normalization, series"))
-    common(sub.add_parser("ratio", help="line shift over the reference shift"))
-
-    p = sub.add_parser("split-check",
-                       help="numerical central splitting vs the closed form")
-    common(p)
-    p.add_argument("--u-min", type=float, default=1.05)
-    p.add_argument("--u-max", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-11)
-
-    p = sub.add_parser("series-check",
-                       help="fitted line-shift series vs the analytic coefficients")
-    common(p)
-    p.add_argument("--c0", type=float, default=0.0)
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--c2", type=float, default=0.0)
-
-    p = sub.add_parser("wavepacket-check",
-                       help="slow-atom reduction convergence study")
-    common(p)
-    p.add_argument("--plateau-periods", type=int, nargs="+",
-                   default=[10, 100, 1000, 10000])
-    p.add_argument("--ramp-fraction", type=float, default=0.1)
-
-    p = sub.add_parser("ww-sim", help="mode-discretized emission simulation")
-    common(p)
-    p.add_argument("--n-modes", type=int, default=4000)
-    p.add_argument("--bandwidth-gammas", type=float, default=100.0)
-    p.add_argument("--t-end-gammas", type=float, default=5.0)
-    p.add_argument("--dt-gammas", type=float, default=None)
-
-    common(sub.add_parser("constants", help="physical constants registry"))
+        for flag, default in flags.items():
+            kind = ({"type": float} if default is None
+                    else {"type": int, "nargs": "+"} if isinstance(default, list)
+                    else {"type": type(default)})
+            p.add_argument("--" + flag.replace("_", "-"), default=default, **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    known = {"command", "preset", "format", "out"}
-    opts = {k: v for k, v in vars(ns).items() if k not in known}
-    config = RunConfig(command=ns.command, preset=ns.preset,
-                       format=ns.format, out=ns.out, options=opts)
-    return run(config)
+    opts = vars(_build_parser().parse_args(argv))
+    return run(opts.pop("command"), opts.pop("preset"), opts.pop("format"),
+               opts.pop("out"), opts)
 
 
 if __name__ == "__main__":

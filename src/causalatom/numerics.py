@@ -217,7 +217,7 @@ def integrate_adaptive(
     Raises QuadratureConvergenceError with the partial estimate attached if
     the subdivision budget is exhausted.
     """
-    if rel_tol <= 0 or abs_tol <= 0:
+    if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be > 0")
     pieces = _finite_pieces(f, iv)
     total = 0.0 + 0.0j
@@ -289,7 +289,7 @@ def integrate_pv(
 
     The pole must lie strictly inside ``iv``; an endpoint pole is rejected.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     return _integrate_pv_any(f, pole, iv, tol)
 

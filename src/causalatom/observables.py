@@ -120,6 +120,9 @@ class AtomParams:
     constants: PhysicalConstants
 
     def __post_init__(self):
+        for name in ("m_g", "omega_eg", "d_eg_abs", "t_g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("m_g", "omega_eg", "t_g"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

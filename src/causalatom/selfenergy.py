@@ -41,6 +41,7 @@ TWO_PI = 2.0 * math.pi
 
 # the extended real-difference fit has 4 terms; one more leaves a residual
 MIN_SPLIT_POINTS = 5
+MAX_SPLIT_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -279,14 +280,25 @@ class SplitCheckReport:
     real_fit_extended_max_deviation: float
 
 
+def check_split_points(n: int) -> None:
+    """Refuse a split-check grid of ``n`` distinct points that the real fit
+    cannot over-determine, or that exceeds MAX_SPLIT_POINTS."""
+    if n < MIN_SPLIT_POINTS:
+        raise GridResolutionError(
+            f"split check needs at least {MIN_SPLIT_POINTS} distinct points (4-term "
+            f"real fit plus one residual degree of freedom), got {n}")
+    if n > MAX_SPLIT_POINTS:
+        raise GridResolutionError(
+            f"split check takes at most {MAX_SPLIT_POINTS} points, got {n}")
+
+
 def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     from .splitting import retarded_part_central  # local import keeps module load light
 
     u = np.asarray(list(u_values), dtype=float)
-    if u.size < MIN_SPLIT_POINTS:
-        raise GridResolutionError(
-            f"split check needs at least {MIN_SPLIT_POINTS} points (4-term real "
-            f"fit plus one residual degree of freedom), got {u.size}")
+    # distinct values = positive gaps in sorted order + 1 (NaN gaps count as none);
+    # np.unique would import numpy.ma
+    check_split_points(int(np.count_nonzero(np.diff(np.sort(u)) > 0)) + min(u.size, 1))
     dist = as_causal_distribution(atom)
     pref = r2_prefactor(atom)
     closed = np.array([r2_tilde_closed(x, atom).total for x in u])

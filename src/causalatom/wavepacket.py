@@ -92,7 +92,7 @@ class TestFunction:
     c: float     # m/s
 
     def __post_init__(self):
-        if self.t_g <= 0 or self.ramp <= 0:
+        if not (self.t_g > 0 and self.ramp > 0):
             raise ValueError("t_g and ramp must be positive")
 
     @property

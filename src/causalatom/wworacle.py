@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 MIN_MODES = 1000
+MAX_MODES = 1_000_000
+MAX_STEPS = 1_000_000
 NORM_TOLERANCE = 1e-6
 
 
@@ -85,6 +87,8 @@ def _calibrated_grid(omega_lo: float, omega_hi: float, n_modes: int,
                      gamma: float) -> ModeGrid:
     if n_modes < MIN_MODES:
         raise GridResolutionError(f"need at least {MIN_MODES} modes, got {n_modes}")
+    if n_modes > MAX_MODES:
+        raise GridResolutionError(f"at most {MAX_MODES} modes allowed, got {n_modes}")
     span = omega_hi - omega_lo
     spacing = span / (n_modes - 1)
     if spacing > gamma / 10.0:
@@ -123,8 +127,8 @@ def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
     dt must resolve the fastest detuning (dt * max|Delta| < 0.2, i.e. the
     comb half-width criterion dt * bandwidth/2 < 0.1 for centered grids).
     Raises GridResolutionError, before any allocation, for a non-finite or
-    non-positive dt or t_end, and NormDriftError if norm conservation
-    degrades beyond 1e-6.
+    non-positive dt or t_end or more than MAX_STEPS steps, and NormDriftError
+    if norm conservation degrades beyond 1e-6.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0.0):
@@ -136,6 +140,9 @@ def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
         raise GridResolutionError(
             f"dt = {dt:.3e} does not resolve the fastest detuning "
             f"{max_det:.3e} rad/s (need dt * max|detuning| < 0.2)")
+    if t_end / dt > MAX_STEPS:
+        raise GridResolutionError(
+            f"t_end / dt = {t_end / dt:.3e} exceeds {MAX_STEPS} time steps")
     n_steps = int(math.ceil(t_end / dt))
     if sample_stride is None:
         sample_stride = max(1, n_steps // 600)

@@ -3,8 +3,10 @@ import math
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 
+from causalatom import cli
 from causalatom.cli import main, resolve_preset
 from causalatom.observables import hydrogen_1s2p_preset
 
@@ -141,9 +143,17 @@ class TestSplitCheckCommand:
         errs = [r["im_rel_err"] for r in res["rows"]] + [res["max_im_rel_err"]]
         assert all(isinstance(e, (int, float)) and math.isfinite(e) for e in errs)
 
-    @pytest.mark.parametrize("points", ["0", "1", "4"])
+    @pytest.mark.parametrize("points", ["-1", "0", "1", "4"])
     def test_underdetermined_fit_refused(self, capsys, points):
         code, out, err = run_cli(capsys, "split-check", "--points", points)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "GridResolutionError"
+
+    def test_equal_endpoints_refused(self, capsys):
+        # 50 points but one distinct u: the fits would be rank 1
+        code, out, err = run_cli(capsys, "split-check", "--u-min", "2",
+                                 "--u-max", "2")
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "GridResolutionError"
@@ -233,10 +243,70 @@ class TestErrorPaths:
         diag = json.loads(err)
         assert diag["error"] == "PresetError"
 
+    @pytest.mark.parametrize("key, value", [("m_g_kg", "NaN"),
+                                            ("d_eg_Cm", "Infinity"),
+                                            ("t_g_s", "NaN")])
+    def test_non_finite_preset_field_exits_one(self, capsys, tmp_path, key, value):
+        doc = {"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
+               "d_eg_Cm": 6.3e-30, "t_g_s": 1.0, key: "@"}
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(json.dumps(doc).replace('"@"', value))
+        code, out, err = run_cli(capsys, "gamma", "--preset", str(preset_file))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "PresetError"
+
     def test_unknown_preset_name_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "gamma", "--preset", "unobtainium")
         assert code == 1
         assert json.loads(err)["error"] == "PresetError"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["split-check", "--tol", "nan"], "tolerances must be > 0"),
+        (["wavepacket-check", "--ramp-fraction", "nan"],
+         "t_g and ramp must be positive"),
+    ])
+    def test_nan_refused_before_evaluation(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message,
+                                   "command": argv[0]}
+
+    @pytest.mark.parametrize("argv", [
+        ["series-check", "--c0", "1e308"],
+        ["wavepacket-check", "--plateau-periods", "10", "--ramp-fraction", "1e300"],
+    ])
+    def test_non_finite_result_exits_one(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert not target.exists()
+        assert json.loads(err)["error"] == "CausalAtomError"
+
+    @pytest.mark.parametrize("argv", [["split-check", "--points", "100001"],
+                                      ["ww-sim", "--n-modes", "1000001"]])
+    def test_oversized_grid_refused_before_allocation(self, capsys, monkeypatch, argv):
+        def linspace(start, stop, num=50, **kwargs):
+            raise AssertionError(f"np.linspace called with {num} points")
+        monkeypatch.setattr(np, "linspace", linspace)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "GridResolutionError"
+
+    def test_too_many_steps_refused_before_evolution(self, capsys, monkeypatch):
+        def evolve_amplitudes(detunings, couplings, dt, n_steps, stride):
+            raise AssertionError(f"evolve_amplitudes called with {n_steps} steps")
+        monkeypatch.setattr("causalatom.wworacle.evolve_amplitudes", evolve_amplitudes)
+        code, out, err = run_cli(capsys, "ww-sim", "--n-modes", "1000",
+                                 "--bandwidth-gammas", "50", "--dt-gammas", "1e-12")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "GridResolutionError"
 
     def test_unwritable_output_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "gamma", "--out",
@@ -251,3 +321,7 @@ class TestFloatFormatting:
         assert doc["results"]["hbar_J_s"] == 1.054571817e-34
         assert doc["results"]["alpha_consistency_rel"] < 1e-6
         assert doc["results"]["c_m_s"] == 299792458.0
+
+
+def test_schema_lists_every_command(schema):
+    assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)
