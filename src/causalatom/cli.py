@@ -42,7 +42,7 @@ from .observables import (
     solve_normalization,
     synthetic_atom,
 )
-from .selfenergy import NormalizationConstants, check_split_points, split_check_report
+from .selfenergy import NormalizationConstants, check_split_grid, split_check_report
 from .wavepacket import convergence_study
 from .wworacle import build_grid, evolve, fit_decay
 
@@ -226,7 +226,7 @@ def _cmd_ratio(atom, opts):
 
 def _cmd_split_check(atom, opts):
     points = opts["points"]
-    check_split_points(points)  # before np.linspace allocates the grid
+    check_split_grid(opts["u_min"], opts["u_max"], points)  # before np.linspace
     grid = np.linspace(opts["u_min"], opts["u_max"], points)
     rep = split_check_report(atom, grid, tol=opts["tol"])
     rows = [

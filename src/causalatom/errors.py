@@ -6,9 +6,11 @@ class CausalAtomError(Exception):
 
 
 class QuadratureConvergenceError(CausalAtomError):
-    """Adaptive quadrature exhausted its evaluation budget.
+    """Adaptive quadrature exhausted its evaluation budget, or a node left the
+    float range (landed on a pole, overflowed).
 
-    Carries the partial estimate so callers can inspect how far it got.
+    Carries the partial estimate, if there is one, so callers can inspect how
+    far it got.
     """
 
     def __init__(self, message, partial=None):
@@ -33,7 +35,8 @@ class BranchPointError(CausalAtomError):
 
 
 class SingularPointError(CausalAtomError):
-    """Closed-form evaluation at a hard singular point (u in {0, +-1})."""
+    """Closed-form evaluation at a hard singular point (u in {0, +-1}), or
+    where the closed form leaves the float range."""
 
 
 class SupportError(CausalAtomError):

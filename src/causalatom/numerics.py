@@ -40,6 +40,7 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-14
 DEFAULT_MAX_EVALUATIONS = 1_000_000
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,10 @@ def _integrate_finite(f, a, b, rel_tol, abs_tol, budget):
     counter = 1
     total = value
     total_err = err
-    while total_err > max(abs_tol, rel_tol * abs(total)):
+    # sum of |panel values|: near a zero of the integral the relative target
+    # would ask for less than the rounding noise of the sum, so stop there
+    total_abs = abs(value)
+    while total_err > max(abs_tol, rel_tol * abs(total), 64 * _EPS * total_abs):
         if evals + 30 > budget:
             segs = sorted(segments, key=lambda s: s[2])
             partial = QuadratureResult(
@@ -163,6 +167,7 @@ def _integrate_finite(f, a, b, rel_tol, abs_tol, budget):
         evals += 30
         total += v1 + v2 - sv
         total_err += e1 + e2 - se
+        total_abs += abs(v1) + abs(v2) - abs(sv)
         heapq.heappush(segments, (-e1, counter, sa, sm, v1, e1))
         counter += 1
         heapq.heappush(segments, (-e2, counter, sm, sb, v2, e2))
@@ -182,24 +187,18 @@ def _finite_pieces(f, iv: Interval):
     """
     lo, hi = iv.lo, iv.hi
 
-    def tail_up(anchor):
+    def tail(anchor, sign):
         def ft(t):
             w = 1.0 / (1.0 - t)
-            return f(anchor + t * w) * w * w
-        return ft
-
-    def tail_down(anchor):
-        def ft(t):
-            w = 1.0 / (1.0 - t)
-            return f(anchor - t * w) * w * w
+            return f(anchor + sign * (t * w)) * w * w
         return ft
 
     if math.isinf(lo) and math.isinf(hi):
-        return [(tail_down(0.0), 0.0, 1.0), (tail_up(0.0), 0.0, 1.0)]
+        return [(tail(0.0, -1.0), 0.0, 1.0), (tail(0.0, 1.0), 0.0, 1.0)]
     if math.isinf(hi):
-        return [(tail_up(lo), 0.0, 1.0)]
+        return [(tail(lo, 1.0), 0.0, 1.0)]
     if math.isinf(lo):
-        return [(tail_down(hi), 0.0, 1.0)]
+        return [(tail(hi, -1.0), 0.0, 1.0)]
     return [(f, lo, hi)]
 
 

@@ -19,6 +19,7 @@ oracle pinning the closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -277,9 +278,6 @@ class LineShiftSeries:
     c3: float
     prefactor: float  # |d|^2 / (144 pi^2 eps0 hbar lb^3),  1/s per bracket unit
 
-    def bracket_coefficients(self):
-        return (self.c0, self.c1, self.c2, self.c3, self.c_log3)
-
 
 def _shift_prefactor(atom: AtomParams) -> float:
     k = atom.constants
@@ -324,6 +322,29 @@ def _bracket_line_shift_mp(du, c: NormalizationConstants):
     return 6 * re_b / u
 
 
+@functools.cache
+def _series_design():
+    """Grid, column-scaled basis A (du^k, and du^k ln du for k >= 3), column
+    scales, A^T and the LU factors of A^T A: the same for every atom and C.
+    The factors are taken at mp.lu_solve's working precision, so solving
+    against them reproduces its result bit for bit.  Every fit shares these
+    matrices, so callers only read them."""
+    with mp.workdps(_EXTRACT_DPS):
+        lo, hi = _EXTRACT_GRID_DECADES
+        grid = [mp.mpf(10) ** (lo + (hi - lo) * i / (_EXTRACT_POINTS - 1))
+                for i in range(_EXTRACT_POINTS)]
+        a = mp.matrix([[du ** k for k in range(3)]
+                       + [v for k in range(3, _EXTRACT_MAX_ORDER + 1)
+                          for v in (du ** k, du ** k * mp.log(du))] for du in grid])
+        scale = [max(abs(a[i, j]) for i in range(a.rows)) for j in range(a.cols)]
+        a = mp.matrix([[a[i, j] / scale[j] for j in range(a.cols)] for i in range(a.rows)])
+        at = a.T
+        normal = at * a  # at 50 digits; mp.lu_solve factors it 10 bits higher
+        with mp.extraprec(10):
+            lu = mp.mp.LU_decomp(normal)
+    return grid, a, scale, at, lu
+
+
 def extract_series_numerically(atom: AtomParams,
                                c: NormalizationConstants = NormalizationConstants()
                                ) -> LineShiftSeries:
@@ -334,47 +355,17 @@ def extract_series_numerically(atom: AtomParams,
     {1, du, du^2, du^3, du^3 ln du} (plus higher nuisance orders; the ln 2 of
     log(2 du) is absorbed into the du^3 column and re-separated analytically).
     """
+    grid, a, scale, at, (lu, perm) = _series_design()
     with mp.workdps(_EXTRACT_DPS):
-        lo, hi = _EXTRACT_GRID_DECADES
-        exponents = [lo + (hi - lo) * i / (_EXTRACT_POINTS - 1)
-                     for i in range(_EXTRACT_POINTS)]
-        grid = [mp.mpf(10) ** e for e in exponents]
         y = [_bracket_line_shift_mp(du, c) for du in grid]
-
-        labels = []
-        rows = []
-        for du in grid:
-            l = mp.log(du)
-            row = []
-            labels = []
-            for k in range(_EXTRACT_MAX_ORDER + 1):
-                row.append(du ** k)
-                labels.append(("pow", k))
-                if k >= 3:
-                    row.append(du ** k * l)
-                    labels.append(("powlog", k))
-            rows.append(row)
-        a = mp.matrix(rows)
-        ncol = a.cols
-        scale = [max(abs(a[i, j]) for i in range(a.rows)) for j in range(ncol)]
-        for j in range(ncol):
-            for i in range(a.rows):
-                a[i, j] = a[i, j] / scale[j]
-        at = a.T
-        beta_scaled = mp.lu_solve(at * a, at * mp.matrix(y))
-        beta = {lab: beta_scaled[j] / scale[j] for j, lab in enumerate(labels)}
-
-        fit_vals = a * beta_scaled
-        resid = max(abs(fit_vals[i] - y[i]) for i in range(len(y)))
-
-        c_log3 = beta[("powlog", 3)]
-        coeffs = dict(
-            c_log3=float(c_log3),
-            c0=float(beta[("pow", 0)]),
-            c1=float(beta[("pow", 1)]),
-            c2=float(beta[("pow", 2)]),
-            c3=float(beta[("pow", 3)] - c_log3 * mp.log(2)),
-        )
+        rhs = at * mp.matrix(y)
+        with mp.extraprec(10):
+            beta_scaled = mp.mp.U_solve(lu, mp.mp.L_solve(lu, rhs, perm))
+        # columns 0..4 hold 1, du, du^2, du^3 and du^3 ln du
+        c0, c1, c2, c3, c_log3 = (beta_scaled[j] / scale[j] for j in range(5))
+        resid = max(abs(f - v) for f, v in zip(a * beta_scaled, y))
+        coeffs = dict(c_log3=float(c_log3), c0=float(c0), c1=float(c1), c2=float(c2),
+                      c3=float(c3 - c_log3 * mp.log(2)))
         # the constant coefficient dominates the sampled values on this grid,
         # so the data magnitude is its degenerate-fit-proof proxy
         leading = max(float(abs(v)) for v in y)

@@ -57,9 +57,6 @@ class NormalizationConstants:
             if not math.isfinite(v):
                 raise ValueError("normalization constants must be finite")
 
-    def as_tuple(self):
-        return (self.c0, self.c1, self.c2)
-
 
 @dataclass(frozen=True)
 class SelfEnergyValue:
@@ -179,6 +176,11 @@ def as_causal_distribution(atom, unit_scale: bool = False) -> CausalDistribution
 def _check_regular(u: float):
     if u == 0.0 or abs(abs(u) - 1.0) < 1e-14:
         raise SingularPointError(f"closed form singular at u = {u} (u in {{0, +-1}})")
+    # the front term's x^3/(2u^4) in Python floats, which overflow without warnings
+    u2 = float(u) * float(u)
+    x = u2 - 1.0
+    if not (u2 * u2 > 0.0 and math.isfinite(x * x * x / (2.0 * u2 * u2))):
+        raise SingularPointError(f"closed form leaves the float range at u = {u}")
 
 
 def _front_term(u, x, ln_abs_x, step):
@@ -290,6 +292,18 @@ def check_split_points(n: int) -> None:
     if n > MAX_SPLIT_POINTS:
         raise GridResolutionError(
             f"split check takes at most {MAX_SPLIT_POINTS} points, got {n}")
+
+
+def check_split_grid(u_min: float, u_max: float, n: int) -> None:
+    """Refuse a split-check grid before it is allocated: a point count that
+    check_split_points refuses, or an endpoint that is not finite or at which
+    the closed form cannot be evaluated (np.linspace overflows between ends
+    that far out)."""
+    check_split_points(n)
+    for name, u in (("u_min", u_min), ("u_max", u_max)):
+        if not math.isfinite(u):
+            raise GridResolutionError(f"{name} must be finite, got {u}")
+        _check_regular(u)
 
 
 def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BranchPointError, SupportError
+from .errors import BranchPointError, QuadratureConvergenceError, SupportError
 from .numerics import Interval, _integrate_pv_any, integrate_adaptive
 
 __all__ = [
@@ -114,14 +114,20 @@ def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
     on_support = abs(p0) > d.k_min
     left = Interval(-math.inf, -d.k_min)
     right = Interval(d.k_min, math.inf)
-    if on_support:
-        pole_side = right if p0 > 0 else left
-        other = left if p0 > 0 else right
-        value += _integrate_pv_any(kernel, p0, pole_side, tol).value
-        value += integrate_adaptive(kernel, other, rel_tol=tol).value
-    else:
-        value += integrate_adaptive(kernel, left, rel_tol=tol).value
-        value += integrate_adaptive(kernel, right, rel_tol=tol).value
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            if on_support:
+                pole_side = right if p0 > 0 else left
+                other = left if p0 > 0 else right
+                value += _integrate_pv_any(kernel, p0, pole_side, tol).value
+                value += integrate_adaptive(kernel, other, rel_tol=tol).value
+            else:
+                value += integrate_adaptive(kernel, left, rel_tol=tol).value
+                value += integrate_adaptive(kernel, right, rel_tol=tol).value
+    except FloatingPointError as exc:
+        # e.g. for |p0| above ~1e13 the fold's p0 +- t rounds onto the pole
+        raise QuadratureConvergenceError(
+            f"dispersion integral at p0 = {p0} failed: {exc}") from exc
 
     result = (1j / (2.0 * math.pi)) * (p0 - q) ** om1 * value
     if on_support:

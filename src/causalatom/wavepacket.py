@@ -224,7 +224,12 @@ def z_numerical(atom: AtomParams,
     if wavepacket is not None:
         wavepacket.validate_narrow(atom)
 
-    z_num, width_u = _z_integral_fft(atom, c_norm, g, n_fft, pad)
+    try:  # a window too long for floats overflows in the FFT sums
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            z_num, width_u = _z_integral_fft(atom, c_norm, g, n_fft, pad)
+    except FloatingPointError as exc:
+        raise CausalAtomError(f"Z integral leaves the float range for t_g = {g.t_g:.3e} s "
+                              f"and ramp = {g.ramp:.3e} s ({exc})") from exc
 
     pref = t2_prefactor(atom)
     bracket0 = complex(t2_bracket_resonant(atom.delta_u, c_norm))

@@ -105,6 +105,8 @@ def _calibrated_grid(omega_lo: float, omega_hi: float, n_modes: int,
 def build_grid(atom: AtomParams, bandwidth: float, n_modes: int) -> ModeGrid:
     """Uniform grid centered on the transition, calibrated to gamma_leading."""
     gamma = gamma_leading(atom)
+    if not math.isfinite(bandwidth):
+        raise GridResolutionError(f"bandwidth must be finite, got {bandwidth}")
     if bandwidth < 40.0 * gamma:
         raise GridResolutionError(
             f"bandwidth {bandwidth:.3e} below 40 gamma = {40 * gamma:.3e}")

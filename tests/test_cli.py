@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -143,6 +147,21 @@ class TestSplitCheckCommand:
         errs = [r["im_rel_err"] for r in res["rows"]] + [res["max_im_rel_err"]]
         assert all(isinstance(e, (int, float)) and math.isfinite(e) for e in errs)
 
+    def test_pole_fold_band_succeeds(self):
+        # a fresh interpreter with -W error: any warning would end the run
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "causalatom.cli", "split-check",
+             "--u-min", "3.1330", "--u-max", "3.1336", "--points", "200"],
+            capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        res = json.loads(proc.stdout)["results"]
+        assert len(res["rows"]) == 200
+        assert res["max_im_rel_err"] <= 1e-8
+        assert res["real_difference_fit_extended"]["max_abs_deviation_bracket_units"] < 1e-6
+
     @pytest.mark.parametrize("points", ["-1", "0", "1", "4"])
     def test_underdetermined_fit_refused(self, capsys, points):
         code, out, err = run_cli(capsys, "split-check", "--points", points)
@@ -274,6 +293,32 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err) == {"error": "ValueError", "message": message,
                                    "command": argv[0]}
+
+    @pytest.mark.parametrize("argv, error, named", [
+        (["split-check", "--u-max", "inf"], "GridResolutionError", "u_max must be finite"),
+        (["split-check", "--u-min", "nan"], "GridResolutionError", "u_min must be finite"),
+        (["split-check", "--u-min", "1e-300", "--u-max", "2e-300", "--points", "5"],
+         "SingularPointError", "float range at u = 1e-300"),
+        (["split-check", "--u-min", "1e300", "--u-max", "1.7e308"],
+         "SingularPointError", "float range at u = 1e+300"),
+        (["ww-sim", "--bandwidth-gammas", "nan"], "GridResolutionError",
+         "bandwidth must be finite"),
+        (["wavepacket-check", "--plateau-periods", "10", "--ramp-fraction", "1e300"],
+         "CausalAtomError", "ramp = 4.055e+285 s"),
+        (["wavepacket-check", "--plateau-periods", "10", "--ramp-fraction", "inf"],
+         "CausalAtomError", "ramp = inf s"),
+    ])
+    def test_out_of_range_input_refused_cleanly(self, capfd, argv, error, named):
+        # capfd also sees what LAPACK writes to file descriptor 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == error
+        assert named in diag["message"]
 
     @pytest.mark.parametrize("argv", [
         ["series-check", "--c0", "1e308"],

@@ -107,6 +107,14 @@ class TestIntegrateAdaptive:
         assert partial.evaluations <= 2000
         assert math.isfinite(partial.abs_error_estimate)
 
+    def test_zero_integral_stops_at_rounding_noise(self):
+        # the integral is 0, so neither the relative nor a 1e-300 absolute
+        # target can be met; the error floor is the rounding noise of the sum
+        r = integrate_adaptive(np.sin, Interval(0.0, 2.0 * math.pi),
+                               abs_tol=1e-300, max_evaluations=2000)
+        assert abs(r.value) < 1e-13
+        assert r.abs_error_estimate < 1e-13
+
     def test_determinism(self):
         def f(x):
             return np.sin(3.0 * x) / (1.0 + x * x)

@@ -239,6 +239,64 @@ class TestLineShiftSeries:
         assert up.c0 - base.c0 == pytest.approx(6.0, abs=1e-10)
 
 
+def _reference_extract(c):
+    """The fit as it stood before its design was cached: the grid, the basis,
+    the normal matrix and its mp.lu_solve factorization are rebuilt per call.
+    Returns (c_log3, c0, c1, c2, c3)."""
+    import mpmath as mp
+    from causalatom import observables as obs
+
+    with mp.workdps(obs._EXTRACT_DPS):
+        lo, hi = obs._EXTRACT_GRID_DECADES
+        grid = [mp.mpf(10) ** (lo + (hi - lo) * i / (obs._EXTRACT_POINTS - 1))
+                for i in range(obs._EXTRACT_POINTS)]
+        y = [obs._bracket_line_shift_mp(du, c) for du in grid]
+        rows = []
+        for du in grid:
+            row = []
+            for k in range(obs._EXTRACT_MAX_ORDER + 1):
+                row.append(du ** k)
+                if k >= 3:
+                    row.append(du ** k * mp.log(du))
+            rows.append(row)
+        a = mp.matrix(rows)
+        scale = [max(abs(a[i, j]) for i in range(a.rows)) for j in range(a.cols)]
+        for j in range(a.cols):
+            for i in range(a.rows):
+                a[i, j] = a[i, j] / scale[j]
+        beta = mp.lu_solve(a.T * a, a.T * mp.matrix(y))
+        b = [beta[j] / scale[j] for j in range(5)]
+        return (float(b[4]), float(b[0]), float(b[1]), float(b[2]),
+                float(b[3] - b[4] * mp.log(2)))
+
+
+class TestSeriesDesign:
+    @pytest.mark.parametrize("c", [C0, NormalizationConstants(1.5, -2.0, 0.5),
+                                   NormalizationConstants(-1e4, 3.25, 7e2)])
+    def test_cached_design_matches_per_call_fit(self, hyd, c):
+        fit = extract_series_numerically(hyd, c)
+        assert (fit.c_log3, fit.c0, fit.c1, fit.c2, fit.c3) == _reference_extract(c)
+
+    def test_independent_of_call_order(self, hyd):
+        # a fit that mutated the cached design would change the later ones
+        from causalatom import observables as obs
+        cs = [C0, NORMALIZATION_EXACT, NormalizationConstants(2.0, -5.0, 9.0)]
+        obs._series_design.cache_clear()
+        forward = [extract_series_numerically(hyd, c) for c in cs]
+        obs._series_design.cache_clear()
+        backward = [extract_series_numerically(hyd, c) for c in reversed(cs)][::-1]
+        assert forward == backward
+        assert [extract_series_numerically(hyd, c) for c in cs] == forward
+
+    def test_design_built_once_per_process(self, hyd):
+        from causalatom import observables as obs
+        obs._series_design.cache_clear()
+        solve_normalization(hyd)
+        extract_series_numerically(hyd, NORMALIZATION_EXACT)
+        info = obs._series_design.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
+
 class TestSolveNormalization:
     def test_solved_triple(self, hyd):
         c = solve_normalization(hyd)

@@ -81,6 +81,23 @@ class TestRetardedCentral:
         assert abs(r2) / abs(r1) <= 0.5 ** 3 * 1.05
         assert retarded_part_central(d, 0.0) == 0.0
 
+    @pytest.mark.parametrize("p0", [3.1332170854271357, -3.1332170854271357,
+                                    3.1333286432160805])
+    def test_pole_fold_band(self, p0):
+        # here the folded principal-value integral crosses zero, so a purely
+        # relative target asks for accuracy below rounding noise; at an
+        # SI-sized scale the 1e-14 absolute floor does not stop the bisection
+        # either, and it used to refine until a node landed on the pole
+        scale = 1e22
+        r = retarded_part_central(make_core(scale), p0)
+        x = p0 * p0 - 1.0
+        # 2 pi Re r = the symmetrized bracket at C = 0; Im r = core(p0)/2
+        re_expected = scale * (-x ** 3 * np.log(x) / p0 ** 4 + 1.0 / p0 ** 2 - 2.5
+                               + 11.0 * p0 ** 2 / 6.0) / (2.0 * np.pi)
+        assert r.real == pytest.approx(re_expected, rel=1e-11)
+        im_expected = scale * core_g(np.array([p0]))[0] / 2.0
+        assert r.imag == pytest.approx(im_expected, rel=1e-14)
+
     def test_linearity(self):
         d1 = make_core(1.0)
         d2 = CausalDistribution1D(
