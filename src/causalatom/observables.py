@@ -31,6 +31,8 @@ from .numerics import solve_linear
 from .selfenergy import (
     NormalizationConstants,
     _sym_bracket,
+    d2_scale,
+    r2_prefactor,
     t2_bracket_resonant,
     t2_prefactor,
 )
@@ -133,6 +135,7 @@ class AtomParams:
             raise ValueError(
                 f"delta_u = {self.delta_u:.3g} is not << 1; the resting-atom "
                 "expansion breaks down (rejecting delta_u >= 0.1)")
+        _check_si_prefactors(self)
 
     @property
     def lambda_bar_g(self) -> float:
@@ -154,6 +157,28 @@ class AtomParams:
     @property
     def u_res(self) -> float:
         return 1.0 + self.delta_u
+
+
+def _check_si_prefactors(atom: AtomParams) -> None:
+    """Raise ValueError, naming the fields, if an SI prefactor of the
+    observables leaves the float range.  Each is |d|^2 times a power of
+    omega_eg or of 1/lambda_bar_g, so finite fields can still overflow it."""
+    prefactors = (
+        ("gamma_leading", ("d_eg_abs", "omega_eg"), gamma_leading),
+        ("d2_scale", ("d_eg_abs", "m_g"), d2_scale),
+        ("r2_prefactor", ("d_eg_abs", "m_g"), r2_prefactor),
+        ("t2_prefactor", ("d_eg_abs", "m_g"), t2_prefactor),
+        ("line-shift prefactor", ("d_eg_abs", "m_g"), _shift_prefactor),
+        ("gamma_exact", ("d_eg_abs", "omega_eg", "m_g"), lambda a: gamma_exact(a, 4)),
+    )
+    for name, fields, prefactor in prefactors:
+        try:
+            if math.isfinite(prefactor(atom)):
+                continue
+        except (OverflowError, ZeroDivisionError):  # x ** 3 overflows; lb ** 3 underflows
+            pass
+        named = ", ".join(f"{f} = {getattr(atom, f):.6g}" for f in fields)
+        raise ValueError(f"{name} leaves the float range for {named}")
 
 
 _ATOM_KEYS = ("m_g_kg", "omega_eg_rad_s", "d_eg_Cm", "t_g_s")

@@ -263,7 +263,11 @@ def convergence_study(atom: AtomParams,
     period = TWO_PI / atom.omega_eg
     out = []
     for n in plateau_periods:
-        t_g = n * period
+        try:
+            t_g = n * period
+        except OverflowError:  # an int past the float range
+            raise CausalAtomError(f"a plateau_periods value of {n.bit_length()} bits "
+                                  "leaves the float range (t_g = n * period)") from None
         g = bump_g(t_g, ramp_fraction * t_g, atom.constants)
         out.append((t_g, z_numerical(atom, c_norm, g)))
     return out

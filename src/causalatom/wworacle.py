@@ -7,11 +7,13 @@ spontaneous emission rate; the rotating-frame amplitude equations
     dc_e/dt = -i sum_k g_k exp(+i Delta_k t) c_k
     dc_k/dt = -i g_k exp(-i Delta_k t) c_e
 
-are integrated with an exactly norm-preserving Crank-Nicolson step (see
-_ww_kernels).  Couplings are flat rather than frequency-weighted: the oracle
-targets the on-resonance rate, where only the on-shell mode density matters;
-the cutoff-logarithm study is qualitative by design.  Internally everything
-is scaled so the target rate is 1; SI units are restored at the boundary.
+are integrated with an exactly norm-preserving Crank-Nicolson step, with the
+modes eliminated into a memory kernel (see _ww_kernels), so the cost does
+not depend on the number of modes.  Couplings are flat rather than
+frequency-weighted: the oracle targets the on-resonance rate, where only the
+on-shell mode density matters; the cutoff-logarithm study is qualitative by
+design.  Internally everything is scaled so the target rate is 1; SI units
+are restored at the boundary.
 
 Grid choices here (uniform spacing, flat couplings, window placement) are
 this module's own and are recorded in the CLI output metadata.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ww_kernels import evolve_amplitudes
+from ._ww_kernels import check_uniform_comb, evolve_amplitudes
 from .errors import FitResidualError, GridResolutionError, NormDriftError
 from .observables import AtomParams, gamma_leading
 
@@ -47,6 +49,8 @@ NORM_TOLERANCE = 1e-6
 class ModeGrid:
     """Uniform frequency comb with flat couplings.
 
+    Frequencies that are not a uniform comb to within float rounding raise
+    GridResolutionError (the kernel works from the comb's endpoints).
     density is the calibration density n_modes/bandwidth used to fix the
     coupling (2 pi g^2 density = gamma_target); the actual comb spacing is
     bandwidth/(n_modes - 1).
@@ -60,6 +64,7 @@ class ModeGrid:
     def __post_init__(self):
         if np.any(np.diff(self.frequencies) <= 0):
             raise GridResolutionError("mode frequencies must be strictly increasing")
+        check_uniform_comb(self.frequencies, "mode frequencies")
 
     @property
     def spacing(self) -> float:
@@ -129,8 +134,9 @@ def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
     dt must resolve the fastest detuning (dt * max|Delta| < 0.2, i.e. the
     comb half-width criterion dt * bandwidth/2 < 0.1 for centered grids).
     Raises GridResolutionError, before any allocation, for a non-finite or
-    non-positive dt or t_end or more than MAX_STEPS steps, and NormDriftError
-    if norm conservation degrades beyond 1e-6.
+    non-positive dt or t_end or more than MAX_STEPS steps (and, from the
+    kernel, for couplings that are not all equal), and NormDriftError if norm
+    conservation degrades beyond 1e-6.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0.0):
@@ -149,9 +155,12 @@ def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
     if sample_stride is None:
         sample_stride = max(1, n_steps // 600)
 
-    # scale time by the target rate so the kernel works near unity
+    # scale time by the target rate so the kernel works near unity; the comb
+    # is rewritten at the scale of the detunings, where it is uniform to the
+    # last bit, rather than carrying the rounding of the optical frequencies
+    scaled = np.linspace(detun[0] / gamma, detun[-1] / gamma, detun.size)
     ts, ces, norms = evolve_amplitudes(
-        detun / gamma, grid.couplings / gamma, dt * gamma, n_steps, sample_stride)
+        scaled, grid.couplings / gamma, dt * gamma, n_steps, sample_stride)
     drift = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
     if drift > NORM_TOLERANCE:
         raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE}",

@@ -275,6 +275,23 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err)["error"] == "PresetError"
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_preset_overflowing_si_prefactors_refused(self, capsys, tmp_path, command):
+        # every field is finite, but |d|^2 omega^3 leaves the float range
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(json.dumps({"m_g_kg": 1.6735575e-27,
+                                           "omega_eg_rad_s": 1.5497e16,
+                                           "d_eg_Cm": 1e150, "t_g_s": 1.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--preset", str(preset_file))
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "PresetError"
+        assert "d_eg_abs = 1e+150" in diag["message"]
+        assert "leaves the float range" in diag["message"]
+
     def test_unknown_preset_name_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "gamma", "--preset", "unobtainium")
         assert code == 1
@@ -307,6 +324,8 @@ class TestErrorPaths:
          "CausalAtomError", "ramp = 4.055e+285 s"),
         (["wavepacket-check", "--plateau-periods", "10", "--ramp-fraction", "inf"],
          "CausalAtomError", "ramp = inf s"),
+        (["wavepacket-check", "--plateau-periods", "10", str(10 ** 400)],
+         "CausalAtomError", "plateau_periods value of 1329 bits leaves the float range"),
     ])
     def test_out_of_range_input_refused_cleanly(self, capfd, argv, error, named):
         # capfd also sees what LAPACK writes to file descriptor 1

@@ -1,10 +1,14 @@
-"""Property-based CLI tests over the input domain of series-check and split-check.
+"""Property-based CLI tests over the input domain of series-check, split-check,
+wavepacket-check and ww-sim.
 
 Every invocation must end one of two ways: exit 0 with only finite numbers in
 the written document, or exit 1 with a one-line typed diagnostic on stderr and
-nothing written.  stdout stays empty either way, since output goes to --out;
-capfd also catches what native code (LAPACK) writes to file descriptor 1.
-Grids stay at 5-12 points, so no example allocates anything large.
+nothing written.  stdout stays empty either way, since output goes to --out
+(ww-sim writes its trace there and its JSON summary to stdout, so for it
+stdout holds that summary on success and nothing on failure); capfd also
+catches what native code (LAPACK) writes to file descriptor 1.  Grids stay at
+5-12 points and ww-sim runs at or below about 2e4 time steps, so no example
+allocates anything large.
 """
 
 import json
@@ -47,8 +51,16 @@ def _reject_constant(name):
     raise AssertionError(f"non-finite number {name} written")
 
 
+def _assert_finite_csv(text):
+    header, *rows = text.splitlines()
+    assert rows
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.split(","))
+
+
 def check_invocation(capfd, tmp_path, argv):
-    target = tmp_path / "out.json"
+    ww_sim = argv[0] == "ww-sim"
+    target = tmp_path / ("trace.csv" if ww_sim else "out.json")
     target.unlink(missing_ok=True)
     capfd.readouterr()
     with warnings.catch_warnings():
@@ -56,12 +68,17 @@ def check_invocation(capfd, tmp_path, argv):
         code = main([*argv, "--out", str(target)])
     out, err = capfd.readouterr()
     event(f"exit {code}")
-    assert out == ""
     if code == 0:
         assert err == ""
-        _assert_finite(json.loads(target.read_text(), parse_constant=_reject_constant))
+        if ww_sim:
+            _assert_finite(json.loads(out, parse_constant=_reject_constant))
+            _assert_finite_csv(target.read_text())
+        else:
+            assert out == ""
+            _assert_finite(json.loads(target.read_text(), parse_constant=_reject_constant))
     else:
         assert code == 1
+        assert out == ""
         assert not target.exists()
         diag = json.loads(err)
         assert list(diag) == ["error", "message", "command"]
@@ -86,3 +103,34 @@ def test_split_check_ends_cleanly(capfd, tmp_path, preset, ends, points, tol):
     check_invocation(capfd, tmp_path, ["split-check", "--preset", preset,
                                        f"--u-min={ends[0]!r}", f"--u-max={ends[1]!r}",
                                        "--points", str(points), f"--tol={tol!r}"])
+
+
+def mostly(main, edges):
+    """Three draws in four from main, the rest from edges."""
+    return st.one_of(main, main, main, edges)
+
+
+@PROPERTY_SETTINGS
+@given(periods=st.lists(mostly(st.integers(-10, 10 ** 5),
+                               st.sampled_from([0, -(10 ** 400), 10 ** 300, 10 ** 308,
+                                                10 ** 309, 10 ** 400])),
+                        min_size=1, max_size=3),
+       ramp=mostly(st.floats(1e-3, 1.0), EDGE_FLOATS))
+def test_wavepacket_check_ends_cleanly(capfd, tmp_path, periods, ramp):
+    check_invocation(capfd, tmp_path, ["wavepacket-check",
+                                       "--plateau-periods", *map(str, periods),
+                                       f"--ramp-fraction={ramp!r}"])
+
+
+@PROPERTY_SETTINGS
+@given(n_modes=mostly(st.integers(2001, 20000), st.sampled_from([-1, 0, 999, 1_000_001])),
+       bandwidth=mostly(st.floats(40.0, 200.0), EDGE_FLOATS),
+       t_end=mostly(st.floats(0.5, 10.0), EDGE_FLOATS),
+       dt=mostly(st.one_of(st.none(), st.floats(5e-4, 4e-3)), EDGE_FLOATS))
+def test_ww_sim_ends_cleanly(capfd, tmp_path, n_modes, bandwidth, t_end, dt):
+    # a run that is not refused takes t_end / dt or t_end * bandwidth / 0.38
+    # steps, at most about 2e4 with these ranges
+    check_invocation(capfd, tmp_path, ["ww-sim", "--n-modes", str(n_modes),
+                                       f"--bandwidth-gammas={bandwidth!r}",
+                                       f"--t-end-gammas={t_end!r}",
+                                       *([] if dt is None else [f"--dt-gammas={dt!r}"])])

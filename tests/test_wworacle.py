@@ -3,16 +3,52 @@ import math
 import numpy as np
 import pytest
 
-from causalatom._ww_kernels import evolve_amplitudes
+from causalatom._ww_kernels import BLOCK, _add_square, _dirichlet_kernel, evolve_amplitudes
 from causalatom.errors import FitResidualError, GridResolutionError
 from causalatom.observables import gamma_leading, hydrogen_1s2p_preset
 from causalatom.wworacle import (
     AmplitudeState,
+    ModeGrid,
     build_grid,
     build_grid_window,
     evolve,
     fit_decay,
 )
+
+
+def per_mode_reference(detunings, couplings, dt, n_steps, stride):
+    """The Crank-Nicolson loop over explicit mode amplitudes, O(modes x steps):
+    the reference oracle for the memory-kernel form."""
+    detunings = np.ascontiguousarray(detunings, dtype=np.float64)
+    couplings = np.ascontiguousarray(couplings, dtype=np.float64)
+    n_samples = n_steps // stride
+    ce_out = np.zeros(n_samples, dtype=np.complex128)
+    norm_out = np.zeros(n_samples, dtype=np.float64)
+    t_out = np.zeros(n_samples, dtype=np.float64)
+
+    c_e = 1.0 + 0.0j
+    c_k = np.zeros(detunings.shape[0], dtype=np.complex128)
+    a = 0.5 * dt
+    big_g = float(np.sum(couplings * couplings))
+    denom = 1.0 + a * a * big_g
+    phase = np.exp(1j * detunings * (0.5 * dt))
+    step_phase = np.exp(1j * detunings * dt)
+    idx = 0
+    t = 0.0
+    for step in range(n_steps):
+        h = couplings * phase
+        s = np.sum(h * c_k)
+        ce_new = ((1.0 - a * a * big_g) * c_e - 2j * a * s) / denom
+        c_k = c_k - 1j * a * np.conj(h) * (c_e + ce_new)
+        c_e = ce_new
+        phase = phase * step_phase
+        t += dt
+        if (step + 1) % stride == 0:
+            ce_out[idx] = c_e
+            norm_out[idx] = abs(c_e) ** 2 + float(np.sum(np.abs(c_k) ** 2))
+            t_out[idx] = t
+            idx += 1
+    return t_out, ce_out, norm_out
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +175,119 @@ class TestEvolve:
         with pytest.raises(NormDriftError) as exc:
             evolve(grid, atom, 1.0 / gamma, 0.19 / (50.0 * gamma))
         assert exc.value.drift == pytest.approx(1e-4, rel=1e-6)
+
+
+def scaled_comb(n_modes, spacing, coupling):
+    """Exactly uniform comb in scaled units, centred on resonance."""
+    return ((np.arange(n_modes) - (n_modes - 1) / 2) * spacing,
+            np.full(n_modes, coupling))
+
+
+class TestMemoryKernel:
+    # The per-mode loop multiplies each mode by its rounded phase factor in
+    # every step, so its own error grows with steps x revivals: at 4097 steps
+    # and 5 revivals (33 modes) it is 1.5e-12 off a 30-digit evaluation, where
+    # the memory-kernel form is 1.4e-14 off.  These cases keep the loop within
+    # 1e-13 of the exact Crank-Nicolson map: dyadic combs, couplings and steps.
+    @pytest.mark.parametrize("n_modes, spacing, coupling, dt, n_steps, stride", [
+        (1, 0.0, 2.5, 2.0 ** -12, 1000, 10),     # Rabi pair
+        (1, 0.0, 0.5, 2.0 ** -8, 4097, 1),
+        (7, 2.0 ** -1, 2.0 ** -2, 2.0 ** -5, 1000, 1),  # 2.5 revivals
+        (33, 2.0 ** -3, 2.0 ** -2, 2.0 ** -4, 1000, 7),  # 1.2 revivals
+        (200, 2.0 ** -5, 2.0 ** -5, 2.0 ** -5, 4097, 1),
+    ])
+    def test_matches_per_mode_loop_on_exact_comb(self, n_modes, spacing, coupling,
+                                                 dt, n_steps, stride):
+        detun, coup = scaled_comb(n_modes, spacing, coupling)
+        ts, ces, norms = evolve_amplitudes(detun, coup, dt, n_steps, stride)
+        ts_ref, ces_ref, norms_ref = per_mode_reference(detun, coup, dt, n_steps, stride)
+        np.testing.assert_array_equal(ts, ts_ref)
+        assert np.abs(ces - ces_ref).max() <= 1e-13
+        assert np.abs(norms - norms_ref).max() <= 1e-13
+
+    def test_matches_per_mode_loop_on_built_grid(self, atom, gamma):
+        # the per-mode loop runs on the optical comb as np.linspace rounded it
+        # (points up to ~1e-7 of a spacing off), the kernel on the exact comb
+        grid = build_grid(atom, 100.0 * gamma, 4000)
+        detun = (grid.frequencies - atom.omega_eg) / gamma
+        dt = 0.19 / float(np.abs(detun).max())
+        n_steps = int(math.ceil(5.0 / dt))
+        exact = np.linspace(detun[0], detun[-1], detun.size)
+        _, ces, norms = evolve_amplitudes(exact, grid.couplings / gamma, dt, n_steps, 2)
+        _, ces_ref, norms_ref = per_mode_reference(detun, grid.couplings / gamma,
+                                                   dt, n_steps, 2)
+        assert np.abs(ces - ces_ref).max() <= 1e-9
+        assert np.abs(norms - norms_ref).max() <= 1e-9
+
+    def test_matches_per_mode_loop_past_revival_time(self, atom, gamma):
+        # past grid.revival_time sin(x_j) passes through 0 and the modes
+        # rephase; both sides run on the comb the kernel receives from evolve
+        grid = build_grid(atom, 40.0 * gamma, 1000)
+        detun = (grid.frequencies - atom.omega_eg) / gamma
+        dt = 0.19 / float(np.abs(detun).max())
+        n_steps = int(1.1 * grid.revival_time * gamma / dt)
+        exact = np.linspace(detun[0], detun[-1], detun.size)
+        ts, ces, norms = evolve_amplitudes(exact, grid.couplings / gamma, dt, n_steps, 7)
+        _, ces_ref, norms_ref = per_mode_reference(exact, grid.couplings / gamma,
+                                                   dt, n_steps, 7)
+        revived = ts > grid.revival_time * gamma
+        assert revived.any() and np.abs(ces[revived]).max() > 1e-3
+        assert np.abs(ces - ces_ref).max() <= 1e-9
+        assert np.abs(norms - norms_ref).max() <= 1e-9
+
+    def test_dirichlet_sum_matches_mode_sum_through_revivals(self):
+        detun, coup = scaled_comb(6, 0.3, 0.7)
+        dt = 2 * np.pi / (0.3 * 50)  # sin(x_j) = 0 at every 50th lag
+        lags = np.arange(160)
+        direct = (coup ** 2 * np.exp(1j * np.outer(lags * dt, detun))).sum(axis=1)
+        closed = _dirichlet_kernel(0.0, 0.3, 6, 0.49, dt, lags.size)
+        assert np.abs(closed - direct).max() <= 1e-14 * 6 * 0.49 * 10
+
+    @pytest.mark.parametrize("n_steps", [1000, 4097])
+    def test_blocked_history_equals_direct_sum(self, n_steps):
+        # hist(n) = sum_{m<n} K(n - m) b(m): in-block pairs summed directly,
+        # every other pair by the kernel's FFT squares
+        rng = np.random.default_rng(5)
+        n_pad = -(-n_steps // BLOCK) * BLOCK
+        b = rng.standard_normal(n_pad) + 1j * rng.standard_normal(n_pad)
+
+        def kernel(n_lags):
+            return _dirichlet_kernel(0.3, 0.05, 101, 0.02, 0.01, n_lags)
+
+        k_all = kernel(n_pad)
+        acc = np.zeros(n_pad, dtype=np.complex128)
+        spectra = {}
+        for n0 in range(BLOCK, n_pad, BLOCK):
+            _add_square(acc, b, kernel, spectra, n0)
+        for n0 in range(0, n_pad, BLOCK):
+            for n in range(n0, n0 + BLOCK):
+                acc[n] += np.dot(k_all[n - n0:0:-1], b[n0:n])
+        direct = np.array([np.dot(k_all[n:0:-1], b[:n]) for n in range(n_pad)])
+        assert np.abs(acc - direct).max() <= 1e-13 * np.abs(direct).max()
+
+    def test_unequal_couplings_refused(self):
+        detun, coup = scaled_comb(50, 0.1, 0.2)
+        coup[17] *= 1.0 + 1e-15
+        with pytest.raises(GridResolutionError, match="couplings must be equal"):
+            evolve_amplitudes(detun, coup, 0.01, 100, 1)
+
+    def test_non_uniform_detunings_refused(self):
+        detun, coup = scaled_comb(50, 0.1, 0.2)
+        detun[17] += 1e-9 * 0.1
+        with pytest.raises(GridResolutionError, match="not a uniform comb"):
+            evolve_amplitudes(detun, coup, 0.01, 100, 1)
+
+    def test_comb_rounded_at_optical_scale_accepted(self, atom, gamma):
+        # a comb written as lo + k * spacing agrees with np.linspace's comb to
+        # the rounding at its optical scale (~1e-7 of a spacing); 1e-6 does not
+        lo, spacing = atom.omega_eg - 50.0 * gamma, 100.0 * gamma / 1999
+        freqs = lo + spacing * np.arange(2000)
+        ModeGrid(frequencies=freqs, couplings=np.full(2000, 1.0),
+                 density=2000 / (100.0 * gamma), gamma_target=gamma)
+        freqs[1000] += 1e-6 * spacing
+        with pytest.raises(GridResolutionError, match="not a uniform comb"):
+            ModeGrid(frequencies=freqs, couplings=np.full(2000, 1.0),
+                     density=2000 / (100.0 * gamma), gamma_target=gamma)
 
 
 class TestFitDecay:
