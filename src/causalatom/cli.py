@@ -42,13 +42,16 @@ from .observables import (
     solve_normalization,
     synthetic_atom,
 )
-from .selfenergy import NormalizationConstants, check_split_grid, split_check_report
+from .selfenergy import (NormalizationConstants, check_split_grid, r2_prefactor,
+                         split_check_report, t2_prefactor)
 from .wavepacket import convergence_study
 from .wworacle import build_grid, evolve, fit_decay
 
 __all__ = ["COMMANDS", "run", "emit_report", "main"]
 
 DEFAULT_FLAGS = {"gamma_denominator_power": 5, "z_resonant_weight": "inverse_u"}
+SPLIT_CHECK_COLUMNS = ("u", "re_closed", "im_closed", "re_numeric", "im_numeric",
+                       "im_rel_err", "re_rel_err")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +188,19 @@ def resolve_preset(name: str) -> AtomParams:
 # command implementations
 # ---------------------------------------------------------------------------
 
+def _divisor(name: str, value: float, atom, fields) -> float:
+    """``value``, which the command divides by; refused if it is 0, as a zero
+    dipole or an underflowing power of omega_eg or 1/lambda_bar_g makes it."""
+    if value == 0.0:
+        doc = atom_to_dict(atom)
+        named = ", ".join(f"{f} = {doc[f]:.6g}" for f in fields)
+        raise PresetError(f"{name} is 0 for {named}; this command divides by it")
+    return value
+
+
 def _cmd_gamma(atom, opts):
-    g_lead = gamma_leading(atom)
+    g_lead = _divisor("gamma_leading", gamma_leading(atom), atom,
+                      ("d_eg_Cm", "omega_eg_rad_s"))
     g5 = gamma_exact(atom, 5)
     g4 = gamma_exact(atom, 4)
     return {
@@ -227,43 +241,22 @@ def _cmd_ratio(atom, opts):
 def _cmd_split_check(atom, opts):
     points = opts["points"]
     check_split_grid(opts["u_min"], opts["u_max"], points)  # before np.linspace
+    _divisor("r2_prefactor", r2_prefactor(atom), atom, ("d_eg_Cm", "m_g_kg"))
     grid = np.linspace(opts["u_min"], opts["u_max"], points)
     rep = split_check_report(atom, grid, tol=opts["tol"])
-    rows = [
-        {"u": float(rep.u[i]),
-         "re_closed": float(rep.re_closed[i]),
-         "im_closed": float(rep.im_closed[i]),
-         "re_numeric": float(rep.re_numeric[i]),
-         "im_numeric": float(rep.im_numeric[i]),
-         "im_rel_err": float(rep.im_rel_err[i])}
-        for i in range(points)
-    ]
+    rows = [dict(zip(SPLIT_CHECK_COLUMNS, map(float, values)))
+            for values in zip(rep.u, rep.re_closed, rep.im_closed, rep.re_numeric,
+                              rep.im_numeric, rep.im_rel_err, rep.re_rel_err)]
     return {
         "rows": rows,
         "max_im_rel_err": float(rep.im_rel_err.max()),
-        "real_difference_fit": {
-            "basis": ["1", "u", "u^2"],
-            "coefficients_bracket_units": list(rep.real_fit_coefficients),
-            "max_abs_deviation_bracket_units": rep.real_fit_max_deviation,
-        },
-        "real_difference_fit_extended": {
-            "basis": ["1", "u", "u^2", "u^-2"],
-            "coefficients_bracket_units": list(rep.real_fit_extended_coefficients),
-            "max_abs_deviation_bracket_units": rep.real_fit_extended_max_deviation,
-        },
-        "real_agreement_status": (
-            "imaginary parts agree to quadrature accuracy; the real parts "
-            "differ by the non-polynomial rational piece fitted above (the "
-            "{1,u,u^2,u^-2} fit closes it), so the closed form and the "
-            "central splitting differ by more than a degree-2 polynomial"
-        ),
+        "max_re_rel_err": float(rep.re_rel_err.max()),
     }
 
 
 def _split_check_csv(results) -> str:
-    header = ["u", "re_closed", "im_closed", "re_numeric", "im_numeric", "im_rel_err"]
-    rows = [[r[h] for h in header] for r in results["rows"]]
-    return _csv_from_rows(header, rows)
+    rows = [[r[h] for h in SPLIT_CHECK_COLUMNS] for r in results["rows"]]
+    return _csv_from_rows(SPLIT_CHECK_COLUMNS, rows)
 
 
 def _cmd_series_check(atom, opts):
@@ -287,6 +280,9 @@ def _cmd_series_check(atom, opts):
 
 def _cmd_wavepacket_check(atom, opts):
     decades = opts["plateau_periods"]
+    # z_closed, the denominator of rel_error, is t2_prefactor times nonzero factors
+    _divisor("t2_prefactor (the scale of z_closed)", t2_prefactor(atom), atom,
+             ("d_eg_Cm", "m_g_kg"))
     study = convergence_study(atom, NormalizationConstants(), decades,
                               ramp_fraction=opts["ramp_fraction"])
     rows = []
@@ -313,7 +309,8 @@ def _wavepacket_csv(results) -> str:
 
 
 def _cmd_ww_sim(atom, opts):
-    gamma = gamma_leading(atom)
+    gamma = _divisor("gamma_leading", gamma_leading(atom), atom,
+                     ("d_eg_Cm", "omega_eg_rad_s"))
     n_modes = opts["n_modes"]
     bandwidth = opts["bandwidth_gammas"] * gamma
     t_end = opts["t_end_gammas"] / gamma

@@ -235,19 +235,25 @@ def integrate_adaptive(
 # Principal value
 # ---------------------------------------------------------------------------
 
-def _integrate_pv_any(f, pole, iv, tol, max_evaluations=DEFAULT_MAX_EVALUATIONS):
-    """PV core shared by the public op and the splitting module.
+def integrate_pv(
+    f: Callable[[np.ndarray], np.ndarray],
+    pole: float,
+    iv: Interval,
+    tol: float = DEFAULT_REL_TOL,
+) -> QuadratureResult:
+    """Cauchy principal value of ``f`` (which contains a 1/(x-pole) factor).
 
-    ``f`` is the full integrand including the simple-pole factor; it may be
-    complex-valued.  The singular piece is removed analytically by folding
-    f(pole+t)+f(pole-t) over the half-interval to the nearer finite endpoint,
-    leaving ordinary quadrature for the remainder.
+    ``f`` may be complex-valued.  The pole must lie strictly inside ``iv``;
+    an endpoint pole is rejected.  The singular piece is removed
+    analytically by folding f(pole+t)+f(pole-t) over the half-interval to
+    the nearer finite endpoint, leaving ordinary quadrature for the
+    remainder.
     """
+    if not tol > 0:
+        raise ValueError("tolerances must be > 0")
     lo, hi = iv.lo, iv.hi
     if not (lo < pole < hi):
         raise PoleLocationError(f"pole {pole} not strictly inside [{lo}, {hi}]")
-    if pole == lo or pole == hi:
-        raise PoleLocationError("pole coincides with an interval endpoint")
 
     dist_lo = pole - lo if math.isfinite(lo) else math.inf
     dist_hi = hi - pole if math.isfinite(hi) else math.inf
@@ -258,39 +264,19 @@ def _integrate_pv_any(f, pole, iv, tol, max_evaluations=DEFAULT_MAX_EVALUATIONS)
     def pair(t):
         return f(pole + t) + f(pole - t)
 
+    # the fold, then whatever lies beyond it on either side
+    pieces = [(pair, 0.0, h)] + [(f, a, b) for a, b in ((lo, pole - h), (pole + h, hi))
+                                 if a < b]
     value = 0.0 + 0.0j
     err = 0.0
     evals = 0
-    r = integrate_adaptive(pair, Interval(0.0, h), rel_tol=tol,
-                           abs_tol=DEFAULT_ABS_TOL, max_evaluations=max_evaluations)
-    value += r.value
-    err += r.abs_error_estimate
-    evals += r.evaluations
-
-    for seg_lo, seg_hi in ((lo, pole - h), (pole + h, hi)):
-        if seg_lo < seg_hi:
-            r = integrate_adaptive(f, Interval(seg_lo, seg_hi), rel_tol=tol,
-                                   abs_tol=DEFAULT_ABS_TOL,
-                                   max_evaluations=max_evaluations - evals)
-            value += r.value
-            err += r.abs_error_estimate
-            evals += r.evaluations
+    for fn, a, b in pieces:
+        r = integrate_adaptive(fn, Interval(a, b), rel_tol=tol, abs_tol=DEFAULT_ABS_TOL,
+                               max_evaluations=DEFAULT_MAX_EVALUATIONS - evals)
+        value += r.value
+        err += r.abs_error_estimate
+        evals += r.evaluations
     return QuadratureResult(value=complex(value), abs_error_estimate=float(err), evaluations=evals)
-
-
-def integrate_pv(
-    f: Callable[[np.ndarray], np.ndarray],
-    pole: float,
-    iv: Interval,
-    tol: float = DEFAULT_REL_TOL,
-) -> QuadratureResult:
-    """Cauchy principal value of ``f`` (which contains a 1/(x-pole) factor).
-
-    The pole must lie strictly inside ``iv``; an endpoint pole is rejected.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    return _integrate_pv_any(f, pole, iv, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -543,4 +543,12 @@ DISCREPANCY_NOTES = {
         "signed value and the magnitude are reported; acceptance bounds apply "
         "to the magnitude."
     ),
+    "r2_rational_part": (
+        "The closed form r2_tilde_closed (split-check re_closed, im_closed) "
+        "carries half of the rational part of the symmetrized bracket B, so "
+        "re_closed - re_numeric = r2_prefactor (5/4 - 11u^2/12 - 1/(2u^2)).  "
+        "The central splitting (re_numeric, im_numeric) reproduces "
+        "r2_prefactor B(u; C = 0) in full, with the step 2 pi i sgn(u); "
+        "re_rel_err measures its real part against that."
+    ),
 }

@@ -24,13 +24,12 @@ from .splitting import CausalDistribution1D
 
 __all__ = [
     "NormalizationConstants",
-    "SelfEnergyValue",
     "d2_scale",
     "d2_tilde",
     "d2_tilde_general",
     "r2prime_tilde",
     "r2_tilde_closed",
-    "t2_sym",
+    "sym_bracket",
     "t2_prefactor",
     "r2_prefactor",
     "t2_bracket_resonant",
@@ -39,8 +38,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# the extended real-difference fit has 4 terms; one more leaves a residual
-MIN_SPLIT_POINTS = 5
 MAX_SPLIT_POINTS = 100_000
 
 
@@ -56,19 +53,6 @@ class NormalizationConstants:
         for v in (self.c0, self.c1, self.c2):
             if not math.isfinite(v):
                 raise ValueError("normalization constants must be finite")
-
-
-@dataclass(frozen=True)
-class SelfEnergyValue:
-    """Self-energy amplitude split into its bracket pieces (all in bracket
-    units; multiply by ``prefactor`` for SI)."""
-
-    total: complex
-    log_term: complex
-    pole_term: complex
-    step_term: complex
-    polynomial_term: complex
-    prefactor: float
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +187,7 @@ def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
             + 11.0 * u ** 2 / 6.0 + c.c0 + c.c1 * u + c.c2 * u ** 2)
 
 
-def r2_tilde_closed(u: float, atom) -> SelfEnergyValue:
+def r2_tilde_closed(u: float, atom) -> complex:
     """Closed-form retarded self-energy at rest.
 
     Its rational part is half the symmetrized one, but it is summed in its
@@ -216,27 +200,37 @@ def r2_tilde_closed(u: float, atom) -> SelfEnergyValue:
                         2j * math.pi * math.copysign(1.0, u) if x > 0.0 else 0.0)
     pole = 1.0 / (2.0 * u * u)
     poly = -1.25 + 11.0 * u * u / 12.0
-    pref = r2_prefactor(atom)
-    total = pref * (front + pole + poly)
-    return SelfEnergyValue(total=total, log_term=front.real, pole_term=pole,
-                           step_term=1j * front.imag, polynomial_term=poly,
-                           prefactor=pref)
+    return r2_prefactor(atom) * (front + pole + poly)
 
 
-def t2_sym(u: float, atom, c: NormalizationConstants = NormalizationConstants()) -> SelfEnergyValue:
-    """Symmetrized self-energy combination for a resting atom."""
-    _check_regular(u)
+def _real_axis_args(u):
+    """The (u, x, ln|x|, step) arguments of _sym_bracket at real u, as arrays,
+    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it."""
+    u = np.asarray(u, dtype=float)
+    for v in u.flat:
+        _check_regular(float(v))
     x = u * u - 1.0
-    args = (u, x, math.log(abs(x)), 2j * math.pi if x > 0.0 else 0.0)
-    front = _front_term(*args)
-    bracket = _sym_bracket(*args, c)
-    pole = 1.0 / u ** 2
-    pref = t2_prefactor(atom)
-    # the polynomial term is what the bracket holds beyond front and pole
-    return SelfEnergyValue(total=pref * bracket, log_term=front.real, pole_term=pole,
-                           step_term=1j * front.imag,
-                           polynomial_term=(bracket - front - pole).real,
-                           prefactor=pref)
+    return u, x, np.log(np.abs(x)), np.where(x > 0.0, 2j * math.pi * np.sign(u), 0.0)
+
+
+def sym_bracket(u, c: NormalizationConstants = NormalizationConstants()):
+    """Symmetrized bracket B(u; C) at real u, vectorized, in bracket units.
+
+    With the signed step, r2_prefactor * B(u; C = 0) is the central splitting
+    of the wrapped distribution, on and off the support and for either sign
+    of u; split-check compares the two.  Raises SingularPointError at
+    u in {0, +-1}; near u = 1 use t2_bracket_resonant, which forms u^2 - 1
+    without cancellation.
+    """
+    return _sym_bracket(*_real_axis_args(u), c)
+
+
+def _bracket_term_scale(u):
+    """Sum of the magnitudes of the terms of B(u; C = 0).  Its rounding error
+    is relative to this; B itself cancels for small |u|."""
+    u, x, ln_abs_x, step = _real_axis_args(u)
+    return (np.abs(x ** 3 / (2.0 * u ** 4)) * (np.abs(step) + 2.0 * np.abs(ln_abs_x))
+            + 1.0 / u ** 2 + 2.5 + 11.0 * u ** 2 / 6.0)
 
 
 def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
@@ -259,15 +253,16 @@ def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
 
 @dataclass(frozen=True)
 class SplitCheckReport:
-    """Central splitting of the wrapped distribution vs the closed form.
+    """Central splitting of the wrapped distribution vs the closed forms.
 
-    The imaginary parts must agree to quadrature accuracy.  The real parts
-    are NOT asserted equal: their difference is fitted and reported.  On
-    [1.05, 5] the difference observed is pref * (5/4 - 11 u^2/12 - 1/(2 u^2)),
-    i.e. the closed form and the central splitting disagree by the rational
-    (non-polynomial, 1/u^2-containing) part of the bracket; the degree-2
-    polynomial fit deviation quantifies how far from a pure renormalization
-    ambiguity that is.
+    The splitting's imaginary part is its Sokhotski-Plemelj pole term alone
+    (the dispersion kernel is imaginary, so the quadrature adds nothing to
+    it); im_rel_err compares it with r2_tilde_closed.  Its real part is what
+    the quadrature produces; re_rel_err compares it with
+    r2_prefactor * Re sym_bracket(u), relative to r2_prefactor times the sum
+    of the bracket's term magnitudes.  re_closed differs from re_numeric by
+    pref * (5/4 - 11u^2/12 - 1/(2u^2)): r2_tilde_closed carries half of the
+    bracket's rational part.
     """
 
     u: np.ndarray
@@ -276,22 +271,14 @@ class SplitCheckReport:
     re_numeric: np.ndarray
     im_numeric: np.ndarray
     im_rel_err: np.ndarray
-    real_fit_coefficients: tuple      # degree <= 2, bracket (prefactor) units
-    real_fit_max_deviation: float     # bracket units
-    real_fit_extended_coefficients: tuple  # basis {1, u, u^2, 1/u^2}
-    real_fit_extended_max_deviation: float
+    re_rel_err: np.ndarray
 
 
 def check_split_points(n: int) -> None:
-    """Refuse a split-check grid of ``n`` distinct points that the real fit
-    cannot over-determine, or that exceeds MAX_SPLIT_POINTS."""
-    if n < MIN_SPLIT_POINTS:
+    """Refuse a split-check grid of ``n`` points unless 1 <= n <= MAX_SPLIT_POINTS."""
+    if not 1 <= n <= MAX_SPLIT_POINTS:
         raise GridResolutionError(
-            f"split check needs at least {MIN_SPLIT_POINTS} distinct points (4-term "
-            f"real fit plus one residual degree of freedom), got {n}")
-    if n > MAX_SPLIT_POINTS:
-        raise GridResolutionError(
-            f"split check takes at most {MAX_SPLIT_POINTS} points, got {n}")
+            f"split check takes 1 to {MAX_SPLIT_POINTS} points, got {n}")
 
 
 def check_split_grid(u_min: float, u_max: float, n: int) -> None:
@@ -310,29 +297,17 @@ def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     from .splitting import retarded_part_central  # local import keeps module load light
 
     u = np.asarray(list(u_values), dtype=float)
-    # distinct values = positive gaps in sorted order + 1 (NaN gaps count as none);
-    # np.unique would import numpy.ma
-    check_split_points(int(np.count_nonzero(np.diff(np.sort(u)) > 0)) + min(u.size, 1))
+    check_split_points(u.size)
     dist = as_causal_distribution(atom)
     pref = r2_prefactor(atom)
-    closed = np.array([r2_tilde_closed(x, atom).total for x in u])
+    closed = np.array([r2_tilde_closed(x, atom) for x in u])
     numeric = np.array([retarded_part_central(dist, float(x), tol) for x in u])
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale
-
-    diff = (closed.real - numeric.real) / pref
-    v = np.vander(u, 3, increasing=True)
-    coef, *_ = np.linalg.lstsq(v, diff, rcond=None)
-    dev = float(np.abs(diff - v @ coef).max())
-    v_ext = np.column_stack([np.ones_like(u), u, u ** 2, u ** -2.0])
-    coef_ext, *_ = np.linalg.lstsq(v_ext, diff, rcond=None)
-    dev_ext = float(np.abs(diff - v_ext @ coef_ext).max())
+    re_rel = (np.abs(numeric.real - pref * sym_bracket(u).real)
+              / (pref * _bracket_term_scale(u)))
     return SplitCheckReport(
         u=u, re_closed=closed.real, im_closed=closed.imag,
         re_numeric=numeric.real, im_numeric=numeric.imag, im_rel_err=im_rel,
-        real_fit_coefficients=tuple(float(x) for x in coef),
-        real_fit_max_deviation=dev,
-        real_fit_extended_coefficients=tuple(float(x) for x in coef_ext),
-        real_fit_extended_max_deviation=dev_ext,
-    )
+        re_rel_err=re_rel)

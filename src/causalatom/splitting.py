@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import Interval, _integrate_pv_any, integrate_adaptive
+from .numerics import Interval, integrate_adaptive, integrate_pv
 
 __all__ = [
     "CausalDistribution1D",
@@ -119,13 +119,14 @@ def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
             if on_support:
                 pole_side = right if p0 > 0 else left
                 other = left if p0 > 0 else right
-                value += _integrate_pv_any(kernel, p0, pole_side, tol).value
+                value += integrate_pv(kernel, p0, pole_side, tol).value
                 value += integrate_adaptive(kernel, other, rel_tol=tol).value
             else:
                 value += integrate_adaptive(kernel, left, rel_tol=tol).value
                 value += integrate_adaptive(kernel, right, rel_tol=tol).value
     except FloatingPointError as exc:
-        # e.g. for |p0| above ~1e13 the fold's p0 +- t rounds onto the pole
+        # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
+        # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
         raise QuadratureConvergenceError(
             f"dispersion integral at p0 = {p0} failed: {exc}") from exc
 

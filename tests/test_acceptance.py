@@ -117,6 +117,7 @@ def test_criterion_4_splitting_oracle(hyd):
     grid = np.linspace(1.05, 5.0, 50)
     rep = split_check_report(hyd, grid, tol=1e-11)
     assert rep.im_rel_err.max() <= 1e-8
+    assert rep.re_rel_err.max() <= 1e-8
 
     # shifted-vs-central ambiguity: strict degree-2 polynomial residual
     dist = as_causal_distribution(hyd, unit_scale=True)
@@ -127,14 +128,10 @@ def test_criterion_4_splitting_oracle(hyd):
     assert res.max_abs_deviation <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(4, f"max im rel err = {rep.im_rel_err.max():.2e} (<= 1e-8) on 50 points; "
-              f"real-part difference fit (bracket units): deg<=2 coefficients "
-              f"{tuple(round(c, 6) for c in rep.real_fit_coefficients)} with max "
-              f"deviation {rep.real_fit_max_deviation:.3e} (reported, not asserted; "
-              f"the {{1,u,u^2,u^-2}} fit closes it to "
-              f"{rep.real_fit_extended_max_deviation:.1e}); shifted-vs-central "
-              f"deg-2 deviation {res.max_abs_deviation:.2e} (<= 1e-6); "
-              f"runtime {elapsed:.1f}s")
+    report(4, f"max im rel err = {rep.im_rel_err.max():.2e}, max re rel err vs "
+              f"r2_prefactor * B(u; C = 0) = {rep.re_rel_err.max():.2e} (both <= 1e-8) "
+              f"on 50 points; shifted-vs-central deg-2 deviation "
+              f"{res.max_abs_deviation:.2e} (<= 1e-6); runtime {elapsed:.1f}s")
 
 
 def test_criterion_5_series_oracle(hyd):

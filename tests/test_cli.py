@@ -57,6 +57,7 @@ class TestRatioCommand:
         assert doc["results"]["ratio_signed"] < 0
         assert set(doc["metadata"]["notes"]) == {"c_ordering",
                                                  "gamma_denominator_power",
+                                                 "r2_rational_part",
                                                  "ratio_sign"}
 
     def test_byte_determinism(self, capsys):
@@ -119,19 +120,36 @@ class TestSplitCheckCommand:
                                "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "u,re_closed,im_closed,re_numeric,im_numeric,im_rel_err"
+        assert lines[0] == ("u,re_closed,im_closed,re_numeric,im_numeric,"
+                            "im_rel_err,re_rel_err")
         assert len(lines) == 1 + 50
         for line in lines[1:]:
-            assert float(line.split(",")[-1]) <= 1e-8
+            im_rel_err, re_rel_err = map(float, line.split(",")[-2:])
+            assert im_rel_err <= 1e-8
+            assert re_rel_err <= 1e-8
 
-    def test_json_carries_real_fit(self, capsys, schema):
+    def test_json_carries_real_part_error(self, capsys, schema):
         code, out, _ = run_cli(capsys, "split-check", "--points", "6")
         doc = json.loads(out)
         jsonschema.validate(doc, schema)
-        assert doc["results"]["max_im_rel_err"] <= 1e-8
-        ext = doc["results"]["real_difference_fit_extended"]
-        assert ext["max_abs_deviation_bracket_units"] < 1e-6
-        assert "real_agreement_status" in doc["results"]
+        res = doc["results"]
+        assert list(res) == ["rows", "max_im_rel_err", "max_re_rel_err"]
+        assert res["max_im_rel_err"] <= 1e-8
+        assert res["max_re_rel_err"] <= 1e-8
+        assert max(r["re_rel_err"] for r in res["rows"]) == res["max_re_rel_err"]
+        # the schema refuses a results block it does not name
+        res["real_difference_fit"] = {"basis": ["1", "u", "u^2"]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+
+    @pytest.mark.parametrize("u_min, u_max", [("-5", "-1.05"), ("0.1", "0.9")])
+    def test_real_part_matches_bracket_off_default_grid(self, capsys, u_min, u_max):
+        code, out, _ = run_cli(capsys, "split-check", "--u-min", u_min,
+                               "--u-max", u_max)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["max_im_rel_err"] <= 1e-8
+        assert res["max_re_rel_err"] <= 1e-8
 
 
     def test_off_support_rel_err_finite(self, capsys):
@@ -160,22 +178,28 @@ class TestSplitCheckCommand:
         res = json.loads(proc.stdout)["results"]
         assert len(res["rows"]) == 200
         assert res["max_im_rel_err"] <= 1e-8
-        assert res["real_difference_fit_extended"]["max_abs_deviation_bracket_units"] < 1e-6
+        assert res["max_re_rel_err"] <= 1e-8
 
-    @pytest.mark.parametrize("points", ["-1", "0", "1", "4"])
-    def test_underdetermined_fit_refused(self, capsys, points):
-        code, out, err = run_cli(capsys, "split-check", "--points", points)
-        assert code == 1
-        assert out == ""
-        assert json.loads(err)["error"] == "GridResolutionError"
+    @pytest.mark.parametrize("points", [-1, 0, 1, 4])
+    def test_point_count_bounds(self, capsys, points):
+        # nothing is fitted, so any grid of at least one point runs
+        code, out, err = run_cli(capsys, "split-check", "--points", str(points))
+        if points < 1:
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == "GridResolutionError"
+        else:
+            assert (code, err) == (0, "")
+            assert len(json.loads(out)["results"]["rows"]) == points
 
-    def test_equal_endpoints_refused(self, capsys):
-        # 50 points but one distinct u: the fits would be rank 1
+    def test_repeated_point_runs(self, capsys):
+        # 50 copies of u = 2: each row is its own check, nothing is fitted
         code, out, err = run_cli(capsys, "split-check", "--u-min", "2",
                                  "--u-max", "2")
-        assert code == 1
-        assert out == ""
-        assert json.loads(err)["error"] == "GridResolutionError"
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["results"]["rows"]
+        assert len(rows) == 50
+        assert all(r == rows[0] for r in rows)
+        assert rows[0]["re_rel_err"] <= 1e-8
 
 
 class TestSeriesCheckCommand:
@@ -291,6 +315,33 @@ class TestErrorPaths:
         assert diag["error"] == "PresetError"
         assert "d_eg_abs = 1e+150" in diag["message"]
         assert "leaves the float range" in diag["message"]
+
+    @pytest.mark.parametrize("command, key, value, named", [
+        ("gamma", "d_eg_Cm", 0, "gamma_leading is 0 for d_eg_Cm = 0,"),
+        ("gamma", "omega_eg_rad_s", 1e-200, "gamma_leading is 0 for d_eg_Cm = 6.3e-30, "
+                                            "omega_eg_rad_s = 1e-200"),
+        ("ww-sim", "d_eg_Cm", 0, "gamma_leading is 0 for d_eg_Cm = 0,"),
+        ("ww-sim", "omega_eg_rad_s", 1e-200, "gamma_leading is 0 for d_eg_Cm = 6.3e-30, "
+                                             "omega_eg_rad_s = 1e-200"),
+        ("wavepacket-check", "d_eg_Cm", 0, "t2_prefactor (the scale of z_closed) is 0 "
+                                           "for d_eg_Cm = 0,"),
+        ("split-check", "d_eg_Cm", 0, "r2_prefactor is 0 for d_eg_Cm = 0,"),
+    ], ids=["gamma-zero-dipole", "gamma-tiny-omega", "ww-sim-zero-dipole",
+            "ww-sim-tiny-omega", "wavepacket-check-zero-dipole", "split-check-zero-dipole"])
+    def test_zero_rate_preset_refused(self, capsys, tmp_path, command, key, value, named):
+        # a zero dipole is a legal atom, but these commands divide by its rate
+        doc = {"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
+               "d_eg_Cm": 6.3e-30, "t_g_s": 1.0, key: value}
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--preset", str(preset_file))
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "PresetError"
+        assert named in diag["message"]
 
     def test_unknown_preset_name_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "gamma", "--preset", "unobtainium")

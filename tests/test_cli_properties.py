@@ -1,5 +1,5 @@
 """Property-based CLI tests over the input domain of series-check, split-check,
-wavepacket-check and ww-sim.
+wavepacket-check and ww-sim, and over generated preset files for every command.
 
 Every invocation must end one of two ways: exit 0 with only finite numbers in
 the written document, or exit 1 with a one-line typed diagnostic on stderr and
@@ -7,7 +7,7 @@ nothing written.  stdout stays empty either way, since output goes to --out
 (ww-sim writes its trace there and its JSON summary to stdout, so for it
 stdout holds that summary on success and nothing on failure); capfd also
 catches what native code (LAPACK) writes to file descriptor 1.  Grids stay at
-5-12 points and ww-sim runs at or below about 2e4 time steps, so no example
+1-12 points and ww-sim runs at or below about 2e4 time steps, so no example
 allocates anything large.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from causalatom import errors
-from causalatom.cli import main
+from causalatom.cli import COMMANDS, main
 
 TYPED_ERRORS = {name for name, cls in vars(errors).items()
                 if isinstance(cls, type) and issubclass(cls, errors.CausalAtomError)}
@@ -97,7 +97,7 @@ def test_series_check_ends_cleanly(capfd, tmp_path, preset, c):
 @given(preset=SYNTHETIC,
        ends=st.one_of(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
                       st.tuples(*[st.one_of(EDGE_FLOATS, ANY_FLOAT)] * 2)),
-       points=st.integers(5, 12),
+       points=st.integers(1, 12),
        tol=st.one_of(st.floats(1e-13, 1e-6), EDGE_FLOATS))
 def test_split_check_ends_cleanly(capfd, tmp_path, preset, ends, points, tol):
     check_invocation(capfd, tmp_path, ["split-check", "--preset", preset,
@@ -134,3 +134,29 @@ def test_ww_sim_ends_cleanly(capfd, tmp_path, n_modes, bandwidth, t_end, dt):
                                        f"--bandwidth-gammas={bandwidth!r}",
                                        f"--t-end-gammas={t_end!r}",
                                        *([] if dt is None else [f"--dt-gammas={dt!r}"])])
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# near-physical values, or an edge: zero, negative, tiny, huge, non-finite
+PRESET_EDGES = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-200, 1e-77, 1e77, 1e150,
+                                1e300, 1.7976931348623157e308, math.inf, math.nan])
+PRESET_FIELDS = st.fixed_dictionaries({
+    "m_g_kg": mostly(log_uniform(-30.0, -20.0), PRESET_EDGES),
+    "omega_eg_rad_s": mostly(log_uniform(8.0, 17.0), PRESET_EDGES),
+    "d_eg_Cm": mostly(log_uniform(-34.0, -26.0), PRESET_EDGES),
+    "t_g_s": mostly(log_uniform(-6.0, 3.0), PRESET_EDGES),
+})
+# the smallest runs of each command; the preset, not the grid, is under test
+SMALL_RUN = {"split-check": ["--points", "3"], "wavepacket-check": ["--plateau-periods", "10"]}
+
+
+@PROPERTY_SETTINGS
+@given(command=st.sampled_from(list(COMMANDS)), atom=PRESET_FIELDS)
+def test_preset_file_ends_cleanly(capfd, tmp_path, command, atom):
+    preset = tmp_path / "atom.json"
+    preset.write_text(json.dumps(atom))  # NaN and Infinity as json.loads reads them
+    check_invocation(capfd, tmp_path, [command, "--preset", str(preset),
+                                       *SMALL_RUN.get(command, [])])

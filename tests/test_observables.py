@@ -377,5 +377,6 @@ class TestAggregate:
 
     def test_notes_present(self):
         assert set(DISCREPANCY_NOTES) == {"c_ordering", "gamma_denominator_power",
-                                          "ratio_sign"}
+                                          "r2_rational_part", "ratio_sign"}
         assert "(-7/2, 8, -29/6)" in DISCREPANCY_NOTES["c_ordering"]
+        assert "(5/4 - 11u^2/12 - 1/(2u^2))" in DISCREPANCY_NOTES["r2_rational_part"]
