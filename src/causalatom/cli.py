@@ -251,6 +251,10 @@ def _cmd_split_check(atom, opts):
         "rows": rows,
         "max_im_rel_err": float(rep.im_rel_err.max()),
         "max_re_rel_err": float(rep.re_rel_err.max()),
+        "diagnostics": {
+            "quadrature_evaluations": rep.quadrature_evaluations,
+            "max_abs_error_estimate": rep.max_abs_error_estimate,
+        },
     }
 
 

@@ -10,6 +10,18 @@ Kronrod extension nodes are the roots of the degree-8 Stieltjes
 polynomial E8, defined by orthogonality of E8 to all lower powers
 against the sign-varying weight P7(x) dx on [-1, 1].  Correctness is
 pinned by tests (degree-22 exactness, node symmetry).
+
+One lock-step engine runs every adaptive integral.  An integral is a list
+of pieces, each a finite interval of a plain, semi-infinite-tail or
+principal-value-fold integrand (``interval_pieces``, ``pv_pieces``).  Each
+piece bisects its worst segment until its error estimate meets the
+tolerance, with its own heap, counter and budget; in each round the panels
+of all unfinished pieces are evaluated together, so the Python cost per
+panel is paid once per round instead of once per panel.  The arithmetic
+per node and per 15-node panel is the same however many pieces run
+together, so a piece returns the same floats alone or in a batch.
+``integrate_batch`` runs many integrals at once, and ``integrate_adaptive``
+and ``integrate_pv`` are batches of one.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -31,9 +43,13 @@ from .errors import (
 
 __all__ = [
     "Interval",
+    "Piece",
     "QuadratureResult",
     "integrate_adaptive",
+    "integrate_batch",
     "integrate_pv",
+    "interval_pieces",
+    "pv_pieces",
     "solve_linear",
 ]
 
@@ -117,89 +133,282 @@ class QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive integration
+# Adaptive integration: one lock-step engine
 # ---------------------------------------------------------------------------
 
-def _gk_panel(f, a, b):
-    """One Gauss-Kronrod panel: (kronrod value, |K15-G7| estimate)."""
+# How a piece's variable t in [a, b] reaches the integrand: PLAIN integrates
+# f(t); TAIL integrates f(shift + sign t/(1-t)) / (1-t)^2 on [0, 1), the map of
+# a semi-infinite interval anchored at shift; FOLD integrates
+# f(shift + t) + f(shift - t), the principal-value fold about a pole at shift.
+PLAIN, TAIL, FOLD = 0, 1, 2
+
+
+class Piece(NamedTuple):
+    """One finite piece of an integral: t runs over [a, b]."""
+
+    kind: int
+    shift: float
+    sign: float
+    a: float
+    b: float
+
+
+def _panels(f, a, b, owner, kind=None, shift=None, sign=None):
+    """GK15 panels [a_i, b_i]: (Kronrod values, |K15 - G7| estimates).
+
+    owner, and kind, shift and sign unless every panel is PLAIN, are given
+    per panel.  f sees the nodes of all panels in one 1-D array together
+    with each node's owner; the mirror nodes shift - t of FOLD panels follow
+    in a second call.  The arithmetic per node and the 15-term sum per panel
+    do not depend on how many panels are evaluated together.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y = np.asarray(f(mid + half * GK15_NODES))
-    k = half * np.sum(GK15_WEIGHTS * y)
-    g = half * np.sum(G7_WEIGHTS * y)
-    return k, abs(k - g)
+    t = mid[:, None] + half[:, None] * GK15_NODES
+    nodes = owner.repeat(len(GK15_NODES))
+    if kind is None:
+        y = np.asarray(f(t.ravel(), nodes)).reshape(t.shape)
+    else:
+        tail, fold = kind == TAIL, kind == FOLD
+        x = t.copy()
+        if tail.any():
+            w = 1.0 / (1.0 - t[tail])
+            x[tail] = shift[tail, None] + sign[tail, None] * (t[tail] * w)
+        x[fold] = shift[fold, None] + t[fold]
+        y = np.array(f(x.ravel(), nodes)).reshape(t.shape)
+        if fold.any():
+            mirror = shift[fold, None] - t[fold]
+            y_mirror = f(mirror.ravel(), nodes.reshape(t.shape)[fold].ravel())
+            y[fold] = y[fold] + np.asarray(y_mirror).reshape(mirror.shape)
+        if tail.any():
+            y[tail] = y[tail] * w * w
+    k = half * np.add.reduce(GK15_WEIGHTS * y, axis=1)   # np.sum, without its wrapper
+    g = half * np.add.reduce(G7_WEIGHTS * y, axis=1)
+    # numpy scalars, so that the bookkeeping does a piece's scalar arithmetic
+    # with its rounding and floating-point errors; abs() per element, because
+    # numpy's vectorized complex absolute differs from the scalar one in the
+    # last bit for some arguments
+    return list(k), [abs(d) for d in k - g]
 
 
-def _integrate_finite(f, a, b, rel_tol, abs_tol, budget):
-    """Globally adaptive bisection on [a, b].
+def _resum(heap):
+    """(value, error) of a piece re-summed over its segments sorted by left
+    endpoint, so the summation order never depends on the subdivision
+    history."""
+    segs = sorted(heap, key=lambda s: s[2])
+    return sum(s[4] for s in segs), float(sum(s[5] for s in segs))
 
-    Returns (value, error, evaluations); raises on exhausted budget with
-    the partial estimate attached.  The final value is re-accumulated over
-    segments sorted by left endpoint so the summation order never depends
-    on the subdivision history.
+
+def _lockstep(f, pieces, owners, rel_tol, abs_tol, budgets):
+    """Globally adaptive bisection of every piece, advanced in lock-step.
+
+    Each piece keeps its own heap of segments, counter, running sums,
+    evaluation count and budget, and stops once err <= max(abs_tol,
+    rel_tol |total|, 64 eps sum|panel|).  Each round, every unfinished piece
+    pops its own worst segment and the halves of all of them are evaluated
+    together.  The bookkeeping of a piece is scalar and in the order the
+    piece alone would take it, so it makes the greedy choices and gets the
+    floats it gets alone.
+
+    Returns (values, errors, evaluations, failures) per piece.  failures[i]
+    is what ended piece i: a FloatingPointError from the integrand, or a
+    QuadratureConvergenceError carrying the partial estimate once the budget
+    is spent; else None.
     """
-    value, err = _gk_panel(f, a, b)
-    evals = 15
-    segments = [(-err, 0, a, b, value, err)]
-    counter = 1
-    total = value
-    total_err = err
-    # sum of |panel values|: near a zero of the integral the relative target
-    # would ask for less than the rounding noise of the sum, so stop there
-    total_abs = abs(value)
-    while total_err > max(abs_tol, rel_tol * abs(total), 64 * _EPS * total_abs):
-        if evals + 30 > budget:
-            segs = sorted(segments, key=lambda s: s[2])
-            partial = QuadratureResult(
-                value=complex(sum(s[4] for s in segs)),
-                abs_error_estimate=float(sum(s[5] for s in segs)),
-                evaluations=evals,
-            )
-            raise QuadratureConvergenceError(
-                f"quadrature did not converge within {budget} evaluations "
-                f"(error estimate {partial.abs_error_estimate:.3e})",
-                partial=partial,
-            )
-        _, _, sa, sb, sv, se = heapq.heappop(segments)
-        sm = 0.5 * (sa + sb)
-        v1, e1 = _gk_panel(f, sa, sm)
-        v2, e2 = _gk_panel(f, sm, sb)
-        evals += 30
-        total += v1 + v2 - sv
-        total_err += e1 + e2 - se
-        total_abs += abs(v1) + abs(v2) - abs(sv)
-        heapq.heappush(segments, (-e1, counter, sa, sm, v1, e1))
-        counter += 1
-        heapq.heappush(segments, (-e2, counter, sm, sb, v2, e2))
-        counter += 1
-    segs = sorted(segments, key=lambda s: s[2])
-    total = sum(s[4] for s in segs)
-    total_err = float(sum(s[5] for s in segs))
-    return total, total_err, evals
+    n = len(pieces)
+    kind, shift, sign, a, b = (np.array(c) for c in zip(*pieces))
+    owners = np.asarray(owners)
+    if not (kind != PLAIN).any():
+        kind = shift = sign = None
+    values, errors, evals, failures = [None] * n, [0.0] * n, [0] * n, [None] * n
+    state = [None] * n   # per unfinished piece: [heap, counter, total, err, sum|panel|]
+    live = list(range(n))
+    lo, hi = a.tolist(), b.tolist()   # the round's panels: first the whole pieces,
+    whole_lo, whole_hi = lo, hi       # then the left and the right halves of
+    popped = None                     # the segments the live pieces popped
+    while live:
+        idx = np.array(live if popped is None else live + live)
+        cols = [None if c is None else c[idx] for c in (kind, shift, sign)]
+        try:
+            kv, ev = _panels(f, np.array(lo), np.array(hi), owners[idx], *cols)
+        except FloatingPointError:
+            keep, kv, ev = _replay(f, lo, hi, owners[idx], cols, live, popped is None,
+                                   failures)
+            live = [live[j] for j in keep]
+            if popped is not None:
+                popped = [popped[j] for j in keep]
+        m = len(live)
+        still = []
+        for j, i in enumerate(live):
+            if popped is None:
+                v, e = kv[j], ev[j]
+                s = state[i] = [[(-e, 0, whole_lo[i], whole_hi[i], v, e)], 1, v, e, abs(v)]
+                evals[i] = 15
+            else:
+                s = state[i]
+                heap, c = s[0], s[1]
+                _, _, sa, sb, sv, se = popped[j]
+                sm = 0.5 * (sa + sb)
+                v1, v2, e1, e2 = kv[j], kv[m + j], ev[j], ev[m + j]
+                evals[i] += 30
+                s[2] += v1 + v2 - sv
+                s[3] += e1 + e2 - se
+                s[4] += abs(v1) + abs(v2) - abs(sv)
+                heapq.heappush(heap, (-e1, c, sa, sm, v1, e1))
+                heapq.heappush(heap, (-e2, c + 1, sm, sb, v2, e2))
+                s[1] = c + 2
+            # the last term is the rounding noise of the sum, all that is left
+            # to reach near a zero of the integral
+            if not s[3] > max(abs_tol, rel_tol * abs(s[2]), 64 * _EPS * s[4]):
+                values[i], errors[i] = _resum(s[0])
+                state[i] = None
+            elif evals[i] + 30 > budgets[i]:
+                value, error = _resum(s[0])
+                partial = QuadratureResult(value=complex(value), abs_error_estimate=error,
+                                           evaluations=evals[i])
+                failures[i] = QuadratureConvergenceError(
+                    f"quadrature did not converge within {budgets[i]} evaluations "
+                    f"(error estimate {partial.abs_error_estimate:.3e})",
+                    partial=partial,
+                )
+                state[i] = None
+            else:
+                still.append(i)
+        live = still
+        popped = [heapq.heappop(state[i][0]) for i in live]
+        mids = [0.5 * (p[2] + p[3]) for p in popped]
+        lo = [p[2] for p in popped] + mids
+        hi = mids + [p[3] for p in popped]
+    return values, errors, evals, failures
 
 
-def _finite_pieces(f, iv: Interval):
-    """Map a (possibly improper) interval to a list of finite pieces.
+def _replay(f, lo, hi, owner, cols, live, first, failures):
+    """A round's panels one at a time, each piece's in the order it takes
+    them alone, to find the pieces whose integrand raises
+    FloatingPointError; those leave with it in failures.
+
+    Returns the positions among live of the other pieces and the values and
+    estimates of their panels, laid out as the round lays them out.
+    """
+    n_live = len(live)
+    halves = range(1 if first else 2)
+    done = {}
+    for j, i in enumerate(live):
+        rows = []
+        for h in halves:
+            q = j + h * n_live
+            try:
+                rows.append(_panels(f, np.array(lo[q:q + 1]), np.array(hi[q:q + 1]),
+                                    owner[q:q + 1],
+                                    *[None if c is None else c[q:q + 1] for c in cols]))
+            except FloatingPointError as exc:
+                failures[i] = exc
+                break
+        else:
+            done[j] = rows
+    kv = [done[j][h][0][0] for h in halves for j in done]
+    ev = [done[j][h][1][0] for h in halves for j in done]
+    return list(done), kv, ev
+
+
+def interval_pieces(iv: Interval) -> list:
+    """The finite pieces of a (possibly improper) interval.
 
     Semi-infinite tails use the monotone map k = lo + t/(1-t) on t in [0,1)
     (mirrored for a -inf endpoint, which leaves the orientation unchanged);
     a doubly infinite interval is split at 0 first.
     """
     lo, hi = iv.lo, iv.hi
-
-    def tail(anchor, sign):
-        def ft(t):
-            w = 1.0 / (1.0 - t)
-            return f(anchor + sign * (t * w)) * w * w
-        return ft
-
     if math.isinf(lo) and math.isinf(hi):
-        return [(tail(0.0, -1.0), 0.0, 1.0), (tail(0.0, 1.0), 0.0, 1.0)]
+        return [Piece(TAIL, 0.0, -1.0, 0.0, 1.0), Piece(TAIL, 0.0, 1.0, 0.0, 1.0)]
     if math.isinf(hi):
-        return [(tail(lo, 1.0), 0.0, 1.0)]
+        return [Piece(TAIL, lo, 1.0, 0.0, 1.0)]
     if math.isinf(lo):
-        return [(tail(hi, -1.0), 0.0, 1.0)]
-    return [(f, lo, hi)]
+        return [Piece(TAIL, hi, -1.0, 0.0, 1.0)]
+    return [Piece(PLAIN, 0.0, 0.0, lo, hi)]
+
+
+def pv_pieces(pole: float, iv: Interval) -> list:
+    """The pieces of a principal value about ``pole``, strictly inside ``iv``.
+
+    The singular part is folded, f(pole+t) + f(pole-t), over the half-width
+    to the nearer finite endpoint; whatever lies beyond the fold on either
+    side follows as ordinary pieces.
+    """
+    lo, hi = iv.lo, iv.hi
+    if not (lo < pole < hi):
+        raise PoleLocationError(f"pole {pole} not strictly inside [{lo}, {hi}]")
+    dist_lo = pole - lo if math.isfinite(lo) else math.inf
+    dist_hi = hi - pole if math.isfinite(hi) else math.inf
+    h = min(dist_lo, dist_hi)
+    if math.isinf(h):
+        h = 1.0 + abs(pole)  # both endpoints infinite: any finite fold works
+    return [Piece(FOLD, pole, 0.0, 0.0, h)] + [
+        p for a, b in ((lo, pole - h), (pole + h, hi)) if a < b
+        for p in interval_pieces(Interval(a, b))]
+
+
+def _overran(evals, failure, budget):
+    """Whether a piece that ran with a larger budget would have met this
+    smaller one at one of its budget checks, which come before every round
+    but the first: its last one saw ``evals`` if it failed in a round, and
+    ``evals - 30`` if it converged."""
+    if isinstance(failure, QuadratureConvergenceError):
+        return True
+    last = evals if failure is not None else evals - 30
+    return last > 0 and last + 30 > budget
+
+
+def integrate_batch(f, integrals, rel_tol: float = DEFAULT_REL_TOL,
+                    abs_tol: float = DEFAULT_ABS_TOL,
+                    max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> list:
+    """Many integrals at once, each the sum of a list of pieces.
+
+    f(x, owner) gets a 1-D array of nodes and, per node, the index of the
+    integral it belongs to, so per-integral parameters can be broadcast.
+    The pieces of an integral are summed in order and share one budget, as
+    if integrated one after another: each gets what the earlier ones left.
+    All pieces advance together with the whole budget; the rare piece that
+    fails, or overruns what its predecessors left, is run again alone with
+    exactly that, so the outcome is the one-after-another outcome.
+
+    Returns, per integral, a QuadratureResult or the exception that ended it.
+    """
+    if not (rel_tol > 0 and abs_tol > 0):
+        raise ValueError("tolerances must be > 0")
+    pieces = [p for pcs in integrals for p in pcs]
+    owners = [i for i, pcs in enumerate(integrals) for _ in pcs]
+    values, errors, counts, failures = _lockstep(f, pieces, owners, rel_tol, abs_tol,
+                                                 [max_evaluations] * len(pieces))
+    out, start = [], 0
+    for i, pcs in enumerate(integrals):
+        value, err, evals = 0.0 + 0.0j, 0.0, 0
+        for j in range(start, start + len(pcs)):
+            v, e, n, failure = values[j], errors[j], counts[j], failures[j]
+            if evals and _overran(n, failure, max_evaluations - evals):
+                (v,), (e,), (n,), (failure,) = _lockstep(
+                    f, [pieces[j]], [i], rel_tol, abs_tol, [max_evaluations - evals])
+            if failure is not None:
+                out.append(failure)
+                break
+            value += v
+            err += e
+            evals += n
+        else:
+            try:
+                out.append(QuadratureResult(value=complex(value),
+                                            abs_error_estimate=float(err), evaluations=evals))
+            except ValueError as exc:
+                out.append(exc)
+        start += len(pcs)
+    return out
+
+
+def _single(f, pieces, rel_tol, abs_tol, max_evaluations) -> QuadratureResult:
+    [r] = integrate_batch(lambda x, owner: f(x), [pieces], rel_tol, abs_tol, max_evaluations)
+    if isinstance(r, Exception):
+        raise r
+    return r
 
 
 def integrate_adaptive(
@@ -216,19 +425,8 @@ def integrate_adaptive(
     Raises QuadratureConvergenceError with the partial estimate attached if
     the subdivision budget is exhausted.
     """
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise ValueError("tolerances must be > 0")
-    pieces = _finite_pieces(f, iv)
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    evals = 0
-    for fn, a, b in pieces:
-        v, e, n = _integrate_finite(fn, a, b, rel_tol, abs_tol / len(pieces),
-                                    max_evaluations - evals)
-        total += v
-        total_err += e
-        evals += n
-    return QuadratureResult(value=complex(total), abs_error_estimate=float(total_err), evaluations=evals)
+    pieces = interval_pieces(iv)
+    return _single(f, pieces, rel_tol, abs_tol / len(pieces), max_evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -251,32 +449,7 @@ def integrate_pv(
     """
     if not tol > 0:
         raise ValueError("tolerances must be > 0")
-    lo, hi = iv.lo, iv.hi
-    if not (lo < pole < hi):
-        raise PoleLocationError(f"pole {pole} not strictly inside [{lo}, {hi}]")
-
-    dist_lo = pole - lo if math.isfinite(lo) else math.inf
-    dist_hi = hi - pole if math.isfinite(hi) else math.inf
-    h = min(dist_lo, dist_hi)
-    if math.isinf(h):
-        h = 1.0 + abs(pole)  # both endpoints infinite: any finite fold works
-
-    def pair(t):
-        return f(pole + t) + f(pole - t)
-
-    # the fold, then whatever lies beyond it on either side
-    pieces = [(pair, 0.0, h)] + [(f, a, b) for a, b in ((lo, pole - h), (pole + h, hi))
-                                 if a < b]
-    value = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    for fn, a, b in pieces:
-        r = integrate_adaptive(fn, Interval(a, b), rel_tol=tol, abs_tol=DEFAULT_ABS_TOL,
-                               max_evaluations=DEFAULT_MAX_EVALUATIONS - evals)
-        value += r.value
-        err += r.abs_error_estimate
-        evals += r.evaluations
-    return QuadratureResult(value=complex(value), abs_error_estimate=float(err), evaluations=evals)
+    return _single(f, pv_pieces(pole, iv), tol, DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import CausalAtomError, FitResidualError, PresetError
@@ -340,6 +339,8 @@ _EXTRACT_DPS = 50
 
 def _bracket_line_shift_mp(du, c: NormalizationConstants):
     """6 Re B(1 + du) / (1 + du) in mpmath arithmetic (bracket units)."""
+    import mpmath as mp  # only the series fit needs mpmath: import it on first use
+
     u = 1 + du
     x = du * (2 + du)
     lnx = mp.log(du) + mp.log(2 + du)
@@ -354,6 +355,8 @@ def _series_design():
     The factors are taken at mp.lu_solve's working precision, so solving
     against them reproduces its result bit for bit.  Every fit shares these
     matrices, so callers only read them."""
+    import mpmath as mp
+
     with mp.workdps(_EXTRACT_DPS):
         lo, hi = _EXTRACT_GRID_DECADES
         grid = [mp.mpf(10) ** (lo + (hi - lo) * i / (_EXTRACT_POINTS - 1))
@@ -380,6 +383,8 @@ def extract_series_numerically(atom: AtomParams,
     {1, du, du^2, du^3, du^3 ln du} (plus higher nuisance orders; the ln 2 of
     log(2 du) is absorbed into the du^3 column and re-separated analytically).
     """
+    import mpmath as mp
+
     grid, a, scale, at, (lu, perm) = _series_design()
     with mp.workdps(_EXTRACT_DPS):
         y = [_bracket_line_shift_mp(du, c) for du in grid]

@@ -262,7 +262,9 @@ class SplitCheckReport:
     r2_prefactor * Re sym_bracket(u), relative to r2_prefactor times the sum
     of the bracket's term magnitudes.  re_closed differs from re_numeric by
     pref * (5/4 - 11u^2/12 - 1/(2u^2)): r2_tilde_closed carries half of the
-    bracket's rational part.
+    bracket's rational part.  quadrature_evaluations counts the integrand
+    evaluations over the grid; max_abs_error_estimate is the largest
+    quadrature error estimate of a point, scaled like the splitting.
     """
 
     u: np.ndarray
@@ -272,6 +274,8 @@ class SplitCheckReport:
     im_numeric: np.ndarray
     im_rel_err: np.ndarray
     re_rel_err: np.ndarray
+    quadrature_evaluations: int
+    max_abs_error_estimate: float
 
 
 def check_split_points(n: int) -> None:
@@ -294,14 +298,14 @@ def check_split_grid(u_min: float, u_max: float, n: int) -> None:
 
 
 def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
-    from .splitting import retarded_part_central  # local import keeps module load light
+    from .splitting import retarded_parts_central  # local import keeps module load light
 
     u = np.asarray(list(u_values), dtype=float)
     check_split_points(u.size)
     dist = as_causal_distribution(atom)
     pref = r2_prefactor(atom)
     closed = np.array([r2_tilde_closed(x, atom) for x in u])
-    numeric = np.array([retarded_part_central(dist, float(x), tol) for x in u])
+    numeric, evals, errors = retarded_parts_central(dist, u, tol)
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale
@@ -310,4 +314,5 @@ def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     return SplitCheckReport(
         u=u, re_closed=closed.real, im_closed=closed.imag,
         re_numeric=numeric.real, im_numeric=numeric.imag, im_rel_err=im_rel,
-        re_rel_err=re_rel)
+        re_rel_err=re_rel, quadrature_evaluations=int(evals.sum()),
+        max_abs_error_estimate=float(errors.max()))

@@ -14,6 +14,10 @@ limits are taken numerically.
 
 Shifting the Taylor subtraction point from 0 to q (off support) gives another
 valid retarded part; any two differ by a polynomial of degree <= omega.
+
+Every evaluation goes through _split_values, which advances the dispersion
+integrals of many points together (retarded_parts_central); a single point
+is its one-point case, with the same floats.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import Interval, integrate_adaptive, integrate_pv
+from .numerics import Interval, integrate_batch, interval_pieces, pv_pieces
 
 __all__ = [
     "CausalDistribution1D",
     "RetardedPart",
     "PolynomialResidual",
     "retarded_part_central",
+    "retarded_parts_central",
     "retarded_part_shifted",
     "advanced_part",
     "advanced_part_mirrored",
@@ -44,6 +49,10 @@ DEFAULT_TOL = 1e-11
 
 # evaluation points this close to the support edge are refused
 BRANCH_GUARD = 1e-9
+
+# at most this many dispersion integrals are in flight at once, so the working
+# arrays of a batch do not grow with the grid
+MAX_IN_FLIGHT = 1024
 
 
 @dataclass(frozen=True)
@@ -93,49 +102,85 @@ def _check_point(d: CausalDistribution1D, p0: float, tol: float):
             f"support edge k_min = {d.k_min}")
 
 
-def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
-                 pole_sign: float = 1.0) -> complex:
-    """Dispersion integral with Taylor subtraction about k = q.
+def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
+                  pole_sign: float = 1.0):
+    """Dispersion integrals with Taylor subtraction about k = q at every p0.
 
     pole_sign = 1 resolves 1/(p0 - k + i0) (retarded); -1 resolves the
     mirrored 1/(p0 - k - i0), whose delta term has the opposite sign.
+
+    The integrals of up to MAX_IN_FLIGHT pieces advance together through
+    numerics.integrate_batch; each point gets the floats it gets alone.
+    Returns (values, evaluations, error estimates) per point, the estimate
+    scaled like the value by |p0 - q|^(omega+1)/(2 pi).  Raises for the first
+    failing point in order, as a loop over the points would.
     """
-    om1 = d.singular_order + 1
-
-    def kernel(k):
-        return d.evaluate(k) / ((k - q) ** om1 * (p0 - k))
-
-    if d.k_min == 0.0:
+    if p0s and d.k_min == 0.0:
         raise SupportError("distribution support must exclude k = 0")
-    if p0 == 0.0 and q == 0.0:
-        return 0.0 + 0.0j  # p0^(omega+1) prefactor kills the regular integral
-
-    value = 0.0 + 0.0j
-    on_support = abs(p0) > d.k_min
     left = Interval(-math.inf, -d.k_min)
     right = Interval(d.k_min, math.inf)
-    try:
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            if on_support:
-                pole_side = right if p0 > 0 else left
-                other = left if p0 > 0 else right
-                value += integrate_pv(kernel, p0, pole_side, tol).value
-                value += integrate_adaptive(kernel, other, rel_tol=tol).value
-            else:
-                value += integrate_adaptive(kernel, left, rel_tol=tol).value
-                value += integrate_adaptive(kernel, right, rel_tol=tol).value
-    except FloatingPointError as exc:
-        # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
-        # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
-        raise QuadratureConvergenceError(
-            f"dispersion integral at p0 = {p0} failed: {exc}") from exc
+    integrals, owner = [], []   # per point: [on the pole's side, the other side]
+    for i, p0 in enumerate(p0s):
+        if p0 == 0.0 and q == 0.0:
+            continue  # the p0^(omega+1) prefactor kills the regular integral
+        if abs(p0) > d.k_min:
+            pole_side, other = (right, left) if p0 > 0 else (left, right)
+            integrals += [pv_pieces(p0, pole_side), interval_pieces(other)]
+        else:
+            integrals += [interval_pieces(left), interval_pieces(right)]
+        owner += [i, i]
+    p0_of = np.array([p0s[i] for i in owner])
+    om1 = d.singular_order + 1
+    results = []
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        # two integrals per point, of at most four pieces together
+        for start in range(0, len(integrals), MAX_IN_FLIGHT // 2):
+            chunk = integrals[start:start + MAX_IN_FLIGHT // 2]
+            results += integrate_batch(
+                lambda k, j, p0=p0_of[start:start + len(chunk)]:
+                    d.evaluate(k) / ((k - q) ** om1 * (p0[j] - k)),
+                chunk, rel_tol=tol)
+            if any(isinstance(r, Exception) for r in results[start:]):
+                break  # the points after a failing one are never reached
+    on_support = [abs(p0) > d.k_min for p0 in p0s]
+    pole_at = [p0 for p0, on in zip(p0s, on_support) if on]
+    poles = iter(d.evaluate(np.array(pole_at)).tolist() if pole_at else [])
+    results = iter(results)
+    values, evals, errors = [], [], []
+    for p0, on in zip(p0s, on_support):
+        if p0 == 0.0 and q == 0.0:
+            values.append(0.0 + 0.0j)
+            evals.append(0)
+            errors.append(0.0)
+            continue
+        value, n, err = 0.0 + 0.0j, 0, 0.0
+        for res in (next(results), next(results)):
+            if isinstance(res, FloatingPointError):
+                # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
+                # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
+                raise QuadratureConvergenceError(
+                    f"dispersion integral at p0 = {p0} failed: {res}") from res
+            if isinstance(res, Exception):
+                raise res
+            value += res.value
+            n += res.evaluations
+            err += res.abs_error_estimate
+        scale = (p0 - q) ** om1
+        result = (1j / (2.0 * math.pi)) * scale * value
+        if on:
+            # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
+            # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
+            result += pole_sign * 0.5 * complex(next(poles))
+        values.append(result)
+        evals.append(n)
+        errors.append(abs(scale) / (2.0 * math.pi) * err)
+    return np.array(values, dtype=complex), np.array(evals), np.array(errors)
 
-    result = (1j / (2.0 * math.pi)) * (p0 - q) ** om1 * value
-    if on_support:
-        # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
-        # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
-        result += pole_sign * 0.5 * complex(d.evaluate(np.array([p0]))[0])
-    return result
+
+def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
+                 pole_sign: float = 1.0) -> complex:
+    """_split_values at one point."""
+    return complex(_split_values(d, [p0], q, tol, pole_sign)[0][0])
 
 
 def retarded_part_central(d: CausalDistribution1D, p0: float,
@@ -143,6 +188,32 @@ def retarded_part_central(d: CausalDistribution1D, p0: float,
     """Central splitting solution (subtraction about the origin) at p0."""
     _check_point(d, p0, tol)
     return _split_value(d, p0, 0.0, tol)
+
+
+def retarded_parts_central(d: CausalDistribution1D, p0s,
+                           tol: float = DEFAULT_TOL):
+    """retarded_part_central at every p0, the dispersion integrals advanced
+    together: (values, evaluations, error estimates) per point, as
+    _split_values returns them.
+
+    Raises for the first failing point in order, as a loop over
+    retarded_part_central would; points after a branch point are not
+    integrated.
+    """
+    p0s = [float(p0) for p0 in p0s]
+    branch = None
+    for n, p0 in enumerate(p0s):
+        try:
+            _check_point(d, p0, tol)
+        except BranchPointError as exc:
+            branch = exc
+            break
+    else:
+        n = len(p0s)
+    out = _split_values(d, p0s[:n], 0.0, tol)
+    if branch is not None:
+        raise branch
+    return out
 
 
 def retarded_part_shifted(d: CausalDistribution1D, p0: float, q: float,

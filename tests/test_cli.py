@@ -133,11 +133,20 @@ class TestSplitCheckCommand:
         doc = json.loads(out)
         jsonschema.validate(doc, schema)
         res = doc["results"]
-        assert list(res) == ["rows", "max_im_rel_err", "max_re_rel_err"]
+        assert list(res) == ["rows", "max_im_rel_err", "max_re_rel_err", "diagnostics"]
+        diag = res["diagnostics"]
+        assert isinstance(diag["quadrature_evaluations"], int)
+        assert diag["quadrature_evaluations"] > 0
+        assert 0.0 < diag["max_abs_error_estimate"] < 1e-8 * max(
+            abs(r["re_numeric"]) for r in res["rows"])
         assert res["max_im_rel_err"] <= 1e-8
         assert res["max_re_rel_err"] <= 1e-8
         assert max(r["re_rel_err"] for r in res["rows"]) == res["max_re_rel_err"]
-        # the schema refuses a results block it does not name
+        # the schema refuses a results block or a diagnostic it does not name
+        diag["panels"] = 1
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        del diag["panels"]
         res["real_difference_fit"] = {"basis": ["1", "u", "u^2"]}
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema)
