@@ -395,11 +395,8 @@ def integrate_batch(f, integrals, rel_tol: float = DEFAULT_REL_TOL,
             err += e
             evals += n
         else:
-            try:
-                out.append(QuadratureResult(value=complex(value),
-                                            abs_error_estimate=float(err), evaluations=evals))
-            except ValueError as exc:
-                out.append(exc)
+            out.append(QuadratureResult(value=complex(value), abs_error_estimate=float(err),
+                                        evaluations=evals))
         start += len(pcs)
     return out
 
