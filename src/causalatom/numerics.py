@@ -216,6 +216,8 @@ def _lockstep(f, pieces, owners, rel_tol, abs_tol, budgets):
     is spent; else None.
     """
     n = len(pieces)
+    if not n:
+        return [], [], [], []
     kind, shift, sign, a, b = (np.array(c) for c in zip(*pieces))
     owners = np.asarray(owners)
     if not (kind != PLAIN).any():

@@ -205,6 +205,7 @@ def test_batch_matches_each_integral_alone():
                  interval_pieces(Interval(1.0, math.inf)),
                  interval_pieces(Interval(-math.inf, -0.5))]
     batch = integrate_batch(f, integrals, rel_tol=1e-12)
+    assert integrate_batch(f, [], rel_tol=1e-12) == []
     for i, (r, iv) in enumerate(zip(batch, [(-math.inf, math.inf), (0.0, 2.0),
                                            (1.0, math.inf), (-math.inf, -0.5)])):
         _same_result(r, ref.integrate_adaptive(lambda x: f(x, i), *iv, rel_tol=1e-12))
