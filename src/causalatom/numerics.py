@@ -15,9 +15,10 @@ One lock-step engine runs every adaptive integral.  An integral is a list
 of pieces, each a finite interval of a plain, semi-infinite-tail or
 principal-value-fold integrand (``interval_pieces``, ``pv_pieces``).  Each
 piece bisects its worst segment until its error estimate meets the
-tolerance, with its own heap, counter and budget; in each round the panels
-of all unfinished pieces are evaluated together, so the Python cost per
-panel is paid once per round instead of once per panel.  The arithmetic
+tolerance, with its own heap and counter; the pieces of an integral run one
+after another and share its budget.  In each round the panels of all
+unfinished integrals are evaluated together, so the Python cost per panel
+is paid once per round instead of once per panel.  The arithmetic
 per node and per 15-node panel is the same however many pieces run
 together, so a piece returns the same floats alone or in a batch.
 ``integrate_batch`` runs many integrals at once, and ``integrate_adaptive``
@@ -26,6 +27,7 @@ and ``integrate_pv`` are batches of one.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -57,6 +59,15 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-14
 DEFAULT_MAX_EVALUATIONS = 1_000_000
 _EPS = np.finfo(float).eps
+
+# Of the integrals of a batch that have spent SLOW_EVALUATIONS evaluations, at
+# most SLOW_WIDTH advance at a time, the first in order.  A batch ends at its
+# first failing integral, and failures come after long runs, so this keeps the
+# work done past a failure to about SLOW_WIDTH times the failing integral's.
+# (split-check's dispersion integrals take at most 300 evaluations for
+# |u| < 3.2, and up to 300 000 near |u| = 5e9.)
+SLOW_EVALUATIONS = 3000
+SLOW_WIDTH = 4
 
 
 # ---------------------------------------------------------------------------
@@ -153,35 +164,30 @@ class Piece(NamedTuple):
     b: float
 
 
-def _panels(f, a, b, owner, kind=None, shift=None, sign=None):
-    """GK15 panels [a_i, b_i]: (Kronrod values, |K15 - G7| estimates).
+def _panels(f, a, b, owner, kind, shift, sign):
+    """GK15 panels [a_i, b_i] of pieces of the given kind, shift and sign:
+    (Kronrod values, |K15 - G7| estimates).
 
-    owner, and kind, shift and sign unless every panel is PLAIN, are given
-    per panel.  f sees the nodes of all panels in one 1-D array together
-    with each node's owner; the mirror nodes shift - t of FOLD panels follow
-    in a second call.  The arithmetic per node and the 15-term sum per panel
-    do not depend on how many panels are evaluated together.
+    f sees the nodes of all panels in one 1-D array together with each
+    node's owner; the mirror nodes shift - t of FOLD panels follow in a
+    second call.  The arithmetic per node and the 15-term sum per panel do
+    not depend on how many panels are evaluated together.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     t = mid[:, None] + half[:, None] * GK15_NODES
     nodes = owner.repeat(len(GK15_NODES))
-    if kind is None:
-        y = np.asarray(f(t.ravel(), nodes)).reshape(t.shape)
-    else:
-        tail, fold = kind == TAIL, kind == FOLD
-        x = t.copy()
-        if tail.any():
-            w = 1.0 / (1.0 - t[tail])
-            x[tail] = shift[tail, None] + sign[tail, None] * (t[tail] * w)
-        x[fold] = shift[fold, None] + t[fold]
-        y = np.array(f(x.ravel(), nodes)).reshape(t.shape)
-        if fold.any():
-            mirror = shift[fold, None] - t[fold]
-            y_mirror = f(mirror.ravel(), nodes.reshape(t.shape)[fold].ravel())
-            y[fold] = y[fold] + np.asarray(y_mirror).reshape(mirror.shape)
-        if tail.any():
-            y[tail] = y[tail] * w * w
+    tail, fold = kind == TAIL, kind == FOLD
+    w = 1.0 / (1.0 - t[tail])
+    x = t.copy()
+    x[tail] = shift[tail, None] + sign[tail, None] * (t[tail] * w)
+    x[fold] = shift[fold, None] + t[fold]
+    y = np.array(f(x.ravel(), nodes)).reshape(t.shape)
+    if fold.any():
+        mirror = shift[fold, None] - t[fold]
+        y_mirror = f(mirror.ravel(), nodes.reshape(t.shape)[fold].ravel())
+        y[fold] = y[fold] + np.asarray(y_mirror).reshape(mirror.shape)
+    y[tail] = y[tail] * w * w
     k = half * np.add.reduce(GK15_WEIGHTS * y, axis=1)   # np.sum, without its wrapper
     g = half * np.add.reduce(G7_WEIGHTS * y, axis=1)
     # numpy scalars, so that the bookkeeping does a piece's scalar arithmetic
@@ -191,126 +197,31 @@ def _panels(f, a, b, owner, kind=None, shift=None, sign=None):
     return list(k), [abs(d) for d in k - g]
 
 
+def _replay(f, a, b, owner, kind, shift, sign):
+    """A round's panels one at a time, in order, up to the first whose
+    integrand raises FloatingPointError.
+
+    Returns the values and estimates of the panels before it, its position
+    and the exception; position and exception are None if none raises.
+    """
+    kv, ev = [], []
+    for q in range(len(a)):
+        row = slice(q, q + 1)
+        try:
+            k, e = _panels(f, a[row], b[row], owner[row], kind[row], shift[row], sign[row])
+        except FloatingPointError as exc:
+            return kv, ev, q, exc
+        kv += k
+        ev += e
+    return kv, ev, None, None
+
+
 def _resum(heap):
     """(value, error) of a piece re-summed over its segments sorted by left
     endpoint, so the summation order never depends on the subdivision
     history."""
     segs = sorted(heap, key=lambda s: s[2])
     return sum(s[4] for s in segs), float(sum(s[5] for s in segs))
-
-
-def _lockstep(f, pieces, owners, rel_tol, abs_tol, budgets):
-    """Globally adaptive bisection of every piece, advanced in lock-step.
-
-    Each piece keeps its own heap of segments, counter, running sums,
-    evaluation count and budget, and stops once err <= max(abs_tol,
-    rel_tol |total|, 64 eps sum|panel|).  Each round, every unfinished piece
-    pops its own worst segment and the halves of all of them are evaluated
-    together.  The bookkeeping of a piece is scalar and in the order the
-    piece alone would take it, so it makes the greedy choices and gets the
-    floats it gets alone.
-
-    Returns (values, errors, evaluations, failures) per piece.  failures[i]
-    is what ended piece i: a FloatingPointError from the integrand, or a
-    QuadratureConvergenceError carrying the partial estimate once the budget
-    is spent; else None.
-    """
-    n = len(pieces)
-    if not n:
-        return [], [], [], []
-    kind, shift, sign, a, b = (np.array(c) for c in zip(*pieces))
-    owners = np.asarray(owners)
-    if not (kind != PLAIN).any():
-        kind = shift = sign = None
-    values, errors, evals, failures = [None] * n, [0.0] * n, [0] * n, [None] * n
-    state = [None] * n   # per unfinished piece: [heap, counter, total, err, sum|panel|]
-    live = list(range(n))
-    lo, hi = a.tolist(), b.tolist()   # the round's panels: first the whole pieces,
-    whole_lo, whole_hi = lo, hi       # then the left and the right halves of
-    popped = None                     # the segments the live pieces popped
-    while live:
-        idx = np.array(live if popped is None else live + live)
-        cols = [None if c is None else c[idx] for c in (kind, shift, sign)]
-        try:
-            kv, ev = _panels(f, np.array(lo), np.array(hi), owners[idx], *cols)
-        except FloatingPointError:
-            keep, kv, ev = _replay(f, lo, hi, owners[idx], cols, live, popped is None,
-                                   failures)
-            live = [live[j] for j in keep]
-            if popped is not None:
-                popped = [popped[j] for j in keep]
-        m = len(live)
-        still = []
-        for j, i in enumerate(live):
-            if popped is None:
-                v, e = kv[j], ev[j]
-                s = state[i] = [[(-e, 0, whole_lo[i], whole_hi[i], v, e)], 1, v, e, abs(v)]
-                evals[i] = 15
-            else:
-                s = state[i]
-                heap, c = s[0], s[1]
-                _, _, sa, sb, sv, se = popped[j]
-                sm = 0.5 * (sa + sb)
-                v1, v2, e1, e2 = kv[j], kv[m + j], ev[j], ev[m + j]
-                evals[i] += 30
-                s[2] += v1 + v2 - sv
-                s[3] += e1 + e2 - se
-                s[4] += abs(v1) + abs(v2) - abs(sv)
-                heapq.heappush(heap, (-e1, c, sa, sm, v1, e1))
-                heapq.heappush(heap, (-e2, c + 1, sm, sb, v2, e2))
-                s[1] = c + 2
-            # the last term is the rounding noise of the sum, all that is left
-            # to reach near a zero of the integral
-            if not s[3] > max(abs_tol, rel_tol * abs(s[2]), 64 * _EPS * s[4]):
-                values[i], errors[i] = _resum(s[0])
-                state[i] = None
-            elif evals[i] + 30 > budgets[i]:
-                value, error = _resum(s[0])
-                partial = QuadratureResult(value=complex(value), abs_error_estimate=error,
-                                           evaluations=evals[i])
-                failures[i] = QuadratureConvergenceError(
-                    f"quadrature did not converge within {budgets[i]} evaluations "
-                    f"(error estimate {partial.abs_error_estimate:.3e})",
-                    partial=partial,
-                )
-                state[i] = None
-            else:
-                still.append(i)
-        live = still
-        popped = [heapq.heappop(state[i][0]) for i in live]
-        mids = [0.5 * (p[2] + p[3]) for p in popped]
-        lo = [p[2] for p in popped] + mids
-        hi = mids + [p[3] for p in popped]
-    return values, errors, evals, failures
-
-
-def _replay(f, lo, hi, owner, cols, live, first, failures):
-    """A round's panels one at a time, each piece's in the order it takes
-    them alone, to find the pieces whose integrand raises
-    FloatingPointError; those leave with it in failures.
-
-    Returns the positions among live of the other pieces and the values and
-    estimates of their panels, laid out as the round lays them out.
-    """
-    n_live = len(live)
-    halves = range(1 if first else 2)
-    done = {}
-    for j, i in enumerate(live):
-        rows = []
-        for h in halves:
-            q = j + h * n_live
-            try:
-                rows.append(_panels(f, np.array(lo[q:q + 1]), np.array(hi[q:q + 1]),
-                                    owner[q:q + 1],
-                                    *[None if c is None else c[q:q + 1] for c in cols]))
-            except FloatingPointError as exc:
-                failures[i] = exc
-                break
-        else:
-            done[j] = rows
-    kv = [done[j][h][0][0] for h in halves for j in done]
-    ev = [done[j][h][1][0] for h in halves for j in done]
-    return list(done), kv, ev
 
 
 def interval_pieces(iv: Interval) -> list:
@@ -350,57 +261,122 @@ def pv_pieces(pole: float, iv: Interval) -> list:
         for p in interval_pieces(Interval(a, b))]
 
 
-def _overran(evals, failure, budget):
-    """Whether a piece that ran with a larger budget would have met this
-    smaller one at one of its budget checks, which come before every round
-    but the first: its last one saw ``evals`` if it failed in a round, and
-    ``evals - 30`` if it converged."""
-    if isinstance(failure, QuadratureConvergenceError):
-        return True
-    last = evals if failure is not None else evals - 30
-    return last > 0 and last + 30 > budget
-
-
 def integrate_batch(f, integrals, rel_tol: float = DEFAULT_REL_TOL,
                     abs_tol: float = DEFAULT_ABS_TOL,
                     max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> list:
-    """Many integrals at once, each the sum of a list of pieces.
+    """Many integrals at once, each the sum of a list of pieces, advanced in
+    lock-step by globally adaptive bisection.
 
     f(x, owner) gets a 1-D array of nodes and, per node, the index of the
     integral it belongs to, so per-integral parameters can be broadcast.
-    The pieces of an integral are summed in order and share one budget, as
-    if integrated one after another: each gets what the earlier ones left.
-    All pieces advance together with the whole budget; the rare piece that
-    fails, or overruns what its predecessors left, is run again alone with
-    exactly that, so the outcome is the one-after-another outcome.
+    The pieces of an integral run one after another and share one budget:
+    each gets what the earlier ones left.  A piece keeps its own heap of
+    segments, counter, running sums and evaluation count, and stops once
+    err <= max(abs_tol, rel_tol |total|, 64 eps sum|panel|).  Each round,
+    every unfinished integral (of the slow ones only the first SLOW_WIDTH)
+    contributes the whole interval of the piece it starts, or the halves of
+    the worst segment its current piece pops, and all those panels are
+    evaluated together.  A piece's bookkeeping is
+    scalar and in the order it takes alone, so it makes the greedy choices
+    and gets the floats it gets alone.
 
-    Returns, per integral, a QuadratureResult or the exception that ended it.
+    Returns a result per integral, a QuadratureResult or the exception that
+    ended it (a FloatingPointError from the integrand, or a
+    QuadratureConvergenceError carrying the partial estimate once the budget
+    is spent), up to the first integral that fails: the integrals after a
+    failing one are dropped unfinished.
     """
     if not (rel_tol > 0 and abs_tol > 0):
         raise ValueError("tolerances must be > 0")
-    pieces = [p for pcs in integrals for p in pcs]
-    owners = [i for i, pcs in enumerate(integrals) for _ in pcs]
-    values, errors, counts, failures = _lockstep(f, pieces, owners, rel_tol, abs_tol,
-                                                 [max_evaluations] * len(pieces))
-    out, start = [], 0
-    for i, pcs in enumerate(integrals):
-        value, err, evals = 0.0 + 0.0j, 0.0, 0
-        for j in range(start, start + len(pcs)):
-            v, e, n, failure = values[j], errors[j], counts[j], failures[j]
-            if evals and _overran(n, failure, max_evaluations - evals):
-                (v,), (e,), (n,), (failure,) = _lockstep(
-                    f, [pieces[j]], [i], rel_tol, abs_tol, [max_evaluations - evals])
-            if failure is not None:
-                out.append(failure)
+    n = len(integrals)
+    out = [None] * n
+    cut = n                # the first integral that failed
+    spent = [0] * n        # evaluations so far
+    done = [[0, 0.0 + 0.0j, 0.0, 0] for _ in range(n)]   # pieces done, value, error, evaluations
+    state = [None] * n     # the piece under way: [heap, counter, total, err, sum|panel|]
+    kind, shift, sign = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n)
+    fast, slow = list(range(n)), []   # the unfinished integrals, in order
+    while fast or slow:
+        active = sorted(fast + slow[:SLOW_WIDTH])
+        owner, lo, hi, popped = [], [], [], []
+        for i in active:
+            if state[i] is None:
+                p = integrals[i][done[i][0]]
+                kind[i], shift[i], sign[i] = p.kind, p.shift, p.sign
+                owner.append(i)
+                lo.append(p.a)
+                hi.append(p.b)
+                popped.append(None)
+            else:
+                seg = heapq.heappop(state[i][0])
+                sm = 0.5 * (seg[2] + seg[3])
+                owner += [i, i]
+                lo += [seg[2], sm]
+                hi += [sm, seg[3]]
+                popped.append(seg)
+        owner = np.array(owner)
+        cols = (np.array(lo), np.array(hi), owner, kind[owner], shift[owner], sign[owner])
+        try:
+            kv, ev = _panels(f, *cols)
+        except FloatingPointError:
+            kv, ev, q, exc = _replay(f, *cols)
+            if exc is not None:
+                cut = int(owner[q])
+                out[cut] = exc
+                active = active[:active.index(cut)]
+        pos = 0
+        for i, seg in zip(active, popped):
+            if seg is None:
+                v, e = kv[pos], ev[pos]
+                s = state[i] = [[(-e, 0, lo[pos], hi[pos], v, e)], 1, v, e, abs(v)]
+                spent[i] += 15
+                pos += 1
+            else:
+                s = state[i]
+                heap, c = s[0], s[1]
+                _, _, sa, sb, sv, se = seg
+                sm = 0.5 * (sa + sb)
+                v1, v2, e1, e2 = kv[pos], kv[pos + 1], ev[pos], ev[pos + 1]
+                pos += 2
+                spent[i] += 30
+                s[2] += v1 + v2 - sv
+                s[3] += e1 + e2 - se
+                s[4] += abs(v1) + abs(v2) - abs(sv)
+                heapq.heappush(heap, (-e1, c, sa, sm, v1, e1))
+                heapq.heappush(heap, (-e2, c + 1, sm, sb, v2, e2))
+                s[1] = c + 2
+            d = done[i]
+            # the last term is the rounding noise of the sum, all that is left
+            # to reach near a zero of the integral
+            if not s[3] > max(abs_tol, rel_tol * abs(s[2]), 64 * _EPS * s[4]):
+                value, err = _resum(s[0])
+                d[0] += 1
+                d[1] += value
+                d[2] += err
+                d[3] = spent[i]
+                state[i] = None
+                if d[0] == len(integrals[i]):
+                    out[i] = QuadratureResult(value=complex(d[1]),
+                                              abs_error_estimate=float(d[2]),
+                                              evaluations=d[3])
+            elif spent[i] + 30 > max_evaluations:
+                value, err = _resum(s[0])
+                partial = QuadratureResult(value=complex(value), abs_error_estimate=err,
+                                           evaluations=spent[i] - d[3])
+                out[i] = QuadratureConvergenceError(
+                    f"quadrature did not converge within {max_evaluations - d[3]} "
+                    f"evaluations (error estimate {partial.abs_error_estimate:.3e})",
+                    partial=partial,
+                )
+                cut = i
                 break
-            value += v
-            err += e
-            evals += n
-        else:
-            out.append(QuadratureResult(value=complex(value), abs_error_estimate=float(err),
-                                        evaluations=evals))
-        start += len(pcs)
-    return out
+        slow = [i for i in slow[:SLOW_WIDTH] if out[i] is None] + slow[SLOW_WIDTH:]
+        for i in fast:
+            if spent[i] >= SLOW_EVALUATIONS and out[i] is None:
+                bisect.insort(slow, i)
+        fast = [i for i in fast if spent[i] < SLOW_EVALUATIONS and out[i] is None and i < cut]
+        del slow[bisect.bisect_left(slow, cut):]
+    return out[:cut + 1]
 
 
 def _single(f, pieces, rel_tol, abs_tol, max_evaluations) -> QuadratureResult:

@@ -50,9 +50,9 @@ DEFAULT_TOL = 1e-11
 # evaluation points this close to the support edge are refused
 BRANCH_GUARD = 1e-9
 
-# at most this many dispersion integrals are in flight at once, so the working
-# arrays of a batch do not grow with the grid
-MAX_IN_FLIGHT = 1024
+# the dispersion integrals of at most this many points advance together, so
+# the working arrays and segment heaps of a batch do not grow with the grid
+SPLIT_CHUNK_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,9 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     pole_sign = 1 resolves 1/(p0 - k + i0) (retarded); -1 resolves the
     mirrored 1/(p0 - k - i0), whose delta term has the opposite sign.
 
-    The integrals of up to MAX_IN_FLIGHT pieces advance together through
-    numerics.integrate_batch; each point gets the floats it gets alone.
+    The two integrals of each of up to SPLIT_CHUNK_POINTS points advance
+    together through numerics.integrate_batch; each point gets the floats it
+    gets alone.
     Returns (values, evaluations, error estimates) per point, the estimate
     scaled like the value by |p0 - q|^(omega+1)/(2 pi).  Raises for the first
     failing point in order, as a loop over the points would.
@@ -133,15 +134,22 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     om1 = d.singular_order + 1
     results = []
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        # two integrals per point, of at most four pieces together
-        for start in range(0, len(integrals), MAX_IN_FLIGHT // 2):
-            chunk = integrals[start:start + MAX_IN_FLIGHT // 2]
+        for start in range(0, len(integrals), 2 * SPLIT_CHUNK_POINTS):
+            chunk = integrals[start:start + 2 * SPLIT_CHUNK_POINTS]
             results += integrate_batch(
                 lambda k, j, p0=p0_of[start:start + len(chunk)]:
                     d.evaluate(k) / ((k - q) ** om1 * (p0[j] - k)),
                 chunk, rel_tol=tol)
-            if any(isinstance(r, Exception) for r in results[start:]):
-                break  # the points after a failing one are never reached
+            if isinstance(results[-1], Exception):
+                break  # the batch stops at its first failing integral, and so do we
+    for i, res in zip(owner, results):
+        if isinstance(res, FloatingPointError):
+            # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
+            # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
+            raise QuadratureConvergenceError(
+                f"dispersion integral at p0 = {p0s[i]} failed: {res}") from res
+        if isinstance(res, Exception):
+            raise res
     on_support = [abs(p0) > d.k_min for p0 in p0s]
     pole_at = [p0 for p0, on in zip(p0s, on_support) if on]
     poles = iter(d.evaluate(np.array(pole_at)).tolist() if pole_at else [])
@@ -155,13 +163,6 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
             continue
         value, n, err = 0.0 + 0.0j, 0, 0.0
         for res in (next(results), next(results)):
-            if isinstance(res, FloatingPointError):
-                # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
-                # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
-                raise QuadratureConvergenceError(
-                    f"dispersion integral at p0 = {p0} failed: {res}") from res
-            if isinstance(res, Exception):
-                raise res
             value += res.value
             n += res.evaluations
             err += res.abs_error_estimate

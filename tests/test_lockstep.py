@@ -2,6 +2,7 @@
 reference in reference_quadrature.py: the same floats to the last bit, the
 same evaluation counts (so the same greedy choices), and the same errors."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,6 +19,8 @@ from causalatom import cli
 from causalatom.cli import main
 from causalatom.errors import BranchPointError, QuadratureConvergenceError
 from causalatom.numerics import (
+    SLOW_EVALUATIONS,
+    SLOW_WIDTH,
     Interval,
     integrate_adaptive,
     integrate_batch,
@@ -26,6 +29,7 @@ from causalatom.numerics import (
 )
 from causalatom.observables import hydrogen_1s2p_preset
 from causalatom.selfenergy import as_causal_distribution, r2_tilde_closed, split_check_report
+from causalatom.splitting import retarded_parts_central
 
 ATOM = hydrogen_1s2p_preset()
 
@@ -126,6 +130,37 @@ def test_failing_grid_cli_stderr(capsys):
         '"command": "split-check"}\n')
 
 
+def test_failing_grid_is_not_integrated_far_past_its_failure():
+    # u = 1e10 fails after about 10 000 rounds; alone, each of the points
+    # near the support edge would spend the whole 1 000 000-evaluation
+    # budget.  Only SLOW_WIDTH slow integrals advance at once, and none after
+    # the failure, so the batch spends at most SLOW_WIDTH times what the
+    # per-point loop spends up to its failure, plus every point's share
+    # below SLOW_EVALUATIONS; both twice over, since a folded integrand is
+    # evaluated at a node and its mirror.
+    u = [1e10] + [1 + 2e-9 * (1 + j / 4) for j in range(6)]
+    nodes = []
+
+    def counted(d):
+        def evaluate(k):
+            nodes[-1] += np.size(k)
+            return d.evaluate(k)
+        return dataclasses.replace(d, evaluate=evaluate)
+
+    d = as_causal_distribution(ATOM)
+    message = "dispersion integral at p0 = 10000000000.0 failed: divide by zero " \
+              "encountered in divide"
+    nodes.append(0)
+    with pytest.raises(QuadratureConvergenceError, match=message):
+        retarded_parts_central(counted(d), u)
+    nodes.append(0)
+    with pytest.raises(QuadratureConvergenceError, match=message):
+        for x in u:
+            ref.retarded_central(counted(d), x, 1e-11)
+    batched, looped = nodes
+    assert batched <= 2 * (SLOW_WIDTH * looped + 2 * len(u) * (SLOW_EVALUATIONS + 30))
+
+
 # ---------------------------------------------------------------------------
 # the engine itself
 # ---------------------------------------------------------------------------
@@ -211,20 +246,70 @@ def test_batch_matches_each_integral_alone():
         _same_result(r, ref.integrate_adaptive(lambda x: f(x, i), *iv, rel_tol=1e-12))
 
 
-def test_failing_integral_leaves_the_batch():
-    # a node of [0, 1] lands on the pole at 0.5 in the first round; the other
-    # integrals keep bisecting and finish as they would alone
-    def f(x, owner):
-        return 1.0 / (x - 0.5)
+def test_integrals_after_a_failing_one_are_dropped():
+    # in the first round a node of integral 2 lands on its pole at 0.5, so
+    # integral 3 is dropped after that round; integral 1 runs on to its
+    # budget, and the batch ends with it, the first failure in order;
+    # integral 0 finishes as it would alone
+    def nasty(x):
+        return np.abs(np.sin(1.0 / (x + 1e-12)))
 
-    integrals = [interval_pieces(Interval(2.0, 3.0)), interval_pieces(Interval(0.0, 1.0)),
-                 interval_pieces(Interval(-3.0, -1.0))]
+    funcs = [np.exp, nasty, lambda x: 1.0 / (x - 0.5), nasty]
+    seen = np.zeros(len(funcs), dtype=int)
+
+    def f(x, owner):
+        np.add.at(seen, owner, 1)
+        y = np.empty(len(x))
+        for j, g in enumerate(funcs):
+            y[owner == j] = g(x[owner == j])
+        return y
+
+    kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 3000}
     with np.errstate(divide="raise"):
-        batch = integrate_batch(f, integrals, rel_tol=1e-12)
-    assert isinstance(batch[1], FloatingPointError)
-    assert str(batch[1]) == "divide by zero encountered in divide"
-    for r, iv in ((batch[0], (2.0, 3.0)), (batch[2], (-3.0, -1.0))):
-        _same_result(r, ref.integrate_adaptive(lambda x: f(x, 0), *iv, rel_tol=1e-12))
+        batch = integrate_batch(f, [interval_pieces(Interval(0.0, 1.0))] * 4, **kw)
+    assert len(batch) == 2
+    _same_result(batch[0], ref.integrate_adaptive(np.exp, 0.0, 1.0, **kw))
+    theirs = outcome(lambda: ref.integrate_adaptive(nasty, 0.0, 1.0, **kw))
+    assert (type(batch[1]), str(batch[1])) == theirs
+    assert theirs[0] is QuadratureConvergenceError
+    assert seen[3] == 15
+
+
+def test_slow_integrals_match_reference():
+    # each of these outlasts SLOW_EVALUATIONS, so they take turns, at most
+    # SLOW_WIDTH at once, and still get the floats they get alone
+    powers = np.linspace(0.6, 0.85, SLOW_WIDTH + 2)
+
+    def f(x, owner):
+        return x ** -powers[owner]
+
+    kw = {"rel_tol": 1e-12, "abs_tol": 1e-300}
+    batch = integrate_batch(f, [interval_pieces(Interval(0.0, 1.0))] * len(powers), **kw)
+    for i, r in enumerate(batch):
+        theirs = ref.integrate_adaptive(lambda x: f(x, np.full(len(x), i)), 0.0, 1.0, **kw)
+        assert theirs.evaluations > SLOW_EVALUATIONS
+        _same_result(r, theirs)
+
+
+def test_slow_integrals_after_the_first_wait():
+    # all of these run into their budget; past SLOW_EVALUATIONS only the
+    # first SLOW_WIDTH go on, so the others have stopped there when the
+    # first one fails and ends the batch
+    def nasty(x):
+        return np.abs(np.sin(1.0 / (x + 1e-12)))
+
+    seen = np.zeros(SLOW_WIDTH + 3, dtype=int)
+
+    def f(x, owner):
+        np.add.at(seen, owner, 1)
+        return nasty(x)
+
+    kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 3 * SLOW_EVALUATIONS}
+    batch = integrate_batch(f, [interval_pieces(Interval(0.0, 1.0))] * len(seen), **kw)
+    theirs = outcome(lambda: ref.integrate_adaptive(nasty, 0.0, 1.0, **kw))
+    assert [(type(r), str(r)) for r in batch] == [theirs]
+    assert theirs[0] is QuadratureConvergenceError
+    assert (seen[SLOW_WIDTH:] <= SLOW_EVALUATIONS + 30).all()
 
 
 def test_mpmath_not_imported_outside_the_series_fit():
