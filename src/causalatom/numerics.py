@@ -65,7 +65,7 @@ _EPS = np.finfo(float).eps
 # first failing integral, and failures come after long runs, so this keeps the
 # work done past a failure to about SLOW_WIDTH times the failing integral's.
 # (split-check's dispersion integrals take at most 300 evaluations for
-# |u| < 3.2, and up to 300 000 near |u| = 5e9.)
+# |u| < 3.2, and up to 300 000 on |u| in [1e3, 5e9].)
 SLOW_EVALUATIONS = 3000
 SLOW_WIDTH = 4
 

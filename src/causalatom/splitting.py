@@ -141,7 +141,7 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
                     d.evaluate(k) / ((k - q) ** om1 * (p0[j] - k)),
                 chunk, rel_tol=tol)
             if isinstance(results[-1], Exception):
-                break  # the batch stops at its first failing integral, and so do we
+                break  # a batch ends at its first failing integral, and so does the grid
     for i, res in zip(owner, results):
         if isinstance(res, FloatingPointError):
             # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
