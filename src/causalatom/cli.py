@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -58,14 +59,37 @@ SPLIT_CHECK_COLUMNS = ("u", "re_closed", "im_closed", "re_numeric", "im_numeric"
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
+_FLOAT = "%.17g"   # how a float is written, as a %-format
+
+
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise CausalAtomError(f"result is not finite ({x}); nothing was written")
-    return f"{x:.17g}"
+    return _FLOAT % x
+
+
+def _finite_floats(values) -> bool:
+    """Whether every value is a finite float, so that a template of _FLOAT
+    fields writes them all at once as _fmt_float writes each.  (A finite sum
+    shows that they are finite; one that overflows only takes the slower
+    path, which writes the same.)"""
+    return all(type(v) is float for v in values) and math.isfinite(sum(values))
+
+
+@functools.cache
+def _json_float_dict(keys: tuple) -> str:
+    return "{" + ", ".join(_json_key(k).replace("%", "%%") + _FLOAT for k in keys) + "}"
+
+
+@functools.cache
+def _csv_float_row(n: int) -> str:
+    return ",".join([_FLOAT] * n) + "\n"
 
 
 def _write_json_value(v, out: list):
-    if isinstance(v, bool):
+    if type(v) is float:  # most values: one test instead of the chain below
+        out.append(_fmt_float(v))
+    elif isinstance(v, bool):
         out.append("true" if v else "false")
     elif isinstance(v, (int, np.integer)):
         out.append(str(int(v)))
@@ -78,12 +102,15 @@ def _write_json_value(v, out: list):
     elif v is None:
         out.append("null")
     elif isinstance(v, dict):
+        values = tuple(v.values())
+        if _finite_floats(values):  # e.g. a row of split-check
+            out.append(_json_float_dict(tuple(v)) % values)
+            return
         out.append("{")
         for i, (k, item) in enumerate(v.items()):
             if i:
                 out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
+            out.append(_json_key(k))
             _write_json_value(item, out)
         out.append("}")
     elif isinstance(v, (list, tuple, np.ndarray)):
@@ -96,6 +123,12 @@ def _write_json_value(v, out: list):
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(v)!r}")
+
+
+@functools.cache
+def _json_key(k) -> str:
+    """A dict key as JSON, with the separator after it."""
+    return json.dumps(str(k)) + ": "
 
 
 def _dumps(doc: dict) -> str:
@@ -125,8 +158,11 @@ def _csv_from_rows(header, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt_float(v) if isinstance(v, (float, np.floating))
-                         else v for v in row])
+        if _finite_floats(row):  # csv.writer would quote none of these fields
+            buf.write(_csv_float_row(len(row)) % tuple(row))
+        else:
+            writer.writerow([_fmt_float(v) if isinstance(v, (float, np.floating))
+                             else v for v in row])
     return buf.getvalue()
 
 
@@ -244,9 +280,9 @@ def _cmd_split_check(atom, opts):
     _divisor("r2_prefactor", r2_prefactor(atom), atom, ("d_eg_Cm", "m_g_kg"))
     grid = np.linspace(opts["u_min"], opts["u_max"], points)
     rep = split_check_report(atom, grid, tol=opts["tol"])
-    rows = [dict(zip(SPLIT_CHECK_COLUMNS, map(float, values)))
-            for values in zip(rep.u, rep.re_closed, rep.im_closed, rep.re_numeric,
-                              rep.im_numeric, rep.im_rel_err, rep.re_rel_err)]
+    table = np.column_stack((rep.u, rep.re_closed, rep.im_closed, rep.re_numeric,
+                             rep.im_numeric, rep.im_rel_err, rep.re_rel_err)).tolist()
+    rows = [dict(zip(SPLIT_CHECK_COLUMNS, values)) for values in table]
     return {
         "rows": rows,
         "max_im_rel_err": float(rep.im_rel_err.max()),
@@ -259,7 +295,7 @@ def _cmd_split_check(atom, opts):
 
 
 def _split_check_csv(results) -> str:
-    rows = [[r[h] for h in SPLIT_CHECK_COLUMNS] for r in results["rows"]]
+    rows = [list(r.values()) for r in results["rows"]]
     return _csv_from_rows(SPLIT_CHECK_COLUMNS, rows)
 
 

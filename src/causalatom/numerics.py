@@ -109,6 +109,7 @@ def _build_gk15():
 
 
 GK15_NODES, GK15_WEIGHTS, G7_WEIGHTS = _build_gk15()
+_WEIGHTS = np.stack((GK15_WEIGHTS, G7_WEIGHTS))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,11 @@ class QuadratureResult:
 # f(shift + t) + f(shift - t), the principal-value fold about a pole at shift.
 PLAIN, TAIL, FOLD = 0, 1, 2
 
+# Columns of a panel or segment row: its interval, its Kronrod value (real and
+# imaginary part), its |K15 - G7| error estimate and the modulus of its value.
+# Adding two rows' last four columns adds their values, estimates and moduli.
+_LO, _HI, _RE, _IM, _ERR, _ABS = range(6)
+
 
 class Piece(NamedTuple):
     """One finite piece of an integral: t runs over [a, b]."""
@@ -164,64 +170,263 @@ class Piece(NamedTuple):
     b: float
 
 
+def _select(kind, k):
+    """Index of the panels of kind k: None if there are none, a slice if
+    they are all of them, else a mask."""
+    mask = kind == k
+    count = np.count_nonzero(mask)
+    return None if count == 0 else slice(None) if count == len(mask) else mask
+
+
 def _panels(f, a, b, owner, kind, shift, sign):
-    """GK15 panels [a_i, b_i] of pieces of the given kind, shift and sign:
-    (Kronrod values, |K15 - G7| estimates).
+    """Rows (_LO .. _ABS) of the GK15 panels [a_i, b_i] of pieces of the given
+    kind, shift and sign.
 
     f sees the nodes of all panels in one 1-D array together with each
     node's owner; the mirror nodes shift - t of FOLD panels follow in a
     second call.  The arithmetic per node and the 15-term sum per panel do
-    not depend on how many panels are evaluated together.
+    not depend on how many panels are evaluated together, nor on their
+    kinds.  A modulus is np.hypot of the parts, which is what abs() of a
+    complex scalar gives; np.abs of a complex array differs from it in the
+    last bit for some arguments.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     t = mid[:, None] + half[:, None] * GK15_NODES
     nodes = owner.repeat(len(GK15_NODES))
-    tail, fold = kind == TAIL, kind == FOLD
-    w = 1.0 / (1.0 - t[tail])
+    tail, fold = _select(kind, TAIL), _select(kind, FOLD)
     x = t.copy()
-    x[tail] = shift[tail, None] + sign[tail, None] * (t[tail] * w)
-    x[fold] = shift[fold, None] + t[fold]
+    if tail is not None:
+        w = 1.0 / (1.0 - t[tail])
+        x[tail] = shift[tail, None] + sign[tail, None] * (t[tail] * w)
+    if fold is not None:
+        x[fold] = shift[fold, None] + t[fold]
     y = np.array(f(x.ravel(), nodes)).reshape(t.shape)
-    if fold.any():
+    if fold is not None:
         mirror = shift[fold, None] - t[fold]
         y_mirror = f(mirror.ravel(), nodes.reshape(t.shape)[fold].ravel())
         y[fold] = y[fold] + np.asarray(y_mirror).reshape(mirror.shape)
-    y[tail] = y[tail] * w * w
-    k = half * np.add.reduce(GK15_WEIGHTS * y, axis=1)   # np.sum, without its wrapper
-    g = half * np.add.reduce(G7_WEIGHTS * y, axis=1)
-    # numpy scalars, so that the bookkeeping does a piece's scalar arithmetic
-    # with its rounding and floating-point errors; abs() per element, because
-    # numpy's vectorized complex absolute differs from the scalar one in the
-    # last bit for some arguments
-    return list(k), [abs(d) for d in k - g]
+    if tail is not None:
+        y[tail] = y[tail] * w * w
+    # Kronrod and Gauss sums in one reduction over each row of 15 (np.sum,
+    # without its wrapper)
+    kg = half[:, None] * np.add.reduce(_WEIGHTS * y[:, None], axis=2)
+    k, d = kg[:, 0], kg[:, 0] - kg[:, 1]
+    rows = np.empty((len(a), 6))
+    rows[:, _LO], rows[:, _HI], rows[:, _RE], rows[:, _IM] = a, b, k.real, k.imag
+    np.hypot(d.real, d.imag, out=rows[:, _ERR])
+    np.hypot(k.real, k.imag, out=rows[:, _ABS])
+    return rows
 
 
-def _replay(f, a, b, owner, kind, shift, sign):
-    """A round's panels one at a time, in order, up to the first whose
-    integrand raises FloatingPointError.
+def _replay(f, cols, order):
+    """The panels of a round one at a time, in ``order``, up to the first
+    whose integrand raises FloatingPointError.
 
-    Returns the values and estimates of the panels before it, its position
-    and the exception; position and exception are None if none raises.
+    Returns the rows of the panels evaluated before it (the others are
+    zero), its position and the exception; position and exception are None
+    if none raises.
     """
-    kv, ev = [], []
-    for q in range(len(a)):
+    rows = np.zeros((len(cols[0]), 6))
+    for q in order:
         row = slice(q, q + 1)
         try:
-            k, e = _panels(f, a[row], b[row], owner[row], kind[row], shift[row], sign[row])
+            rows[row] = _panels(f, *(c[row] for c in cols))
         except FloatingPointError as exc:
-            return kv, ev, q, exc
-        kv += k
-        ev += e
-    return kv, ev, None, None
+            return rows, q, exc
+    return rows, None, None
 
 
-def _resum(heap):
-    """(value, error) of a piece re-summed over its segments sorted by left
-    endpoint, so the summation order never depends on the subdivision
-    history."""
-    segs = sorted(heap, key=lambda s: s[2])
-    return sum(s[4] for s in segs), float(sum(s[5] for s in segs))
+def _resum(seg, after, firsts):
+    """Value (re, im) and error estimate of the pieces whose leftmost segments
+    are ``firsts``: their segments summed left to right from 0, so the
+    summation order never depends on the subdivision history.  after[s] is
+    the segment to the right of s in its piece, -1 for the last.
+
+    The segments go into a table of one column per piece, padded with zeros
+    (x + 0.0 is x for a sum started from +0.0), which one accumulation
+    sums down the rows.
+    """
+    width = len(firsts)
+    order, cells, top = [], [], 0
+    for col, s in enumerate(firsts):
+        cell = col
+        while s >= 0:
+            cell += width
+            order.append(s)
+            cells.append(cell)
+            s = after[s]
+        top = max(top, cell)
+    terms = np.zeros((top // width + 1, width, 3))   # row 0 is the 0 the sums start from
+    terms.reshape(-1, 3)[cells] = seg[order, _RE:_ERR + 1]
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _compact(seg, after, heaps, firsts, extra):
+    """The segment table cut down to the segments of the pieces under way,
+    numbered from left to right in each, with room for at least ``extra``
+    more: (table, after, length)."""
+    order, new = [], {}
+    for i, h in enumerate(heaps):
+        if h is not None:
+            s, firsts[i] = firsts[i], len(order)
+            while s >= 0:
+                new[s] = len(order)
+                order.append(s)
+                s = after[s]
+    size = 2 * (len(order) + extra) + 64
+    out, after = np.empty((size, 6)), list(range(1, size + 1))
+    out[:len(order)] = seg[order]
+    for i, h in enumerate(heaps):
+        if h is not None:
+            heaps[i] = [(e, c, new[s]) for e, c, s in h]
+            after[firsts[i] + len(h) - 1] = -1   # a piece's segments are all in its heap
+    return out, after, len(order)
+
+
+def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
+    """The engine behind integrate_batch.  Integral i is the sum of the next
+    counts[i] pieces, the rows (kind, shift, sign, a, b) of ``table``.
+
+    Segments live in one table of rows (_LO .. _ABS); a piece keeps a heap
+    of (-error, counter, row) only to choose its worst segment, the counter
+    giving ties to the older one.  The running sums, stop tests and
+    re-summations of all integrals of a round take a fixed number of numpy
+    calls, in the arithmetic a piece does alone.
+
+    Returns (sums, evaluations, exc): the value (re, im) and error estimate
+    and the evaluation count of each integral before the first that fails,
+    and the exception that ended that one, or None.
+    """
+    if not (rel_tol > 0 and abs_tol > 0):
+        raise ValueError("tolerances must be > 0")
+    n = len(counts)
+    end = np.cumsum(counts)
+    piece = end - counts       # the piece under way or next to start
+    heaps = [None] * n         # the heap of the piece under way
+    run = np.zeros((n, 4))     # its value (re, im), error and sum |panel|
+    done = np.zeros((n, 3))    # value (re, im) and error of the finished pieces
+    done_at = [0] * n          # evaluations spent when the last piece finished
+    live = [True] * n          # neither finished nor failed
+    is_fast = [True] * n       # live, and below SLOW_EVALUATIONS
+    seg, used = np.empty((32 * n + 64, 6)), 0
+    after = [-1] * len(seg)    # the next segment to the right in its piece
+    first = [0] * n            # the leftmost segment of the piece under way
+    cut, exc = n, None         # the first integral that failed
+    fast, slow = list(range(n)), []   # the unfinished integrals, in order
+    while fast or slow:
+        act = sorted(fast + slow[:SLOW_WIDTH]) if slow else fast
+        if used + len(act) > len(seg):
+            seg, after, used = _compact(seg, after, heaps, first, len(act))
+        new, old, popped = [], [], []
+        for i in act:
+            if heaps[i] is None:
+                new.append(i)
+            else:
+                old.append(i)
+                popped.append(heapq.heappop(heaps[i])[2])
+        ns, no = len(new), len(old)
+        # the panels: the interval of each piece that starts, then the left
+        # and the right halves of each popped segment, the left one in its row
+        owner = np.array(new + old + old, dtype=np.intp)
+        slots = np.array([*range(used, used + ns), *popped, *range(used + ns, used + ns + no)],
+                         dtype=np.intp)
+        used += ns + no
+        parent = seg[slots[ns:ns + no]]
+        mid = 0.5 * (parent[:, _LO] + parent[:, _HI])
+        kind, shift, sign, a, b = table[piece[owner]].T
+        cols = (np.concatenate((a[:ns], parent[:, _LO], mid)),
+                np.concatenate((b[:ns], mid, parent[:, _HI])), owner, kind, shift, sign)
+        resched = False
+        try:
+            rows = _panels(f, *cols)
+        except FloatingPointError:
+            rows, q, failure = _replay(f, cols, np.argsort(owner, kind="stable").tolist())
+            if failure is not None:
+                cut, exc, resched = int(owner[q]), failure, True
+                live[cut] = is_fast[cut] = False
+                keep = owner < cut
+                rows, slots, owner = rows[keep], slots[keep], owner[keep]
+                parent = parent[keep[ns:ns + no]]
+                new, old = [i for i in new if i < cut], [i for i in old if i < cut]
+                ns, no = len(new), len(old)
+        seg[slots] = rows
+        idx = owner[:ns + no]
+        vals = rows[:, _RE:]
+        r = np.concatenate((vals[:ns], run[idx[ns:]] + ((vals[ns:ns + no] + vals[ns + no:])
+                                                        - parent[:, _RE:])))
+        run[idx] = r
+        # the last term is the rounding noise of the sum, all that is left to
+        # reach near a zero of the integral; fmax skips NaN as max() does
+        going = (r[:, 2] > np.fmax(np.fmax(abs_tol, rel_tol * np.hypot(r[:, 0], r[:, 1])),
+                                   64 * _EPS * r[:, 3])).tolist()
+        err, slots = rows[:, _ERR].tolist(), slots.tolist()
+        ends, over, moved = [], [], []
+        for j, i in enumerate(new + old):
+            if j < ns:
+                s = first[i] = slots[j]
+                h = heaps[i] = [(-err[j], 0, s)]
+                after[s] = -1
+            else:
+                s, right = slots[j], slots[j + no]
+                h = heaps[i]
+                c = 2 * len(h) + 1
+                heapq.heappush(h, (-err[j], c, s))
+                heapq.heappush(h, (-err[j + no], c + 1, right))
+                after[right], after[s] = after[s], right
+            spent = done_at[i] + 30 * len(h) - 15   # 15 to start a piece, 30 a bisection
+            if not going[j]:
+                ends.append(i)
+            elif spent + 30 > max_evaluations:
+                over.append(i)
+            if spent >= SLOW_EVALUATIONS and is_fast[i]:
+                moved.append(i)
+        if over:
+            cut, resched = min(over), True
+            live[cut] = is_fast[cut] = False
+        ends = [i for i in ends if i < cut]
+        if ends or over:
+            groups = ends + ([cut] if over else [])
+            sums = _resum(seg, after, [first[i] for i in groups])
+            evals = [30 * len(heaps[i]) - 15 for i in groups]
+            for i, e in zip(ends, evals):
+                done_at[i] += e
+                heaps[i] = None
+            fin = np.array(ends, dtype=np.intp)
+            done[fin] = done[fin] + sums[:len(ends)]
+            piece[fin] += 1
+            complete = fin[piece[fin] == end[fin]].tolist()
+            for i in complete:
+                live[i] = is_fast[i] = False
+                if not math.isfinite(done[i, 2]):
+                    _result(done[i], done_at[i])    # raises as QuadratureResult does
+            resched = resched or bool(complete)
+            if over:
+                partial = QuadratureResult(value=complex(sums[-1, 0], sums[-1, 1]),
+                                           abs_error_estimate=float(sums[-1, 2]),
+                                           evaluations=evals[-1])
+                exc = QuadratureConvergenceError(
+                    f"quadrature did not converge within {max_evaluations - done_at[cut]} "
+                    f"evaluations (error estimate {partial.abs_error_estimate:.3e})",
+                    partial=partial)
+        # of the slow integrals, the first SLOW_WIDTH advance
+        slow = [i for i in slow[:SLOW_WIDTH] if live[i]] + slow[SLOW_WIDTH:]
+        moved = [i for i in moved if live[i] and i < cut]
+        if moved:
+            for i in moved:
+                is_fast[i] = False
+            slow = sorted(slow + moved)
+        if resched or moved:
+            fast = [i for i in fast if is_fast[i] and i < cut]
+        if cut < n:
+            del slow[bisect.bisect_left(slow, cut):]
+    return done[:cut], done_at[:cut], exc
+
+
+def _result(sums, evaluations) -> QuadratureResult:
+    re, im, err = sums.tolist()
+    return QuadratureResult(value=complex(re, im), abs_error_estimate=err,
+                            evaluations=int(evaluations))
 
 
 def interval_pieces(iv: Interval) -> list:
@@ -286,97 +491,11 @@ def integrate_batch(f, integrals, rel_tol: float = DEFAULT_REL_TOL,
     is spent), up to the first integral that fails: the integrals after a
     failing one are dropped unfinished.
     """
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise ValueError("tolerances must be > 0")
-    n = len(integrals)
-    out = [None] * n
-    cut = n                # the first integral that failed
-    spent = [0] * n        # evaluations so far
-    done = [[0, 0.0 + 0.0j, 0.0, 0] for _ in range(n)]   # pieces done, value, error, evaluations
-    state = [None] * n     # the piece under way: [heap, counter, total, err, sum|panel|]
-    kind, shift, sign = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n)
-    fast, slow = list(range(n)), []   # the unfinished integrals, in order
-    while fast or slow:
-        active = sorted(fast + slow[:SLOW_WIDTH])
-        owner, lo, hi, popped = [], [], [], []
-        for i in active:
-            if state[i] is None:
-                p = integrals[i][done[i][0]]
-                kind[i], shift[i], sign[i] = p.kind, p.shift, p.sign
-                owner.append(i)
-                lo.append(p.a)
-                hi.append(p.b)
-                popped.append(None)
-            else:
-                seg = heapq.heappop(state[i][0])
-                sm = 0.5 * (seg[2] + seg[3])
-                owner += [i, i]
-                lo += [seg[2], sm]
-                hi += [sm, seg[3]]
-                popped.append(seg)
-        owner = np.array(owner)
-        cols = (np.array(lo), np.array(hi), owner, kind[owner], shift[owner], sign[owner])
-        try:
-            kv, ev = _panels(f, *cols)
-        except FloatingPointError:
-            kv, ev, q, exc = _replay(f, *cols)
-            if exc is not None:
-                cut = int(owner[q])
-                out[cut] = exc
-                active = active[:active.index(cut)]
-        pos = 0
-        for i, seg in zip(active, popped):
-            if seg is None:
-                v, e = kv[pos], ev[pos]
-                s = state[i] = [[(-e, 0, lo[pos], hi[pos], v, e)], 1, v, e, abs(v)]
-                spent[i] += 15
-                pos += 1
-            else:
-                s = state[i]
-                heap, c = s[0], s[1]
-                _, _, sa, sb, sv, se = seg
-                sm = 0.5 * (sa + sb)
-                v1, v2, e1, e2 = kv[pos], kv[pos + 1], ev[pos], ev[pos + 1]
-                pos += 2
-                spent[i] += 30
-                s[2] += v1 + v2 - sv
-                s[3] += e1 + e2 - se
-                s[4] += abs(v1) + abs(v2) - abs(sv)
-                heapq.heappush(heap, (-e1, c, sa, sm, v1, e1))
-                heapq.heappush(heap, (-e2, c + 1, sm, sb, v2, e2))
-                s[1] = c + 2
-            d = done[i]
-            # the last term is the rounding noise of the sum, all that is left
-            # to reach near a zero of the integral
-            if not s[3] > max(abs_tol, rel_tol * abs(s[2]), 64 * _EPS * s[4]):
-                value, err = _resum(s[0])
-                d[0] += 1
-                d[1] += value
-                d[2] += err
-                d[3] = spent[i]
-                state[i] = None
-                if d[0] == len(integrals[i]):
-                    out[i] = QuadratureResult(value=complex(d[1]),
-                                              abs_error_estimate=float(d[2]),
-                                              evaluations=d[3])
-            elif spent[i] + 30 > max_evaluations:
-                value, err = _resum(s[0])
-                partial = QuadratureResult(value=complex(value), abs_error_estimate=err,
-                                           evaluations=spent[i] - d[3])
-                out[i] = QuadratureConvergenceError(
-                    f"quadrature did not converge within {max_evaluations - d[3]} "
-                    f"evaluations (error estimate {partial.abs_error_estimate:.3e})",
-                    partial=partial,
-                )
-                cut = i
-                break
-        slow = [i for i in slow[:SLOW_WIDTH] if out[i] is None] + slow[SLOW_WIDTH:]
-        for i in fast:
-            if spent[i] >= SLOW_EVALUATIONS and out[i] is None:
-                bisect.insort(slow, i)
-        fast = [i for i in fast if spent[i] < SLOW_EVALUATIONS and out[i] is None and i < cut]
-        del slow[bisect.bisect_left(slow, cut):]
-    return out[:cut + 1]
+    table = np.array([p for pieces in integrals for p in pieces], dtype=float).reshape(-1, 5)
+    sums, evaluations, exc = _lockstep(f, table, np.array([len(p) for p in integrals]),
+                                       rel_tol, abs_tol, max_evaluations)
+    out = [_result(s, n) for s, n in zip(sums, evaluations)]
+    return out if exc is None else out + [exc]
 
 
 def _single(f, pieces, rel_tol, abs_tol, max_evaluations) -> QuadratureResult:

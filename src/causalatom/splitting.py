@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import Interval, integrate_batch, interval_pieces, pv_pieces
+from .numerics import (DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS, FOLD, PLAIN, TAIL,
+                       _lockstep)
 
 __all__ = [
     "CausalDistribution1D",
@@ -102,6 +103,38 @@ def _check_point(d: CausalDistribution1D, p0: float, tol: float):
             f"support edge k_min = {d.k_min}")
 
 
+def _dispersion_pieces(k_min: float, p):
+    """The pieces of the two dispersion integrals at each p0 in ``p``, as rows
+    (kind, shift, sign, a, b) in order, and the number of pieces of each
+    integral: what numerics.pv_pieces and interval_pieces build.
+
+    On the support, the first integral is the principal-value fold about p0
+    over the half-width to the support edge, then, in the order of k, the
+    plain piece between the edge and the fold (if the fold's end rounds
+    short of the edge) and the tail beyond the fold; the second is the other
+    side's tail.  Off the support they are the tails of the two sides.
+    """
+    n = len(p)
+    on, up = np.abs(p) > k_min, p > 0.0
+    h = np.where(up, p - k_min, -k_min - p)     # the fold's half-width
+    zero, one = np.zeros(n), np.ones(n)
+    fold = np.stack([np.full(n, FOLD), p, zero, zero, h], axis=1)
+    plain = np.stack([np.full(n, PLAIN), zero, zero,
+                      np.where(up, k_min, p + h), np.where(up, p - h, -k_min)], axis=1)
+    beyond = np.stack([np.full(n, TAIL), np.where(up, p + h, p - h),
+                       np.where(up, 1.0, -1.0), zero, one], axis=1)
+    left = np.array([TAIL, -k_min, -1.0, 0.0, 1.0])
+    right = np.array([TAIL, k_min, 1.0, 0.0, 1.0])
+    on_, up_ = on[:, None], up[:, None]
+    rows = np.stack([np.where(on_, fold, left), np.where(up_, plain, beyond),
+                     np.where(up_, beyond, plain), np.where(on_ & up_, left, right)], axis=1)
+    has_plain = on & np.where(up, k_min < p - h, p + h < -k_min)
+    used = np.stack([np.ones(n, dtype=bool), np.where(up, has_plain, on),
+                     np.where(up, on, has_plain), np.ones(n, dtype=bool)], axis=1)
+    counts = np.stack([1 + used[:, 1:3].sum(axis=1), np.ones(n, dtype=int)], axis=1)
+    return rows[used], counts.ravel()
+
+
 def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
                   pole_sign: float = 1.0):
     """Dispersion integrals with Taylor subtraction about k = q at every p0.
@@ -110,72 +143,58 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     mirrored 1/(p0 - k - i0), whose delta term has the opposite sign.
 
     The two integrals of each of up to SPLIT_CHUNK_POINTS points advance
-    together through numerics.integrate_batch; each point gets the floats it
-    gets alone.
+    together through the lock-step engine of numerics.integrate_batch; each
+    point gets the floats it gets alone.
     Returns (values, evaluations, error estimates) per point, the estimate
     scaled like the value by |p0 - q|^(omega+1)/(2 pi).  Raises for the first
     failing point in order, as a loop over the points would.
     """
     if p0s and d.k_min == 0.0:
         raise SupportError("distribution support must exclude k = 0")
-    left = Interval(-math.inf, -d.k_min)
-    right = Interval(d.k_min, math.inf)
-    integrals, owner = [], []   # per point: [on the pole's side, the other side]
-    for i, p0 in enumerate(p0s):
-        if p0 == 0.0 and q == 0.0:
-            continue  # the p0^(omega+1) prefactor kills the regular integral
-        if abs(p0) > d.k_min:
-            pole_side, other = (right, left) if p0 > 0 else (left, right)
-            integrals += [pv_pieces(p0, pole_side), interval_pieces(other)]
-        else:
-            integrals += [interval_pieces(left), interval_pieces(right)]
-        owner += [i, i]
-    p0_of = np.array([p0s[i] for i in owner])
+    p0s = np.array(p0s, dtype=float)
+    # at p0 = q = 0 the p0^(omega+1) prefactor kills the regular integral
+    integrated = (p0s != 0.0) | (q != 0.0)
+    p = p0s[integrated]
+    table, counts = _dispersion_pieces(d.k_min, p)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    p0_of = p.repeat(2)
     om1 = d.singular_order + 1
-    results = []
+    sums, evals, exc = [np.zeros((0, 3))], [], None
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        for start in range(0, len(integrals), 2 * SPLIT_CHUNK_POINTS):
-            chunk = integrals[start:start + 2 * SPLIT_CHUNK_POINTS]
-            results += integrate_batch(
-                lambda k, j, p0=p0_of[start:start + len(chunk)]:
-                    d.evaluate(k) / ((k - q) ** om1 * (p0[j] - k)),
-                chunk, rel_tol=tol)
-            if isinstance(results[-1], Exception):
+        for lo in range(0, len(counts), 2 * SPLIT_CHUNK_POINTS):
+            hi = min(lo + 2 * SPLIT_CHUNK_POINTS, len(counts))
+            s, n, exc = _lockstep(
+                lambda k, j, p0=p0_of[lo:hi]: d.evaluate(k) / ((k - q) ** om1 * (p0[j] - k)),
+                table[starts[lo]:starts[hi]], counts[lo:hi], tol, DEFAULT_ABS_TOL,
+                DEFAULT_MAX_EVALUATIONS)
+            sums.append(s)
+            evals += n
+            if exc is not None:
                 break  # a batch ends at its first failing integral, and so does the grid
-    for i, res in zip(owner, results):
-        if isinstance(res, FloatingPointError):
-            # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
-            # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
-            raise QuadratureConvergenceError(
-                f"dispersion integral at p0 = {p0s[i]} failed: {res}") from res
-        if isinstance(res, Exception):
-            raise res
-    on_support = [abs(p0) > d.k_min for p0 in p0s]
-    pole_at = [p0 for p0, on in zip(p0s, on_support) if on]
-    poles = iter(d.evaluate(np.array(pole_at)).tolist() if pole_at else [])
-    results = iter(results)
-    values, evals, errors = [], [], []
-    for p0, on in zip(p0s, on_support):
-        if p0 == 0.0 and q == 0.0:
-            values.append(0.0 + 0.0j)
-            evals.append(0)
-            errors.append(0.0)
-            continue
-        value, n, err = 0.0 + 0.0j, 0, 0.0
-        for res in (next(results), next(results)):
-            value += res.value
-            n += res.evaluations
-            err += res.abs_error_estimate
-        scale = (p0 - q) ** om1
-        result = (1j / (2.0 * math.pi)) * scale * value
-        if on:
-            # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
-            # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
-            result += pole_sign * 0.5 * complex(next(poles))
-        values.append(result)
-        evals.append(n)
-        errors.append(abs(scale) / (2.0 * math.pi) * err)
-    return np.array(values, dtype=complex), np.array(evals), np.array(errors)
+    if isinstance(exc, FloatingPointError):
+        # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
+        # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
+        raise QuadratureConvergenceError(
+            f"dispersion integral at p0 = {float(p0_of[len(evals)])} failed: {exc}") from exc
+    if exc is not None:
+        raise exc
+    # per point: 0j + the pole side's integral + the other side's, as a loop
+    # adding up QuadratureResults does
+    sums = np.concatenate(sums).reshape(-1, 2, 3)
+    total = (0.0 + sums[:, 0]) + sums[:, 1]
+    scale = [(p0 - q) ** om1 for p0 in p.tolist()]   # scalar pow: numpy's rounds differently
+    c = 1j / (2.0 * math.pi)
+    values = [c * s * complex(re, im) for s, re, im in zip(scale, *total[:, :2].T.tolist())]
+    on = np.abs(p) > d.k_min
+    for j, pole in zip(np.flatnonzero(on).tolist(), d.evaluate(p[on]).tolist()):
+        # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
+        # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
+        values[j] += pole_sign * 0.5 * complex(pole)
+    out = (np.zeros(len(p0s), dtype=complex), np.zeros(len(p0s), dtype=int), np.zeros(len(p0s)))
+    out[0][integrated] = values
+    out[1][integrated] = np.array(evals, dtype=int).reshape(-1, 2).sum(axis=1)
+    out[2][integrated] = np.abs(scale) / (2.0 * math.pi) * total[:, 2]
+    return out
 
 
 def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
