@@ -361,38 +361,44 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
         going = (r[:, 2] > np.fmax(np.fmax(abs_tol, rel_tol * np.hypot(r[:, 0], r[:, 1])),
                                    64 * _EPS * r[:, 3])).tolist()
         err, slots = rows[:, _ERR].tolist(), slots.tolist()
-        ends, over, moved = [], [], []
+        ends, over, moved = [], [], []   # (integral, evaluations of its piece) for the first two
         for j, i in enumerate(new + old):
             if j < ns:
                 s = first[i] = slots[j]
-                h = heaps[i] = [(-err[j], 0, s)]
                 after[s] = -1
+                size = 1
             else:
                 s, right = slots[j], slots[j + no]
-                h = heaps[i]
-                c = 2 * len(h) + 1
-                heapq.heappush(h, (-err[j], c, s))
-                heapq.heappush(h, (-err[j + no], c + 1, right))
                 after[right], after[s] = after[s], right
-            spent = done_at[i] + 30 * len(h) - 15   # 15 to start a piece, 30 a bisection
-            if not going[j]:
-                ends.append(i)
-            elif spent + 30 > max_evaluations:
-                over.append(i)
+                size = len(heaps[i]) + 2
+            spent = done_at[i] + 30 * size - 15   # 15 to start a piece, 30 a bisection
             if spent >= SLOW_EVALUATIONS and is_fast[i]:
                 moved.append(i)
+            if not going[j]:
+                ends.append((i, 30 * size - 15))
+                continue
+            if j < ns:
+                heaps[i] = [(-err[j], 0, s)]
+            else:
+                h = heaps[i]
+                c = 2 * size - 3
+                heapq.heappush(h, (-err[j], c, s))
+                heapq.heappush(h, (-err[j + no], c + 1, right))
+            if spent + 30 > max_evaluations:
+                over.append((i, 30 * size - 15))
         if over:
-            cut, resched = min(over), True
+            failing = min(over)
+            cut, resched = failing[0], True
             live[cut] = is_fast[cut] = False
-        ends = [i for i in ends if i < cut]
+        ends = [e for e in ends if e[0] < cut]
         if ends or over:
-            groups = ends + ([cut] if over else [])
-            sums = _resum(seg, after, [first[i] for i in groups])
-            evals = [30 * len(heaps[i]) - 15 for i in groups]
-            for i, e in zip(ends, evals):
+            groups = ends + ([failing] if over else [])
+            sums = _resum(seg, after, [first[i] for i, _ in groups])
+            fin = [i for i, _ in ends]
+            for i, e in ends:
                 done_at[i] += e
                 heaps[i] = None
-            fin = np.array(ends, dtype=np.intp)
+            fin = np.array(fin, dtype=np.intp)
             done[fin] = done[fin] + sums[:len(ends)]
             piece[fin] += 1
             complete = fin[piece[fin] == end[fin]].tolist()
@@ -404,7 +410,7 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
             if over:
                 partial = QuadratureResult(value=complex(sums[-1, 0], sums[-1, 1]),
                                            abs_error_estimate=float(sums[-1, 2]),
-                                           evaluations=evals[-1])
+                                           evaluations=failing[1])
                 exc = QuadratureConvergenceError(
                     f"quadrature did not converge within {max_evaluations - done_at[cut]} "
                     f"evaluations (error estimate {partial.abs_error_estimate:.3e})",
