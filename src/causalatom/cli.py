@@ -29,6 +29,7 @@ from .observables import (
     CODATA2018,
     DISCREPANCY_NOTES,
     AtomParams,
+    _solve_normalization,
     atom_from_dict,
     atom_to_dict,
     delta_final,
@@ -40,7 +41,6 @@ from .observables import (
     lineshift_log_bracket,
     lineshift_series,
     shift_ratio,
-    solve_normalization,
     synthetic_atom,
 )
 from .selfenergy import (NormalizationConstants, check_split_grid, r2_prefactor,
@@ -249,8 +249,7 @@ def _cmd_gamma(atom, opts):
 
 
 def _cmd_shift(atom, opts):
-    solved = solve_normalization(atom)
-    series = extract_series_numerically(atom, solved)
+    solved, series = _solve_normalization(atom)   # the series is the solve's own check
     return {
         "delta_final_per_s": delta_final(atom),
         "lamb_reference_per_s": lamb_reference(atom.constants),

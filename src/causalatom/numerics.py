@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from numpy.polynomial import legendre
 
 from .errors import (
     PoleLocationError,
@@ -71,44 +69,26 @@ SLOW_WIDTH = 4
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 rule, built at import time
+# Gauss-Kronrod 7/15 rule
 # ---------------------------------------------------------------------------
 
-def _build_gk15():
-    xg, wg = legendre.leggauss(7)
-
-    p7 = legendre.Legendre.basis(7).convert(kind=Polynomial)
-
-    def pint(p):
-        q = p.integ()
-        return q(1.0) - q(-1.0)
-
-    # E8(x) = x^8 + a6 x^6 + a4 x^4 + a2 x^2 + a0, orthogonal to x^j P7
-    rows, rhs = [], []
-    for j in (1, 3, 5, 7):
-        base = Polynomial([0.0] * j + [1.0]) * p7
-        rows.append([pint(base * Polynomial([0.0] * k + [1.0])) for k in (0, 2, 4, 6)])
-        rhs.append(-pint(base * Polynomial([0.0] * 8 + [1.0])))
-    a0, a2, a4, a6 = np.linalg.solve(np.array(rows), np.array(rhs))
-    e8 = Polynomial([a0, 0.0, a2, 0.0, a4, 0.0, a6, 0.0, 1.0])
-    roots = np.sort(e8.roots().real)
-    de8 = e8.deriv()
-    for _ in range(3):  # Newton polish to machine precision
-        roots = roots - e8(roots) / de8(roots)
-
-    nodes = np.sort(np.concatenate([xg, roots]))
-    # weights by exactness on the Legendre basis up to degree 14
-    v = np.array([legendre.Legendre.basis(j)(nodes) for j in range(15)])
-    moments = np.zeros(15)
-    moments[0] = 2.0
-    wk = np.linalg.solve(v, moments)
-    # Gauss-7 weights aligned with the Kronrod node ordering (odd positions)
-    wg_full = np.zeros(15)
-    wg_full[1::2] = wg
-    return nodes, wk, wg_full
-
-
-GK15_NODES, GK15_WEIGHTS, G7_WEIGHTS = _build_gk15()
+# The nodes and weights as tests/test_numerics.py constructs them from first
+# principles, which it checks bit for bit; G7_WEIGHTS puts the Gauss-7
+# weights at the odd positions of the Kronrod nodes.
+GK15_NODES = np.array([
+    -0.9914553711207001, -0.9491079123427586, -0.864864423359751, -0.7415311855993945,
+    -0.5860872354691641, -0.4058451513773972, -0.20778495500372549, 0.0,
+    0.20778495500372546, 0.4058451513773972, 0.5860872354691641, 0.7415311855993945,
+    0.864864423359751, 0.9491079123427586, 0.9914553711207005])
+GK15_WEIGHTS = np.array([
+    0.02293532201066638, 0.06309209262974058, 0.10479001032254302, 0.14065325971474482,
+    0.169004726638026, 0.1903505780693042, 0.20443294007630186, 0.20948214107734592,
+    0.20443294007630192, 0.19035057806930433, 0.16900472663802604, 0.14065325971474507,
+    0.10479001032254266, 0.06309209262974091, 0.022935322010666066])
+G7_WEIGHTS = np.array([
+    0.0, 0.12948496616886973, 0.0, 0.27970539148927687, 0.0, 0.3818300505051187, 0.0,
+    0.4179591836734693, 0.0, 0.3818300505051187, 0.0, 0.27970539148927687, 0.0,
+    0.12948496616886973, 0.0])
 _WEIGHTS = np.stack((GK15_WEIGHTS, G7_WEIGHTS))
 
 
@@ -353,8 +333,9 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
         seg[slots] = rows
         idx = owner[:ns + no]
         vals = rows[:, _RE:]
-        r = np.concatenate((vals[:ns], run[idx[ns:]] + ((vals[ns:ns + no] + vals[ns + no:])
-                                                        - parent[:, _RE:])))
+        r = run[idx[ns:]] + ((vals[ns:ns + no] + vals[ns + no:]) - parent[:, _RE:])
+        if ns:
+            r = np.concatenate((vals[:ns], r))
         run[idx] = r
         # the last term is the rounding noise of the sum, all that is left to
         # reach near a zero of the integral; fmax skips NaN as max() does

@@ -423,6 +423,11 @@ def solve_normalization(atom: AtomParams) -> NormalizationConstants:
     cubic coefficient at the solution must match -3 (2 C0 + 15); a violation
     raises, since it would mean the extraction and the closed form disagree.
     """
+    return _solve_normalization(atom)[0]
+
+
+def _solve_normalization(atom: AtomParams):
+    """solve_normalization, and the series fitted at the solution to check it."""
     def low_coeffs(c):
         s = extract_series_numerically(atom, c)
         return np.array([s.c0, s.c1, s.c2])
@@ -442,7 +447,7 @@ def solve_normalization(atom: AtomParams) -> NormalizationConstants:
         raise CausalAtomError(
             f"residual cubic coefficient {check.c3} does not match "
             f"-3(2 C0 + 15) = {expected_cubic}")
-    return result
+    return result, check
 
 
 # ---------------------------------------------------------------------------

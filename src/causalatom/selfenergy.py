@@ -85,12 +85,13 @@ def t2_prefactor(atom) -> float:
 def _core(u):
     """theta(u^2-1) sgn(u) (u^2-1)^3/u^4, stable for very large |u|."""
     u = np.asarray(u, dtype=float)
-    m = u * u > 1.0
+    uu = u * u   # sgn(u) u u is sgn(u) (u u) exactly: the factor is +-1
+    m = uu > 1.0
     if m.all():  # the same values as the masked form, without its gather and scatter
-        return np.sign(u) * u * u * (1.0 - 1.0 / (u * u)) ** 3
+        return np.sign(u) * uu * (1.0 - 1.0 / uu) ** 3
     out = np.zeros_like(u)
-    um = u[m]
-    out[m] = np.sign(um) * um * um * (1.0 - 1.0 / (um * um)) ** 3
+    um, uum = u[m], uu[m]
+    out[m] = np.sign(um) * uum * (1.0 - 1.0 / uum) ** 3
     return out
 
 

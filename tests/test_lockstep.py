@@ -246,6 +246,29 @@ def test_batch_matches_each_integral_alone():
         _same_result(r, ref.integrate_adaptive(lambda x: f(x, i), *iv, rel_tol=1e-12))
 
 
+def _alternating_steps(x):
+    """+-1 past a third of each unit cell, the sign alternating from cell to
+    cell: the GK15 error estimates of [0, 1] and [1, 2] are exactly equal."""
+    cell = np.floor(x)
+    return np.where(cell % 2 == 0, 1.0, -1.0) * (x - cell > 1.0 / 3.0)
+
+
+def test_equal_error_estimates_go_to_the_older_segment():
+    # [0, 2] bisects into [0, 1] and [1, 2], whose estimates tie; abs_tol is
+    # met once one of them is bisected, so the tie decides the result: the
+    # older segment, [0, 1], goes first (bisecting [1, 2] first would give
+    # the opposite sign)
+    assert ref._gk_panel(_alternating_steps, 0.0, 1.0)[1] == \
+        ref._gk_panel(_alternating_steps, 1.0, 2.0)[1]
+    intervals = [(0.0, 2.0), (2.0, 4.0), (0.0, 4.0), (-2.0, 2.0), (0.0, 8.0)]
+    kw = {"rel_tol": 1e-300, "abs_tol": 0.085}
+    batch = integrate_batch(lambda x, owner: _alternating_steps(x),
+                            [interval_pieces(Interval(*iv)) for iv in intervals], **kw)
+    for r, iv in zip(batch, intervals):
+        _same_result(r, ref.integrate_adaptive(_alternating_steps, *iv, **kw))
+    assert batch[0].value.real > 0.0
+
+
 def test_integrals_after_a_failing_one_are_dropped():
     # in the first round a node of integral 2 lands on its pole at 0.5, so
     # integral 3 is dropped after that round; integral 1 runs on to its

@@ -18,7 +18,58 @@ from causalatom.numerics import (
 )
 
 
+def _build_gk15():
+    """The Gauss-Kronrod 7/15 rule from first principles: (nodes, Kronrod
+    weights, Gauss-7 weights at the odd positions).
+
+    The Kronrod extension nodes are the roots of the degree-8 Stieltjes
+    polynomial E8, defined by orthogonality of E8 to all lower powers
+    against the sign-varying weight P7(x) dx on [-1, 1].
+    """
+    from numpy.polynomial import Polynomial, legendre
+
+    xg, wg = legendre.leggauss(7)
+
+    p7 = legendre.Legendre.basis(7).convert(kind=Polynomial)
+
+    def pint(p):
+        q = p.integ()
+        return q(1.0) - q(-1.0)
+
+    # E8(x) = x^8 + a6 x^6 + a4 x^4 + a2 x^2 + a0, orthogonal to x^j P7
+    rows, rhs = [], []
+    for j in (1, 3, 5, 7):
+        base = Polynomial([0.0] * j + [1.0]) * p7
+        rows.append([pint(base * Polynomial([0.0] * k + [1.0])) for k in (0, 2, 4, 6)])
+        rhs.append(-pint(base * Polynomial([0.0] * 8 + [1.0])))
+    a0, a2, a4, a6 = np.linalg.solve(np.array(rows), np.array(rhs))
+    e8 = Polynomial([a0, 0.0, a2, 0.0, a4, 0.0, a6, 0.0, 1.0])
+    roots = np.sort(e8.roots().real)
+    de8 = e8.deriv()
+    for _ in range(3):  # Newton polish to machine precision
+        roots = roots - e8(roots) / de8(roots)
+
+    nodes = np.sort(np.concatenate([xg, roots]))
+    # weights by exactness on the Legendre basis up to degree 14
+    v = np.array([legendre.Legendre.basis(j)(nodes) for j in range(15)])
+    moments = np.zeros(15)
+    moments[0] = 2.0
+    wk = np.linalg.solve(v, moments)
+    # Gauss-7 weights aligned with the Kronrod node ordering (odd positions)
+    wg_full = np.zeros(15)
+    wg_full[1::2] = wg
+    return nodes, wk, wg_full
+
+
 class TestGK15Rule:
+    def test_literals_are_the_first_principles_rule(self):
+        # numerics writes the rule as float literals so that importing it
+        # does no numerical work; they must be this construction to the bit
+        built = np.stack(_build_gk15())
+        literal = np.stack([numerics.GK15_NODES, numerics.GK15_WEIGHTS, numerics.G7_WEIGHTS])
+        assert literal.dtype == np.float64
+        assert np.array_equal(built.view(np.uint64), literal.view(np.uint64))
+
     def test_nodes_symmetric_and_interior(self):
         x = numerics.GK15_NODES
         assert len(x) == 15
