@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -482,6 +483,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # what the process holds before the command (mostly what its imports
+    # allocated) stays until it exits: keep it out of the scans of the
+    # collections that the command's own allocations trigger
+    gc.freeze()
     opts = vars(_build_parser().parse_args(argv))
     return run(opts.pop("command"), opts.pop("preset"), opts.pop("format"),
                opts.pop("out"), opts)

@@ -4,12 +4,13 @@ Everything here is pure and single-threaded: identical inputs give
 bitwise-identical outputs.  Integrands must be numpy-vectorized
 (they receive a float ndarray of nodes and return an ndarray).
 
-The adaptive integrator is a nested Gauss(7)/Kronrod(15) scheme.  The
-rule itself is constructed at import time from first principles: the
-Kronrod extension nodes are the roots of the degree-8 Stieltjes
-polynomial E8, defined by orthogonality of E8 to all lower powers
-against the sign-varying weight P7(x) dx on [-1, 1].  Correctness is
-pinned by tests (degree-22 exactness, node symmetry).
+The adaptive integrator is a nested Gauss(7)/Kronrod(15) scheme.  Its nodes
+and weights are float literals, so importing this module does no numerical
+work.  tests/test_numerics.py constructs the rule from first principles (the
+Kronrod extension nodes are the roots of the degree-8 Stieltjes polynomial
+E8, defined by orthogonality of E8 to all lower powers against the
+sign-varying weight P7(x) dx on [-1, 1]) and checks the literals against
+it bit for bit, next to degree-22 exactness and node symmetry.
 
 One lock-step engine runs every adaptive integral.  An integral is a list
 of pieces, each a finite interval of a plain, semi-infinite-tail or
@@ -17,12 +18,14 @@ principal-value-fold integrand (``interval_pieces``, ``pv_pieces``).  Each
 piece bisects its worst segment until its error estimate meets the
 tolerance, with its own heap and counter; the pieces of an integral run one
 after another and share its budget.  In each round the panels of all
-unfinished integrals are evaluated together, so the Python cost per panel
-is paid once per round instead of once per panel.  The arithmetic
-per node and per 15-node panel is the same however many pieces run
-together, so a piece returns the same floats alone or in a batch.
-``integrate_batch`` runs many integrals at once, and ``integrate_adaptive``
-and ``integrate_pv`` are batches of one.
+unfinished integrals are evaluated together, and the segments of all pieces
+live in one table of rows, so the running sums, stop tests and final
+re-summations of a round take a fixed number of numpy calls whatever its
+width; what stays in Python per panel is the heap that picks a piece's
+worst segment.  The arithmetic per node, per 15-node panel and per sum is
+the same however many pieces run together, so a piece returns the same
+floats alone or in a batch.  ``integrate_batch`` runs many integrals at
+once, and ``integrate_adaptive`` and ``integrate_pv`` are batches of one.
 """
 
 from __future__ import annotations
@@ -223,6 +226,9 @@ def _resum(seg, after, firsts):
     summation order never depends on the subdivision history.  after[s] is
     the segment to the right of s in its piece, -1 for the last.
 
+    Left to right is the order of left endpoints: only a zero-width segment
+    shares its left endpoint, and it adds +-0, which changes no sum (or NaN,
+    whose NaN error estimate QuadratureResult refuses).
     The segments go into a table of one column per piece, padded with zeros
     (x + 0.0 is x for a sum started from +0.0), which one accumulation
     sums down the rows.
@@ -468,9 +474,9 @@ def integrate_batch(f, integrals, rel_tol: float = DEFAULT_REL_TOL,
     every unfinished integral (of the slow ones only the first SLOW_WIDTH)
     contributes the whole interval of the piece it starts, or the halves of
     the worst segment its current piece pops, and all those panels are
-    evaluated together.  A piece's bookkeeping is
-    scalar and in the order it takes alone, so it makes the greedy choices
-    and gets the floats it gets alone.
+    evaluated together.  A piece's sums are updated with the arithmetic and
+    in the order it does alone, so it makes the greedy choices and gets the
+    floats it gets alone.
 
     Returns a result per integral, a QuadratureResult or the exception that
     ended it (a FloatingPointError from the integrand, or a

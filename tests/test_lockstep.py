@@ -26,10 +26,11 @@ from causalatom.numerics import (
     integrate_batch,
     integrate_pv,
     interval_pieces,
+    pv_pieces,
 )
 from causalatom.observables import hydrogen_1s2p_preset
 from causalatom.selfenergy import as_causal_distribution, r2_tilde_closed, split_check_report
-from causalatom.splitting import retarded_parts_central
+from causalatom.splitting import _dispersion_pieces, retarded_parts_central
 
 ATOM = hydrogen_1s2p_preset()
 
@@ -159,6 +160,30 @@ def test_failing_grid_is_not_integrated_far_past_its_failure():
             ref.retarded_central(counted(d), x, 1e-11)
     batched, looped = nodes
     assert batched <= 2 * (SLOW_WIDTH * looped + 2 * len(u) * (SLOW_EVALUATIONS + 30))
+
+
+@pytest.mark.parametrize("k_min", [1.0, 0.3, 1.7])
+def test_dispersion_pieces_are_what_pv_pieces_and_interval_pieces_build(k_min):
+    # on and off the support and on either side, with points whose fold ends
+    # short of the support edge, which leaves a plain piece between them
+    rng = np.random.default_rng(7)
+    p0s = k_min * np.concatenate([rng.uniform(-6.0, 6.0, 300), 10.0 ** rng.uniform(-3, 12, 100),
+                                  -(10.0 ** rng.uniform(-3, 12, 100))])
+    left, right = Interval(-math.inf, -k_min), Interval(k_min, math.inf)
+    expected, counts = [], []
+    for p0 in p0s.tolist():
+        if abs(p0) > k_min:
+            pole_side, other = (right, left) if p0 > 0 else (left, right)
+            pair = [pv_pieces(p0, pole_side), interval_pieces(other)]
+        else:
+            pair = [interval_pieces(left), interval_pieces(right)]
+        expected += [p for pieces in pair for p in pieces]
+        counts += [len(pieces) for pieces in pair]
+    rows, mine = _dispersion_pieces(k_min, p0s)
+    assert mine.tolist() == counts
+    assert np.array_equal(bits(rows), bits(np.array(expected, dtype=float)))
+    # with k_min = 1 the fold's end p0 -+ (p0 -+ 1) is exact below 2^53
+    assert (3 in counts) == (k_min != 1.0)
 
 
 # ---------------------------------------------------------------------------
