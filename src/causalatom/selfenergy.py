@@ -197,21 +197,27 @@ def r2_tilde_closed(u: float, atom) -> complex:
     own order (pole, then the grouped polynomial), which split-check output
     depends on to the last bit; so only the front term is shared.
     """
+    bracket = _r2_bracket(u)
+    return r2_prefactor(atom) * bracket
+
+
+def _r2_bracket(u: float) -> complex:
+    """r2_tilde_closed over r2_prefactor."""
     _check_regular(u)
     x = u * u - 1.0
     front = _front_term(u, x, math.log(abs(x)),
                         2j * math.pi * math.copysign(1.0, u) if x > 0.0 else 0.0)
     pole = 1.0 / (2.0 * u * u)
     poly = -1.25 + 11.0 * u * u / 12.0
-    return r2_prefactor(atom) * (front + pole + poly)
+    return front + pole + poly
 
 
 def _real_axis_args(u):
     """The (u, x, ln|x|, step) arguments of _sym_bracket at real u, as arrays,
     with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it."""
     u = np.asarray(u, dtype=float)
-    for v in u.flat:
-        _check_regular(float(v))
+    for v in u.ravel().tolist():
+        _check_regular(v)
     x = u * u - 1.0
     return u, x, np.log(np.abs(x)), np.where(x > 0.0, 2j * math.pi * np.sign(u), 0.0)
 
@@ -228,10 +234,10 @@ def sym_bracket(u, c: NormalizationConstants = NormalizationConstants()):
     return _sym_bracket(*_real_axis_args(u), c)
 
 
-def _bracket_term_scale(u):
-    """Sum of the magnitudes of the terms of B(u; C = 0).  Its rounding error
-    is relative to this; B itself cancels for small |u|."""
-    u, x, ln_abs_x, step = _real_axis_args(u)
+def _bracket_term_scale(u, x, ln_abs_x, step):
+    """Sum of the magnitudes of the terms of B(u; C = 0), from the arguments
+    of _sym_bracket.  Its rounding error is relative to this; B itself
+    cancels for small |u|."""
     return (np.abs(x ** 3 / (2.0 * u ** 4)) * (np.abs(step) + 2.0 * np.abs(ln_abs_x))
             + 1.0 / u ** 2 + 2.5 + 11.0 * u ** 2 / 6.0)
 
@@ -307,13 +313,14 @@ def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     check_split_points(u.size)
     dist = as_causal_distribution(atom)
     pref = r2_prefactor(atom)
-    closed = np.array([r2_tilde_closed(x, atom) for x in u])
+    closed = np.array([pref * _r2_bracket(x) for x in u.tolist()])   # r2_tilde_closed
     numeric, evals, errors = retarded_parts_central(dist, u, tol)
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale
-    re_rel = (np.abs(numeric.real - pref * sym_bracket(u).real)
-              / (pref * _bracket_term_scale(u)))
+    args = _real_axis_args(u)   # of sym_bracket(u) and its term scale
+    re_rel = (np.abs(numeric.real - pref * _sym_bracket(*args, NormalizationConstants()).real)
+              / (pref * _bracket_term_scale(*args)))
     return SplitCheckReport(
         u=u, re_closed=closed.real, im_closed=closed.imag,
         re_numeric=numeric.real, im_numeric=numeric.imag, im_rel_err=im_rel,
