@@ -30,7 +30,6 @@ once, and ``integrate_adaptive`` and ``integrate_pv`` are batches of one.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -137,10 +136,12 @@ class QuadratureResult:
 # f(shift + t) + f(shift - t), the principal-value fold about a pole at shift.
 PLAIN, TAIL, FOLD = 0, 1, 2
 
-# Columns of a panel or segment row: its interval, its Kronrod value (real and
-# imaginary part), its |K15 - G7| error estimate and the modulus of its value.
-# Adding two rows' last four columns adds their values, estimates and moduli.
-_LO, _HI, _RE, _IM, _ERR, _ABS = range(6)
+# Columns of a panel or segment row: its interval with its midpoint, its
+# Kronrod value (real and imaginary part), its |K15 - G7| error estimate and
+# the modulus of its value.  Adding two rows' last four columns adds their
+# values, estimates and moduli.
+_LO, _MID, _HI, _RE, _IM, _ERR, _ABS = range(7)
+_ROW = 7
 
 
 class Piece(NamedTuple):
@@ -190,13 +191,14 @@ def _panels(f, a, b, owner, kind, shift, sign):
         y_mirror = f(mirror.ravel(), nodes.reshape(t.shape)[fold].ravel())
         y[fold] = y[fold] + np.asarray(y_mirror).reshape(mirror.shape)
     if tail is not None:
-        y[tail] = y[tail] * w * w
+        y[tail] *= w
+        y[tail] *= w
     # Kronrod and Gauss sums in one reduction over each row of 15 (np.sum,
     # without its wrapper)
     kg = half[:, None] * np.add.reduce(_WEIGHTS * y[:, None], axis=2)
     k, d = kg[:, 0], kg[:, 0] - kg[:, 1]
-    rows = np.empty((len(a), 6))
-    rows[:, _LO], rows[:, _HI], rows[:, _RE], rows[:, _IM] = a, b, k.real, k.imag
+    rows = np.empty((len(a), _ROW))
+    rows[:, _LO], rows[:, _MID], rows[:, _HI], rows[:, _RE], rows[:, _IM] = a, mid, b, k.real, k.imag
     np.hypot(d.real, d.imag, out=rows[:, _ERR])
     np.hypot(k.real, k.imag, out=rows[:, _ABS])
     return rows
@@ -210,7 +212,7 @@ def _replay(f, cols, order):
     zero), its position and the exception; position and exception are None
     if none raises.
     """
-    rows = np.zeros((len(cols[0]), 6))
+    rows = np.zeros((len(cols[0]), _ROW))
     for q in order:
         row = slice(q, q + 1)
         try:
@@ -261,7 +263,7 @@ def _compact(seg, after, heaps, firsts, extra):
                 order.append(s)
                 s = after[s]
     size = 2 * (len(order) + extra) + 64
-    out, after = np.empty((size, 6)), list(range(1, size + 1))
+    out, after = np.empty((size, _ROW)), list(range(1, size + 1))
     out[:len(order)] = seg[order]
     for i, h in enumerate(heaps):
         if h is not None:
@@ -295,7 +297,7 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
     done_at = [0] * n          # evaluations spent when the last piece finished
     live = [True] * n          # neither finished nor failed
     is_fast = [True] * n       # live, and below SLOW_EVALUATIONS
-    seg, used = np.empty((32 * n + 64, 6)), 0
+    seg, used = np.empty((32 * n + 64, _ROW)), 0
     after = [-1] * len(seg)    # the next segment to the right in its piece
     first = [0] * n            # the leftmost segment of the piece under way
     cut, exc = n, None         # the first integral that failed
@@ -319,10 +321,11 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
                          dtype=np.intp)
         used += ns + no
         parent = seg[slots[ns:ns + no]]
-        mid = 0.5 * (parent[:, _LO] + parent[:, _HI])
         kind, shift, sign, a, b = table[piece[owner]].T
-        cols = (np.concatenate((a[:ns], parent[:, _LO], mid)),
-                np.concatenate((b[:ns], mid, parent[:, _HI])), owner, kind, shift, sign)
+        lo, hi = parent[:, _LO:_MID + 1].T.ravel(), parent[:, _MID:_HI + 1].T.ravel()
+        if ns:
+            lo, hi = np.concatenate((a[:ns], lo)), np.concatenate((b[:ns], hi))
+        cols = (lo, hi, owner, kind, shift, sign)
         resched = False
         try:
             rows = _panels(f, *cols)
@@ -402,17 +405,13 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
                     f"quadrature did not converge within {max_evaluations - done_at[cut]} "
                     f"evaluations (error estimate {partial.abs_error_estimate:.3e})",
                     partial=partial)
-        # of the slow integrals, the first SLOW_WIDTH advance
-        slow = [i for i in slow[:SLOW_WIDTH] if live[i]] + slow[SLOW_WIDTH:]
         moved = [i for i in moved if live[i] and i < cut]
-        if moved:
-            for i in moved:
-                is_fast[i] = False
-            slow = sorted(slow + moved)
+        for i in moved:
+            is_fast[i] = False
         if resched or moved:
             fast = [i for i in fast if is_fast[i] and i < cut]
-        if cut < n:
-            del slow[bisect.bisect_left(slow, cut):]
+            # of the slow integrals, the first SLOW_WIDTH advance
+            slow = sorted([i for i in slow if live[i] and i < cut] + moved)
     return done[:cut], done_at[:cut], exc
 
 
