@@ -106,14 +106,14 @@ def _write_json_value(v, out: list):
         values = tuple(v.values())
         if _finite_floats(values):  # e.g. a row of split-check
             out.append(_json_float_dict(tuple(v)) % values)
-            return
-        out.append("{")
-        for i, (k, item) in enumerate(v.items()):
-            if i:
-                out.append(", ")
-            out.append(_json_key(k))
-            _write_json_value(item, out)
-        out.append("}")
+        else:
+            out.append("{")
+            for i, (k, item) in enumerate(v.items()):
+                if i:
+                    out.append(", ")
+                out.append(_json_key(k))
+                _write_json_value(item, out)
+            out.append("}")
     elif isinstance(v, (list, tuple, np.ndarray)):
         out.append("[")
         seq = v.tolist() if isinstance(v, np.ndarray) else v

@@ -58,7 +58,8 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-14
 DEFAULT_MAX_EVALUATIONS = 1_000_000
-_EPS = np.finfo(float).eps
+# the rounding noise of a sum, per unit of the sum of its terms' magnitudes
+_NOISE = 64 * np.finfo(float).eps
 
 # Of the integrals of a batch that have spent SLOW_EVALUATIONS evaluations, at
 # most SLOW_WIDTH advance at a time, the first in order.  A batch ends at its
@@ -154,12 +155,10 @@ class Piece(NamedTuple):
     b: float
 
 
-def _select(kind, k):
-    """Index of the panels of kind k: None if there are none, a slice if
-    they are all of them, else a mask."""
-    mask = kind == k
-    count = np.count_nonzero(mask)
-    return None if count == 0 else slice(None) if count == len(mask) else mask
+def _select(kind, kinds, k):
+    """Index of the panels of kind k, given the set of kinds there are: None
+    if there are none, a slice if they are all of them, else a mask."""
+    return None if k not in kinds else slice(None) if len(kinds) == 1 else kind == k
 
 
 def _panels(f, a, b, owner, kind, shift, sign):
@@ -178,7 +177,8 @@ def _panels(f, a, b, owner, kind, shift, sign):
     half = 0.5 * (b - a)
     t = mid[:, None] + half[:, None] * GK15_NODES
     nodes = owner.repeat(len(GK15_NODES))
-    tail, fold = _select(kind, TAIL), _select(kind, FOLD)
+    kinds = set(kind.tolist())
+    tail, fold = _select(kind, kinds, TAIL), _select(kind, kinds, FOLD)
     x = t.copy()
     if tail is not None:
         w = 1.0 / (1.0 - t[tail])
@@ -349,7 +349,7 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
         # the last term is the rounding noise of the sum, all that is left to
         # reach near a zero of the integral; fmax skips NaN as max() does
         going = (r[:, 2] > np.fmax(np.fmax(abs_tol, rel_tol * np.hypot(r[:, 0], r[:, 1])),
-                                   64 * _EPS * r[:, 3])).tolist()
+                                   _NOISE * r[:, 3])).tolist()
         err, slots = rows[:, _ERR].tolist(), slots.tolist()
         ends, over, moved = [], [], []   # (integral, evaluations of its piece) for the first two
         for j, i in enumerate(new + old):

@@ -87,7 +87,8 @@ def _core(u):
     u = np.asarray(u, dtype=float)
     uu = u * u   # sgn(u) u u is sgn(u) (u u) exactly: the factor is +-1
     m = uu > 1.0
-    if m.all():  # the same values as the masked form, without its gather and scatter
+    if np.count_nonzero(m) == m.size:
+        # all on the support: the masked form's values without its gather and scatter
         return np.sign(u) * uu * (1.0 - 1.0 / uu) ** 3
     out = np.zeros_like(u)
     um, uum = u[m], uu[m]
