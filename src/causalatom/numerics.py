@@ -142,7 +142,7 @@ PLAIN, TAIL, FOLD = 0, 1, 2
 # the modulus of its value.  Adding two rows' last four columns adds their
 # values, estimates and moduli.
 _LO, _MID, _HI, _RE, _IM, _ERR, _ABS = range(7)
-_ROW = 7
+_ROW = _ABS + 1
 
 
 class Piece(NamedTuple):
@@ -198,7 +198,8 @@ def _panels(f, a, b, owner, kind, shift, sign):
     kg = half[:, None] * np.add.reduce(_WEIGHTS * y[:, None], axis=2)
     k, d = kg[:, 0], kg[:, 0] - kg[:, 1]
     rows = np.empty((len(a), _ROW))
-    rows[:, _LO], rows[:, _MID], rows[:, _HI], rows[:, _RE], rows[:, _IM] = a, mid, b, k.real, k.imag
+    rows[:, _LO], rows[:, _MID], rows[:, _HI] = a, mid, b
+    rows[:, _RE], rows[:, _IM] = k.real, k.imag
     np.hypot(d.real, d.imag, out=rows[:, _ERR])
     np.hypot(k.real, k.imag, out=rows[:, _ABS])
     return rows

@@ -190,11 +190,12 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
         # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
         # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
         values[j] += pole_sign * 0.5 * complex(pole)
-    out = (np.zeros(len(p0s), dtype=complex), np.zeros(len(p0s), dtype=int), np.zeros(len(p0s)))
-    out[0][integrated] = values
-    out[1][integrated] = np.array(evals, dtype=int).reshape(-1, 2).sum(axis=1)
-    out[2][integrated] = np.abs(scale) / (2.0 * math.pi) * total[:, 2]
-    return out
+    value, evaluations, error = (np.zeros(len(p0s), dtype=complex),
+                                 np.zeros(len(p0s), dtype=int), np.zeros(len(p0s)))
+    value[integrated] = values
+    evaluations[integrated] = np.array(evals, dtype=int).reshape(-1, 2).sum(axis=1)
+    error[integrated] = np.abs(scale) / (2.0 * math.pi) * total[:, 2]
+    return value, evaluations, error
 
 
 def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
