@@ -277,8 +277,9 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
     """The engine behind integrate_batch.  Integral i is the sum of the next
     counts[i] pieces, the rows (kind, shift, sign, a, b) of ``table``.
 
-    Segments live in one table of rows (_LO .. _ABS); a piece keeps a heap
-    of (-error, counter, row) only to choose its worst segment, the counter
+    Segments live in one table of rows (_LO .. _ABS), and ``after`` links
+    each piece's segments from left to right.  A piece keeps a heap of
+    (-error, counter, row) only to choose its worst segment, the counter
     giving ties to the older one.  The running sums, stop tests and
     re-summations of all integrals of a round take a fixed number of numpy
     calls, in the arithmetic a piece does alone.
@@ -385,11 +386,10 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
         if ends or over:
             groups = ends + ([failing] if over else [])
             sums = _resum(seg, after, [first[i] for i, _ in groups])
-            fin = [i for i, _ in ends]
             for i, e in ends:
                 done_at[i] += e
                 heaps[i] = None
-            fin = np.array(fin, dtype=np.intp)
+            fin = np.array([i for i, _ in ends], dtype=np.intp)
             done[fin] = done[fin] + sums[:len(ends)]
             piece[fin] += 1
             complete = fin[piece[fin] == end[fin]].tolist()
