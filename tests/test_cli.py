@@ -447,27 +447,30 @@ class TestFloatFormatting:
         assert doc["results"]["c_m_s"] == 299792458.0
 
     # signed zeros, subnormals, the ends of the float range, whole floats and
-    # values with all 17 digits; the last two overflow a sum
-    EDGE = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, -1.7976931348623157e308,
-            5.0, -3.0, 0.1, 1.0 / 3.0, 1e308, 1e308]
+    # values with all 17 digits; summed in order, they overflow
+    EDGE = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 5.0, -3.0, 0.1, 1.0 / 3.0,
+            1e308, 1e308, -1.7976931348623157e308]
 
     def test_float_fast_paths_write_what_the_generic_path_writes(self):
-        # rows of Python floats take the templates of _finite_floats; the
-        # same values as numpy float scalars take the per-value path
-        keys = [f"k{i}" for i in range(len(self.EDGE))]
-        expected = [f"{x:.17g}" for x in self.EDGE]
-        for row in (self.EDGE, self.EDGE[:-1]):   # a sum that overflows, and one that does not
+        # rows of Python floats take the templates of _finite_floats, unless
+        # their sum overflows; the same values as numpy float scalars take
+        # the per-value path
+        finite = self.EDGE[:9] + self.EDGE[10:]
+        assert math.isinf(sum(self.EDGE)) and math.isfinite(sum(finite))
+        for row in (self.EDGE, finite):
+            keys = [f"k{i}" for i in range(len(row))]
+            expected = [f"{x:.17g}" for x in row]
             numpy_row = [np.float64(x) for x in row]
             assert all(type(x) is not float for x in numpy_row)
             fast = cli._dumps({"rows": [dict(zip(keys, row))], "x": row[0]})
             generic = cli._dumps({"rows": [dict(zip(keys, numpy_row))], "x": numpy_row[0]})
             assert fast == generic == (
-                '{"rows": [{' + ", ".join(f'"{k}": {v}' for k, v in zip(keys, expected[:len(row)]))
+                '{"rows": [{' + ", ".join(f'"{k}": {v}' for k, v in zip(keys, expected))
                 + '}], "x": ' + expected[0] + "}\n")
-            fast = cli._csv_from_rows(keys[:len(row)], [row, row])
-            generic = cli._csv_from_rows(keys[:len(row)], [numpy_row, numpy_row])
-            line = ",".join(expected[:len(row)]) + "\n"
-            assert fast == generic == ",".join(keys[:len(row)]) + "\n" + line + line
+            fast = cli._csv_from_rows(keys, [row, row])
+            generic = cli._csv_from_rows(keys, [numpy_row, numpy_row])
+            line = ",".join(expected) + "\n"
+            assert fast == generic == ",".join(keys) + "\n" + line + line
 
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-math.inf, "-inf")])
