@@ -255,7 +255,7 @@ def _compact(seg, after, heaps, firsts, extra):
     """The segment table cut down to the segments of the pieces under way,
     numbered from left to right in each, with room for at least ``extra``
     more: (table, after, length)."""
-    order, new = [], {}
+    order, new, lasts = [], {}, []
     for i, h in enumerate(heaps):
         if h is not None:
             s, firsts[i] = firsts[i], len(order)
@@ -263,13 +263,13 @@ def _compact(seg, after, heaps, firsts, extra):
                 new[s] = len(order)
                 order.append(s)
                 s = after[s]
+            heaps[i] = [(e, c, new[s]) for e, c, s in h]
+            lasts.append(len(order) - 1)
     size = 2 * (len(order) + extra) + 64
     out, after = np.empty((size, _ROW)), list(range(1, size + 1))
     out[:len(order)] = seg[order]
-    for i, h in enumerate(heaps):
-        if h is not None:
-            heaps[i] = [(e, c, new[s]) for e, c, s in h]
-            after[firsts[i] + len(h) - 1] = -1   # a piece's segments are all in its heap
+    for s in lasts:
+        after[s] = -1
     return out, after, len(order)
 
 
