@@ -16,6 +16,7 @@ import csv
 import functools
 import gc
 import io
+import itertools
 import json
 import math
 import sys
@@ -69,17 +70,36 @@ def _fmt_float(x: float) -> str:
     return _FLOAT % x
 
 
-def _finite_floats(values) -> bool:
-    """Whether every value is a finite float, so that a template of _FLOAT
-    fields writes them all at once as _fmt_float writes each.  (A finite sum
-    shows that they are finite; one that overflows only takes the slower
+def _float_table(rows, width: int):
+    """The values of ``rows``, each a sequence of ``width`` values, in one
+    tuple if they are all finite floats, so that a template of _FLOAT fields
+    repeating one row writes the whole table at once as _fmt_float writes
+    each value; else None, and each value takes the generic path.  (A finite
+    sum shows that they are finite; one that overflows only takes the slower
     path, which writes the same.)"""
-    return all(type(v) is float for v in values) and math.isfinite(sum(values))
+    if any(len(row) != width for row in rows):
+        return None
+    values = tuple(itertools.chain.from_iterable(rows))
+    if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
+        return values
+    return None
 
 
 @functools.cache
 def _json_float_dict(keys: tuple) -> str:
     return "{" + ", ".join(_json_key(k).replace("%", "%%") + _FLOAT for k in keys) + "}"
+
+
+def _json_float_dicts(rows: list):
+    """A list of dicts with one key order and finite float values (the rows
+    of split-check) as JSON in one format operation, or None."""
+    keys = tuple(rows[0]) if rows and type(rows[0]) is dict else None
+    if keys is None or any(type(row) is not dict or tuple(row) != keys for row in rows):
+        return None
+    values = _float_table([row.values() for row in rows], len(keys))
+    if values is None:
+        return None
+    return "[" + ", ".join([_json_float_dict(keys)] * len(rows)) % values + "]"
 
 
 @functools.cache
@@ -103,17 +123,15 @@ def _write_json_value(v, out: list):
     elif v is None:
         out.append("null")
     elif isinstance(v, dict):
-        values = tuple(v.values())
-        if _finite_floats(values):  # e.g. a row of split-check
-            out.append(_json_float_dict(tuple(v)) % values)
-        else:
-            out.append("{")
-            for i, (k, item) in enumerate(v.items()):
-                if i:
-                    out.append(", ")
-                out.append(_json_key(k))
-                _write_json_value(item, out)
-            out.append("}")
+        out.append("{")
+        for i, (k, item) in enumerate(v.items()):
+            if i:
+                out.append(", ")
+            out.append(_json_key(k))
+            _write_json_value(item, out)
+        out.append("}")
+    elif isinstance(v, list) and (table := _json_float_dicts(v)) is not None:
+        out.append(table)
     elif isinstance(v, (list, tuple, np.ndarray)):
         out.append("[")
         seq = v.tolist() if isinstance(v, np.ndarray) else v
@@ -158,10 +176,11 @@ def _csv_from_rows(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        if _finite_floats(row):  # csv.writer would quote none of these fields
-            buf.write(_csv_float_row(len(row)) % tuple(row))
-        else:
+    values = _float_table(rows, len(rows[0])) if rows else None
+    if values is not None:  # e.g. split-check's rows; csv.writer would quote none
+        buf.write(_csv_float_row(len(rows[0])) * len(rows) % values)
+    else:
+        for row in rows:
             writer.writerow([_fmt_float(v) if isinstance(v, (float, np.floating))
                              else v for v in row])
     return buf.getvalue()
@@ -460,14 +479,20 @@ def run(command: str, preset: str, fmt: str, out: str, opts: dict) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with the subparsers of the commands ``names``; its usage
+    line names every command, whichever are built."""
     parser = argparse.ArgumentParser(
         prog="causalatom",
         description="Two-level-atom self-energy observables from causal "
                     "distribution splitting: decay rate, line shift, and the "
                     "numerical cross-checking oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text, flags) in COMMANDS.items():
+    if tuple(names) != tuple(COMMANDS):
+        # the usage line of the full parser, which lists every choice
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in names:
+        _, _, help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--preset", default="hydrogen-1s2p",
                        help="built-in name ('hydrogen-1s2p', 'synthetic:<delta_u>') "
@@ -487,7 +512,11 @@ def main(argv=None) -> int:
     # allocated) stays until it exits: keep it out of the scans of the
     # collections that the command's own allocations trigger
     gc.freeze()
-    opts = vars(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # building every subparser costs more than most commands compute: when
+    # the first argument names a command, argparse can only use its parser
+    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    opts = vars(_build_parser(names).parse_args(argv))
     return run(opts.pop("command"), opts.pop("preset"), opts.pop("format"),
                opts.pop("out"), opts)
 

@@ -103,6 +103,26 @@ def _check_point(d: CausalDistribution1D, p0: float, tol: float):
             f"support edge k_min = {d.k_min}")
 
 
+def _power(x, n: int):
+    """x ** n for an int n >= 0 as ((x * x) * x) * ..., one multiplication
+    per order above the first.
+
+    The subtraction kernel's (k - q)^(omega+1) is formed this way because
+    numpy's power takes a slow path on a negative base (about 180 ns per
+    element against 5 for a positive one), and every grid meets negative
+    nodes: the other side's tail, and for u < -1 the fold.  numpy's result
+    matches neither libm pow nor -(|x| ** n) to the last bit, so the product
+    changes last bits; the reference kernel in tests/reference_quadrature.py
+    forms the same product, and the engine stays bitwise equal to it.
+    """
+    if n == 0:
+        return 1.0
+    power = x
+    for _ in range(n - 1):
+        power = power * x
+    return power
+
+
 def _dispersion_pieces(k_min: float, p):
     """The pieces of the two dispersion integrals at each p0 in ``p``, as rows
     (kind, shift, sign, a, b) in order, and the number of pieces of each
@@ -163,8 +183,10 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         for lo in range(0, len(counts), 2 * SPLIT_CHUNK_POINTS):
             hi = min(lo + 2 * SPLIT_CHUNK_POINTS, len(counts))
+            # the kernel's power is a product, not numpy's ** (see _power)
             s, n, exc = _lockstep(
-                lambda k, j, p0=p0_of[lo:hi]: d.evaluate(k) / ((k - q) ** om1 * (p0[j] - k)),
+                lambda k, j, p0=p0_of[lo:hi]: d.evaluate(k) / (_power(k - q, om1)
+                                                               * (p0[j] - k)),
                 table[starts[lo]:starts[hi]], counts[lo:hi], tol, DEFAULT_ABS_TOL,
                 DEFAULT_MAX_EVALUATIONS)
             sums.append(s)

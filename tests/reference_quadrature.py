@@ -133,14 +133,26 @@ def integrate_pv(f, pole, lo, hi, tol=1e-10) -> QuadratureResult:
 
 def retarded_central(d, p0, tol):
     """(central splitting at p0, integrand evaluations), one integral after
-    another; raises as the per-point splitting did."""
+    another; raises as the per-point splitting did.
+
+    The kernel's (k - q)^(omega+1) is a product of repeated multiplications,
+    as in splitting._power: numpy's power on a negative base is about 36
+    times slower than on a positive one and rounds differently, and the
+    engine and this reference must form the same product to agree bitwise.
+    """
     _check_point(d, p0, tol)
     om1, q = d.singular_order + 1, 0.0
     if p0 == 0.0:
         return 0.0 + 0.0j, 0  # the p0^(omega+1) prefactor kills the integral
 
     def kernel(k):
-        return d.evaluate(k) / ((k - q) ** om1 * (p0 - k))
+        # (k - q)^om1 as the product the engine forms, not numpy's power,
+        # whose last bits on a negative base differ from it
+        kq = k - q
+        power = 1.0 if om1 == 0 else kq
+        for _ in range(om1 - 1):
+            power = power * kq
+        return d.evaluate(k) / (power * (p0 - k))
 
     value, evals = 0.0 + 0.0j, 0
     on_support = abs(p0) > d.k_min

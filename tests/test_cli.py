@@ -452,9 +452,9 @@ class TestFloatFormatting:
             1e308, 1e308, -1.7976931348623157e308]
 
     def test_float_fast_paths_write_what_the_generic_path_writes(self):
-        # rows of Python floats take the templates of _finite_floats, unless
-        # their sum overflows; the same values as numpy float scalars take
-        # the per-value path
+        # rows of Python floats take the one-pass template of _float_table,
+        # unless their sum overflows; the same values as numpy float scalars
+        # take the per-value path
         finite = self.EDGE[:9] + self.EDGE[10:]
         assert math.isinf(sum(self.EDGE)) and math.isfinite(sum(finite))
         for row in (self.EDGE, finite):
@@ -484,6 +484,113 @@ class TestFloatFormatting:
         # the first one in order is the one reported
         with pytest.raises(cli.CausalAtomError, match=message):
             cli._dumps({"a": [bad, math.nan], "b": math.inf})
+
+
+class TestOnePassTable:
+    """A table of finite floats (split-check's rows) is written in one format
+    operation; anything else takes the per-row path, which writes the same."""
+
+    EDGE = TestFloatFormatting.EDGE
+    # one value per edge case, the rest filler, so that the sum stays finite
+    ROWS = [[-0.0, 5e-324, 1e308, 5.0, 1.0 / 3.0],
+            [0.0, 2.2250738585072014e-308 / 3, -1e308, -3.0, 0.1],
+            [1.7976931348623157e308, -0.0, 2.0, 1e-300, -1.7976931348623157e308]]
+    KEYS = ("u", "a%s", "b", "c", "d")   # a % in a key must not reach the template
+
+    @staticmethod
+    def per_row_json(rows):
+        return "[" + ", ".join(cli._dumps(r)[:-1] for r in rows) + "]\n"
+
+    @staticmethod
+    def per_row_csv(keys, rows):
+        return "".join(cli._csv_from_rows(keys, [r]).split("\n", 1)[1] for r in rows)
+
+    def test_one_pass_writes_what_each_row_writes(self):
+        dicts = [dict(zip(self.KEYS, r)) for r in self.ROWS]
+        numpy_dicts = [{k: np.float64(x) for k, x in d.items()} for d in dicts]
+        assert cli._json_float_dicts(dicts) is not None
+        assert cli._json_float_dicts(numpy_dicts) is None
+        expected = "[" + ", ".join(
+            "{" + ", ".join(f'"{k}": {x:.17g}' for k, x in zip(self.KEYS, r)) + "}"
+            for r in self.ROWS) + "]\n"
+        assert cli._dumps(dicts) == self.per_row_json(dicts) == cli._dumps(numpy_dicts) \
+            == expected
+        numpy_rows = [[np.float64(x) for x in r] for r in self.ROWS]
+        assert cli._float_table(self.ROWS, 5) is not None
+        assert cli._float_table(numpy_rows, 5) is None
+        header = ",".join(self.KEYS) + "\n"
+        csv = "".join(",".join(f"{x:.17g}" for x in r) + "\n" for r in self.ROWS)
+        assert cli._csv_from_rows(self.KEYS, self.ROWS) == cli._csv_from_rows(
+            self.KEYS, numpy_rows) == header + self.per_row_csv(self.KEYS, self.ROWS) \
+            == header + csv
+
+    def test_other_tables_take_the_per_row_path(self):
+        rows = [dict(zip(self.KEYS, r)) for r in self.ROWS]
+        reordered = rows[:2] + [dict(reversed(rows[2].items()))]
+        fewer = rows[:2] + [dict(list(rows[2].items())[:4])]
+        mixed = rows[:2] + [{**rows[2], "b": 2}]
+        overflowing = rows + [dict(zip(self.KEYS, [1e308] * 5))] * 2
+        assert math.isinf(sum(x for r in overflowing for x in r.values()))
+        for table in (reordered, fewer, mixed, overflowing, rows + [[1.0]]):
+            assert cli._json_float_dicts(table) is None
+            assert cli._dumps(table) == self.per_row_json(table)
+        for table in ([list(r.values()) for r in t] for t in (fewer, mixed, overflowing)):
+            assert cli._float_table(table, len(table[0])) is None
+            assert cli._csv_from_rows(self.KEYS, table) == (
+                ",".join(self.KEYS) + "\n" + self.per_row_csv(self.KEYS, table))
+        # ragged rows whose lengths add up to a whole number of rows
+        ragged = [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]
+        assert cli._float_table(ragged, 2) is None
+        assert cli._csv_from_rows("ab", ragged) == "a,b\n1,2\n3\n4,5,6\n"
+
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                            (-math.inf, "-inf")])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_refused_and_nothing_written(self, capsys, tmp_path, bad, shown,
+                                                    fmt):
+        rows = [dict(zip(cli.SPLIT_CHECK_COLUMNS, [float(i)] * 7)) for i in range(300)]
+        rows[200]["re_numeric"] = bad
+        results = {"rows": rows, "max_im_rel_err": 0.0, "max_re_rel_err": 0.0,
+                   "diagnostics": {"quadrature_evaluations": 1,
+                                   "max_abs_error_estimate": 0.0}}
+        render = cli.COMMANDS["split-check"][1]
+        message = rf"^result is not finite \({shown}\); nothing was written$"
+        for out in ("-", str(tmp_path / "out")):
+            with pytest.raises(cli.CausalAtomError, match=message):
+                render("split-check", fmt, out, {}, results)
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr() == ("", "")
+
+
+class TestParserOfOneCommand:
+    """main builds only the subparser of the command its first argument
+    names; what it prints and how it exits are what the parser with every
+    subcommand gives."""
+
+    CASES = [[], ["-h"], ["nope"], ["--version"], ["gamma", "--frobnicate"],
+             ["gamma", "extra"], ["gamma", "-h"], ["split-check", "-h"],
+             ["split-check", "--points", "x"], ["split-check", "--preset"],
+             ["ww-sim", "--n-modes"], ["gamma", "--format", "xml"],
+             ["wavepacket-check", "--plateau-periods"], ["shift", "--out"]]
+
+    @staticmethod
+    def outcome(capsys, parse):
+        with pytest.raises(SystemExit) as exit_info:
+            parse()
+        captured = capsys.readouterr()
+        return exit_info.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", CASES + [[name, "-h"] for name in cli.COMMANDS],
+                             ids=" ".join)
+    def test_same_output_and_exit_as_the_full_parser(self, capsys, argv):
+        full = self.outcome(capsys, lambda: cli._build_parser().parse_args(argv))
+        assert self.outcome(capsys, lambda: main(argv)) == full
+        assert full[1] or full[2]
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_same_options(self, name):
+        full = cli._build_parser().parse_args([name])
+        assert cli._build_parser([name]).parse_args([name]) == full
 
 
 def test_schema_lists_every_command(schema):
