@@ -14,10 +14,11 @@ it bit for bit, next to degree-22 exactness and node symmetry.
 
 One lock-step engine runs every adaptive integral.  An integral is a list
 of pieces, each a finite interval of a plain, semi-infinite-tail or
-principal-value-fold integrand (``interval_pieces``, ``pv_pieces``).  Each
-piece bisects its worst segment until its error estimate meets the
-tolerance, with its own heap and counter; the pieces of an integral run one
-after another and share its budget.  In each round the panels of all
+principal-value-fold integrand; ``pieces`` builds those of any number of
+integrals as the rows of one array.  Each piece bisects its worst segment
+until its error estimate meets the tolerance, with its own heap and
+counter; the pieces of an integral run one after another and share its
+budget.  In each round the panels of all
 unfinished integrals are evaluated together, and the segments of all pieces
 live in one table of rows, so the running sums, stop tests and final
 re-summations of a round take a fixed number of numpy calls whatever its
@@ -33,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -45,13 +46,11 @@ from .errors import (
 
 __all__ = [
     "Interval",
-    "Piece",
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_batch",
     "integrate_pv",
-    "interval_pieces",
-    "pv_pieces",
+    "pieces",
     "solve_linear",
 ]
 
@@ -143,16 +142,6 @@ PLAIN, TAIL, FOLD = 0, 1, 2
 # values, estimates and moduli.
 _LO, _MID, _HI, _RE, _IM, _ERR, _ABS = range(7)
 _ROW = _ABS + 1
-
-
-class Piece(NamedTuple):
-    """One finite piece of an integral: t runs over [a, b]."""
-
-    kind: int
-    shift: float
-    sign: float
-    a: float
-    b: float
 
 
 def _select(kind, kinds, k):
@@ -422,48 +411,61 @@ def _result(sums, evaluations) -> QuadratureResult:
                             evaluations=int(evaluations))
 
 
-def interval_pieces(iv: Interval) -> list:
-    """The finite pieces of a (possibly improper) interval.
+def pieces(lo, hi, pole=None):
+    """The finite pieces of n integrals over [lo_i, hi_i]: their rows
+    (kind, shift, sign, a, b) in order, and the number of pieces of each.
 
-    Semi-infinite tails use the monotone map k = lo + t/(1-t) on t in [0,1)
-    (mirrored for a -inf endpoint, which leaves the orientation unchanged);
-    a doubly infinite interval is split at 0 first.
+    Integral i is a principal value about pole_i wherever pole_i is not NaN
+    (nowhere if pole is None).  Its singular part is folded over the
+    half-width to the nearer finite endpoint, or 1 + |pole| if both are
+    infinite; whatever lies beyond the fold on either side follows as a
+    PLAIN or TAIL piece.  A TAIL anchored at x maps t in [0, 1) monotonely
+    to k = x + t/(1-t), mirrored for a -inf endpoint.  Without a pole an
+    interval is one piece, or two if it is doubly infinite, split at 0.
     """
-    lo, hi = iv.lo, iv.hi
-    if math.isinf(lo) and math.isinf(hi):
-        return [Piece(TAIL, 0.0, -1.0, 0.0, 1.0), Piece(TAIL, 0.0, 1.0, 0.0, 1.0)]
-    if math.isinf(hi):
-        return [Piece(TAIL, lo, 1.0, 0.0, 1.0)]
-    if math.isinf(lo):
-        return [Piece(TAIL, hi, -1.0, 0.0, 1.0)]
-    return [Piece(PLAIN, 0.0, 0.0, lo, hi)]
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n = len(lo)
+    pole = np.full(n, math.nan) if pole is None else np.asarray(pole, dtype=float)
+    ordered = lo < hi
+    if not ordered.all():
+        i = np.argmin(ordered)
+        raise ValueError(f"interval requires lo < hi, got [{lo[i]}, {hi[i]}]")
+    pv = ~np.isnan(pole)
+    valid = ~pv | ((lo < pole) & (pole < hi))
+    if not valid.all():
+        i = np.argmin(valid)
+        raise PoleLocationError(f"pole {pole[i]} not strictly inside [{lo[i]}, {hi[i]}]")
+    # Integral i has three candidate pieces [a, b], each used if not empty:
+    # the fold [0, h], then [lo, c - h] and [c + h, hi] beyond it.  With a
+    # pole, c is the pole and h > 0 (any finite h works if both ends are
+    # infinite); without one h = 0, and c is 0 for (-inf, inf), else hi.
+    h = np.minimum(pole - lo, hi - pole)
+    h = np.where(pv, np.where(np.isinf(h), 1.0 + np.abs(pole), h), 0.0)
+    c = np.where(pv, pole, np.where(np.isinf(lo) & np.isinf(hi), 0.0, hi))
+    a, b = np.stack((np.zeros(n), lo, c + h), axis=1), np.stack((h, c - h, hi), axis=1)
+    up, down = np.isinf(b), np.isinf(a)    # a TAIL anchored at a, or at b
+    tail = up | down
+    kind = np.where(tail, TAIL, PLAIN)
+    shift = np.where(up, a, np.where(down, b, 0.0))
+    sign = up - down.astype(float)
+    kind[:, 0], shift[:, 0] = FOLD, pole
+    rows = np.stack((kind, shift, sign, np.where(tail, 0.0, a), np.where(tail, 1.0, b)), axis=2)
+    used = a < b
+    return np.compress(used.ravel(), rows.reshape(-1, 5), axis=0), used.sum(axis=1)
 
 
-def pv_pieces(pole: float, iv: Interval) -> list:
-    """The pieces of a principal value about ``pole``, strictly inside ``iv``.
-
-    The singular part is folded, f(pole+t) + f(pole-t), over the half-width
-    to the nearer finite endpoint; whatever lies beyond the fold on either
-    side follows as ordinary pieces.
-    """
-    lo, hi = iv.lo, iv.hi
-    if not (lo < pole < hi):
-        raise PoleLocationError(f"pole {pole} not strictly inside [{lo}, {hi}]")
-    dist_lo = pole - lo if math.isfinite(lo) else math.inf
-    dist_hi = hi - pole if math.isfinite(hi) else math.inf
-    h = min(dist_lo, dist_hi)
-    if math.isinf(h):
-        h = 1.0 + abs(pole)  # both endpoints infinite: any finite fold works
-    return [Piece(FOLD, pole, 0.0, 0.0, h)] + [
-        p for a, b in ((lo, pole - h), (pole + h, hi)) if a < b
-        for p in interval_pieces(Interval(a, b))]
+def _batch(f, table, counts, rel_tol, abs_tol, max_evaluations) -> list:
+    sums, evaluations, exc = _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations)
+    out = [_result(s, n) for s, n in zip(sums, evaluations)]
+    return out if exc is None else out + [exc]
 
 
-def integrate_batch(f, integrals, rel_tol: float = DEFAULT_REL_TOL,
+def integrate_batch(f, lo, hi, pole=None, rel_tol: float = DEFAULT_REL_TOL,
                     abs_tol: float = DEFAULT_ABS_TOL,
                     max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> list:
-    """Many integrals at once, each the sum of a list of pieces, advanced in
-    lock-step by globally adaptive bisection.
+    """Many integrals at once, over [lo_i, hi_i] and, where pole_i is not
+    NaN, a principal value about it (the pieces that ``pieces`` builds),
+    advanced in lock-step by globally adaptive bisection.
 
     f(x, owner) gets a 1-D array of nodes and, per node, the index of the
     integral it belongs to, so per-integral parameters can be broadcast.
@@ -484,15 +486,11 @@ def integrate_batch(f, integrals, rel_tol: float = DEFAULT_REL_TOL,
     is spent), up to the first integral that fails: the integrals after a
     failing one are dropped unfinished.
     """
-    table = np.array([p for pieces in integrals for p in pieces], dtype=float).reshape(-1, 5)
-    sums, evaluations, exc = _lockstep(f, table, np.array([len(p) for p in integrals]),
-                                       rel_tol, abs_tol, max_evaluations)
-    out = [_result(s, n) for s, n in zip(sums, evaluations)]
-    return out if exc is None else out + [exc]
+    return _batch(f, *pieces(lo, hi, pole), rel_tol, abs_tol, max_evaluations)
 
 
-def _single(f, pieces, rel_tol, abs_tol, max_evaluations) -> QuadratureResult:
-    [r] = integrate_batch(lambda x, owner: f(x), [pieces], rel_tol, abs_tol, max_evaluations)
+def _single(f, table, counts, rel_tol, abs_tol, max_evaluations) -> QuadratureResult:
+    [r] = _batch(lambda x, owner: f(x), table, counts, rel_tol, abs_tol, max_evaluations)
     if isinstance(r, Exception):
         raise r
     return r
@@ -508,12 +506,13 @@ def integrate_adaptive(
     """Integrate a vectorized real-to-complex function over ``iv``.
 
     Infinite endpoints are handled with the monotone map k = lo + t/(1-t)
-    (mirrored for a -inf endpoint); a (-inf, inf) interval is split at 0.
-    Raises QuadratureConvergenceError with the partial estimate attached if
-    the subdivision budget is exhausted.
+    (mirrored for a -inf endpoint); a (-inf, inf) interval is split at 0,
+    each half meeting half of abs_tol.  Raises QuadratureConvergenceError
+    with the partial estimate attached if the subdivision budget is
+    exhausted.
     """
-    pieces = interval_pieces(iv)
-    return _single(f, pieces, rel_tol, abs_tol / len(pieces), max_evaluations)
+    table, counts = pieces([iv.lo], [iv.hi])
+    return _single(f, table, counts, rel_tol, abs_tol / int(counts[0]), max_evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +535,10 @@ def integrate_pv(
     """
     if not tol > 0:
         raise ValueError("tolerances must be > 0")
-    return _single(f, pv_pieces(pole, iv), tol, DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS)
+    if math.isnan(pole):   # to pieces, a NaN pole means none
+        raise PoleLocationError(f"pole {pole} not strictly inside [{iv.lo}, {iv.hi}]")
+    return _single(f, *pieces([iv.lo], [iv.hi], [pole]), tol, DEFAULT_ABS_TOL,
+                   DEFAULT_MAX_EVALUATIONS)
 
 
 # ---------------------------------------------------------------------------

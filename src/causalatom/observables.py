@@ -41,7 +41,6 @@ __all__ = [
     "CODATA2018",
     "AtomParams",
     "LineShiftSeries",
-    "DecayObservables",
     "ShiftRatio",
     "DISCREPANCY_NOTES",
     "hydrogen_1s2p_preset",
@@ -59,7 +58,6 @@ __all__ = [
     "lamb_reference",
     "shift_ratio",
     "z_factor",
-    "compute_decay_observables",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -489,42 +487,6 @@ def shift_ratio(atom: AtomParams, k: PhysicalConstants = CODATA2018) -> ShiftRat
         raise CausalAtomError("reference shift is zero; ratio undefined")
     value = delta_final(atom) / ref
     return ShiftRatio(value=value, magnitude=abs(value))
-
-
-# ---------------------------------------------------------------------------
-# aggregate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecayObservables:
-    gamma_exact: float
-    gamma_leading: float
-    delta_shift: float
-    lamb_reference: float
-    ratio: float
-    z_factor: complex
-
-    def __post_init__(self):
-        if self.gamma_exact <= 0:
-            raise ValueError("gamma_exact must be positive")
-        rel = abs(self.gamma_exact / self.gamma_leading - 1.0)
-        # exact/leading differ at relative order delta_u; 5x is a generous cap
-        if rel > 0.5:
-            raise ValueError("gamma_exact and gamma_leading disagree wildly")
-
-
-def compute_decay_observables(atom: AtomParams,
-                              c: NormalizationConstants | None = None) -> DecayObservables:
-    if c is None:
-        c = solve_normalization(atom)
-    return DecayObservables(
-        gamma_exact=gamma_exact(atom),
-        gamma_leading=gamma_leading(atom),
-        delta_shift=delta_final(atom),
-        lamb_reference=lamb_reference(atom.constants),
-        ratio=shift_ratio(atom, atom.constants).value,
-        z_factor=z_factor(atom, c),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, GridResolutionError, SingularPointError
-from .splitting import CausalDistribution1D
+from .splitting import CausalDistribution1D, retarded_parts_central
 
 __all__ = [
     "NormalizationConstants",
@@ -308,8 +308,6 @@ def check_split_grid(u_min: float, u_max: float, n: int) -> None:
 
 
 def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
-    from .splitting import retarded_parts_central  # local import keeps module load light
-
     u = np.asarray(list(u_values), dtype=float)
     check_split_points(u.size)
     dist = as_causal_distribution(atom)

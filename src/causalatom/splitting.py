@@ -29,8 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import (DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS, FOLD, PLAIN, TAIL,
-                       _lockstep)
+from .numerics import DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS, _lockstep, pieces
 
 __all__ = [
     "CausalDistribution1D",
@@ -123,38 +122,6 @@ def _power(x, n: int):
     return power
 
 
-def _dispersion_pieces(k_min: float, p):
-    """The pieces of the two dispersion integrals at each p0 in ``p``, as rows
-    (kind, shift, sign, a, b) in order, and the number of pieces of each
-    integral: what numerics.pv_pieces and interval_pieces build.
-
-    On the support, the first integral is the principal-value fold about p0
-    over the half-width to the support edge, then, in the order of k, the
-    plain piece between the edge and the fold (if the fold's end rounds
-    short of the edge) and the tail beyond the fold; the second is the other
-    side's tail.  Off the support they are the tails of the two sides.
-    """
-    n = len(p)
-    on, up = np.abs(p) > k_min, p > 0.0
-    h = np.where(up, p - k_min, -k_min - p)     # the fold's half-width
-    zero, one = np.zeros(n), np.ones(n)
-    fold = np.stack([np.full(n, FOLD), p, zero, zero, h], axis=1)
-    plain = np.stack([np.full(n, PLAIN), zero, zero,
-                      np.where(up, k_min, p + h), np.where(up, p - h, -k_min)], axis=1)
-    beyond = np.stack([np.full(n, TAIL), np.where(up, p + h, p - h),
-                       np.where(up, 1.0, -1.0), zero, one], axis=1)
-    left = np.array([TAIL, -k_min, -1.0, 0.0, 1.0])
-    right = np.array([TAIL, k_min, 1.0, 0.0, 1.0])
-    on_, up_ = on[:, None], up[:, None]
-    rows = np.stack([np.where(on_, fold, left), np.where(up_, plain, beyond),
-                     np.where(up_, beyond, plain), np.where(on_ & up_, left, right)], axis=1)
-    has_plain = on & np.where(up, k_min < p - h, p + h < -k_min)
-    used = np.stack([np.ones(n, dtype=bool), np.where(up, has_plain, on),
-                     np.where(up, on, has_plain), np.ones(n, dtype=bool)], axis=1)
-    counts = np.stack([1 + used[:, 1:3].sum(axis=1), np.ones(n, dtype=int)], axis=1)
-    return rows[used], counts.ravel()
-
-
 def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
                   pole_sign: float = 1.0):
     """Dispersion integrals with Taylor subtraction about k = q at every p0.
@@ -175,24 +142,29 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     # at p0 = q = 0 the p0^(omega+1) prefactor kills the regular integral
     integrated = (p0s != 0.0) | (q != 0.0)
     p = p0s[integrated]
-    table, counts = _dispersion_pieces(d.k_min, p)
-    starts = np.concatenate(([0], np.cumsum(counts)))
+    # each point's two integrals (lo, hi, pole): on the support the pole
+    # side's principal value, then the other side; off it, the two sides
+    on = np.abs(p) > d.k_min
+    right = (on & (p > 0.0))[:, None]
+    k_min, inf = d.k_min, math.inf
+    lo = np.where(right, [k_min, -inf], [-inf, k_min]).ravel()
+    hi = np.where(right, [inf, -k_min], [-k_min, inf]).ravel()
+    poles = np.stack((np.where(on, p, math.nan), np.full(len(p), math.nan)), axis=1).ravel()
     p0_of = p.repeat(2)
     om1 = d.singular_order + 1
     sums, evals, exc = [np.zeros((0, 3))], [], None
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        for lo in range(0, len(counts), 2 * SPLIT_CHUNK_POINTS):
-            hi = min(lo + 2 * SPLIT_CHUNK_POINTS, len(counts))
+    for start in range(0, len(p0_of), 2 * SPLIT_CHUNK_POINTS):
+        chunk = slice(start, start + 2 * SPLIT_CHUNK_POINTS)
+        table, counts = pieces(lo[chunk], hi[chunk], poles[chunk])
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
             # the kernel's power is a product, not numpy's ** (see _power)
             s, n, exc = _lockstep(
-                lambda k, j, p0=p0_of[lo:hi]: d.evaluate(k) / (_power(k - q, om1)
-                                                               * (p0[j] - k)),
-                table[starts[lo]:starts[hi]], counts[lo:hi], tol, DEFAULT_ABS_TOL,
-                DEFAULT_MAX_EVALUATIONS)
-            sums.append(s)
-            evals += n
-            if exc is not None:
-                break  # a batch ends at its first failing integral, and so does the grid
+                lambda k, j, p0=p0_of[chunk]: d.evaluate(k) / (_power(k - q, om1) * (p0[j] - k)),
+                table, counts, tol, DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS)
+        sums.append(s)
+        evals += n
+        if exc is not None:
+            break  # a batch ends at its first failing integral, and so does the grid
     if isinstance(exc, FloatingPointError):
         # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
         # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
@@ -207,7 +179,6 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     scale = [(p0 - q) ** om1 for p0 in p.tolist()]   # scalar pow: numpy's rounds differently
     c = 1j / (2.0 * math.pi)
     values = [c * s * complex(re, im) for s, re, im in zip(scale, *total[:, :2].T.tolist())]
-    on = np.abs(p) > d.k_min
     for j, pole in zip(np.flatnonzero(on).tolist(), d.evaluate(p[on]).tolist()):
         # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
         # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.

@@ -25,12 +25,12 @@ from causalatom.numerics import (
     integrate_adaptive,
     integrate_batch,
     integrate_pv,
-    interval_pieces,
-    pv_pieces,
+    pieces,
 )
 from causalatom.observables import hydrogen_1s2p_preset
-from causalatom.selfenergy import as_causal_distribution, r2_tilde_closed, split_check_report
-from causalatom.splitting import _dispersion_pieces, retarded_parts_central
+from causalatom.selfenergy import (_core, as_causal_distribution, r2_tilde_closed,
+                                   split_check_report)
+from causalatom.splitting import CausalDistribution1D, retarded_parts_central
 
 ATOM = hydrogen_1s2p_preset()
 
@@ -162,28 +162,22 @@ def test_failing_grid_is_not_integrated_far_past_its_failure():
     assert batched <= 2 * (SLOW_WIDTH * looped + 2 * len(u) * (SLOW_EVALUATIONS + 30))
 
 
-@pytest.mark.parametrize("k_min", [1.0, 0.3, 1.7])
-def test_dispersion_pieces_are_what_pv_pieces_and_interval_pieces_build(k_min):
-    # on and off the support and on either side, with points whose fold ends
-    # short of the support edge, which leaves a plain piece between them
-    rng = np.random.default_rng(7)
-    p0s = k_min * np.concatenate([rng.uniform(-6.0, 6.0, 300), 10.0 ** rng.uniform(-3, 12, 100),
-                                  -(10.0 ** rng.uniform(-3, 12, 100))])
-    left, right = Interval(-math.inf, -k_min), Interval(k_min, math.inf)
-    expected, counts = [], []
-    for p0 in p0s.tolist():
-        if abs(p0) > k_min:
-            pole_side, other = (right, left) if p0 > 0 else (left, right)
-            pair = [pv_pieces(p0, pole_side), interval_pieces(other)]
-        else:
-            pair = [interval_pieces(left), interval_pieces(right)]
-        expected += [p for pieces in pair for p in pieces]
-        counts += [len(pieces) for pieces in pair]
-    rows, mine = _dispersion_pieces(k_min, p0s)
-    assert mine.tolist() == counts
-    assert np.array_equal(bits(rows), bits(np.array(expected, dtype=float)))
-    # with k_min = 1 the fold's end p0 -+ (p0 -+ 1) is exact below 2^53
-    assert (3 in counts) == (k_min != 1.0)
+@pytest.mark.parametrize("k_min", [0.3, 1.7])
+def test_plain_piece_matches_reference(k_min):
+    # with k_min != 1 the fold's end p0 -+ (p0 -+ k_min) can round short of
+    # the support edge, which leaves a plain piece between them
+    d = CausalDistribution1D(evaluate=lambda k: 2j * _core(k / k_min), singular_order=2,
+                             k_min=k_min, parity="odd", large_k_growth=2)
+    p0s = k_min * np.concatenate([np.linspace(-6.0, -1.1, 20), np.linspace(-0.9, 0.9, 5),
+                                  np.linspace(1.1, 6.0, 20)])
+    values, evals, _ = retarded_parts_central(d, p0s)
+    theirs = [ref.retarded_central(d, float(p0), 1e-11) for p0 in p0s]
+    assert np.array_equal(bits([values.real, values.imag]),
+                          bits([[v.real for v, _ in theirs], [v.imag for v, _ in theirs]]))
+    assert evals.tolist() == [n for _, n in theirs]
+    on = p0s[np.abs(p0s) > k_min]
+    _, counts = pieces(np.where(on > 0, k_min, -math.inf), np.where(on > 0, math.inf, -k_min), on)
+    assert 3 in counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +254,10 @@ def test_batch_matches_each_integral_alone():
     def f(x, owner):
         return np.exp(-scales[owner] * x * x) * np.cos(scales[owner] * x)
 
-    integrals = [interval_pieces(Interval(-math.inf, math.inf)),
-                 interval_pieces(Interval(0.0, 2.0)),
-                 interval_pieces(Interval(1.0, math.inf)),
-                 interval_pieces(Interval(-math.inf, -0.5))]
-    batch = integrate_batch(f, integrals, rel_tol=1e-12)
-    assert integrate_batch(f, [], rel_tol=1e-12) == []
-    for i, (r, iv) in enumerate(zip(batch, [(-math.inf, math.inf), (0.0, 2.0),
-                                           (1.0, math.inf), (-math.inf, -0.5)])):
+    intervals = [(-math.inf, math.inf), (0.0, 2.0), (1.0, math.inf), (-math.inf, -0.5)]
+    batch = integrate_batch(f, *zip(*intervals), rel_tol=1e-12)
+    assert integrate_batch(f, [], [], rel_tol=1e-12) == []
+    for i, (r, iv) in enumerate(zip(batch, intervals)):
         _same_result(r, ref.integrate_adaptive(lambda x: f(x, i), *iv, rel_tol=1e-12))
 
 
@@ -287,8 +277,7 @@ def test_equal_error_estimates_go_to_the_older_segment():
         ref._gk_panel(_alternating_steps, 1.0, 2.0)[1]
     intervals = [(0.0, 2.0), (2.0, 4.0), (0.0, 4.0), (-2.0, 2.0), (0.0, 8.0)]
     kw = {"rel_tol": 1e-300, "abs_tol": 0.085}
-    batch = integrate_batch(lambda x, owner: _alternating_steps(x),
-                            [interval_pieces(Interval(*iv)) for iv in intervals], **kw)
+    batch = integrate_batch(lambda x, owner: _alternating_steps(x), *zip(*intervals), **kw)
     for r, iv in zip(batch, intervals):
         _same_result(r, ref.integrate_adaptive(_alternating_steps, *iv, **kw))
     assert batch[0].value.real > 0.0
@@ -314,7 +303,7 @@ def test_integrals_after_a_failing_one_are_dropped():
 
     kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 3000}
     with np.errstate(divide="raise"):
-        batch = integrate_batch(f, [interval_pieces(Interval(0.0, 1.0))] * 4, **kw)
+        batch = integrate_batch(f, [0.0] * 4, [1.0] * 4, **kw)
     assert len(batch) == 2
     _same_result(batch[0], ref.integrate_adaptive(np.exp, 0.0, 1.0, **kw))
     theirs = outcome(lambda: ref.integrate_adaptive(nasty, 0.0, 1.0, **kw))
@@ -332,7 +321,7 @@ def test_slow_integrals_match_reference():
         return x ** -powers[owner]
 
     kw = {"rel_tol": 1e-12, "abs_tol": 1e-300}
-    batch = integrate_batch(f, [interval_pieces(Interval(0.0, 1.0))] * len(powers), **kw)
+    batch = integrate_batch(f, [0.0] * len(powers), [1.0] * len(powers), **kw)
     for i, r in enumerate(batch):
         theirs = ref.integrate_adaptive(lambda x: f(x, np.full(len(x), i)), 0.0, 1.0, **kw)
         assert theirs.evaluations > SLOW_EVALUATIONS
@@ -353,7 +342,7 @@ def test_slow_integrals_after_the_first_wait():
         return nasty(x)
 
     kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 3 * SLOW_EVALUATIONS}
-    batch = integrate_batch(f, [interval_pieces(Interval(0.0, 1.0))] * len(seen), **kw)
+    batch = integrate_batch(f, [0.0] * len(seen), [1.0] * len(seen), **kw)
     theirs = outcome(lambda: ref.integrate_adaptive(nasty, 0.0, 1.0, **kw))
     assert [(type(r), str(r)) for r in batch] == [theirs]
     assert theirs[0] is QuadratureConvergenceError

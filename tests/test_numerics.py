@@ -13,6 +13,7 @@ from causalatom.errors import (
 from causalatom.numerics import (
     Interval,
     integrate_adaptive,
+    integrate_batch,
     integrate_pv,
     solve_linear,
 )
@@ -183,6 +184,9 @@ class TestIntegrateAdaptive:
     def test_interval_invariant(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
+        for lo, hi in ((2.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=r"interval requires lo < hi"):
+                integrate_batch(lambda x, owner: x, [0.0, lo], [1.0, hi])
 
 
 class TestIntegratePV:
@@ -215,6 +219,10 @@ class TestIntegratePV:
             integrate_pv(lambda x: 1.0 / x, 0.0, Interval(0.0, 1.0))
         with pytest.raises(PoleLocationError):
             integrate_pv(lambda x: 1.0 / (x - 5.0), 5.0, Interval(0.0, 1.0))
+        # to the piece builder a NaN pole means no pole: the PV must not drop it
+        with pytest.raises(PoleLocationError) as exc:
+            integrate_pv(lambda x: 1.0 / x, math.nan, Interval(0.0, 1.0))
+        assert str(exc.value) == "pole nan not strictly inside [0.0, 1.0]"
 
     def test_semi_infinite_interval(self):
         # PV int_1^inf dk/(k^2 (k-2)): partial fractions give

@@ -13,7 +13,6 @@ from causalatom.observables import (
     PhysicalConstants,
     atom_from_dict,
     atom_to_dict,
-    compute_decay_observables,
     delta_final,
     extract_series_numerically,
     gamma_exact,
@@ -368,13 +367,6 @@ class TestShifts:
 
 
 class TestAggregate:
-    def test_decay_observables(self, hyd):
-        obs = compute_decay_observables(hyd, NORMALIZATION_EXACT)
-        assert obs.gamma_exact > 0
-        assert abs(obs.gamma_exact / obs.gamma_leading - 1.0) <= 5.0 * hyd.delta_u
-        assert obs.ratio == pytest.approx(shift_ratio(hyd).value, rel=1e-12)
-        assert obs.z_factor.imag / hyd.t_g == pytest.approx(obs.gamma_exact, rel=1e-12)
-
     def test_notes_present(self):
         assert set(DISCREPANCY_NOTES) == {"c_ordering", "gamma_denominator_power",
                                           "r2_rational_part", "ratio_sign"}
