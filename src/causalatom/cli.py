@@ -374,19 +374,18 @@ def _cmd_ww_sim(atom, opts):
     bandwidth = opts["bandwidth_gammas"] * gamma
     t_end = opts["t_end_gammas"] / gamma
     grid = build_grid(atom, bandwidth, n_modes)
-    max_det = float(np.abs(grid.frequencies - atom.omega_eg).max())
     dt = opts["dt_gammas"]
-    dt = 0.19 / max_det if dt is None else dt / gamma
-    trace = evolve(grid, atom, t_end, dt)
-    fit = fit_decay(trace)
-    rows = [[s.t, abs(s.c_e) ** 2, s.c_e.real, s.c_e.imag] for s in trace]
+    dt = 0.19 / grid.max_detuning(atom.omega_eg) if dt is None else dt / gamma
+    ts, ces, norms = evolve(grid, atom, t_end, dt)
+    fit = fit_decay(ts, ces)
+    rows = [[t, abs(c) ** 2, c.real, c.imag] for t, c in zip(ts.tolist(), ces.tolist())]
     summary = {
         "rate_per_s": fit.rate,
         "shift_rad_s": fit.shift,
         "residual": fit.fit_residual,
         "rate_over_gamma_leading": fit.rate / gamma,
         "n_modes": n_modes,
-        "norm_drift": max(abs(s.norm - 1.0) for s in trace),
+        "norm_drift": float(np.abs(norms - 1.0).max()),
     }
     return summary, rows
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -225,11 +225,9 @@ def synthetic_atom(delta_u: float, k: PhysicalConstants = CODATA2018,
     """
     if not 0.0 < delta_u < 0.1:
         raise ValueError("delta_u must be in (0, 0.1)")
-    omega = 0.75 * 13.6 * k.e_charge / k.hbar
-    dipole = math.sqrt(2.0) * 2 ** 7 * 3 ** -5.0 * k.e_charge * k.a0
-    m_g = k.hbar * omega / (delta_u * k.c ** 2)
-    return AtomParams(m_g=m_g, omega_eg=omega, d_eg_abs=dipole, t_g=t_g,
-                      constants=k)
+    hydrogen = hydrogen_1s2p_preset(k, t_g)
+    m_g = k.hbar * hydrogen.omega_eg / (delta_u * k.c ** 2)
+    return replace(hydrogen, m_g=m_g)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "TestFunction",
     "Wavepacket",
     "ZComparison",
-    "bump_g",
     "g_fourier",
     "z_numerical",
     "convergence_study",
@@ -123,11 +122,6 @@ class TestFunction:
         r = integrate_adaptive(lambda x: self.evaluate(x) ** 2,
                                Interval(lo, hi), rel_tol=1e-12)
         return float(r.value.real)
-
-
-def bump_g(t_g: float, ramp: float, constants) -> TestFunction:
-    """Switching function with plateau t_g and smoothing width ramp (seconds)."""
-    return TestFunction(t_g=t_g, ramp=ramp, c=constants.c)
 
 
 def g_fourier(g: TestFunction, q: float) -> complex:
@@ -269,6 +263,6 @@ def convergence_study(atom: AtomParams,
         except OverflowError:  # an int past the float range
             raise CausalAtomError(f"a plateau_periods value of {n.bit_length()} bits "
                                   "leaves the float range (t_g = n * period)") from None
-        g = bump_g(t_g, ramp_fraction * t_g, atom.constants)
+        g = TestFunction(t_g, ramp_fraction * t_g, atom.constants.c)
         out.append((t_g, z_numerical(atom, c_norm, g)))
     return out

@@ -7,13 +7,35 @@ spontaneous emission rate; the rotating-frame amplitude equations
     dc_e/dt = -i sum_k g_k exp(+i Delta_k t) c_k
     dc_k/dt = -i g_k exp(-i Delta_k t) c_e
 
-are integrated with an exactly norm-preserving Crank-Nicolson step, with the
-modes eliminated into a memory kernel (see _ww_kernels), so the cost does
-not depend on the number of modes.  Couplings are flat rather than
-frequency-weighted: the oracle targets the on-resonance rate, where only the
-on-shell mode density matters; the cutoff-logarithm study is qualitative by
-design.  Internally everything is scaled so the target rate is 1; SI units
-are restored at the boundary.
+are integrated with an exactly norm-preserving Crank-Nicolson step.  Couplings
+are flat rather than frequency-weighted: the oracle targets the on-resonance
+rate, where only the on-shell mode density matters; the cutoff-logarithm
+study is qualitative by design.  Internally everything is scaled so the
+target rate is 1; SI units are restored at the boundary.
+
+The step is the Cayley form (I + i H dt/2) c+ = (I - i H dt/2) c with H the
+rotating-frame coupling Hamiltonian frozen at the midpoint, which is exactly
+unitary.  H only couples the excited state to the modes, and the step is
+linear, so the mode amplitudes are eliminated exactly: with a = dt/2 and
+b_m = c_e(m) + c_e(m+1), step n sees the modes only through
+
+    s_n = -i a sum_{m<n} K(n-m) b_m,    K(j) = sum_k g_k^2 exp(i Delta_k j dt),
+
+and sum_k |c_k|^2 grows by a^2 G |b_n|^2 + 2 Re(conj(s_n) (-i a) b_n) with
+G = sum_k g_k^2.  For the flat uniform comb (equal g, Delta_k = Delta_c +
+(k - (N-1)/2) delta) K is the Dirichlet sum
+g^2 exp(i Delta_c j dt) sin(N x_j) / sin(x_j), x_j = delta j dt / 2, so the
+comb is four numbers (its edges, mode count and coupling) and the cost does
+not depend on the number of modes.
+
+The history sum is the blocked fast convolution of Hairer, Lubich and
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): pairs (m, n) in the same
+BLOCK-step block are summed directly, and every other pair lies in exactly
+one square [n0 - B, n0) x [n0, n0 + B), B = n0 & -n0, added by one FFT when
+step n0 is reached.  Within a block the steps form a lower-triangular linear
+system, solved once for the block's response to its first amplitude and to
+the history from earlier blocks.  Everything is deterministic (fixed-order
+numpy reductions, no threading of our own).
 
 Grid choices here (uniform spacing, flat couplings, window placement) are
 this module's own and are recorded in the CLI output metadata.
@@ -26,16 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ww_kernels import check_uniform_comb, evolve_amplitudes
 from .errors import FitResidualError, GridResolutionError, NormDriftError
 from .observables import AtomParams, gamma_leading
 
 __all__ = [
     "ModeGrid",
-    "AmplitudeState",
     "build_grid",
     "build_grid_window",
     "evolve",
+    "evolve_amplitudes",
     "fit_decay",
 ]
 
@@ -43,49 +64,46 @@ MIN_MODES = 1000
 MAX_MODES = 1_000_000
 MAX_STEPS = 1_000_000
 NORM_TOLERANCE = 1e-6
+BLOCK = 64  # steps whose mutual history is summed directly
 
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Uniform frequency comb with flat couplings.
+    """Uniform comb of n_modes frequencies from omega_lo to omega_hi (rad/s),
+    each coupled with the same strength coupling (rad/s).
 
-    Frequencies that are not a uniform comb to within float rounding raise
-    GridResolutionError (the kernel works from the comb's endpoints).
     density is the calibration density n_modes/bandwidth used to fix the
     coupling (2 pi g^2 density = gamma_target); the actual comb spacing is
     bandwidth/(n_modes - 1).
     """
 
-    frequencies: np.ndarray  # rad/s, strictly increasing
-    couplings: np.ndarray    # rad/s, one per mode
-    density: float           # modes per rad/s
-    gamma_target: float      # 1/s
+    omega_lo: float
+    omega_hi: float
+    n_modes: int
+    coupling: float
+    gamma_target: float  # 1/s
 
     def __post_init__(self):
-        if np.any(np.diff(self.frequencies) <= 0):
-            raise GridResolutionError("mode frequencies must be strictly increasing")
-        check_uniform_comb(self.frequencies, "mode frequencies")
+        if not (self.omega_lo < self.omega_hi and self.n_modes >= 2):
+            raise GridResolutionError(
+                f"a comb needs omega_lo < omega_hi and at least 2 modes, got "
+                f"[{self.omega_lo}, {self.omega_hi}] with {self.n_modes}")
+
+    @property
+    def density(self) -> float:
+        return self.n_modes / (self.omega_hi - self.omega_lo)
 
     @property
     def spacing(self) -> float:
-        # end-to-end difference: adjacent-pair subtraction at optical
-        # frequencies loses ~9 digits to cancellation
-        return float((self.frequencies[-1] - self.frequencies[0])
-                     / (self.frequencies.size - 1))
+        return (self.omega_hi - self.omega_lo) / (self.n_modes - 1)
 
     @property
     def revival_time(self) -> float:
         return 2.0 * math.pi / self.spacing
 
-
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Excited-state amplitude at time t, with the total norm
-    |c_e|^2 + sum |c_k|^2 of the full state at that time."""
-
-    c_e: complex
-    norm: float
-    t: float
+    def max_detuning(self, omega: float) -> float:
+        """Largest |frequency - omega| over the comb, reached at an edge."""
+        return max(abs(self.omega_lo - omega), abs(self.omega_hi - omega))
 
 
 def _calibrated_grid(omega_lo: float, omega_hi: float, n_modes: int,
@@ -100,11 +118,8 @@ def _calibrated_grid(omega_lo: float, omega_hi: float, n_modes: int,
         raise GridResolutionError(
             f"mode spacing {spacing:.3e} exceeds gamma/10 = {gamma / 10:.3e}; "
             "the comb would not resolve the line")
-    density = n_modes / span
-    g = math.sqrt(gamma / (2.0 * math.pi * density))
-    freqs = np.linspace(omega_lo, omega_hi, n_modes)
-    return ModeGrid(frequencies=freqs, couplings=np.full(n_modes, g),
-                    density=density, gamma_target=gamma)
+    g = math.sqrt(gamma / (2.0 * math.pi * (n_modes / span)))
+    return ModeGrid(omega_lo, omega_hi, n_modes, g, gamma)
 
 
 def build_grid(atom: AtomParams, bandwidth: float, n_modes: int) -> ModeGrid:
@@ -127,23 +142,119 @@ def build_grid_window(atom: AtomParams, omega_lo: float, omega_hi: float,
     return _calibrated_grid(omega_lo, omega_hi, n_modes, gamma_leading(atom))
 
 
-def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
-           sample_stride: int | None = None) -> list[AmplitudeState]:
-    """Integrate the amplitude equations to t_end; samples every stride steps.
+def _dirichlet_kernel(center, spacing, n_modes, g2, dt, n_lags):
+    """K(j) for j = 0 .. n_lags - 1.
+
+    sin(N x)/sin(x) is evaluated at y = x - m pi, m = rint(x / pi), times
+    (-1)^(m (N - 1)), so the peaks at the comb's revivals (sin x -> 0) stay
+    at their full height N instead of becoming 0/0 in rounding.
+    """
+    j = np.arange(n_lags, dtype=np.float64)
+    y = j * (0.5 * spacing * dt)
+    m = np.rint(y / np.pi)
+    y -= m * np.pi
+    den = np.sin(y)
+    ratio = np.sin(n_modes * y)
+    np.divide(ratio, den, out=ratio, where=den != 0.0)
+    ratio[den == 0.0] = n_modes
+    if n_modes % 2 == 0:
+        ratio[m % 2 == 1] *= -1.0
+    ratio *= g2
+    j *= center * dt
+    out = np.exp(1j * j)
+    out *= ratio
+    return out
+
+
+def _add_square(acc, b, kernel, spectra, n0):
+    """Add to acc[n0 : n0 + B] the history carried from b[n0 - B : n0],
+    B = n0 & -n0: the lags 1 .. 2B - 1 of one square, by one FFT.  The
+    spectrum of K[0 : 2B] is kept while a later square of that size fits."""
+    size = n0 & -n0
+    spec = spectra.get(size)
+    if spec is None:
+        spec = np.fft.fft(kernel(2 * size))
+        if n0 + 2 * size < acc.size:
+            spectra[size] = spec
+    conv = np.fft.ifft(np.fft.fft(b[n0 - size:n0], 2 * size) * spec)
+    stop = min(n0 + size, acc.size)
+    acc[n0:stop] += conv[size:size + stop - n0]
+
+
+def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
+    """Run the Crank-Nicolson steps; returns (times, c_e, norms).
+
+    The comb is n_modes detunings spaced by ``spacing`` around ``center``,
+    each with the same ``coupling``.  Samples are taken every ``stride``
+    steps; the norm at a sample is |c_e|^2 plus the sum of |c_k|^2 of the
+    full state, carried in O(1) per step.  Inputs are in scaled units
+    (caller's choice); the kernel is unit-agnostic.
+    """
+    g2 = coupling ** 2
+    big_g = n_modes * g2
+
+    def kernel(n_lags):
+        return _dirichlet_kernel(center, spacing, n_modes, g2, dt, n_lags)
+
+    # One step is c_e(n+1) = alpha c_e(n) + gam (h_n + sum_{n0<=m<n} K(n-m) b_m),
+    # h_n the history from the blocks before n0.  Over one block these steps
+    # are a lower-triangular system in x = c_e(n0+1 .. n0+BLOCK), the same
+    # for every block; its solution is x = u c_e(n0) + w h.
+    a = 0.5 * dt
+    alpha = (1.0 - a * a * big_g) / (1.0 + a * a * big_g)
+    gam = -2.0 * a * a / (1.0 + a * a * big_g)
+    lag = np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK))
+    near = np.where(lag > 0, kernel(BLOCK)[np.maximum(lag, 0)], 0.0)
+    eye, shift = np.eye(BLOCK), np.eye(BLOCK, k=-1)
+    system = eye - alpha * shift - gam * near @ (eye + shift)
+    rhs = np.column_stack([alpha * eye[:, 0] + gam * near[:, 0], gam * eye])
+    response = np.linalg.solve(system, rhs)
+    u, w = response[:, 0], response[:, 1:]
+
+    n_samples = n_steps // stride
+    ce_out = np.empty(n_samples, dtype=np.complex128)
+    norm_out = np.empty(n_samples, dtype=np.float64)
+    n_pad = -(-n_steps // BLOCK) * BLOCK
+    b = np.empty(n_pad, dtype=np.complex128)
+    acc = np.zeros(n_pad, dtype=np.complex128)
+    spectra = {}
+    c_e, mode_norm = 1.0 + 0.0j, 0.0
+    for n0 in range(0, n_pad, BLOCK):
+        if n0:
+            _add_square(acc, b, kernel, spectra, n0)
+        h = acc[n0:n0 + BLOCK]
+        x = u * c_e + w @ h
+        bb = b[n0:n0 + BLOCK] = np.concatenate(([c_e], x[:-1])) + x
+        s = -1j * a * (h + near @ bb)
+        gain = a * a * big_g * np.abs(bb) ** 2 + 2.0 * (np.conj(s) * (-1j * a) * bb).real
+        modes = mode_norm + np.cumsum(gain)
+        first, last = n0 // stride, min((n0 + BLOCK) // stride, n_samples)
+        pick = np.arange(first + 1, last + 1) * stride - n0 - 1
+        ce_out[first:last] = x[pick]
+        norm_out[first:last] = np.abs(x[pick]) ** 2 + modes[pick]
+        c_e, mode_norm = x[-1], modes[-1]
+
+    # t accumulates dt step by step, as a running clock would
+    t_out = np.full(n_steps, float(dt))
+    np.cumsum(t_out, out=t_out)
+    return t_out[stride - 1:n_samples * stride:stride], ce_out, norm_out
+
+
+def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float):
+    """Integrate the amplitude equations to t_end; returns arrays (t, c_e, norm)
+    of about 600 samples, norm the total |c_e|^2 + sum |c_k|^2 of the state.
 
     dt must resolve the fastest detuning (dt * max|Delta| < 0.2, i.e. the
     comb half-width criterion dt * bandwidth/2 < 0.1 for centered grids).
     Raises GridResolutionError, before any allocation, for a non-finite or
-    non-positive dt or t_end or more than MAX_STEPS steps (and, from the
-    kernel, for couplings that are not all equal), and NormDriftError if norm
-    conservation degrades beyond 1e-6.
+    non-positive dt or t_end or more than MAX_STEPS steps, and NormDriftError
+    if norm conservation degrades beyond 1e-6.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0.0):
             raise GridResolutionError(f"{name} must be finite and positive, got {value}")
     gamma = grid.gamma_target
-    detun = grid.frequencies - atom.omega_eg
-    max_det = float(np.abs(detun).max())
+    max_det = grid.max_detuning(atom.omega_eg)
     if dt * max_det >= 0.2:
         raise GridResolutionError(
             f"dt = {dt:.3e} does not resolve the fastest detuning "
@@ -152,21 +263,21 @@ def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float,
         raise GridResolutionError(
             f"t_end / dt = {t_end / dt:.3e} exceeds {MAX_STEPS} time steps")
     n_steps = int(math.ceil(t_end / dt))
-    if sample_stride is None:
-        sample_stride = max(1, n_steps // 600)
 
-    # scale time by the target rate so the kernel works near unity; the comb
-    # is rewritten at the scale of the detunings, where it is uniform to the
-    # last bit, rather than carrying the rounding of the optical frequencies
-    scaled = np.linspace(detun[0] / gamma, detun[-1] / gamma, detun.size)
-    ts, ces, norms = evolve_amplitudes(
-        scaled, grid.couplings / gamma, dt * gamma, n_steps, sample_stride)
-    drift = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
+    # scale time by the target rate so the kernel works near unity; its comb
+    # is exactly uniform between the scaled edges, without the rounding of a
+    # comb written out at optical frequencies
+    lo = (grid.omega_lo - atom.omega_eg) / gamma
+    hi = (grid.omega_hi - atom.omega_eg) / gamma
+    n = grid.n_modes
+    ts, ces, norms = evolve_amplitudes(0.5 * (lo + hi), (hi - lo) / (n - 1), n,
+                                       grid.coupling / gamma, dt * gamma, n_steps,
+                                       max(1, n_steps // 600))
+    drift = float(np.abs(norms - 1.0).max())
     if drift > NORM_TOLERANCE:
         raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE}",
                              drift=drift)
-    return [AmplitudeState(c_e=complex(ces[i]), norm=float(norms[i]), t=float(ts[i] / gamma))
-            for i in range(ts.size)]
+    return ts / gamma, ces, norms
 
 
 @dataclass(frozen=True)
@@ -179,15 +290,14 @@ class DecayFit:
 _RESIDUAL_LIMIT = 0.05  # ln units; exponential traces sit orders below this
 
 
-def fit_decay(trace: list[AmplitudeState]) -> DecayFit:
+def fit_decay(ts, ces) -> DecayFit:
     """Rate from a straight-line fit to ln |c_e|^2; shift from the phase slope.
 
-    The fit window drops the initial transient: a rough rate from the trace
+    ts and ces are arrays of sample times and amplitudes, as evolve returns
+    them.  The fit window drops the initial transient: a rough rate from the trace
     endpoints picks [1/rate, 5/rate].  The shift sign convention is
     c_e ~ exp(-i shift t): a positive shift means the level moved up.
     """
-    ts = np.array([s.t for s in trace])
-    ces = np.array([s.c_e for s in trace])
     if ts.size < 8:
         raise FitResidualError("trace too short to fit")
     p2 = np.abs(ces) ** 2

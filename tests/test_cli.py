@@ -423,7 +423,7 @@ class TestErrorPaths:
         assert json.loads(err)["error"] == "GridResolutionError"
 
     def test_too_many_steps_refused_before_evolution(self, capsys, monkeypatch):
-        def evolve_amplitudes(detunings, couplings, dt, n_steps, stride):
+        def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
             raise AssertionError(f"evolve_amplitudes called with {n_steps} steps")
         monkeypatch.setattr("causalatom.wworacle.evolve_amplitudes", evolve_amplitudes)
         code, out, err = run_cli(capsys, "ww-sim", "--n-modes", "1000",

@@ -63,6 +63,10 @@ class TestAtomParams:
         assert hyd.delta_u == pytest.approx(1.0865129698e-08, rel=1e-9)
         assert hyd.m_g == CODATA2018.m_proton + CODATA2018.m_electron
 
+    def test_synthetic_atom_has_hydrogen_line(self, hyd):
+        atom = synthetic_atom(1e-2)
+        assert (atom.omega_eg, atom.d_eg_abs) == (hyd.omega_eg, hyd.d_eg_abs)
+
     def test_compton_wavelength_identity(self, hyd):
         lhs = 1.0 / hyd.lambda_bar_e
         rhs = 1.0 / hyd.lambda_bar_g + hyd.omega_eg / hyd.constants.c

@@ -13,7 +13,6 @@ from causalatom.selfenergy import NormalizationConstants
 from causalatom.wavepacket import (
     TestFunction,
     Wavepacket,
-    bump_g,
     convergence_study,
     g_fourier,
     z_numerical,
@@ -31,7 +30,7 @@ def atom():
 
 class TestBump:
     def test_plateau_and_outside(self):
-        g = bump_g(1e-6, 1e-7, CODATA2018)
+        g = TestFunction(1e-6, 1e-7, CODATA2018.c)
         mid = 0.5 * g.plateau_length
         assert g.evaluate(np.array([mid]))[0] == 1.0
         assert g.evaluate(np.array([-1.01 * g.edge_length]))[0] == 0.0
@@ -39,7 +38,7 @@ class TestBump:
 
     def test_squared_integral_window(self):
         from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL
-        g = bump_g(1e-6, 1e-7, CODATA2018)
+        g = TestFunction(1e-6, 1e-7, CODATA2018.c)
         val = g.squared_integral()
         c = CODATA2018.c
         assert c * g.t_g <= val <= c * (g.t_g + 2 * g.ramp)
@@ -48,7 +47,7 @@ class TestBump:
             c * (g.t_g + 4 * EDGE_SQUARED_INTEGRAL * g.ramp), rel=1e-10)
 
     def test_smooth_in_range(self):
-        g = bump_g(1e-6, 1e-7, CODATA2018)
+        g = TestFunction(1e-6, 1e-7, CODATA2018.c)
         xs = np.linspace(*g.support, 500)
         vals = g.evaluate(xs)
         assert np.all((0.0 <= vals) & (vals <= 1.0))
@@ -61,7 +60,7 @@ class TestBump:
 
 class TestGFourier:
     def test_zero_frequency(self):
-        g = bump_g(1e-6, 1e-8, CODATA2018)  # small ramp: integral ~ c t_g
+        g = TestFunction(1e-6, 1e-8, CODATA2018.c)  # small ramp: integral ~ c t_g
         val = g_fourier(g, 0.0)
         expect = CODATA2018.c * g.t_g / math.sqrt(2 * math.pi)
         assert val.imag == pytest.approx(0.0, abs=1e-6 * abs(val.real))
@@ -72,7 +71,7 @@ class TestGFourier:
         # frequency once past the edge-kernel mainlobe.  (A hard 1e-8 bound
         # at q = 10/(c ramp) is unattainable for any edge confined to the
         # allowed width: window theory caps the attenuation there.)
-        g = bump_g(1e-6, 1e-7, CODATA2018)
+        g = TestFunction(1e-6, 1e-7, CODATA2018.c)
         near = abs(g_fourier(g, 0.0))
         r20 = abs(g_fourier(g, 20.0 / (g.c * g.ramp))) / near
         r40 = abs(g_fourier(g, 40.0 / (g.c * g.ramp))) / near
@@ -81,7 +80,7 @@ class TestGFourier:
         assert r40 < r20 / 30.0  # much faster than quadratic decay
 
     def test_conjugate_symmetry(self):
-        g = bump_g(1e-6, 1e-7, CODATA2018)
+        g = TestFunction(1e-6, 1e-7, CODATA2018.c)
         q = 2.0 / g.plateau_length
         assert g_fourier(g, -q) == pytest.approx(np.conj(g_fourier(g, q)), rel=1e-10)
 
@@ -109,7 +108,7 @@ class TestWavepacket:
 
     def test_z_independent_of_sigma(self, atom):
         period = 2 * math.pi / atom.omega_eg
-        g = bump_g(100 * period, 10 * period, atom.constants)
+        g = TestFunction(100 * period, 10 * period, atom.constants.c)
         z1 = z_numerical(atom, C0, g,
                          wavepacket=Wavepacket(0.0, 1e-4 / atom.lambda_bar_e))
         z2 = z_numerical(atom, C0, g,
@@ -176,7 +175,7 @@ class TestZNumerical:
         atom = synthetic_atom(1e-3)
         period = 2 * math.pi / atom.omega_eg
         t_g = 1000 * period
-        g = bump_g(t_g, t_g / 100.0, atom.constants)
+        g = TestFunction(t_g, t_g / 100.0, atom.constants.c)
         zc = z_numerical(atom, C0, g)
         rate = zc.z_numerical.imag / t_g
         assert abs(rate / gamma_leading(atom) - 1.0) < 0.02
@@ -184,7 +183,7 @@ class TestZNumerical:
     def test_dipole_scaling(self, atom):
         import dataclasses
         period = 2 * math.pi / atom.omega_eg
-        g = bump_g(100 * period, 10 * period, atom.constants)
+        g = TestFunction(100 * period, 10 * period, atom.constants.c)
         double = dataclasses.replace(atom, d_eg_abs=2 * atom.d_eg_abs)
         z1 = z_numerical(atom, C0, g)
         z2 = z_numerical(double, C0, g)
@@ -194,7 +193,7 @@ class TestZNumerical:
     def test_reported_variants(self, atom):
         from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL
         period = 2 * math.pi / atom.omega_eg
-        g = bump_g(100 * period, 10 * period, atom.constants)
+        g = TestFunction(100 * period, 10 * period, atom.constants.c)
         zc = z_numerical(atom, C0, g)
         # plateau approximation differs by the edge fraction of int g^2
         ratio = (zc.z_closed / zc.z_closed_plateau).real

@@ -1,17 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from causalatom._ww_kernels import BLOCK, _add_square, _dirichlet_kernel, evolve_amplitudes
 from causalatom.errors import FitResidualError, GridResolutionError
 from causalatom.observables import gamma_leading, hydrogen_1s2p_preset
 from causalatom.wworacle import (
-    AmplitudeState,
+    BLOCK,
     ModeGrid,
+    _add_square,
+    _dirichlet_kernel,
     build_grid,
     build_grid_window,
     evolve,
+    evolve_amplitudes,
     fit_decay,
 )
 
@@ -61,25 +64,36 @@ def gamma(atom):
     return gamma_leading(atom)
 
 
+def make_grid(atom, gamma, n_modes, bandwidth_gammas, omega_hi_gammas=None):
+    if omega_hi_gammas is None:
+        return build_grid(atom, bandwidth_gammas * gamma, n_modes)
+    return build_grid_window(atom,
+                             atom.omega_eg - bandwidth_gammas / 2.0 * gamma,
+                             atom.omega_eg + omega_hi_gammas * gamma,
+                             n_modes)
+
+
 def run_sim(atom, gamma, n_modes=2000, bandwidth_gammas=100.0, t_end_gammas=5.0,
             dt_gammas=None, omega_hi_gammas=None):
-    if omega_hi_gammas is None:
-        grid = build_grid(atom, bandwidth_gammas * gamma, n_modes)
-    else:
-        grid = build_grid_window(atom,
-                                 atom.omega_eg - bandwidth_gammas / 2.0 * gamma,
-                                 atom.omega_eg + omega_hi_gammas * gamma,
-                                 n_modes)
-    max_det = float(np.abs(grid.frequencies - atom.omega_eg).max())
-    dt = (0.19 / max_det) if dt_gammas is None else dt_gammas / gamma
-    trace = evolve(grid, atom, t_end_gammas / gamma, dt)
-    return grid, trace
+    grid = make_grid(atom, gamma, n_modes, bandwidth_gammas, omega_hi_gammas)
+    dt = 0.19 / grid.max_detuning(atom.omega_eg) if dt_gammas is None else dt_gammas / gamma
+    return grid, evolve(grid, atom, t_end_gammas / gamma, dt)
+
+
+def scaled_comb(grid, atom, gamma):
+    """The comb as evolve hands it to the kernel: (center, spacing, n_modes,
+    coupling) in units of the target rate, and its n_modes detunings."""
+    lo = (grid.omega_lo - atom.omega_eg) / gamma
+    hi = (grid.omega_hi - atom.omega_eg) / gamma
+    n = grid.n_modes
+    comb = (0.5 * (lo + hi), (hi - lo) / (n - 1), n, grid.coupling / gamma)
+    return comb, np.linspace(lo, hi, n)
 
 
 class TestBuildGrid:
     def test_calibration_identity(self, atom, gamma):
         grid = build_grid(atom, 100.0 * gamma, 2000)
-        g = grid.couplings[0]
+        g = grid.coupling
         assert 2.0 * math.pi * g * g * grid.density == pytest.approx(gamma, rel=1e-12)
 
     def test_spacing(self, atom, gamma):
@@ -109,47 +123,63 @@ class TestBuildGrid:
             build_grid_window(atom, atom.omega_eg + gamma, atom.omega_eg + 50 * gamma,
                               2000)
 
+    @pytest.mark.parametrize("lo, hi, n_modes", [
+        (2.0, 1.0, 1000), (1.0, 1.0, 1000), (1.0, 2.0, 1),
+        (math.nan, 2.0, 1000), (1.0, math.nan, 1000),
+    ])
+    def test_mode_grid_refuses_empty_comb(self, lo, hi, n_modes):
+        with pytest.raises(GridResolutionError, match="omega_lo < omega_hi"):
+            ModeGrid(lo, hi, n_modes, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n_modes, band, omega_hi_gammas", [
+        (4000, 60.0, None), (4000, 100.0, None), (16000, 60.5, None),
+        (16000, 137.25, None), (32000, 100.0, None), (32000, 140.0, None),
+        (20000, 100.0, 123.7),
+    ])
+    def test_max_detuning_is_linspace_max(self, atom, gamma, n_modes, band,
+                                          omega_hi_gammas):
+        # ww-sim's default dt is 0.19 over this value, so every trace it
+        # writes depends on its last bit
+        grid = make_grid(atom, gamma, n_modes, band, omega_hi_gammas)
+        comb = np.linspace(grid.omega_lo, grid.omega_hi, n_modes)
+        assert grid.max_detuning(atom.omega_eg) == np.abs(comb - atom.omega_eg).max()
+
 
 class TestEvolve:
     def test_no_coupling_is_static(self, atom, gamma):
         grid = build_grid(atom, 100.0 * gamma, 1500)
-        silent = type(grid)(frequencies=grid.frequencies,
-                            couplings=np.zeros_like(grid.couplings),
-                            density=grid.density, gamma_target=grid.gamma_target)
-        trace = evolve(silent, atom, 1.0 / gamma, 0.19 / (50.0 * gamma))
-        assert all(abs(s.c_e - 1.0) < 1e-12 for s in trace)
+        silent = dataclasses.replace(grid, coupling=0.0)
+        _, ces, _ = evolve(silent, atom, 1.0 / gamma, 0.19 / (50.0 * gamma))
+        assert np.abs(ces - 1.0).max() < 1e-12
 
     def test_single_resonant_mode_rabi(self, atom, gamma):
         # two-state dynamics: |c_e|^2 = cos^2(g t); run the kernel directly
         g = 2.5 * gamma
         dt = 1e-3 / g
         n_steps = 4000
-        ts, ces, norms = evolve_amplitudes(np.array([0.0]), np.array([g]) / gamma,
-                                           dt * gamma, n_steps, 10)
+        ts, ces, norms = evolve_amplitudes(0.0, 0.0, 1, g / gamma, dt * gamma, n_steps, 10)
         ts = ts / gamma
         expect = np.cos(g * ts) ** 2
         assert np.abs(np.abs(ces) ** 2 - expect).max() < 1e-5
 
     def test_norm_conservation(self, atom, gamma):
-        grid, trace = run_sim(atom, gamma, n_modes=2000)
-        drift = max(abs(s.norm - 1.0) for s in trace)
+        _, (_, _, norms) = run_sim(atom, gamma, n_modes=2000)
+        drift = np.abs(norms - 1.0).max()
         assert drift <= 1e-6  # Cayley step: machine-level in practice
         assert drift < 1e-10
 
     def test_exponential_decay_window(self, atom, gamma):
-        grid, trace = run_sim(atom, gamma, n_modes=2000)
-        ts = np.array([s.t for s in trace])
-        p = np.array([abs(s.c_e) ** 2 for s in trace])
+        _, (ts, ces, _) = run_sim(atom, gamma, n_modes=2000)
+        p = np.abs(ces) ** 2
         mask = (ts > 1.0 / gamma) & (ts < 5.0 / gamma)
         model = np.exp(-gamma * ts[mask])
         assert np.abs(p[mask] / model - 1.0).max() < 0.05
 
     def test_no_revival_before_ten_lifetimes(self, atom, gamma):
-        grid, trace = run_sim(atom, gamma, n_modes=1200, bandwidth_gammas=50.0,
-                              t_end_gammas=12.0)
+        grid, (ts, ces, _) = run_sim(atom, gamma, n_modes=1200, bandwidth_gammas=50.0,
+                                     t_end_gammas=12.0)
         assert grid.revival_time > 10.0 / gamma
-        ts = np.array([s.t for s in trace])
-        p = np.array([abs(s.c_e) ** 2 for s in trace])
+        p = np.abs(ces) ** 2
         tail = ts > 10.0 / gamma
         assert p[tail].max() < 1e-3
 
@@ -163,7 +193,7 @@ class TestEvolve:
         from causalatom import wworacle
         from causalatom.errors import NormDriftError
 
-        def broken(detun, coup, dt, n_steps, stride):
+        def broken(center, spacing, n_modes, coupling, dt, n_steps, stride):
             n_samples = n_steps // stride
             ts = np.linspace(dt * stride, dt * n_steps, n_samples)
             ces = np.full(n_samples, 0.9 + 0j)
@@ -177,10 +207,9 @@ class TestEvolve:
         assert exc.value.drift == pytest.approx(1e-4, rel=1e-6)
 
 
-def scaled_comb(n_modes, spacing, coupling):
-    """Exactly uniform comb in scaled units, centred on resonance."""
-    return ((np.arange(n_modes) - (n_modes - 1) / 2) * spacing,
-            np.full(n_modes, coupling))
+def resonant_comb(n_modes, spacing):
+    """The detunings of an exactly uniform comb centred on resonance."""
+    return (np.arange(n_modes) - (n_modes - 1) / 2) * spacing
 
 
 class TestMemoryKernel:
@@ -198,9 +227,10 @@ class TestMemoryKernel:
     ])
     def test_matches_per_mode_loop_on_exact_comb(self, n_modes, spacing, coupling,
                                                  dt, n_steps, stride):
-        detun, coup = scaled_comb(n_modes, spacing, coupling)
-        ts, ces, norms = evolve_amplitudes(detun, coup, dt, n_steps, stride)
-        ts_ref, ces_ref, norms_ref = per_mode_reference(detun, coup, dt, n_steps, stride)
+        ts, ces, norms = evolve_amplitudes(0.0, spacing, n_modes, coupling, dt,
+                                           n_steps, stride)
+        ts_ref, ces_ref, norms_ref = per_mode_reference(
+            resonant_comb(n_modes, spacing), np.full(n_modes, coupling), dt, n_steps, stride)
         np.testing.assert_array_equal(ts, ts_ref)
         assert np.abs(ces - ces_ref).max() <= 1e-13
         assert np.abs(norms - norms_ref).max() <= 1e-13
@@ -209,13 +239,14 @@ class TestMemoryKernel:
         # the per-mode loop runs on the optical comb as np.linspace rounded it
         # (points up to ~1e-7 of a spacing off), the kernel on the exact comb
         grid = build_grid(atom, 100.0 * gamma, 4000)
-        detun = (grid.frequencies - atom.omega_eg) / gamma
+        comb, _ = scaled_comb(grid, atom, gamma)
+        optical = np.linspace(grid.omega_lo, grid.omega_hi, grid.n_modes)
+        detun = (optical - atom.omega_eg) / gamma
         dt = 0.19 / float(np.abs(detun).max())
         n_steps = int(math.ceil(5.0 / dt))
-        exact = np.linspace(detun[0], detun[-1], detun.size)
-        _, ces, norms = evolve_amplitudes(exact, grid.couplings / gamma, dt, n_steps, 2)
-        _, ces_ref, norms_ref = per_mode_reference(detun, grid.couplings / gamma,
-                                                   dt, n_steps, 2)
+        _, ces, norms = evolve_amplitudes(*comb, dt, n_steps, 2)
+        _, ces_ref, norms_ref = per_mode_reference(
+            detun, np.full(grid.n_modes, grid.coupling / gamma), dt, n_steps, 2)
         assert np.abs(ces - ces_ref).max() <= 1e-9
         assert np.abs(norms - norms_ref).max() <= 1e-9
 
@@ -223,23 +254,22 @@ class TestMemoryKernel:
         # past grid.revival_time sin(x_j) passes through 0 and the modes
         # rephase; both sides run on the comb the kernel receives from evolve
         grid = build_grid(atom, 40.0 * gamma, 1000)
-        detun = (grid.frequencies - atom.omega_eg) / gamma
-        dt = 0.19 / float(np.abs(detun).max())
+        comb, exact = scaled_comb(grid, atom, gamma)
+        dt = 0.19 / float(np.abs(exact).max())
         n_steps = int(1.1 * grid.revival_time * gamma / dt)
-        exact = np.linspace(detun[0], detun[-1], detun.size)
-        ts, ces, norms = evolve_amplitudes(exact, grid.couplings / gamma, dt, n_steps, 7)
-        _, ces_ref, norms_ref = per_mode_reference(exact, grid.couplings / gamma,
-                                                   dt, n_steps, 7)
+        ts, ces, norms = evolve_amplitudes(*comb, dt, n_steps, 7)
+        _, ces_ref, norms_ref = per_mode_reference(
+            exact, np.full(grid.n_modes, grid.coupling / gamma), dt, n_steps, 7)
         revived = ts > grid.revival_time * gamma
         assert revived.any() and np.abs(ces[revived]).max() > 1e-3
         assert np.abs(ces - ces_ref).max() <= 1e-9
         assert np.abs(norms - norms_ref).max() <= 1e-9
 
     def test_dirichlet_sum_matches_mode_sum_through_revivals(self):
-        detun, coup = scaled_comb(6, 0.3, 0.7)
+        detun = resonant_comb(6, 0.3)
         dt = 2 * np.pi / (0.3 * 50)  # sin(x_j) = 0 at every 50th lag
         lags = np.arange(160)
-        direct = (coup ** 2 * np.exp(1j * np.outer(lags * dt, detun))).sum(axis=1)
+        direct = (0.49 * np.exp(1j * np.outer(lags * dt, detun))).sum(axis=1)
         closed = _dirichlet_kernel(0.0, 0.3, 6, 0.49, dt, lags.size)
         assert np.abs(closed - direct).max() <= 1e-14 * 6 * 0.49 * 10
 
@@ -265,56 +295,28 @@ class TestMemoryKernel:
         direct = np.array([np.dot(k_all[n:0:-1], b[:n]) for n in range(n_pad)])
         assert np.abs(acc - direct).max() <= 1e-13 * np.abs(direct).max()
 
-    def test_unequal_couplings_refused(self):
-        detun, coup = scaled_comb(50, 0.1, 0.2)
-        coup[17] *= 1.0 + 1e-15
-        with pytest.raises(GridResolutionError, match="couplings must be equal"):
-            evolve_amplitudes(detun, coup, 0.01, 100, 1)
-
-    def test_non_uniform_detunings_refused(self):
-        detun, coup = scaled_comb(50, 0.1, 0.2)
-        detun[17] += 1e-9 * 0.1
-        with pytest.raises(GridResolutionError, match="not a uniform comb"):
-            evolve_amplitudes(detun, coup, 0.01, 100, 1)
-
-    def test_comb_rounded_at_optical_scale_accepted(self, atom, gamma):
-        # a comb written as lo + k * spacing agrees with np.linspace's comb to
-        # the rounding at its optical scale (~1e-7 of a spacing); 1e-6 does not
-        lo, spacing = atom.omega_eg - 50.0 * gamma, 100.0 * gamma / 1999
-        freqs = lo + spacing * np.arange(2000)
-        ModeGrid(frequencies=freqs, couplings=np.full(2000, 1.0),
-                 density=2000 / (100.0 * gamma), gamma_target=gamma)
-        freqs[1000] += 1e-6 * spacing
-        with pytest.raises(GridResolutionError, match="not a uniform comb"):
-            ModeGrid(frequencies=freqs, couplings=np.full(2000, 1.0),
-                     density=2000 / (100.0 * gamma), gamma_target=gamma)
-
 
 class TestFitDecay:
     def test_exact_exponential_recovered(self):
         rate = 3.7e8
         shift = 2.2e7
         ts = np.linspace(1e-10, 2e-8, 400)
-        trace = [AmplitudeState(c_e=math.exp(-rate * t / 2)
-                                * complex(math.cos(shift * t), -math.sin(shift * t)),
-                                norm=1.0, t=float(t)) for t in ts]
-        fit = fit_decay(trace)
+        ces = np.exp(-rate * ts / 2) * (np.cos(shift * ts) - 1j * np.sin(shift * ts))
+        fit = fit_decay(ts, ces)
         assert fit.rate == pytest.approx(rate, rel=1e-10)
         assert fit.shift == pytest.approx(shift, rel=1e-10)
         assert fit.fit_residual < 1e-12
 
     def test_default_grid_rate_within_two_percent(self, atom, gamma):
-        grid, trace = run_sim(atom, gamma, n_modes=4000)
-        fit = fit_decay(trace)
+        _, (ts, ces, _) = run_sim(atom, gamma, n_modes=4000)
+        fit = fit_decay(ts, ces)
         assert abs(fit.rate / gamma - 1.0) < 0.02
         assert abs(fit.shift) < 0.05 * gamma  # symmetric comb: no net shift
 
     def test_non_exponential_rejected(self):
         ts = np.linspace(0.1, 10.0, 200)
-        trace = [AmplitudeState(c_e=complex(1.0 / (1.0 + t ** 2), 0.0),
-                                norm=1.0, t=float(t)) for t in ts]
         with pytest.raises(FitResidualError):
-            fit_decay(trace)
+            fit_decay(ts, 1.0 / (1.0 + ts ** 2) + 0j)
 
     def test_rate_converges_first_order_in_spacing(self, atom, gamma):
         # fixed bandwidth, doubling mode count: the calibration-density
@@ -322,8 +324,8 @@ class TestFitDecay:
         # Richardson-extrapolated error halves per doubling
         rates = {}
         for n in (1100, 2200, 4400, 8800):
-            _, trace = run_sim(atom, gamma, n_modes=n)
-            rates[n] = fit_decay(trace).rate
+            _, (ts, ces, _) = run_sim(atom, gamma, n_modes=n)
+            rates[n] = fit_decay(ts, ces).rate
         r_inf = 2.0 * rates[8800] - rates[4400]
         e1 = abs(rates[1100] - r_inf)
         e2 = abs(rates[2200] - r_inf)
@@ -334,8 +336,8 @@ class TestFitDecay:
     def test_rate_stable_under_dt_halving(self, atom, gamma):
         vals = []
         for f in (1.0, 0.5, 0.25):
-            _, trace = run_sim(atom, gamma, n_modes=1500, dt_gammas=0.0038 * f)
-            vals.append(fit_decay(trace).rate)
+            _, (ts, ces, _) = run_sim(atom, gamma, n_modes=1500, dt_gammas=0.0038 * f)
+            vals.append(fit_decay(ts, ces).rate)
         d1 = abs(vals[1] - vals[0])
         d2 = abs(vals[2] - vals[1])
         assert d2 < d1  # second-order integrator: changes shrink
@@ -349,9 +351,9 @@ class TestFitDecay:
         for hi in uppers:
             span = 50.0 + hi
             n = max(1000, int(span * 12))
-            _, trace = run_sim(atom, gamma, n_modes=n, bandwidth_gammas=100.0,
-                               omega_hi_gammas=hi)
-            shifts.append(fit_decay(trace).shift)
+            _, (ts, ces, _) = run_sim(atom, gamma, n_modes=n, bandwidth_gammas=100.0,
+                                      omega_hi_gammas=hi)
+            shifts.append(fit_decay(ts, ces).shift)
         shifts = np.array(shifts)
         lnw = np.log(np.array(uppers))
         a = np.column_stack([np.ones(len(uppers)), lnw])
