@@ -26,7 +26,8 @@ width; what stays in Python per panel is the heap that picks a piece's
 worst segment.  The arithmetic per node, per 15-node panel and per sum is
 the same however many pieces run together, so a piece returns the same
 floats alone or in a batch.  ``integrate_batch`` runs many integrals at
-once, and ``integrate_adaptive`` and ``integrate_pv`` are batches of one.
+once, a principal value among them is a row with a pole, and
+``integrate_adaptive`` is a batch of one without.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ from .errors import (
 )
 
 __all__ = [
-    "Interval",
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_batch",
-    "integrate_pv",
     "pieces",
     "solve_linear",
 ]
@@ -95,20 +94,8 @@ _WEIGHTS = np.stack((GK15_WEIGHTS, G7_WEIGHTS))
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Results
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Interval:
-    """Integration interval; either endpoint may be infinite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -442,7 +429,10 @@ def pieces(lo, hi, pole=None):
     h = np.minimum(pole - lo, hi - pole)
     h = np.where(pv, np.where(np.isinf(h), 1.0 + np.abs(pole), h), 0.0)
     c = np.where(pv, pole, np.where(np.isinf(lo) & np.isinf(hi), 0.0, hi))
-    a, b = np.stack((np.zeros(n), lo, c + h), axis=1), np.stack((h, c - h, hi), axis=1)
+    with np.errstate(over="ignore"):
+        # from |pole| ~ 9e307 c + h or c - h may round to +-inf, leaving that
+        # side's piece empty; the fold's nodes pole +- t overflow there anyway
+        a, b = np.stack((np.zeros(n), lo, c + h), axis=1), np.stack((h, c - h, hi), axis=1)
     up, down = np.isinf(b), np.isinf(a)    # a TAIL anchored at a, or at b
     tail = up | down
     kind = np.where(tail, TAIL, PLAIN)
@@ -454,15 +444,9 @@ def pieces(lo, hi, pole=None):
     return np.compress(used.ravel(), rows.reshape(-1, 5), axis=0), used.sum(axis=1)
 
 
-def _batch(f, table, counts, rel_tol, abs_tol, max_evaluations) -> list:
-    sums, evaluations, exc = _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations)
-    out = [_result(s, n) for s, n in zip(sums, evaluations)]
-    return out if exc is None else out + [exc]
-
-
 def integrate_batch(f, lo, hi, pole=None, rel_tol: float = DEFAULT_REL_TOL,
                     abs_tol: float = DEFAULT_ABS_TOL,
-                    max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> list:
+                    max_evaluations: int = DEFAULT_MAX_EVALUATIONS):
     """Many integrals at once, over [lo_i, hi_i] and, where pole_i is not
     NaN, a principal value about it (the pieces that ``pieces`` builds),
     advanced in lock-step by globally adaptive bisection.
@@ -480,65 +464,40 @@ def integrate_batch(f, lo, hi, pole=None, rel_tol: float = DEFAULT_REL_TOL,
     in the order it does alone, so it makes the greedy choices and gets the
     floats it gets alone.
 
-    Returns a result per integral, a QuadratureResult or the exception that
-    ended it (a FloatingPointError from the integrand, or a
+    Returns (sums, evaluations, exc) for the integrals before the first that
+    fails: sums holds a row (re, im, error estimate) per integral and
+    evaluations its evaluation count; exc is the exception that ended the
+    first failing integral (a FloatingPointError from the integrand, or a
     QuadratureConvergenceError carrying the partial estimate once the budget
-    is spent), up to the first integral that fails: the integrals after a
-    failing one are dropped unfinished.
+    is spent), or None.  The integrals after a failing one are dropped
+    unfinished.
     """
-    return _batch(f, *pieces(lo, hi, pole), rel_tol, abs_tol, max_evaluations)
-
-
-def _single(f, table, counts, rel_tol, abs_tol, max_evaluations) -> QuadratureResult:
-    [r] = _batch(lambda x, owner: f(x), table, counts, rel_tol, abs_tol, max_evaluations)
-    if isinstance(r, Exception):
-        raise r
-    return r
+    return _lockstep(f, *pieces(lo, hi, pole), rel_tol, abs_tol, max_evaluations)
 
 
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
-    iv: Interval,
+    lo: float,
+    hi: float,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
     max_evaluations: int = DEFAULT_MAX_EVALUATIONS,
 ) -> QuadratureResult:
-    """Integrate a vectorized real-to-complex function over ``iv``.
+    """Integrate a vectorized real-to-complex function over [lo, hi], a
+    batch of one.
 
     Infinite endpoints are handled with the monotone map k = lo + t/(1-t)
     (mirrored for a -inf endpoint); a (-inf, inf) interval is split at 0,
-    each half meeting half of abs_tol.  Raises QuadratureConvergenceError
-    with the partial estimate attached if the subdivision budget is
-    exhausted.
+    each half meeting half of abs_tol.  Raises ValueError unless lo < hi,
+    and QuadratureConvergenceError with the partial estimate attached if the
+    subdivision budget is exhausted.
     """
-    table, counts = pieces([iv.lo], [iv.hi])
-    return _single(f, table, counts, rel_tol, abs_tol / int(counts[0]), max_evaluations)
-
-
-# ---------------------------------------------------------------------------
-# Principal value
-# ---------------------------------------------------------------------------
-
-def integrate_pv(
-    f: Callable[[np.ndarray], np.ndarray],
-    pole: float,
-    iv: Interval,
-    tol: float = DEFAULT_REL_TOL,
-) -> QuadratureResult:
-    """Cauchy principal value of ``f`` (which contains a 1/(x-pole) factor).
-
-    ``f`` may be complex-valued.  The pole must lie strictly inside ``iv``;
-    an endpoint pole is rejected.  The singular piece is removed
-    analytically by folding f(pole+t)+f(pole-t) over the half-interval to
-    the nearer finite endpoint, leaving ordinary quadrature for the
-    remainder.
-    """
-    if not tol > 0:
-        raise ValueError("tolerances must be > 0")
-    if math.isnan(pole):   # to pieces, a NaN pole means none
-        raise PoleLocationError(f"pole {pole} not strictly inside [{iv.lo}, {iv.hi}]")
-    return _single(f, *pieces([iv.lo], [iv.hi], [pole]), tol, DEFAULT_ABS_TOL,
-                   DEFAULT_MAX_EVALUATIONS)
+    table, counts = pieces([lo], [hi])
+    sums, evaluations, exc = _lockstep(lambda x, owner: f(x), table, counts, rel_tol,
+                                       abs_tol / int(counts[0]), max_evaluations)
+    if exc is not None:
+        raise exc
+    return _result(sums[0], evaluations[0])
 
 
 # ---------------------------------------------------------------------------

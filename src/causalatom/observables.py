@@ -182,20 +182,26 @@ _ATOM_KEYS = ("m_g_kg", "omega_eg_rad_s", "d_eg_Cm", "t_g_s")
 
 
 def atom_from_dict(doc: dict, constants: PhysicalConstants = CODATA2018) -> AtomParams:
-    """Build AtomParams from a JSON-style document; unknown keys are rejected."""
+    """Build AtomParams from a JSON-style document; unknown keys are rejected,
+    and every value must be a number (a JSON true or "1.5e16" is not)."""
+    if not isinstance(doc, dict):
+        raise PresetError(f"an atom document is a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - set(_ATOM_KEYS)
     if unknown:
         raise PresetError(f"unknown atom keys {sorted(unknown)}; allowed: {list(_ATOM_KEYS)}")
     missing = set(_ATOM_KEYS) - set(doc)
     if missing:
         raise PresetError(f"missing atom keys {sorted(missing)}")
+    for key in _ATOM_KEYS:
+        if type(doc[key]) not in (int, float):   # bool is an int subclass
+            raise PresetError(f"atom key {key} must be a number, got {doc[key]!r}")
     try:
         return AtomParams(m_g=float(doc["m_g_kg"]),
                           omega_eg=float(doc["omega_eg_rad_s"]),
                           d_eg_abs=float(doc["d_eg_Cm"]),
                           t_g=float(doc["t_g_s"]),
                           constants=constants)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:   # an int past the float range, or a bad value
         raise PresetError(f"invalid atom document: {exc}") from exc
 
 

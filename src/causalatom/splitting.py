@@ -29,11 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS, _lockstep, pieces
+from .numerics import DEFAULT_ABS_TOL, integrate_batch
 
 __all__ = [
     "CausalDistribution1D",
-    "RetardedPart",
     "PolynomialResidual",
     "retarded_part_central",
     "retarded_parts_central",
@@ -41,8 +40,6 @@ __all__ = [
     "advanced_part",
     "advanced_part_mirrored",
     "polynomial_residual",
-    "make_retarded_central",
-    "make_retarded_shifted",
 ]
 
 DEFAULT_TOL = 1e-11
@@ -78,13 +75,6 @@ class CausalDistribution1D:
             raise ValueError(f"parity must be even/odd/none, got {self.parity!r}")
         if self.large_k_growth > self.singular_order:
             raise ValueError("large_k_growth must not exceed the singular order")
-
-
-@dataclass(frozen=True)
-class RetardedPart:
-    evaluate: Callable[[float], complex]
-    source: CausalDistribution1D
-    subtraction_point: float
 
 
 @dataclass(frozen=True)
@@ -155,12 +145,11 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     sums, evals, exc = [np.zeros((0, 3))], [], None
     for start in range(0, len(p0_of), 2 * SPLIT_CHUNK_POINTS):
         chunk = slice(start, start + 2 * SPLIT_CHUNK_POINTS)
-        table, counts = pieces(lo[chunk], hi[chunk], poles[chunk])
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             # the kernel's power is a product, not numpy's ** (see _power)
-            s, n, exc = _lockstep(
+            s, n, exc = integrate_batch(
                 lambda k, j, p0=p0_of[chunk]: d.evaluate(k) / (_power(k - q, om1) * (p0[j] - k)),
-                table, counts, tol, DEFAULT_ABS_TOL, DEFAULT_MAX_EVALUATIONS)
+                lo[chunk], hi[chunk], poles[chunk], tol, DEFAULT_ABS_TOL)
         sums.append(s)
         evals += n
         if exc is not None:
@@ -259,35 +248,21 @@ def advanced_part_mirrored(d: CausalDistribution1D, p0: float,
     return _split_value(d, p0, 0.0, tol, pole_sign=-1.0)
 
 
-def make_retarded_central(d: CausalDistribution1D, tol: float = DEFAULT_TOL) -> RetardedPart:
-    return RetardedPart(evaluate=lambda p0: retarded_part_central(d, p0, tol),
-                        source=d, subtraction_point=0.0)
+def polynomial_residual(d: CausalDistribution1D, q: float, grid,
+                        tol: float = DEFAULT_TOL) -> PolynomialResidual:
+    """Fit a polynomial of degree <= omega to the central retarded part of d
+    minus the one subtracted about q, on the grid.
 
-
-def make_retarded_shifted(d: CausalDistribution1D, q: float,
-                          tol: float = DEFAULT_TOL) -> RetardedPart:
-    if abs(q) >= d.k_min:
-        raise SupportError(
-            f"subtraction point q = {q} must lie inside the support gap |k| < {d.k_min}")
-    return RetardedPart(evaluate=lambda p0: retarded_part_shifted(d, p0, q, tol),
-                        source=d, subtraction_point=q)
-
-
-def polynomial_residual(r_a: RetardedPart, r_b: RetardedPart,
-                        grid) -> PolynomialResidual:
-    """Fit a polynomial of degree <= omega to (r_a - r_b) on the grid.
-
-    Orientation is fixed as r_a - r_b.  The deviation is the max modulus of
-    the complex difference minus the (real-coefficient) fit, so imaginary
-    leftovers are not silently dropped.
+    Orientation is fixed as central - shifted.  The deviation is the max
+    modulus of the complex difference minus the (real-coefficient) fit, so
+    imaginary leftovers are not silently dropped.
     """
-    if r_a.source is not r_b.source and r_a.source != r_b.source:
-        raise ValueError("both retarded parts must come from the same distribution")
-    omega = r_a.source.singular_order
+    omega = d.singular_order
     grid = np.asarray(list(grid), dtype=float)
     if grid.size < omega + 2:
         raise ValueError(f"need more than omega+1 = {omega + 1} grid points, got {grid.size}")
-    diff = np.array([r_a.evaluate(x) - r_b.evaluate(x) for x in grid], dtype=complex)
+    diff = np.array([retarded_part_central(d, x, tol) - retarded_part_shifted(d, x, q, tol)
+                     for x in grid], dtype=complex)
     v = np.vander(grid, omega + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(v, diff.real, rcond=None)
     dev = float(np.abs(diff - v @ coef).max())

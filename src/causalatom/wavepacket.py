@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalAtomError
-from .numerics import Interval, integrate_adaptive
+from .numerics import integrate_adaptive
 from .observables import AtomParams
 from .selfenergy import NormalizationConstants, t2_bracket_resonant, t2_prefactor
 
@@ -119,8 +119,7 @@ class TestFunction:
     def squared_integral(self) -> float:
         """int g^2 dx0 by quadrature (analytically c t_g + 4 kappa c ramp)."""
         lo, hi = self.support
-        r = integrate_adaptive(lambda x: self.evaluate(x) ** 2,
-                               Interval(lo, hi), rel_tol=1e-12)
+        r = integrate_adaptive(lambda x: self.evaluate(x) ** 2, lo, hi, rel_tol=1e-12)
         return float(r.value.real)
 
 
@@ -133,8 +132,7 @@ def g_fourier(g: TestFunction, q: float) -> complex:
 
     # absolute floor scaled to the support: deep sidelobes are tiny compared
     # with g~(0) ~ c t_g and need not be resolved to 12 relative digits
-    r = integrate_adaptive(integrand, Interval(lo, hi), rel_tol=1e-12,
-                           abs_tol=1e-14 * (hi - lo))
+    r = integrate_adaptive(integrand, lo, hi, rel_tol=1e-12, abs_tol=1e-14 * (hi - lo))
     return complex(r.value) / math.sqrt(TWO_PI)
 
 
@@ -202,8 +200,8 @@ def _z_integral_fft(atom: AtomParams, c_norm: NormalizationConstants,
 
 
 def z_numerical(atom: AtomParams,
-                c_norm: NormalizationConstants = NormalizationConstants(),
-                g: TestFunction | None = None,
+                c_norm: NormalizationConstants,
+                g: TestFunction,
                 wavepacket: Wavepacket | None = None,
                 n_fft: int = 2 ** 15,
                 pad: float = 1.6) -> ZComparison:
@@ -214,8 +212,6 @@ def z_numerical(atom: AtomParams,
     is supplied, its narrowness premise is asserted (the integral itself is
     wavepacket-free once the reduction holds).
     """
-    if g is None:
-        raise ValueError("a TestFunction g is required")
     if wavepacket is not None:
         wavepacket.validate_narrow(atom)
 

@@ -1,0 +1,98 @@
+"""Compare the CLI of two source trees byte for byte.
+
+    python tests/golden_diff.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a ``causalatom`` package (the
+``src`` directory of two checkouts).  Each case of a fixed list runs as
+``python -m causalatom.cli ARGS`` in a fresh process under each tree, in a
+fresh working directory that holds the preset files below, so relative
+``--out`` paths and preset paths read the same on both sides.  A case
+differs if its stdout, stderr, exit code or any file it writes differs.
+Prints each differing case and a summary; exits 1 if any case differs.
+
+This is a script, not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ATOM = {"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
+        "d_eg_Cm": 6.3e-30, "t_g_s": 1.0}
+PRESETS = {
+    "atom.json": ATOM,
+    "bool.json": {**ATOM, "m_g_kg": True},
+    "string.json": {**ATOM, "omega_eg_rad_s": "1.5e16"},
+    "null.json": {**ATOM, "d_eg_Cm": None},
+    "unknown.json": {**ATOM, "mystery": 3},
+    "bigint.json": {**ATOM, "omega_eg_rad_s": 10 ** 400},
+    "list.json": [ATOM],
+}
+COMMANDS = ["gamma", "shift", "ratio", "split-check", "series-check",
+            "wavepacket-check", "ww-sim", "constants"]
+GRIDS = [["--u-min", "1.1", "--u-max", "3", "--points", "1000"],
+         ["--u-min", "-3", "--u-max", "-1.1", "--points", "1000"],
+         ["--u-min", "0.1", "--u-max", "0.9", "--points", "300"],
+         ["--u-min", "3.1330", "--u-max", "3.1336", "--points", "200"],
+         ["--u-min", "1e10", "--u-max", "2e10", "--points", "5"],
+         ["--u-min", "1e300", "--u-max", "1.7e308", "--points", "5"],
+         ["--preset", "synthetic:1e-2", "--tol", "1e-3"]]
+
+
+def cases() -> list:
+    """The argument lists, each a case."""
+    out = []
+    for name in COMMANDS:
+        out += [[name], [name, "--format", "csv"], [name, "--out", "out.txt"],
+                [name, "--format", "csv", "--out", "out.txt"],
+                [name, "--preset", "atom.json"], [name, "-h"]]
+    out += [["ww-sim", "--out", "-"], ["ww-sim", "--format", "csv", "--out", "-"]]
+    out += [["split-check", *grid] for grid in GRIDS]
+    out += [["gamma", "--preset", f] for f in PRESETS if f != "atom.json"]
+    out += [["gamma", "--preset", "missing.json"], ["gamma", "--preset", "synthetic:x"],
+            [], ["-h"], ["--version"], ["nope"], ["gamma", "--frobnicate"],
+            ["gamma", "extra"], ["split-check", "--points", "x"], ["split-check", "--preset"],
+            ["ww-sim", "--n-modes"], ["gamma", "--format", "xml"], ["shift", "--out"]]
+    return out
+
+
+def run(src: Path, argv: list) -> tuple:
+    """(exit code, stdout, stderr, {file: bytes}) of one case under src."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in PRESETS.items():
+            Path(tmp, name).write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "causalatom.cli", *argv], cwd=tmp,
+                              env=env, capture_output=True, timeout=600)
+        files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())
+                 if p.name not in PRESETS}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: golden_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in args)
+    todo = cases()
+    differ = 0
+    for argv in todo:
+        a, b = run(old, argv), run(new, argv)
+        if a != b:
+            differ += 1
+            parts = [name for name, x, y in zip(("exit", "stdout", "stderr", "files"), a, b)
+                     if x != y]
+            print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv) or '(no arguments)'}")
+    print(f"{len(todo)} cases, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,8 +26,6 @@ from causalatom.selfenergy import (
 )
 from causalatom.splitting import (
     advanced_part_mirrored,
-    make_retarded_central,
-    make_retarded_shifted,
     polynomial_residual,
     retarded_part_central,
     validate_distribution,
@@ -120,10 +118,8 @@ def test_criterion_4_splitting_oracle(hyd):
 
     # shifted-vs-central ambiguity: strict degree-2 polynomial residual
     dist = as_causal_distribution(hyd, unit_scale=True)
-    central = make_retarded_central(dist, tol=1e-11)
-    shifted = make_retarded_shifted(dist, 0.5, tol=1e-11)
     pair_grid = [1.3, 1.7, 2.2, 2.8, 3.5, 4.2, 5.0]
-    res = polynomial_residual(central, shifted, pair_grid)
+    res = polynomial_residual(dist, 0.5, pair_grid, tol=1e-11)
     assert res.max_abs_deviation <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -191,10 +187,8 @@ def test_criterion_7_property_suites(hyd):
     assert retarded_part_central(dist, 0.5, 1e-11).imag == 0.0
 
     # subtraction-point ambiguity: degree <= 2 polynomial
-    central = make_retarded_central(dist, tol=1e-11)
     for q in (-0.6, 0.5):
-        shifted = make_retarded_shifted(dist, q, tol=1e-11)
-        res = polynomial_residual(central, shifted, [1.3, 1.8, 2.5, 3.2, 4.0, 5.0])
+        res = polynomial_residual(dist, q, [1.3, 1.8, 2.5, 3.2, 4.0, 5.0], tol=1e-11)
         assert res.max_abs_deviation <= 1e-8
 
     # gamma independent of the normalization polynomial

@@ -308,6 +308,44 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err)["error"] == "PresetError"
 
+    @pytest.mark.parametrize("key, value", [("m_g_kg", "true"),
+                                            ("omega_eg_rad_s", '"1.5e16"'),
+                                            ("d_eg_Cm", "null"),
+                                            ("t_g_s", "[1.0]")])
+    def test_non_number_preset_field_exits_one(self, capsys, tmp_path, key, value):
+        # float() would read true as 1 and "1.5e16" as a number
+        doc = {"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
+               "d_eg_Cm": 6.3e-30, "t_g_s": 1.0, key: "@"}
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(json.dumps(doc).replace('"@"', value))
+        code, out, err = run_cli(capsys, "gamma", "--preset", str(preset_file))
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "PresetError"
+        assert f"atom key {key} must be a number" in diag["message"]
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 400, "-1" + "0" * 400])
+    def test_int_past_the_float_range_exits_one(self, capsys, tmp_path, text):
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(f'{{"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": {text}, '
+                               f'"d_eg_Cm": 6.3e-30, "t_g_s": 1.0}}')
+        code, out, err = run_cli(capsys, "gamma", "--preset", str(preset_file))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "PresetError"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", '"atom"'])
+    def test_preset_document_not_an_object_exits_one(self, capsys, tmp_path, text):
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(text)
+        code, out, err = run_cli(capsys, "gamma", "--preset", str(preset_file))
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "PresetError"
+        assert "an atom document is a JSON object" in diag["message"]
+
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_preset_overflowing_si_prefactors_refused(self, capsys, tmp_path, command):
         # every field is finite, but |d|^2 omega^3 leaves the float range

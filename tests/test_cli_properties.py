@@ -140,9 +140,11 @@ def log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
 
 
-# near-physical values, or an edge: zero, negative, tiny, huge, non-finite
+# near-physical values, or an edge: zero, negative, tiny, huge, non-finite, or
+# not a JSON number (a bool, a numeric string)
 PRESET_EDGES = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-200, 1e-77, 1e77, 1e150,
-                                1e300, 1.7976931348623157e308, math.inf, math.nan])
+                                1e300, 1.7976931348623157e308, math.inf, math.nan,
+                                True, False, "1.5e16", "1e-27"])
 PRESET_FIELDS = st.fixed_dictionaries({
     "m_g_kg": mostly(log_uniform(-30.0, -20.0), PRESET_EDGES),
     "omega_eg_rad_s": mostly(log_uniform(8.0, 17.0), PRESET_EDGES),

@@ -6,8 +6,6 @@ from causalatom.splitting import (
     CausalDistribution1D,
     advanced_part,
     advanced_part_mirrored,
-    make_retarded_central,
-    make_retarded_shifted,
     polynomial_residual,
     retarded_part_central,
     retarded_part_shifted,
@@ -157,50 +155,40 @@ class TestShifted:
 
     def test_difference_is_degree_two_polynomial(self):
         d = make_core()
-        central = make_retarded_central(d)
-        shifted = make_retarded_shifted(d, 0.5)
-        res = polynomial_residual(central, shifted, [1.5, 2.0, 3.0, 4.0, 5.0])
+        res = polynomial_residual(d, 0.5, [1.5, 2.0, 3.0, 4.0, 5.0])
         assert res.max_abs_deviation <= 1e-8
         assert len(res.coefficients) == 3
 
     def test_subtraction_ambiguity_across_q_and_denser_grid(self):
         d = make_core()
-        central = make_retarded_central(d)
         grid = np.concatenate([np.linspace(-5.0, -1.1, 6), np.linspace(1.1, 5.0, 8)])
         for q in (-0.7, 0.3, 0.9):
-            shifted = make_retarded_shifted(d, q)
-            res = polynomial_residual(central, shifted, grid)
+            res = polynomial_residual(d, q, grid)
             assert res.max_abs_deviation <= 1e-8
 
 
 class TestPolynomialResidual:
     def test_identical_parts(self):
-        d = make_core()
-        central = make_retarded_central(d)
-        res = polynomial_residual(central, central, [1.5, 2.0, 3.0, 4.0])
+        # subtracting about q = 0 is the central part, bit for bit
+        res = polynomial_residual(make_core(), 0.0, [1.5, 2.0, 3.0, 4.0])
         assert res.max_abs_deviation == 0.0
         assert all(c == 0.0 for c in res.coefficients)
 
-    def test_constructed_offset_orientation(self):
-        # rB = rA + 3u^2 - 1  =>  rA - rB = 1 - 3u^2: c0 = +1, c2 = -3
+    def test_orientation_is_central_minus_shifted(self):
+        # the coefficients are the fit of central - shifted, not of its
+        # negative: pinned against the difference formed here
         d = make_core()
-        central = make_retarded_central(d)
-
-        def offset_eval(p0):
-            return central.evaluate(p0) + 3.0 * p0 ** 2 - 1.0
-
-        offset = type(central)(evaluate=offset_eval, source=d, subtraction_point=0.0)
-        res = polynomial_residual(central, offset, [1.5, 2.0, 2.5, 3.0, 4.0])
-        assert res.coefficients[0] == pytest.approx(1.0, abs=1e-9)
-        assert res.coefficients[1] == pytest.approx(0.0, abs=1e-9)
-        assert res.coefficients[2] == pytest.approx(-3.0, abs=1e-9)
-        assert res.max_abs_deviation < 1e-9
+        grid = [1.5, 2.0, 2.5, 3.0, 4.0]
+        diff = [(retarded_part_central(d, x) - retarded_part_shifted(d, x, 0.5)).real
+                for x in grid]
+        fit, *_ = np.linalg.lstsq(np.vander(grid, 3, increasing=True), diff, rcond=None)
+        res = polynomial_residual(d, 0.5, grid)
+        assert res.coefficients == tuple(fit.tolist())
+        assert all(abs(c) > 1e-3 for c in res.coefficients)
 
     def test_grid_size_rejected(self):
-        d = make_core()
-        central = make_retarded_central(d)
         with pytest.raises(ValueError):
-            polynomial_residual(central, central, [1.5, 2.0, 3.0])
+            polynomial_residual(make_core(), 0.5, [1.5, 2.0, 3.0])
 
 
 class TestValidation:

@@ -89,14 +89,14 @@ class TestWavepacket:
     def test_normalized(self):
         wp = Wavepacket(center_k=1e5, sigma_k=1e3)
         # radial quadrature of the isotropic Gaussian profile about center
-        from causalatom.numerics import Interval, integrate_adaptive
+        from causalatom.numerics import integrate_adaptive
         s = wp.sigma_k
 
         def radial(r):
             amp = (2 * math.pi * s ** 2) ** -1.5 * np.exp(-r * r / (2 * s ** 2))
             return 4 * math.pi * r * r * amp
 
-        norm = integrate_adaptive(radial, Interval(0.0, 12 * s), rel_tol=1e-12)
+        norm = integrate_adaptive(radial, 0.0, 12 * s, rel_tol=1e-12)
         assert norm.value.real == pytest.approx(1.0, rel=1e-10)
 
     def test_narrowness_enforced(self, atom):
@@ -202,7 +202,3 @@ class TestZNumerical:
         # rate-consistent weight divides by u_res
         assert zc.z_closed_inverse_u == pytest.approx(zc.z_closed / atom.u_res,
                                                       rel=1e-13)
-
-    def test_requires_test_function(self, atom):
-        with pytest.raises(ValueError):
-            z_numerical(atom, C0, None)
