@@ -1,7 +1,8 @@
 """Causal distribution splitting for the two-level-atom self-energy.
 
-Subpackages:
-  numerics     deterministic quadrature, PV integrals, small linear solves
+Modules:
+  numerics     batched adaptive quadrature (principal values as rows with a
+               pole), small linear solves
   splitting    retarded/advanced parts of 1-D momentum-space causal distributions
   selfenergy   closed-form self-energy distributions and their symmetrization
   observables  constants, atom presets, decay rate, line shift, normalization

@@ -12,17 +12,11 @@ Exit codes: 0 success, 1 computation failure (diagnostic JSON on stderr),
 from __future__ import annotations
 
 import argparse
-import csv
-import functools
 import gc
-import io
-import itertools
 import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .errors import CausalAtomError, PresetError
@@ -45,8 +39,8 @@ from .observables import (
     shift_ratio,
     synthetic_atom,
 )
-from .selfenergy import (NormalizationConstants, check_split_grid, r2_prefactor,
-                         split_check_report, t2_prefactor)
+from .selfenergy import (NormalizationConstants, r2_prefactor, split_check_report,
+                         split_grid, t2_prefactor)
 from .wavepacket import convergence_study
 from .wworacle import build_grid, evolve, fit_decay
 
@@ -61,99 +55,105 @@ SPLIT_CHECK_COLUMNS = ("u", "re_closed", "im_closed", "re_numeric", "im_numeric"
 # deterministic serialization
 # ---------------------------------------------------------------------------
 
-_FLOAT = "%.17g"   # how a float is written, as a %-format
+class Table(dict):
+    """A table as its columns, name -> list of values, one per row: written as
+    a list of one object per row (JSON) or one line per row (CSV)."""
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise CausalAtomError(f"result is not finite ({x}); nothing was written")
-    return _FLOAT % x
+_FLOAT = "%.17g"   # the slot of a float in a template; the values fill it at the end
 
 
-def _float_table(rows, width: int):
-    """The values of ``rows``, each a sequence of ``width`` values, in one
-    tuple if they are all finite floats, so that a template of _FLOAT fields
-    repeating one row writes the whole table at once as _fmt_float writes
-    each value; else None, and each value takes the generic path.  (A finite
-    sum shows that they are finite; one that overflows only takes the slower
-    path, which writes the same.)"""
-    if any(len(row) != width for row in rows):
-        return None
-    values = tuple(itertools.chain.from_iterable(rows))
-    if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
-        return values
-    return None
+def _rows(columns: dict):
+    """The rows of a Table, or the values of a plain dict as its one row."""
+    if type(columns) is not Table:
+        return [columns.values()]
+    lengths = [len(c) for c in columns.values()]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
+    return zip(*columns.values())
 
 
-@functools.cache
-def _json_float_dict(keys: tuple) -> str:
-    return "{" + ", ".join(_json_key(k).replace("%", "%%") + _FLOAT for k in keys) + "}"
+def _fill(parts: list, floats: list) -> str:
+    """The template ``parts`` with its slots filled by ``floats``, refusing the
+    first value that is not finite (a finite sum shows that all of them are)."""
+    if not math.isfinite(sum(floats)):
+        for x in floats:
+            if not math.isfinite(x):
+                raise CausalAtomError(f"result is not finite ({x}); nothing was written")
+    return "".join(parts) % tuple(floats)
 
 
-def _json_float_dicts(rows: list):
-    """A list of dicts with one key order and finite float values (the rows
-    of split-check) as JSON in one format operation, or None."""
-    keys = tuple(rows[0]) if rows and type(rows[0]) is dict else None
-    if keys is None or any(type(row) is not dict or tuple(row) != keys for row in rows):
-        return None
-    values = _float_table([row.values() for row in rows], len(keys))
-    if values is None:
-        return None
-    return "[" + ", ".join([_json_float_dict(keys)] * len(rows)) % values + "]"
-
-
-@functools.cache
-def _csv_float_row(n: int) -> str:
-    return ",".join([_FLOAT] * n) + "\n"
-
-
-def _write_json_value(v, out: list):
-    if type(v) is float:  # most values: one test instead of the chain below
-        out.append(_fmt_float(v))
-    elif isinstance(v, bool):
-        out.append("true" if v else "false")
-    elif isinstance(v, (int, np.integer)):
-        out.append(str(int(v)))
-    elif isinstance(v, (float, np.floating)):
-        out.append(_fmt_float(float(v)))
-    elif isinstance(v, complex):
-        _write_json_value({"re": v.real, "im": v.imag}, out)
-    elif isinstance(v, str):
-        out.append(json.dumps(v))
-    elif v is None:
-        out.append("null")
-    elif isinstance(v, dict):
-        out.append("{")
-        for i, (k, item) in enumerate(v.items()):
+def _json(v, parts: list, floats: list):
+    """Append ``v`` as JSON to the template ``parts``, a float as a slot."""
+    t = type(v)
+    if t is float:
+        parts.append(_FLOAT)
+        floats.append(v)
+    elif t is dict or t is Table:
+        # the text before each value of a row: "{" or ", ", then the key
+        leads = [(", " if j else "{") + json.dumps(k).replace("%", "%%") + ": "
+                 for j, k in enumerate(v)]
+        parts.append("[" if t is Table else "")
+        for i, row in enumerate(_rows(v)):
+            parts.append(", " if i else "")
+            for lead, item in zip(leads, row):
+                parts.append(lead)
+                if type(item) is float:   # most values: no call
+                    parts.append(_FLOAT)
+                    floats.append(item)
+                else:
+                    _json(item, parts, floats)
+            parts.append("}" if leads else "{}")
+        parts.append("]" if t is Table else "")
+    elif t is list:
+        parts.append("[")
+        for i, item in enumerate(v):
             if i:
-                out.append(", ")
-            out.append(_json_key(k))
-            _write_json_value(item, out)
-        out.append("}")
-    elif isinstance(v, list) and (table := _json_float_dicts(v)) is not None:
-        out.append(table)
-    elif isinstance(v, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = v.tolist() if isinstance(v, np.ndarray) else v
-        for i, item in enumerate(seq):
-            if i:
-                out.append(", ")
-            _write_json_value(item, out)
-        out.append("]")
+                parts.append(", ")
+            _json(item, parts, floats)
+        parts.append("]")
+    elif t is str:
+        parts.append(json.dumps(v).replace("%", "%%"))
+    elif t is bool:
+        parts.append("true" if v else "false")
+    elif t is int:
+        parts.append(str(v))
+    elif t is complex:
+        _json({"re": v.real, "im": v.imag}, parts, floats)
     else:
-        raise TypeError(f"cannot serialize {type(v)!r}")
-
-
-@functools.cache
-def _json_key(k) -> str:
-    """A dict key as JSON, with the separator after it."""
-    return json.dumps(str(k)) + ": "
+        raise TypeError(f"cannot serialize {t!r}")
 
 
 def _dumps(doc: dict) -> str:
-    out: list = []
-    _write_json_value(doc, out)
-    return "".join(out) + "\n"
+    parts: list = []
+    floats: list = []
+    _json(doc, parts, floats)
+    parts.append("\n")
+    return _fill(parts, floats)
+
+
+def _csv_field(v) -> str:
+    """A non-float CSV field as csv.writer writes it, with its % escaped."""
+    if type(v) not in (str, int, bool):
+        raise TypeError(f"cannot serialize {type(v)!r}")
+    s = str(v).replace("%", "%%")
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\n') else s
+
+
+def _csv(columns: dict) -> str:
+    """The CSV of ``columns``: a Table, or a plain dict as its one row."""
+    parts = [",".join(map(_csv_field, columns)), "\n"]
+    floats: list = []
+    for row in _rows(columns):
+        line = []
+        for v in row:
+            if type(v) is float:
+                line.append(_FLOAT)
+                floats.append(v)
+            else:
+                line.append(_csv_field(v))
+        parts += [",".join(line), "\n"]
+    return _fill(parts, floats)
 
 
 def emit_report(command: str, inputs: dict, results: dict,
@@ -172,40 +172,18 @@ def emit_report(command: str, inputs: dict, results: dict,
             "metadata": metadata}
 
 
-def _csv_from_rows(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    values = _float_table(rows, len(rows[0])) if rows else None
-    if values is not None:  # e.g. split-check's rows; csv.writer would quote none
-        buf.write(_csv_float_row(len(rows[0])) * len(rows) % values)
-    else:
-        for row in rows:
-            writer.writerow([_fmt_float(v) if isinstance(v, (float, np.floating))
-                             else v for v in row])
-    return buf.getvalue()
-
-
 def _flat_csv(results: dict) -> str:
-    keys, vals = [], []
+    flat = {}
 
-    def emit(key, v):
-        if isinstance(v, dict):
-            for k2, v2 in v.items():
-                emit(f"{key}.{k2}" if key else str(k2), v2)
-        elif isinstance(v, (list, tuple)):
-            for i, v2 in enumerate(v):
-                emit(f"{key}[{i}]", v2)
-        elif isinstance(v, complex):
-            emit(f"{key}.re", v.real)
-            emit(f"{key}.im", v.imag)
-        else:
-            keys.append(key)
-            vals.append(_fmt_float(float(v)) if isinstance(v, (float, np.floating))
-                        else str(v))
+    def flatten(prefix, doc):
+        for k, v in doc.items():
+            if type(v) is dict:
+                flatten(f"{prefix}{k}.", v)
+            else:
+                flat[prefix + k] = v
 
-    emit("", results)
-    return _csv_from_rows(keys, [vals])
+    flatten("", results)
+    return _csv(flat)
 
 
 def _write_output(text: str, out: str):
@@ -284,7 +262,7 @@ def _cmd_shift(atom, opts):
 
 
 def _cmd_ratio(atom, opts):
-    r = shift_ratio(atom, atom.constants)
+    r = shift_ratio(atom)
     return {
         "ratio_signed": r.value,
         "ratio_magnitude": r.magnitude,
@@ -294,16 +272,11 @@ def _cmd_ratio(atom, opts):
 
 
 def _cmd_split_check(atom, opts):
-    points = opts["points"]
-    check_split_grid(opts["u_min"], opts["u_max"], points)  # before np.linspace
+    grid = split_grid(opts["u_min"], opts["u_max"], opts["points"])
     _divisor("r2_prefactor", r2_prefactor(atom), atom, ("d_eg_Cm", "m_g_kg"))
-    grid = np.linspace(opts["u_min"], opts["u_max"], points)
     rep = split_check_report(atom, grid, tol=opts["tol"])
-    table = np.column_stack((rep.u, rep.re_closed, rep.im_closed, rep.re_numeric,
-                             rep.im_numeric, rep.im_rel_err, rep.re_rel_err)).tolist()
-    rows = [dict(zip(SPLIT_CHECK_COLUMNS, values)) for values in table]
     return {
-        "rows": rows,
+        "rows": Table({name: getattr(rep, name).tolist() for name in SPLIT_CHECK_COLUMNS}),
         "max_im_rel_err": float(rep.im_rel_err.max()),
         "max_re_rel_err": float(rep.re_rel_err.max()),
         "diagnostics": {
@@ -311,11 +284,6 @@ def _cmd_split_check(atom, opts):
             "max_abs_error_estimate": rep.max_abs_error_estimate,
         },
     }
-
-
-def _split_check_csv(results) -> str:
-    rows = [list(r.values()) for r in results["rows"]]
-    return _csv_from_rows(SPLIT_CHECK_COLUMNS, rows)
 
 
 def _cmd_series_check(atom, opts):
@@ -344,27 +312,20 @@ def _cmd_wavepacket_check(atom, opts):
              ("d_eg_Cm", "m_g_kg"))
     study = convergence_study(atom, NormalizationConstants(), decades,
                               ramp_fraction=opts["ramp_fraction"])
-    rows = []
-    for (t_g, zc), n in zip(study, decades):
-        rows.append({
-            "plateau_periods": n,
-            "t_g_s": t_g,
-            "rel_error": zc.rel_error,
-            "regime_flag": "ok" if zc.regime_ok else "wide-window",
-            "z_numerical": zc.z_numerical,
-            "z_closed": zc.z_closed,
-            "z_closed_inverse_u": zc.z_closed_inverse_u,
-            "narrowness": zc.narrowness,
-        })
-    return {"rows": rows,
-            "monotone": all(rows[i + 1]["rel_error"] < rows[i]["rel_error"]
-                            for i in range(len(rows) - 1))}
+    zcs = [zc for _, zc in study]
+    rows = Table(plateau_periods=decades, t_g_s=[t_g for t_g, _ in study],
+                 rel_error=[zc.rel_error for zc in zcs],
+                 regime_flag=["ok" if zc.regime_ok else "wide-window" for zc in zcs],
+                 **{name: [getattr(zc, name) for zc in zcs] for name in
+                    ("z_numerical", "z_closed", "z_closed_inverse_u", "narrowness")})
+    rel = rows["rel_error"]
+    return {"rows": rows, "monotone": all(b < a for a, b in zip(rel, rel[1:]))}
 
 
 def _wavepacket_csv(results) -> str:
-    header = ["t_g", "rel_error", "regime_flag"]
-    rows = [[r["t_g_s"], r["rel_error"], r["regime_flag"]] for r in results["rows"]]
-    return _csv_from_rows(header, rows)
+    rows = results["rows"]
+    return _csv(Table(t_g=rows["t_g_s"], rel_error=rows["rel_error"],
+                      regime_flag=rows["regime_flag"]))
 
 
 def _cmd_ww_sim(atom, opts):
@@ -378,16 +339,18 @@ def _cmd_ww_sim(atom, opts):
     dt = 0.19 / grid.max_detuning(atom.omega_eg) if dt is None else dt / gamma
     ts, ces, norms = evolve(grid, atom, t_end, dt)
     fit = fit_decay(ts, ces)
-    rows = [[t, abs(c) ** 2, c.real, c.imag] for t, c in zip(ts.tolist(), ces.tolist())]
+    ces = ces.tolist()
+    trace = Table(t=ts.tolist(), population=[abs(c) ** 2 for c in ces],
+                  re_c_e=[c.real for c in ces], im_c_e=[c.imag for c in ces])
     summary = {
         "rate_per_s": fit.rate,
         "shift_rad_s": fit.shift,
         "residual": fit.fit_residual,
         "rate_over_gamma_leading": fit.rate / gamma,
         "n_modes": n_modes,
-        "norm_drift": float(np.abs(norms - 1.0).max()),
+        "norm_drift": float(abs(norms - 1.0).max()),
     }
-    return summary, rows
+    return summary, trace
 
 
 def _cmd_constants(atom, opts):
@@ -404,8 +367,8 @@ def _cmd_constants(atom, opts):
 def _ww_sim_render(command, fmt, out, inputs, results):
     """The trace CSV goes to --out and the JSON summary to stdout; with
     --out '-' the trace takes stdout and the summary moves to stderr."""
-    summary, rows = results
-    trace_csv = _csv_from_rows(["t", "population", "re_c_e", "im_c_e"], rows)
+    summary, trace = results
+    trace_csv = _csv(trace)
     doc = _dumps(emit_report(command, inputs, summary,
                              extra_metadata={"ww_backend": "numpy",
                                              "grid_conventions": (
@@ -440,7 +403,7 @@ COMMANDS = {
               "line shift, solved normalization, series", {}),
     "ratio": (_cmd_ratio, _report_render(_flat_csv),
               "line shift over the reference shift", {}),
-    "split-check": (_cmd_split_check, _report_render(_split_check_csv),
+    "split-check": (_cmd_split_check, _report_render(lambda r: _csv(r["rows"])),
                     "numerical central splitting vs the closed form",
                     {"u_min": 1.05, "u_max": 5.0, "points": 50, "tol": 1e-11}),
     "series-check": (_cmd_series_check, _report_render(_flat_csv),

@@ -482,11 +482,12 @@ class ShiftRatio:
     magnitude: float
 
 
-def shift_ratio(atom: AtomParams, k: PhysicalConstants = CODATA2018) -> ShiftRatio:
-    """delta_final / lamb_reference.  Both the signed value and the magnitude
-    are reported: direct sign propagation gives a negative ratio while the
-    quoted comparison value is positive (see DISCREPANCY_NOTES['ratio_sign'])."""
-    ref = lamb_reference(k)
+def shift_ratio(atom: AtomParams) -> ShiftRatio:
+    """delta_final / lamb_reference, both on ``atom.constants``.  Both the
+    signed value and the magnitude are reported: direct sign propagation gives
+    a negative ratio while the quoted comparison value is positive (see
+    DISCREPANCY_NOTES['ratio_sign'])."""
+    ref = lamb_reference(atom.constants)
     if ref == 0.0:
         raise CausalAtomError("reference shift is zero; ratio undefined")
     value = delta_final(atom) / ref

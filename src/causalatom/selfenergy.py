@@ -295,16 +295,17 @@ def check_split_points(n: int) -> None:
             f"split check takes 1 to {MAX_SPLIT_POINTS} points, got {n}")
 
 
-def check_split_grid(u_min: float, u_max: float, n: int) -> None:
-    """Refuse a split-check grid before it is allocated: a point count that
-    check_split_points refuses, or an endpoint that is not finite or at which
-    the closed form cannot be evaluated (np.linspace overflows between ends
-    that far out)."""
+def split_grid(u_min: float, u_max: float, n: int) -> np.ndarray:
+    """The split-check grid, ``n`` points from ``u_min`` to ``u_max``; refused
+    before it is allocated for a point count that check_split_points refuses,
+    or an endpoint that is not finite or at which the closed form cannot be
+    evaluated (np.linspace overflows between ends that far out)."""
     check_split_points(n)
     for name, u in (("u_min", u_min), ("u_max", u_max)):
         if not math.isfinite(u):
             raise GridResolutionError(f"{name} must be finite, got {u}")
         _check_regular(u)
+    return np.linspace(u_min, u_max, n)
 
 
 def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:

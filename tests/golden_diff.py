@@ -32,6 +32,7 @@ PRESETS = {
     "unknown.json": {**ATOM, "mystery": 3},
     "bigint.json": {**ATOM, "omega_eg_rad_s": 10 ** 400},
     "list.json": [ATOM],
+    "100%s%%.json": ATOM,   # a % in the name reaches the JSON template as text
 }
 COMMANDS = ["gamma", "shift", "ratio", "split-check", "series-check",
             "wavepacket-check", "ww-sim", "constants"]
@@ -53,6 +54,9 @@ def cases() -> list:
                 [name, "--preset", "atom.json"], [name, "-h"]]
     out += [["ww-sim", "--out", "-"], ["ww-sim", "--format", "csv", "--out", "-"]]
     out += [["split-check", *grid] for grid in GRIDS]
+    out += [["split-check", "--points", "1"],
+            ["wavepacket-check", "--plateau-periods", "10", "100", "--format", "csv",
+             "--out", "out.txt"]]
     out += [["gamma", "--preset", f] for f in PRESETS if f != "atom.json"]
     out += [["gamma", "--preset", "missing.json"], ["gamma", "--preset", "synthetic:x"],
             [], ["-h"], ["--version"], ["nope"], ["gamma", "--frobnicate"],

@@ -100,7 +100,7 @@ def test_criterion_2_normalization_constants(hyd):
 
 def test_criterion_3_hydrogen_ratio(hyd):
     t0 = time.perf_counter()
-    r = shift_ratio(hyd, hyd.constants)
+    r = shift_ratio(hyd)
     elapsed = time.perf_counter() - t0
     assert 0.050 <= r.magnitude <= 0.060
     assert r.value < 0.0  # signed value reported with the sign note

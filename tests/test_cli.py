@@ -1,3 +1,6 @@
+import ast
+import csv
+import io
 import json
 import math
 import os
@@ -489,44 +492,75 @@ class TestFloatFormatting:
     EDGE = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 5.0, -3.0, 0.1, 1.0 / 3.0,
             1e308, 1e308, -1.7976931348623157e308]
 
-    def test_float_fast_paths_write_what_the_generic_path_writes(self):
-        # rows of Python floats take the one-pass template of _float_table,
-        # unless their sum overflows; the same values as numpy float scalars
-        # take the per-value path
+    def test_edge_values_written_with_seventeen_digits(self):
+        # every float fills a %.17g slot, whether or not the sum of all of
+        # them overflows, in a dict, in a list and in a Table's rows
         finite = self.EDGE[:9] + self.EDGE[10:]
         assert math.isinf(sum(self.EDGE)) and math.isfinite(sum(finite))
         for row in (self.EDGE, finite):
             keys = [f"k{i}" for i in range(len(row))]
             expected = [f"{x:.17g}" for x in row]
-            numpy_row = [np.float64(x) for x in row]
-            assert all(type(x) is not float for x in numpy_row)
-            fast = cli._dumps({"rows": [dict(zip(keys, row))], "x": row[0]})
-            generic = cli._dumps({"rows": [dict(zip(keys, numpy_row))], "x": numpy_row[0]})
-            assert fast == generic == (
-                '{"rows": [{' + ", ".join(f'"{k}": {v}' for k, v in zip(keys, expected))
-                + '}], "x": ' + expected[0] + "}\n")
-            fast = cli._csv_from_rows(keys, [row, row])
-            generic = cli._csv_from_rows(keys, [numpy_row, numpy_row])
+            obj = "{" + ", ".join(f'"{k}": {v}' for k, v in zip(keys, expected)) + "}"
+            table = cli.Table({k: [x, x] for k, x in zip(keys, row)})
+            assert cli._dumps({"row": dict(zip(keys, row)), "rows": table, "x": row,
+                               "y": row[0]}) == (
+                '{"row": ' + obj + ', "rows": [' + obj + ", " + obj + '], "x": ['
+                + ", ".join(expected) + '], "y": ' + expected[0] + "}\n")
             line = ",".join(expected) + "\n"
-            assert fast == generic == ",".join(keys) + "\n" + line + line
+            assert cli._csv(table) == ",".join(keys) + "\n" + line + line
+            assert cli._csv(dict(zip(keys, row))) == ",".join(keys) + "\n" + line
 
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-math.inf, "-inf")])
     def test_non_finite_floats_still_refused(self, bad, shown):
         message = rf"^result is not finite \({shown}\); nothing was written$"
-        for row in ([1.0, bad, 2.0], [np.float64(1.0), np.float64(bad)]):
+        row = [1.0, bad, 2.0]
+        for doc in (dict(zip("abc", row)), cli.Table({k: [x] for k, x in zip("abc", row)})):
             with pytest.raises(cli.CausalAtomError, match=message):
-                cli._dumps({"rows": [dict(zip("abc", row))]})
+                cli._dumps({"rows": doc})
             with pytest.raises(cli.CausalAtomError, match=message):
-                cli._csv_from_rows("abc", [row])
-        # the first one in order is the one reported
+                cli._csv(doc)
+        # the first one in document order is the one reported
         with pytest.raises(cli.CausalAtomError, match=message):
             cli._dumps({"a": [bad, math.nan], "b": math.inf})
+        with pytest.raises(cli.CausalAtomError, match=message):
+            cli._csv(cli.Table(a=[1.0, math.nan], b=[bad, math.inf]))
+
+    @pytest.mark.parametrize("value", [np.float64(1.5), np.int64(3), np.bool_(True),
+                                       np.complex128(1j), np.array([1.0]), None])
+    def test_numpy_values_refused_with_type_error(self, value):
+        # handlers hand over Python builtins; anything else is a bug, not a number
+        for doc in ({"a": 1.0, "b": value}, cli.Table(a=[1.0, 2.0], b=[0.5, value])):
+            for write in (cli._dumps, cli._csv):
+                with pytest.raises(TypeError, match="cannot serialize"):
+                    write(doc)
+
+    def test_percent_and_quotes_in_strings(self):
+        # no float: the JSON is json.dumps' and the CSV is csv.writer's, with
+        # every % in a key or a string written as itself
+        strings = ["100%", "%s", "%%", "%(x)s", "a,b", 'say "hi"', "two\nlines", "a\rb",
+                   "", "é"]
+        table = cli.Table({"a%s": strings, "n": list(range(len(strings))),
+                           "%": [True, False] * (len(strings) // 2)})
+        rows = [dict(zip(table, r)) for r in zip(*table.values())]
+        doc = {"%d": "%f", "rows": table, "list": strings}
+        assert cli._dumps(doc) == json.dumps({**doc, "rows": rows}) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows([list(table), *(r.values() for r in rows)])
+        assert cli._csv(table) == buf.getvalue()
+        # with floats among them, the template still takes every % as text
+        mixed = cli.Table({"x%s": [0.1, 0.2], "s": ["%.17g", "%"]})
+        assert cli._csv(mixed) == 'x%s,s\n0.10000000000000001,%.17g\n' \
+            '0.20000000000000001,%\n'
+        assert cli._dumps({"%s": mixed}) == ('{"%s": [{"x%s": 0.10000000000000001, '
+                                             '"s": "%.17g"}, {"x%s": 0.20000000000000001, '
+                                             '"s": "%"}]}\n')
 
 
 class TestOnePassTable:
-    """A table of finite floats (split-check's rows) is written in one format
-    operation; anything else takes the per-row path, which writes the same."""
+    """A Table, its rows as columns, is written as the list of its rows; each
+    row is what the same values write as a plain dict."""
 
     EDGE = TestFloatFormatting.EDGE
     # one value per edge case, the rest filler, so that the sum stays finite
@@ -536,58 +570,54 @@ class TestOnePassTable:
     KEYS = ("u", "a%s", "b", "c", "d")   # a % in a key must not reach the template
 
     @staticmethod
-    def per_row_json(rows):
-        return "[" + ", ".join(cli._dumps(r)[:-1] for r in rows) + "]\n"
+    def table(keys, rows):
+        return cli.Table({k: list(col) for k, col in zip(keys, zip(*rows))})
+
+    @staticmethod
+    def per_row_json(keys, rows):
+        return "[" + ", ".join(cli._dumps(dict(zip(keys, r)))[:-1] for r in rows) + "]\n"
 
     @staticmethod
     def per_row_csv(keys, rows):
-        return "".join(cli._csv_from_rows(keys, [r]).split("\n", 1)[1] for r in rows)
+        return "".join(cli._csv(dict(zip(keys, r))).split("\n", 1)[1] for r in rows)
 
     def test_one_pass_writes_what_each_row_writes(self):
-        dicts = [dict(zip(self.KEYS, r)) for r in self.ROWS]
-        numpy_dicts = [{k: np.float64(x) for k, x in d.items()} for d in dicts]
-        assert cli._json_float_dicts(dicts) is not None
-        assert cli._json_float_dicts(numpy_dicts) is None
+        table = self.table(self.KEYS, self.ROWS)
         expected = "[" + ", ".join(
             "{" + ", ".join(f'"{k}": {x:.17g}' for k, x in zip(self.KEYS, r)) + "}"
             for r in self.ROWS) + "]\n"
-        assert cli._dumps(dicts) == self.per_row_json(dicts) == cli._dumps(numpy_dicts) \
-            == expected
-        numpy_rows = [[np.float64(x) for x in r] for r in self.ROWS]
-        assert cli._float_table(self.ROWS, 5) is not None
-        assert cli._float_table(numpy_rows, 5) is None
+        assert cli._dumps(table) == self.per_row_json(self.KEYS, self.ROWS) == expected
         header = ",".join(self.KEYS) + "\n"
-        csv = "".join(",".join(f"{x:.17g}" for x in r) + "\n" for r in self.ROWS)
-        assert cli._csv_from_rows(self.KEYS, self.ROWS) == cli._csv_from_rows(
-            self.KEYS, numpy_rows) == header + self.per_row_csv(self.KEYS, self.ROWS) \
-            == header + csv
+        csv_rows = "".join(",".join(f"{x:.17g}" for x in r) + "\n" for r in self.ROWS)
+        assert cli._csv(table) == header + self.per_row_csv(self.KEYS, self.ROWS) \
+            == header + csv_rows
 
-    def test_other_tables_take_the_per_row_path(self):
-        rows = [dict(zip(self.KEYS, r)) for r in self.ROWS]
-        reordered = rows[:2] + [dict(reversed(rows[2].items()))]
-        fewer = rows[:2] + [dict(list(rows[2].items())[:4])]
-        mixed = rows[:2] + [{**rows[2], "b": 2}]
-        overflowing = rows + [dict(zip(self.KEYS, [1e308] * 5))] * 2
-        assert math.isinf(sum(x for r in overflowing for x in r.values()))
-        for table in (reordered, fewer, mixed, overflowing, rows + [[1.0]]):
-            assert cli._json_float_dicts(table) is None
-            assert cli._dumps(table) == self.per_row_json(table)
-        for table in ([list(r.values()) for r in t] for t in (fewer, mixed, overflowing)):
-            assert cli._float_table(table, len(table[0])) is None
-            assert cli._csv_from_rows(self.KEYS, table) == (
-                ",".join(self.KEYS) + "\n" + self.per_row_csv(self.KEYS, table))
-        # ragged rows whose lengths add up to a whole number of rows
-        ragged = [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]
-        assert cli._float_table(ragged, 2) is None
-        assert cli._csv_from_rows("ab", ragged) == "a,b\n1,2\n3\n4,5,6\n"
+    def test_mixed_and_overflowing_tables_write_what_each_row_writes(self):
+        mixed = self.ROWS[:2] + [[*self.ROWS[2][:2], 2, "x", True]]
+        overflowing = self.ROWS + [[1e308] * 5] * 2
+        assert math.isinf(sum(x for r in overflowing for x in r))
+        for rows in (mixed, overflowing):
+            table = self.table(self.KEYS, rows)
+            assert cli._dumps(table) == self.per_row_json(self.KEYS, rows)
+            assert cli._csv(table) == (",".join(self.KEYS) + "\n"
+                                       + self.per_row_csv(self.KEYS, rows))
+        assert cli._dumps(cli.Table()) == "[]\n" and cli._csv(cli.Table()) == "\n"
+        assert cli._dumps(cli.Table(a=[], b=[])) == "[]\n"
+        assert cli._csv(cli.Table(a=[], b=[])) == "a,b\n"
+
+    def test_ragged_table_refused(self):
+        ragged = cli.Table(a=[1.0, 2.0], b=[3.0])
+        for write in (cli._dumps, cli._csv):
+            with pytest.raises(ValueError, match=r"differ in length: \[2, 1\]"):
+                write(ragged)
 
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-math.inf, "-inf")])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_refused_and_nothing_written(self, capsys, tmp_path, bad, shown,
                                                     fmt):
-        rows = [dict(zip(cli.SPLIT_CHECK_COLUMNS, [float(i)] * 7)) for i in range(300)]
-        rows[200]["re_numeric"] = bad
+        rows = cli.Table({k: [float(i) for i in range(300)] for k in cli.SPLIT_CHECK_COLUMNS})
+        rows["re_numeric"][200] = bad
         results = {"rows": rows, "max_im_rel_err": 0.0, "max_re_rel_err": 0.0,
                    "diagnostics": {"quadrature_evaluations": 1,
                                    "max_abs_error_estimate": 0.0}}
@@ -598,6 +628,17 @@ class TestOnePassTable:
                 render("split-check", fmt, out, {}, results)
         assert not (tmp_path / "out").exists()
         assert capsys.readouterr() == ("", "")
+
+
+def test_cli_module_imports_no_numpy():
+    # cli hands the handlers' builtins to its writers; numpy stays in the
+    # modules that compute, so that they can be imported only when needed
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
 class TestParserOfOneCommand:

@@ -364,6 +364,16 @@ class TestShifts:
         assert r.value == pytest.approx(-0.0550824754, rel=1e-7)
         assert 0.050 <= r.magnitude <= 0.060
 
+    def test_ratio_reads_the_atoms_own_constants(self):
+        # a consistent registry other than CODATA 2018: the reference shift is
+        # m_e c^2 alpha^5 / (pi hbar) times a bracket, so it doubles with m_e
+        k = dataclasses.replace(CODATA2018, m_electron=2.0 * CODATA2018.m_electron)
+        atom = hydrogen_1s2p_preset(k)
+        assert lamb_reference(k) == 2.0 * lamb_reference(CODATA2018)
+        r = shift_ratio(atom)
+        assert r.value == delta_final(atom) / lamb_reference(k)
+        assert r.magnitude == abs(r.value)
+
     def test_ratio_scales_with_dipole_squared(self, hyd):
         double = dataclasses.replace(hyd, d_eg_abs=2.0 * hyd.d_eg_abs)
         assert shift_ratio(double).value == pytest.approx(4.0 * shift_ratio(hyd).value,
