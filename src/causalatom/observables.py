@@ -23,10 +23,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import CausalAtomError, FitResidualError, PresetError
-from .numerics import solve_linear
 from .selfenergy import (
     NormalizationConstants,
     _sym_bracket,
@@ -331,48 +328,135 @@ _EXTRACT_GRID_DECADES = (-5.0, -2.0)
 _EXTRACT_POINTS = 40
 # The sampled bracket is analytic-plus-log to all orders in delta_u, so the
 # finite fit basis is extended with nuisance orders up to du^8 (du^k and
-# du^k ln du) and solved in 50-digit arithmetic; truncation bias then sits
-# near 1e-12 on every reported coefficient.  Plain double precision tops out
-# around 5e-3 on the cubic coefficient, far above what the normalization
-# solve needs.
+# du^k ln du) and solved in 50-digit decimal arithmetic, with the LU factors
+# 10 digits higher; truncation bias then sits near 1e-12 on every reported
+# coefficient.  Plain double precision tops out around 5e-3 on the cubic
+# coefficient, far above what the normalization solve needs.
 _EXTRACT_MAX_ORDER = 8
 _EXTRACT_DPS = 50
+_C_ZERO = NormalizationConstants(0, 0, 0)   # int zeros, which Decimal accepts
 
 
-def _bracket_line_shift_mp(du, c: NormalizationConstants):
-    """6 Re B(1 + du) / (1 + du) in mpmath arithmetic (bracket units)."""
-    import mpmath as mp  # only the series fit needs mpmath: import it on first use
+def _digits(dps: int):
+    """A decimal context of ``dps`` significant digits, for ``with``."""
+    import decimal  # only the series fit needs decimal: import it on first use
 
-    u = 1 + du
-    x = du * (2 + du)
-    lnx = mp.log(du) + mp.log(2 + du)
-    re_b = _sym_bracket(u, x, lnx, 0, c)
-    return 6 * re_b / u
+    return decimal.localcontext(decimal.Context(prec=dps))
+
+
+def _line_shift_samples(grid):
+    """6 Re B(1 + du; C = 0) / (1 + du) at each Decimal du of ``grid``, in
+    50-digit arithmetic (bracket units)."""
+    out = []
+    with _digits(_EXTRACT_DPS):
+        for du in grid:
+            u = 1 + du
+            re_b = _sym_bracket(u, du * (2 + du), du.ln() + (2 + du).ln(), 0, _C_ZERO)
+            out.append(6 * re_b / u)
+    return out
+
+
+def _lu_factor(m):
+    """Overwrite the square matrix m (a list of rows) with its Doolittle LU
+    factors, unpivoted: both systems solved here have nonzero leading minors
+    (A^T A is positive definite; the normalization matrix is [[6, 6, 6],
+    [-6, 0, 6], [6, 0, 0]] to within the fit's accuracy)."""
+    n = len(m)
+    for j in range(n):
+        for i in range(j + 1, n):
+            m[i][j] /= m[j][j]
+            for k in range(j + 1, n):
+                m[i][k] -= m[i][j] * m[j][k]
+
+
+def _lu_solve(lu, b):
+    """Solve (L U) x = b for the factors of _lu_factor."""
+    n = len(lu)
+    x = list(b)
+    for i in range(n):
+        x[i] -= sum(lu[i][j] * x[j] for j in range(i))
+    for i in reversed(range(n)):
+        x[i] = (x[i] - sum(lu[i][j] * x[j] for j in range(i + 1, n))) / lu[i][i]
+    return x
 
 
 @functools.cache
 def _series_design():
     """Grid, column-scaled basis A (du^k, and du^k ln du for k >= 3), column
-    scales, A^T and the LU factors of A^T A: the same for every atom and C.
-    The factors are taken at mp.lu_solve's working precision, so solving
-    against them reproduces its result bit for bit.  Every fit shares these
-    matrices, so callers only read them."""
-    import mpmath as mp
+    scales and the LU factors of A^T A, as lists of Decimal: the same for
+    every atom and C, so every fit shares them and only reads them."""
+    from decimal import Decimal
 
-    with mp.workdps(_EXTRACT_DPS):
+    with _digits(_EXTRACT_DPS):
         lo, hi = _EXTRACT_GRID_DECADES
-        grid = [mp.mpf(10) ** (lo + (hi - lo) * i / (_EXTRACT_POINTS - 1))
+        grid = [Decimal(10) ** Decimal(lo + (hi - lo) * i / (_EXTRACT_POINTS - 1))
                 for i in range(_EXTRACT_POINTS)]
-        a = mp.matrix([[du ** k for k in range(3)]
-                       + [v for k in range(3, _EXTRACT_MAX_ORDER + 1)
-                          for v in (du ** k, du ** k * mp.log(du))] for du in grid])
-        scale = [max(abs(a[i, j]) for i in range(a.rows)) for j in range(a.cols)]
-        a = mp.matrix([[a[i, j] / scale[j] for j in range(a.cols)] for i in range(a.rows)])
-        at = a.T
-        normal = at * a  # at 50 digits; mp.lu_solve factors it 10 bits higher
-        with mp.extraprec(10):
-            lu = mp.mp.LU_decomp(normal)
-    return grid, a, scale, at, lu
+        rows = [[du ** k for k in range(3)]
+                + [v for k in range(3, _EXTRACT_MAX_ORDER + 1)
+                   for v in (du ** k, du ** k * ln_du)]
+                for du, ln_du in zip(grid, (du.ln() for du in grid))]
+        scale = [max(abs(v) for v in col) for col in zip(*rows)]
+        a = [[v / s for v, s in zip(row, scale)] for row in rows]
+        lu = [[sum(p * q for p, q in zip(ci, cj)) for cj in zip(*a)]   # A^T A, factored
+              for ci in zip(*a)]                                          # in place below
+    with _digits(_EXTRACT_DPS + 10):
+        _lu_factor(lu)
+    return grid, a, scale, lu
+
+
+def _samples(design):
+    """The samples at C = 0 on the design grid, and their derivatives in
+    (C0, C1, C2): B is linear in C, so these are 6/u, 6 and 6 u."""
+    from decimal import Decimal
+
+    grid = design[0]
+    with _digits(_EXTRACT_DPS):
+        columns = ([6 / (1 + du) for du in grid], [Decimal(6)] * len(grid),
+                   [6 * (1 + du) for du in grid])
+    return _line_shift_samples(grid), columns
+
+
+def _samples_at(samples, c: NormalizationConstants):
+    """The samples at C, from those of _samples."""
+    from decimal import Decimal
+
+    y0, columns = samples
+    k0, k1, k2 = (Decimal(v) for v in (c.c0, c.c1, c.c2))   # exact
+    with _digits(_EXTRACT_DPS):
+        return [v + k0 * p + k1 * q + k2 * r for v, p, q, r in zip(y0, *columns)]
+
+
+def _fit(design, y):
+    """Least-squares fit of samples ``y`` on the design: the unscaled
+    coefficients of 1, du, du^2, du^3 and du^3 ln du, and the largest
+    residual, as Decimal."""
+    _, a, scale, lu = design
+    with _digits(_EXTRACT_DPS):
+        aty = [sum(p * v for p, v in zip(col, y)) for col in zip(*a)]
+    with _digits(_EXTRACT_DPS + 10):
+        beta = _lu_solve(lu, aty)
+    with _digits(_EXTRACT_DPS):
+        resid = max(abs(sum(p * b for p, b in zip(row, beta)) - v) for row, v in zip(a, y))
+        return [beta[j] / scale[j] for j in range(5)], resid
+
+
+def _fitted_series(atom: AtomParams, design, y) -> LineShiftSeries:
+    """The series fitted to samples ``y``, refused with FitResidualError if
+    the basis does not reproduce them."""
+    from decimal import Decimal
+
+    (c0, c1, c2, c3, c_log3), resid = _fit(design, y)
+    with _digits(_EXTRACT_DPS):
+        c3 -= c_log3 * Decimal(2).ln()   # log(2 du) = ln 2 + ln du
+    # the constant coefficient dominates the sampled values on this grid,
+    # so the data magnitude is its degenerate-fit-proof proxy
+    leading = max(float(abs(v)) for v in y)
+    if float(resid) > 1e-6 * leading:
+        raise FitResidualError(
+            f"series fit residual {float(resid):.3e} exceeds 1e-6 of the "
+            f"leading coefficient scale {leading:.3e}")
+    return LineShiftSeries(c_log3=float(c_log3), c0=float(c0), c1=float(c1),
+                           c2=float(c2), c3=float(c3), prefactor=_shift_prefactor(atom))
 
 
 def extract_series_numerically(atom: AtomParams,
@@ -385,28 +469,8 @@ def extract_series_numerically(atom: AtomParams,
     {1, du, du^2, du^3, du^3 ln du} (plus higher nuisance orders; the ln 2 of
     log(2 du) is absorbed into the du^3 column and re-separated analytically).
     """
-    import mpmath as mp
-
-    grid, a, scale, at, (lu, perm) = _series_design()
-    with mp.workdps(_EXTRACT_DPS):
-        y = [_bracket_line_shift_mp(du, c) for du in grid]
-        rhs = at * mp.matrix(y)
-        with mp.extraprec(10):
-            beta_scaled = mp.mp.U_solve(lu, mp.mp.L_solve(lu, rhs, perm))
-        # columns 0..4 hold 1, du, du^2, du^3 and du^3 ln du
-        c0, c1, c2, c3, c_log3 = (beta_scaled[j] / scale[j] for j in range(5))
-        resid = max(abs(f - v) for f, v in zip(a * beta_scaled, y))
-        coeffs = dict(c_log3=float(c_log3), c0=float(c0), c1=float(c1), c2=float(c2),
-                      c3=float(c3 - c_log3 * mp.log(2)))
-        # the constant coefficient dominates the sampled values on this grid,
-        # so the data magnitude is its degenerate-fit-proof proxy
-        leading = max(float(abs(v)) for v in y)
-        if float(resid) > 1e-6 * leading:
-            raise FitResidualError(
-                f"series fit residual {float(resid):.3e} exceeds 1e-6 of the "
-                f"leading coefficient scale {leading:.3e}")
-
-    return LineShiftSeries(prefactor=_shift_prefactor(atom), **coeffs)
+    design = _series_design()
+    return _fitted_series(atom, design, _samples_at(_samples(design), c))
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +485,32 @@ def solve_normalization(atom: AtomParams) -> NormalizationConstants:
     of the numerically extracted series to vanish.
 
     The fitted coefficients are exactly linear in C, so the 3x3 system is
-    assembled from four extractions (origin plus unit vectors).  The residual
-    cubic coefficient at the solution must match -3 (2 C0 + 15); a violation
-    raises, since it would mean the extraction and the closed form disagree.
+    assembled from one sampling of the bracket at C = 0: its fit, and the
+    fits of the samples' derivatives in C; it is solved in the fit's decimal
+    arithmetic, and the series at the solution is fitted from the same
+    samples.  The residual cubic coefficient
+    at the solution must match -3 (2 C0 + 15); a violation raises, since it
+    would mean the extraction and the closed form disagree.
     """
     return _solve_normalization(atom)[0]
 
 
-def _solve_normalization(atom: AtomParams):
+def _solve_normalization(atom):
     """solve_normalization, and the series fitted at the solution to check it."""
-    def low_coeffs(c):
-        s = extract_series_numerically(atom, c)
-        return np.array([s.c0, s.c1, s.c2])
+    design = _series_design()
+    samples = _samples(design)
+    y0, columns = samples
 
-    v0 = low_coeffs(NormalizationConstants())
-    m = np.zeros((3, 3))
-    units = (NormalizationConstants(1, 0, 0), NormalizationConstants(0, 1, 0),
-             NormalizationConstants(0, 0, 1))
-    for j, e in enumerate(units):
-        m[:, j] = low_coeffs(e) - v0
-    solved = solve_linear(m, -v0)
+    # the 3x3 system M C = -v0 from the fitted (c0, c1, c2): v0 of the samples
+    # at C = 0, column j of M of their derivative in C_j
+    v0, *derivs = [_fit(design, y)[0][:3] for y in (y0, *columns)]
+    m = [list(row) for row in zip(*derivs)]
+    with _digits(_EXTRACT_DPS + 10):
+        _lu_factor(m)
+        solved = _lu_solve(m, [-v for v in v0])
     result = NormalizationConstants(*[float(v) for v in solved])
 
-    check = extract_series_numerically(atom, result)
+    check = _fitted_series(atom, design, _samples_at(samples, result))
     expected_cubic = -3.0 * (2.0 * result.c0 + 15.0)
     if abs(check.c3 - expected_cubic) > 1e-8:
         raise CausalAtomError(

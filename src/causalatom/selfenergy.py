@@ -174,21 +174,23 @@ def _check_regular(u: float):
 def _front_term(u, x, ln_abs_x, step):
     """x^3/(2u^4) (step - 2 ln|x|), the branch-cut and log part of every bracket.
 
-    Generic over float, ndarray and mpf.  The caller supplies x = u^2 - 1
-    and ln|x| in whatever cancellation-free form it has, and step (2 pi i
-    on the support, 0 off it).
+    Generic over float, ndarray, mpf and Decimal.  The caller supplies
+    x = u^2 - 1 and ln|x| in whatever cancellation-free form it has, and
+    step (2 pi i on the support, 0 off it).
     """
     return x ** 3 / (2 * u ** 4) * (step - 2 * ln_abs_x)
 
 
 def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
-    """Symmetrized bracket, generic over float, ndarray and mpf:
+    """Symmetrized bracket, generic over float, ndarray, mpf and Decimal:
     B = x^3/(2u^4) (step - 2 ln|x|) + 1/u^2 - 5/2 + 11u^2/6 + C0 + C1 u + C2 u^2,
     with the arguments of _front_term.  The terms are added left to right;
-    the CLI output depends on that order to the last bit.
+    the CLI output depends on that order to the last bit.  Every literal is
+    an int, and 5/2 is formed as 5 u^0 / 2, so a Decimal u (with int step
+    and C) never meets a float; for floats each term is the same to the bit.
     """
-    return (_front_term(u, x, ln_abs_x, step) + 1.0 / u ** 2 - 2.5
-            + 11.0 * u ** 2 / 6.0 + c.c0 + c.c1 * u + c.c2 * u ** 2)
+    return (_front_term(u, x, ln_abs_x, step) + 1 / u ** 2 - 5 * u ** 0 / 2
+            + 11 * u ** 2 / 6 + c.c0 + c.c1 * u + c.c2 * u ** 2)
 
 
 def r2_tilde_closed(u: float, atom) -> complex:

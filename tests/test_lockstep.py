@@ -378,19 +378,20 @@ def test_slow_integrals_after_the_first_wait():
     assert (seen[SLOW_WIDTH:] <= SLOW_EVALUATIONS + 30).all()
 
 
-def test_mpmath_not_imported_outside_the_series_fit():
+def test_no_command_imports_mpmath():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # every command in one fresh interpreter, the series fits of shift and
+    # series-check included; split-check on a short grid to keep it quick
     script = (
         "import contextlib, io, sys\n"
         "import causalatom.cli as c\n"
+        "argv = {'split-check': ['--points', '5']}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [c.main(['split-check', '--points', '5']), c.main(['ww-sim'])]\n"
-        "    seen = 'mpmath' in sys.modules\n"
-        "    codes.append(c.main(['shift']))\n"
-        "print(codes, seen, 'mpmath' in sys.modules)\n")
+        "    codes = {name: c.main([name, *argv.get(name, [])]) for name in c.COMMANDS}\n"
+        "print(sorted(codes.items()), 'mpmath' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=False)
-    # the series fit behind `shift` still imports it: the check can see it
-    assert proc.stdout == "[0, 0, 0] False True\n", proc.stderr
+    assert proc.stdout == f"{sorted((name, 0) for name in cli.COMMANDS)} False\n", proc.stderr
+    assert {"shift", "series-check"} <= set(cli.COMMANDS)

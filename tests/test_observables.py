@@ -217,18 +217,21 @@ class TestLineShiftSeries:
 
     def test_extraction_residual_guard(self, hyd, monkeypatch):
         # a non-smooth sampled function must trip the residual check
+        from decimal import Decimal
         from causalatom import observables as obs
-        import mpmath as mp
 
-        real = obs._bracket_line_shift_mp
+        real = obs._line_shift_samples
 
-        def noisy(du, c):
-            return real(du, c) * (1 + mp.mpf("1e-4") * mp.sin(1.0 / du))
+        def noisy(grid):
+            return [v * (1 + Decimal(1e-4 * math.sin(1.0 / float(du))))
+                    for v, du in zip(real(grid), grid)]
 
-        monkeypatch.setattr(obs, "_bracket_line_shift_mp", noisy)
+        monkeypatch.setattr(obs, "_line_shift_samples", noisy)
         from causalatom.errors import FitResidualError
         with pytest.raises(FitResidualError):
             extract_series_numerically(hyd, C0)
+        with pytest.raises(FitResidualError):
+            solve_normalization(hyd)
 
     def test_fitted_log_coefficient_independent_of_c(self, hyd):
         f1 = extract_series_numerically(hyd, NormalizationConstants(3.0, -1.0, 2.0))
@@ -242,9 +245,19 @@ class TestLineShiftSeries:
         assert up.c0 - base.c0 == pytest.approx(6.0, abs=1e-10)
 
 
+def _bracket_line_shift_mp(du, c):
+    """6 Re B(1 + du; C) / (1 + du) in mpmath arithmetic (bracket units)."""
+    import mpmath as mp
+    from causalatom.selfenergy import _sym_bracket
+
+    u = 1 + du
+    return 6 * _sym_bracket(u, du * (2 + du), mp.log(du) + mp.log(2 + du), 0, c) / u
+
+
 def _reference_extract(c):
-    """The fit as it stood before its design was cached: the grid, the basis,
-    the normal matrix and its mp.lu_solve factorization are rebuilt per call.
+    """The fit in mpmath, independent of the package's decimal one: the
+    grid, the basis, the samples at C, the normal matrix and its
+    mp.lu_solve factorization are built per call.
     Returns (c_log3, c0, c1, c2, c3)."""
     import mpmath as mp
     from causalatom import observables as obs
@@ -253,7 +266,7 @@ def _reference_extract(c):
         lo, hi = obs._EXTRACT_GRID_DECADES
         grid = [mp.mpf(10) ** (lo + (hi - lo) * i / (obs._EXTRACT_POINTS - 1))
                 for i in range(obs._EXTRACT_POINTS)]
-        y = [obs._bracket_line_shift_mp(du, c) for du in grid]
+        y = [_bracket_line_shift_mp(du, c) for du in grid]
         rows = []
         for du in grid:
             row = []
@@ -292,12 +305,43 @@ class TestSeriesDesign:
         assert [extract_series_numerically(hyd, c) for c in cs] == forward
 
     def test_design_built_once_per_process(self, hyd):
+        # each public fit fetches the design once: the solve's five fits
+        # (C = 0, the three derivative columns, the check) share one fetch
         from causalatom import observables as obs
         obs._series_design.cache_clear()
         solve_normalization(hyd)
         extract_series_numerically(hyd, NORMALIZATION_EXACT)
         info = obs._series_design.cache_info()
-        assert (info.misses, info.hits) == (1, 5)
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_bracket_sampled_once_per_fit(self, hyd, monkeypatch):
+        from causalatom import observables as obs
+        calls = []
+        real = obs._line_shift_samples
+
+        def counted(grid):
+            calls.append(len(grid))
+            return real(grid)
+
+        monkeypatch.setattr(obs, "_line_shift_samples", counted)
+        solve_normalization(hyd)
+        extract_series_numerically(hyd, C0)
+        assert calls == [obs._EXTRACT_POINTS] * 2
+
+    def test_decimal_samples_are_the_float_bracket(self):
+        # the decimal sampler and the float path run the one _sym_bracket
+        from causalatom import observables as obs
+        from causalatom.selfenergy import t2_bracket_resonant
+        grid = obs._series_design()[0]
+        for du, y in zip(grid, obs._line_shift_samples(grid)):
+            b = t2_bracket_resonant(float(du), C0).real
+            assert float(y) == pytest.approx(6.0 * b / (1.0 + float(du)), rel=1e-12)
+
+    def test_solve_leaves_the_decimal_context_alone(self, hyd):
+        import decimal
+        before = decimal.getcontext().prec
+        solve_normalization(hyd)
+        assert decimal.getcontext().prec == before
 
 
 class TestSolveNormalization:

@@ -6,7 +6,9 @@ import pytest
 from causalatom.errors import CausalAtomError
 from causalatom.observables import (
     CODATA2018,
+    atom_from_dict,
     gamma_leading,
+    hydrogen_1s2p_preset,
     synthetic_atom,
 )
 from causalatom.selfenergy import NormalizationConstants
@@ -114,6 +116,82 @@ class TestWavepacket:
         z2 = z_numerical(atom, C0, g,
                          wavepacket=Wavepacket(0.0, 1e-6 / atom.lambda_bar_e))
         assert z1.z_numerical == z2.z_numerical
+
+
+def _z_integral_full_spectrum(atom, c_norm, g, n_fft, pad):
+    """The Z integral over the full FFT spectrum: the complex transform with
+    its phase e^{i q x0}, and the bracket at every q of np.fft.fftfreq."""
+    from causalatom.selfenergy import t2_bracket_resonant, t2_prefactor
+
+    two_pi = 2.0 * math.pi
+    lo, hi = g.support
+    margin = 0.02 * (hi - lo)
+    x0 = lo - margin
+    window = (hi - lo + 2 * margin) * pad
+    dx = window / n_fft
+    gx = g.evaluate(x0 + dx * np.arange(n_fft))
+    q = two_pi * np.fft.fftfreq(n_fft, d=dx)
+    gt = dx / math.sqrt(two_pi) * np.exp(1j * q * x0) * np.fft.ifft(gx) * n_fft
+    weight = np.abs(gt) ** 2
+    dq = two_pi / window
+    bracket = t2_bracket_resonant(atom.delta_u, c_norm, offset=atom.lambda_bar_g * q)
+    z = two_pi ** 2 * 2.0 * t2_prefactor(atom) * np.sum(bracket * weight) * dq
+    total = float(np.sum(weight) * dq)
+    mean_q = float(np.sum(q * weight) * dq / total)
+    var_q = float(np.sum((q - mean_q) ** 2 * weight) * dq / total)
+    return complex(z), atom.lambda_bar_g * math.sqrt(max(var_q, 0.0))
+
+
+# hydrogen, synthetic:1e-2 and the atom of a preset file
+_Z_ATOMS = {
+    "hydrogen": lambda: hydrogen_1s2p_preset(),
+    "synthetic": lambda: synthetic_atom(1e-2),
+    "file": lambda: atom_from_dict({"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
+                                    "d_eg_Cm": 6.3e-30, "t_g_s": 1.0}),
+}
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("name", sorted(_Z_ATOMS))
+    @pytest.mark.parametrize("n_fft", [2 ** 15, 2 ** 12 + 1])
+    def test_matches_full_spectrum(self, name, n_fft):
+        # the default plateau decades; an odd N has no Nyquist bin
+        from causalatom import wavepacket as wp
+        atom = _Z_ATOMS[name]()
+        period = 2 * math.pi / atom.omega_eg
+        for n in (10, 100, 1000, 10000):
+            g = TestFunction(n * period, 0.1 * n * period, atom.constants.c)
+            z_half, width_half = wp._z_integral_fft(atom, C0, g, n_fft, 1.6)
+            z_full, width_full = _z_integral_full_spectrum(atom, C0, g, n_fft, 1.6)
+            assert abs(z_half - z_full) <= 1e-14 * abs(z_full)
+            assert abs(width_half - width_full) <= 1e-14 * width_full
+
+    @pytest.mark.parametrize("signs", [(1,), (1, -1)])
+    def test_nyquist_bin_counted_once_at_minus_half(self, atom, monkeypatch, signs):
+        # a bracket that is 1 at q = -N/2 (fftfreq's label for the Nyquist
+        # bin), or at +-N/2, and 0 elsewhere picks out that bin's weight:
+        # counted at +N/2 the first would read 0, counted at both the second
+        # would double
+        from causalatom import selfenergy, wavepacket as wp
+        n_fft, pad = 64, 1.6
+        period = 2 * math.pi / atom.omega_eg
+        g = TestFunction(10 * period, period, atom.constants.c)
+        lo, hi = g.support
+        dx = (hi - lo) * 1.04 * pad / n_fft
+        nyquist = atom.lambda_bar_g * 2 * math.pi * np.fft.fftfreq(n_fft, d=dx)[n_fft // 2]
+        assert nyquist < 0
+
+        def spike(delta_u, c, offset=0.0):
+            off = np.asarray(offset, dtype=float)
+            hit = sum(np.isclose(off, sign * nyquist, rtol=1e-12, atol=0.0) for sign in signs)
+            return np.where(hit, 1.0 + 0j, 0j)
+
+        monkeypatch.setattr(wp, "t2_bracket_resonant", spike)
+        monkeypatch.setattr(selfenergy, "t2_bracket_resonant", spike)
+        z_half, _ = wp._z_integral_fft(atom, C0, g, n_fft, pad)
+        z_full, _ = _z_integral_full_spectrum(atom, C0, g, n_fft, pad)
+        assert z_full != 0
+        assert z_half == pytest.approx(z_full, rel=1e-12)
 
 
 class TestZNumerical:
