@@ -397,8 +397,8 @@ def _series_design():
                 for du, ln_du in zip(grid, (du.ln() for du in grid))]
         scale = [max(abs(v) for v in col) for col in zip(*rows)]
         a = [[v / s for v, s in zip(row, scale)] for row in rows]
-        lu = [[sum(p * q for p, q in zip(ci, cj)) for cj in zip(*a)]   # A^T A, factored
-              for ci in zip(*a)]                                          # in place below
+        # A^T A, which _lu_factor overwrites with its factors
+        lu = [[sum(p * q for p, q in zip(ci, cj)) for cj in zip(*a)] for ci in zip(*a)]
     with _digits(_EXTRACT_DPS + 10):
         _lu_factor(lu)
     return grid, a, scale, lu

@@ -144,7 +144,7 @@ def _z_integral_full_spectrum(atom, c_norm, g, n_fft, pad):
 
 # hydrogen, synthetic:1e-2 and the atom of a preset file
 _Z_ATOMS = {
-    "hydrogen": lambda: hydrogen_1s2p_preset(),
+    "hydrogen": hydrogen_1s2p_preset,
     "synthetic": lambda: synthetic_atom(1e-2),
     "file": lambda: atom_from_dict({"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
                                     "d_eg_Cm": 6.3e-30, "t_g_s": 1.0}),
