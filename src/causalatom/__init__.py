@@ -2,7 +2,7 @@
 
 Modules:
   numerics     batched adaptive quadrature (principal values as rows with a
-               pole), small linear solves
+               pole)
   splitting    retarded/advanced parts of 1-D momentum-space causal distributions
   selfenergy   closed-form self-energy distributions and their symmetrization
   observables  constants, atom presets, decay rate, line shift, normalization

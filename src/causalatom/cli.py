@@ -370,11 +370,9 @@ def _ww_sim_render(command, fmt, out, inputs, results):
     summary, trace = results
     trace_csv = _csv(trace)
     doc = _dumps(emit_report(command, inputs, summary,
-                             extra_metadata={"ww_backend": "numpy",
-                                             "grid_conventions": (
-                                                 "uniform comb, flat couplings, "
-                                                 "golden-rule calibration; grid "
-                                                 "choices are this package's own")}))
+                             extra_metadata={"grid_conventions": (
+                                 "uniform comb, flat couplings, golden-rule "
+                                 "calibration; grid choices are this package's own")}))
     if out == "-":
         sys.stdout.write(trace_csv)
         sys.stderr.write(doc)

@@ -22,14 +22,6 @@ class PoleLocationError(CausalAtomError):
     """Principal-value pole not strictly inside the integration interval."""
 
 
-class SingularMatrixError(CausalAtomError):
-    """Linear system matrix is numerically singular."""
-
-    def __init__(self, message, determinant=None):
-        super().__init__(message)
-        self.determinant = determinant
-
-
 class BranchPointError(CausalAtomError):
     """Evaluation requested at (or too close to) a branch point."""
 

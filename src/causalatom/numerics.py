@@ -1,4 +1,4 @@
-"""Deterministic quadrature and small linear solves.
+"""Deterministic adaptive quadrature.
 
 Everything here is pure and single-threaded: identical inputs give
 bitwise-identical outputs.  Integrands must be numpy-vectorized
@@ -39,18 +39,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    PoleLocationError,
-    QuadratureConvergenceError,
-    SingularMatrixError,
-)
+from .errors import PoleLocationError, QuadratureConvergenceError
 
 __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "integrate_batch",
     "pieces",
-    "solve_linear",
 ]
 
 DEFAULT_REL_TOL = 1e-10
@@ -486,6 +481,12 @@ def integrate_adaptive(
     """Integrate a vectorized real-to-complex function over [lo, hi], a
     batch of one.
 
+    It stops once err <= max(abs_tol, rel_tol |value|, 64 eps sum|panel|).
+    abs_tol is absolute, in the units of the integral.  The default 1e-14
+    exceeds rel_tol |value| for any integral below 1e-14 / rel_tol in
+    magnitude (a length in metres, say), and then sets the accuracy: pass
+    an abs_tol scaled to the expected value for such an integral.
+
     Infinite endpoints are handled with the monotone map k = lo + t/(1-t)
     (mirrored for a -inf endpoint); a (-inf, inf) interval is split at 0,
     each half meeting half of abs_tol.  Raises ValueError unless lo < hi,
@@ -499,36 +500,3 @@ def integrate_adaptive(
         raise exc
     return _result(sums[0], evaluations[0])
 
-
-# ---------------------------------------------------------------------------
-# Small linear solves
-# ---------------------------------------------------------------------------
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve A x = b for a small square system, rejecting singular A.
-
-    The determinant is tested against a scale-aware tolerance; the residual
-    ||Ax - b|| <= 1e-12 ||b|| is verified after the solve.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ValueError(f"expected square system, got A{a.shape}, b{b.shape}")
-    det = float(np.linalg.det(a))
-    scale = np.abs(a).max()
-    if scale == 0.0 or abs(det) < 1e-12 * scale ** a.shape[0]:
-        raise SingularMatrixError(
-            f"matrix numerically singular (det = {det:.6e})", determinant=det)
-    x = np.linalg.solve(a, b)
-    resid = np.linalg.norm(a @ x - b)
-    bnorm = np.linalg.norm(b)
-    if bnorm > 0 and resid > 1e-12 * bnorm:
-        # one step of iterative refinement, then give up honestly
-        x = x + np.linalg.solve(a, b - a @ x)
-        resid = np.linalg.norm(a @ x - b)
-        if resid > 1e-12 * bnorm:
-            raise SingularMatrixError(
-                f"solve residual {resid:.3e} exceeds 1e-12 |b| (det = {det:.6e})",
-                determinant=det,
-            )
-    return x

@@ -153,8 +153,7 @@ def as_causal_distribution(atom, unit_scale: bool = False) -> CausalDistribution
     def evaluate(kk):
         return 2j * scale * _core(kk)
 
-    return CausalDistribution1D(evaluate=evaluate, singular_order=2,
-                                k_min=1.0, parity="odd", large_k_growth=2)
+    return CausalDistribution1D(evaluate=evaluate, singular_order=2, k_min=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,25 +56,18 @@ SPLIT_CHUNK_POINTS = 128
 class CausalDistribution1D:
     """Momentum-space causal distribution d(k) with a support gap at the origin.
 
-    evaluate must be numpy-vectorized, return exactly 0 for |k| < k_min, and
-    satisfy |d(k)| <~ |k|^large_k_growth at large |k|.
+    evaluate must be numpy-vectorized and return exactly 0 for |k| < k_min.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     singular_order: int
     k_min: float
-    parity: str = "none"  # "even" | "odd" | "none"
-    large_k_growth: int = 0
 
     def __post_init__(self):
         if self.singular_order < -1:
             raise ValueError("singular order must be >= -1")
         if self.k_min < 0:
             raise ValueError("k_min must be >= 0")
-        if self.parity not in ("even", "odd", "none"):
-            raise ValueError(f"parity must be even/odd/none, got {self.parity!r}")
-        if self.large_k_growth > self.singular_order:
-            raise ValueError("large_k_growth must not exceed the singular order")
 
 
 @dataclass(frozen=True)
@@ -269,26 +262,3 @@ def polynomial_residual(d: CausalDistribution1D, q: float, grid,
     return PolynomialResidual(coefficients=tuple(float(c) for c in coef),
                               max_abs_deviation=dev)
 
-
-def validate_distribution(d: CausalDistribution1D, rng=None, n_points: int = 64,
-                          atol: float = 1e-12) -> None:
-    """Sampled checks of the declared invariants (gap, parity, growth)."""
-    rng = rng or np.random.RandomState(0)
-    if d.k_min > 0:
-        kg = rng.uniform(-d.k_min, d.k_min, n_points) * 0.999
-        vals = d.evaluate(kg)
-        if np.any(vals != 0):
-            raise SupportError("evaluate must vanish identically inside the gap")
-    if d.parity != "none":
-        k = rng.uniform(d.k_min * 1.01 + 0.1, d.k_min + 10.0, n_points)
-        sign = 1.0 if d.parity == "even" else -1.0
-        left = d.evaluate(-k)
-        right = sign * d.evaluate(k)
-        scale = np.abs(right).max()
-        if scale > 0 and np.abs(left - right).max() > atol * scale:
-            raise ValueError(f"declared parity {d.parity!r} violated")
-    k_big = np.array([100.0, 1000.0]) * max(1.0, d.k_min)
-    vals = np.abs(d.evaluate(k_big)) / k_big.astype(float) ** d.large_k_growth
-    if vals[0] > 0 and not (0.5 < vals[1] / vals[0] < 2.0):
-        raise ValueError("large-k growth bound looks violated "
-                         f"(normalized magnitudes {vals})")

@@ -56,7 +56,9 @@ def cases() -> list:
     out += [["split-check", *grid] for grid in GRIDS]
     out += [["split-check", "--points", "1"],
             ["wavepacket-check", "--plateau-periods", "10", "100", "--format", "csv",
-             "--out", "out.txt"]]
+             "--out", "out.txt"],
+            # rel_error there is the reduction error, not rounding as on hydrogen
+            ["wavepacket-check", "--preset", "synthetic:1e-3"]]
     out += [["gamma", "--preset", f] for f in PRESETS if f != "atom.json"]
     out += [["gamma", "--preset", "missing.json"], ["gamma", "--preset", "synthetic:x"],
             [], ["-h"], ["--version"], ["nope"], ["gamma", "--frobnicate"],

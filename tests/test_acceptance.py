@@ -28,7 +28,6 @@ from causalatom.splitting import (
     advanced_part_mirrored,
     polynomial_residual,
     retarded_part_central,
-    validate_distribution,
 )
 from causalatom.wavepacket import convergence_study
 from causalatom.wworacle import build_grid, evolve, fit_decay
@@ -198,8 +197,14 @@ def test_criterion_7_property_suites(hyd):
         c = NormalizationConstants(*rng.uniform(-10, 10, 3))
         assert z_factor(hyd, c).imag == pytest.approx(ref, rel=1e-12)
 
-    # parity/support/growth of the wrapped distribution
-    validate_distribution(as_causal_distribution(hyd))
+    # support gap, odd parity and u^2 growth of the wrapped distribution
+    wrapped = as_causal_distribution(hyd)
+    rng = np.random.RandomState(0)
+    assert np.all(wrapped.evaluate(rng.uniform(-0.999, 0.999, 64)) == 0)
+    k = rng.uniform(1.01, 11.0, 64)
+    assert np.array_equal(wrapped.evaluate(-k), -wrapped.evaluate(k))
+    growth = np.abs(wrapped.evaluate(np.array([100.0, 1000.0]))) / np.array([1e4, 1e6])
+    assert growth[1] / growth[0] == pytest.approx(1.0, abs=1e-3)
 
     # WW norm conservation
     g_lead = gamma_leading(hyd)

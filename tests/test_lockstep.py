@@ -177,7 +177,7 @@ def test_plain_piece_matches_reference(k_min):
     # with k_min != 1 the fold's end p0 -+ (p0 -+ k_min) can round short of
     # the support edge, which leaves a plain piece between them
     d = CausalDistribution1D(evaluate=lambda k: 2j * _core(k / k_min), singular_order=2,
-                             k_min=k_min, parity="odd", large_k_growth=2)
+                             k_min=k_min)
     p0s = k_min * np.concatenate([np.linspace(-6.0, -1.1, 20), np.linspace(-0.9, 0.9, 5),
                                   np.linspace(1.1, 6.0, 20)])
     values, evals, _ = retarded_parts_central(d, p0s)

@@ -5,16 +5,8 @@ import pytest
 import scipy.integrate
 
 from causalatom import numerics
-from causalatom.errors import (
-    PoleLocationError,
-    QuadratureConvergenceError,
-    SingularMatrixError,
-)
-from causalatom.numerics import (
-    integrate_adaptive,
-    integrate_batch,
-    solve_linear,
-)
+from causalatom.errors import PoleLocationError, QuadratureConvergenceError
+from causalatom.numerics import integrate_adaptive, integrate_batch
 
 
 def _build_gk15():
@@ -235,45 +227,3 @@ class TestIntegratePV:
         exact = (0.0) - (-(0.25) * math.log(1.0) + 0.5 + 0.25 * math.log(1.0))
         assert abs(mine - exact) < 1e-10
 
-
-class TestSolveLinear:
-    def test_identity(self):
-        x = solve_linear(np.eye(3), [1.0, 2.0, 3.0])
-        assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-14)
-
-    def test_diagonal(self):
-        x = solve_linear(np.diag([2.0, 4.0, 8.0]), [2.0, 4.0, 8.0])
-        assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
-
-    def test_normalization_fixing_system(self):
-        # rows: coefficient formulas of the line-shift bracket in (C0, C1, C2):
-        #   delta-u^0:  2 + 6 C0 + 6 C1 + 6 C2 = 0
-        #   delta-u^1:  8 - 6 C0 + 6 C2 = 0
-        #   delta-u^2: 21 + 6 C0 = 0
-        a = np.array([[6.0, 6.0, 6.0],
-                      [-6.0, 0.0, 6.0],
-                      [6.0, 0.0, 0.0]])
-        b = -np.array([2.0, 8.0, 21.0])
-        x = solve_linear(a, b)
-        assert np.allclose(x, [-3.5, 8.0, -29.0 / 6.0], atol=1e-12)
-        # brute-force check: the solution zeroes all three coefficients
-        c0, c1, c2 = x
-        assert abs(2 + 6 * (c0 + c1 + c2)) < 1e-12
-        assert abs(8 - 6 * c0 + 6 * c2) < 1e-12
-        assert abs(21 + 6 * c0) < 1e-12
-
-    def test_singular_rejected_with_determinant(self):
-        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
-        with pytest.raises(SingularMatrixError) as exc:
-            solve_linear(a, [1.0, 2.0, 3.0])
-        assert exc.value.determinant is not None
-
-    def test_residual_bound(self):
-        rng = np.random.RandomState(11)
-        for _ in range(20):
-            a = rng.randn(3, 3)
-            if abs(np.linalg.det(a)) < 1e-3:
-                continue
-            b = rng.randn(3)
-            x = solve_linear(a, b)
-            assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)

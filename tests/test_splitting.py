@@ -9,7 +9,6 @@ from causalatom.splitting import (
     polynomial_residual,
     retarded_part_central,
     retarded_part_shifted,
-    validate_distribution,
 )
 
 
@@ -28,8 +27,6 @@ def make_core(scale=1.0):
         evaluate=lambda k: 1j * scale * core_g(k),
         singular_order=2,
         k_min=1.0,
-        parity="odd",
-        large_k_growth=2,
     )
 
 
@@ -37,8 +34,6 @@ ZERO_DIST = CausalDistribution1D(
     evaluate=lambda k: np.zeros_like(np.asarray(k, dtype=float), dtype=complex),
     singular_order=2,
     k_min=1.0,
-    parity="odd",
-    large_k_growth=2,
 )
 
 
@@ -100,11 +95,11 @@ class TestRetardedCentral:
         d1 = make_core(1.0)
         d2 = CausalDistribution1D(
             evaluate=lambda k: 1j * np.where(np.abs(k) > 1.0, np.sign(k) / (k ** 2 + (np.abs(k) <= 1.0)), 0.0),
-            singular_order=2, k_min=1.0, parity="odd", large_k_growth=0)
+            singular_order=2, k_min=1.0)
         a, b = 2.5, -1.25
         combo = CausalDistribution1D(
             evaluate=lambda k: a * d1.evaluate(k) + b * d2.evaluate(k),
-            singular_order=2, k_min=1.0, parity="odd", large_k_growth=2)
+            singular_order=2, k_min=1.0)
         for p0 in (0.5, 2.0, 3.5):
             lhs = retarded_part_central(combo, p0)
             rhs = a * retarded_part_central(d1, p0) + b * retarded_part_central(d2, p0)
@@ -191,25 +186,9 @@ class TestPolynomialResidual:
             polynomial_residual(make_core(), 0.5, [1.5, 2.0, 3.0])
 
 
-class TestValidation:
-    def test_core_passes(self):
-        validate_distribution(make_core())
-
-    def test_gap_violation_caught(self):
-        bad = CausalDistribution1D(
-            evaluate=lambda k: np.ones_like(np.asarray(k, dtype=float), dtype=complex),
-            singular_order=2, k_min=1.0, parity="none", large_k_growth=0)
-        with pytest.raises(SupportError):
-            validate_distribution(bad)
-
-    def test_parity_violation_caught(self):
-        bad = CausalDistribution1D(
-            evaluate=lambda k: 1j * np.abs(core_g(k)),
-            singular_order=2, k_min=1.0, parity="odd", large_k_growth=2)
+class TestFields:
+    def test_bad_order_or_gap_rejected(self):
         with pytest.raises(ValueError):
-            validate_distribution(bad)
-
-    def test_growth_must_not_exceed_order(self):
+            CausalDistribution1D(evaluate=core_g, singular_order=-2, k_min=1.0)
         with pytest.raises(ValueError):
-            CausalDistribution1D(evaluate=lambda k: k, singular_order=1,
-                                 k_min=1.0, parity="odd", large_k_growth=2)
+            CausalDistribution1D(evaluate=core_g, singular_order=2, k_min=-1.0)

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from causalatom.errors import CausalAtomError
+from causalatom.numerics import integrate_adaptive
 from causalatom.observables import (
     CODATA2018,
     atom_from_dict,
@@ -13,14 +14,23 @@ from causalatom.observables import (
 )
 from causalatom.selfenergy import NormalizationConstants
 from causalatom.wavepacket import (
+    EDGE_SQUARED_INTEGRAL,
     TestFunction,
-    Wavepacket,
     convergence_study,
-    g_fourier,
     z_numerical,
 )
 
 C0 = NormalizationConstants()
+
+
+def g_fourier(g: TestFunction, q: float) -> complex:
+    """Fourier transform (1/sqrt(2pi)) int g(x) e^{iqx} dx at a single q (1/m)."""
+    lo, hi = g.support
+    # absolute floor scaled to the support: deep sidelobes are tiny compared
+    # with g~(0) ~ c t_g and need not be resolved to 12 relative digits
+    r = integrate_adaptive(lambda x: g.evaluate(x) * np.exp(1j * q * x), lo, hi,
+                           rel_tol=1e-12, abs_tol=1e-14 * (hi - lo))
+    return complex(r.value) / math.sqrt(2 * math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -39,14 +49,17 @@ class TestBump:
         assert g.evaluate(np.array([g.plateau_length + 1.01 * g.edge_length]))[0] == 0.0
 
     def test_squared_integral_window(self):
-        from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL
-        g = TestFunction(1e-6, 1e-7, CODATA2018.c)
-        val = g.squared_integral()
-        c = CODATA2018.c
-        assert c * g.t_g <= val <= c * (g.t_g + 2 * g.ramp)
-        # the symmetric-kernel edge integrates to 4 kappa c ramp exactly
-        assert val == pytest.approx(
-            c * (g.t_g + 4 * EDGE_SQUARED_INTEGRAL * g.ramp), rel=1e-10)
+        # the closed form against quadrature of g^2, whose absolute floor is
+        # scaled to the value: int g^2 is a length in metres, far below 1
+        period = 2 * math.pi / hydrogen_1s2p_preset().omega_eg
+        for ramp_fraction, n in itertools.product((0.1, 0.3), 10 ** np.arange(1, 7)):
+            g = TestFunction(n * period, ramp_fraction * n * period, CODATA2018.c)
+            val = g.squared_integral()
+            assert g.c * g.t_g <= val <= g.c * (g.t_g + 2 * g.ramp)
+            lo, hi = g.support
+            r = integrate_adaptive(lambda x: g.evaluate(x) ** 2, lo, hi, rel_tol=1e-13,
+                                   abs_tol=1e-16 * g.c * g.t_g)
+            assert abs(r.value.real - val) <= 1e-14 * val
 
     def test_smooth_in_range(self):
         g = TestFunction(1e-6, 1e-7, CODATA2018.c)
@@ -85,37 +98,6 @@ class TestGFourier:
         g = TestFunction(1e-6, 1e-7, CODATA2018.c)
         q = 2.0 / g.plateau_length
         assert g_fourier(g, -q) == pytest.approx(np.conj(g_fourier(g, q)), rel=1e-10)
-
-
-class TestWavepacket:
-    def test_normalized(self):
-        wp = Wavepacket(center_k=1e5, sigma_k=1e3)
-        # radial quadrature of the isotropic Gaussian profile about center
-        from causalatom.numerics import integrate_adaptive
-        s = wp.sigma_k
-
-        def radial(r):
-            amp = (2 * math.pi * s ** 2) ** -1.5 * np.exp(-r * r / (2 * s ** 2))
-            return 4 * math.pi * r * r * amp
-
-        norm = integrate_adaptive(radial, 0.0, 12 * s, rel_tol=1e-12)
-        assert norm.value.real == pytest.approx(1.0, rel=1e-10)
-
-    def test_narrowness_enforced(self, atom):
-        broad = Wavepacket(center_k=0.0, sigma_k=2e-3 / atom.lambda_bar_e)
-        with pytest.raises(CausalAtomError):
-            broad.validate_narrow(atom)
-        narrow = Wavepacket(center_k=0.0, sigma_k=1e-4 / atom.lambda_bar_e)
-        narrow.validate_narrow(atom)
-
-    def test_z_independent_of_sigma(self, atom):
-        period = 2 * math.pi / atom.omega_eg
-        g = TestFunction(100 * period, 10 * period, atom.constants.c)
-        z1 = z_numerical(atom, C0, g,
-                         wavepacket=Wavepacket(0.0, 1e-4 / atom.lambda_bar_e))
-        z2 = z_numerical(atom, C0, g,
-                         wavepacket=Wavepacket(0.0, 1e-6 / atom.lambda_bar_e))
-        assert z1.z_numerical == z2.z_numerical
 
 
 def _z_integral_full_spectrum(atom, c_norm, g, n_fft, pad):
@@ -203,6 +185,20 @@ class TestZNumerical:
         assert errs[2] < 1e-6
         assert all(zc.regime_ok for _, zc in study)
 
+    def test_hydrogen_error_at_rounding(self):
+        # delta_u ~ 1e-8: the reduction error lies below double precision at
+        # every default plateau length, so rel_error is rounding
+        study = convergence_study(hydrogen_1s2p_preset(), C0, [10, 100, 1000, 10000])
+        assert all(zc.rel_error <= 1e-14 for _, zc in study)
+
+    @pytest.mark.parametrize("ramp_fraction", [0.1, 0.3])
+    def test_error_falls_as_inverse_square_plateau(self, ramp_fraction):
+        # at a fixed ramp fraction each decade of plateau cuts rel_error 100-fold
+        study = convergence_study(synthetic_atom(1e-3), C0, [10, 100, 1000, 10000],
+                                  ramp_fraction)
+        errs = [zc.rel_error for _, zc in study]
+        assert all(99 <= a / b <= 101 for a, b in zip(errs, errs[1:])), errs
+
     def test_large_plateau_error(self, atom):
         study = convergence_study(atom, C0, [10 ** 6])
         assert study[0][1].rel_error <= 1e-2
@@ -269,7 +265,6 @@ class TestZNumerical:
         assert z2.z_closed == pytest.approx(4.0 * z1.z_closed, rel=1e-12)
 
     def test_reported_variants(self, atom):
-        from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL
         period = 2 * math.pi / atom.omega_eg
         g = TestFunction(100 * period, 10 * period, atom.constants.c)
         zc = z_numerical(atom, C0, g)
