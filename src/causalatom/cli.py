@@ -63,97 +63,120 @@ class Table(dict):
 _FLOAT = "%.17g"   # the slot of a float in a template; the values fill it at the end
 
 
-def _rows(columns: dict):
-    """The rows of a Table, or the values of a plain dict as its one row."""
-    if type(columns) is not Table:
-        return [columns.values()]
-    lengths = [len(c) for c in columns.values()]
+def _finite(values) -> None:
+    """Refuse the first float of ``values``, or part of a complex, that is not
+    finite; a finite sum of them all shows that there is none."""
+    numbers = [v for v in values if type(v) in (float, complex)]
+    if not math.isfinite(abs(sum(numbers))):
+        bad = [x for v in numbers for x in (v.real, v.imag) if not math.isfinite(x)]
+        if bad:
+            raise CausalAtomError(f"result is not finite ({bad[0]}); nothing was written")
+
+
+def _table(columns: Table, leads: list, end: str, text):
+    """(template of a row, values of the slots of all rows in row order, row
+    count) of a Table, a row being each ``leads[j]`` and the slot of column j,
+    then ``end``.  A float column has %.17g slots, any other %s slots for
+    ``text`` of each value; the first value not finite in row order is
+    refused."""
+    cols = list(columns.values())
+    lengths = [len(c) for c in cols]
     if len(set(lengths)) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
-    return zip(*columns.values())
+    row, slots, sums = [], [], []
+    for lead, col in zip(leads, cols):
+        if set(map(type, col)) <= {float}:
+            row.append(lead + _FLOAT)
+            slots.append(col)
+            sums.append(sum(col))
+        else:
+            row.append(lead + "%s")
+            slots.append([text(x) for x in col])
+            sums.append(sum(x for x in col if type(x) in (float, complex)))
+    if not math.isfinite(abs(sum(sums))):
+        _finite([x for r in zip(*cols) for x in r])
+    flat = [None] * sum(lengths)
+    for j, col in enumerate(slots):
+        flat[j::len(slots)] = col
+    return "".join(row) + end, flat, lengths[0] if cols else 0
 
 
-def _fill(parts: list, floats: list) -> str:
-    """The template ``parts`` with its slots filled by ``floats``, refusing the
-    first value that is not finite (a finite sum shows that all of them are)."""
-    if not math.isfinite(sum(floats)):
-        for x in floats:
-            if not math.isfinite(x):
-                raise CausalAtomError(f"result is not finite ({x}); nothing was written")
-    return "".join(parts) % tuple(floats)
+def _json_text(v) -> str:
+    """A float, complex, str, bool or int as JSON."""
+    t = type(v)
+    if t is float:
+        return _FLOAT % v
+    if t is complex:
+        return '{"re": %.17g, "im": %.17g}' % (v.real, v.imag)
+    if t is str:
+        return json.dumps(v)
+    if t is bool:
+        return "true" if v else "false"
+    if t is int:
+        return str(v)
+    raise TypeError(f"cannot serialize {t!r}")
 
 
-def _json(v, parts: list, floats: list):
-    """Append ``v`` as JSON to the template ``parts``, a float as a slot."""
+def _json(v, parts: list, args: list, floats: list):
+    """Append ``v`` as JSON to the template ``parts``, with the values of its
+    slots to ``args``; its floats outside Tables go to ``floats`` too."""
     t = type(v)
     if t is float:
         parts.append(_FLOAT)
+        args.append(v)
         floats.append(v)
-    elif t is dict or t is Table:
-        # the text before each value of a row: "{" or ", ", then the key
+    elif t is Table:
+        _finite(floats)   # the values before it come first
         leads = [(", " if j else "{") + json.dumps(k).replace("%", "%%") + ": "
                  for j, k in enumerate(v)]
-        parts.append("[" if t is Table else "")
-        for i, row in enumerate(_rows(v)):
-            parts.append(", " if i else "")
-            for lead, item in zip(leads, row):
-                parts.append(lead)
-                if type(item) is float:   # most values: no call
-                    parts.append(_FLOAT)
-                    floats.append(item)
-                else:
-                    _json(item, parts, floats)
-            parts.append("}" if leads else "{}")
-        parts.append("]" if t is Table else "")
+        row, flat, n = _table(v, leads, "}" if leads else "{}", _json_text)
+        parts += ["[", *[row + ", "] * (n - 1), *[row][:n], "]"]   # no copy per row
+        args += flat
+    elif t is dict:
+        parts.append("{")
+        for j, (k, item) in enumerate(v.items()):
+            parts.append((", " if j else "") + json.dumps(k).replace("%", "%%") + ": ")
+            _json(item, parts, args, floats)
+        parts.append("}")
     elif t is list:
         parts.append("[")
         for i, item in enumerate(v):
             if i:
                 parts.append(", ")
-            _json(item, parts, floats)
+            _json(item, parts, args, floats)
         parts.append("]")
-    elif t is str:
-        parts.append(json.dumps(v).replace("%", "%%"))
-    elif t is bool:
-        parts.append("true" if v else "false")
-    elif t is int:
-        parts.append(str(v))
     elif t is complex:
-        _json({"re": v.real, "im": v.imag}, parts, floats)
+        _json({"re": v.real, "im": v.imag}, parts, args, floats)
     else:
-        raise TypeError(f"cannot serialize {t!r}")
+        parts.append(_json_text(v).replace("%", "%%"))
 
 
 def _dumps(doc: dict) -> str:
-    parts: list = []
-    floats: list = []
-    _json(doc, parts, floats)
+    parts, args, floats = [], [], []
+    _json(doc, parts, args, floats)
     parts.append("\n")
-    return _fill(parts, floats)
+    _finite(floats)
+    return "".join(parts) % tuple(args)
 
 
 def _csv_field(v) -> str:
-    """A non-float CSV field as csv.writer writes it, with its % escaped."""
+    """A CSV field as csv.writer writes it, a float with 17 digits."""
+    if type(v) is float:
+        return _FLOAT % v
     if type(v) not in (str, int, bool):
         raise TypeError(f"cannot serialize {type(v)!r}")
-    s = str(v).replace("%", "%%")
+    s = str(v)
     return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\n') else s
 
 
 def _csv(columns: dict) -> str:
     """The CSV of ``columns``: a Table, or a plain dict as its one row."""
-    parts = [",".join(map(_csv_field, columns)), "\n"]
-    floats: list = []
-    for row in _rows(columns):
-        line = []
-        for v in row:
-            if type(v) is float:
-                line.append(_FLOAT)
-                floats.append(v)
-            else:
-                line.append(_csv_field(v))
-        parts += [",".join(line), "\n"]
-    return _fill(parts, floats)
+    if type(columns) is not Table:
+        columns = Table({k: [v] for k, v in columns.items()})
+    row, flat, n = _table(columns, [("," if j else "") for j in range(len(columns))], "\n",
+                          _csv_field)
+    header = ",".join(map(_csv_field, columns)).replace("%", "%%") + "\n"
+    return "".join([header] + [row] * n) % tuple(flat)
 
 
 def emit_report(command: str, inputs: dict, results: dict,

@@ -15,15 +15,15 @@ it bit for bit, next to degree-22 exactness and node symmetry.
 One lock-step engine runs every adaptive integral.  An integral is a list
 of pieces, each a finite interval of a plain, semi-infinite-tail or
 principal-value-fold integrand; ``pieces`` builds those of any number of
-integrals as the rows of one array.  Each piece bisects its worst segment
-until its error estimate meets the tolerance, with its own heap and
-counter; the pieces of an integral run one after another and share its
-budget.  In each round the panels of all
-unfinished integrals are evaluated together, and the segments of all pieces
-live in one table of rows, so the running sums, stop tests and final
-re-summations of a round take a fixed number of numpy calls whatever its
-width; what stays in Python per panel is the heap that picks a piece's
-worst segment.  The arithmetic per node, per 15-node panel and per sum is
+integrals as the rows of one array, each tail mapped at a scale of its
+integral's own.  Each piece bisects its worst segment until its error
+estimate meets the tolerance, with its own heap and counter; the pieces of
+an integral run one after another and share its budget.  In each round
+the panels of all unfinished integrals are evaluated together, and the
+segments of all pieces live in one table of rows, so the running sums, stop
+tests and final re-summations of a round take a fixed number of numpy calls
+whatever its width; what stays in Python per panel is the heap that picks a
+piece's worst segment.  The arithmetic per node, per 15-node panel and per sum is
 the same however many pieces run together, so a piece returns the same
 floats alone or in a batch.  ``integrate_batch`` runs many integrals at
 once, a principal value among them is a row with a pole, and
@@ -58,8 +58,8 @@ _NOISE = 64 * np.finfo(float).eps
 # most SLOW_WIDTH advance at a time, the first in order.  A batch ends at its
 # first failing integral, and failures come after long runs, so this keeps the
 # work done past a failure to about SLOW_WIDTH times the failing integral's.
-# (split-check's dispersion integrals take at most 300 evaluations for
-# |u| < 3.2, and up to 300 000 on |u| in [1e3, 5e9].)
+# (split-check's dispersion integrals take at most 210 evaluations for
+# |u| < 3.2, up to 110 000 on |u| in [1e3, 5e10] and 700 000 at 1e12.)
 SLOW_EVALUATIONS = 3000
 SLOW_WIDTH = 4
 
@@ -113,9 +113,10 @@ class QuadratureResult:
 # ---------------------------------------------------------------------------
 
 # How a piece's variable t in [a, b] reaches the integrand: PLAIN integrates
-# f(t); TAIL integrates f(shift + sign t/(1-t)) / (1-t)^2 on [0, 1), the map of
-# a semi-infinite interval anchored at shift; FOLD integrates
-# f(shift + t) + f(shift - t), the principal-value fold about a pole at shift.
+# f(t); TAIL integrates |sign| f(shift + sign t/(1-t)) / (1-t)^2 on [0, 1), the
+# map of a semi-infinite interval anchored at shift, at the scale |sign|; FOLD
+# integrates f(shift + t) + f(shift - t), the principal-value fold about a pole
+# at shift.
 PLAIN, TAIL, FOLD = 0, 1, 2
 
 # Columns of a panel or segment row: its interval with its midpoint, its
@@ -126,44 +127,38 @@ _LO, _MID, _HI, _RE, _IM, _ERR, _ABS = range(7)
 _ROW = _ABS + 1
 
 
-def _select(kind, kinds, k):
-    """Index of the panels of kind k, given the set of kinds there are: None
-    if there are none, a slice if they are all of them, else a mask."""
-    return None if k not in kinds else slice(None) if len(kinds) == 1 else kind == k
-
-
 def _panels(f, a, b, owner, kind, shift, sign):
     """Rows (_LO .. _ABS) of the GK15 panels [a_i, b_i] of pieces of the given
     kind, shift and sign.
 
-    f sees the nodes of all panels in one 1-D array together with each
-    node's owner; the mirror nodes shift - t of FOLD panels follow in a
-    second call.  The arithmetic per node and the 15-term sum per panel do
-    not depend on how many panels are evaluated together, nor on their
-    kinds.  A modulus is np.hypot of the parts, which is what abs() of a
-    complex scalar gives; np.abs of a complex array differs from it in the
-    last bit for some arguments.
+    The panels are taken grouped by kind, so that each kind is a slice.  f
+    sees the nodes of all panels in one 1-D array together with each node's
+    owner; the mirror nodes shift - t of FOLD panels follow in a second
+    call.  The arithmetic per node and the 15-term sum per panel do not
+    depend on how many panels are evaluated together, nor on their kinds.
+    A modulus is np.hypot of the parts, which is what abs() of a complex
+    scalar gives; np.abs of a complex array differs from it in the last bit
+    for some arguments.
     """
+    order = np.argsort(kind, kind="stable")
+    a, b, owner, kind, shift, sign = (c[order] for c in (a, b, owner, kind, shift, sign))
+    p, q = np.searchsorted(kind, [TAIL, FOLD]).tolist()   # PLAIN, TAIL, FOLD in turn
+    tail, fold = slice(p, q), slice(q, None)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     t = mid[:, None] + half[:, None] * GK15_NODES
     nodes = owner.repeat(len(GK15_NODES))
-    kinds = set(kind.tolist())
-    tail, fold = _select(kind, kinds, TAIL), _select(kind, kinds, FOLD)
     x = t.copy()
-    if tail is not None:
-        w = 1.0 / (1.0 - t[tail])
-        x[tail] = shift[tail, None] + sign[tail, None] * (t[tail] * w)
-    if fold is not None:
-        x[fold] = shift[fold, None] + t[fold]
+    w = 1.0 / (1.0 - t[tail])
+    x[tail] = shift[tail, None] + sign[tail, None] * (t[tail] * w)
+    x[fold] += shift[fold, None]
     y = np.array(f(x.ravel(), nodes)).reshape(t.shape)
-    if fold is not None:
+    if q < len(a):
         mirror = shift[fold, None] - t[fold]
-        y_mirror = f(mirror.ravel(), nodes.reshape(t.shape)[fold].ravel())
-        y[fold] = y[fold] + np.asarray(y_mirror).reshape(mirror.shape)
-    if tail is not None:
-        y[tail] *= w
-        y[tail] *= w
+        y[fold] += np.asarray(f(mirror.ravel(), nodes[q * len(GK15_NODES):])).reshape(mirror.shape)
+    y[tail] *= w
+    y[tail] *= w
+    y[tail] *= np.abs(sign[tail, None])
     # Kronrod and Gauss sums in one reduction over each row of 15 (np.sum,
     # without its wrapper)
     kg = half[:, None] * np.add.reduce(_WEIGHTS * y[:, None], axis=2)
@@ -173,7 +168,9 @@ def _panels(f, a, b, owner, kind, shift, sign):
     rows[:, _RE], rows[:, _IM] = k.real, k.imag
     np.hypot(d.real, d.imag, out=rows[:, _ERR])
     np.hypot(k.real, k.imag, out=rows[:, _ABS])
-    return rows
+    out = np.empty_like(rows)
+    out[order] = rows   # in the order the panels came
+    return out
 
 
 def _replay(f, cols, order):
@@ -194,66 +191,64 @@ def _replay(f, cols, order):
     return rows, None, None
 
 
-def _resum(seg, after, firsts):
-    """Value (re, im) and error estimate of the pieces whose leftmost segments
-    are ``firsts``: their segments summed left to right from 0, so the
-    summation order never depends on the subdivision history.  after[s] is
-    the segment to the right of s in its piece, -1 for the last.
+def _resum(seg, of, groups):
+    """Value (re, im) and error estimate of the pieces ``groups``: the
+    segments of each (the rows of ``seg`` that ``of`` gives to it) summed
+    left to right from 0, so the summation order never depends on the
+    subdivision history.
 
     Left to right is the order of left endpoints: only a zero-width segment
     shares its left endpoint, and it adds +-0, which changes no sum (or NaN,
     whose NaN error estimate QuadratureResult refuses).
     The segments go into a table of one column per piece, padded with zeros
-    (x + 0.0 is x for a sum started from +0.0), which one accumulation
-    sums down the rows.
+    (x + 0.0 is x for a sum started from +0.0), which one reduction sums
+    down the rows, in order: numpy sums pairwise only along the innermost
+    axis.
     """
-    width = len(firsts)
-    order, cells, top = [], [], 0
-    for col, s in enumerate(firsts):
-        cell = col
-        while s >= 0:
-            cell += width
-            order.append(s)
-            cells.append(cell)
-            s = after[s]
-        top = max(top, cell)
-    terms = np.zeros((top // width + 1, width, 3))   # row 0 is the 0 the sums start from
-    terms.reshape(-1, 3)[cells] = seg[order, _RE:_ERR + 1]
-    return np.add.accumulate(terms, axis=0)[-1]
+    width = len(groups)
+    col = np.full(of.max() + 1, -1)   # the column of each piece, -1 if none
+    col[groups] = np.arange(width)
+    col = col[of]
+    rows = np.flatnonzero(col >= 0)
+    rows = rows[np.lexsort((seg[rows, _LO], col[rows]))]
+    col = col[rows]
+    counts = np.bincount(col, minlength=width)
+    # row 0 is the 0 the sums start from; a piece's segments follow in order
+    down = np.arange(1, len(rows) + 1) - (np.cumsum(counts) - counts)[col]
+    terms = np.zeros(((counts.max() + 1) * width, 3))
+    terms[down * width + col] = seg[rows, _RE:_ERR + 1]
+    return np.add.reduce(terms.reshape(-1, width, 3), axis=0)
 
 
-def _compact(seg, after, heaps, firsts, extra):
-    """The segment table cut down to the segments of the pieces under way,
-    numbered from left to right in each, with room for at least ``extra``
-    more: (table, after, length)."""
-    order, new, lasts = [], {}, []
-    for i, h in enumerate(heaps):
-        if h is not None:
-            s, firsts[i] = firsts[i], len(order)
-            while s >= 0:
-                new[s] = len(order)
-                order.append(s)
-                s = after[s]
-            heaps[i] = [(e, c, new[s]) for e, c, s in h]
-            lasts.append(len(order) - 1)
-    size = 2 * (len(order) + extra) + 64
-    out, after = np.empty((size, _ROW)), list(range(1, size + 1))
-    out[:len(order)] = seg[order]
-    for s in lasts:
-        after[s] = -1
-    return out, after, len(order)
+def _compact(seg, of, heaps, begun, piece, extra):
+    """The segment table and its piece column cut down to the segments of the
+    pieces under way (those of the integrals ``begun``), with room for at
+    least ``extra`` more: (table, pieces, length).  The heaps are renumbered
+    to match."""
+    going = np.flatnonzero(begun).tolist()
+    keep = np.flatnonzero(np.isin(of, piece[going], kind="table"))
+    new = np.zeros(len(of), dtype=np.intp)
+    new[keep] = np.arange(len(keep))
+    new = new.tolist()
+    for i in going:
+        heaps[i] = [(e, c, new[s]) for e, c, s in heaps[i]]
+    size = 2 * (len(keep) + extra) + 64
+    out, out_of = np.empty((size, _ROW)), np.empty(size, dtype=np.intp)
+    out[:len(keep)], out_of[:len(keep)] = seg[keep], of[keep]
+    return out, out_of, len(keep)
 
 
 def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
     """The engine behind integrate_batch.  Integral i is the sum of the next
     counts[i] pieces, the rows (kind, shift, sign, a, b) of ``table``.
 
-    Segments live in one table of rows (_LO .. _ABS), and ``after`` links
-    each piece's segments from left to right.  A piece keeps a heap of
-    (-error, counter, row) only to choose its worst segment, the counter
-    giving ties to the older one.  The running sums, stop tests and
-    re-summations of all integrals of a round take a fixed number of numpy
-    calls, in the arithmetic a piece does alone.
+    Segments live in one table of rows (_LO .. _ABS), with the piece of each
+    row in a column of its own, so a piece's segments from left to right
+    are its rows sorted by _LO.  A piece keeps a heap of (-error, counter,
+    row) only to choose its worst segment, the counter giving ties to the
+    older one.  The running sums, stop tests and re-summations of all
+    integrals of a round take a fixed number of numpy calls, in the
+    arithmetic a piece does alone.
 
     Returns (sums, evaluations, exc): the value (re, im) and error estimate
     and the evaluation count of each integral before the first that fails,
@@ -265,34 +260,32 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
     end = np.cumsum(counts)
     piece = end - counts       # the piece under way or next to start
     heaps = [None] * n         # the heap of the piece under way
+    begun = np.zeros(n, dtype=bool)       # whether it has one
+    size = np.zeros(n, dtype=np.intp)     # its segment count
     run = np.zeros((n, 4))     # its value (re, im), error and sum |panel|
     done = np.zeros((n, 3))    # value (re, im) and error of the finished pieces
-    done_at = [0] * n          # evaluations spent when the last piece finished
-    live = [True] * n          # neither finished nor failed
-    is_fast = [True] * n       # live, and below SLOW_EVALUATIONS
+    done_at = np.zeros(n, dtype=np.intp)  # evaluations spent when the last piece finished
+    live = np.ones(n, dtype=bool)         # neither finished nor failed
+    is_fast = np.ones(n, dtype=bool)      # live, and below SLOW_EVALUATIONS
     seg, used = np.empty((32 * n + 64, _ROW)), 0
-    after = [-1] * len(seg)    # the next segment to the right in its piece
-    first = [0] * n            # the leftmost segment of the piece under way
+    of = np.empty(len(seg), dtype=np.intp)   # the piece of each segment
     cut, exc = n, None         # the first integral that failed
-    fast, slow = list(range(n)), []   # the unfinished integrals, in order
-    while fast or slow:
-        act = sorted(fast + slow[:SLOW_WIDTH]) if slow else fast
+    fast, slow = np.arange(n), np.arange(0)   # the unfinished integrals, in order
+    while len(fast) or len(slow):
+        act = np.union1d(fast, slow[:SLOW_WIDTH]) if len(slow) else fast
         if used + len(act) > len(seg):
-            seg, after, used = _compact(seg, after, heaps, first, len(act))
-        new, old, popped = [], [], []
-        for i in act:
-            if heaps[i] is None:
-                new.append(i)
-            else:
-                old.append(i)
-                popped.append(heapq.heappop(heaps[i])[2])
+            seg, of, used = _compact(seg[:used], of[:used], heaps, begun, piece, len(act))
+        on = begun[act]
+        new, old = act[~on], act[on]
+        popped = np.array([heapq.heappop(heaps[i])[2] for i in old.tolist()], dtype=np.intp)
         ns, no = len(new), len(old)
         # the panels: the interval of each piece that starts, then the left
         # and the right halves of each popped segment, the left one in its row
-        owner = np.array(new + old + old, dtype=np.intp)
-        slots = np.array([*range(used, used + ns), *popped, *range(used + ns, used + ns + no)],
-                         dtype=np.intp)
+        owner = np.concatenate((new, old, old))
+        slots = np.concatenate((np.arange(used, used + ns), popped,
+                                np.arange(used + ns, used + ns + no)))
         used += ns + no
+        of[slots] = piece[owner]
         parent = seg[slots[ns:ns + no]]
         kind, shift, sign, a, b = table[piece[owner]].T
         lo, hi = parent[:, _LO:_MID + 1].T.ravel(), parent[:, _MID:_HI + 1].T.ravel()
@@ -310,7 +303,7 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
                 keep = owner < cut
                 rows, slots, owner = rows[keep], slots[keep], owner[keep]
                 parent = parent[keep[ns:ns + no]]
-                new, old = [i for i in new if i < cut], [i for i in old if i < cut]
+                new, old = new[new < cut], old[old < cut]
                 ns, no = len(new), len(old)
         seg[slots] = rows
         idx = owner[:ns + no]
@@ -321,70 +314,61 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
         run[idx] = r
         # the last term is the rounding noise of the sum, all that is left to
         # reach near a zero of the integral; fmax skips NaN as max() does
-        going = (r[:, 2] > np.fmax(np.fmax(abs_tol, rel_tol * np.hypot(r[:, 0], r[:, 1])),
-                                   _NOISE * r[:, 3])).tolist()
-        err, slots = rows[:, _ERR].tolist(), slots.tolist()
-        ends, over, moved = [], [], []   # (integral, evaluations of its piece) for the first two
-        for j, i in enumerate(new + old):
-            if j < ns:
-                s = first[i] = slots[j]
-                after[s] = -1
-                size = 1
-            else:
-                s, right = slots[j], slots[j + no]
-                after[right], after[s] = after[s], right
-                size = len(heaps[i]) + 2
-            spent = done_at[i] + 30 * size - 15   # 15 to start a piece, 30 a bisection
-            if spent >= SLOW_EVALUATIONS and is_fast[i]:
-                moved.append(i)
-            if not going[j]:
-                ends.append((i, 30 * size - 15))
-                continue
-            if j < ns:
-                heaps[i] = [(-err[j], 0, s)]
-            else:
-                h = heaps[i]
-                c = 2 * size - 3
-                heapq.heappush(h, (-err[j], c, s))
-                heapq.heappush(h, (-err[j + no], c + 1, right))
-            if spent + 30 > max_evaluations:
-                over.append((i, 30 * size - 15))
-        if over:
-            failing = min(over)
-            cut, resched = failing[0], True
+        going = r[:, 2] > np.fmax(np.fmax(abs_tol, rel_tol * np.hypot(r[:, 0], r[:, 1])),
+                                  _NOISE * r[:, 3])
+        size[idx[:ns]] = 1
+        size[idx[ns:]] += 1
+        evals = 30 * size[idx] - 15   # of the piece: 15 to start it, 30 a bisection
+        spent = done_at[idx] + evals
+        err = -rows[:, _ERR]
+        j = np.flatnonzero(going[:ns])
+        begun[new[j]] = True
+        for i, e, s in zip(new[j].tolist(), err[j].tolist(), slots[j].tolist()):
+            heaps[i] = [(e, 0, s)]
+        j = np.flatnonzero(going[ns:]) + ns
+        for i, c, e, s, e2, s2 in zip(idx[j].tolist(), (2 * size[idx[j]] - 3).tolist(),
+                                      err[j].tolist(), slots[j].tolist(),
+                                      err[j + no].tolist(), slots[j + no].tolist()):
+            h = heaps[i]
+            heapq.heappush(h, (e, c, s))
+            heapq.heappush(h, (e2, c + 1, s2))
+        over = np.flatnonzero(going & (spent + 30 > max_evaluations))
+        if over.size:
+            failing = over[np.argmin(idx[over])]
+            cut, resched = int(idx[failing]), True
             live[cut] = is_fast[cut] = False
-        ends = [e for e in ends if e[0] < cut]
-        if ends or over:
-            groups = ends + ([failing] if over else [])
-            sums = _resum(seg, after, [first[i] for i, _ in groups])
-            for i, e in ends:
-                done_at[i] += e
+        ended = ~going & (idx < cut)
+        if ended.any() or over.size:
+            fin = idx[ended]
+            groups = np.append(piece[fin], piece[cut:cut + over.size])
+            sums = _resum(seg[:used], of[:used], groups)
+            for i in fin.tolist():
                 heaps[i] = None
-            fin = np.array([i for i, _ in ends], dtype=np.intp)
-            done[fin] = done[fin] + sums[:len(ends)]
+            begun[fin] = False
+            done_at[fin] += evals[ended]
+            done[fin] = done[fin] + sums[:len(fin)]
             piece[fin] += 1
-            complete = fin[piece[fin] == end[fin]].tolist()
-            for i in complete:
-                live[i] = is_fast[i] = False
-                if not math.isfinite(done[i, 2]):
-                    _result(done[i], done_at[i])    # raises as QuadratureResult does
-            resched = resched or bool(complete)
-            if over:
+            complete = fin[piece[fin] == end[fin]]
+            live[complete] = is_fast[complete] = False
+            for i in complete[~np.isfinite(done[complete, 2])].tolist()[:1]:
+                _result(done[i], done_at[i])    # raises as QuadratureResult does
+            resched = resched or bool(complete.size)
+            if over.size:
                 partial = QuadratureResult(value=complex(sums[-1, 0], sums[-1, 1]),
                                            abs_error_estimate=float(sums[-1, 2]),
-                                           evaluations=failing[1])
+                                           evaluations=int(evals[failing]))
                 exc = QuadratureConvergenceError(
                     f"quadrature did not converge within {max_evaluations - done_at[cut]} "
                     f"evaluations (error estimate {partial.abs_error_estimate:.3e})",
                     partial=partial)
-        moved = [i for i in moved if live[i] and i < cut]
-        for i in moved:
-            is_fast[i] = False
-        if resched or moved:
-            fast = [i for i in fast if is_fast[i] and i < cut]
+        moved = idx[(spent >= SLOW_EVALUATIONS) & is_fast[idx]]
+        moved = moved[live[moved] & (moved < cut)]
+        if resched or moved.size:
+            is_fast[moved] = False
+            fast = np.flatnonzero(is_fast[:cut])
             # of the slow integrals, the first SLOW_WIDTH advance
-            slow = sorted([i for i in slow if live[i] and i < cut] + moved)
-    return done[:cut], done_at[:cut], exc
+            slow = np.flatnonzero((live & ~is_fast)[:cut])
+    return done[:cut], done_at[:cut].tolist(), exc
 
 
 def _result(sums, evaluations) -> QuadratureResult:
@@ -393,7 +377,7 @@ def _result(sums, evaluations) -> QuadratureResult:
                             evaluations=int(evaluations))
 
 
-def pieces(lo, hi, pole=None):
+def pieces(lo, hi, pole=None, scale=None):
     """The finite pieces of n integrals over [lo_i, hi_i]: their rows
     (kind, shift, sign, a, b) in order, and the number of pieces of each.
 
@@ -402,11 +386,16 @@ def pieces(lo, hi, pole=None):
     half-width to the nearer finite endpoint, or 1 + |pole| if both are
     infinite; whatever lies beyond the fold on either side follows as a
     PLAIN or TAIL piece.  A TAIL anchored at x maps t in [0, 1) monotonely
-    to k = x + t/(1-t), mirrored for a -inf endpoint.  Without a pole an
-    interval is one piece, or two if it is doubly infinite, split at 0.
+    to k = x + scale_i t/(1-t) (scale 1 where scale is None), mirrored for a
+    -inf endpoint; its sign column is +-scale_i.  QUADPACK's qagi uses the
+    map with scale 1, which suits an integrand whose features sit at |k| ~ 1;
+    with features at |k| ~ s, scale s puts them at t ~ 1/2 instead of
+    crowding them against t = 1.  Without a pole an interval is one piece,
+    or two if it is doubly infinite, split at 0.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     n = len(lo)
+    scale = np.ones(n) if scale is None else np.asarray(scale, dtype=float)
     pole = np.full(n, math.nan) if pole is None else np.asarray(pole, dtype=float)
     ordered = lo < hi
     if not ordered.all():
@@ -432,7 +421,7 @@ def pieces(lo, hi, pole=None):
     tail = up | down
     kind = np.where(tail, TAIL, PLAIN)
     shift = np.where(up, a, np.where(down, b, 0.0))
-    sign = up - down.astype(float)
+    sign = (up - down.astype(float)) * scale[:, None]
     kind[:, 0], shift[:, 0] = FOLD, pole
     rows = np.stack((kind, shift, sign, np.where(tail, 0.0, a), np.where(tail, 1.0, b)), axis=2)
     used = a < b
@@ -441,10 +430,11 @@ def pieces(lo, hi, pole=None):
 
 def integrate_batch(f, lo, hi, pole=None, rel_tol: float = DEFAULT_REL_TOL,
                     abs_tol: float = DEFAULT_ABS_TOL,
-                    max_evaluations: int = DEFAULT_MAX_EVALUATIONS):
+                    max_evaluations: int = DEFAULT_MAX_EVALUATIONS, scale=None):
     """Many integrals at once, over [lo_i, hi_i] and, where pole_i is not
-    NaN, a principal value about it (the pieces that ``pieces`` builds),
-    advanced in lock-step by globally adaptive bisection.
+    NaN, a principal value about it, with semi-infinite tails mapped at
+    scale_i (the pieces that ``pieces`` builds), advanced in lock-step by
+    globally adaptive bisection.
 
     f(x, owner) gets a 1-D array of nodes and, per node, the index of the
     integral it belongs to, so per-integral parameters can be broadcast.
@@ -467,7 +457,7 @@ def integrate_batch(f, lo, hi, pole=None, rel_tol: float = DEFAULT_REL_TOL,
     is spent), or None.  The integrals after a failing one are dropped
     unfinished.
     """
-    return _lockstep(f, *pieces(lo, hi, pole), rel_tol, abs_tol, max_evaluations)
+    return _lockstep(f, *pieces(lo, hi, pole, scale), rel_tol, abs_tol, max_evaluations)
 
 
 def integrate_adaptive(

@@ -85,14 +85,14 @@ def t2_prefactor(atom) -> float:
 def _core(u):
     """theta(u^2-1) sgn(u) (u^2-1)^3/u^4, stable for very large |u|."""
     u = np.asarray(u, dtype=float)
-    uu = u * u   # sgn(u) u u is sgn(u) (u u) exactly: the factor is +-1
+    uu = u * u   # sgn(u) u u is u u with the sign of u, exactly
     m = uu > 1.0
     if np.count_nonzero(m) == m.size:
         # all on the support: the masked form's values without its gather and scatter
-        return np.sign(u) * uu * (1.0 - 1.0 / uu) ** 3
+        return np.copysign(uu, u) * (1.0 - 1.0 / uu) ** 3
     out = np.zeros_like(u)
     um, uum = u[m], uu[m]
-    out[m] = np.sign(um) * uum * (1.0 - 1.0 / uum) ** 3
+    out[m] = np.copysign(uum, um) * (1.0 - 1.0 / uum) ** 3
     return out
 
 
@@ -144,16 +144,16 @@ def as_causal_distribution(atom, unit_scale: bool = False) -> CausalDistribution
     The object handed to the splitting integral carries both normal-ordering
     terms of the self-energy, i.e. twice the single-ordering amplitude; this
     is the normalization whose central retarded part reproduces the closed
-    form r2_tilde_closed (tests pin this).  With ``unit_scale`` the SI
-    prefactor is dropped (evaluate = 2i * core), which is convenient for
-    scale-free polynomial-residual checks.
+    form r2_tilde_closed (tests pin this): d = i g with g = 2 scale core.
+    With ``unit_scale`` the SI prefactor is dropped (g = 2 core), which is
+    convenient for scale-free polynomial-residual checks.
     """
     scale = 1.0 if unit_scale else d2_scale(atom)
 
-    def evaluate(kk):
-        return 2j * scale * _core(kk)
+    def g(kk):
+        return 2.0 * scale * _core(kk)
 
-    return CausalDistribution1D(evaluate=evaluate, singular_order=2, k_min=1.0)
+    return CausalDistribution1D(g=g, singular_order=2, k_min=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +214,12 @@ def _r2_bracket(u: float) -> complex:
     return front + pole + poly
 
 
-def _real_axis_args(u):
+def _real_axis_args(u, checked: bool = False):
     """The (u, x, ln|x|, step) arguments of _sym_bracket at real u, as arrays,
-    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it."""
+    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it; each u
+    is checked unless it has been."""
     u = np.asarray(u, dtype=float)
-    for v in u.ravel().tolist():
+    for v in [] if checked else u.ravel().tolist():
         _check_regular(v)
     x = u * u - 1.0
     return u, x, np.log(np.abs(x)), np.where(x > 0.0, 2j * math.pi * np.sign(u), 0.0)
@@ -267,8 +268,8 @@ class SplitCheckReport:
     """Central splitting of the wrapped distribution vs the closed forms.
 
     The splitting's imaginary part is its Sokhotski-Plemelj pole term alone
-    (the dispersion kernel is imaginary, so the quadrature adds nothing to
-    it); im_rel_err compares it with r2_tilde_closed.  Its real part is what
+    (the distribution is i g with g real, so the quadrature of g adds
+    nothing to it); im_rel_err compares it with r2_tilde_closed.  Its real part is what
     the quadrature produces; re_rel_err compares it with
     r2_prefactor * Re sym_bracket(u), relative to r2_prefactor times the sum
     of the bracket's term magnitudes.  re_closed differs from re_numeric by
@@ -319,7 +320,7 @@ def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale
-    args = _real_axis_args(u)   # of sym_bracket(u) and its term scale
+    args = _real_axis_args(u, checked=True)   # of sym_bracket(u) and its term scale
     re_rel = (np.abs(numeric.real - pref * _sym_bracket(*args, NormalizationConstants()).real)
               / (pref * _bracket_term_scale(*args)))
     return SplitCheckReport(

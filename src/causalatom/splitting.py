@@ -1,8 +1,8 @@
 """Retarded/advanced parts of 1-D momentum-space causal distributions.
 
-A causal distribution here is a complex d(k) supported on |k| >= k_min > 0
-with power-counting singular order omega.  Its central retarded part is the
-subtracted dispersion integral
+A causal distribution here is d(k) = i g(k), g real, supported on
+|k| >= k_min > 0 with power-counting singular order omega.  Its central
+retarded part is the subtracted dispersion integral
 
     r(p0) = (i/2pi) p0^(omega+1) int dk  d(k) / [(k - i0)^(omega+1) (p0 - k + i0)]
 
@@ -17,7 +17,8 @@ valid retarded part; any two differ by a polynomial of degree <= omega.
 
 Every evaluation goes through _split_values, which advances the dispersion
 integrals of many points together (retarded_parts_central); a single point
-is its one-point case, with the same floats.
+is its one-point case, with the same floats.  The quadrature integrates the
+real g, and the factor i enters where the values are formed.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ SPLIT_CHUNK_POINTS = 128
 
 @dataclass(frozen=True)
 class CausalDistribution1D:
-    """Momentum-space causal distribution d(k) with a support gap at the origin.
+    """Momentum-space causal distribution d(k) = i g(k) with a support gap
+    at the origin.
 
-    evaluate must be numpy-vectorized and return exactly 0 for |k| < k_min.
+    g is real: the distributions of a resting atom are imaginary (or zero).
+    It must be numpy-vectorized and return exactly 0 for |k| < k_min.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray], np.ndarray]
     singular_order: int
     k_min: float
 
@@ -68,6 +71,10 @@ class CausalDistribution1D:
             raise ValueError("singular order must be >= -1")
         if self.k_min < 0:
             raise ValueError("k_min must be >= 0")
+
+    def evaluate(self, k):
+        """d(k) = i g(k)."""
+        return 1j * self.g(k)
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,8 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     mirrored 1/(p0 - k - i0), whose delta term has the opposite sign.
 
     The two integrals of each of up to SPLIT_CHUNK_POINTS points advance
-    together through the lock-step engine of numerics.integrate_batch; each
+    together through the lock-step engine of numerics.integrate_batch, their
+    tails mapped at the scale max(1, |p0|) of the kernel's features; each
     point gets the floats it gets alone.
     Returns (values, evaluations, error estimates) per point, the estimate
     scaled like the value by |p0 - q|^(omega+1)/(2 pi).  Raises for the first
@@ -134,6 +142,7 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     hi = np.where(right, [inf, -k_min], [-k_min, inf]).ravel()
     poles = np.stack((np.where(on, p, math.nan), np.full(len(p), math.nan)), axis=1).ravel()
     p0_of = p.repeat(2)
+    tail_scale = np.maximum(1.0, np.abs(p0_of))
     om1 = d.singular_order + 1
     sums, evals, exc = [np.zeros((0, 3))], [], None
     for start in range(0, len(p0_of), 2 * SPLIT_CHUNK_POINTS):
@@ -141,30 +150,32 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             # the kernel's power is a product, not numpy's ** (see _power)
             s, n, exc = integrate_batch(
-                lambda k, j, p0=p0_of[chunk]: d.evaluate(k) / (_power(k - q, om1) * (p0[j] - k)),
-                lo[chunk], hi[chunk], poles[chunk], tol, DEFAULT_ABS_TOL)
+                lambda k, j, p0=p0_of[chunk]: d.g(k) / (_power(k - q if q else k, om1)
+                                                       * (p0[j] - k)),
+                lo[chunk], hi[chunk], poles[chunk], tol, DEFAULT_ABS_TOL,
+                scale=tail_scale[chunk])
         sums.append(s)
         evals += n
         if exc is not None:
             break  # a batch ends at its first failing integral, and so does the grid
     if isinstance(exc, FloatingPointError):
-        # e.g. for |p0| from ~7.5e9 a tail node rounds onto t = 1 in the
-        # map's 1/(1 - t); from ~1.6e13 the fold's p0 +- t rounds onto the pole
+        # e.g. above |p0| ~ 9e15 (2^53) the fold p0 -+ (p0 - k_min) reaches
+        # k = 0, where the integrand is 0/0
         raise QuadratureConvergenceError(
             f"dispersion integral at p0 = {float(p0_of[len(evals)])} failed: {exc}") from exc
     if exc is not None:
         raise exc
-    # per point: 0j + the pole side's integral + the other side's, as a loop
-    # adding up QuadratureResults does
+    # per point: 0 + the pole side's integral of g + the other side's, as a
+    # loop adding up QuadratureResults does; times i, it is that of d
     sums = np.concatenate(sums).reshape(-1, 2, 3)
     total = (0.0 + sums[:, 0]) + sums[:, 1]
     scale = [(p0 - q) ** om1 for p0 in p.tolist()]   # scalar pow: numpy's rounds differently
     c = 1j / (2.0 * math.pi)
-    values = [c * s * complex(re, im) for s, re, im in zip(scale, *total[:, :2].T.tolist())]
-    for j, pole in zip(np.flatnonzero(on).tolist(), d.evaluate(p[on]).tolist()):
+    values = [c * s * complex(0.0, g) for s, g in zip(scale, total[:, 0].tolist())]
+    for j, g in zip(np.flatnonzero(on).tolist(), d.g(p[on]).tolist()):
         # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
         # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
-        values[j] += pole_sign * 0.5 * complex(pole)
+        values[j] += 0.5j * pole_sign * g
     value, evaluations, error = (np.zeros(len(p0s), dtype=complex),
                                  np.zeros(len(p0s), dtype=int), np.zeros(len(p0s)))
     value[integrated] = values
@@ -196,19 +207,12 @@ def retarded_parts_central(d: CausalDistribution1D, p0s,
     retarded_part_central would; points after a branch point are not
     integrated.
     """
-    p0s = [float(p0) for p0 in p0s]
-    branch = None
-    for n, p0 in enumerate(p0s):
-        try:
-            _check_point(d, p0, tol)
-        except BranchPointError as exc:
-            branch = exc
-            break
-    else:
-        n = len(p0s)
-    out = _split_values(d, p0s[:n], 0.0, tol)
-    if branch is not None:
-        raise branch
+    p0s = np.array(p0s, dtype=float)
+    near = np.abs(np.abs(p0s) - d.k_min) <= max(tol, BRANCH_GUARD)   # as _check_point
+    n = int(np.argmax(near)) if near.any() else len(p0s)
+    out = _split_values(d, p0s[:n].tolist(), 0.0, tol)
+    if n < len(p0s):
+        _check_point(d, float(p0s[n]), tol)
     return out
 
 

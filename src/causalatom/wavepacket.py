@@ -23,13 +23,12 @@ over the half spectrum of a real FFT, each bin q_j > 0 standing for +-q_j
 with the bracket evaluated in blocks of offsets.
 
 The comparison value z_closed uses the exact int g^2 dx0, in closed form
-(the plateau-time approximation int g^2 ~ c t_g is reported separately), so
-rel_error isolates the narrow-window reduction T2s(p0) ~ T2s(1/lbe) and
-converges ~ 1/t_g^2 as the plateau grows at fixed ramp fraction.  That
-convergence shows on synthetic presets (delta_u ~ 1e-3).  On hydrogen
-(delta_u ~ 1e-8) the reduction error lies below double precision at every
-plateau length, so rel_error sits at rounding and a monotone fall of it
-across plateau lengths compares noise.
+(not the plateau-time approximation c t_g), so rel_error isolates the
+narrow-window reduction T2s(p0) ~ T2s(1/lbe) and converges ~ 1/t_g^2 as the
+plateau grows at fixed ramp fraction.  That convergence shows on synthetic
+presets (delta_u ~ 1e-3).  On hydrogen (delta_u ~ 1e-8) the reduction error
+lies below double precision at every plateau length, so rel_error sits at
+rounding and a monotone fall of it across plateau lengths compares noise.
 """
 
 from __future__ import annotations
@@ -113,9 +112,10 @@ class TestFunction:
     def evaluate(self, x0):
         x0 = np.asarray(x0, dtype=float)
         length, width = self.plateau_length, self.edge_length
-        out = np.ones_like(x0)
-        # the edge profile on the edge nodes only: a plateau takes most of them
-        rise, fall = x0 < 0.0, x0 > length
+        # 1 on the plateau and 0 past the support, which take most nodes; the
+        # edge profile on the edge nodes only
+        out = ((0.0 <= x0) & (x0 <= length)).astype(float)
+        rise, fall = (-width < x0) & (x0 < 0.0), (length < x0) & (x0 < length + width)
         out[rise] = _edge_profile((x0[rise] + width) / width)
         out[fall] = _edge_profile((length + width - x0[fall]) / width)
         return out
@@ -130,7 +130,6 @@ class ZComparison:
     z_numerical: complex
     z_closed: complex          # uses the exact int g^2
     rel_error: float
-    z_closed_plateau: complex  # int g^2 replaced by c t_g
     z_closed_inverse_u: complex  # additionally weighted by 1/u_res (rate-consistent)
     narrowness: float          # |T2s'| * window width / |T2s| at resonance
     regime_ok: bool
@@ -204,7 +203,6 @@ def z_numerical(atom: AtomParams,
     bracket0 = complex(t2_bracket_resonant(atom.delta_u, c_norm))
     g2 = g.squared_integral()
     z_closed = TWO_PI ** 2 * 2.0 * pref * bracket0 * g2
-    z_plateau = TWO_PI ** 2 * 2.0 * pref * bracket0 * atom.constants.c * g.t_g
     rel = abs(z_num - z_closed) / abs(z_closed)
 
     h = max(width_u, 1e-9 * atom.delta_u)
@@ -217,7 +215,6 @@ def z_numerical(atom: AtomParams,
         z_numerical=z_num,
         z_closed=z_closed,
         rel_error=float(rel),
-        z_closed_plateau=z_plateau,
         z_closed_inverse_u=z_closed / atom.u_res,
         narrowness=float(narrowness),
         regime_ok=bool(narrowness < REGIME_LIMIT),

@@ -206,7 +206,11 @@ def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
     lag = np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK))
     near = np.where(lag > 0, kernel(BLOCK)[np.maximum(lag, 0)], 0.0)
     eye, shift = np.eye(BLOCK), np.eye(BLOCK, k=-1)
-    system = eye - alpha * shift - gam * near @ (eye + shift)
+    # near @ (eye + shift), each column plus the next; no product here goes
+    # to BLAS, whose thread pool can stall a 64-wide product on a busy host
+    band = near.copy()
+    band[:, :-1] += near[:, 1:]
+    system = eye - alpha * shift - gam * band
     rhs = np.column_stack([alpha * eye[:, 0] + gam * near[:, 0], gam * eye])
     response = np.linalg.solve(system, rhs)
     u, w = response[:, 0], response[:, 1:]
@@ -223,9 +227,9 @@ def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
         if n0:
             _add_square(acc, b, kernel, spectra, n0)
         h = acc[n0:n0 + BLOCK]
-        x = u * c_e + w @ h
+        x = u * c_e + np.einsum("ij,j->i", w, h)
         bb = b[n0:n0 + BLOCK] = np.concatenate(([c_e], x[:-1])) + x
-        s = -1j * a * (h + near @ bb)
+        s = -1j * a * (h + np.einsum("ij,j->i", near, bb))
         gain = a * a * big_g * np.abs(bb) ** 2 + 2.0 * (np.conj(s) * (-1j * a) * bb).real
         modes = mode_norm + np.cumsum(gain)
         first, last = n0 // stride, min((n0 + BLOCK) // stride, n_samples)

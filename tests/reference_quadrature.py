@@ -78,25 +78,27 @@ def _integrate_finite(f, a, b, rel_tol, abs_tol, budget):
     return total, total_err, evals
 
 
-def _finite_pieces(f, lo, hi):
+def _finite_pieces(f, lo, hi, scale):
+    """A semi-infinite interval as the map k = anchor +- scale t/(1-t) of
+    t in [0, 1), with the weight scale/(1-t)^2."""
     def tail(anchor, sign):
         def ft(t):
             w = 1.0 / (1.0 - t)
-            return f(anchor + sign * (t * w)) * w * w
+            return f(anchor + sign * (t * w)) * w * w * abs(sign)
         return ft
 
     if math.isinf(lo) and math.isinf(hi):
-        return [(tail(0.0, -1.0), 0.0, 1.0), (tail(0.0, 1.0), 0.0, 1.0)]
+        return [(tail(0.0, -scale), 0.0, 1.0), (tail(0.0, scale), 0.0, 1.0)]
     if math.isinf(hi):
-        return [(tail(lo, 1.0), 0.0, 1.0)]
+        return [(tail(lo, scale), 0.0, 1.0)]
     if math.isinf(lo):
-        return [(tail(hi, -1.0), 0.0, 1.0)]
+        return [(tail(hi, -scale), 0.0, 1.0)]
     return [(f, lo, hi)]
 
 
 def integrate_adaptive(f, lo, hi, rel_tol=1e-10, abs_tol=DEFAULT_ABS_TOL,
-                       max_evaluations=DEFAULT_MAX_EVALUATIONS) -> QuadratureResult:
-    pieces = _finite_pieces(f, lo, hi)
+                       max_evaluations=DEFAULT_MAX_EVALUATIONS, scale=1.0) -> QuadratureResult:
+    pieces = _finite_pieces(f, lo, hi, scale)
     total, total_err, evals = 0.0 + 0.0j, 0.0, 0
     for fn, a, b in pieces:
         v, e, n = _integrate_finite(fn, a, b, rel_tol, abs_tol / len(pieces),
@@ -108,7 +110,7 @@ def integrate_adaptive(f, lo, hi, rel_tol=1e-10, abs_tol=DEFAULT_ABS_TOL,
                             evaluations=evals)
 
 
-def integrate_pv(f, pole, lo, hi, tol=1e-10) -> QuadratureResult:
+def integrate_pv(f, pole, lo, hi, tol=1e-10, scale=1.0) -> QuadratureResult:
     dist_lo = pole - lo if math.isfinite(lo) else math.inf
     dist_hi = hi - pole if math.isfinite(hi) else math.inf
     h = min(dist_lo, dist_hi)
@@ -123,7 +125,7 @@ def integrate_pv(f, pole, lo, hi, tol=1e-10) -> QuadratureResult:
     value, err, evals = 0.0 + 0.0j, 0.0, 0
     for fn, a, b in pieces:
         r = integrate_adaptive(fn, a, b, rel_tol=tol, abs_tol=DEFAULT_ABS_TOL,
-                               max_evaluations=DEFAULT_MAX_EVALUATIONS - evals)
+                               max_evaluations=DEFAULT_MAX_EVALUATIONS - evals, scale=scale)
         value += r.value
         err += r.abs_error_estimate
         evals += r.evaluations
@@ -139,6 +141,8 @@ def retarded_central(d, p0, tol):
     as in splitting._power: numpy's power on a negative base is about 36
     times slower than on a positive one and rounds differently, and the
     engine and this reference must form the same product to agree bitwise.
+    The integrand is the real g of d = i g, and the tails are mapped at the
+    scale max(1, |p0|), as in splitting._split_values.
     """
     _check_point(d, p0, tol)
     om1, q = d.singular_order + 1, 0.0
@@ -152,28 +156,28 @@ def retarded_central(d, p0, tol):
         power = 1.0 if om1 == 0 else kq
         for _ in range(om1 - 1):
             power = power * kq
-        return d.evaluate(k) / (power * (p0 - k))
+        return d.g(k) / (power * (p0 - k))
 
-    value, evals = 0.0 + 0.0j, 0
+    value, evals, scale = 0.0 + 0.0j, 0, max(1.0, abs(p0))
     on_support = abs(p0) > d.k_min
     left, right = (-math.inf, -d.k_min), (d.k_min, math.inf)
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             if on_support:
                 pole_side, other = (right, left) if p0 > 0 else (left, right)
-                results = [integrate_pv(kernel, p0, *pole_side, tol),
-                           integrate_adaptive(kernel, *other, rel_tol=tol)]
+                results = [integrate_pv(kernel, p0, *pole_side, tol, scale),
+                           integrate_adaptive(kernel, *other, rel_tol=tol, scale=scale)]
             else:
-                results = [integrate_adaptive(kernel, *left, rel_tol=tol),
-                           integrate_adaptive(kernel, *right, rel_tol=tol)]
+                results = [integrate_adaptive(kernel, *left, rel_tol=tol, scale=scale),
+                           integrate_adaptive(kernel, *right, rel_tol=tol, scale=scale)]
     except FloatingPointError as exc:
         raise QuadratureConvergenceError(
             f"dispersion integral at p0 = {p0} failed: {exc}") from exc
     for r in results:
         value += r.value
         evals += r.evaluations
-    result = (1j / (2.0 * math.pi)) * (p0 - q) ** om1 * value
+    result = (1j / (2.0 * math.pi)) * (p0 - q) ** om1 * complex(0.0, value.real)
     if on_support:
-        result += 0.5 * complex(d.evaluate(np.array([p0]))[0])
+        result += 0.5j * 1.0 * float(d.g(np.array([p0]))[0])
     return result, evals
 

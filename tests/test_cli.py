@@ -605,6 +605,17 @@ class TestOnePassTable:
         assert cli._dumps(cli.Table(a=[], b=[])) == "[]\n"
         assert cli._csv(cli.Table(a=[], b=[])) == "a,b\n"
 
+    def test_row_template_writes_what_each_cell_writes(self):
+        # a Table is written from one template per row, filled by one %; each
+        # cell written on its own (a list of plain dicts) gives the same bytes
+        table = cli.Table({"x%s": [0.1, -0.0, 1e308, 5e-324], "n": [1, -2, 10 ** 30, 0],
+                           "s%%": ["a", "%d", 'q"u,o\nte', ""],
+                           "b": [True, False, True, False]})
+        rows = [dict(zip(table, r)) for r in zip(*table.values())]
+        assert cli._dumps({"rows": table, "y": 2.5}) == cli._dumps({"rows": rows, "y": 2.5})
+        cells = "".join(",".join(map(cli._csv_field, r.values())) + "\n" for r in rows)
+        assert cli._csv(table) == "x%s,n,s%%,b\n" + cells
+
     def test_ragged_table_refused(self):
         ragged = cli.Table(a=[1.0, 2.0], b=[3.0])
         for write in (cli._dumps, cli._csv):

@@ -24,14 +24,14 @@ def core_g(k):
 
 def make_core(scale=1.0):
     return CausalDistribution1D(
-        evaluate=lambda k: 1j * scale * core_g(k),
+        g=lambda k: scale * core_g(k),
         singular_order=2,
         k_min=1.0,
     )
 
 
 ZERO_DIST = CausalDistribution1D(
-    evaluate=lambda k: np.zeros_like(np.asarray(k, dtype=float), dtype=complex),
+    g=lambda k: np.zeros_like(np.asarray(k, dtype=float)),
     singular_order=2,
     k_min=1.0,
 )
@@ -94,11 +94,11 @@ class TestRetardedCentral:
     def test_linearity(self):
         d1 = make_core(1.0)
         d2 = CausalDistribution1D(
-            evaluate=lambda k: 1j * np.where(np.abs(k) > 1.0, np.sign(k) / (k ** 2 + (np.abs(k) <= 1.0)), 0.0),
+            g=lambda k: np.where(np.abs(k) > 1.0, np.sign(k) / (k ** 2 + (np.abs(k) <= 1.0)), 0.0),
             singular_order=2, k_min=1.0)
         a, b = 2.5, -1.25
         combo = CausalDistribution1D(
-            evaluate=lambda k: a * d1.evaluate(k) + b * d2.evaluate(k),
+            g=lambda k: a * d1.g(k) + b * d2.g(k),
             singular_order=2, k_min=1.0)
         for p0 in (0.5, 2.0, 3.5):
             lhs = retarded_part_central(combo, p0)
@@ -189,6 +189,6 @@ class TestPolynomialResidual:
 class TestFields:
     def test_bad_order_or_gap_rejected(self):
         with pytest.raises(ValueError):
-            CausalDistribution1D(evaluate=core_g, singular_order=-2, k_min=1.0)
+            CausalDistribution1D(g=core_g, singular_order=-2, k_min=1.0)
         with pytest.raises(ValueError):
-            CausalDistribution1D(evaluate=core_g, singular_order=2, k_min=-1.0)
+            CausalDistribution1D(g=core_g, singular_order=2, k_min=-1.0)

@@ -12,7 +12,7 @@ from causalatom.observables import (
     hydrogen_1s2p_preset,
     synthetic_atom,
 )
-from causalatom.selfenergy import NormalizationConstants
+from causalatom.selfenergy import NormalizationConstants, t2_bracket_resonant, t2_prefactor
 from causalatom.wavepacket import (
     EDGE_SQUARED_INTEGRAL,
     TestFunction,
@@ -268,8 +268,11 @@ class TestZNumerical:
         period = 2 * math.pi / atom.omega_eg
         g = TestFunction(100 * period, 10 * period, atom.constants.c)
         zc = z_numerical(atom, C0, g)
-        # plateau approximation differs by the edge fraction of int g^2
-        ratio = (zc.z_closed / zc.z_closed_plateau).real
+        # the plateau approximation int g^2 ~ c t_g differs by the edge
+        # fraction of int g^2
+        z_plateau = ((2 * math.pi) ** 2 * 2.0 * t2_prefactor(atom)
+                     * complex(t2_bracket_resonant(atom.delta_u, C0)) * atom.constants.c * g.t_g)
+        ratio = (zc.z_closed / z_plateau).real
         expect = 1.0 + 4 * EDGE_SQUARED_INTEGRAL * g.ramp / g.t_g
         assert ratio == pytest.approx(expect, rel=1e-9)
         # rate-consistent weight divides by u_res
