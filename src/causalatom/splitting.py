@@ -150,8 +150,7 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             # the kernel's power is a product, not numpy's ** (see _power)
             s, n, exc = integrate_batch(
-                lambda k, j, p0=p0_of[chunk]: d.g(k) / (_power(k - q if q else k, om1)
-                                                       * (p0[j] - k)),
+                lambda k, j, p0=p0_of[chunk]: d.g(k) / (_power(k - q, om1) * (p0[j] - k)),
                 lo[chunk], hi[chunk], poles[chunk], tol, DEFAULT_ABS_TOL,
                 scale=tail_scale[chunk])
         sums.append(s)
