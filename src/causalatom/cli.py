@@ -118,14 +118,11 @@ def _json_text(v) -> str:
 
 
 def _json(v, parts: list, args: list, floats: list):
-    """Append ``v`` as JSON to the template ``parts``, with the values of its
-    slots to ``args``; its floats outside Tables go to ``floats`` too."""
+    """Append ``v`` as JSON to the template ``parts``, with the values of the
+    slots of its Tables to ``args``; its floats and complex numbers outside
+    Tables go to ``floats``, to be checked before anything is written."""
     t = type(v)
-    if t is float:
-        parts.append(_FLOAT)
-        args.append(v)
-        floats.append(v)
-    elif t is Table:
+    if t is Table:
         _finite(floats)   # the values before it come first
         leads = [(", " if j else "{") + json.dumps(k).replace("%", "%%") + ": "
                  for j, k in enumerate(v)]
@@ -145,9 +142,9 @@ def _json(v, parts: list, args: list, floats: list):
                 parts.append(", ")
             _json(item, parts, args, floats)
         parts.append("]")
-    elif t is complex:
-        _json({"re": v.real, "im": v.imag}, parts, args, floats)
     else:
+        if t is float or t is complex:
+            floats.append(v)
         parts.append(_json_text(v).replace("%", "%%"))
 
 

@@ -340,7 +340,8 @@ def _lockstep(f, table, counts, rel_tol, abs_tol, max_evaluations):
         ended = ~going & (idx < cut)
         if ended.any() or over.size:
             fin = idx[ended]
-            groups = np.append(piece[fin], piece[cut:cut + over.size])
+            # the failing piece last, once, whatever else ran out this round
+            groups = np.append(piece[fin], piece[cut:cut + 1] if over.size else piece[:0])
             sums = _resum(seg[:used], of[:used], groups)
             for i in fin.tolist():
                 heaps[i] = None

@@ -214,13 +214,10 @@ def _r2_bracket(u: float) -> complex:
     return front + pole + poly
 
 
-def _real_axis_args(u, checked: bool = False):
+def _real_axis_args(u):
     """The (u, x, ln|x|, step) arguments of _sym_bracket at real u, as arrays,
-    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it; each u
-    is checked unless it has been."""
+    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it."""
     u = np.asarray(u, dtype=float)
-    for v in [] if checked else u.ravel().tolist():
-        _check_regular(v)
     x = u * u - 1.0
     return u, x, np.log(np.abs(x)), np.where(x > 0.0, 2j * math.pi * np.sign(u), 0.0)
 
@@ -234,6 +231,9 @@ def sym_bracket(u, c: NormalizationConstants = NormalizationConstants()):
     u in {0, +-1}; near u = 1 use t2_bracket_resonant, which forms u^2 - 1
     without cancellation.
     """
+    u = np.asarray(u, dtype=float)
+    for v in u.ravel().tolist():
+        _check_regular(v)
     return _sym_bracket(*_real_axis_args(u), c)
 
 
@@ -320,7 +320,7 @@ def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale
-    args = _real_axis_args(u, checked=True)   # of sym_bracket(u) and its term scale
+    args = _real_axis_args(u)   # of sym_bracket(u) and its term scale
     re_rel = (np.abs(numeric.real - pref * _sym_bracket(*args, NormalizationConstants()).real)
               / (pref * _bracket_term_scale(*args)))
     return SplitCheckReport(

@@ -85,8 +85,14 @@ class PolynomialResidual:
     max_abs_deviation: float
 
 
+def _near_edge(d: CausalDistribution1D, p0, tol: float):
+    """Whether |p0| (a scalar or an array) lies too near the support edge to
+    be split."""
+    return np.abs(np.abs(p0) - d.k_min) <= max(tol, BRANCH_GUARD)
+
+
 def _check_point(d: CausalDistribution1D, p0: float, tol: float):
-    if abs(abs(p0) - d.k_min) <= max(tol, BRANCH_GUARD):
+    if _near_edge(d, p0, tol):
         raise BranchPointError(
             f"|p0| = {abs(p0)} lies within {max(tol, BRANCH_GUARD)} of the "
             f"support edge k_min = {d.k_min}")
@@ -207,7 +213,7 @@ def retarded_parts_central(d: CausalDistribution1D, p0s,
     integrated.
     """
     p0s = np.array(p0s, dtype=float)
-    near = np.abs(np.abs(p0s) - d.k_min) <= max(tol, BRANCH_GUARD)   # as _check_point
+    near = _near_edge(d, p0s, tol)
     n = int(np.argmax(near)) if near.any() else len(p0s)
     out = _split_values(d, p0s[:n].tolist(), 0.0, tol)
     if n < len(p0s):

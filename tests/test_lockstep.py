@@ -389,6 +389,24 @@ def test_slow_integrals_after_the_first_wait():
     assert (seen[SLOW_WIDTH:] <= SLOW_EVALUATIONS + 30).all()
 
 
+def test_integrals_spent_in_one_round_report_the_first():
+    # both bisect once a round and never converge, so both spend their
+    # budget in the same round; the error and its partial estimate are
+    # those of the first, not of the second
+    def nasty(x):
+        return np.abs(np.sin(1.0 / (x + 1e-12)))
+
+    kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 2000}
+    sums, evaluations, exc = integrate_batch(lambda x, owner: (1.0 + owner) * nasty(x),
+                                             [0.0, 0.0], [1.0, 1.0], **kw)
+    with pytest.raises(QuadratureConvergenceError) as theirs:
+        ref.integrate_adaptive(nasty, 0.0, 1.0, **kw)
+    assert len(sums) == len(evaluations) == 0
+    assert isinstance(exc, QuadratureConvergenceError)
+    assert str(exc) == str(theirs.value)
+    _same_result(exc.partial, theirs.value.partial)
+
+
 def test_no_command_imports_mpmath():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
