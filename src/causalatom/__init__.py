@@ -1,8 +1,7 @@
 """Causal distribution splitting for the two-level-atom self-energy.
 
 Modules:
-  numerics     batched adaptive quadrature (principal values as rows with a
-               pole)
+  numerics     fixed double-exponential quadrature on a nested step ladder
   splitting    retarded/advanced parts of 1-D momentum-space causal distributions
   selfenergy   closed-form self-energy distributions and their symmetrization
   observables  constants, atom presets, decay rate, line shift, normalization

@@ -6,20 +6,9 @@ class CausalAtomError(Exception):
 
 
 class QuadratureConvergenceError(CausalAtomError):
-    """Adaptive quadrature exhausted its evaluation budget, or a node left the
-    float range (landed on a pole, overflowed).
-
-    Carries the partial estimate, if there is one, so callers can inspect how
-    far it got.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class PoleLocationError(CausalAtomError):
-    """Principal-value pole not strictly inside the integration interval."""
+    """A dispersion integral did not meet its error target by the last step
+    of the quadrature ladder, or its integrand left the float range
+    (overflowed, or divided by zero)."""
 
 
 class BranchPointError(CausalAtomError):

@@ -23,6 +23,7 @@ real g, and the factor i enters where the values are formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import DEFAULT_ABS_TOL, integrate_batch
+from .numerics import STEPS, exp_sinh, ladder, tanh_sinh
 
 __all__ = [
     "CausalDistribution1D",
@@ -48,8 +49,8 @@ DEFAULT_TOL = 1e-11
 # evaluation points this close to the support edge are refused
 BRANCH_GUARD = 1e-9
 
-# the dispersion integrals of at most this many points advance together, so
-# the working arrays and segment heaps of a batch do not grow with the grid
+# the dispersion integrals of at most this many points are evaluated together,
+# so the working arrays do not grow with the grid
 SPLIT_CHUNK_POINTS = 128
 
 
@@ -105,10 +106,7 @@ def _power(x, n: int):
     The subtraction kernel's (k - q)^(omega+1) is formed this way because
     numpy's power takes a slow path on a negative base (about 180 ns per
     element against 5 for a positive one), and every grid meets negative
-    nodes: the other side's tail, and for u < -1 the fold.  numpy's result
-    matches neither libm pow nor -(|x| ** n) to the last bit, so the product
-    changes last bits; the reference kernel in tests/reference_quadrature.py
-    forms the same product, and the engine stays bitwise equal to it.
+    nodes: the other side, and for u < -1 the pole side.
     """
     if n == 0:
         return 1.0
@@ -118,6 +116,100 @@ def _power(x, n: int):
     return power
 
 
+def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
+    """The regular dispersion integral of g at each point p0 of the array p,
+    on the step ladder of numerics: (values, error estimates, node counts).
+
+    With s = sgn p0, P = |p0|, S = max(k_min, P) and G(k) = g(k)/(k - q)^(omega+1),
+    the integrand is G(k)/(p0 - k), and its pieces are:
+      on the support, pole side: the fold int_0^h (G(p0 - st) - G(p0 + st))/(st) dt
+        with h = min(P - k_min, P/2), by tanh-sinh; the near piece
+        [k_min, P - h], by tanh-sinh in ln k (empty unless P > 2 k_min); and
+        the far piece [P + h, inf), by exp-sinh at the scale S;
+      on the support, other side: [k_min, S] by tanh-sinh in ln k, then
+        [S, inf) by exp-sinh at the scale S (one exp-sinh rule on
+        [k_min, inf) at the scale S reads 30% low at |p0| = 1e30);
+      off the support: both sides summed in one exp-sinh rule on [k_min, inf).
+    Each p0 - k is formed where it cannot cancel.  The points of each of the
+    three piece lists run through one ladder.  Raises
+    QuadratureConvergenceError for the first point in order that does not
+    converge by the last step; a FloatingPointError of the integrand
+    propagates.
+    """
+    k_min, om1 = d.k_min, d.singular_order + 1
+    ln_min = math.log(k_min)
+
+    def G(k):
+        return d.g(k) / _power(k - q, om1)
+
+    def off_terms(n, p0, s, P, S, h):
+        e, v = exp_sinh(n)
+        k = k_min + k_min * e
+        # G(k)/(p0 - k) + G(-k)/(p0 + k) over one denominator: the two
+        # sides cancel to O(p0) at small p0, and for odd g exactly so
+        up, down = G(k), G(-k)
+        return [(p0 * (up + down) + k * (up - down)) / ((p0 - k) * (p0 + k)) * (k_min * v)]
+
+    def on_terms(n, p0, s, P, S, h, wide):
+        x, w = tanh_sinh(n)
+        e, v = exp_sinh(n)
+        t = h * x
+        terms = [(G(p0 - s * t) - G(p0 + s * t)) / (s * t) * (h * w)]
+        near = [(s, np.log(P - h))] if wide else []
+        for side, top in near + [(-s, np.log(S))]:
+            k = np.exp(ln_min + (top - ln_min) * x)
+            terms.append(G(side * k) / (p0 - side * k) * (k * (top - ln_min) * w))
+        far = h + S * e
+        terms.append(G(p0 + s * far) / (-s * far) * (S * v))
+        k = S + S * e
+        terms.append(G(-s * k) / (p0 + s * k) * (S * v))
+        return terms
+
+    s, P = np.sign(p), np.abs(p)
+    S = np.maximum(k_min, P)
+    wide = 0.5 * P > k_min
+    h = np.where(wide, 0.5 * P, P - k_min)
+    on = P > k_min
+    value, err = np.zeros(len(p)), np.zeros(len(p))
+    nodes, failed = np.zeros(len(p), dtype=int), []
+    for rows, terms in ((~on, off_terms), (on & ~wide, functools.partial(on_terms, wide=False)),
+                        (wide, functools.partial(on_terms, wide=True))):
+        idx = np.flatnonzero(rows)
+        if not idx.size:
+            continue
+        cols = [c[idx, None] for c in (p, s, P, S, h)]
+
+        def sums(n, r, terms=terms, cols=cols):
+            y = np.concatenate(terms(n, *(c[r] for c in cols)), axis=1)
+            return y.sum(axis=1), np.abs(y).sum(axis=1), np.full(len(r), y.shape[1])
+
+        value[idx], err[idx], nodes[idx], bad = ladder(sums, len(idx), tol)
+        failed += idx[bad].tolist()
+    if failed:
+        j = min(failed)
+        raise QuadratureConvergenceError(
+            f"dispersion integral at p0 = {float(p[j])} did not converge by step "
+            f"h = 1/{STEPS[-1]} (error estimate {err[j]:.3e} of the value {value[j]:.3e})")
+    return value, err, nodes
+
+
+def _chunk(d: CausalDistribution1D, p, q: float, tol: float):
+    """_dispersion at the points p under float traps.  A FloatingPointError
+    becomes a QuadratureConvergenceError that names the first point in order
+    that fails, found by running the points one at a time."""
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        try:
+            return _dispersion(d, p, q, tol)
+        except FloatingPointError:
+            for j in range(len(p)):
+                try:
+                    _dispersion(d, p[j:j + 1], q, tol)
+                except FloatingPointError as exc:
+                    raise QuadratureConvergenceError(
+                        f"dispersion integral at p0 = {float(p[j])} failed: {exc}") from exc
+            raise   # not reached: a point's arithmetic does not depend on the others
+
+
 def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
                   pole_sign: float = 1.0):
     """Dispersion integrals with Taylor subtraction about k = q at every p0.
@@ -125,13 +217,11 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     pole_sign = 1 resolves 1/(p0 - k + i0) (retarded); -1 resolves the
     mirrored 1/(p0 - k - i0), whose delta term has the opposite sign.
 
-    The two integrals of each of up to SPLIT_CHUNK_POINTS points advance
-    together through the lock-step engine of numerics.integrate_batch, their
-    tails mapped at the scale max(1, |p0|) of the kernel's features; each
-    point gets the floats it gets alone.
-    Returns (values, evaluations, error estimates) per point, the estimate
-    scaled like the value by |p0 - q|^(omega+1)/(2 pi).  Raises for the first
-    failing point in order, as a loop over the points would.
+    The points go through _dispersion SPLIT_CHUNK_POINTS at a time; each
+    point gets the floats it gets alone.  Returns (values, node counts,
+    error estimates) per point, the estimate |I_h - I_2h| scaled like the
+    value by |p0 - q|^(omega+1)/(2 pi).  Raises for the first failing point
+    in order, as a loop over the points would.
     """
     if p0s and d.k_min == 0.0:
         raise SupportError("distribution support must exclude k = 0")
@@ -139,44 +229,15 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     # at p0 = q = 0 the p0^(omega+1) prefactor kills the regular integral
     integrated = (p0s != 0.0) | (q != 0.0)
     p = p0s[integrated]
-    # each point's two integrals (lo, hi, pole): on the support the pole
-    # side's principal value, then the other side; off it, the two sides
-    on = np.abs(p) > d.k_min
-    right = (on & (p > 0.0))[:, None]
-    k_min, inf = d.k_min, math.inf
-    lo = np.where(right, [k_min, -inf], [-inf, k_min]).ravel()
-    hi = np.where(right, [inf, -k_min], [-k_min, inf]).ravel()
-    poles = np.stack((np.where(on, p, math.nan), np.full(len(p), math.nan)), axis=1).ravel()
-    p0_of = p.repeat(2)
-    tail_scale = np.maximum(1.0, np.abs(p0_of))
+    parts = [_chunk(d, p[i:i + SPLIT_CHUNK_POINTS], q, tol)
+             for i in range(0, len(p), SPLIT_CHUNK_POINTS)] or [(np.zeros(0),) * 3]
+    total, err, nodes = (np.concatenate(c) for c in zip(*parts))
     om1 = d.singular_order + 1
-    sums, evals, exc = [np.zeros((0, 3))], [], None
-    for start in range(0, len(p0_of), 2 * SPLIT_CHUNK_POINTS):
-        chunk = slice(start, start + 2 * SPLIT_CHUNK_POINTS)
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            # the kernel's power is a product, not numpy's ** (see _power)
-            s, n, exc = integrate_batch(
-                lambda k, j, p0=p0_of[chunk]: d.g(k) / (_power(k - q, om1) * (p0[j] - k)),
-                lo[chunk], hi[chunk], poles[chunk], tol, DEFAULT_ABS_TOL,
-                scale=tail_scale[chunk])
-        sums.append(s)
-        evals += n
-        if exc is not None:
-            break  # a batch ends at its first failing integral, and so does the grid
-    if isinstance(exc, FloatingPointError):
-        # e.g. above |p0| ~ 9e15 (2^53) the fold p0 -+ (p0 - k_min) reaches
-        # k = 0, where the integrand is 0/0
-        raise QuadratureConvergenceError(
-            f"dispersion integral at p0 = {float(p0_of[len(evals)])} failed: {exc}") from exc
-    if exc is not None:
-        raise exc
-    # per point: 0 + the pole side's integral of g + the other side's, as a
-    # loop adding up QuadratureResults does; times i, it is that of d
-    sums = np.concatenate(sums).reshape(-1, 2, 3)
-    total = (0.0 + sums[:, 0]) + sums[:, 1]
     scale = [(p0 - q) ** om1 for p0 in p.tolist()]   # scalar pow: numpy's rounds differently
     c = 1j / (2.0 * math.pi)
-    values = [c * s * complex(0.0, g) for s, g in zip(scale, total[:, 0].tolist())]
+    # the integral is that of g; times i, it is that of d
+    values = [c * s * complex(0.0, g) for s, g in zip(scale, total.tolist())]
+    on = np.abs(p) > d.k_min
     for j, g in zip(np.flatnonzero(on).tolist(), d.g(p[on]).tolist()):
         # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
         # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
@@ -184,8 +245,8 @@ def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
     value, evaluations, error = (np.zeros(len(p0s), dtype=complex),
                                  np.zeros(len(p0s), dtype=int), np.zeros(len(p0s)))
     value[integrated] = values
-    evaluations[integrated] = np.array(evals, dtype=int).reshape(-1, 2).sum(axis=1)
-    error[integrated] = np.abs(scale) / (2.0 * math.pi) * total[:, 2]
+    evaluations[integrated] = nodes
+    error[integrated] = np.abs(scale) / (2.0 * math.pi) * err
     return value, evaluations, error
 
 

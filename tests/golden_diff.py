@@ -42,6 +42,8 @@ GRIDS = [["--u-min", "1.1", "--u-max", "3", "--points", "1000"],
          ["--u-min", "3.1330", "--u-max", "3.1336", "--points", "200"],
          ["--u-min", "1e10", "--u-max", "1e11", "--points", "5"],
          ["--u-min", "1e16", "--u-max", "2e16", "--points", "5"],
+         ["--u-min", "1e40", "--u-max", "1e50", "--points", "5"],
+         ["--u-min", "1.000000002", "--u-max", "1.00001", "--points", "5"],
          ["--u-min", "1e300", "--u-max", "1.7e308", "--points", "5"],
          ["--preset", "synthetic:1e-2", "--tol", "1e-3"]]
 

@@ -93,9 +93,15 @@ def test_series_check_ends_cleanly(capfd, tmp_path, preset, c):
                                        *(f"--c{i}={v!r}" for i, v in enumerate(c))])
 
 
+# |u| log-uniform over all that the closed form accepts, about 1e-77 to 2.4e51
+WIDE_U = st.tuples(st.floats(-77.0, 51.3), st.sampled_from([-1.0, 1.0])).map(
+    lambda e: e[1] * 10.0 ** e[0])
+
+
 @PROPERTY_SETTINGS
 @given(preset=SYNTHETIC,
        ends=st.one_of(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+                      st.tuples(WIDE_U, WIDE_U),
                       st.tuples(*[st.one_of(EDGE_FLOATS, ANY_FLOAT)] * 2)),
        points=st.integers(1, 12),
        tol=st.one_of(st.floats(1e-13, 1e-6), EDGE_FLOATS))

@@ -1,37 +1,43 @@
-"""The lock-step quadrature engine against the one-integral-at-a-time
-reference in reference_quadrature.py: the same floats to the last bit, the
-same evaluation counts (so the same greedy choices), and the same errors."""
+"""The step ladder runs many integrals in lock-step: every integral of a
+batch, and every point of a split-check chunk, takes its steps at once.
+These tests hold it to oracles it does not share code with: a loop over the
+points one at a time (the same floats to the last bit, and the same node
+counts), the closed form, scipy's QUADPACK and an exact scale identity."""
 
 import dataclasses
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference_quadrature as ref
-from causalatom import cli
+from causalatom import cli, selfenergy
 from causalatom.cli import main
 from causalatom.errors import BranchPointError, QuadratureConvergenceError
-from causalatom.numerics import (
-    SLOW_EVALUATIONS,
-    SLOW_WIDTH,
-    integrate_adaptive,
-    integrate_batch,
-    pieces,
-)
+from causalatom.numerics import STEPS, exp_sinh, ladder, tanh_sinh
 from causalatom.observables import hydrogen_1s2p_preset
-from causalatom.selfenergy import (_core, as_causal_distribution, r2_tilde_closed,
+from causalatom.selfenergy import (_bracket_term_scale, _core, _real_axis_args,
+                                   as_causal_distribution, r2_prefactor, r2_tilde_closed,
                                    split_check_report)
-from causalatom.splitting import CausalDistribution1D, retarded_parts_central
+from causalatom.splitting import (SPLIT_CHUNK_POINTS, CausalDistribution1D,
+                                  retarded_parts_central)
+from test_numerics import _terms, finite_lo, integrate, pv
 
 ATOM = hydrogen_1s2p_preset()
+UNIT = as_causal_distribution(ATOM, unit_scale=True)
+# sin(40 k) on the support: no step of the ladder resolves it
+OSCILLATING = CausalDistribution1D(g=lambda k: np.where(k * k > 1.0, np.sin(40.0 * k), 0.0),
+                                   singular_order=2, k_min=1.0)
 
 
 def bits(values):
@@ -47,19 +53,24 @@ def outcome(run):
         return type(exc), str(exc)
 
 
-def reference_report(u, tol=1e-11):
-    """(numeric values, evaluations) of a per-point loop over the reference,
-    after the closed forms split_check_report evaluates first."""
+def reference_loop(d, u):
+    """(values, node counts) of the points one at a time."""
+    points = [retarded_parts_central(d, [float(x)]) for x in u]
+    return (np.concatenate([v for v, _, _ in points]),
+            np.concatenate([n for _, n, _ in points]))
+
+
+def reference_report(u):
+    """The numeric values as raw words and the node count of a per-point loop,
+    after the closed forms that split_check_report evaluates first."""
     for x in u:
         r2_tilde_closed(float(x), ATOM)
-    d = as_causal_distribution(ATOM)
-    points = [ref.retarded_central(d, float(x), tol) for x in u]
-    values = np.array([[v.real, v.imag] for v, _ in points])
-    return bits(values.T), sum(n for _, n in points)
+    values, nodes = reference_loop(as_causal_distribution(ATOM), u)
+    return bits([values.real, values.imag]), int(nodes.sum())
 
 
-def batched_report(u, tol=1e-11):
-    rep = split_check_report(ATOM, u, tol=tol)
+def batched_report(u):
+    rep = split_check_report(ATOM, u)
     return bits(np.stack([rep.re_numeric, rep.im_numeric])), rep.quadrature_evaluations
 
 
@@ -70,6 +81,24 @@ def assert_same(u):
     else:
         assert np.array_equal(mine[0], theirs[0])
         assert mine[1] == theirs[1]
+
+
+def closed_real(v):
+    """Re B(v; C = 0), the closed form of the central splitting over
+    r2_prefactor, in mpmath at the working precision."""
+    x = v * v - 1
+    return x ** 3 / v ** 4 * -mpmath.log(abs(x)) + 1 / v ** 2 - mpmath.mpf(5) / 2 + 11 * v ** 2 / 6
+
+
+def real_part_error(rep):
+    """re_rel_err against the closed form evaluated at 30 digits: the float
+    closed form's ln|u^2 - 1| loses digits at small |u| (at u = 0.05 it
+    alone reads 1.06e-14 of the term scale)."""
+    with mpmath.workdps(30):
+        closed = np.array([float(closed_real(v)) for v in map(mpmath.mpf, rep.u.tolist())])
+    pref = r2_prefactor(ATOM)
+    return (np.abs(rep.re_numeric - pref * closed)
+            / (pref * _bracket_term_scale(*_real_axis_args(rep.u))))
 
 
 _MIXED = np.random.default_rng(3).permutation(np.concatenate([
@@ -89,56 +118,71 @@ def test_split_check_bitwise_equal_to_reference_loop(u):
     theirs, ref_evals = reference_report(u)
     assert np.array_equal(mine, theirs)
     assert evals == ref_evals
+    rep = split_check_report(ATOM, u)
+    assert real_part_error(rep).max() <= 1e-14
+    # the imaginary part is the Sokhotski-Plemelj pole term g(u)/2 alone
+    d = as_causal_distribution(ATOM)
+    assert np.array_equal(rep.im_numeric, np.where(np.abs(u) > 1.0, 0.5 * d.g(u), 0.0))
 
 
-# the last band lies within the 1e-9 branch guard of the support edge
-_MAGNITUDE = st.one_of(st.floats(0.01, 0.99), st.floats(1.001, 40.0),
+# every |u| the closed form accepts (from about 1e-77 to 2.4e51), log-uniform,
+# and a band within the 1e-9 branch guard of the support edge
+_MAGNITUDE = st.one_of(st.floats(-77.0, 51.3).map(lambda e: 10.0 ** e),
+                       st.floats(0.01, 0.99), st.floats(1.001, 40.0),
                        st.floats(1.0 - 5e-10, 1.0 + 5e-10))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(_MAGNITUDE, st.sampled_from([-1.0, 1.0])),
                 min_size=1, max_size=12))
 def test_random_grids_bitwise_equal_to_reference_loop(points):
-    assert_same(np.array([m * s for m, s in points]))
+    u = np.array([m * s for m, s in points])
+    assert_same(u)
+    rep = outcome(lambda: split_check_report(ATOM, u))
+    if not isinstance(rep, tuple):
+        # the closed form is a trustworthy oracle of the real part down to
+        # |u| ~ 1e-3; below that its own terms cancel
+        assert (rep.re_rel_err[np.abs(u) >= 1e-3] <= 1e-8).all()
+        assert (rep.im_rel_err <= 1e-8).all()
 
 
-# from |u| ~ 9e15, above 2^53, the fold p0 -+ (p0 - 1) reaches k = 0, where
-# the integrand is 0/0: such a point fails in its first round
 @pytest.mark.parametrize("u, error, message", [
-    ([2.0, 1e16, 3.0], QuadratureConvergenceError,
-     "dispersion integral at p0 = 1e+16 failed: invalid value encountered in divide"),
-    ([2.0, 1e16, 1 + 5e-10], QuadratureConvergenceError,
-     "dispersion integral at p0 = 1e+16 failed: invalid value encountered in divide"),
-    ([2.0, 1 + 5e-10, 1e16], BranchPointError,
+    ([2.0, 1e308, 3.0], QuadratureConvergenceError,
+     "dispersion integral at p0 = 1e+308 failed: overflow encountered in multiply"),
+    ([2.0, 1e308, 1 + 5e-10], QuadratureConvergenceError,
+     "dispersion integral at p0 = 1e+308 failed: overflow encountered in multiply"),
+    ([2.0, 1 + 5e-10, 1e308], BranchPointError,
      "|p0| = 1.0000000005 lies within 1e-09 of the support edge k_min = 1.0"),
 ])
 def test_first_failing_point_in_grid_order(u, error, message):
+    # at unit scale, where the closed form does not guard the float range
     with pytest.raises(error) as exc:
-        split_check_report(ATOM, u)
+        retarded_parts_central(UNIT, u)
     assert str(exc.value) == message
-    assert outcome(lambda: reference_report(u)) == (error, message)
+    assert outcome(lambda: reference_loop(UNIT, u)) == (error, message)
 
 
-def test_failing_grid_cli_stderr(capsys):
-    code = main(["split-check", "--u-min", "1e16", "--u-max", "2e16", "--points", "5"])
+def test_failing_grid_cli_stderr(capsys, monkeypatch):
+    # no input that split-check accepts fails its quadrature (measured over
+    # |u| from 1e-77 to 2.4e51, the support edge and tolerances from 5e-324
+    # to 1e300), so the CLI splits a distribution that never converges
+    monkeypatch.setattr(selfenergy, "as_causal_distribution", lambda atom: OSCILLATING)
+    code = main(["split-check", "--u-min", "2", "--u-max", "3", "--points", "5"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err == (
-        '{"error": "QuadratureConvergenceError", "message": "dispersion integral at '
-        'p0 = 1e+16 failed: invalid value encountered in divide", '
-        '"command": "split-check"}\n')
+    err = json.loads(captured.err)
+    assert list(err) == ["error", "message", "command"]
+    assert (err["error"], err["command"]) == ("QuadratureConvergenceError", "split-check")
+    assert re.fullmatch(r"dispersion integral at p0 = 2\.0 did not converge by step "
+                        r"h = 1/64 \(error estimate \d\.\d{3}e[-+]\d\d of the value "
+                        r"-?\d\.\d{3}e[-+]\d\d\)",
+                        err["message"])
 
 
 def test_failing_grid_is_not_integrated_far_past_its_failure():
-    # u = 1e16 fails in its first round; alone, each of the points near the
-    # support edge would spend the whole 1 000 000-evaluation budget.  Only
-    # SLOW_WIDTH slow integrals advance at once, and none after the failure,
-    # so the batch spends at most SLOW_WIDTH times what the per-point loop
-    # spends up to its failure, plus every point's share below
-    # SLOW_EVALUATIONS; both twice over, since a folded integrand is
-    # evaluated at a node and its mirror.
-    u = [1e16] + [1 + 2e-9 * (1 + j / 4) for j in range(6)]
+    # the chunk with the failing point runs until the integrand overflows,
+    # then again one point at a time up to that point; no later chunk runs
+    u = [2.0, 1e308] + [3.0] * (4 * SPLIT_CHUNK_POINTS)
     nodes = []
 
     def counted(d):
@@ -147,264 +191,180 @@ def test_failing_grid_is_not_integrated_far_past_its_failure():
             return d.g(k)
         return dataclasses.replace(d, g=g)
 
-    d = as_causal_distribution(ATOM)
-    message = r"dispersion integral at p0 = 1e\+16 failed: invalid value encountered in divide"
+    message = r"dispersion integral at p0 = 1e\+308 failed: overflow"
     nodes.append(0)
     with pytest.raises(QuadratureConvergenceError, match=message):
-        retarded_parts_central(counted(d), u)
+        retarded_parts_central(counted(UNIT), u)
     nodes.append(0)
-    with pytest.raises(QuadratureConvergenceError, match=message):
-        for x in u:
-            ref.retarded_central(counted(d), x, 1e-11)
-    batched, looped = nodes
-    assert batched <= 2 * (SLOW_WIDTH * looped + 2 * len(u) * (SLOW_EVALUATIONS + 30))
+    retarded_parts_central(counted(UNIT), u[:1])
+    batched, one_point = nodes
+    # a fold node evaluates g twice
+    assert batched <= 2 * SPLIT_CHUNK_POINTS * one_point
 
 
 def test_tails_mapped_at_the_scale_of_the_point():
-    # the tails map t in [0, 1) to k = x +- |p0| t/(1-t), which puts the
-    # kernel's features, at |k| ~ |p0|, near t = 1/2: the 1000-point grid
-    # takes 181 320 evaluations, where QUADPACK's unscaled map takes 205 410,
-    # and its real part stays at the rounding level
+    # the far pieces run by exp-sinh at the scale max(1, |u|) of the
+    # kernel's features: the 1000-point grid takes 556 490 nodes, at most
+    # one step past h = 1/16 per point, and its real part stays at the
+    # rounding level
     rep = split_check_report(ATOM, np.linspace(1.1, 3.0, 1000))
-    assert rep.quadrature_evaluations == 181_320
+    assert rep.quadrature_evaluations == 556_490
     assert rep.re_rel_err.max() <= 1e-14
-    table, counts = pieces([1.0, -math.inf], [math.inf, -1.0], scale=[2.0, 3.0])
-    assert counts.tolist() == [1, 1] and table[:, 2].tolist() == [2.0, -3.0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_large_u_grid_computes(sign):
+    # 40 log-spaced |u| up to 1e50 and the points the adaptive engine this
+    # rule replaced got wrong (1e15, 7.6e15 and 1e50 exited 0 with re_rel_err
+    # 2.1e-6, 1e-3 and 0.91), each in well under a second
+    u = sign * np.concatenate([np.geomspace(1e3, 1e50, 40), [1e15, 7.6e15, 2.3e51]])
+    for x in u:
+        start = time.perf_counter()
+        rep = split_check_report(ATOM, [x])
+        assert time.perf_counter() - start < 1.0
+        assert rep.re_rel_err[0] <= 1e-14 and rep.im_rel_err[0] <= 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_points_at_the_support_edge_compute(sign):
+    # from 1 + 1e-3 down to the branch guard, where the adaptive engine this
+    # rule replaced ran out of evaluations from 1 + 2e-7
+    u = sign * (1.0 + np.geomspace(1.1e-9, 1e-3, 25))
+    rep = split_check_report(ATOM, u)
+    assert real_part_error(rep).max() <= 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_gap_points_match_the_closed_form_at_high_precision(sign):
+    # off the support the two sides of the integral cancel to O(u), so they
+    # are summed over one denominator; the closed form needs about
+    # 8 - 6 log10|u| digits of its own here
+    u = sign * np.geomspace(1e-12, 0.95, 25)
+    rep = split_check_report(ATOM, u)
+    with mpmath.workdps(120):
+        closed = np.array([float(closed_real(v)) for v in map(mpmath.mpf, u.tolist())])
+    assert (np.abs(rep.re_numeric / r2_prefactor(ATOM) - closed) <= 1e-14 * np.abs(closed)).all()
 
 
 @pytest.mark.parametrize("p0", [1e308, -1.7e308])
 def test_point_near_the_float_limit_fails_typed(p0):
-    # the piece builder's pole +- h rounds to +-inf there, which leaves that
-    # side's piece empty and raises no flag (warnings are errors in this
-    # suite); the fold's nodes overflow in the integrand, which names the point
-    d = as_causal_distribution(ATOM, unit_scale=True)
+    # the far piece's nodes overflow in the integrand, which names the point
     message = re.escape(f"at p0 = {p0!r} failed: overflow")
     with pytest.raises(QuadratureConvergenceError, match=message):
-        retarded_parts_central(d, [2.0, p0])
+        retarded_parts_central(UNIT, [2.0, p0])
 
 
 @pytest.mark.parametrize("k_min", [0.3, 1.7])
 def test_plain_piece_matches_reference(k_min):
-    # with k_min != 1 the fold's end p0 -+ (p0 -+ k_min) can round short of
-    # the support edge, which leaves a plain piece between them
+    # the scale identity r_kmin(k_min u) = r_1(u) for g(k) = 2 core(k/k_min):
+    # with k = k_min kappa every factor of k_min cancels.  The points run
+    # through every piece list, the plain near piece [k_min, |p0|/2] among
+    # them (from |u| = 2), and the reference is the k_min = 1 splitting
     d = CausalDistribution1D(g=lambda k: 2.0 * _core(k / k_min), singular_order=2,
                              k_min=k_min)
-    p0s = k_min * np.concatenate([np.linspace(-6.0, -1.1, 20), np.linspace(-0.9, 0.9, 5),
-                                  np.linspace(1.1, 6.0, 20)])
-    values, evals, _ = retarded_parts_central(d, p0s)
-    theirs = [ref.retarded_central(d, float(p0), 1e-11) for p0 in p0s]
-    assert np.array_equal(bits([values.real, values.imag]),
-                          bits([[v.real for v, _ in theirs], [v.imag for v, _ in theirs]]))
-    assert evals.tolist() == [n for _, n in theirs]
-    on = p0s[np.abs(p0s) > k_min]
-    _, counts = pieces(np.where(on > 0, k_min, -math.inf), np.where(on > 0, math.inf, -k_min), on)
-    assert 3 in counts.tolist()
+    u = np.concatenate([np.linspace(-6.0, -1.1, 20), np.linspace(-0.9, 0.9, 5),
+                        np.linspace(1.1, 6.0, 20)])
+    values, _, _ = retarded_parts_central(d, k_min * u)
+    theirs, _, _ = retarded_parts_central(UNIT, u)
+    assert np.abs(values - theirs).max() <= 1e-14 * np.abs(theirs).max()
+    assert values[u == 0.0] == 0.0
+
+
+def test_never_converging_distribution_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(QuadratureConvergenceError) as exc:
+        retarded_parts_central(OSCILLATING, [1.5, 2.5, 0.5])
+    assert time.perf_counter() - start < 1.0
+    assert re.fullmatch(r"dispersion integral at p0 = 1\.5 did not converge by step "
+                        rf"h = 1/{STEPS[-1]} \(error estimate .* of the value .*\)", str(exc.value))
+
+
+def test_integrals_spent_in_one_round_report_the_first():
+    # both points run out of steps in the same chunk, the pole side and the
+    # gap; the error is that of the first in order, not of the one whose
+    # piece list runs first
+    messages = [outcome(lambda: retarded_parts_central(OSCILLATING, [x]))[1]
+                for x in (2.0, 0.5)]
+    assert outcome(lambda: retarded_parts_central(OSCILLATING, [2.0, 0.5])) == \
+        (QuadratureConvergenceError, messages[0])
+    assert outcome(lambda: retarded_parts_central(OSCILLATING, [0.5, 2.0])) == \
+        (QuadratureConvergenceError, messages[1])
 
 
 # ---------------------------------------------------------------------------
-# the engine itself
+# the ladder on integrals of its own
 # ---------------------------------------------------------------------------
 
-def _same_result(mine, theirs):
-    assert np.array_equal(bits([mine.value.real, mine.value.imag]),
-                          bits([theirs.value.real, theirs.value.imag]))
-    assert mine.abs_error_estimate == theirs.abs_error_estimate
-    assert mine.evaluations == theirs.evaluations
+def _batch(cases, tol=1e-12):
+    """The ladder over integrals (f, lo, hi) with finite lo, one row each."""
+    def sums(n, rows):
+        ys = [_terms(*cases[r], n) for r in rows.tolist()]
+        return (np.array([y.sum() for y in ys]), np.array([np.abs(y).sum() for y in ys]),
+                np.array([y.size for y in ys]))
+    return ladder(sums, len(cases), tol)
 
 
-def _same_row(sums, evaluations, theirs):
-    """An integral's row of integrate_batch against a QuadratureResult."""
-    assert np.array_equal(bits(sums[:2]), bits([theirs.value.real, theirs.value.imag]))
-    assert sums[2] == theirs.abs_error_estimate
-    assert evaluations == theirs.evaluations
+def _quad(f, lo, hi, **kw):
+    """scipy's QUADPACK on a real or complex integrand of one variable."""
+    re_part = scipy.integrate.quad(lambda x: f(np.array([x])).real[0], lo, hi,
+                                   epsabs=1e-13, epsrel=1e-13, limit=200, **kw)[0]
+    im_part = scipy.integrate.quad(lambda x: np.imag(f(np.array([x])))[0], lo, hi,
+                                   epsabs=1e-13, epsrel=1e-13, limit=200, **kw)[0]
+    return complex(re_part, im_part)
 
 
-@pytest.mark.parametrize("f, lo, hi, kw", [
+_INTEGRALS = [
     (lambda x: x ** 2, 0.0, 1.0, {}),
     (lambda k: k ** -2.0, 1.0, math.inf, {}),
     (lambda x: np.exp(-x * x), -math.inf, math.inf, {}),
     (lambda x: np.exp(1j * x), 0.0, math.pi, {}),
     (lambda x: np.sin(3.0 * x) / (1.0 + x * x), 0.0, 50.0, {}),
-    (np.sin, 0.0, 2.0 * math.pi, {"abs_tol": 1e-300, "max_evaluations": 2000}),
-    (lambda k: (k * k - 1.0) ** 3 / (k ** 4 * k ** 3 * (-k)), 1.0, math.inf,
-     {"rel_tol": 1e-12}),    # abs_tol binds, and each half of (-inf, inf) must meet half of it
-    (lambda x: np.exp(-x * x) * np.cos(3.0 * x), -math.inf, math.inf,
-     {"rel_tol": 1e-300, "abs_tol": 1e-6}),
-])
+    (np.sin, 0.0, 2.0 * math.pi, {"abs": 1e-15}),    # 0: the noise floor ends it
+    (lambda k: (k * k - 1.0) ** 3 / (k ** 4 * k ** 3 * (-k)), 1.0, math.inf, {}),
+    (lambda x: np.exp(-x * x) * np.cos(3.0 * x), -math.inf, math.inf, {}),
+]
+
+
+@pytest.mark.parametrize("f, lo, hi, kw", _INTEGRALS)
 def test_integrate_adaptive_matches_reference(f, lo, hi, kw):
-    _same_result(integrate_adaptive(f, lo, hi, **kw),
-                 ref.integrate_adaptive(f, lo, hi, **kw))
+    # alone, and as a row of a batch of all eight, with the same floats
+    value = integrate(f, lo, hi)[0]
+    assert abs(value - _quad(f, lo, hi)) <= kw.get("abs", 1e-12 * abs(value))
+    values, _, _, failed = _batch([finite_lo(*c[:3]) for c in _INTEGRALS])
+    assert failed.size == 0
+    row = [c[0] for c in _INTEGRALS].index(f)
+    assert values[row] == value
 
 
 @pytest.mark.parametrize("f, pole, lo, hi", [
-    (lambda x: 1.0 / x, 0.0, -1.0, 1.0),
-    (lambda k: k * k / (k - 2.0), 2.0, 1.0, 3.0),
-    (lambda k: 1.0 / (k * k * (k - 2.0)), 2.0, 1.0, math.inf),
-    (lambda k: np.exp(1j * k - k * k) / (k - 0.3), 0.3, -math.inf, math.inf),
+    (lambda k: np.ones_like(k), 0.0, -1.0, 1.0),
+    (lambda k: k * k, 2.0, 1.0, 3.0),
+    (lambda k: 1.0 / (k * k), 2.0, 1.0, math.inf),
+    (lambda k: np.exp(1j * k - k * k), 0.3, -math.inf, math.inf),
 ])
 def test_integrate_pv_matches_reference(f, pole, lo, hi):
-    # a principal value is a one-row batch with a pole
-    sums, evaluations, exc = integrate_batch(lambda x, owner: f(x), [lo], [hi], [pole],
-                                             rel_tol=1e-12)
-    assert exc is None and len(sums) == 1
-    _same_row(sums[0], evaluations[0], ref.integrate_pv(f, pole, lo, hi, tol=1e-12))
-
-
-# at 2010 a budget check off by 15 evaluations would run one round more
-@pytest.mark.parametrize("budget", [2000, 2010])
-def test_budget_exhaustion_matches_reference(budget):
-    def nasty(x):
-        return np.abs(np.sin(1.0 / (x + 1e-12)))
-
-    kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": budget}
-    mine = outcome(lambda: integrate_adaptive(nasty, 0.0, 1.0, **kw))
-    theirs = outcome(lambda: ref.integrate_adaptive(nasty, 0.0, 1.0, **kw))
-    assert mine[0] is QuadratureConvergenceError
-    assert mine == theirs
-
-
-def test_later_piece_gets_what_earlier_pieces_left():
-    # the two halves of (-inf, inf) share one budget: the second overruns
-    # what the first left although it would converge within the whole budget
-    def f(x):
-        return np.exp(-x * x) * np.cos(3.0 * x)
-
-    kw = {"rel_tol": 1e-13, "abs_tol": 1e-300}
-    half = ref.integrate_adaptive(f, 0.0, math.inf, **kw).evaluations
-    budget = 2 * half - 30
-    with pytest.raises(QuadratureConvergenceError) as mine:
-        integrate_adaptive(f, -math.inf, math.inf, max_evaluations=budget, **kw)
-    with pytest.raises(QuadratureConvergenceError) as theirs:
-        ref.integrate_adaptive(f, -math.inf, math.inf, max_evaluations=budget, **kw)
-    assert str(mine.value) == str(theirs.value)
-    assert f"within {budget - half} evaluations" in str(mine.value)
-    _same_result(mine.value.partial, theirs.value.partial)
+    # PV int f(k)/(k - pole) dk against QUADPACK's Cauchy-weight rule (qawc)
+    # on [pole - 1, pole + 1] clipped to the interval, plus plain tails
+    a, b = max(lo, pole - 1.0), min(hi, pole + 1.0)
+    ref = _quad(f, a, b, weight="cauchy", wvar=pole)
+    for x, y in ((lo, a), (b, hi)):
+        if x < y:
+            ref += _quad(lambda k: f(k) / (k - pole), x, y)
+    assert abs(pv(f, pole, lo, hi) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_batch_matches_each_integral_alone():
-    scales = np.array([0.5, 1.0, 3.0, 7.0])
-
-    def f(x, owner):
-        return np.exp(-scales[owner] * x * x) * np.cos(scales[owner] * x)
-
-    intervals = [(-math.inf, math.inf), (0.0, 2.0), (1.0, math.inf), (-math.inf, -0.5)]
-    sums, evaluations, exc = integrate_batch(f, *zip(*intervals), rel_tol=1e-12)
-    assert exc is None and len(sums) == len(evaluations) == len(intervals)
-    empty = integrate_batch(f, [], [], rel_tol=1e-12)
-    assert empty[0].shape == (0, 3) and len(empty[1]) == 0 and empty[2] is None
-    for i, iv in enumerate(intervals):
-        _same_row(sums[i], evaluations[i],
-                  ref.integrate_adaptive(lambda x: f(x, i), *iv, rel_tol=1e-12))
-
-
-def _alternating_steps(x):
-    """+-1 past a third of each unit cell, the sign alternating from cell to
-    cell: the GK15 error estimates of [0, 1] and [1, 2] are exactly equal."""
-    cell = np.floor(x)
-    return np.where(cell % 2 == 0, 1.0, -1.0) * (x - cell > 1.0 / 3.0)
-
-
-def test_equal_error_estimates_go_to_the_older_segment():
-    # [0, 2] bisects into [0, 1] and [1, 2], whose estimates tie; abs_tol is
-    # met once one of them is bisected, so the tie decides the result: the
-    # older segment, [0, 1], goes first (bisecting [1, 2] first would give
-    # the opposite sign)
-    assert ref._gk_panel(_alternating_steps, 0.0, 1.0)[1] == \
-        ref._gk_panel(_alternating_steps, 1.0, 2.0)[1]
-    intervals = [(0.0, 2.0), (2.0, 4.0), (0.0, 4.0), (-2.0, 2.0), (0.0, 8.0)]
-    kw = {"rel_tol": 1e-300, "abs_tol": 0.085}
-    sums, evaluations, exc = integrate_batch(lambda x, owner: _alternating_steps(x),
-                                             *zip(*intervals), **kw)
-    assert exc is None and len(sums) == len(intervals)
-    for s, n, iv in zip(sums, evaluations, intervals):
-        _same_row(s, n, ref.integrate_adaptive(_alternating_steps, *iv, **kw))
-    assert sums[0, 0] > 0.0
-
-
-def test_integrals_after_a_failing_one_are_dropped():
-    # in the first round a node of integral 2 lands on its pole at 0.5, so
-    # integral 3 is dropped after that round; integral 1 runs on to its
-    # budget, and the batch ends with it, the first failure in order;
-    # integral 0 finishes as it would alone
-    def nasty(x):
-        return np.abs(np.sin(1.0 / (x + 1e-12)))
-
-    funcs = [np.exp, nasty, lambda x: 1.0 / (x - 0.5), nasty]
-    seen = np.zeros(len(funcs), dtype=int)
-
-    def f(x, owner):
-        np.add.at(seen, owner, 1)
-        y = np.empty(len(x))
-        for j, g in enumerate(funcs):
-            y[owner == j] = g(x[owner == j])
-        return y
-
-    kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 3000}
-    with np.errstate(divide="raise"):
-        sums, evaluations, exc = integrate_batch(f, [0.0] * 4, [1.0] * 4, **kw)
-    assert len(sums) == len(evaluations) == 1
-    _same_row(sums[0], evaluations[0], ref.integrate_adaptive(np.exp, 0.0, 1.0, **kw))
-    theirs = outcome(lambda: ref.integrate_adaptive(nasty, 0.0, 1.0, **kw))
-    assert (type(exc), str(exc)) == theirs
-    assert theirs[0] is QuadratureConvergenceError
-    assert seen[3] == 15
-
-
-def test_slow_integrals_match_reference():
-    # each of these outlasts SLOW_EVALUATIONS, so they take turns, at most
-    # SLOW_WIDTH at once, and still get the floats they get alone
-    powers = np.linspace(0.6, 0.85, SLOW_WIDTH + 2)
-
-    def f(x, owner):
-        return x ** -powers[owner]
-
-    kw = {"rel_tol": 1e-12, "abs_tol": 1e-300}
-    sums, evaluations, exc = integrate_batch(f, [0.0] * len(powers), [1.0] * len(powers), **kw)
-    assert exc is None and len(sums) == len(powers)
-    for i, (s, n) in enumerate(zip(sums, evaluations)):
-        theirs = ref.integrate_adaptive(lambda x: f(x, np.full(len(x), i)), 0.0, 1.0, **kw)
-        assert theirs.evaluations > SLOW_EVALUATIONS
-        _same_row(s, n, theirs)
-
-
-def test_slow_integrals_after_the_first_wait():
-    # all of these run into their budget; past SLOW_EVALUATIONS only the
-    # first SLOW_WIDTH go on, so the others have stopped there when the
-    # first one fails and ends the batch
-    def nasty(x):
-        return np.abs(np.sin(1.0 / (x + 1e-12)))
-
-    seen = np.zeros(SLOW_WIDTH + 3, dtype=int)
-
-    def f(x, owner):
-        np.add.at(seen, owner, 1)
-        return nasty(x)
-
-    kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 3 * SLOW_EVALUATIONS}
-    sums, evaluations, exc = integrate_batch(f, [0.0] * len(seen), [1.0] * len(seen), **kw)
-    theirs = outcome(lambda: ref.integrate_adaptive(nasty, 0.0, 1.0, **kw))
-    assert len(sums) == len(evaluations) == 0
-    assert (type(exc), str(exc)) == theirs
-    assert theirs[0] is QuadratureConvergenceError
-    assert (seen[SLOW_WIDTH:] <= SLOW_EVALUATIONS + 30).all()
-
-
-def test_integrals_spent_in_one_round_report_the_first():
-    # both bisect once a round and never converge, so both spend their
-    # budget in the same round; the error and its partial estimate are
-    # those of the first, not of the second
-    def nasty(x):
-        return np.abs(np.sin(1.0 / (x + 1e-12)))
-
-    kw = {"rel_tol": 1e-14, "abs_tol": 1e-300, "max_evaluations": 2000}
-    sums, evaluations, exc = integrate_batch(lambda x, owner: (1.0 + owner) * nasty(x),
-                                             [0.0, 0.0], [1.0, 1.0], **kw)
-    with pytest.raises(QuadratureConvergenceError) as theirs:
-        ref.integrate_adaptive(nasty, 0.0, 1.0, **kw)
-    assert len(sums) == len(evaluations) == 0
-    assert isinstance(exc, QuadratureConvergenceError)
-    assert str(exc) == str(theirs.value)
-    _same_result(exc.partial, theirs.value.partial)
+    scales = [0.5, 1.0, 3.0, 7.0]
+    cases = [(lambda x, a=a: np.exp(-a * x * x) * np.cos(a * x), lo, hi)
+             for a, (lo, hi) in zip(scales, [(0.0, math.inf), (0.0, 2.0), (1.0, math.inf),
+                                             (0.5, 4.0)])]
+    values, errors, nodes, failed = _batch(cases)
+    assert failed.size == 0 and len(values) == len(cases)
+    for i, case in enumerate(cases):
+        alone = _batch([case])
+        assert (values[i], errors[i], nodes[i]) == (alone[0][0], alone[1][0], alone[2][0])
+    empty = _batch([])
+    assert [len(a) for a in empty] == [0, 0, 0, 0]
 
 
 def test_no_command_imports_mpmath():
