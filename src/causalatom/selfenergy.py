@@ -83,17 +83,18 @@ def t2_prefactor(atom) -> float:
 # ---------------------------------------------------------------------------
 
 def _core(u):
-    """theta(u^2-1) sgn(u) (u^2-1)^3/u^4, stable for very large |u|."""
+    """theta(u^2-1) sgn(u) (u^2-1)^3/u^4 as sgn(u) u^2 y^3, stable for very
+    large |u|.  Branch-free: y = 1 - 1/max(u^2, 1) is exactly 0 for |u| <= 1
+    (u = 0 divides by no zero), and a NaN stays NaN.  The cube is two IEEE
+    products, not numpy's power, whose SIMD loop rounds differently from CPU
+    to CPU."""
     u = np.asarray(u, dtype=float)
-    uu = u * u   # sgn(u) u u is u u with the sign of u, exactly
-    m = uu > 1.0
-    if np.count_nonzero(m) == m.size:
-        # all on the support: the masked form's values without its gather and scatter
-        return np.copysign(uu, u) * (1.0 - 1.0 / uu) ** 3
-    out = np.zeros_like(u)
-    um, uum = u[m], uu[m]
-    out[m] = np.copysign(uum, um) * (1.0 - 1.0 / uum) ** 3
-    return out
+    uu = u * u
+    y = 1.0 - 1.0 / np.maximum(uu, 1.0)
+    cube = y * y
+    cube *= y
+    cube *= np.copysign(uu, u)
+    return cube
 
 
 def d2_tilde(u: float, atom) -> complex:
@@ -216,10 +217,15 @@ def _r2_bracket(u: float) -> complex:
 
 def _real_axis_args(u):
     """The (u, x, ln|x|, step) arguments of _sym_bracket at real u, as arrays,
-    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it."""
+    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it.  x is
+    (|u| - 1)(|u| + 1), and ln|x| below |u| = 1/sqrt 2 is log1p(-u u): the
+    log of u u - 1 loses the digits of u u (at u = 1e-10 all of them)."""
     u = np.asarray(u, dtype=float)
-    x = u * u - 1.0
-    return u, x, np.log(np.abs(x)), np.where(x > 0.0, 2j * math.pi * np.sign(u), 0.0)
+    a = np.abs(u)
+    x = (a - 1.0) * (a + 1.0)
+    uu = np.minimum(u * u, 0.5)   # clamped: log1p(-uu) is dropped above 1/sqrt 2
+    ln_abs_x = np.where(a < math.sqrt(0.5), np.log1p(-uu), np.log(np.abs(x)))
+    return u, x, ln_abs_x, np.where(x > 0.0, 2j * math.pi * np.sign(u), 0.0)
 
 
 def sym_bracket(u, c: NormalizationConstants = NormalizationConstants()):

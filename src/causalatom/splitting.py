@@ -60,7 +60,8 @@ class CausalDistribution1D:
     at the origin.
 
     g is real: the distributions of a resting atom are imaginary (or zero).
-    It must be numpy-vectorized and return exactly 0 for |k| < k_min.
+    It must be numpy-vectorized, return a new float array (the dispersion
+    integrand is formed in it) and return exactly 0 for |k| < k_min.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -140,7 +141,15 @@ def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
     ln_min = math.log(k_min)
 
     def G(k):
-        return d.g(k) / _power(k - q, om1)
+        y = d.g(k)
+        y /= _power(k - q if q else k, om1)
+        return y
+
+    def term(y, den, weight):
+        """y / den * weight, formed in y."""
+        y /= den
+        y *= weight
+        return y
 
     def off_terms(n, p0, s, P, S, h):
         e, v = exp_sinh(n)
@@ -148,21 +157,31 @@ def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
         # G(k)/(p0 - k) + G(-k)/(p0 + k) over one denominator: the two
         # sides cancel to O(p0) at small p0, and for odd g exactly so
         up, down = G(k), G(-k)
-        return [(p0 * (up + down) + k * (up - down)) / ((p0 - k) * (p0 + k)) * (k_min * v)]
+        y = p0 * (up + down)
+        y += k * (up - down)
+        return [term(y, (p0 - k) * (p0 + k), k_min * v)]
 
     def on_terms(n, p0, s, P, S, h, wide):
         x, w = tanh_sinh(n)
         e, v = exp_sinh(n)
-        t = h * x
-        terms = [(G(p0 - s * t) - G(p0 + s * t)) / (s * t) * (h * w)]
+        st = s * (h * x)
+        fold = G(p0 - st)
+        fold -= G(p0 + st)
+        terms = [term(fold, st, h * w)]
         near = [(s, np.log(P - h))] if wide else []
         for side, top in near + [(-s, np.log(S))]:
-            k = np.exp(ln_min + (top - ln_min) * x)
-            terms.append(G(side * k) / (p0 - side * k) * (k * (top - ln_min) * w))
-        far = h + S * e
-        terms.append(G(p0 + s * far) / (-s * far) * (S * v))
-        k = S + S * e
-        terms.append(G(-s * k) / (p0 + s * k) * (S * v))
+            span = top - ln_min
+            k = np.exp(ln_min + span * x)
+            sk = side * k
+            k *= span
+            k *= w   # the weight k (top - ln k_min) w of the map to ln k
+            terms.append(term(G(sk), p0 - sk, k))
+        Se, Sv = S * e, S * v
+        sk = s * (h + Se)   # s times the far piece's k - P
+        terms.append(term(G(p0 + sk), -sk, Sv))
+        Se += S
+        Se *= s             # s k on the other side's tail, k = S + S e
+        terms.append(term(G(-Se), p0 + Se, Sv))
         return terms
 
     s, P = np.sign(p), np.abs(p)

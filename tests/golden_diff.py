@@ -45,6 +45,8 @@ GRIDS = [["--u-min", "1.1", "--u-max", "3", "--points", "1000"],
          ["--u-min", "1e40", "--u-max", "1e50", "--points", "5"],
          ["--u-min", "1.000000002", "--u-max", "1.00001", "--points", "5"],
          ["--u-min", "1e300", "--u-max", "1.7e308", "--points", "5"],
+         ["--u-min", "1e-10", "--u-max", "0.05", "--points", "5"],
+         ["--u-min", "-0.05", "--u-max=-1e-10", "--points", "5"],
          ["--preset", "synthetic:1e-2", "--tol", "1e-3"]]
 
 

@@ -91,9 +91,8 @@ def closed_real(v):
 
 
 def real_part_error(rep):
-    """re_rel_err against the closed form evaluated at 30 digits: the float
-    closed form's ln|u^2 - 1| loses digits at small |u| (at u = 0.05 it
-    alone reads 1.06e-14 of the term scale)."""
+    """re_rel_err against the closed form evaluated at 30 digits, so that
+    the float reference's own rounding does not enter."""
     with mpmath.workdps(30):
         closed = np.array([float(closed_real(v)) for v in map(mpmath.mpf, rep.u.tolist())])
     pref = r2_prefactor(ATOM)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from causalatom.errors import BranchPointError, SingularPointError
 from causalatom.observables import hydrogen_1s2p_preset
 from causalatom.selfenergy import (
     NormalizationConstants,
+    _core,
     as_causal_distribution,
     d2_scale,
     d2_tilde,
@@ -238,6 +240,29 @@ class TestT2Sym:
         assert b.imag == pytest.approx(front * 2 * math.pi, rel=1e-12)
 
 
+class TestCore:
+    """_core, theta(u^2-1) sgn(u) (u^2-1)^3/u^4, without a mask or numpy's power."""
+
+    def test_zero_off_the_support(self):
+        u = np.array([0.0, -0.0, 1e-300, 0.5, -0.5, np.nextafter(1.0, 0.0), 1.0, -1.0])
+        assert (_core(u) == 0.0).all()   # +0 and -0 both pass
+
+    def test_no_float_trap_at_the_singular_points(self):
+        with np.errstate(all="raise"):
+            assert (_core(np.array([0.0, 1.0, -1.0])) == 0.0).all()
+
+    def test_nan_propagates(self):
+        assert np.isnan(_core(np.array([np.nan, 2.0]))).tolist() == [True, False]
+
+    def test_within_four_eps_of_high_precision(self):
+        u = np.geomspace(1.5, 1e150, 300)
+        u = np.concatenate([u, -u])
+        with mpmath.workdps(60):
+            ref = np.array([float(mpmath.sign(v) * (v * v - 1) ** 3 / v ** 4)
+                            for v in map(mpmath.mpf, u.tolist())])
+        assert (np.abs(_core(u) - ref) <= 4 * np.finfo(float).eps * np.abs(ref)).all()
+
+
 class TestWrappedDistribution:
     def test_invariants(self, atom):
         # sampled: zero throughout the gap, odd on the support
@@ -286,6 +311,24 @@ class TestSplitCheckReport:
         gap = 1.25 - 11.0 * u ** 2 / 12.0 - 0.5 / u ** 2
         assert np.allclose((rep.re_closed - rep.re_numeric) / r2_prefactor(atom), gap,
                            rtol=0.0, atol=1e-9)
+
+    def test_input_unchanged_and_bits_repeat(self, atom):
+        # the integrand is formed in place: neither the grid nor a second
+        # call may see it
+        u = np.array([-3.0, -1.5, -0.5, 0.25, 1.2, 2.0, 7.0])
+        kept = u.copy()
+        first = split_check_report(atom, u)
+        assert np.array_equal(u, kept)
+        second = split_check_report(atom, u)
+        for name in ("re_numeric", "im_numeric", "re_rel_err", "im_rel_err"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert first.quadrature_evaluations == second.quadrature_evaluations
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_small_u_real_part(self, atom, sign):
+        # ln|u^2 - 1| from log1p: u u - 1 alone read re_rel_err 1 at 1e-10
+        rep = split_check_report(atom, sign * np.geomspace(1e-12, 0.7, 40))
+        assert rep.re_rel_err.max() <= 1e-15
 
     def test_large_u_real_part(self, atom):
         # with QUADPACK's unscaled tail map a node reached t = 1 from |u| ~ 7.5e9
