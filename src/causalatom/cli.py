@@ -15,6 +15,7 @@ import argparse
 import gc
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .observables import (
     CODATA2018,
     DISCREPANCY_NOTES,
     AtomParams,
-    _solve_normalization,
     atom_from_dict,
     atom_to_dict,
     delta_final,
@@ -37,6 +37,7 @@ from .observables import (
     lineshift_log_bracket,
     lineshift_series,
     shift_ratio,
+    solve_normalization,
     synthetic_atom,
 )
 from .selfenergy import (NormalizationConstants, r2_prefactor, split_check_report,
@@ -47,6 +48,8 @@ from .wworacle import build_grid, evolve, fit_decay
 __all__ = ["COMMANDS", "run", "emit_report", "main"]
 
 DEFAULT_FLAGS = {"gamma_denominator_power": 5, "z_resonant_weight": "inverse_u"}
+# a negative number after a flag is its value, -1e-3 as well as argparse's -1.5
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 SPLIT_CHECK_COLUMNS = ("u", "re_closed", "im_closed", "re_numeric", "im_numeric",
                        "im_rel_err", "re_rel_err")
 
@@ -267,7 +270,7 @@ def _cmd_gamma(atom, opts):
 
 
 def _cmd_shift(atom, opts):
-    solved, series = _solve_normalization(atom)   # the series is the solve's own check
+    solved, series = solve_normalization(atom)   # the series is the solve's own check
     return {
         "delta_final_per_s": delta_final(atom),
         "lamb_reference_per_s": lamb_reference(atom.constants),
@@ -474,6 +477,7 @@ def _build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     for name in names:
         _, _, help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--preset", default="hydrogen-1s2p",
                        help="built-in name ('hydrogen-1s2p', 'synthetic:<delta_u>') "
                             "or path to an atom JSON file")

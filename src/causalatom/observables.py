@@ -480,23 +480,19 @@ def extract_series_numerically(atom: AtomParams,
 NORMALIZATION_EXACT = NormalizationConstants(-3.5, 8.0, -29.0 / 6.0)
 
 
-def solve_normalization(atom: AtomParams) -> NormalizationConstants:
+def solve_normalization(atom: AtomParams) -> tuple[NormalizationConstants, LineShiftSeries]:
     """Fix (C0, C1, C2) by requiring the du^0, du^1, du^2 bracket coefficients
-    of the numerically extracted series to vanish.
+    of the numerically extracted series to vanish; returns them and the
+    series fitted at them, which is the solve's own check.
 
     The fitted coefficients are exactly linear in C, so the 3x3 system is
     assembled from one sampling of the bracket at C = 0: its fit, and the
     fits of the samples' derivatives in C; it is solved in the fit's decimal
     arithmetic, and the series at the solution is fitted from the same
-    samples.  The residual cubic coefficient
-    at the solution must match -3 (2 C0 + 15); a violation raises, since it
-    would mean the extraction and the closed form disagree.
+    samples.  Its residual cubic coefficient must match -3 (2 C0 + 15); a
+    violation raises, since it would mean the extraction and the closed
+    form disagree.
     """
-    return _solve_normalization(atom)[0]
-
-
-def _solve_normalization(atom):
-    """solve_normalization, and the series fitted at the solution to check it."""
     design = _series_design()
     samples = _samples(design)
     y0, columns = samples

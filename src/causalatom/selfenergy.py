@@ -129,14 +129,9 @@ def d2_tilde_general(p0: float, pvec, dvec, atom) -> complex:
 
 
 def r2prime_tilde(u: float, atom) -> complex:
-    """Second normal-ordering contribution: supported on u < -1 only, where it
-    coincides with d2_tilde."""
-    if abs(abs(u) - 1.0) < 1e-14:
-        raise BranchPointError(f"u = {u} is on the branch surface |u| = 1")
-    if u >= 0.0 or u * u <= 1.0:
-        return 0.0 + 0.0j
-    x = u * u - 1.0
-    return -1j * d2_scale(atom) * x ** 3 / u ** 4
+    """Second normal-ordering contribution: d2_tilde on u < -1, 0 elsewhere."""
+    d2 = d2_tilde(u, atom)
+    return d2 if u < -1.0 else 0j
 
 
 def as_causal_distribution(atom, unit_scale: bool = False) -> CausalDistribution1D:
@@ -161,14 +156,21 @@ def as_causal_distribution(atom, unit_scale: bool = False) -> CausalDistribution
 # closed-form retarded part and symmetrized combination
 # ---------------------------------------------------------------------------
 
-def _check_regular(u: float):
-    if u == 0.0 or abs(abs(u) - 1.0) < 1e-14:
-        raise SingularPointError(f"closed form singular at u = {u} (u in {{0, +-1}})")
-    # the front term's x^3/(2u^4) in Python floats, which overflow without warnings
-    u2 = float(u) * float(u)
-    x = u2 - 1.0
-    if not (u2 * u2 > 0.0 and math.isfinite(x * x * x / (2.0 * u2 * u2))):
-        raise SingularPointError(f"closed form leaves the float range at u = {u}")
+def _check_regular(u) -> None:
+    """Refuse the first u, in order, at which the closed forms cannot be
+    evaluated: u in {0, +-1}, or where the front term's x^3/(2u^4) leaves
+    the float range (about |u| < 7e-78 or |u| > 2.4e51)."""
+    u = np.asarray(u, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        singular = (u == 0.0) | (np.abs(np.abs(u) - 1.0) < 1e-14)
+        u2 = u * u
+        x = u2 - 1.0
+        bad = singular | ~((u2 * u2 > 0.0) & np.isfinite(x * x * x / (2.0 * u2 * u2)))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SingularPointError(f"closed form singular at u = {float(u[j])} (u in {{0, +-1}})"
+                                 if singular[j] else
+                                 f"closed form leaves the float range at u = {float(u[j])}")
 
 
 def _front_term(u, x, ln_abs_x, step):
@@ -193,26 +195,20 @@ def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
             + 11 * u ** 2 / 6 + c.c0 + c.c1 * u + c.c2 * u ** 2)
 
 
-def r2_tilde_closed(u: float, atom) -> complex:
-    """Closed-form retarded self-energy at rest.
-
-    Its rational part is half the symmetrized one, but it is summed in its
-    own order (pole, then the grouped polynomial), which split-check output
-    depends on to the last bit; so only the front term is shared.
+def r2_tilde_closed(u, atom):
+    """Closed-form retarded self-energy at rest, vectorized: r2_prefactor times
+    front + (B(u; C = 0) - front)/2, B with half its rational part, from
+    x = u u - 1 and log|x| as the formula reads.  A scalar u runs as a
+    one-point array, so it gets the floats of any batch, and returns a complex.
     """
-    bracket = _r2_bracket(u)
-    return r2_prefactor(atom) * bracket
-
-
-def _r2_bracket(u: float) -> complex:
-    """r2_tilde_closed over r2_prefactor."""
     _check_regular(u)
-    x = u * u - 1.0
-    front = _front_term(u, x, math.log(abs(x)),
-                        2j * math.pi * math.copysign(1.0, u) if x > 0.0 else 0.0)
-    pole = 1.0 / (2.0 * u * u)
-    poly = -1.25 + 11.0 * u * u / 12.0
-    return front + pole + poly
+    v = np.array(u, dtype=float, ndmin=1)
+    x = v * v - 1.0
+    args = (v, x, np.log(np.abs(x)), np.where(x > 0.0, 2j * math.pi * np.sign(v), 0.0))
+    front = _front_term(*args)
+    r2 = r2_prefactor(atom) * (front + (_sym_bracket(*args, NormalizationConstants())
+                                        - front) / 2)
+    return complex(r2[0]) if np.ndim(u) == 0 else r2
 
 
 def _real_axis_args(u):
@@ -237,9 +233,7 @@ def sym_bracket(u, c: NormalizationConstants = NormalizationConstants()):
     u in {0, +-1}; near u = 1 use t2_bracket_resonant, which forms u^2 - 1
     without cancellation.
     """
-    u = np.asarray(u, dtype=float)
-    for v in u.ravel().tolist():
-        _check_regular(v)
+    _check_regular(u)
     return _sym_bracket(*_real_axis_args(u), c)
 
 
@@ -273,14 +267,14 @@ def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
 class SplitCheckReport:
     """Central splitting of the wrapped distribution vs the closed forms.
 
-    The splitting's imaginary part is its Sokhotski-Plemelj pole term alone
-    (the distribution is i g with g real, so the quadrature of g adds
-    nothing to it); im_rel_err compares it with r2_tilde_closed.  Its real part is what
-    the quadrature produces; re_rel_err compares it with
-    r2_prefactor * Re sym_bracket(u), relative to r2_prefactor times the sum
-    of the bracket's term magnitudes.  re_closed differs from re_numeric by
-    pref * (5/4 - 11u^2/12 - 1/(2u^2)): r2_tilde_closed carries half of the
-    bracket's rational part.  quadrature_evaluations counts the integrand
+    re_closed and im_closed are r2_tilde_closed, B with half its rational
+    part (re_closed - re_numeric is pref (5/4 - 11u^2/12 - 1/(2u^2))), from
+    u u - 1 as the formula reads.  The splitting's imaginary part is its
+    Sokhotski-Plemelj pole term alone (the distribution is i g with g real);
+    im_rel_err compares it with im_closed.  re_rel_err compares its real
+    part with r2_prefactor * Re sym_bracket(u), whose arguments are
+    cancellation-free, relative to r2_prefactor times the sum of the
+    bracket's term magnitudes.  quadrature_evaluations counts the integrand
     evaluations over the grid; max_abs_error_estimate is the largest
     quadrature error estimate of a point, scaled like the splitting.
     """
@@ -319,10 +313,9 @@ def split_grid(u_min: float, u_max: float, n: int) -> np.ndarray:
 def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     u = np.asarray(list(u_values), dtype=float)
     check_split_points(u.size)
-    dist = as_causal_distribution(atom)
     pref = r2_prefactor(atom)
-    closed = np.array([pref * _r2_bracket(x) for x in u.tolist()])   # r2_tilde_closed
-    numeric, evals, errors = retarded_parts_central(dist, u, tol)
+    closed = r2_tilde_closed(u, atom)
+    numeric, evals, errors = retarded_parts_central(as_causal_distribution(atom), u, tol)
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale

@@ -8,13 +8,18 @@ OLD_SRC and NEW_SRC are directories that hold a ``causalatom`` package (the
 fresh working directory that holds the preset files below, so relative
 ``--out`` paths and preset paths read the same on both sides.  A case
 differs if its stdout, stderr, exit code or any file it writes differs.
-Prints each differing case and a summary; exits 1 if any case differs.
+Prints each differing case, and under it the fields that differ in each
+differing output: the dotted paths of a JSON document (a list index shown
+as []) or the columns of a CSV table.  Then a summary; exits 1 if any case
+differs.
 
 This is a script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -47,6 +52,7 @@ GRIDS = [["--u-min", "1.1", "--u-max", "3", "--points", "1000"],
          ["--u-min", "1e300", "--u-max", "1.7e308", "--points", "5"],
          ["--u-min", "1e-10", "--u-max", "0.05", "--points", "5"],
          ["--u-min", "-0.05", "--u-max=-1e-10", "--points", "5"],
+         ["--u-min", "-1e-3", "--u-max", "2", "--points", "3"],
          ["--preset", "synthetic:1e-2", "--tol", "1e-3"]]
 
 
@@ -59,7 +65,7 @@ def cases() -> list:
                 [name, "--preset", "atom.json"], [name, "-h"]]
     out += [["ww-sim", "--out", "-"], ["ww-sim", "--format", "csv", "--out", "-"]]
     out += [["split-check", *grid] for grid in GRIDS]
-    out += [["split-check", "--points", "1"],
+    out += [["split-check", "--points", "1"], ["series-check", "--c0", "-1e-3"],
             ["wavepacket-check", "--plateau-periods", "10", "100", "--format", "csv",
              "--out", "out.txt"],
             # rel_error there is the reduction error, not rounding as on hydrogen
@@ -85,6 +91,58 @@ def run(src: Path, argv: list) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
+def _leaves(doc, path="") -> dict:
+    """Dotted path -> leaf value of a JSON document; the leaves of a list
+    share one path, with the index shown as []."""
+    out = {}
+    items = (doc.items() if isinstance(doc, dict)
+             else ((None, v) for v in doc) if isinstance(doc, list) else None)
+    if items is None:
+        out.setdefault(path, []).append(doc)
+        return out
+    for key, value in items:
+        sub = f"{path}[]" if key is None else f"{path}.{key}" if path else key
+        for leaf, values in _leaves(value, sub).items():
+            out.setdefault(leaf, []).extend(values)
+    return out
+
+
+def _columns(text: str) -> dict:
+    """Column name -> cells of a CSV table; ValueError if text is not one."""
+    header, *rows = csv.reader(io.StringIO(text))
+    if not rows or any(len(r) != len(header) for r in rows):
+        raise ValueError("not a CSV table")
+    return {name: [r[j] for r in rows] for j, name in enumerate(header)}
+
+
+def differing_fields(old: bytes, new: bytes) -> list:
+    """The fields in which two outputs differ: JSON paths if both are JSON,
+    CSV columns if both are tables with the same header, else the whole."""
+    try:
+        a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+    except ValueError:
+        try:
+            a, b = _columns(old.decode()), _columns(new.decode())
+        except (ValueError, UnicodeDecodeError):
+            return ["(not JSON or CSV)"]
+        if list(a) != list(b):
+            return ["(CSV header)"]
+    return [k for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+
+
+def describe(a: tuple, b: tuple) -> list:
+    """One line per differing output of two runs of a case."""
+    lines = [] if a[0] == b[0] else [f"exit: {a[0]} -> {b[0]}"]
+    outputs = [("stdout", a[1], b[1]), ("stderr", a[2], b[2])]
+    outputs += [(name, a[3].get(name, b""), b[3].get(name, b""))
+                for name in sorted(set(a[3]) | set(b[3]))]
+    for name, x, y in outputs:
+        if x != y:
+            fields = differing_fields(x, y) if x and y else ["(written on one side only)"]
+            lines.append(f"{name}: {', '.join(fields)}")
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -101,6 +159,8 @@ def main(argv=None) -> int:
             parts = [name for name, x, y in zip(("exit", "stdout", "stderr", "files"), a, b)
                      if x != y]
             print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv) or '(no arguments)'}")
+            for line in describe(a, b):
+                print(f"    {line}")
     print(f"{len(todo)} cases, {differ} differ")
     return 1 if differ else 0
 

@@ -72,7 +72,7 @@ def test_criterion_1_decay_rate(hyd):
 
 
 def test_criterion_2_normalization_constants(hyd):
-    solved = solve_normalization(hyd)
+    solved, _ = solve_normalization(hyd)
     assert solved.c0 == pytest.approx(-3.5, abs=1e-10)
     assert solved.c1 == pytest.approx(8.0, abs=1e-10)
     assert solved.c2 == pytest.approx(-29.0 / 6.0, abs=1e-10)

@@ -683,5 +683,55 @@ class TestParserOfOneCommand:
         assert cli._build_parser([name]).parse_args([name]) == full
 
 
+# every numeric flag of every command: (command, flag, default)
+NUMERIC_FLAGS = [(name, "--" + flag.replace("_", "-"), default)
+                 for name, (*_, flags) in cli.COMMANDS.items() for flag, default in flags.items()]
+
+
+class TestNegativeValues:
+    """A negative number in exponent form after a flag is that flag's value,
+    as -0.5 is; argparse's own pattern reads -1e-3 as a flag."""
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1"])
+    @pytest.mark.parametrize("command, flag, default", NUMERIC_FLAGS,
+                             ids=[f"{c} {f}" for c, f, _ in NUMERIC_FLAGS])
+    def test_read_as_the_value(self, capsys, command, flag, default, value):
+        argv = [command, flag, value]
+        if default is None or isinstance(default, float):
+            opts = cli._build_parser([command]).parse_args(argv)
+            assert getattr(opts, flag[2:].replace("-", "_")) == float(value)
+        else:   # an int flag takes the value, and then refuses it as an int
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"{flag}: invalid int value: '{value}'" in capsys.readouterr().err
+
+    def test_split_check_endpoint(self, capsys):
+        code, out, err = run_cli(capsys, "split-check", "--u-min", "-1e-3", "--u-max", "2",
+                                 "--points", "3")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["inputs"]["u_min"] == -1e-3
+        assert [row["u"] for row in doc["results"]["rows"]] == np.linspace(-1e-3, 2.0, 3).tolist()
+
+    def test_series_check_constant(self, capsys):
+        code, out, err = run_cli(capsys, "series-check", "--c0", "-1e-3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["c_input"]["c0"] == -1e-3
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["split-check", "--preset"], "--preset"),
+        (["ww-sim", "--n-modes"], "--n-modes"),
+        (["split-check", "--u-min"], "--u-min"),
+        (["split-check", "--u-min", "--u-max", "-1e-3"], "--u-min"),
+        (["series-check", "--c0", "-inf"], "--c0"),
+    ])
+    def test_missing_value_still_exits_two(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
+
 def test_schema_lists_every_command(schema):
     assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)

@@ -58,6 +58,13 @@ def _assert_finite_csv(text):
         assert all(math.isfinite(float(v)) for v in row.split(","))
 
 
+def flag(name, value):
+    """--name and a float as two arguments, as a user types them; a value
+    that is not finite as --name=value, since argparse reads a separate -inf
+    as a flag."""
+    return [f"--{name}", repr(value)] if math.isfinite(value) else [f"--{name}={value!r}"]
+
+
 def check_invocation(capfd, tmp_path, argv):
     ww_sim = argv[0] == "ww-sim"
     target = tmp_path / ("trace.csv" if ww_sim else "out.json")
@@ -90,7 +97,7 @@ def check_invocation(capfd, tmp_path, argv):
        c=st.tuples(*[st.one_of(st.floats(-1e6, 1e6), EDGE_FLOATS, ANY_FLOAT)] * 3))
 def test_series_check_ends_cleanly(capfd, tmp_path, preset, c):
     check_invocation(capfd, tmp_path, ["series-check", "--preset", preset,
-                                       *(f"--c{i}={v!r}" for i, v in enumerate(c))])
+                                       *(a for i, v in enumerate(c) for a in flag(f"c{i}", v))])
 
 
 # |u| log-uniform over all that the closed form accepts, about 1e-77 to 2.4e51
@@ -107,8 +114,8 @@ WIDE_U = st.tuples(st.floats(-77.0, 51.3), st.sampled_from([-1.0, 1.0])).map(
        tol=st.one_of(st.floats(1e-13, 1e-6), EDGE_FLOATS))
 def test_split_check_ends_cleanly(capfd, tmp_path, preset, ends, points, tol):
     check_invocation(capfd, tmp_path, ["split-check", "--preset", preset,
-                                       f"--u-min={ends[0]!r}", f"--u-max={ends[1]!r}",
-                                       "--points", str(points), f"--tol={tol!r}"])
+                                       *flag("u-min", ends[0]), *flag("u-max", ends[1]),
+                                       "--points", str(points), *flag("tol", tol)])
 
 
 def mostly(main, edges):
@@ -125,7 +132,7 @@ def mostly(main, edges):
 def test_wavepacket_check_ends_cleanly(capfd, tmp_path, periods, ramp):
     check_invocation(capfd, tmp_path, ["wavepacket-check",
                                        "--plateau-periods", *map(str, periods),
-                                       f"--ramp-fraction={ramp!r}"])
+                                       *flag("ramp-fraction", ramp)])
 
 
 @PROPERTY_SETTINGS
@@ -137,9 +144,9 @@ def test_ww_sim_ends_cleanly(capfd, tmp_path, n_modes, bandwidth, t_end, dt):
     # a run that is not refused takes t_end / dt or t_end * bandwidth / 0.38
     # steps, at most about 2e4 with these ranges
     check_invocation(capfd, tmp_path, ["ww-sim", "--n-modes", str(n_modes),
-                                       f"--bandwidth-gammas={bandwidth!r}",
-                                       f"--t-end-gammas={t_end!r}",
-                                       *([] if dt is None else [f"--dt-gammas={dt!r}"])])
+                                       *flag("bandwidth-gammas", bandwidth),
+                                       *flag("t-end-gammas", t_end),
+                                       *([] if dt is None else flag("dt-gammas", dt))])
 
 
 def log_uniform(lo_exp, hi_exp):

@@ -1,8 +1,10 @@
-"""The step ladder runs many integrals in lock-step: every integral of a
-batch, and every point of a split-check chunk, takes its steps at once.
-These tests hold it to oracles it does not share code with: a loop over the
-points one at a time (the same floats to the last bit, and the same node
-counts), the closed form, scipy's QUADPACK and an exact scale identity."""
+"""numerics.ladder takes the steps of many integrals at once: every point
+of a split-check chunk (splitting.SPLIT_CHUNK_POINTS of them), and every
+integral of a batch, runs on the same step until it meets its target.
+These tests hold the batched integrals to oracles they do not share code
+with: a loop over the points one at a time (the same floats to the last
+bit, and the same node counts), the closed form, scipy's QUADPACK and an
+exact scale identity."""
 
 import dataclasses
 import json

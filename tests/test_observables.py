@@ -346,7 +346,7 @@ class TestSeriesDesign:
 
 class TestSolveNormalization:
     def test_solved_triple(self, hyd):
-        c = solve_normalization(hyd)
+        c, _ = solve_normalization(hyd)
         assert c.c0 == pytest.approx(-3.5, abs=1e-10)
         assert c.c1 == pytest.approx(8.0, abs=1e-10)
         assert c.c2 == pytest.approx(-29.0 / 6.0, abs=1e-10)
@@ -362,8 +362,9 @@ class TestSolveNormalization:
             assert abs(s.c2) <= tol
 
     def test_residual_cubic(self, hyd):
-        c = solve_normalization(hyd)
+        c, series = solve_normalization(hyd)
         fit = extract_series_numerically(hyd, c)
+        assert series == fit   # the check the solve returns is the fit at its constants
         assert fit.c3 == pytest.approx(-24.0, abs=1e-8)
         assert fit.c_log3 == pytest.approx(-48.0, abs=1e-8)
 

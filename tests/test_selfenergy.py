@@ -17,6 +17,7 @@ from causalatom.selfenergy import (
     r2_tilde_closed,
     r2prime_tilde,
     split_check_report,
+    split_grid,
     sym_bracket,
     t2_bracket_resonant,
     t2_prefactor,
@@ -102,8 +103,13 @@ class TestR2Prime:
         assert r2prime_tilde(-0.5, atom) == 0.0
 
     def test_equals_d2_on_negative_support(self, atom):
-        for u in (-1.5, -2.0, -4.0):
-            assert r2prime_tilde(u, atom) == pytest.approx(d2_tilde(u, atom), rel=1e-14)
+        for u in (-1.0 - 1e-9, -1.5, -2.0, -4.0, -1e40):
+            assert np.array([r2prime_tilde(u, atom)]).view(np.uint64).tolist() == \
+                np.array([d2_tilde(u, atom)]).view(np.uint64).tolist()
+
+    def test_zero_elsewhere(self, atom):
+        for u in (-0.999, -0.5, 0.0, 0.5, 1.0 + 1e-9, 2.0, 1e40):
+            assert r2prime_tilde(u, atom) == 0.0
 
 
 class TestR2Closed:
@@ -156,6 +162,92 @@ class TestR2Closed:
         a = richardson(1e-3)
         b = richardson(5e-4)
         assert abs(a - b) / abs(a) < 1e-8
+
+
+def bits(values):
+    """Values as raw words, so signed zeros and last bits count."""
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def checker_r2(u, atom):
+    """r2_tilde_closed as a direct float evaluation of the formula, a loop
+    over the points: x = u u - 1 and libm's log."""
+    pref = r2_prefactor(atom)
+    out = []
+    for v in u:
+        x = v * v - 1.0
+        front = x ** 3 / (2.0 * v ** 4)
+        im = front * 2.0 * math.pi * math.copysign(1.0, v) if x > 0.0 else 0.0
+        re = front * (-2.0 * math.log(abs(x))) + 1.0 / (2.0 * v * v) - 1.25 + 11.0 * v * v / 12.0
+        out.append(complex(pref * re, pref * im))
+    return np.array(out)
+
+
+class TestR2ClosedVectorized:
+    """r2_tilde_closed and split-check's re_closed, im_closed in one array pass."""
+
+    U = np.concatenate([np.linspace(-5.0, -1.05, 40), np.linspace(-0.95, 0.95, 20),
+                        np.linspace(1.05, 5.0, 40), [1e-70, 3.1333, 1e50, -1e50]])
+
+    def test_array_equals_scalar_calls(self, atom):
+        batch = r2_tilde_closed(self.U, atom)
+        assert batch.shape == self.U.shape
+        assert (bits(batch) == bits([r2_tilde_closed(float(x), atom) for x in self.U])).all()
+        assert all(type(r2_tilde_closed(float(x), atom)) is complex for x in self.U[:3])
+
+    def test_point_alone_or_in_any_batch(self, atom):
+        batch = r2_tilde_closed(self.U, atom)
+        order = np.random.default_rng(5).permutation(self.U.size)
+        assert (bits(r2_tilde_closed(self.U[order], atom)) == bits(batch[order])).all()
+        for j in range(0, self.U.size, 7):
+            assert (bits(r2_tilde_closed(self.U[j:j + 1], atom)) == bits(batch[j:j + 1])).all()
+
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.9), (0.2, 0.8), (1.05, 3.1), (-3.1, -1.05),
+                                        (3.1330, 3.1336)])
+    def test_columns_match_the_direct_formula(self, atom, lo, hi):
+        u = np.linspace(lo, hi, 400)
+        rep = split_check_report(atom, u)
+        ref = checker_r2(u.tolist(), atom)
+        bound = 4e-16 * np.abs(ref).max()
+        assert np.abs(rep.re_closed - ref.real).max() <= bound
+        assert np.abs(rep.im_closed - ref.imag).max() <= bound
+        assert (bits(rep.re_closed + 1j * rep.im_closed) == bits(r2_tilde_closed(u, atom))).all()
+
+
+# the bad points of the closed forms, each with what is raised for it
+BAD_POINTS = [
+    (0.0, "closed form singular at u = 0.0 (u in {0, +-1})"),
+    (-1.0, "closed form singular at u = -1.0 (u in {0, +-1})"),
+    (1.0 - 5e-15, "closed form singular at u = 0.999999999999995 (u in {0, +-1})"),
+    (1e-80, "closed form leaves the float range at u = 1e-80"),
+    (1e308, "closed form leaves the float range at u = 1e+308"),
+]
+
+
+class TestClosedFormGuard:
+    """One array check refuses the first point in grid order at which a closed
+    form cannot be evaluated, for every entry that evaluates one."""
+
+    @pytest.mark.parametrize("first", range(len(BAD_POINTS)))
+    def test_first_bad_point_in_grid_order(self, atom, first):
+        bad = BAD_POINTS[first:] + BAD_POINTS[:first]
+        grid = [2.0, -0.5]
+        for value, _ in bad:
+            grid += [value, 1.5]
+        message = bad[0][1]
+        for evaluate in (sym_bracket, lambda u: r2_tilde_closed(u, atom),
+                         lambda u: split_check_report(atom, u)):
+            with pytest.raises(SingularPointError) as exc:
+                evaluate(np.array(grid))
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value, message", BAD_POINTS)
+    def test_each_entry_names_the_point(self, atom, value, message):
+        for evaluate in (sym_bracket, lambda u: r2_tilde_closed(u, atom),
+                         lambda u: split_grid(u, 2.0, 5), lambda u: split_grid(2.0, u, 5)):
+            with pytest.raises(SingularPointError) as exc:
+                evaluate(value)
+            assert str(exc.value) == message
 
 
 class TestT2Sym:
