@@ -91,19 +91,18 @@ def run(src: Path, argv: list) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
-def _leaves(doc, path="") -> dict:
-    """Dotted path -> leaf value of a JSON document; the leaves of a list
+def _leaves(doc, path="", out=None) -> dict:
+    """Dotted path -> leaf values of a JSON document; the leaves of a list
     share one path, with the index shown as []."""
-    out = {}
-    items = (doc.items() if isinstance(doc, dict)
-             else ((None, v) for v in doc) if isinstance(doc, list) else None)
-    if items is None:
+    out = {} if out is None else out
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _leaves(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(doc, list):
+        for value in doc:
+            _leaves(value, f"{path}[]", out)
+    else:
         out.setdefault(path, []).append(doc)
-        return out
-    for key, value in items:
-        sub = f"{path}[]" if key is None else f"{path}.{key}" if path else key
-        for leaf, values in _leaves(value, sub).items():
-            out.setdefault(leaf, []).extend(values)
     return out
 
 

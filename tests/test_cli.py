@@ -724,7 +724,6 @@ class TestNegativeValues:
         (["ww-sim", "--n-modes"], "--n-modes"),
         (["split-check", "--u-min"], "--u-min"),
         (["split-check", "--u-min", "--u-max", "-1e-3"], "--u-min"),
-        (["series-check", "--c0", "-inf"], "--c0"),
     ])
     def test_missing_value_still_exits_two(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exit_info:
