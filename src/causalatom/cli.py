@@ -48,8 +48,9 @@ from .wworacle import build_grid, evolve, fit_decay
 __all__ = ["COMMANDS", "run", "emit_report", "main"]
 
 DEFAULT_FLAGS = {"gamma_denominator_power": 5, "z_resonant_weight": "inverse_u"}
-# a negative number after a flag is its value, -1e-3 as well as argparse's -1.5
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# a negative number after a flag is its value, -1e-3 and -inf as well as
+# argparse's -1.5: every negative spelling that float() reads, but for "_"
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:inf|infinity|nan))$")
 SPLIT_CHECK_COLUMNS = ("u", "re_closed", "im_closed", "re_numeric", "im_numeric",
                        "im_rel_err", "re_rel_err")
 

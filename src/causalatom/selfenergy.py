@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, GridResolutionError, SingularPointError
-from .splitting import CausalDistribution1D, retarded_parts_central
+from .splitting import CausalDistribution1D, split
 
 __all__ = [
     "NormalizationConstants",
@@ -315,7 +315,7 @@ def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
     check_split_points(u.size)
     pref = r2_prefactor(atom)
     closed = r2_tilde_closed(u, atom)
-    numeric, evals, errors = retarded_parts_central(as_causal_distribution(atom), u, tol)
+    numeric, evals, errors = split(as_causal_distribution(atom), u, tol=tol)
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale

@@ -1,24 +1,23 @@
 """Retarded/advanced parts of 1-D momentum-space causal distributions.
 
 A causal distribution here is d(k) = i g(k), g real, supported on
-|k| >= k_min > 0 with power-counting singular order omega.  Its central
-retarded part is the subtracted dispersion integral
+|k| >= k_min > 0 with power-counting singular order omega.  Its retarded
+part, subtracted about a point q of the support gap, is the dispersion
+integral
 
-    r(p0) = (i/2pi) p0^(omega+1) int dk  d(k) / [(k - i0)^(omega+1) (p0 - k + i0)]
+    r(p0) = (i/2pi) (p0 - q)^(omega+1) int dk  d(k) / [(k - q)^(omega+1) (p0 - k + i0)]
 
 with the i0 prescriptions resolved analytically before quadrature: because
-the support excludes k = 0, the subtraction kernel is regular there, and the
-p0 pole contributes a principal value plus the Sokhotski-Plemelj term
+the support excludes the gap, the subtraction kernel is regular there, and
+the p0 pole contributes a principal value plus the Sokhotski-Plemelj term
 -i pi d(p0), i.e. a pole term d(p0)/2 after the prefactor.  No finite-epsilon
-limits are taken numerically.
+limits are taken numerically.  q = 0 is the central splitting; any two
+choices of q give parts that differ by a polynomial of degree <= omega.
 
-Shifting the Taylor subtraction point from 0 to q (off support) gives another
-valid retarded part; any two differ by a polynomial of degree <= omega.
-
-Every evaluation goes through _split_values, which advances the dispersion
-integrals of many points together (retarded_parts_central); a single point
-is its one-point case, with the same floats.  The quadrature integrates the
-real g, and the factor i enters where the values are formed.
+split is the one entry point: it advances the dispersion integrals of many
+points together, and a point gets the same floats alone as in any batch.
+The quadrature integrates the real g, and the factor i enters where the
+values are formed.
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ from .numerics import STEPS, exp_sinh, ladder, tanh_sinh
 __all__ = [
     "CausalDistribution1D",
     "PolynomialResidual",
-    "retarded_part_central",
-    "retarded_parts_central",
-    "retarded_part_shifted",
-    "advanced_part",
-    "advanced_part_mirrored",
+    "split",
     "polynomial_residual",
 ]
 
@@ -71,8 +66,8 @@ class CausalDistribution1D:
     def __post_init__(self):
         if self.singular_order < -1:
             raise ValueError("singular order must be >= -1")
-        if self.k_min < 0:
-            raise ValueError("k_min must be >= 0")
+        if not self.k_min > 0:
+            raise ValueError(f"support must exclude k = 0: k_min must be > 0, got {self.k_min}")
 
     def evaluate(self, k):
         """d(k) = i g(k)."""
@@ -87,19 +82,6 @@ class PolynomialResidual:
     max_abs_deviation: float
 
 
-def _near_edge(d: CausalDistribution1D, p0, tol: float):
-    """Whether |p0| (a scalar or an array) lies too near the support edge to
-    be split."""
-    return np.abs(np.abs(p0) - d.k_min) <= max(tol, BRANCH_GUARD)
-
-
-def _check_point(d: CausalDistribution1D, p0: float, tol: float):
-    if _near_edge(d, p0, tol):
-        raise BranchPointError(
-            f"|p0| = {abs(p0)} lies within {max(tol, BRANCH_GUARD)} of the "
-            f"support edge k_min = {d.k_min}")
-
-
 def _power(x, n: int):
     """x ** n for an int n >= 0 as ((x * x) * x) * ..., one multiplication
     per order above the first.
@@ -107,7 +89,9 @@ def _power(x, n: int):
     The subtraction kernel's (k - q)^(omega+1) is formed this way because
     numpy's power takes a slow path on a negative base (about 180 ns per
     element against 5 for a positive one), and every grid meets negative
-    nodes: the other side, and for u < -1 the pole side.
+    nodes: the other side, and for u < -1 the pole side.  The products are
+    IEEE operations, so their bits do not depend on the CPU; split's
+    prefactor (p0 - q)^(omega+1) is formed the same way.
     """
     if n == 0:
         return 1.0
@@ -229,105 +213,47 @@ def _chunk(d: CausalDistribution1D, p, q: float, tol: float):
             raise   # not reached: a point's arithmetic does not depend on the others
 
 
-def _split_values(d: CausalDistribution1D, p0s, q: float, tol: float,
-                  pole_sign: float = 1.0):
-    """Dispersion integrals with Taylor subtraction about k = q at every p0.
+def split(d: CausalDistribution1D, p0s, q: float = 0.0, tol: float = DEFAULT_TOL,
+          pole_sign: float = 1.0):
+    """The retarded part of d subtracted about k = q at every p0 of p0s:
+    (values, node counts, error estimates) per point.
 
     pole_sign = 1 resolves 1/(p0 - k + i0) (retarded); -1 resolves the
-    mirrored 1/(p0 - k - i0), whose delta term has the opposite sign.
+    mirrored 1/(p0 - k - i0), whose pole term has the opposite sign: the
+    advanced part, found independently of r - d.  The error estimate is
+    |I_h - I_2h|, scaled like the value by |p0 - q|^(omega+1)/(2 pi).
 
     The points go through _dispersion SPLIT_CHUNK_POINTS at a time; each
-    point gets the floats it gets alone.  Returns (values, node counts,
-    error estimates) per point, the estimate |I_h - I_2h| scaled like the
-    value by |p0 - q|^(omega+1)/(2 pi).  Raises for the first failing point
-    in order, as a loop over the points would.
-    """
-    if p0s and d.k_min == 0.0:
-        raise SupportError("distribution support must exclude k = 0")
-    p0s = np.array(p0s, dtype=float)
-    # at p0 = q = 0 the p0^(omega+1) prefactor kills the regular integral
-    integrated = (p0s != 0.0) | (q != 0.0)
-    p = p0s[integrated]
-    parts = [_chunk(d, p[i:i + SPLIT_CHUNK_POINTS], q, tol)
-             for i in range(0, len(p), SPLIT_CHUNK_POINTS)] or [(np.zeros(0),) * 3]
-    total, err, nodes = (np.concatenate(c) for c in zip(*parts))
-    om1 = d.singular_order + 1
-    scale = [(p0 - q) ** om1 for p0 in p.tolist()]   # scalar pow: numpy's rounds differently
-    c = 1j / (2.0 * math.pi)
-    # the integral is that of g; times i, it is that of d
-    values = [c * s * complex(0.0, g) for s, g in zip(scale, total.tolist())]
-    on = np.abs(p) > d.k_min
-    for j, g in zip(np.flatnonzero(on).tolist(), d.g(p[on]).tolist()):
-        # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
-        # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel.
-        values[j] += 0.5j * pole_sign * g
-    value, evaluations, error = (np.zeros(len(p0s), dtype=complex),
-                                 np.zeros(len(p0s), dtype=int), np.zeros(len(p0s)))
-    value[integrated] = values
-    evaluations[integrated] = nodes
-    error[integrated] = np.abs(scale) / (2.0 * math.pi) * err
-    return value, evaluations, error
-
-
-def _split_value(d: CausalDistribution1D, p0: float, q: float, tol: float,
-                 pole_sign: float = 1.0) -> complex:
-    """_split_values at one point."""
-    return complex(_split_values(d, [p0], q, tol, pole_sign)[0][0])
-
-
-def retarded_part_central(d: CausalDistribution1D, p0: float,
-                          tol: float = DEFAULT_TOL) -> complex:
-    """Central splitting solution (subtraction about the origin) at p0."""
-    _check_point(d, p0, tol)
-    return _split_value(d, p0, 0.0, tol)
-
-
-def retarded_parts_central(d: CausalDistribution1D, p0s,
-                           tol: float = DEFAULT_TOL):
-    """retarded_part_central at every p0, the dispersion integrals advanced
-    together: (values, evaluations, error estimates) per point, as
-    _split_values returns them.
-
-    Raises for the first failing point in order, as a loop over
-    retarded_part_central would; points after a branch point are not
+    point gets the floats it gets alone.  Raises SupportError for q outside
+    the support gap, and otherwise for the first failing point in order, as
+    a loop over the points would: points after a branch point are not
     integrated.
     """
-    p0s = np.array(p0s, dtype=float)
-    near = _near_edge(d, p0s, tol)
-    n = int(np.argmax(near)) if near.any() else len(p0s)
-    out = _split_values(d, p0s[:n].tolist(), 0.0, tol)
-    if n < len(p0s):
-        _check_point(d, float(p0s[n]), tol)
-    return out
-
-
-def retarded_part_shifted(d: CausalDistribution1D, p0: float, q: float,
-                          tol: float = DEFAULT_TOL) -> complex:
-    """Retarded part with the Taylor subtraction moved to k = q (off support)."""
     if abs(q) >= d.k_min:
         raise SupportError(
             f"subtraction point q = {q} must lie inside the support gap |k| < {d.k_min}")
-    _check_point(d, p0, tol)
-    return _split_value(d, p0, q, tol)
-
-
-def advanced_part(d: CausalDistribution1D, p0: float,
-                  tol: float = DEFAULT_TOL) -> complex:
-    """Advanced part a(p0) = r(p0) - d(p0)."""
-    r = retarded_part_central(d, p0, tol)
-    return r - complex(d.evaluate(np.array([p0]))[0])
-
-
-def advanced_part_mirrored(d: CausalDistribution1D, p0: float,
-                           tol: float = DEFAULT_TOL) -> complex:
-    """Advanced part computed via the mirrored prescription.
-
-    Uses 1/(p0 - k - i0) in the dispersion integral (PV + i pi delta) rather
-    than r - d, so the jump condition r - a = d checks the sign and weight
-    of the Sokhotski-Plemelj pole term.
-    """
-    _check_point(d, p0, tol)
-    return _split_value(d, p0, 0.0, tol, pole_sign=-1.0)
+    p0s = np.array(p0s, dtype=float)
+    guard = max(tol, BRANCH_GUARD)
+    near = np.abs(np.abs(p0s) - d.k_min) <= guard
+    edge = int(np.argmax(near)) if near.any() else None
+    p = p0s[:edge]
+    total, err, nodes = np.zeros(len(p)), np.zeros(len(p)), np.zeros(len(p), dtype=int)
+    # at p0 = q = 0 the (p0 - q)^(omega+1) prefactor kills the regular integral
+    integrated = np.flatnonzero((p != 0.0) | (q != 0.0))
+    for i in range(0, len(integrated), SPLIT_CHUNK_POINTS):
+        rows = integrated[i:i + SPLIT_CHUNK_POINTS]
+        total[rows], err[rows], nodes[rows] = _chunk(d, p[rows], q, tol)
+    if edge is not None:
+        raise BranchPointError(
+            f"|p0| = {abs(float(p0s[edge]))} lies within {guard} of the "
+            f"support edge k_min = {d.k_min}")
+    scale = _power(p - q, d.singular_order + 1)
+    # the integral is that of g; times i, it is that of d
+    values = 1j / (2.0 * math.pi) * scale * (1j * total)
+    # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
+    # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel
+    values += 1j * np.where(np.abs(p) > d.k_min, 0.5 * pole_sign * d.g(p), 0.0)
+    return values, nodes, np.abs(scale) / (2.0 * math.pi) * err
 
 
 def polynomial_residual(d: CausalDistribution1D, q: float, grid,
@@ -343,8 +269,8 @@ def polynomial_residual(d: CausalDistribution1D, q: float, grid,
     grid = np.asarray(list(grid), dtype=float)
     if grid.size < omega + 2:
         raise ValueError(f"need more than omega+1 = {omega + 1} grid points, got {grid.size}")
-    diff = np.array([retarded_part_central(d, x, tol) - retarded_part_shifted(d, x, q, tol)
-                     for x in grid], dtype=complex)
+    shifted = split(d, grid, q, tol)[0]   # refuses q before any point is integrated
+    diff = split(d, grid, tol=tol)[0] - shifted
     v = np.vander(grid, omega + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(v, diff.real, rcond=None)
     dev = float(np.abs(diff - v @ coef).max())

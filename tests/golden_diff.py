@@ -53,6 +53,7 @@ GRIDS = [["--u-min", "1.1", "--u-max", "3", "--points", "1000"],
          ["--u-min", "1e-10", "--u-max", "0.05", "--points", "5"],
          ["--u-min", "-0.05", "--u-max=-1e-10", "--points", "5"],
          ["--u-min", "-1e-3", "--u-max", "2", "--points", "3"],
+         ["--u-min", "-inf", "--u-max", "2"],
          ["--preset", "synthetic:1e-2", "--tol", "1e-3"]]
 
 
@@ -66,6 +67,7 @@ def cases() -> list:
     out += [["ww-sim", "--out", "-"], ["ww-sim", "--format", "csv", "--out", "-"]]
     out += [["split-check", *grid] for grid in GRIDS]
     out += [["split-check", "--points", "1"], ["series-check", "--c0", "-1e-3"],
+            ["series-check", "--c0", "-inf"],
             ["wavepacket-check", "--plateau-periods", "10", "100", "--format", "csv",
              "--out", "out.txt"],
             # rel_error there is the reduction error, not rounding as on hydrogen
@@ -116,9 +118,10 @@ def _columns(text: str) -> dict:
 
 def differing_fields(old: bytes, new: bytes) -> list:
     """The fields in which two outputs differ: JSON paths if both are JSON,
-    CSV columns if both are tables with the same header, else the whole."""
+    CSV columns if both are tables with the same header, else the whole.
+    Numbers compare as written, so -0 and 0 differ."""
     try:
-        a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+        a, b = (_leaves(json.loads(x, parse_float=str, parse_int=str)) for x in (old, new))
     except ValueError:
         try:
             a, b = _columns(old.decode()), _columns(new.decode())

@@ -24,11 +24,7 @@ from causalatom.selfenergy import (
     as_causal_distribution,
     split_check_report,
 )
-from causalatom.splitting import (
-    advanced_part_mirrored,
-    polynomial_residual,
-    retarded_part_central,
-)
+from causalatom.splitting import polynomial_residual, split
 from causalatom.wavepacket import convergence_study
 from causalatom.wworacle import build_grid, evolve, fit_decay
 
@@ -171,19 +167,23 @@ def test_criterion_6_wavepacket_reduction():
 
 
 def test_criterion_7_property_suites(hyd):
-    # splitting jump condition via the independently mirrored advanced part
     dist = as_causal_distribution(hyd, unit_scale=True)
+
+    def at(p0, pole_sign=1.0):
+        return complex(split(dist, [p0], tol=1e-11, pole_sign=pole_sign)[0][0])
+
+    # splitting jump condition via the independently mirrored advanced part
     for p0 in (1.5, 2.0, -3.0):
-        r = retarded_part_central(dist, p0, 1e-11)
-        a = advanced_part_mirrored(dist, p0, 1e-11)
+        r = at(p0)
+        a = at(p0, pole_sign=-1.0)
         d_val = complex(dist.evaluate(np.array([p0]))[0])
         assert abs((r - a) - d_val) <= 1e-9 * abs(d_val)
 
     # pole-term identity: Im r = -i d/2 on support, 0 in the gap
-    r2 = retarded_part_central(dist, 2.0, 1e-11)
+    r2 = at(2.0)
     assert r2.imag == pytest.approx((dist.evaluate(np.array([2.0]))[0] / 2j).real,
                                     rel=1e-12)
-    assert retarded_part_central(dist, 0.5, 1e-11).imag == 0.0
+    assert at(0.5).imag == 0.0
 
     # subtraction-point ambiguity: degree <= 2 polynomial
     for q in (-0.6, 0.5):

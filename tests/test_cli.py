@@ -688,18 +688,25 @@ NUMERIC_FLAGS = [(name, "--" + flag.replace("_", "-"), default)
                  for name, (*_, flags) in cli.COMMANDS.items() for flag, default in flags.items()]
 
 
-class TestNegativeValues:
-    """A negative number in exponent form after a flag is that flag's value,
-    as -0.5 is; argparse's own pattern reads -1e-3 as a flag."""
+NON_FINITE = ["-inf", "-Infinity", "-infinity", "-NaN", "-nan", "-INF"]
+FLOAT_FLAGS = [(c, f) for c, f, default in NUMERIC_FLAGS
+               if default is None or isinstance(default, float)]
 
-    @pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1"])
+
+class TestNegativeValues:
+    """A negative number in exponent form or not finite after a flag is that
+    flag's value, as -0.5 is; argparse's own pattern reads -1e-3 and -inf as
+    flags."""
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", *NON_FINITE])
     @pytest.mark.parametrize("command, flag, default", NUMERIC_FLAGS,
                              ids=[f"{c} {f}" for c, f, _ in NUMERIC_FLAGS])
     def test_read_as_the_value(self, capsys, command, flag, default, value):
         argv = [command, flag, value]
         if default is None or isinstance(default, float):
             opts = cli._build_parser([command]).parse_args(argv)
-            assert getattr(opts, flag[2:].replace("-", "_")) == float(value)
+            # repr, so that a nan compares equal to itself
+            assert repr(getattr(opts, flag[2:].replace("-", "_"))) == repr(float(value))
         else:   # an int flag takes the value, and then refuses it as an int
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
@@ -718,6 +725,16 @@ class TestNegativeValues:
         code, out, err = run_cli(capsys, "series-check", "--c0", "-1e-3")
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["c_input"]["c0"] == -1e-3
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS,
+                             ids=[f"{c} {f}" for c, f in FLOAT_FLAGS])
+    def test_non_finite_exits_one_as_with_equals(self, capsys, command, flag, value):
+        # the typed diagnostic of --flag=value, no longer argparse's exit 2
+        code, out, err = run_cli(capsys, command, flag, value)
+        assert (code, out, err) == run_cli(capsys, command, f"{flag}={value}")
+        assert code == 1 and out == ""
+        assert list(json.loads(err)) == ["error", "message", "command"]
 
     @pytest.mark.parametrize("argv, flag", [
         (["split-check", "--preset"], "--preset"),

@@ -59,10 +59,9 @@ def _assert_finite_csv(text):
 
 
 def flag(name, value):
-    """--name and a float as two arguments, as a user types them; a value
-    that is not finite as --name=value, since argparse reads a separate -inf
-    as a flag."""
-    return [f"--{name}", repr(value)] if math.isfinite(value) else [f"--{name}={value!r}"]
+    """--name and a float as two arguments, as a user types them, -inf and
+    nan included."""
+    return [f"--{name}", repr(value)]
 
 
 def check_invocation(capfd, tmp_path, argv):

@@ -32,7 +32,7 @@ from causalatom.selfenergy import (_bracket_term_scale, _core, _real_axis_args,
                                    as_causal_distribution, r2_prefactor, r2_tilde_closed,
                                    split_check_report)
 from causalatom.splitting import (SPLIT_CHUNK_POINTS, CausalDistribution1D,
-                                  retarded_parts_central)
+                                  polynomial_residual, split)
 from test_numerics import _terms, finite_lo, integrate, pv
 
 ATOM = hydrogen_1s2p_preset()
@@ -57,7 +57,7 @@ def outcome(run):
 
 def reference_loop(d, u):
     """(values, node counts) of the points one at a time."""
-    points = [retarded_parts_central(d, [float(x)]) for x in u]
+    points = [split(d, [float(x)]) for x in u]
     return (np.concatenate([v for v, _, _ in points]),
             np.concatenate([n for _, n, _ in points]))
 
@@ -126,6 +126,41 @@ def test_split_check_bitwise_equal_to_reference_loop(u):
     assert np.array_equal(rep.im_numeric, np.where(np.abs(u) > 1.0, 0.5 * d.g(u), 0.0))
 
 
+@pytest.mark.parametrize("q, pole_sign", [(0.0, 1.0), (0.5, 1.0), (0.0, -1.0), (-0.7, -1.0)])
+def test_point_alone_equals_point_in_shuffled_batch(q, pole_sign):
+    # subtracted off the origin, and in the mirrored prescription, as in
+    # the central splitting: a point's value, node count and error estimate
+    # do not depend on the points beside it; u = 0 is integrated unless q = 0
+    u = np.insert(_MIXED, 30, 0.0)
+    batch = split(UNIT, u, q, pole_sign=pole_sign)
+    alone = [split(UNIT, [x], q, pole_sign=pole_sign) for x in u.tolist()]
+    for mine, theirs in zip(batch, zip(*alone)):
+        assert np.array_equal(bits(mine), bits(np.concatenate(theirs)))
+    assert (batch[1][u == 0.0] == 0).all() == (q == 0.0)
+
+
+@pytest.mark.parametrize("q", [-0.7, 0.5])
+def test_polynomial_residual_is_the_fit_of_a_point_loop(q):
+    grid = np.concatenate([np.linspace(-5.0, -1.1, 6), np.linspace(-0.9, 0.9, 4),
+                           np.linspace(1.1, 5.0, 8)])
+    diff = np.array([split(UNIT, [x])[0][0] - split(UNIT, [x], q)[0][0] for x in grid.tolist()])
+    v = np.vander(grid, 3, increasing=True)
+    fit, *_ = np.linalg.lstsq(v, diff.real, rcond=None)
+    res = polynomial_residual(UNIT, q, grid)
+    assert res.coefficients == tuple(fit.tolist())
+    assert res.max_abs_deviation == float(np.abs(diff - v @ fit).max())
+
+
+@pytest.mark.parametrize("pole_sign", [1.0, -1.0])
+def test_imaginary_part_off_the_support_is_positive_zero(pole_sign):
+    # no pole term there: Im is +0 on both sides of the origin, not -0 at u < 0
+    u = np.concatenate([-np.geomspace(1e-12, 0.95, 9), np.geomspace(1e-12, 0.95, 9)])
+    plus_zero = bits(np.zeros(u.size))
+    for q in (0.0, 0.5):
+        assert np.array_equal(bits(split(UNIT, u, q, pole_sign=pole_sign)[0].imag), plus_zero)
+    assert np.array_equal(bits(split_check_report(ATOM, u).im_numeric), plus_zero)
+
+
 # every |u| the closed form accepts (from about 1e-77 to 2.4e51), log-uniform,
 # and a band within the 1e-9 branch guard of the support edge
 _MAGNITUDE = st.one_of(st.floats(-77.0, 51.3).map(lambda e: 10.0 ** e),
@@ -158,7 +193,7 @@ def test_random_grids_bitwise_equal_to_reference_loop(points):
 def test_first_failing_point_in_grid_order(u, error, message):
     # at unit scale, where the closed form does not guard the float range
     with pytest.raises(error) as exc:
-        retarded_parts_central(UNIT, u)
+        split(UNIT, u)
     assert str(exc.value) == message
     assert outcome(lambda: reference_loop(UNIT, u)) == (error, message)
 
@@ -195,9 +230,9 @@ def test_failing_grid_is_not_integrated_far_past_its_failure():
     message = r"dispersion integral at p0 = 1e\+308 failed: overflow"
     nodes.append(0)
     with pytest.raises(QuadratureConvergenceError, match=message):
-        retarded_parts_central(counted(UNIT), u)
+        split(counted(UNIT), u)
     nodes.append(0)
-    retarded_parts_central(counted(UNIT), u[:1])
+    split(counted(UNIT), u[:1])
     batched, one_point = nodes
     # a fold node evaluates g twice
     assert batched <= 2 * SPLIT_CHUNK_POINTS * one_point
@@ -252,7 +287,7 @@ def test_point_near_the_float_limit_fails_typed(p0):
     # the far piece's nodes overflow in the integrand, which names the point
     message = re.escape(f"at p0 = {p0!r} failed: overflow")
     with pytest.raises(QuadratureConvergenceError, match=message):
-        retarded_parts_central(UNIT, [2.0, p0])
+        split(UNIT, [2.0, p0])
 
 
 @pytest.mark.parametrize("k_min", [0.3, 1.7])
@@ -265,8 +300,8 @@ def test_plain_piece_matches_reference(k_min):
                              k_min=k_min)
     u = np.concatenate([np.linspace(-6.0, -1.1, 20), np.linspace(-0.9, 0.9, 5),
                         np.linspace(1.1, 6.0, 20)])
-    values, _, _ = retarded_parts_central(d, k_min * u)
-    theirs, _, _ = retarded_parts_central(UNIT, u)
+    values, _, _ = split(d, k_min * u)
+    theirs, _, _ = split(UNIT, u)
     assert np.abs(values - theirs).max() <= 1e-14 * np.abs(theirs).max()
     assert values[u == 0.0] == 0.0
 
@@ -274,7 +309,7 @@ def test_plain_piece_matches_reference(k_min):
 def test_never_converging_distribution_fails_fast():
     start = time.perf_counter()
     with pytest.raises(QuadratureConvergenceError) as exc:
-        retarded_parts_central(OSCILLATING, [1.5, 2.5, 0.5])
+        split(OSCILLATING, [1.5, 2.5, 0.5])
     assert time.perf_counter() - start < 1.0
     assert re.fullmatch(r"dispersion integral at p0 = 1\.5 did not converge by step "
                         rf"h = 1/{STEPS[-1]} \(error estimate .* of the value .*\)", str(exc.value))
@@ -284,11 +319,11 @@ def test_integrals_spent_in_one_round_report_the_first():
     # both points run out of steps in the same chunk, the pole side and the
     # gap; the error is that of the first in order, not of the one whose
     # piece list runs first
-    messages = [outcome(lambda: retarded_parts_central(OSCILLATING, [x]))[1]
+    messages = [outcome(lambda: split(OSCILLATING, [x]))[1]
                 for x in (2.0, 0.5)]
-    assert outcome(lambda: retarded_parts_central(OSCILLATING, [2.0, 0.5])) == \
+    assert outcome(lambda: split(OSCILLATING, [2.0, 0.5])) == \
         (QuadratureConvergenceError, messages[0])
-    assert outcome(lambda: retarded_parts_central(OSCILLATING, [0.5, 2.0])) == \
+    assert outcome(lambda: split(OSCILLATING, [0.5, 2.0])) == \
         (QuadratureConvergenceError, messages[1])
 
 

@@ -22,7 +22,7 @@ from causalatom.selfenergy import (
     t2_bracket_resonant,
     t2_prefactor,
 )
-from causalatom.splitting import retarded_part_central
+from causalatom.splitting import split
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +386,7 @@ class TestWrappedDistribution:
     def test_central_split_matches_closed_imaginary(self, atom):
         dist = as_causal_distribution(atom)
         for u in (1.2, 2.0, 4.0):
-            num = retarded_part_central(dist, u, 1e-11)
+            num = split(dist, [u], tol=1e-11)[0][0]
             closed = r2_tilde_closed(u, atom)
             assert abs(num.imag - closed.imag) / abs(closed.imag) < 1e-12
 

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from causalatom.errors import BranchPointError, SupportError
-from causalatom.splitting import (
-    CausalDistribution1D,
-    advanced_part,
-    advanced_part_mirrored,
-    polynomial_residual,
-    retarded_part_central,
-    retarded_part_shifted,
-)
+from causalatom.splitting import CausalDistribution1D, polynomial_residual, split
 
 
 def core_g(k):
@@ -30,6 +23,16 @@ def make_core(scale=1.0):
     )
 
 
+def at(d, p0, q=0.0, pole_sign=1.0):
+    """split at one point, as a complex."""
+    return complex(split(d, [p0], q, pole_sign=pole_sign)[0][0])
+
+
+def advanced(d, p0):
+    """The advanced part a = r - d."""
+    return at(d, p0) - complex(d.evaluate(np.array([p0]))[0])
+
+
 ZERO_DIST = CausalDistribution1D(
     g=lambda k: np.zeros_like(np.asarray(k, dtype=float)),
     singular_order=2,
@@ -40,39 +43,39 @@ ZERO_DIST = CausalDistribution1D(
 class TestRetardedCentral:
     def test_zero_distribution(self):
         for p0 in (0.3, 2.0, -4.0):
-            assert retarded_part_central(ZERO_DIST, p0) == 0.0
+            assert at(ZERO_DIST, p0) == 0.0
 
     def test_pole_term_identity_at_two(self):
         # Sokhotski-Plemelj: (i/2pi)(-i pi) d(p0) = d(p0)/2, so
         # Im r(2) = g(2)/2 = (27/16)/2 = 27/32
-        r = retarded_part_central(make_core(), 2.0)
+        r = at(make_core(), 2.0)
         assert abs(r.imag - 27.0 / 32.0) < 1e-12
         assert r.imag == pytest.approx(0.84375, abs=1e-12)
 
     def test_gap_point_is_real(self):
-        r = retarded_part_central(make_core(), 0.5)
+        r = at(make_core(), 0.5)
         assert r.imag == 0.0
 
     def test_negative_support_point(self):
         # d odd and imaginary: Im r(-2) = -i d(-2)/2 = -g(2)/2
-        r = retarded_part_central(make_core(), -2.0)
+        r = at(make_core(), -2.0)
         assert abs(r.imag + 27.0 / 32.0) < 1e-12
 
     def test_branch_point_rejected(self):
         with pytest.raises(BranchPointError):
-            retarded_part_central(make_core(), 1.0 + 1e-12)
+            at(make_core(), 1.0 + 1e-12)
         with pytest.raises(BranchPointError):
-            retarded_part_central(make_core(), -1.0)
+            at(make_core(), -1.0)
 
     def test_origin_decay(self):
         # gap-supported d: r(p0) = O(p0^(omega+1)) near the origin; for the
         # odd core the subtraction integral vanishes at 0 by parity, so the
         # decay is at least cubic (here one power better).
         d = make_core()
-        r1 = retarded_part_central(d, 0.2)
-        r2 = retarded_part_central(d, 0.1)
+        r1 = at(d, 0.2)
+        r2 = at(d, 0.1)
         assert abs(r2) / abs(r1) <= 0.5 ** 3 * 1.05
-        assert retarded_part_central(d, 0.0) == 0.0
+        assert at(d, 0.0) == 0.0
 
     @pytest.mark.parametrize("p0", [3.1332170854271357, -3.1332170854271357,
                                     3.1333286432160805])
@@ -82,7 +85,7 @@ class TestRetardedCentral:
         # SI-sized scale the 1e-14 absolute floor does not stop the bisection
         # either, and it used to refine until a node landed on the pole
         scale = 1e22
-        r = retarded_part_central(make_core(scale), p0)
+        r = at(make_core(scale), p0)
         x = p0 * p0 - 1.0
         # 2 pi Re r = the symmetrized bracket at C = 0; Im r = core(p0)/2
         re_expected = scale * (-x ** 3 * np.log(x) / p0 ** 4 + 1.0 / p0 ** 2 - 2.5
@@ -101,51 +104,51 @@ class TestRetardedCentral:
             g=lambda k: a * d1.g(k) + b * d2.g(k),
             singular_order=2, k_min=1.0)
         for p0 in (0.5, 2.0, 3.5):
-            lhs = retarded_part_central(combo, p0)
-            rhs = a * retarded_part_central(d1, p0) + b * retarded_part_central(d2, p0)
+            lhs = at(combo, p0)
+            rhs = a * at(d1, p0) + b * at(d2, p0)
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
 class TestAdvancedPart:
     def test_zero_distribution(self):
-        assert advanced_part(ZERO_DIST, 2.0) == 0.0
+        assert advanced(ZERO_DIST, 2.0) == 0.0
 
     def test_subtraction_identity_on_support(self):
         d = make_core()
-        a = advanced_part(d, 2.0)
+        a = advanced(d, 2.0)
         assert abs(a.imag + 27.0 / 32.0) < 1e-12  # Im a = Im r - g(2)
 
     def test_gap_equals_retarded(self):
         d = make_core()
-        assert advanced_part(d, 0.5) == retarded_part_central(d, 0.5)
+        assert advanced(d, 0.5) == at(d, 0.5)
 
     def test_jump_condition_via_mirrored(self):
         # r - a = d with a recomputed independently from 1/(p0 - k - i0)
         d = make_core()
         for p0 in (1.5, 2.0, -3.0, 4.5):
-            r = retarded_part_central(d, p0)
-            a = advanced_part_mirrored(d, p0)
+            r = at(d, p0)
+            a = at(d, p0, pole_sign=-1.0)
             jump = r - a
             expect = complex(d.evaluate(np.array([p0]))[0])
             assert abs(jump - expect) < 1e-9 * max(1.0, abs(expect))
         # in the gap both prescriptions agree and the jump vanishes
         p0 = 0.5
-        assert abs(retarded_part_central(d, p0) - advanced_part_mirrored(d, p0)) < 1e-10
+        assert abs(at(d, p0) - at(d, p0, pole_sign=-1.0)) < 1e-10
 
 
 class TestShifted:
     def test_q_zero_matches_central(self):
         d = make_core()
         for p0 in (0.5, 2.0, -2.5):
-            assert retarded_part_shifted(d, p0, 0.0) == retarded_part_central(d, p0)
+            assert at(d, p0, 0.0) == at(d, p0)
 
     def test_on_support_q_rejected(self):
         with pytest.raises(SupportError):
-            retarded_part_shifted(make_core(), 2.0, 1.5)
+            at(make_core(), 2.0, 1.5)
 
     def test_imaginary_part_independent_of_q(self):
         d = make_core()
-        r = retarded_part_shifted(d, 2.0, 0.5)
+        r = at(d, 2.0, 0.5)
         assert abs(r.imag - 27.0 / 32.0) < 1e-12
 
     def test_difference_is_degree_two_polynomial(self):
@@ -174,12 +177,19 @@ class TestPolynomialResidual:
         # negative: pinned against the difference formed here
         d = make_core()
         grid = [1.5, 2.0, 2.5, 3.0, 4.0]
-        diff = [(retarded_part_central(d, x) - retarded_part_shifted(d, x, 0.5)).real
-                for x in grid]
+        diff = [(at(d, x) - at(d, x, 0.5)).real for x in grid]
         fit, *_ = np.linalg.lstsq(np.vander(grid, 3, increasing=True), diff, rcond=None)
         res = polynomial_residual(d, 0.5, grid)
         assert res.coefficients == tuple(fit.tolist())
         assert all(abs(c) > 1e-3 for c in res.coefficients)
+
+    def test_q_on_support_refused_before_integrating(self):
+        calls = []
+        d = CausalDistribution1D(g=lambda k: calls.append(1) or core_g(k),
+                                 singular_order=2, k_min=1.0)
+        with pytest.raises(SupportError):
+            polynomial_residual(d, 1.5, [1.5, 2.0, 3.0, 4.0])
+        assert calls == []
 
     def test_grid_size_rejected(self):
         with pytest.raises(ValueError):
@@ -192,3 +202,10 @@ class TestFields:
             CausalDistribution1D(g=core_g, singular_order=-2, k_min=1.0)
         with pytest.raises(ValueError):
             CausalDistribution1D(g=core_g, singular_order=2, k_min=-1.0)
+
+    @pytest.mark.parametrize("k_min", [0.0, -0.0, float("nan")])
+    def test_support_touching_the_origin_rejected(self, k_min):
+        # the subtraction kernel is regular only if the support excludes
+        # k = 0; refused here, split never meets it
+        with pytest.raises(ValueError, match="support must exclude k = 0"):
+            CausalDistribution1D(g=core_g, singular_order=2, k_min=k_min)
