@@ -3,7 +3,8 @@
 Outputs are deterministic byte-for-byte: no timestamps, floats rendered with
 17 significant digits (full round-trip), fields in fixed order.  Every JSON
 envelope embeds the discrepancy notes (normalization-constant ordering,
-rate-denominator power, ratio sign) so downstream consumers cannot miss them.
+rate-denominator power, ratio sign, the closed form's half rational part) so
+downstream consumers cannot miss them.
 
 Exit codes: 0 success, 1 computation failure (diagnostic JSON on stderr),
 2 usage error.
@@ -64,54 +65,43 @@ class Table(dict):
     a list of one object per row (JSON) or one line per row (CSV)."""
 
 
-_FLOAT = "%.17g"   # the slot of a float in a template; the values fill it at the end
+_FLOAT = "%.17g"   # the slot of a float in a row template
 
 
-def _finite(values) -> None:
-    """Refuse the first float of ``values``, or part of a complex, that is not
-    finite; a finite sum of them all shows that there is none."""
-    numbers = [v for v in values if type(v) in (float, complex)]
-    if not math.isfinite(abs(sum(numbers))):
-        bad = [x for v in numbers for x in (v.real, v.imag) if not math.isfinite(x)]
-        if bad:
-            raise CausalAtomError(f"result is not finite ({bad[0]}); nothing was written")
-
-
-def _table(columns: Table, leads: list, end: str, text):
-    """(template of a row, values of the slots of all rows in row order, row
-    count) of a Table, a row being each ``leads[j]`` and the slot of column j,
-    then ``end``.  A float column has %.17g slots, any other %s slots for
-    ``text`` of each value; the first value not finite in row order is
-    refused."""
-    cols = list(columns.values())
+def _rows(table: Table, leads: list, end: str, text) -> str:
+    """The rows of ``table`` as text: a row is each ``leads[j]`` and the value
+    of column j, and ``end`` ends every row but the last.  A float column has
+    %.17g slots in the row template, any other %s slots for ``text`` of each
+    value; one % fills all rows.  A value not finite is refused, the first in
+    row order; a finite sum of each column's numbers shows that there is none."""
+    cols = list(table.values())
     lengths = [len(c) for c in cols]
     if len(set(lengths)) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
-    row, slots, sums = [], [], []
-    for lead, col in zip(leads, cols):
-        if set(map(type, col)) <= {float}:
-            row.append(lead + _FLOAT)
-            slots.append(col)
-            sums.append(sum(col))
-        else:
-            row.append(lead + "%s")
-            slots.append([text(x) for x in col])
-            sums.append(sum(x for x in col if type(x) in (float, complex)))
+    floats = [set(map(type, c)) <= {float} for c in cols]
+    sums = [sum(c) if f else sum(x for x in c if type(x) in (float, complex))
+            for c, f in zip(cols, floats)]
     if not math.isfinite(abs(sum(sums))):
-        _finite([x for r in zip(*cols) for x in r])
-    flat = [None] * sum(lengths)
-    for j, col in enumerate(slots):
-        flat[j::len(slots)] = col
-    return "".join(row) + end, flat, lengths[0] if cols else 0
+        for r in zip(*cols):
+            for x in r:
+                if type(x) in (float, complex):
+                    _json_text(x)
+    row = "".join(lead + (_FLOAT if f else "%s") for lead, f in zip(leads, floats))
+    flat = [None] * sum(lengths)   # the slots' values in row order
+    for j, (c, f) in enumerate(zip(cols, floats)):
+        flat[j::len(cols)] = c if f else [text(x) for x in c]
+    return end.join([row] * max(lengths, default=0)) % tuple(flat)
 
 
 def _json_text(v) -> str:
-    """A float, complex, str, bool or int as JSON."""
+    """A float, complex, str, bool or int as JSON; a float, or part of a
+    complex, that is not finite is refused."""
     t = type(v)
-    if t is float:
-        return _FLOAT % v
-    if t is complex:
-        return '{"re": %.17g, "im": %.17g}' % (v.real, v.imag)
+    if t is float or t is complex:
+        for x in (v.real, v.imag):
+            if not math.isfinite(x):
+                raise CausalAtomError(f"result is not finite ({x}); nothing was written")
+        return _FLOAT % v if t is float else '{"re": %.17g, "im": %.17g}' % (v.real, v.imag)
     if t is str:
         return json.dumps(v)
     if t is bool:
@@ -121,90 +111,76 @@ def _json_text(v) -> str:
     raise TypeError(f"cannot serialize {t!r}")
 
 
-def _json(v, parts: list, args: list, floats: list):
-    """Append ``v`` as JSON to the template ``parts``, with the values of the
-    slots of its Tables to ``args``; its floats and complex numbers outside
-    Tables go to ``floats``, to be checked before anything is written."""
+def _json(v, out: list) -> None:
+    """Append the text of ``v`` as JSON to ``out``, piece by piece."""
     t = type(v)
     if t is Table:
-        _finite(floats)   # the values before it come first
-        leads = [(", " if j else "{") + json.dumps(k).replace("%", "%%") + ": "
+        leads = [(", " if j else "") + json.dumps(k).replace("%", "%%") + ": "
                  for j, k in enumerate(v)]
-        row, flat, n = _table(v, leads, "}" if leads else "{}", _json_text)
-        parts += ["[", *[row + ", "] * (n - 1), *[row][:n], "]"]   # no copy per row
-        args += flat
+        rows = _rows(v, leads, "}, {", _json_text)   # empty only with no row
+        out += ["[{", rows, "}]"] if rows else ["[]"]
     elif t is dict:
-        parts.append("{")
+        out.append("{")
         for j, (k, item) in enumerate(v.items()):
-            parts.append((", " if j else "") + json.dumps(k).replace("%", "%%") + ": ")
-            _json(item, parts, args, floats)
-        parts.append("}")
+            out.append((", " if j else "") + json.dumps(k) + ": ")
+            _json(item, out)
+        out.append("}")
     elif t is list:
-        parts.append("[")
+        out.append("[")
         for i, item in enumerate(v):
             if i:
-                parts.append(", ")
-            _json(item, parts, args, floats)
-        parts.append("]")
+                out.append(", ")
+            _json(item, out)
+        out.append("]")
     else:
-        if t is float or t is complex:
-            floats.append(v)
-        parts.append(_json_text(v).replace("%", "%%"))
+        out.append(_json_text(v))
 
 
 def _dumps(doc: dict) -> str:
-    parts, args, floats = [], [], []
-    _json(doc, parts, args, floats)
-    parts.append("\n")
-    _finite(floats)
-    return "".join(parts) % tuple(args)
+    out = []
+    _json(doc, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv_field(v) -> str:
-    """A CSV field as csv.writer writes it, a float with 17 digits."""
-    if type(v) is float:
-        return _FLOAT % v
-    if type(v) not in (str, int, bool):
-        raise TypeError(f"cannot serialize {type(v)!r}")
+    """A CSV field as csv.writer writes it, a float with 17 digits; a float,
+    or part of a complex, that is not finite is refused."""
+    t = type(v)
+    if t is float:
+        return _json_text(v)
+    if t not in (str, int, bool):
+        if t is complex:
+            _json_text(v)   # a part not finite is refused as in JSON
+        raise TypeError(f"cannot serialize {t!r}")
     s = str(v)
     return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\n') else s
 
 
-def _csv(columns: dict) -> str:
-    """The CSV of ``columns``: a Table, or a plain dict as its one row."""
-    if type(columns) is not Table:
-        columns = Table({k: [v] for k, v in columns.items()})
-    row, flat, n = _table(columns, [("," if j else "") for j in range(len(columns))], "\n",
-                          _csv_field)
-    header = ",".join(map(_csv_field, columns)).replace("%", "%%") + "\n"
-    return "".join([header] + [row] * n) % tuple(flat)
+def _csv(table: Table) -> str:
+    """The CSV of a Table: its header line, then a line per row."""
+    rows = _rows(table, [("," if j else "\n") for j in range(len(table))], "", _csv_field)
+    return "".join([",".join(map(_csv_field, table)), rows, "\n"])
 
 
-def emit_report(command: str, inputs: dict, results: dict,
-                extra_metadata: dict | None = None) -> dict:
+def emit_report(command: str, inputs: dict, results: dict) -> dict:
     """Assemble the stable envelope every command writes."""
-    metadata = {
-        "package": "causalatom",
-        "version": __version__,
-        "constants_version": CONSTANTS_VERSION,
-        "flags": dict(DEFAULT_FLAGS),
-        "notes": dict(DISCREPANCY_NOTES),
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
     return {"command": command, "inputs": inputs, "results": results,
-            "metadata": metadata}
+            "metadata": {"package": "causalatom", "version": __version__,
+                         "constants_version": CONSTANTS_VERSION,
+                         "flags": dict(DEFAULT_FLAGS), "notes": dict(DISCREPANCY_NOTES)}}
 
 
 def _flat_csv(results: dict) -> str:
-    flat = {}
+    """The CSV of ``results`` as one row, a nested key joined by dots."""
+    flat = Table()
 
     def flatten(prefix, doc):
         for k, v in doc.items():
             if type(v) is dict:
                 flatten(f"{prefix}{k}.", v)
             else:
-                flat[prefix + k] = v
+                flat[prefix + k] = [v]
 
     flatten("", results)
     return _csv(flat)
@@ -393,10 +369,11 @@ def _ww_sim_render(command, fmt, out, inputs, results):
     --out '-' the trace takes stdout and the summary moves to stderr."""
     summary, trace = results
     trace_csv = _csv(trace)
-    doc = _dumps(emit_report(command, inputs, summary,
-                             extra_metadata={"grid_conventions": (
-                                 "uniform comb, flat couplings, golden-rule "
-                                 "calibration; grid choices are this package's own")}))
+    envelope = emit_report(command, inputs, summary)
+    envelope["metadata"]["grid_conventions"] = (
+        "uniform comb, flat couplings, golden-rule calibration; grid choices "
+        "are this package's own")
+    doc = _dumps(envelope)
     if out == "-":
         sys.stdout.write(trace_csv)
         sys.stderr.write(doc)

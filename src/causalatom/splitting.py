@@ -215,8 +215,9 @@ def _chunk(d: CausalDistribution1D, p, q: float, tol: float):
 
 def split(d: CausalDistribution1D, p0s, q: float = 0.0, tol: float = DEFAULT_TOL,
           pole_sign: float = 1.0):
-    """The retarded part of d subtracted about k = q at every p0 of p0s:
-    (values, node counts, error estimates) per point.
+    """The retarded part of d subtracted about k = q at every p0 of p0s, a
+    scalar being a one-point grid: (values, node counts, error estimates)
+    per point.
 
     pole_sign = 1 resolves 1/(p0 - k + i0) (retarded); -1 resolves the
     mirrored 1/(p0 - k - i0), whose pole term has the opposite sign: the
@@ -232,7 +233,7 @@ def split(d: CausalDistribution1D, p0s, q: float = 0.0, tol: float = DEFAULT_TOL
     if abs(q) >= d.k_min:
         raise SupportError(
             f"subtraction point q = {q} must lie inside the support gap |k| < {d.k_min}")
-    p0s = np.array(p0s, dtype=float)
+    p0s = np.array(p0s, dtype=float, ndmin=1)
     guard = max(tol, BRANCH_GUARD)
     near = np.abs(np.abs(p0s) - d.k_min) <= guard
     edge = int(np.argmax(near)) if near.any() else None

@@ -68,6 +68,10 @@ def cases() -> list:
     out += [["split-check", *grid] for grid in GRIDS]
     out += [["split-check", "--points", "1"], ["series-check", "--c0", "-1e-3"],
             ["series-check", "--c0", "-inf"],
+            # the fit's coefficients overflow: the writer refuses them
+            ["series-check", "--c0", "1e308", "--c1", "1e308"],
+            ["series-check", "--c0", "1e308", "--c1", "1e308", "--format", "csv",
+             "--out", "out.txt"],
             ["wavepacket-check", "--plateau-periods", "10", "100", "--format", "csv",
              "--out", "out.txt"],
             # rel_error there is the reduction error, not rounding as on hydrogen

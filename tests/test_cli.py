@@ -479,6 +479,11 @@ class TestErrorPaths:
         assert code == 1
 
 
+def one_row(doc: dict) -> cli.Table:
+    """A plain dict as the one-row Table that the CSV writer takes."""
+    return cli.Table({k: [v] for k, v in doc.items()})
+
+
 class TestFloatFormatting:
     def test_seventeen_digit_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "constants")
@@ -508,7 +513,7 @@ class TestFloatFormatting:
                 + ", ".join(expected) + '], "y": ' + expected[0] + "}\n")
             line = ",".join(expected) + "\n"
             assert cli._csv(table) == ",".join(keys) + "\n" + line + line
-            assert cli._csv(dict(zip(keys, row))) == ",".join(keys) + "\n" + line
+            assert cli._csv(one_row(dict(zip(keys, row)))) == ",".join(keys) + "\n" + line
 
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-math.inf, "-inf")])
@@ -519,21 +524,37 @@ class TestFloatFormatting:
             with pytest.raises(cli.CausalAtomError, match=message):
                 cli._dumps({"rows": doc})
             with pytest.raises(cli.CausalAtomError, match=message):
-                cli._csv(doc)
+                cli._csv(one_row(doc) if type(doc) is dict else doc)
         # the first one in document order is the one reported
         with pytest.raises(cli.CausalAtomError, match=message):
             cli._dumps({"a": [bad, math.nan], "b": math.inf})
         with pytest.raises(cli.CausalAtomError, match=message):
             cli._csv(cli.Table(a=[1.0, math.nan], b=[bad, math.inf]))
 
+    @pytest.mark.parametrize("write, doc, shown", [
+        # a loose value before a Table is refused before the Table's rows
+        (cli._dumps, {"x": math.nan, "rows": cli.Table(a=[1.0, math.inf])}, "nan"),
+        # a finite Table is written, and the loose value after it refused
+        (cli._dumps, {"rows": cli.Table(a=[1.0, 2.0]), "y": -math.inf}, "-inf"),
+        # a Table is scanned in row order, across a mixed column too
+        (cli._dumps, {"rows": cli.Table(a=[1.0, math.inf],
+                                        s=[complex(math.nan, 0), "b"])}, "nan"),
+        (cli._csv, cli.Table(a=[1.0, math.inf], s=["x", math.nan]), "inf"),
+    ])
+    def test_first_non_finite_in_document_order_reported(self, write, doc, shown):
+        with pytest.raises(cli.CausalAtomError,
+                           match=rf"^result is not finite \({shown}\); nothing was written$"):
+            write(doc)
+
     @pytest.mark.parametrize("value", [np.float64(1.5), np.int64(3), np.bool_(True),
                                        np.complex128(1j), np.array([1.0]), None])
     def test_numpy_values_refused_with_type_error(self, value):
         # handlers hand over Python builtins; anything else is a bug, not a number
-        for doc in ({"a": 1.0, "b": value}, cli.Table(a=[1.0, 2.0], b=[0.5, value])):
-            for write in (cli._dumps, cli._csv):
-                with pytest.raises(TypeError, match="cannot serialize"):
-                    write(doc)
+        row, table = {"a": 1.0, "b": value}, cli.Table(a=[1.0, 2.0], b=[0.5, value])
+        for write, doc in ((cli._dumps, row), (cli._csv, one_row(row)),
+                           (cli._dumps, table), (cli._csv, table)):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                write(doc)
 
     def test_percent_and_quotes_in_strings(self):
         # no float: the JSON is json.dumps' and the CSV is csv.writer's, with
@@ -579,7 +600,7 @@ class TestOnePassTable:
 
     @staticmethod
     def per_row_csv(keys, rows):
-        return "".join(cli._csv(dict(zip(keys, r))).split("\n", 1)[1] for r in rows)
+        return "".join(cli._csv(one_row(dict(zip(keys, r)))).split("\n", 1)[1] for r in rows)
 
     def test_one_pass_writes_what_each_row_writes(self):
         table = self.table(self.KEYS, self.ROWS)

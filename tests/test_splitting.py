@@ -67,6 +67,18 @@ class TestRetardedCentral:
         with pytest.raises(BranchPointError):
             at(make_core(), -1.0)
 
+    def test_scalar_point_is_a_one_point_grid(self):
+        d = make_core()
+        for p0 in (2.0, 0.5):   # on the support and in the gap
+            for alone, grid in zip(split(d, p0), split(d, [p0])):
+                assert alone.shape == (1,) and alone.dtype == grid.dtype
+                assert alone.tobytes() == grid.tobytes()
+        with pytest.raises(BranchPointError) as alone:
+            split(d, 1.0)
+        with pytest.raises(BranchPointError) as grid:
+            split(d, [1.0])
+        assert str(alone.value) == str(grid.value)
+
     def test_origin_decay(self):
         # gap-supported d: r(p0) = O(p0^(omega+1)) near the origin; for the
         # odd core the subtraction integral vanishes at 0 by parity, so the
