@@ -158,9 +158,12 @@ def _csv_field(v) -> str:
 
 
 def _csv(table: Table) -> str:
-    """The CSV of a Table: its header line, then a line per row."""
-    rows = _rows(table, [("," if j else "\n") for j in range(len(table))], "", _csv_field)
-    return "".join([",".join(map(_csv_field, table)), rows, "\n"])
+    """The CSV of a Table: its header line, then a line per row.  A line of
+    one empty field is written "", as csv.writer writes it, so that it does
+    not read back as a line of no field."""
+    field = _csv_field if len(table) != 1 else lambda v: _csv_field(v) or '""'
+    rows = _rows(table, [("," if j else "\n") for j in range(len(table))], "", field)
+    return "".join([",".join(map(field, table)), rows, "\n"])
 
 
 def emit_report(command: str, inputs: dict, results: dict) -> dict:
@@ -478,7 +481,15 @@ def main(argv=None) -> int:
     # building every subparser costs more than most commands compute: when
     # the first argument names a command, argparse can only use its parser
     names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
-    opts = vars(_build_parser(names).parse_args(argv))
+    # argparse passes each of its messages through gettext, whose first
+    # lookup imports locale: about half of what argparse costs a fresh
+    # process.  The identity gives the text gettext gives without a catalog,
+    # and keeps usage and help byte-for-byte the same under any locale.
+    saved, argparse._ = argparse._, lambda m: m
+    try:
+        opts = vars(_build_parser(names).parse_args(argv))
+    finally:
+        argparse._ = saved
     return run(opts.pop("command"), opts.pop("preset"), opts.pop("format"),
                opts.pop("out"), opts)
 

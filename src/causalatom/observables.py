@@ -344,14 +344,14 @@ def _digits(dps: int):
     return decimal.localcontext(decimal.Context(prec=dps))
 
 
-def _line_shift_samples(grid):
-    """6 Re B(1 + du; C = 0) / (1 + du) at each Decimal du of ``grid``, in
-    50-digit arithmetic (bracket units)."""
+def _line_shift_samples(grid, ln_grid):
+    """6 Re B(1 + du; C = 0) / (1 + du) at each Decimal du of ``grid``, whose
+    ln du is that of ``ln_grid``, in 50-digit arithmetic (bracket units)."""
     out = []
     with _digits(_EXTRACT_DPS):
-        for du in grid:
+        for du, ln_du in zip(grid, ln_grid):
             u = 1 + du
-            re_b = _sym_bracket(u, du * (2 + du), du.ln() + (2 + du).ln(), 0, _C_ZERO)
+            re_b = _sym_bracket(u, du * (2 + du), ln_du + (2 + du).ln(), 0, _C_ZERO)
             out.append(6 * re_b / u)
     return out
 
@@ -382,26 +382,33 @@ def _lu_solve(lu, b):
 
 @functools.cache
 def _series_design():
-    """Grid, column-scaled basis A (du^k, and du^k ln du for k >= 3), column
-    scales and the LU factors of A^T A, as lists of Decimal: the same for
-    every atom and C, so every fit shares them and only reads them."""
+    """Grid, its ln du, column-scaled basis A (du^k, and du^k ln du for
+    k >= 3), column scales and the LU factors of A^T A, as lists of Decimal:
+    the same for every atom and C, so every fit shares them and only reads
+    them."""
     from decimal import Decimal
 
     with _digits(_EXTRACT_DPS):
         lo, hi = _EXTRACT_GRID_DECADES
         grid = [Decimal(10) ** Decimal(lo + (hi - lo) * i / (_EXTRACT_POINTS - 1))
                 for i in range(_EXTRACT_POINTS)]
+        ln_grid = [du.ln() for du in grid]
         rows = [[du ** k for k in range(3)]
                 + [v for k in range(3, _EXTRACT_MAX_ORDER + 1)
                    for v in (du ** k, du ** k * ln_du)]
-                for du, ln_du in zip(grid, (du.ln() for du in grid))]
+                for du, ln_du in zip(grid, ln_grid)]
         scale = [max(abs(v) for v in col) for col in zip(*rows)]
         a = [[v / s for v, s in zip(row, scale)] for row in rows]
-        # A^T A, which _lu_factor overwrites with its factors
-        lu = [[sum(p * q for p, q in zip(ci, cj)) for cj in zip(*a)] for ci in zip(*a)]
+        # A^T A, which _lu_factor overwrites with its factors: a Decimal
+        # product commutes exactly, so the lower triangle mirrors the upper
+        cols = list(zip(*a))
+        lu = [[None] * len(cols) for _ in cols]
+        for i, ci in enumerate(cols):
+            for j in range(i, len(cols)):
+                lu[i][j] = lu[j][i] = sum(p * q for p, q in zip(ci, cols[j]))
     with _digits(_EXTRACT_DPS + 10):
         _lu_factor(lu)
-    return grid, a, scale, lu
+    return grid, ln_grid, a, scale, lu
 
 
 def _samples(design):
@@ -409,11 +416,11 @@ def _samples(design):
     (C0, C1, C2): B is linear in C, so these are 6/u, 6 and 6 u."""
     from decimal import Decimal
 
-    grid = design[0]
+    grid, ln_grid = design[:2]
     with _digits(_EXTRACT_DPS):
         columns = ([6 / (1 + du) for du in grid], [Decimal(6)] * len(grid),
                    [6 * (1 + du) for du in grid])
-    return _line_shift_samples(grid), columns
+    return _line_shift_samples(grid, ln_grid), columns
 
 
 def _samples_at(samples, c: NormalizationConstants):
@@ -430,7 +437,7 @@ def _fit(design, y):
     """Least-squares fit of samples ``y`` on the design: the unscaled
     coefficients of 1, du, du^2, du^3 and du^3 ln du, and the largest
     residual, as Decimal."""
-    _, a, scale, lu = design
+    _, _, a, scale, lu = design
     with _digits(_EXTRACT_DPS):
         aty = [sum(p * v for p, v in zip(col, y)) for col in zip(*a)]
     with _digits(_EXTRACT_DPS + 10):

@@ -1,6 +1,9 @@
+import argparse
 import ast
 import csv
+import gettext
 import io
+import itertools
 import json
 import math
 import os
@@ -578,6 +581,21 @@ class TestFloatFormatting:
                                              '"s": "%.17g"}, {"x%s": 0.20000000000000001, '
                                              '"s": "%"}]}\n')
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_string_tables_are_what_csv_writer_writes(self, width):
+        # every row of ``width`` of these fields, a row of one empty field
+        # among them, which csv.writer quotes so that it reads back
+        fields = ["", '"', 'say "hi"', "a,b", ",", "two\nlines", "\n", "x"]
+        rows = list(itertools.product(fields, repeat=width))
+        for header in (("", 'q"', "a,b")[:width], ("a", "b\nc", "d")[:width]):
+            table = cli.Table({k: list(col) for k, col in zip(header, zip(*rows))})
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+            text = cli._csv(table)
+            assert text == buf.getvalue()
+            assert list(csv.reader(io.StringIO(text))) == [list(header), *map(list, rows)]
+        assert cli._csv(cli.Table(a=["", ""])) == 'a\n""\n""\n'
+
 
 class TestOnePassTable:
     """A Table, its rows as columns, is written as the list of its rows; each
@@ -702,6 +720,41 @@ class TestParserOfOneCommand:
     def test_same_options(self, name):
         full = cli._build_parser().parse_args([name])
         assert cli._build_parser([name]).parse_args([name]) == full
+
+
+class TestNoLocaleLookup:
+    """main parses without gettext's catalog lookup, which imports locale,
+    and leaves argparse's message hook as it found it."""
+
+    def test_no_command_imports_locale(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # every command at its defaults in one fresh interpreter: after the
+        # import, and after each command, whether locale has been imported
+        script = (
+            "import contextlib, io, sys\n"
+            "import causalatom.cli as c\n"
+            "seen = ['locale' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for name in c.COMMANDS:\n"
+            "        seen.append((name, c.main([name]), 'locale' in sys.modules))\n"
+            "print(seen)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=False)
+        expected = [False] + [(name, 0, False) for name in cli.COMMANDS]
+        assert proc.stdout == f"{expected}\n", proc.stderr
+
+    @pytest.mark.parametrize("argv, code", [(["constants"], None), (["gamma", "-h"], 0),
+                                            (["gamma", "--frobnicate"], 2), (["nope"], 2)])
+    def test_message_hook_restored(self, capsys, argv, code):
+        if code is None:
+            assert main(argv) == 0
+        else:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == code
+        assert argparse._ is gettext.gettext
 
 
 # every numeric flag of every command: (command, flag, default)

@@ -222,9 +222,9 @@ class TestLineShiftSeries:
 
         real = obs._line_shift_samples
 
-        def noisy(grid):
+        def noisy(grid, ln_grid):
             return [v * (1 + Decimal(1e-4 * math.sin(1.0 / float(du))))
-                    for v, du in zip(real(grid), grid)]
+                    for v, du in zip(real(grid, ln_grid), grid)]
 
         monkeypatch.setattr(obs, "_line_shift_samples", noisy)
         from causalatom.errors import FitResidualError
@@ -319,9 +319,9 @@ class TestSeriesDesign:
         calls = []
         real = obs._line_shift_samples
 
-        def counted(grid):
+        def counted(grid, ln_grid):
             calls.append(len(grid))
-            return real(grid)
+            return real(grid, ln_grid)
 
         monkeypatch.setattr(obs, "_line_shift_samples", counted)
         solve_normalization(hyd)
@@ -332,8 +332,8 @@ class TestSeriesDesign:
         # the decimal sampler and the float path run the one _sym_bracket
         from causalatom import observables as obs
         from causalatom.selfenergy import t2_bracket_resonant
-        grid = obs._series_design()[0]
-        for du, y in zip(grid, obs._line_shift_samples(grid)):
+        grid, ln_grid = obs._series_design()[:2]
+        for du, y in zip(grid, obs._line_shift_samples(grid, ln_grid)):
             b = t2_bracket_resonant(float(du), C0).real
             assert float(y) == pytest.approx(6.0 * b / (1.0 + float(du)), rel=1e-12)
 
