@@ -27,6 +27,7 @@ from .observables import (
     CODATA2018,
     DISCREPANCY_NOTES,
     AtomParams,
+    NormalizationConstants,
     atom_from_dict,
     atom_to_dict,
     delta_final,
@@ -37,12 +38,13 @@ from .observables import (
     lamb_reference,
     lineshift_log_bracket,
     lineshift_series,
+    r2_prefactor,
     shift_ratio,
     solve_normalization,
     synthetic_atom,
+    t2_prefactor,
 )
-from .selfenergy import (NormalizationConstants, r2_prefactor, split_check_report,
-                         split_grid, t2_prefactor)
+from .selfenergy import split_check_report, split_grid
 from .wavepacket import convergence_study
 from .wworacle import build_grid, evolve, fit_decay
 
@@ -144,8 +146,8 @@ def _dumps(doc: dict) -> str:
 
 
 def _csv_field(v) -> str:
-    """A CSV field as csv.writer writes it, a float with 17 digits; a float,
-    or part of a complex, that is not finite is refused."""
+    """A CSV field as csv.writer writes it with its "\\r\\n" terminator, a float
+    with 17 digits; a float, or part of a complex, not finite is refused."""
     t = type(v)
     if t is float:
         return _json_text(v)
@@ -154,7 +156,7 @@ def _csv_field(v) -> str:
             _json_text(v)   # a part not finite is refused as in JSON
         raise TypeError(f"cannot serialize {t!r}")
     s = str(v)
-    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\n') else s
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\n\r') else s
 
 
 def _csv(table: Table) -> str:
@@ -362,8 +364,7 @@ def _cmd_constants(atom, opts):
         "hbar_J_s": k.hbar, "c_m_s": k.c, "eps0_F_m": k.eps0,
         "e_charge_C": k.e_charge, "a0_m": k.a0, "alpha": k.alpha,
         "m_electron_kg": k.m_electron, "m_proton_kg": k.m_proton,
-        "alpha_consistency_rel": abs(
-            k.e_charge ** 2 / (4 * math.pi * k.eps0 * k.hbar * k.c) / k.alpha - 1.0),
+        "alpha_consistency_rel": k.alpha_consistency_rel,
     }
 
 

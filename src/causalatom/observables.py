@@ -4,11 +4,16 @@ Every quantity is computed from an explicit PhysicalConstants instance; no
 module-level globals feed the formulas (the CODATA2018 registry is just a
 frozen instance callers pass around).
 
+This is the scalar layer: the SI prefactors, the normalization constants
+and the symmetrized bracket live here, and every formula runs on floats or
+in decimal.  It imports no numpy and no package module but errors, so the
+rate, the shift and its series fit load neither numpy nor the quadrature.
+
 Series conventions: the atomic line shift is the real part of Z/t_g, where
-Z = 2 (2pi)^2 c t_g T2s(u_res) w(u_res) and the resonant weight w is either
-1/u_res (the reading consistent with the displayed fifth-power decay-rate
-denominator; default) or exactly 1 (the literal proportionality).  The
-low-order expansion in delta_u = u_res - 1,
+Z = 2 (2pi)^2 c t_g T2s(u_res) w(u_res) (wavepacket.z_factor) and the
+resonant weight w is either 1/u_res (the reading consistent with the
+displayed fifth-power decay-rate denominator; default) or exactly 1 (the
+literal proportionality).  The low-order expansion in delta_u = u_res - 1,
 
     prefactor * [ -48 du^3 log(2 du) + c0 + c1 du + c2 du^2 + c3 du^3 ],
 
@@ -24,14 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import CausalAtomError, FitResidualError, PresetError
-from .selfenergy import (
-    NormalizationConstants,
-    _sym_bracket,
-    d2_scale,
-    r2_prefactor,
-    t2_bracket_resonant,
-    t2_prefactor,
-)
 
 __all__ = [
     "PhysicalConstants",
@@ -54,7 +51,10 @@ __all__ = [
     "lineshift_log_bracket",
     "lamb_reference",
     "shift_ratio",
-    "z_factor",
+    "NormalizationConstants",
+    "d2_scale",
+    "r2_prefactor",
+    "t2_prefactor",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -80,11 +80,16 @@ class PhysicalConstants:
                      "m_electron", "m_proton"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
-        derived = self.e_charge ** 2 / (4.0 * math.pi * self.eps0 * self.hbar * self.c)
-        if abs(derived / self.alpha - 1.0) > 1e-6:
+        if self.alpha_consistency_rel > 1e-6:
             raise ValueError(
-                f"inconsistent registry: e^2/(4 pi eps0 hbar c) = {derived} "
-                f"vs alpha = {self.alpha}")
+                f"inconsistent registry: e^2/(4 pi eps0 hbar c) is "
+                f"{self.alpha_consistency_rel:.3g} relative off alpha = {self.alpha}")
+
+    @property
+    def alpha_consistency_rel(self) -> float:
+        """|e^2/(4 pi eps0 hbar c)/alpha - 1|: how far the registry is from consistent."""
+        return abs(self.e_charge ** 2 / (4.0 * math.pi * self.eps0 * self.hbar * self.c)
+                   / self.alpha - 1.0)
 
 
 CONSTANTS_VERSION = "CODATA-2018"
@@ -249,8 +254,8 @@ def gamma_exact(atom: AtomParams, denominator_power: int = 5) -> float:
 
     P = 5 is the displayed closed-form denominator; P = 4 is what direct
     substitution of u = 1 + delta_u into the symmetrized bracket gives (the
-    difference is the resonant weight, see z_factor).  Both are exposed;
-    they differ at relative order delta_u.
+    difference is the resonant weight, see wavepacket.z_factor).  Both are
+    exposed; they differ at relative order delta_u.
     """
     if denominator_power not in (4, 5):
         raise ValueError("denominator_power must be 4 or 5")
@@ -262,27 +267,62 @@ def gamma_exact(atom: AtomParams, denominator_power: int = 5) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Z factor
+# self-energy prefactors and the symmetrized bracket
 # ---------------------------------------------------------------------------
 
-def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstants(),
-             resonant_weight: str = "inverse_u") -> complex:
-    """Scalar action of the second-order S-matrix term on a slow excited atom.
+@dataclass(frozen=True)
+class NormalizationConstants:
+    """Coefficients of the degree-2 splitting-ambiguity polynomial."""
 
-    Z = 2 (2pi)^2 c t_g T2s(u_res) w.  The slow-atom reduction leaves an
-    O(delta_u) ambiguity in the energy-denominator weight w:
-      "inverse_u"  w = 1/u_res, consistent with the displayed closed-form
-                   rate (fifth-power denominator); default.
-      "unity"      w = 1 exactly (literal proportionality; fourth power).
-    The bracket is evaluated in the cancellation-free delta_u form, so
-    arbitrarily small delta_u > 0 is fine.
-    """
-    if resonant_weight not in ("inverse_u", "unity"):
-        raise ValueError("resonant_weight must be 'inverse_u' or 'unity'")
+    c0: float = 0.0
+    c1: float = 0.0
+    c2: float = 0.0
+
+    def __post_init__(self):
+        for v in (self.c0, self.c1, self.c2):
+            if not math.isfinite(v):
+                raise ValueError("normalization constants must be finite")
+
+
+def d2_scale(atom) -> float:
+    """Magnitude of the causal distribution: |d_eg|^2/(12 eps0 hbar c (2pi)^3 lb^3)."""
     k = atom.constants
-    bracket = complex(t2_bracket_resonant(atom.delta_u, c))
-    w = 1.0 / atom.u_res if resonant_weight == "inverse_u" else 1.0
-    return 2.0 * TWO_PI ** 2 * k.c * atom.t_g * t2_prefactor(atom) * bracket * w
+    return atom.d_eg_abs ** 2 / (
+        12.0 * k.eps0 * k.hbar * k.c * TWO_PI ** 3 * atom.lambda_bar_g ** 3)
+
+
+def r2_prefactor(atom) -> float:
+    k = atom.constants
+    return atom.d_eg_abs ** 2 / (
+        6.0 * TWO_PI ** 4 * k.hbar * k.c * k.eps0 * atom.lambda_bar_g ** 3)
+
+
+def t2_prefactor(atom) -> float:
+    k = atom.constants
+    return atom.d_eg_abs ** 2 / (
+        12.0 * TWO_PI ** 4 * k.eps0 * k.c * k.hbar * atom.lambda_bar_g ** 3)
+
+
+def _front_term(u, x, ln_abs_x, step):
+    """x^3/(2u^4) (step - 2 ln|x|), the branch-cut and log part of every bracket.
+
+    Generic over float, ndarray, mpf and Decimal.  The caller supplies
+    x = u^2 - 1 and ln|x| in whatever cancellation-free form it has, and
+    step (2 pi i on the support, 0 off it).
+    """
+    return x ** 3 / (2 * u ** 4) * (step - 2 * ln_abs_x)
+
+
+def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
+    """Symmetrized bracket, generic over float, ndarray, mpf and Decimal:
+    B = x^3/(2u^4) (step - 2 ln|x|) + 1/u^2 - 5/2 + 11u^2/6 + C0 + C1 u + C2 u^2,
+    with the arguments of _front_term.  The terms are added left to right;
+    the CLI output depends on that order to the last bit.  Every literal is
+    an int, and 5/2 is formed as 5 u^0 / 2, so a Decimal u (with int step
+    and C) never meets a float; for floats each term is the same to the bit.
+    """
+    return (_front_term(u, x, ln_abs_x, step) + 1 / u ** 2 - 5 * u ** 0 / 2
+            + 11 * u ** 2 / 6 + c.c0 + c.c1 * u + c.c2 * u ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,62 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, GridResolutionError, SingularPointError
+from .observables import (TWO_PI, NormalizationConstants, _front_term, _sym_bracket,
+                          d2_scale, r2_prefactor)
 from .splitting import CausalDistribution1D, split
 
 __all__ = [
-    "NormalizationConstants",
-    "d2_scale",
     "d2_tilde",
     "d2_tilde_general",
     "r2prime_tilde",
     "r2_tilde_closed",
     "sym_bracket",
-    "t2_prefactor",
-    "r2_prefactor",
     "t2_bracket_resonant",
     "as_causal_distribution",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 MAX_SPLIT_POINTS = 100_000
-
-
-@dataclass(frozen=True)
-class NormalizationConstants:
-    """Coefficients of the degree-2 splitting-ambiguity polynomial."""
-
-    c0: float = 0.0
-    c1: float = 0.0
-    c2: float = 0.0
-
-    def __post_init__(self):
-        for v in (self.c0, self.c1, self.c2):
-            if not math.isfinite(v):
-                raise ValueError("normalization constants must be finite")
-
-
-# ---------------------------------------------------------------------------
-# prefactors
-# ---------------------------------------------------------------------------
-
-def d2_scale(atom) -> float:
-    """Magnitude of the causal distribution: |d_eg|^2/(12 eps0 hbar c (2pi)^3 lb^3)."""
-    k = atom.constants
-    return atom.d_eg_abs ** 2 / (
-        12.0 * k.eps0 * k.hbar * k.c * TWO_PI ** 3 * atom.lambda_bar_g ** 3)
-
-
-def r2_prefactor(atom) -> float:
-    k = atom.constants
-    return atom.d_eg_abs ** 2 / (
-        6.0 * TWO_PI ** 4 * k.hbar * k.c * k.eps0 * atom.lambda_bar_g ** 3)
-
-
-def t2_prefactor(atom) -> float:
-    k = atom.constants
-    return atom.d_eg_abs ** 2 / (
-        12.0 * TWO_PI ** 4 * k.eps0 * k.c * k.hbar * atom.lambda_bar_g ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +130,6 @@ def _check_regular(u) -> None:
         raise SingularPointError(f"closed form singular at u = {float(u[j])} (u in {{0, +-1}})"
                                  if singular[j] else
                                  f"closed form leaves the float range at u = {float(u[j])}")
-
-
-def _front_term(u, x, ln_abs_x, step):
-    """x^3/(2u^4) (step - 2 ln|x|), the branch-cut and log part of every bracket.
-
-    Generic over float, ndarray, mpf and Decimal.  The caller supplies
-    x = u^2 - 1 and ln|x| in whatever cancellation-free form it has, and
-    step (2 pi i on the support, 0 off it).
-    """
-    return x ** 3 / (2 * u ** 4) * (step - 2 * ln_abs_x)
-
-
-def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
-    """Symmetrized bracket, generic over float, ndarray, mpf and Decimal:
-    B = x^3/(2u^4) (step - 2 ln|x|) + 1/u^2 - 5/2 + 11u^2/6 + C0 + C1 u + C2 u^2,
-    with the arguments of _front_term.  The terms are added left to right;
-    the CLI output depends on that order to the last bit.  Every literal is
-    an int, and 5/2 is formed as 5 u^0 / 2, so a Decimal u (with int step
-    and C) never meets a float; for floats each term is the same to the bit.
-    """
-    return (_front_term(u, x, ln_abs_x, step) + 1 / u ** 2 - 5 * u ** 0 / 2
-            + 11 * u ** 2 / 6 + c.c0 + c.c1 * u + c.c2 * u ** 2)
 
 
 def r2_tilde_closed(u, atom):

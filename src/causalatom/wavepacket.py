@@ -39,17 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalAtomError
-from .observables import AtomParams
-from .selfenergy import NormalizationConstants, t2_bracket_resonant, t2_prefactor
+from .observables import TWO_PI, AtomParams, NormalizationConstants, t2_prefactor
+from .selfenergy import t2_bracket_resonant
 
 __all__ = [
     "TestFunction",
     "ZComparison",
+    "z_factor",
     "z_numerical",
     "convergence_study",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # premise metric for freezing T2s across the window
 REGIME_LIMIT = 0.1
@@ -123,6 +122,26 @@ class TestFunction:
     def squared_integral(self) -> float:
         """int g^2 dx0 = c t_g + 4 kappa c ramp: the plateau and two edges."""
         return self.c * (self.t_g + 4.0 * EDGE_SQUARED_INTEGRAL * self.ramp)
+
+
+def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstants(),
+             resonant_weight: str = "inverse_u") -> complex:
+    """Scalar action of the second-order S-matrix term on a slow excited atom.
+
+    Z = 2 (2pi)^2 c t_g T2s(u_res) w.  The slow-atom reduction leaves an
+    O(delta_u) ambiguity in the energy-denominator weight w:
+      "inverse_u"  w = 1/u_res, consistent with the displayed closed-form
+                   rate (fifth-power denominator); default.
+      "unity"      w = 1 exactly (literal proportionality; fourth power).
+    The bracket is evaluated in the cancellation-free delta_u form, so
+    arbitrarily small delta_u > 0 is fine.
+    """
+    if resonant_weight not in ("inverse_u", "unity"):
+        raise ValueError("resonant_weight must be 'inverse_u' or 'unity'")
+    k = atom.constants
+    bracket = complex(t2_bracket_resonant(atom.delta_u, c))
+    w = 1.0 / atom.u_res if resonant_weight == "inverse_u" else 1.0
+    return 2.0 * TWO_PI ** 2 * k.c * atom.t_g * t2_prefactor(atom) * bracket * w
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,15 @@ def cases() -> list:
             ["wavepacket-check", "--plateau-periods", "10", "100", "--format", "csv",
              "--out", "out.txt"],
             # rel_error there is the reduction error, not rounding as on hydrogen
-            ["wavepacket-check", "--preset", "synthetic:1e-3"]]
+            ["wavepacket-check", "--preset", "synthetic:1e-3"],
+            ["series-check", "--c0", "1.5", "--c1", "-2", "--c2", "0.5"],
+            ["wavepacket-check", "--preset", "synthetic:1e-3", "--ramp-fraction", "0.3",
+             "--plateau-periods", "10", "100"],
+            ["wavepacket-check", "--ramp-fraction", "0"],
+            ["ww-sim", "--n-modes", "2000", "--bandwidth-gammas", "60", "--t-end-gammas", "4",
+             "--dt-gammas", "0.005", "--out", "out.txt"],
+            # a step too long for the band's fastest detuning is refused
+            ["ww-sim", "--dt-gammas", "0.01"]]
     out += [["gamma", "--preset", f] for f in PRESETS if f != "atom.json"]
     out += [["gamma", "--preset", "missing.json"], ["gamma", "--preset", "synthetic:x"],
             [], ["-h"], ["--version"], ["nope"], ["gamma", "--frobnicate"],

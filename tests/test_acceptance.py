@@ -8,6 +8,7 @@ import pytest
 
 from causalatom.observables import (
     NORMALIZATION_EXACT,
+    NormalizationConstants,
     extract_series_numerically,
     gamma_exact,
     gamma_leading,
@@ -17,15 +18,10 @@ from causalatom.observables import (
     shift_ratio,
     solve_normalization,
     synthetic_atom,
-    z_factor,
 )
-from causalatom.selfenergy import (
-    NormalizationConstants,
-    as_causal_distribution,
-    split_check_report,
-)
+from causalatom.selfenergy import as_causal_distribution, split_check_report
 from causalatom.splitting import polynomial_residual, split
-from causalatom.wavepacket import convergence_study
+from causalatom.wavepacket import convergence_study, z_factor
 from causalatom.wworacle import build_grid, evolve, fit_decay
 
 

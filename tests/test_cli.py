@@ -560,8 +560,9 @@ class TestFloatFormatting:
                 write(doc)
 
     def test_percent_and_quotes_in_strings(self):
-        # no float: the JSON is json.dumps' and the CSV is csv.writer's, with
-        # every % in a key or a string written as itself
+        # no float: the JSON is json.dumps' and the CSV is csv.writer's (with
+        # its default terminator, which quotes "a\rb"), with every % in a key
+        # or a string written as itself
         strings = ["100%", "%s", "%%", "%(x)s", "a,b", 'say "hi"', "two\nlines", "a\rb",
                    "", "é"]
         table = cli.Table({"a%s": strings, "n": list(range(len(strings))),
@@ -570,9 +571,8 @@ class TestFloatFormatting:
         doc = {"%d": "%f", "rows": table, "list": strings}
         assert cli._dumps(doc) == json.dumps({**doc, "rows": rows}) + "\n"
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows([list(table), *(r.values() for r in rows)])
-        assert cli._csv(table) == buf.getvalue()
+        csv.writer(buf).writerows([list(table), *(r.values() for r in rows)])
+        assert cli._csv(table) == buf.getvalue().replace("\r\n", "\n")
         # with floats among them, the template still takes every % as text
         mixed = cli.Table({"x%s": [0.1, 0.2], "s": ["%.17g", "%"]})
         assert cli._csv(mixed) == 'x%s,s\n0.10000000000000001,%.17g\n' \
@@ -584,15 +584,16 @@ class TestFloatFormatting:
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_string_tables_are_what_csv_writer_writes(self, width):
         # every row of ``width`` of these fields, a row of one empty field
-        # among them, which csv.writer quotes so that it reads back
-        fields = ["", '"', 'say "hi"', "a,b", ",", "two\nlines", "\n", "x"]
+        # among them, which csv.writer quotes so that it reads back; with its
+        # default "\r\n" terminator csv.writer quotes a carriage return too
+        fields = ["", '"', 'say "hi"', "a,b", ",", "two\nlines", "\n", "\r", "x\ry", "x"]
         rows = list(itertools.product(fields, repeat=width))
         for header in (("", 'q"', "a,b")[:width], ("a", "b\nc", "d")[:width]):
             table = cli.Table({k: list(col) for k, col in zip(header, zip(*rows))})
             buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+            csv.writer(buf).writerows([header, *rows])
             text = cli._csv(table)
-            assert text == buf.getvalue()
+            assert text == buf.getvalue().replace("\r\n", "\n")
             assert list(csv.reader(io.StringIO(text))) == [list(header), *map(list, rows)]
         assert cli._csv(cli.Table(a=["", ""])) == 'a\n""\n""\n'
 
@@ -825,3 +826,20 @@ class TestNegativeValues:
 
 def test_schema_lists_every_command(schema):
     assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)
+
+
+def test_golden_diff_gives_every_flag_a_value():
+    # the golden diff compares two trees on its cases alone: a flag that no
+    # case gives a value leaves the code that reads it uncompared
+    import golden_diff
+    valued = set()
+    for argv in golden_diff.cases():
+        for arg, following in zip(argv[1:], [*argv[2:], None]):
+            flag, eq, _ = arg.partition("=")
+            if eq or (following is not None and not following.startswith("--")):
+                valued.add((argv[0], flag))
+    missing = [(name, flag) for name, (*_, flags) in cli.COMMANDS.items()
+               for flag in ("--preset", "--format", "--out",
+                            *("--" + f.replace("_", "-") for f in flags))
+               if (name, flag) not in valued]
+    assert missing == []

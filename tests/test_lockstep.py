@@ -27,10 +27,9 @@ from causalatom import cli, selfenergy
 from causalatom.cli import main
 from causalatom.errors import BranchPointError, QuadratureConvergenceError
 from causalatom.numerics import STEPS, exp_sinh, ladder, tanh_sinh
-from causalatom.observables import hydrogen_1s2p_preset
+from causalatom.observables import hydrogen_1s2p_preset, r2_prefactor
 from causalatom.selfenergy import (_bracket_term_scale, _core, _real_axis_args,
-                                   as_causal_distribution, r2_prefactor, r2_tilde_closed,
-                                   split_check_report)
+                                   as_causal_distribution, r2_tilde_closed, split_check_report)
 from causalatom.splitting import (SPLIT_CHUNK_POINTS, CausalDistribution1D,
                                   polynomial_residual, split)
 from test_numerics import _terms, finite_lo, integrate, pv

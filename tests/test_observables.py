@@ -1,15 +1,21 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from causalatom import observables, selfenergy, wavepacket
 from causalatom.errors import PresetError
 from causalatom.observables import (
     CODATA2018,
     DISCREPANCY_NOTES,
     NORMALIZATION_EXACT,
     AtomParams,
+    NormalizationConstants,
     PhysicalConstants,
     atom_from_dict,
     atom_to_dict,
@@ -24,9 +30,9 @@ from causalatom.observables import (
     shift_ratio,
     solve_normalization,
     synthetic_atom,
-    z_factor,
+    t2_prefactor,
 )
-from causalatom.selfenergy import NormalizationConstants
+from causalatom.wavepacket import z_factor
 
 C0 = NormalizationConstants()
 
@@ -41,6 +47,7 @@ class TestConstants:
         k = CODATA2018
         derived = k.e_charge ** 2 / (4 * math.pi * k.eps0 * k.hbar * k.c)
         assert abs(derived / k.alpha - 1.0) < 1e-6
+        assert k.alpha_consistency_rel == abs(derived / k.alpha - 1.0)   # 4 and 4.0 agree
 
     def test_inconsistent_registry_rejected(self):
         with pytest.raises(ValueError):
@@ -191,7 +198,6 @@ class TestLineShiftSeries:
 
     def test_prefactor_identity(self, hyd):
         # 144 pi^2 = 6 * 24 pi^2: prefactor * 6 == 2 (2pi)^2 c * t2 prefactor
-        from causalatom.selfenergy import t2_prefactor
         s = lineshift_series(hyd, C0)
         k = hyd.constants
         assert s.prefactor * 6.0 == pytest.approx(
@@ -248,7 +254,7 @@ class TestLineShiftSeries:
 def _bracket_line_shift_mp(du, c):
     """6 Re B(1 + du; C) / (1 + du) in mpmath arithmetic (bracket units)."""
     import mpmath as mp
-    from causalatom.selfenergy import _sym_bracket
+    from causalatom.observables import _sym_bracket
 
     u = 1 + du
     return 6 * _sym_bracket(u, du * (2 + du), mp.log(du) + mp.log(2 + du), 0, c) / u
@@ -431,3 +437,34 @@ class TestAggregate:
                                           "r2_rational_part", "ratio_sign"}
         assert "(-7/2, 8, -29/6)" in DISCREPANCY_NOTES["c_ordering"]
         assert "(5/4 - 11u^2/12 - 1/(2u^2))" in DISCREPANCY_NOTES["r2_rational_part"]
+
+
+class TestScalarLayer:
+    """observables is the numpy-free scalar layer: the decay rate, the line
+    shift and its series fit run without numpy or the quadrature."""
+
+    def test_observables_runs_without_numpy(self):
+        src = str(Path(observables.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "import causalatom.observables as o\n"
+            "for atom in (o.hydrogen_1s2p_preset(), o.synthetic_atom(1e-3)):\n"
+            "    o.gamma_exact(atom), o.lineshift_series(atom), o.shift_ratio(atom)\n"
+            "    o.extract_series_numerically(atom), o.solve_normalization(atom)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'causalatom')))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=False)
+        expected = ["causalatom", "causalatom.errors", "causalatom.observables"]
+        assert proc.stdout == f"{expected}\n", proc.stderr
+
+    def test_bracket_and_prefactors_have_one_home(self):
+        homes = {name: observables for name in ("NormalizationConstants", "d2_scale",
+                                                "r2_prefactor", "t2_prefactor",
+                                                "_front_term", "_sym_bracket")}
+        homes["z_factor"] = wavepacket
+        for name, home in homes.items():
+            assert getattr(home, name).__module__ == home.__name__
+        assert set(homes).isdisjoint(selfenergy.__all__)
+        assert "z_factor" not in observables.__all__

@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from causalatom.errors import BranchPointError, SingularPointError
-from causalatom.observables import hydrogen_1s2p_preset
+from causalatom.observables import (NormalizationConstants, d2_scale, hydrogen_1s2p_preset,
+                                    r2_prefactor, t2_prefactor)
 from causalatom.selfenergy import (
-    NormalizationConstants,
     _core,
     as_causal_distribution,
-    d2_scale,
     d2_tilde,
     d2_tilde_general,
-    r2_prefactor,
     r2_tilde_closed,
     r2prime_tilde,
     split_check_report,
     split_grid,
     sym_bracket,
     t2_bracket_resonant,
-    t2_prefactor,
 )
 from causalatom.splitting import split
 

@@ -4,8 +4,7 @@ symbolic expansion of the closed-form bracket."""
 import pytest
 import sympy as sp
 
-from causalatom.observables import hydrogen_1s2p_preset, lineshift_series
-from causalatom.selfenergy import NormalizationConstants
+from causalatom.observables import NormalizationConstants, hydrogen_1s2p_preset, lineshift_series
 
 
 @pytest.fixture(scope="module")

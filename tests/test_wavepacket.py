@@ -7,12 +7,14 @@ import scipy.integrate
 
 from causalatom.observables import (
     CODATA2018,
+    NormalizationConstants,
     atom_from_dict,
     gamma_leading,
     hydrogen_1s2p_preset,
     synthetic_atom,
+    t2_prefactor,
 )
-from causalatom.selfenergy import NormalizationConstants, t2_bracket_resonant, t2_prefactor
+from causalatom.selfenergy import t2_bracket_resonant
 from causalatom.wavepacket import (
     EDGE_SQUARED_INTEGRAL,
     TestFunction,
@@ -117,7 +119,7 @@ class TestGFourier:
 def _z_integral_full_spectrum(atom, c_norm, g, n_fft, pad):
     """The Z integral over the full FFT spectrum: the complex transform with
     its phase e^{i q x0}, and the bracket at every q of np.fft.fftfreq."""
-    from causalatom.selfenergy import t2_bracket_resonant, t2_prefactor
+    from causalatom.selfenergy import t2_bracket_resonant
 
     two_pi = 2.0 * math.pi
     lo, hi = g.support
@@ -222,7 +224,6 @@ class TestZNumerical:
         # whose transform is analytic, and compare the FFT pipeline against
         # direct quadrature of the analytically transformed integrand
         import scipy.integrate as si
-        from causalatom.selfenergy import t2_bracket_resonant, t2_prefactor
         from causalatom import wavepacket as wp
 
         s_len = 3e4 * atom.lambda_bar_g
