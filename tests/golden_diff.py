@@ -10,8 +10,9 @@ fresh working directory that holds the preset files below, so relative
 differs if its stdout, stderr, exit code or any file it writes differs.
 Prints each differing case, and under it the fields that differ in each
 differing output: the dotted paths of a JSON document (a list index shown
-as []) or the columns of a CSV table.  Then a summary; exits 1 if any case
-differs.
+as []) or the columns of a CSV table, each field of numbers with its
+largest relative difference, so that a change in the last bits reads as
+one.  Then a summary; exits 1 if any case differs.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -128,10 +129,24 @@ def _columns(text: str) -> dict:
     return {name: [r[j] for r in rows] for j, name in enumerate(header)}
 
 
+def max_rel_diff(old: list, new: list):
+    """The largest |a - b| / max(|a|, |b|) over the paired values of one
+    field, or None if the field is not numbers on both sides."""
+    if not all(isinstance(v, str) for v in (*old, *new)):
+        return None  # a JSON true, false or null
+    try:
+        pairs = [(float(a), float(b)) for a, b in zip(old, new, strict=True)]
+    except ValueError:
+        return None
+    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b),
+               default=0.0)
+
+
 def differing_fields(old: bytes, new: bytes) -> list:
     """The fields in which two outputs differ: JSON paths if both are JSON,
     CSV columns if both are tables with the same header, else the whole.
-    Numbers compare as written, so -0 and 0 differ."""
+    Numbers compare as written, so -0 and 0 differ; a field of numbers on
+    both sides is followed by its largest relative difference."""
     try:
         a, b = (_leaves(json.loads(x, parse_float=str, parse_int=str)) for x in (old, new))
     except ValueError:
@@ -141,7 +156,12 @@ def differing_fields(old: bytes, new: bytes) -> list:
             return ["(not JSON or CSV)"]
         if list(a) != list(b):
             return ["(CSV header)"]
-    return [k for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+    fields = []
+    for k in dict.fromkeys([*a, *b]):
+        if a.get(k) != b.get(k):
+            rel = max_rel_diff(a.get(k, []), b.get(k, []))
+            fields.append(k if rel is None else f"{k} (max rel diff {rel:.2g})")
+    return fields
 
 
 def describe(a: tuple, b: tuple) -> list:

@@ -272,6 +272,17 @@ class TestWWSimCommand:
         assert "rate_per_s" in doc["results"]
 
 
+    def test_defaults_run_without_lapack(self, capsys, monkeypatch):
+        # the block system and the decay fit are solved in closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("ww-sim called numpy.linalg")
+
+        for name in ("solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        code, out, err = run_cli(capsys, "ww-sim")
+        assert code == 0
+        assert json.loads(err)["results"]["n_modes"] == 4000
+
     @pytest.mark.parametrize("flag", ["--dt-gammas", "--t-end-gammas"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan"])
     def test_bad_time_inputs_refused(self, capsys, flag, value):
@@ -843,3 +854,18 @@ def test_golden_diff_gives_every_flag_a_value():
                             *("--" + f.replace("_", "-") for f in flags))
                if (name, flag) not in valued]
     assert missing == []
+
+
+def test_golden_diff_reports_largest_relative_difference():
+    from golden_diff import differing_fields, max_rel_diff
+    assert max_rel_diff(["1.0", "-2", "4"], ["1.0", "-2.5", "4.4"]) == pytest.approx(0.2)
+    assert max_rel_diff(["-0.0"], ["0"]) == 0.0
+    assert max_rel_diff(["1.0", "x"], ["1.0", "y"]) is None
+    assert max_rel_diff([None], ["1"]) is None
+    assert max_rel_diff(["1"], ["1", "2"]) is None
+    old = b'{"results": {"rate": 1.0000000000000002, "n": 4, "flag": true, "note": "a"}}'
+    new = b'{"results": {"rate": 1.0, "n": 4, "flag": false, "note": "b"}}'
+    assert differing_fields(old, new) == [
+        "results.rate (max rel diff 2.2e-16)", "results.flag", "results.note"]
+    assert differing_fields(b"t,p\n1,0.5\n2,0.25\n", b"t,p\n1,0.5\n2,0.2500001\n") == [
+        "p (max rel diff 4e-07)"]
