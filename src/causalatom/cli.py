@@ -334,25 +334,21 @@ def _wavepacket_csv(results) -> str:
 
 
 def _cmd_ww_sim(atom, opts):
+    # the oracle runs in units of gamma_leading: SI enters here, and only here
     gamma = _divisor("gamma_leading", gamma_leading(atom), atom,
                      ("d_eg_Cm", "omega_eg_rad_s"))
-    n_modes = opts["n_modes"]
-    bandwidth = opts["bandwidth_gammas"] * gamma
-    t_end = opts["t_end_gammas"] / gamma
-    grid = build_grid(atom, bandwidth, n_modes)
-    dt = opts["dt_gammas"]
-    dt = 0.19 / grid.max_detuning(atom.omega_eg) if dt is None else dt / gamma
-    ts, ces, norms = evolve(grid, atom, t_end, dt)
+    grid = build_grid(opts["bandwidth_gammas"], opts["n_modes"])
+    ts, ces, norms = evolve(grid, opts["t_end_gammas"], opts["dt_gammas"])
     fit = fit_decay(ts, ces)
     ces = ces.tolist()
-    trace = Table(t=ts.tolist(), population=[abs(c) ** 2 for c in ces],
+    trace = Table(t=(ts / gamma).tolist(), population=[abs(c) ** 2 for c in ces],
                   re_c_e=[c.real for c in ces], im_c_e=[c.imag for c in ces])
     summary = {
-        "rate_per_s": fit.rate,
-        "shift_rad_s": fit.shift,
+        "rate_per_s": fit.rate * gamma,
+        "shift_rad_s": fit.shift * gamma,
         "residual": fit.fit_residual,
-        "rate_over_gamma_leading": fit.rate / gamma,
-        "n_modes": n_modes,
+        "rate_over_gamma_leading": fit.rate,
+        "n_modes": grid.n_modes,
         "norm_drift": float(abs(norms - 1.0).max()),
     }
     return summary, trace

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["STEPS", "exp_sinh", "ladder", "tanh_sinh"]
+__all__ = ["STEPS", "check_tol", "exp_sinh", "ladder", "tanh_sinh"]
 
 BASE = 8                   # 1/h of the first sums, which never end an integral
 STEPS = (16, 32, 64)       # 1/h of the steps at which an integral may end
@@ -70,6 +70,12 @@ def exp_sinh(n: int):
     return _frozen(x, 0.5 * math.pi * np.cosh(t) * x)
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a relative tolerance that is not finite and > 0."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerances must be finite and > 0")
+
+
 def ladder(sums, count: int, tol: float):
     """Integrals 0 .. count-1 on the step ladder.  Each ends at the first step
     1/n of STEPS where |I_h - I_2h| <= max(tol |I_h|, NOISE h sum |w f|).
@@ -82,8 +88,7 @@ def ladder(sums, count: int, tol: float):
     integrals in ``failed`` did not meet their target at the last step, and
     their values and estimates are that step's.
     """
-    if not tol > 0:
-        raise ValueError("tolerances must be > 0")
+    check_tol(tol)
     rows = np.arange(count)
     total, mag, nodes = sums(BASE, rows)
     value, err = total / BASE, np.full(count, math.inf)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import STEPS, exp_sinh, ladder, tanh_sinh
+from .numerics import STEPS, check_tol, exp_sinh, ladder, tanh_sinh
 
 __all__ = [
     "CausalDistribution1D",
@@ -225,11 +225,12 @@ def split(d: CausalDistribution1D, p0s, q: float = 0.0, tol: float = DEFAULT_TOL
     |I_h - I_2h|, scaled like the value by |p0 - q|^(omega+1)/(2 pi).
 
     The points go through _dispersion SPLIT_CHUNK_POINTS at a time; each
-    point gets the floats it gets alone.  Raises SupportError for q outside
-    the support gap, and otherwise for the first failing point in order, as
-    a loop over the points would: points after a branch point are not
-    integrated.
+    point gets the floats it gets alone.  Raises ValueError for a tol not
+    finite and > 0, SupportError for q outside the support gap, and
+    otherwise for the first failing point in order, as a loop over the
+    points would: points after a branch point are not integrated.
     """
+    check_tol(tol)   # the guard below widens with tol: refuse it before any use
     if abs(q) >= d.k_min:
         raise SupportError(
             f"subtraction point q = {q} must lie inside the support gap |k| < {d.k_min}")

@@ -66,9 +66,9 @@ def _edge_profile(y):
     y = np.asarray(y, dtype=float)
     yc = np.clip(y, 0.0, 1.0)
     sp = np.sin(math.pi * yc)
-    s = (60.0 * math.pi * yc - 16.0 * sp ** 4 * np.sin(2 * math.pi * yc)
-         - 40.0 * np.sin(2 * math.pi * yc) + 5.0 * np.sin(4 * math.pi * yc)
-         ) / (60.0 * math.pi)
+    s2 = np.sin(2 * math.pi * yc)
+    s = (60.0 * math.pi * yc - 16.0 * sp ** 4 * s2 - 40.0 * s2
+         + 5.0 * np.sin(4 * math.pi * yc)) / (60.0 * math.pi)
     return np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, s))
 
 

@@ -10,8 +10,14 @@ spontaneous emission rate; the rotating-frame amplitude equations
 are integrated with an exactly norm-preserving Crank-Nicolson step.  Couplings
 are flat rather than frequency-weighted: the oracle targets the on-resonance
 rate, where only the on-shell mode density matters; the cutoff-logarithm
-study is qualitative by design.  Internally everything is scaled so the
-target rate is 1; SI units are restored at the boundary.
+study is qualitative by design.
+
+Everything here is in units of the target rate gamma: the detunings
+Delta_k from the transition frequency, the coupling, times and the fitted
+rate and shift.  The comb is calibrated so its golden-rule rate is 1, and
+its edges are exactly the detunings asked for.  The caller converts to and
+from SI (in the CLI, gamma = gamma_leading of the atom, in
+cli._cmd_ww_sim alone).
 
 The step is the Cayley form (I + i H dt/2) c+ = (I - i H dt/2) c with H the
 rotating-frame coupling Hamiltonian frozen at the midpoint, which is exactly
@@ -54,7 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitResidualError, GridResolutionError, NormDriftError
-from .observables import AtomParams, gamma_leading
 
 __all__ = [
     "ModeGrid",
@@ -74,77 +79,69 @@ BLOCK = 64  # steps whose mutual history is summed directly
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Uniform comb of n_modes frequencies from omega_lo to omega_hi (rad/s),
-    each coupled with the same strength coupling (rad/s).
+    """Uniform comb of n_modes detunings from lo to hi, each coupled with the
+    same strength coupling; all in units of gamma.
 
     density is the calibration density n_modes/bandwidth used to fix the
-    coupling (2 pi g^2 density = gamma_target); the actual comb spacing is
+    coupling (2 pi g^2 density = 1); the actual comb spacing is
     bandwidth/(n_modes - 1).
     """
 
-    omega_lo: float
-    omega_hi: float
+    lo: float
+    hi: float
     n_modes: int
     coupling: float
-    gamma_target: float  # 1/s
 
     def __post_init__(self):
-        if not (self.omega_lo < self.omega_hi and self.n_modes >= 2):
+        if not (self.lo < self.hi and self.n_modes >= 2):
             raise GridResolutionError(
-                f"a comb needs omega_lo < omega_hi and at least 2 modes, got "
-                f"[{self.omega_lo}, {self.omega_hi}] with {self.n_modes}")
+                f"a comb needs lo < hi and at least 2 modes, got "
+                f"[{self.lo}, {self.hi}] with {self.n_modes}")
 
     @property
     def density(self) -> float:
-        return self.n_modes / (self.omega_hi - self.omega_lo)
+        return self.n_modes / (self.hi - self.lo)
 
     @property
     def spacing(self) -> float:
-        return (self.omega_hi - self.omega_lo) / (self.n_modes - 1)
+        return (self.hi - self.lo) / (self.n_modes - 1)
 
     @property
     def revival_time(self) -> float:
         return 2.0 * math.pi / self.spacing
 
-    def max_detuning(self, omega: float) -> float:
-        """Largest |frequency - omega| over the comb, reached at an edge."""
-        return max(abs(self.omega_lo - omega), abs(self.omega_hi - omega))
+    def max_detuning(self) -> float:
+        """Largest |Delta_k| over the comb, reached at an edge."""
+        return max(abs(self.lo), abs(self.hi))
 
 
-def _calibrated_grid(omega_lo: float, omega_hi: float, n_modes: int,
-                     gamma: float) -> ModeGrid:
+def _calibrated_grid(lo: float, hi: float, n_modes: int) -> ModeGrid:
     if n_modes < MIN_MODES:
         raise GridResolutionError(f"need at least {MIN_MODES} modes, got {n_modes}")
     if n_modes > MAX_MODES:
         raise GridResolutionError(f"at most {MAX_MODES} modes allowed, got {n_modes}")
-    span = omega_hi - omega_lo
-    spacing = span / (n_modes - 1)
-    if spacing > gamma / 10.0:
+    spacing = (hi - lo) / (n_modes - 1)
+    if spacing > 0.1:
         raise GridResolutionError(
-            f"mode spacing {spacing:.3e} exceeds gamma/10 = {gamma / 10:.3e}; "
-            "the comb would not resolve the line")
-    g = math.sqrt(gamma / (2.0 * math.pi * (n_modes / span)))
-    return ModeGrid(omega_lo, omega_hi, n_modes, g, gamma)
+            f"mode spacing {spacing:.4g} exceeds 0.1; the comb would not resolve the line")
+    return ModeGrid(lo, hi, n_modes, math.sqrt((hi - lo) / (2.0 * math.pi * n_modes)))
 
 
-def build_grid(atom: AtomParams, bandwidth: float, n_modes: int) -> ModeGrid:
-    """Uniform grid centered on the transition, calibrated to gamma_leading."""
-    gamma = gamma_leading(atom)
+def build_grid(bandwidth: float, n_modes: int) -> ModeGrid:
+    """Uniform comb of width bandwidth centred on the transition."""
     if not math.isfinite(bandwidth):
         raise GridResolutionError(f"bandwidth must be finite, got {bandwidth}")
-    if bandwidth < 40.0 * gamma:
+    if bandwidth < 40.0:
+        raise GridResolutionError(f"bandwidth {bandwidth:.12g} below 40")
+    return _calibrated_grid(-0.5 * bandwidth, 0.5 * bandwidth, n_modes)
+
+
+def build_grid_window(lo: float, hi: float, n_modes: int) -> ModeGrid:
+    """Asymmetric window of detunings [lo, hi]; used for cutoff studies."""
+    if not lo < 0.0 < hi:
         raise GridResolutionError(
-            f"bandwidth {bandwidth:.3e} below 40 gamma = {40 * gamma:.3e}")
-    return _calibrated_grid(atom.omega_eg - bandwidth / 2.0,
-                            atom.omega_eg + bandwidth / 2.0, n_modes, gamma)
-
-
-def build_grid_window(atom: AtomParams, omega_lo: float, omega_hi: float,
-                      n_modes: int) -> ModeGrid:
-    """Asymmetric window [omega_lo, omega_hi]; used for cutoff studies."""
-    if not omega_lo < atom.omega_eg < omega_hi:
-        raise GridResolutionError("window must contain the transition frequency")
-    return _calibrated_grid(omega_lo, omega_hi, n_modes, gamma_leading(atom))
+            f"window [{lo}, {hi}] must contain detuning 0, the transition")
+    return _calibrated_grid(lo, hi, n_modes)
 
 
 def _dirichlet_kernel(center, spacing, n_modes, g2, dt, n_lags):
@@ -171,14 +168,14 @@ def _dirichlet_kernel(center, spacing, n_modes, g2, dt, n_lags):
     return out
 
 
-def _add_square(acc, b, kernel, spectra, n0):
+def _add_square(acc, b, lags, spectra, n0):
     """Add to acc[n0 : n0 + B] the history carried from b[n0 - B : n0],
     B = n0 & -n0: the lags 1 .. 2B - 1 of one square, by one FFT.  The
-    spectrum of K[0 : 2B] is kept while a later square of that size fits."""
+    spectrum of lags[0 : 2B] is kept while a later square of that size fits."""
     size = n0 & -n0
     spec = spectra.get(size)
     if spec is None:
-        spec = np.fft.fft(kernel(2 * size))
+        spec = np.fft.fft(lags[:2 * size])
         if n0 + 2 * size < acc.size:
             spectra[size] = spec
     conv = np.fft.ifft(np.fft.fft(b[n0 - size:n0], 2 * size) * spec)
@@ -218,14 +215,15 @@ def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
     The comb is n_modes detunings spaced by ``spacing`` around ``center``,
     each with the same ``coupling``.  Samples are taken every ``stride``
     steps; the norm at a sample is |c_e|^2 plus the sum of |c_k|^2 of the
-    full state, carried in O(1) per step.  Inputs are in scaled units
-    (caller's choice); the kernel is unit-agnostic.
+    full state, carried in O(1) per step.
     """
     g2 = coupling ** 2
     big_g = n_modes * g2
-
-    def kernel(n_lags):
-        return _dirichlet_kernel(center, spacing, n_modes, g2, dt, n_lags)
+    n_pad = -(-n_steps // BLOCK) * BLOCK
+    # K(j) up to the lags of the largest square, 2B for the largest power of
+    # two B among the block starts; each square and the block take a prefix
+    top = max(n_pad - BLOCK, BLOCK)
+    lags = _dirichlet_kernel(center, spacing, n_modes, g2, dt, 2 << (top.bit_length() - 1))
 
     # One step is c_e(n+1) = alpha c_e(n) + gam (h_n + sum_{n0<=m<n} K(n-m) b_m),
     # h_n the history from the blocks before n0.  Over one block these steps
@@ -234,7 +232,7 @@ def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
     a = 0.5 * dt
     alpha = (1.0 - a * a * big_g) / (1.0 + a * a * big_g)
     gam = -2.0 * a * a / (1.0 + a * a * big_g)
-    k = kernel(BLOCK)
+    k = lags[:BLOCK].copy()
     k[0] = 0.0  # lag 0, the sum G, is folded into alpha
     near = _lower_toeplitz(k)
     u, w = _block_response(k, alpha, gam)
@@ -242,14 +240,13 @@ def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
     n_samples = n_steps // stride
     ce_out = np.empty(n_samples, dtype=np.complex128)
     norm_out = np.empty(n_samples, dtype=np.float64)
-    n_pad = -(-n_steps // BLOCK) * BLOCK
     b = np.empty(n_pad, dtype=np.complex128)
     acc = np.zeros(n_pad, dtype=np.complex128)
     spectra = {}
     c_e, mode_norm = 1.0 + 0.0j, 0.0
     for n0 in range(0, n_pad, BLOCK):
         if n0:
-            _add_square(acc, b, kernel, spectra, n0)
+            _add_square(acc, b, lags, spectra, n0)
         h = acc[n0:n0 + BLOCK]
         x = u * c_e + np.einsum("ij,j->i", w, h)
         bb = b[n0:n0 + BLOCK] = np.concatenate(([c_e], x[:-1])) + x
@@ -268,50 +265,43 @@ def evolve_amplitudes(center, spacing, n_modes, coupling, dt, n_steps, stride):
     return t_out[stride - 1:n_samples * stride:stride], ce_out, norm_out
 
 
-def evolve(grid: ModeGrid, atom: AtomParams, t_end: float, dt: float):
+def evolve(grid: ModeGrid, t_end: float, dt: float | None = None):
     """Integrate the amplitude equations to t_end; returns arrays (t, c_e, norm)
     of about 600 samples, norm the total |c_e|^2 + sum |c_k|^2 of the state.
 
-    dt must resolve the fastest detuning (dt * max|Delta| < 0.2, i.e. the
-    comb half-width criterion dt * bandwidth/2 < 0.1 for centered grids).
-    Raises GridResolutionError, before any allocation, for a non-finite or
-    non-positive dt or t_end or more than MAX_STEPS steps, and NormDriftError
+    dt must resolve the fastest detuning, dt * max|Delta| < 0.2; the default
+    is 0.19 / max|Delta|.  Raises GridResolutionError, before any
+    allocation, for a non-finite or non-positive dt or t_end, a dt that does
+    not resolve the comb or more than MAX_STEPS steps, and NormDriftError
     if norm conservation degrades beyond 1e-6.
     """
+    max_det = grid.max_detuning()
+    dt = 0.19 / max_det if dt is None else dt
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0.0):
             raise GridResolutionError(f"{name} must be finite and positive, got {value}")
-    gamma = grid.gamma_target
-    max_det = grid.max_detuning(atom.omega_eg)
     if dt * max_det >= 0.2:
         raise GridResolutionError(
-            f"dt = {dt:.3e} does not resolve the fastest detuning "
-            f"{max_det:.3e} rad/s (need dt * max|detuning| < 0.2)")
+            f"dt = {dt:.12g} does not resolve the fastest detuning {max_det:.12g} "
+            "(need dt * max|detuning| < 0.2)")
     if t_end / dt > MAX_STEPS:
         raise GridResolutionError(
             f"t_end / dt = {t_end / dt:.3e} exceeds {MAX_STEPS} time steps")
     n_steps = int(math.ceil(t_end / dt))
-
-    # scale time by the target rate so the kernel works near unity; its comb
-    # is exactly uniform between the scaled edges, without the rounding of a
-    # comb written out at optical frequencies
-    lo = (grid.omega_lo - atom.omega_eg) / gamma
-    hi = (grid.omega_hi - atom.omega_eg) / gamma
-    n = grid.n_modes
-    ts, ces, norms = evolve_amplitudes(0.5 * (lo + hi), (hi - lo) / (n - 1), n,
-                                       grid.coupling / gamma, dt * gamma, n_steps,
+    ts, ces, norms = evolve_amplitudes(0.5 * (grid.lo + grid.hi), grid.spacing,
+                                       grid.n_modes, grid.coupling, dt, n_steps,
                                        max(1, n_steps // 600))
     drift = float(np.abs(norms - 1.0).max())
     if drift > NORM_TOLERANCE:
         raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE}",
                              drift=drift)
-    return ts / gamma, ces, norms
+    return ts, ces, norms
 
 
 @dataclass(frozen=True)
 class DecayFit:
-    rate: float          # 1/s
-    shift: float         # rad/s; energy shift of the excited level
+    rate: float          # decay rate of |c_e|^2, in the inverse time unit of ts
+    shift: float         # energy shift of the excited level, in the same unit
     fit_residual: float  # RMS residual of the log-magnitude fit
 
 

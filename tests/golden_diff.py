@@ -83,8 +83,15 @@ def cases() -> list:
             ["wavepacket-check", "--ramp-fraction", "0"],
             ["ww-sim", "--n-modes", "2000", "--bandwidth-gammas", "60", "--t-end-gammas", "4",
              "--dt-gammas", "0.005", "--out", "out.txt"],
-            # a step too long for the band's fastest detuning is refused
-            ["ww-sim", "--dt-gammas", "0.01"]]
+            # refused, each in the units of its flags: a step too long for
+            # the band's fastest detuning, a negative step, a band below 40
+            # gamma, a mode spacing above gamma/10, and tolerances not
+            # finite and > 0
+            ["ww-sim", "--dt-gammas", "0.01"], ["ww-sim", "--dt-gammas", "-1"],
+            ["ww-sim", "--bandwidth-gammas", "30"],
+            ["ww-sim", "--n-modes", "1000", "--bandwidth-gammas", "140"],
+            ["split-check", "--tol", "0"], ["split-check", "--tol", "nan"],
+            ["split-check", "--tol", "inf"]]
     out += [["gamma", "--preset", f] for f in PRESETS if f != "atom.json"]
     out += [["gamma", "--preset", "missing.json"], ["gamma", "--preset", "synthetic:x"],
             [], ["-h"], ["--version"], ["nope"], ["gamma", "--frobnicate"],

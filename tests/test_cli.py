@@ -292,6 +292,22 @@ class TestWWSimCommand:
         assert out == ""
         assert json.loads(err)["error"] == "GridResolutionError"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--bandwidth-gammas", "30"], "bandwidth 30 below 40"),
+        (["--dt-gammas", "-1"], "dt must be finite and positive, got -1.0"),
+        (["--dt-gammas", "0.01"], "dt = 0.01 does not resolve the fastest detuning 50 "
+                                  "(need dt * max|detuning| < 0.2)"),
+        (["--n-modes", "1000", "--bandwidth-gammas", "140"],
+         "mode spacing 0.1401 exceeds 0.1; the comb would not resolve the line"),
+    ])
+    def test_refusals_quote_the_flags_units(self, capsys, argv, message):
+        # the oracle runs in units of gamma, so its refusals read in the
+        # units of the --*-gammas flags, not in SI
+        code, out, err = run_cli(capsys, "ww-sim", *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "GridResolutionError", "message": message,
+                                   "command": "ww-sim"}
+
 
 class TestErrorPaths:
     def test_unknown_command_exits_two(self, capsys):
@@ -413,11 +429,18 @@ class TestErrorPaths:
         assert json.loads(err)["error"] == "PresetError"
 
     @pytest.mark.parametrize("argv, message", [
-        (["split-check", "--tol", "nan"], "tolerances must be > 0"),
+        (["split-check", "--tol", "nan"], "tolerances must be finite and > 0"),
+        (["split-check", "--tol", "inf"], "tolerances must be finite and > 0"),
+        (["split-check", "--tol", "0"], "tolerances must be finite and > 0"),
         (["wavepacket-check", "--ramp-fraction", "nan"],
          "t_g and ramp must be positive"),
     ])
-    def test_nan_refused_before_evaluation(self, capsys, argv, message):
+    def test_nan_refused_before_evaluation(self, capsys, monkeypatch, argv, message):
+        # split-check's tol widens its branch guard, so an infinite one
+        # would refuse every point: it is refused before any integral runs
+        def ladder(sums, count, tol):
+            raise AssertionError("an integral ran")
+        monkeypatch.setattr("causalatom.splitting.ladder", ladder)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)

@@ -153,8 +153,8 @@ class TestIntegrateAdaptive:
         assert integrate(f, 0.0, 50.0) == integrate(f, 0.0, 50.0)
 
     def test_bad_tolerances_rejected(self):
-        for tol in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="tolerances must be > 0"):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerances must be finite and > 0"):
                 ladder(lambda n, rows: None, 1, tol)
 
 
