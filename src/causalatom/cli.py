@@ -26,6 +26,7 @@ from .observables import (
     CONSTANTS_VERSION,
     CODATA2018,
     DISCREPANCY_NOTES,
+    TWO_PI,
     AtomParams,
     NormalizationConstants,
     atom_from_dict,
@@ -311,18 +312,20 @@ def _cmd_series_check(atom, opts):
 
 
 def _cmd_wavepacket_check(atom, opts):
-    decades = opts["plateau_periods"]
-    # z_closed, the denominator of rel_error, is t2_prefactor times nonzero factors
-    _divisor("t2_prefactor (the scale of z_closed)", t2_prefactor(atom), atom,
-             ("d_eg_Cm", "m_g_kg"))
-    study = convergence_study(atom, NormalizationConstants(), decades,
-                              ramp_fraction=opts["ramp_fraction"])
-    zcs = [zc for _, zc in study]
-    rows = Table(plateau_periods=decades, t_g_s=[t_g for t_g, _ in study],
-                 rel_error=[zc.rel_error for zc in zcs],
-                 regime_flag=["ok" if zc.regime_ok else "wide-window" for zc in zcs],
-                 **{name: [getattr(zc, name) for zc in zcs] for name in
-                    ("z_numerical", "z_closed", "z_closed_inverse_u", "narrowness")})
+    # the Z check runs in units of lambda_bar_g: SI enters here, and only here
+    periods = opts["plateau_periods"]
+    pref = _divisor("t2_prefactor (the scale of z_closed)", t2_prefactor(atom), atom,
+                    ("d_eg_Cm", "m_g_kg"))
+    delta_u = _divisor("delta_u", atom.delta_u, atom, ("omega_eg_rad_s", "m_g_kg"))
+    study = convergence_study(delta_u, NormalizationConstants(), periods,
+                              opts["ramp_fraction"])
+    scale = 2.0 * TWO_PI ** 2 * pref * atom.lambda_bar_g
+    rows = Table(plateau_periods=periods, t_g_s=[n * (TWO_PI / atom.omega_eg) for n in periods],
+                 rel_error=[zc.rel_error for zc in study],
+                 regime_flag=["ok" if zc.regime_ok else "wide-window" for zc in study],
+                 **{name: [getattr(zc, name) * scale for zc in study] for name in
+                    ("z_numerical", "z_closed", "z_closed_inverse_u")},
+                 narrowness=[zc.narrowness for zc in study])
     rel = rows["rel_error"]
     return {"rows": rows, "monotone": all(b < a for a, b in zip(rel, rel[1:]))}
 

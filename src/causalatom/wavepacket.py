@@ -12,23 +12,29 @@ numerically at physical scale separations and analytically trivial once the
 premise inequalities hold.  Of the premises, the window's narrowness is
 checked and reported (ZComparison.regime_ok).
 
-The integral is evaluated on a uniform FFT grid with a trapezoid sum.  For a
-compactly supported smooth g this is exact up to aliasing terms that are
-themselves compactly-supported autocorrelations, so a modest padding makes
-the quadrature error negligible (the pipeline reproduces an analytic
-Gaussian reference at machine precision; tests pin this).  g is real and
-the grid offset only adds a phase, so |gt(q)|^2 is even in q: the sum runs
-over the half spectrum of a real FFT, each bin q_j > 0 standing for +-q_j
-(q = 0 and the Nyquist bin, at -N/2 as np.fft.fftfreq labels it, once),
-with the bracket evaluated in blocks of offsets.
+Units: T2s is t2_prefactor times the bracket B(u), which reads the atom only
+through delta_u = hbar omega_eg/(m_g c^2).  So the check runs with lengths
+in units of lambda_bar_g, where q is B's offset from u_res = 1 + delta_u
+and one optical period is 2pi/delta_u, and with Z in units of the SI scale
+2 (2pi)^2 t2_prefactor lambda_bar_g: Z/scale = int dq B(u_res + q) |gt(q)|^2.
+SI enters only in cli._cmd_wavepacket_check, which multiplies the z columns
+by the scale, and in z_factor, the SI observable.
 
-The comparison value z_closed uses the exact int g^2 dx0, in closed form
-(not the plateau-time approximation c t_g), so rel_error isolates the
-narrow-window reduction T2s(p0) ~ T2s(1/lbe) and converges ~ 1/t_g^2 as the
-plateau grows at fixed ramp fraction.  That convergence shows on synthetic
-presets (delta_u ~ 1e-3).  On hydrogen (delta_u ~ 1e-8) the reduction error
-lies below double precision at every plateau length, so rel_error sits at
-rounding and a monotone fall of it across plateau lengths compares noise.
+The integral is a trapezoid sum on a uniform FFT grid.  For a compactly
+supported smooth g this is exact up to aliasing terms that are themselves
+compactly-supported autocorrelations, so a modest padding makes the
+quadrature error negligible (tests pin an analytic Gaussian reference).
+|gt(q)|^2 is even in q (g is real; the grid offset is a phase), so the sum
+runs over the half spectrum of a real FFT, each bin q_j > 0 standing for
++-q_j (q = 0 and the Nyquist bin, at -N/2 as np.fft.fftfreq labels it,
+once), with the bracket evaluated in blocks of offsets.
+
+z_closed uses the exact int g^2 dx0 in closed form, so rel_error isolates
+the narrow-window reduction B(u) ~ B(u_res) and falls ~ 1/plateau^2 at a
+fixed ramp fraction.  That shows on synthetic presets (delta_u ~ 1e-3).  On
+hydrogen (delta_u ~ 1e-8) the reduction error lies below double precision
+at every plateau length, so rel_error sits at rounding and a monotone fall
+of it across plateau lengths compares noise.
 """
 
 from __future__ import annotations
@@ -42,13 +48,7 @@ from .errors import CausalAtomError
 from .observables import TWO_PI, AtomParams, NormalizationConstants, t2_prefactor
 from .selfenergy import t2_bracket_resonant
 
-__all__ = [
-    "TestFunction",
-    "ZComparison",
-    "z_factor",
-    "z_numerical",
-    "convergence_study",
-]
+__all__ = ["TestFunction", "ZComparison", "z_factor", "z_numerical", "convergence_study"]
 
 # premise metric for freezing T2s across the window
 REGIME_LIMIT = 0.1
@@ -78,39 +78,31 @@ EDGE_SQUARED_INTEGRAL = (7007.0 / 7200.0 + math.pi ** 2 / 3.0) / math.pi ** 2
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth switching profile in the light-front coordinate x0 (meters).
+    """Smooth switching profile in the light-front coordinate x0, in units of
+    lambda_bar_g.
 
-    Plateau value 1 on [0, c t_g]; C^6 edges spanning the full allowed width
-    2 c ramp on each side (support exactly [-2 c ramp, c (t_g + 2 ramp)]).
-    The squared profile integrates to c t_g + 4 kappa c ramp with
-    kappa ~ 0.432 < 1/2, inside [c t_g, c (t_g + 2 ramp)].
+    Value 1 on the plateau [0, plateau]; C^6 edges of width ``edge`` on each
+    side, so the support is exactly [-edge, plateau + edge].  The squared
+    profile integrates to plateau + 2 kappa edge with kappa ~ 0.432 < 1/2,
+    inside [plateau, plateau + edge].
     """
 
     __test__ = False  # not a pytest class
 
-    t_g: float   # s
-    ramp: float  # s
-    c: float     # m/s
+    plateau: float
+    edge: float
 
     def __post_init__(self):
-        if not (self.t_g > 0 and self.ramp > 0):
-            raise ValueError("t_g and ramp must be positive")
-
-    @property
-    def plateau_length(self) -> float:
-        return self.c * self.t_g
-
-    @property
-    def edge_length(self) -> float:
-        return 2.0 * self.c * self.ramp
+        if not (self.plateau > 0 and self.edge > 0):
+            raise ValueError("plateau and edge must be positive")
 
     @property
     def support(self) -> tuple:
-        return (-self.edge_length, self.plateau_length + self.edge_length)
+        return (-self.edge, self.plateau + self.edge)
 
     def evaluate(self, x0):
         x0 = np.asarray(x0, dtype=float)
-        length, width = self.plateau_length, self.edge_length
+        length, width = self.plateau, self.edge
         # 1 on the plateau and 0 past the support, which take most nodes; the
         # edge profile on the edge nodes only
         out = ((0.0 <= x0) & (x0 <= length)).astype(float)
@@ -120,8 +112,8 @@ class TestFunction:
         return out
 
     def squared_integral(self) -> float:
-        """int g^2 dx0 = c t_g + 4 kappa c ramp: the plateau and two edges."""
-        return self.c * (self.t_g + 4.0 * EDGE_SQUARED_INTEGRAL * self.ramp)
+        """int g^2 dx0 = plateau + 2 kappa edge: the plateau and two edges."""
+        return self.plateau + 2.0 * EDGE_SQUARED_INTEGRAL * self.edge
 
 
 def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstants(),
@@ -146,11 +138,14 @@ def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstant
 
 @dataclass(frozen=True)
 class ZComparison:
+    """The Z integral against its frozen-bracket value; the z fields are in
+    units of the SI scale 2 (2pi)^2 t2_prefactor lambda_bar_g."""
+
     z_numerical: complex
     z_closed: complex          # uses the exact int g^2
     rel_error: float
     z_closed_inverse_u: complex  # additionally weighted by 1/u_res (rate-consistent)
-    narrowness: float          # |T2s'| * window width / |T2s| at resonance
+    narrowness: float          # |B'| * window width / |B| at resonance
     regime_ok: bool
 
 
@@ -158,7 +153,7 @@ class ZComparison:
 _BRACKET_BLOCK = 4096
 
 
-def _z_integral_fft(atom: AtomParams, c_norm: NormalizationConstants,
+def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
                     g: TestFunction, n_fft: int, pad: float):
     lo, hi = g.support
     margin = 0.02 * (hi - lo)
@@ -178,6 +173,7 @@ def _z_integral_fft(atom: AtomParams, c_norm: NormalizationConstants,
     j = np.arange(weight.size, dtype=float)
     if n_fft % 2 == 0:
         j[-1] = -j[-1]   # np.fft.fftfreq labels the Nyquist bin of an even N -N/2
+    # q, in 1/lambda_bar_g, is the bracket's offset from u_res
     q = TWO_PI * (j * (1.0 / (n_fft * dx)))
     # each bin with q_j > 0 stands for q_j and -q_j; q = 0 and the Nyquist bin once
     mirror = np.where(q > 0.0, weight, 0.0)
@@ -185,74 +181,70 @@ def _z_integral_fft(atom: AtomParams, c_norm: NormalizationConstants,
     total_sum = 0j
     for s in range(0, q.size, _BRACKET_BLOCK):
         b = slice(s, s + _BRACKET_BLOCK)
-        offsets = atom.lambda_bar_g * q[b]
-        total_sum += (np.sum(weight[b] * t2_bracket_resonant(atom.delta_u, c_norm, offsets))
-                      + np.sum(mirror[b] * t2_bracket_resonant(atom.delta_u, c_norm, -offsets)))
-    pref = t2_prefactor(atom)
-    z = TWO_PI ** 2 * 2.0 * pref * total_sum * dq
+        total_sum += (np.sum(weight[b] * t2_bracket_resonant(delta_u, c_norm, q[b]))
+                      + np.sum(mirror[b] * t2_bracket_resonant(delta_u, c_norm, -q[b])))
 
-    # window width (rms of |gt|^2) in u units, for the regime metric; each
-    # sum runs over the full spectrum
+    # window width (rms of |gt|^2), for the regime metric; each sum runs over
+    # the full spectrum
     total = float((np.sum(weight) + np.sum(mirror)) * dq)
     mean_q = float((np.sum(q * weight) - np.sum(q * mirror)) * dq / total)
     var_q = float((np.sum((q - mean_q) ** 2 * weight) + np.sum((q + mean_q) ** 2 * mirror))
                   * dq / total)
-    width_u = atom.lambda_bar_g * math.sqrt(max(var_q, 0.0))
-    return complex(z), width_u
+    return complex(total_sum * dq), math.sqrt(max(var_q, 0.0))
 
 
-def z_numerical(atom: AtomParams,
+def z_numerical(delta_u: float,
                 c_norm: NormalizationConstants,
                 g: TestFunction,
                 n_fft: int = 2 ** 15,
                 pad: float = 1.6) -> ZComparison:
     """Evaluate the frequency integral for Z and compare with the frozen-bracket value.
 
-    The regime premise |T2s'| * width / |T2s| < 0.1 is checked and reported;
-    a violation flags the result rather than suppressing it.
+    The regime premise |B'| * width / |B| < 0.1 is checked and reported;
+    a violation flags the result rather than suppressing it.  A window too
+    long for floats overflows in the FFT sums: FloatingPointError.
     """
-    try:  # a window too long for floats overflows in the FFT sums
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            z_num, width_u = _z_integral_fft(atom, c_norm, g, n_fft, pad)
-    except FloatingPointError as exc:
-        raise CausalAtomError(f"Z integral leaves the float range for t_g = {g.t_g:.3e} s "
-                              f"and ramp = {g.ramp:.3e} s ({exc})") from exc
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        z_num, width = _z_integral_fft(delta_u, c_norm, g, n_fft, pad)
 
-    pref = t2_prefactor(atom)
-    bracket0 = complex(t2_bracket_resonant(atom.delta_u, c_norm))
-    g2 = g.squared_integral()
-    z_closed = TWO_PI ** 2 * 2.0 * pref * bracket0 * g2
+    bracket0 = complex(t2_bracket_resonant(delta_u, c_norm))
+    z_closed = bracket0 * g.squared_integral()
     rel = abs(z_num - z_closed) / abs(z_closed)
 
-    h = max(width_u, 1e-9 * atom.delta_u)
-    b_plus = complex(t2_bracket_resonant(atom.delta_u, c_norm, offset=h))
-    b_minus = complex(t2_bracket_resonant(atom.delta_u, c_norm, offset=-h))
+    h = max(width, 1e-9 * delta_u)
+    b_plus = complex(t2_bracket_resonant(delta_u, c_norm, offset=h))
+    b_minus = complex(t2_bracket_resonant(delta_u, c_norm, offset=-h))
     deriv = abs(b_plus - b_minus) / (2.0 * h)
-    narrowness = deriv * width_u / abs(bracket0)
+    narrowness = deriv * width / abs(bracket0)
 
-    return ZComparison(
-        z_numerical=z_num,
-        z_closed=z_closed,
-        rel_error=float(rel),
-        z_closed_inverse_u=z_closed / atom.u_res,
-        narrowness=float(narrowness),
-        regime_ok=bool(narrowness < REGIME_LIMIT),
-    )
+    return ZComparison(z_num, z_closed, float(rel), z_closed / (1.0 + delta_u),
+                       float(narrowness), bool(narrowness < REGIME_LIMIT))
 
 
-def convergence_study(atom: AtomParams,
+def convergence_study(delta_u: float,
                       c_norm: NormalizationConstants,
                       plateau_periods,
                       ramp_fraction: float = 0.1):
-    """ZComparison per plateau length, t_g in optical periods of the atom."""
-    period = TWO_PI / atom.omega_eg
+    """ZComparison per plateau of n optical periods, 2 pi n / delta_u in
+    lambda_bar_g, each edge 2 ramp_fraction times the plateau.  Every count
+    and the fraction are checked before any integral runs."""
+    if not (math.isfinite(ramp_fraction) and ramp_fraction > 0):
+        raise ValueError(f"ramp_fraction must be finite and > 0, got {ramp_fraction}")
+    for n in plateau_periods:
+        if n < 1:
+            raise ValueError(f"plateau_periods must be >= 1, got {n}")
     out = []
     for n in plateau_periods:
         try:
-            t_g = n * period
+            plateau = n * (TWO_PI / delta_u)
+            out.append(z_numerical(delta_u, c_norm,
+                                   TestFunction(plateau, 2.0 * ramp_fraction * plateau)))
         except OverflowError:  # an int past the float range
             raise CausalAtomError(f"a plateau_periods value of {n.bit_length()} bits "
-                                  "leaves the float range (t_g = n * period)") from None
-        g = TestFunction(t_g, ramp_fraction * t_g, atom.constants.c)
-        out.append((t_g, z_numerical(atom, c_norm, g)))
+                                  "leaves the float range") from None
+        except FloatingPointError as exc:
+            raise CausalAtomError(
+                f"Z integral leaves the float range for plateau_periods = {n:.6g} and "
+                f"ramp_fraction = {ramp_fraction:.6g} at delta_u = {delta_u:.6g} "
+                f"({exc})") from None
     return out

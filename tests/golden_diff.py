@@ -1,6 +1,8 @@
-"""Compare the CLI of two source trees byte for byte.
+"""Compare the CLI of two source trees byte for byte, or record one tree's
+digests.
 
     python tests/golden_diff.py OLD_SRC NEW_SRC
+    python tests/golden_diff.py --write SRC
 
 OLD_SRC and NEW_SRC are directories that hold a ``causalatom`` package (the
 ``src`` directory of two checkouts).  Each case of a fixed list runs as
@@ -11,8 +13,16 @@ differs if its stdout, stderr, exit code or any file it writes differs.
 Prints each differing case, and under it the fields that differ in each
 differing output: the dotted paths of a JSON document (a list index shown
 as []) or the columns of a CSV table, each field of numbers with its
-largest relative difference, so that a change in the last bits reads as
-one.  Then a summary; exits 1 if any case differs.
+largest relative and largest absolute difference, so that a change in the
+last bits reads as one, and so does rounding noise around 0.  Then a
+summary; exits 1 if any case differs.
+
+With --write, each case runs under SRC alone, and the sha256 of its stdout,
+stderr and each file it writes, with its exit code, go to
+golden_digests.json next to this script, under the Python version, the numpy
+version and numpy's SIMD extensions that made them: numpy's exp and log
+round differently on different SIMD paths.  tests/test_golden_digests.py
+replays every case in process and compares.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -20,6 +30,7 @@ This is a script, not a test module: pytest does not collect it.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -39,7 +50,9 @@ PRESETS = {
     "bigint.json": {**ATOM, "omega_eg_rad_s": 10 ** 400},
     "list.json": [ATOM],
     "100%s%%.json": ATOM,   # a % in the name reaches the JSON template as text
+    "tiny-omega.json": {**ATOM, "omega_eg_rad_s": 1e-300},   # delta_u is 0
 }
+DIGESTS = Path(__file__).with_name("golden_digests.json")
 COMMANDS = ["gamma", "shift", "ratio", "split-check", "series-check",
             "wavepacket-check", "ww-sim", "constants"]
 GRIDS = [["--u-min", "1.1", "--u-max", "3", "--points", "1000"],
@@ -81,6 +94,12 @@ def cases() -> list:
             ["wavepacket-check", "--preset", "synthetic:1e-3", "--ramp-fraction", "0.3",
              "--plateau-periods", "10", "100"],
             ["wavepacket-check", "--ramp-fraction", "0"],
+            # refused in the units of the flags, and a preset whose delta_u
+            # is 0
+            ["wavepacket-check", "--plateau-periods", "0"],
+            ["wavepacket-check", "--ramp-fraction", "inf"],
+            ["wavepacket-check", "--ramp-fraction", "1e300", "--plateau-periods", "10"],
+            ["wavepacket-check", "--preset", "tiny-omega.json"],
             ["ww-sim", "--n-modes", "2000", "--bandwidth-gammas", "60", "--t-end-gammas", "4",
              "--dt-gammas", "0.005", "--out", "out.txt"],
             # refused, each in the units of its flags: a step too long for
@@ -105,7 +124,8 @@ def run(src: Path, argv: list) -> tuple:
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in PRESETS.items():
             Path(tmp, name).write_text(json.dumps(doc))
-        env = dict(os.environ, PYTHONPATH=str(src))
+        # COLUMNS as a pipe reads it, whatever the calling terminal's width
+        env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
         proc = subprocess.run([sys.executable, "-m", "causalatom.cli", *argv], cwd=tmp,
                               env=env, capture_output=True, timeout=600)
         files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())
@@ -136,24 +156,26 @@ def _columns(text: str) -> dict:
     return {name: [r[j] for r in rows] for j, name in enumerate(header)}
 
 
-def max_rel_diff(old: list, new: list):
-    """The largest |a - b| / max(|a|, |b|) over the paired values of one
-    field, or None if the field is not numbers on both sides."""
+def max_diffs(old: list, new: list):
+    """The largest |a - b| / max(|a|, |b|) and the largest |a - b| over the
+    paired values of one field, or None if the field is not numbers on both
+    sides."""
     if not all(isinstance(v, str) for v in (*old, *new)):
         return None  # a JSON true, false or null
     try:
         pairs = [(float(a), float(b)) for a, b in zip(old, new, strict=True)]
     except ValueError:
         return None
-    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b),
-               default=0.0)
+    pairs = [(a, b) for a, b in pairs if a != b]
+    return (max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs), default=0.0),
+            max((abs(a - b) for a, b in pairs), default=0.0))
 
 
 def differing_fields(old: bytes, new: bytes) -> list:
     """The fields in which two outputs differ: JSON paths if both are JSON,
     CSV columns if both are tables with the same header, else the whole.
     Numbers compare as written, so -0 and 0 differ; a field of numbers on
-    both sides is followed by its largest relative difference."""
+    both sides is followed by its largest relative and absolute differences."""
     try:
         a, b = (_leaves(json.loads(x, parse_float=str, parse_int=str)) for x in (old, new))
     except ValueError:
@@ -166,8 +188,9 @@ def differing_fields(old: bytes, new: bytes) -> list:
     fields = []
     for k in dict.fromkeys([*a, *b]):
         if a.get(k) != b.get(k):
-            rel = max_rel_diff(a.get(k, []), b.get(k, []))
-            fields.append(k if rel is None else f"{k} (max rel diff {rel:.2g})")
+            diffs = max_diffs(a.get(k, []), b.get(k, []))
+            fields.append(k if diffs is None else
+                          "%s (max rel diff %.2g, max abs diff %.2g)" % (k, *diffs))
     return fields
 
 
@@ -184,11 +207,41 @@ def describe(a: tuple, b: tuple) -> list:
     return lines
 
 
+def environment() -> dict:
+    """What the digests depend on besides the source."""
+    import platform
+
+    import numpy as np
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
+
+
+def digests(result: tuple) -> dict:
+    """The exit code and the sha256 of each output of one run of a case."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    code, stdout, stderr, files = result
+    return {"exit": code, "stdout": sha(stdout), "stderr": sha(stderr),
+            "files": {name: sha(data) for name, data in files.items()}}
+
+
+def write_digests(src: Path) -> None:
+    """golden_digests.json of the tree src, a case a line."""
+    rows = [json.dumps({"argv": argv, **digests(run(src, argv))}) for argv in cases()]
+    DIGESTS.write_text('{"environment": %s,\n "cases": [\n  %s\n]}\n'
+                       % (json.dumps(environment()), ",\n  ".join(rows)))
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2 and args[0] == "--write":
+        write_digests(Path(args[1]).resolve())
+        print(f"{len(cases())} cases written to {DIGESTS.name}")
+        return 0
     if len(args) != 2:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: golden_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
+        print("usage: golden_diff.py OLD_SRC NEW_SRC | --write SRC", file=sys.stderr)
         return 2
     old, new = (Path(a).resolve() for a in args)
     todo = cases()

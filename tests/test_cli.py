@@ -18,7 +18,7 @@ import pytest
 
 from causalatom import cli
 from causalatom.cli import main, resolve_preset
-from causalatom.observables import hydrogen_1s2p_preset
+from causalatom.observables import hydrogen_1s2p_preset, t2_prefactor
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +247,37 @@ class TestWavepacketCommand:
         jsonschema.validate(doc, schema)
         assert doc["results"]["monotone"] is True
 
+    def test_si_enters_only_as_the_scale(self, capsys, tmp_path):
+        # m_g and omega_eg both doubled keep delta_u bit for bit, while the
+        # dipole and t_g_s differ: the unit-free columns then read the same,
+        # and each z column scales by the SI scale 2 (2pi)^2 t2_prefactor
+        # lambda_bar_g
+        h = hydrogen_1s2p_preset()
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(json.dumps({"m_g_kg": 2 * h.m_g, "omega_eg_rad_s": 2 * h.omega_eg,
+                                           "d_eg_Cm": 3 * h.d_eg_abs, "t_g_s": 7.0}))
+        other = resolve_preset(str(preset_file))
+        assert other.delta_u == h.delta_u
+        results = []
+        for preset in ("hydrogen-1s2p", str(preset_file)):
+            code, out, _ = run_cli(capsys, "wavepacket-check", "--preset", preset)
+            assert code == 0
+            results.append(json.loads(out, parse_float=str)["results"])   # numbers as written
+        a, b = results
+        assert a["monotone"] == b["monotone"]
+        for col in ("rel_error", "narrowness", "regime_flag"):
+            assert [r[col] for r in a["rows"]] == [r[col] for r in b["rows"]]
+        assert [float(r["t_g_s"]) for r in b["rows"]] == [float(r["t_g_s"]) / 2
+                                                          for r in a["rows"]]
+        scale_a, scale_b = (2 * (2 * math.pi) ** 2 * t2_prefactor(x) * x.lambda_bar_g
+                            for x in (h, other))
+        ratio = scale_b / scale_a
+        assert ratio != 1.0
+        for col in ("z_numerical", "z_closed", "z_closed_inverse_u"):
+            for ra, rb in zip(a["rows"], b["rows"]):
+                za, zb = (complex(float(r[col]["re"]), float(r[col]["im"])) for r in (ra, rb))
+                assert abs(zb - ratio * za) <= 1e-15 * abs(ratio * za), col
+
 
 class TestWWSimCommand:
     def test_trace_and_summary(self, capsys, tmp_path):
@@ -405,9 +436,12 @@ class TestErrorPaths:
                                              "omega_eg_rad_s = 1e-200"),
         ("wavepacket-check", "d_eg_Cm", 0, "t2_prefactor (the scale of z_closed) is 0 "
                                            "for d_eg_Cm = 0,"),
+        ("wavepacket-check", "omega_eg_rad_s", 1e-300, "delta_u is 0 for "
+                                                       "omega_eg_rad_s = 1e-300, m_g_kg"),
         ("split-check", "d_eg_Cm", 0, "r2_prefactor is 0 for d_eg_Cm = 0,"),
     ], ids=["gamma-zero-dipole", "gamma-tiny-omega", "ww-sim-zero-dipole",
-            "ww-sim-tiny-omega", "wavepacket-check-zero-dipole", "split-check-zero-dipole"])
+            "ww-sim-tiny-omega", "wavepacket-check-zero-dipole",
+            "wavepacket-check-tiny-omega", "split-check-zero-dipole"])
     def test_zero_rate_preset_refused(self, capsys, tmp_path, command, key, value, named):
         # a zero dipole is a legal atom, but these commands divide by its rate
         doc = {"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
@@ -433,14 +467,19 @@ class TestErrorPaths:
         (["split-check", "--tol", "inf"], "tolerances must be finite and > 0"),
         (["split-check", "--tol", "0"], "tolerances must be finite and > 0"),
         (["wavepacket-check", "--ramp-fraction", "nan"],
-         "t_g and ramp must be positive"),
+         "ramp_fraction must be finite and > 0, got nan"),
+        (["wavepacket-check", "--ramp-fraction", "inf"],
+         "ramp_fraction must be finite and > 0, got inf"),
+        (["wavepacket-check", "--plateau-periods", "10", "0"],
+         "plateau_periods must be >= 1, got 0"),
     ])
     def test_nan_refused_before_evaluation(self, capsys, monkeypatch, argv, message):
         # split-check's tol widens its branch guard, so an infinite one
         # would refuse every point: it is refused before any integral runs
-        def ladder(sums, count, tol):
+        def ran(*args):
             raise AssertionError("an integral ran")
-        monkeypatch.setattr("causalatom.splitting.ladder", ladder)
+        monkeypatch.setattr("causalatom.splitting.ladder", ran)
+        monkeypatch.setattr("causalatom.wavepacket._z_integral_fft", ran)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
@@ -459,9 +498,7 @@ class TestErrorPaths:
         (["ww-sim", "--bandwidth-gammas", "nan"], "GridResolutionError",
          "bandwidth must be finite"),
         (["wavepacket-check", "--plateau-periods", "10", "--ramp-fraction", "1e300"],
-         "CausalAtomError", "ramp = 4.055e+285 s"),
-        (["wavepacket-check", "--plateau-periods", "10", "--ramp-fraction", "inf"],
-         "CausalAtomError", "ramp = inf s"),
+         "CausalAtomError", "for plateau_periods = 10 and ramp_fraction = 1e+300"),
         (["wavepacket-check", "--plateau-periods", "10", str(10 ** 400)],
          "CausalAtomError", "plateau_periods value of 1329 bits leaves the float range"),
     ])
@@ -880,15 +917,21 @@ def test_golden_diff_gives_every_flag_a_value():
 
 
 def test_golden_diff_reports_largest_relative_difference():
-    from golden_diff import differing_fields, max_rel_diff
-    assert max_rel_diff(["1.0", "-2", "4"], ["1.0", "-2.5", "4.4"]) == pytest.approx(0.2)
-    assert max_rel_diff(["-0.0"], ["0"]) == 0.0
-    assert max_rel_diff(["1.0", "x"], ["1.0", "y"]) is None
-    assert max_rel_diff([None], ["1"]) is None
-    assert max_rel_diff(["1"], ["1", "2"]) is None
+    from golden_diff import differing_fields, max_diffs
+    assert max_diffs(["1.0", "-2", "4"], ["1.0", "-2.5", "4.4"]) == (
+        pytest.approx(0.2), pytest.approx(0.5))
+    assert max_diffs(["-0.0"], ["0"]) == (0.0, 0.0)
+    assert max_diffs(["1.0", "x"], ["1.0", "y"]) is None
+    assert max_diffs([None], ["1"]) is None
+    assert max_diffs(["1"], ["1", "2"]) is None
+    # rounding noise around 0: every relative difference is large, the
+    # absolute one shows it is noise
+    assert max_diffs(["1e-17", "-3e-18"], ["-2e-17", "-3e-18"]) == (
+        pytest.approx(1.5), pytest.approx(3e-17))
     old = b'{"results": {"rate": 1.0000000000000002, "n": 4, "flag": true, "note": "a"}}'
     new = b'{"results": {"rate": 1.0, "n": 4, "flag": false, "note": "b"}}'
     assert differing_fields(old, new) == [
-        "results.rate (max rel diff 2.2e-16)", "results.flag", "results.note"]
+        "results.rate (max rel diff 2.2e-16, max abs diff 2.2e-16)", "results.flag",
+        "results.note"]
     assert differing_fields(b"t,p\n1,0.5\n2,0.25\n", b"t,p\n1,0.5\n2,0.2500001\n") == [
-        "p (max rel diff 4e-07)"]
+        "p (max rel diff 4e-07, max abs diff 1e-07)"]

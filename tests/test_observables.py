@@ -374,6 +374,25 @@ class TestSolveNormalization:
         assert fit.c3 == pytest.approx(-24.0, abs=1e-8)
         assert fit.c_log3 == pytest.approx(-48.0, abs=1e-8)
 
+    @pytest.mark.parametrize("preset", [hydrogen_1s2p_preset, lambda: synthetic_atom(1e-2),
+                                        lambda: synthetic_atom(1e-5)],
+                             ids=["hydrogen", "synthetic-1e-2", "synthetic-1e-5"])
+    def test_solution_is_the_exact_triple_bit_for_bit(self, preset):
+        # the solve never reads the atom: every preset gets the floats of the
+        # exact (-7/2, 8, -29/6)
+        assert solve_normalization(preset())[0] == NORMALIZATION_EXACT
+
+    def test_low_coefficients_are_the_rounding_of_c2(self, hyd):
+        # -29/6 has no float: the series at the solved C keeps 6 (fl(-29/6) +
+        # 29/6) in c0 and in c1, which are not fit noise; c2 (~ -2.2e-17) is
+        from fractions import Fraction
+        _, series = solve_normalization(hyd)
+        lost = float(6 * (Fraction(-29.0 / 6.0) + Fraction(29, 6)))
+        assert lost == pytest.approx(1.7763568394e-15, rel=1e-10)
+        assert abs(series.c0 - lost) <= 1e-20
+        assert abs(series.c1 - lost) <= 1e-20
+        assert abs(series.c2) <= 1e-16
+
 
 class TestShifts:
     def test_delta_final_frozen(self, hyd):
