@@ -31,6 +31,7 @@ __all__ = [
     "r2_tilde_closed",
     "sym_bracket",
     "t2_bracket_resonant",
+    "t2_bracket_change",
     "as_causal_distribution",
 ]
 
@@ -182,6 +183,14 @@ def _bracket_term_scale(u, x, ln_abs_x, step):
             + 1.0 / u ** 2 + 2.5 + 11.0 * u ** 2 / 6.0)
 
 
+def _resonant_args(delta_u, offset):
+    """The arguments of _sym_bracket at u = 1 + delta_u + offset."""
+    um1 = np.asarray(delta_u + offset, dtype=float)   # u - 1
+    x = um1 * (2.0 + um1)                             # u^2 - 1, exact
+    ax = np.maximum(np.abs(x), 1e-300)  # clamp: log finite even at grid points
+    return 1.0 + um1, x, np.log(ax), np.where(x > 0.0, 2j * math.pi, 0.0)
+
+
 def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
     """Symmetrized bracket at u = 1 + delta_u + offset, cancellation-free.
 
@@ -189,11 +198,26 @@ def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
     so the bracket stays accurate for delta_u down to ~1e-16.  Vectorized
     over ``offset`` (used for narrow frequency windows around resonance).
     """
-    um1 = np.asarray(delta_u + offset, dtype=float)   # u - 1
-    x = um1 * (2.0 + um1)                             # u^2 - 1, exact
-    ax = np.maximum(np.abs(x), 1e-300)  # clamp: log finite even at grid points
-    step = np.where(x > 0.0, 2j * math.pi, 0.0)
-    return _sym_bracket(1.0 + um1, x, np.log(ax), step, c)
+    return _sym_bracket(*_resonant_args(delta_u, offset), c)
+
+
+def t2_bracket_change(delta_u, c: NormalizationConstants, offset):
+    """B(u_res + offset) - B(u_res) at u_res = 1 + delta_u, vectorized over
+    ``offset``, without the rounding of B itself.
+
+    The difference of two t2_bracket_resonant values loses the change to the
+    rounding of u = 1 + delta_u + offset in the O(1) terms 1/u^2 - 5/2 +
+    11u^2/6 + C0 + C1 u + C2 u^2 (about 1e-16 of B).  Their change is formed
+    from the offset instead: offset ((u_res + u)(11/6 + C2 - 1/(u_res u)^2)
+    + C1).  The front term F, of size x^3 ln|x|, is differenced as is; its
+    u - 1 rounds to ulp(delta_u), which adds about |dF/du| ulp(delta_u).
+    """
+    offset = np.asarray(offset, dtype=float)
+    u_res = 1.0 + delta_u
+    u = u_res + offset
+    poly = offset * ((u_res + u) * (11.0 / 6.0 + c.c2 - 1.0 / (u_res * u) ** 2) + c.c1)
+    return _front_term(*_resonant_args(delta_u, offset)) - _front_term(
+        *_resonant_args(delta_u, 0.0)) + poly
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,15 @@ runs over the half spectrum of a real FFT, each bin q_j > 0 standing for
 +-q_j (q = 0 and the Nyquist bin, at -N/2 as np.fft.fftfreq labels it,
 once), with the bracket evaluated in blocks of offsets.
 
-z_closed uses the exact int g^2 dx0 in closed form, so rel_error isolates
-the narrow-window reduction B(u) ~ B(u_res) and falls ~ 1/plateau^2 at a
-fixed ramp fraction.  That shows on synthetic presets (delta_u ~ 1e-3).  On
-hydrogen (delta_u ~ 1e-8) the reduction error lies below double precision
-at every plateau length, so rel_error sits at rounding and a monotone fall
-of it across plateau lengths compares noise.
+z_closed uses the exact int g^2 dx0 in closed form.  The sum runs over
+B(u_res + q) - B(u_res), which selfenergy.t2_bracket_change forms without
+B's own rounding, and z_numerical adds B(u_res) int |gt|^2 dq back.
+rel_error is the narrow-window reduction error alone, |<B> - B(u_res)| /
+|B(u_res)| with <B> the |gt|^2-weighted mean of the bracket, so it falls
+~ 1/plateau^2 at a fixed ramp fraction on synthetic presets (delta_u ~
+1e-3) and on hydrogen (delta_u ~ 1e-8, 8.5e-18 at 10 periods) alike.
+|z_numerical - z_closed| / |z_closed| also carries the FFT's rounding of
+int |gt|^2 dq = int g^2 dx0, a few 1e-16.
 """
 
 from __future__ import annotations
@@ -46,9 +49,15 @@ import numpy as np
 
 from .errors import CausalAtomError
 from .observables import TWO_PI, AtomParams, NormalizationConstants, t2_prefactor
-from .selfenergy import t2_bracket_resonant
+from .selfenergy import t2_bracket_change, t2_bracket_resonant
 
-__all__ = ["TestFunction", "ZComparison", "z_factor", "z_numerical", "convergence_study"]
+__all__ = [
+    "TestFunction",
+    "ZComparison",
+    "z_factor",
+    "z_numerical",
+    "convergence_study",
+]
 
 # premise metric for freezing T2s across the window
 REGIME_LIMIT = 0.1
@@ -143,18 +152,20 @@ class ZComparison:
 
     z_numerical: complex
     z_closed: complex          # uses the exact int g^2
-    rel_error: float
+    rel_error: float           # |<B> - B(u_res)| / |B(u_res)|, <B> the |gt|^2 mean
     z_closed_inverse_u: complex  # additionally weighted by 1/u_res (rate-consistent)
     narrowness: float          # |B'| * window width / |B| at resonance
     regime_ok: bool
 
 
-# offsets per t2_bracket_resonant call: bounds its temporaries
+# offsets per t2_bracket_change call: bounds its temporaries
 _BRACKET_BLOCK = 4096
 
 
 def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
                     g: TestFunction, n_fft: int, pad: float):
+    """int |gt|^2 dq, int (B(u_res + q) - B(u_res)) |gt|^2 dq and the rms
+    width of |gt|^2 in q."""
     lo, hi = g.support
     margin = 0.02 * (hi - lo)
     x0 = lo - margin
@@ -178,19 +189,19 @@ def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
     # each bin with q_j > 0 stands for q_j and -q_j; q = 0 and the Nyquist bin once
     mirror = np.where(q > 0.0, weight, 0.0)
     dq = TWO_PI / window
-    total_sum = 0j
+    change = 0j
     for s in range(0, q.size, _BRACKET_BLOCK):
         b = slice(s, s + _BRACKET_BLOCK)
-        total_sum += (np.sum(weight[b] * t2_bracket_resonant(delta_u, c_norm, q[b]))
-                      + np.sum(mirror[b] * t2_bracket_resonant(delta_u, c_norm, -q[b])))
+        change += (np.sum(weight[b] * t2_bracket_change(delta_u, c_norm, q[b]))
+                   + np.sum(mirror[b] * t2_bracket_change(delta_u, c_norm, -q[b])))
 
-    # window width (rms of |gt|^2), for the regime metric; each sum runs over
-    # the full spectrum
+    # int |gt|^2 dq and the window width (rms of |gt|^2), for the regime
+    # metric; each sum runs over the full spectrum
     total = float((np.sum(weight) + np.sum(mirror)) * dq)
     mean_q = float((np.sum(q * weight) - np.sum(q * mirror)) * dq / total)
     var_q = float((np.sum((q - mean_q) ** 2 * weight) + np.sum((q + mean_q) ** 2 * mirror))
                   * dq / total)
-    return complex(total_sum * dq), math.sqrt(max(var_q, 0.0))
+    return total, complex(change * dq), math.sqrt(max(var_q, 0.0))
 
 
 def z_numerical(delta_u: float,
@@ -205,11 +216,15 @@ def z_numerical(delta_u: float,
     long for floats overflows in the FFT sums: FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        z_num, width = _z_integral_fft(delta_u, c_norm, g, n_fft, pad)
+        total, change, width = _z_integral_fft(delta_u, c_norm, g, n_fft, pad)
 
+    # int B |gt|^2 dq = B(u_res) int |gt|^2 dq + int (B - B(u_res)) |gt|^2 dq
     bracket0 = complex(t2_bracket_resonant(delta_u, c_norm))
+    z_num = bracket0 * total + change
     z_closed = bracket0 * g.squared_integral()
-    rel = abs(z_num - z_closed) / abs(z_closed)
+    # the reduction error alone: int |gt|^2 dq = int g^2 dx0, but the FFT
+    # rounds it (a few 1e-16), which |z_num - z_closed| / |z_closed| carries
+    rel = abs(change) / (abs(bracket0) * total)
 
     h = max(width, 1e-9 * delta_u)
     b_plus = complex(t2_bracket_resonant(delta_u, c_norm, offset=h))
@@ -217,8 +232,14 @@ def z_numerical(delta_u: float,
     deriv = abs(b_plus - b_minus) / (2.0 * h)
     narrowness = deriv * width / abs(bracket0)
 
-    return ZComparison(z_num, z_closed, float(rel), z_closed / (1.0 + delta_u),
-                       float(narrowness), bool(narrowness < REGIME_LIMIT))
+    return ZComparison(
+        z_numerical=z_num,
+        z_closed=z_closed,
+        rel_error=float(rel),
+        z_closed_inverse_u=z_closed / (1.0 + delta_u),
+        narrowness=float(narrowness),
+        regime_ok=bool(narrowness < REGIME_LIMIT),
+    )
 
 
 def convergence_study(delta_u: float,
@@ -237,11 +258,12 @@ def convergence_study(delta_u: float,
     for n in plateau_periods:
         try:
             plateau = n * (TWO_PI / delta_u)
-            out.append(z_numerical(delta_u, c_norm,
-                                   TestFunction(plateau, 2.0 * ramp_fraction * plateau)))
         except OverflowError:  # an int past the float range
             raise CausalAtomError(f"a plateau_periods value of {n.bit_length()} bits "
                                   "leaves the float range") from None
+        try:
+            out.append(z_numerical(delta_u, c_norm,
+                                   TestFunction(plateau, 2.0 * ramp_fraction * plateau)))
         except FloatingPointError as exc:
             raise CausalAtomError(
                 f"Z integral leaves the float range for plateau_periods = {n:.6g} and "

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +19,8 @@ import pytest
 
 from causalatom import cli
 from causalatom.cli import main, resolve_preset
-from causalatom.observables import hydrogen_1s2p_preset, t2_prefactor
+from causalatom.observables import gamma_exact, hydrogen_1s2p_preset, t2_prefactor
+from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL, z_factor
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +279,29 @@ class TestWavepacketCommand:
             for ra, rb in zip(a["rows"], b["rows"]):
                 za, zb = (complex(float(r[col]["re"]), float(r[col]["im"])) for r in (ra, rb))
                 assert abs(zb - ratio * za) <= 1e-15 * abs(ratio * za), col
+
+    @pytest.mark.parametrize("preset, ramp_fraction", [("hydrogen-1s2p", 0.1),
+                                                       ("synthetic:1e-3", 0.3)])
+    def test_z_columns_against_the_si_observables(self, capsys, preset, ramp_fraction):
+        # z_factor freezes the bracket over c t_g, the plateau, in SI; int g^2
+        # adds the two edges, 2 kappa edge = 4 kappa ramp_fraction plateau.
+        # Im Z / t_g is the rate, gamma_exact with the 1/u_res weight.
+        code, out, _ = run_cli(capsys, "wavepacket-check", "--preset", preset,
+                               "--ramp-fraction", str(ramp_fraction))
+        assert code == 0
+        atom = resolve_preset(preset)
+        edges = 1.0 + 4.0 * EDGE_SQUARED_INTEGRAL * ramp_fraction
+        for row in json.loads(out)["results"]["rows"]:
+            z = {col: complex(row[col]["re"], row[col]["im"])
+                 for col in ("z_numerical", "z_closed", "z_closed_inverse_u")}
+            at_t_g = replace(atom, t_g=row["t_g_s"])
+            for col, weight in (("z_closed", "unity"), ("z_closed_inverse_u", "inverse_u")):
+                ref = z_factor(at_t_g, resonant_weight=weight) * edges
+                assert abs(z[col] - ref) <= 1e-13 * abs(ref), col
+            rate = z["z_closed_inverse_u"].imag / row["t_g_s"]
+            assert rate == pytest.approx(gamma_exact(atom, 5) * edges, rel=1e-12)
+            assert (abs(z["z_numerical"] - z["z_closed"])
+                    <= (row["rel_error"] + 1e-15) * abs(z["z_closed"]))
 
 
 class TestWWSimCommand:

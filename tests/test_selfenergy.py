@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from causalatom.errors import BranchPointError, SingularPointError
-from causalatom.observables import (NormalizationConstants, d2_scale, hydrogen_1s2p_preset,
-                                    r2_prefactor, t2_prefactor)
+from causalatom.observables import (NormalizationConstants, _sym_bracket, d2_scale,
+                                    hydrogen_1s2p_preset, r2_prefactor, t2_prefactor)
 from causalatom.selfenergy import (
     _core,
     as_causal_distribution,
@@ -17,6 +17,7 @@ from causalatom.selfenergy import (
     split_check_report,
     split_grid,
     sym_bracket,
+    t2_bracket_change,
     t2_bracket_resonant,
 )
 from causalatom.splitting import split
@@ -327,6 +328,34 @@ class TestT2Sym:
         rational = 1.0 / (1 + du) ** 2 - 2.5 + 11.0 * (1 + du) ** 2 / 6.0
         assert b.real == pytest.approx(expected_log + rational, rel=1e-12)
         assert b.imag == pytest.approx(front * 2 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [C0, NormalizationConstants(1.2, -0.4, 3.0)])
+    @pytest.mark.parametrize("du", [1e-8, 1e-3, 1e-2])
+    def test_change_keeps_its_own_relative_accuracy(self, c, du):
+        # B(u_res + q) - B(u_res) against 50-digit arithmetic, from offsets
+        # whose change is 1e-12 of B (where the difference of two
+        # t2_bracket_resonant values keeps no digit) to offsets past the
+        # branch point u = 1 (x < 0, no step)
+        def bracket(u):
+            x = u * u - 1
+            return _sym_bracket(u, x, mpmath.log(abs(x)), 2j * mpmath.pi if x > 0 else 0, c)
+
+        def exact(q):
+            with mpmath.workdps(50):
+                u_res = 1 + mpmath.mpf(du)
+                return complex(bracket(u_res + mpmath.mpf(q)) - bracket(u_res))
+
+        # the front term is differenced as is, at u - 1 = delta_u + offset
+        # rounded to ulp(delta_u): that adds |dF/du| ulp(delta_u), with
+        # |dF/du| ~ 3 x^2 |step - 2 ln x| near u_res, to the error
+        x0 = du * (2 + du)
+        floor = 3 * x0 ** 2 * (2 * math.pi + 2 * abs(math.log(x0))) * math.ulp(du)
+        qs = np.array([1e-12, 3e-9, 1e-6, 2e-4, 0.3, -0.5 * du, -2.0 * du, -0.4])
+        for offsets in (qs, -qs):
+            for q, got in zip(offsets, t2_bracket_change(du, c, offsets)):
+                ref = exact(q)
+                assert abs(got - ref) <= 1e-14 * abs(ref) + floor, (q, got, ref)
+        assert complex(t2_bracket_change(du, c, 0.0)) == 0
 
 
 class TestCore:

@@ -154,17 +154,18 @@ class TestHalfSpectrum:
         for n in (10, 100, 1000, 10000):
             plateau = n * 2 * math.pi / delta_u
             g = TestFunction(plateau, 0.2 * plateau)
-            z_half, width_half = wp._z_integral_fft(delta_u, C0, g, n_fft, 1.6)
+            total, change, width_half = wp._z_integral_fft(delta_u, C0, g, n_fft, 1.6)
+            z_half = complex(t2_bracket_resonant(delta_u, C0)) * total + change
             z_full, width_full = _z_integral_full_spectrum(delta_u, C0, g, n_fft, 1.6)
             assert abs(z_half - z_full) <= 1e-14 * abs(z_full)
             assert abs(width_half - width_full) <= 1e-14 * width_full
 
     @pytest.mark.parametrize("signs", [(1,), (1, -1)])
     def test_nyquist_bin_counted_once_at_minus_half(self, monkeypatch, signs):
-        # a bracket that is 1 at q = -N/2 (fftfreq's label for the Nyquist
-        # bin), or at +-N/2, and 0 elsewhere picks out that bin's weight:
-        # counted at +N/2 the first would read 0, counted at both the second
-        # would double
+        # a bracket change that is 1 at q = -N/2 (fftfreq's label for the
+        # Nyquist bin), or at +-N/2, and 0 elsewhere picks out that bin's
+        # weight: counted at +N/2 the first would read 0, counted at both the
+        # second would double
         from causalatom import selfenergy, wavepacket as wp
         n_fft, pad, delta_u = 64, 1.6, DELTA_U
         period = 2 * math.pi / delta_u
@@ -179,9 +180,9 @@ class TestHalfSpectrum:
             hit = sum(np.isclose(off, sign * nyquist, rtol=1e-12, atol=0.0) for sign in signs)
             return np.where(hit, 1.0 + 0j, 0j)
 
-        monkeypatch.setattr(wp, "t2_bracket_resonant", spike)
+        monkeypatch.setattr(wp, "t2_bracket_change", spike)
         monkeypatch.setattr(selfenergy, "t2_bracket_resonant", spike)
-        z_half, _ = wp._z_integral_fft(delta_u, C0, g, n_fft, pad)
+        _, z_half, _ = wp._z_integral_fft(delta_u, C0, g, n_fft, pad)
         z_full, _ = _z_integral_full_spectrum(delta_u, C0, g, n_fft, pad)
         assert z_full != 0
         assert z_half == pytest.approx(z_full, rel=1e-12)
@@ -197,20 +198,37 @@ class TestZNumerical:
         assert all(zc.regime_ok for zc in study)
 
     def test_hydrogen_error_at_rounding(self):
-        # delta_u ~ 1e-8: the reduction error lies below double precision at
-        # every default plateau length, so rel_error is rounding
+        # delta_u ~ 1e-8: the reduction error lies below double precision's
+        # resolution of Z itself at every default plateau length
         study = convergence_study(hydrogen_1s2p_preset().delta_u, C0,
                                   [10, 100, 1000, 10000])
         assert all(zc.rel_error <= 1e-14 for zc in study)
 
     @pytest.mark.parametrize("ramp_fraction", [0.1, 0.3])
     def test_error_falls_as_inverse_square_plateau(self, ramp_fraction):
-        # at a fixed ramp fraction each decade of plateau cuts rel_error
-        # 100-fold, to 1% and a rounding floor: the FFT sums leave a few 1e-16
-        # (hydrogen's rows), 1% of the 1.9e-14 at 10000 periods and ramp 0.3
+        # at a fixed ramp fraction each decade of plateau cuts rel_error 100-fold
         study = convergence_study(1e-3, C0, [10, 100, 1000, 10000], ramp_fraction)
         errs = [zc.rel_error for zc in study]
-        assert all(abs(a / 100 - b) <= 0.01 * b + 5e-16 for a, b in zip(errs, errs[1:])), errs
+        assert all(99 <= a / b <= 101 for a, b in zip(errs, errs[1:])), errs
+
+    def test_hydrogen_error_falls_as_inverse_square_plateau(self):
+        # the bracket's change is summed without B's own rounding, so the
+        # reduction error resolves on hydrogen too: 8.5e-18 at 10 periods
+        study = convergence_study(hydrogen_1s2p_preset().delta_u, C0,
+                                  [10, 100, 1000, 10000])
+        errs = [zc.rel_error for zc in study]
+        assert all(99 <= a / b <= 101 for a, b in zip(errs, errs[1:])), errs
+
+    def test_error_is_the_window_mean_of_the_bracket_change(self):
+        # rel_error is |<B> - B(u_res)| / |B(u_res)| over the FFT's |gt|^2;
+        # z_numerical also carries the FFT's rounding of int |gt|^2 = int g^2,
+        # so the two measures of the error agree to a few 1e-16
+        period = 2 * math.pi / 1e-3
+        for n in (10, 1000):
+            g = TestFunction(n * period, 0.6 * n * period)
+            zc = z_numerical(1e-3, C0, g)
+            direct = abs(zc.z_numerical - zc.z_closed) / abs(zc.z_closed)
+            assert abs(direct - zc.rel_error) <= 1e-15
 
     def test_large_plateau_error(self):
         study = convergence_study(DELTA_U, C0, [10 ** 6])
@@ -263,7 +281,8 @@ class TestZNumerical:
         gobj = GaussianProfile(plateau, plateau)
         assert gobj.support[0] < center - 10 * s_len
         assert gobj.support[1] > center + 10 * s_len
-        z_fft, _ = wp._z_integral_fft(delta_u, C0, gobj, n_fft=2 ** 14, pad=1.8)
+        total, change, _ = wp._z_integral_fft(delta_u, C0, gobj, n_fft=2 ** 14, pad=1.8)
+        z_fft = complex(t2_bracket_resonant(delta_u, C0)) * total + change
 
         def integrand(q, part):
             # |gt|^2 of the shifted Gaussian: the shift is a pure phase
