@@ -7,9 +7,9 @@ so mixing them into intermediate arithmetic would underflow).
 
 log((u^2-1)^2) is evaluated as 2 ln|u^2-1|: the squared argument keeps the
 real logarithm single-valued on the real axis, no complex branch needed.
-u in {0, +-1} are hard errors for the closed forms; callers that need the
-neighbourhood of u = 1 use the delta_u-parameterized evaluators below, which
-compute u^2 - 1 = delta_u (2 + delta_u) without cancellation.
+u in {0, +-1} are hard errors for the closed forms.  Near u = 1 the one
+evaluator is t2_bracket_resonant, a form factored in d = u - 1 in which
+nothing cancels at small d; t2_bracket_slope is its closed-form dB/du.
 """
 
 from __future__ import annotations
@@ -20,18 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, GridResolutionError, SingularPointError
-from .observables import (TWO_PI, NormalizationConstants, _front_term, _sym_bracket,
-                          d2_scale, r2_prefactor)
+from .observables import (NORMALIZATION_EXACT, NormalizationConstants, _front_term,
+                          _sym_bracket, d2_scale, r2_prefactor)
 from .splitting import CausalDistribution1D, split
 
 __all__ = [
     "d2_tilde",
-    "d2_tilde_general",
     "r2prime_tilde",
     "r2_tilde_closed",
     "sym_bracket",
     "t2_bracket_resonant",
-    "t2_bracket_change",
+    "t2_bracket_slope",
     "as_causal_distribution",
 ]
 
@@ -63,29 +62,6 @@ def d2_tilde(u: float, atom) -> complex:
     if abs(abs(u) - 1.0) < 1e-14:
         raise BranchPointError(f"u = {u} is on the branch surface |u| = 1")
     return 1j * d2_scale(atom) * float(_core(np.array([u]))[0])
-
-
-def d2_tilde_general(p0: float, pvec, dvec, atom) -> complex:
-    """Full moving-atom distribution; p0 and pvec are wavevectors (1/m).
-
-    Reduces to d2_tilde(u = p0 lb) at pvec = 0, where the dipole bracket
-    collapses to |d_eg|^2 p0^2.
-    """
-    k = atom.constants
-    lb = atom.lambda_bar_g
-    pvec = np.asarray(pvec, dtype=float)
-    dvec = np.asarray(dvec, dtype=complex)
-    pp = p0 * p0 - float(pvec @ pvec)
-    x = pp * lb * lb - 1.0
-    if abs(x) < 1e-14:
-        raise BranchPointError("p.p on the branch surface p.p = lambda_bar_g^-2")
-    if x <= 0.0 or p0 == 0.0:
-        return 0.0 + 0.0j
-    d2 = float(np.vdot(dvec, dvec).real)
-    pd = complex(pvec @ dvec)
-    bracket = d2 * (2.0 * p0 * p0 - pp) - 2.0 * abs(pd) ** 2
-    return (1j * x ** 3 * math.copysign(1.0, p0) * bracket /
-            (12.0 * k.eps0 * k.hbar * k.c * (TWO_PI * pp) ** 3 * lb ** 7))
 
 
 def r2prime_tilde(u: float, atom) -> complex:
@@ -183,41 +159,54 @@ def _bracket_term_scale(u, x, ln_abs_x, step):
             + 1.0 / u ** 2 + 2.5 + 11.0 * u ** 2 / 6.0)
 
 
-def _resonant_args(delta_u, offset):
-    """The arguments of _sym_bracket at u = 1 + delta_u + offset."""
-    um1 = np.asarray(delta_u + offset, dtype=float)   # u - 1
-    x = um1 * (2.0 + um1)                             # u^2 - 1, exact
+# NORMALIZATION_EXACT.c2 - (-29/6), by which fl(-29/6) misses -29/6: exactly
+# 2^-49/6, which rounds once here, 2.96e-16
+_C2_ROUNDING = 2.0 ** -49 / 6.0
+
+
+def _c_quadratic(c: NormalizationConstants):
+    """(k0, k1, k2) with (C - C_exact).(1, u, u^2) = k0 + k1 d + k2 d^2 at
+    u = 1 + d, C_exact = (-7/2, 8, -29/6); (0, 0, 0) at NORMALIZATION_EXACT,
+    whose c2 reads as -29/6.  Any other C carries _C2_ROUNDING, added last: at
+    C = 0 the sums before it are exact, and (1/3, 5/3, 29/6) round once."""
+    if c == NORMALIZATION_EXACT:
+        return 0.0, 0.0, 0.0
+    a0, a1, a2, e = c.c0 + 3.5, c.c1 - 8.0, c.c2 - NORMALIZATION_EXACT.c2, _C2_ROUNDING
+    return (a0 + a1) + a2 + e, (a1 + 2.0 * a2) + 2.0 * e, a2 + e
+
+
+def _factored_args(d):
+    """u = 1 + d, u^2, x = u^2 - 1 = d (2 + d) and the log factor
+    step - 2 ln|x| of the front term, from d = u - 1 held exactly."""
+    u, x = 1.0 + d, d * (2.0 + d)
     ax = np.maximum(np.abs(x), 1e-300)  # clamp: log finite even at grid points
-    return 1.0 + um1, x, np.log(ax), np.where(x > 0.0, 2j * math.pi, 0.0)
+    return u, u * u, x, np.where(x > 0.0, 2j * math.pi, 0.0) - 2.0 * np.log(ax)
 
 
 def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
-    """Symmetrized bracket at u = 1 + delta_u + offset, cancellation-free.
+    """Symmetrized bracket at u = 1 + d, d = delta_u + offset held exactly.
 
-    u^2 - 1 is formed as (u-1)(u+1) with u-1 = delta_u + offset held exactly,
-    so the bracket stays accurate for delta_u down to ~1e-16.  Vectorized
-    over ``offset`` (used for narrow frequency windows around resonance).
+    At C_exact u^2 times the rational part is -d^3 (3u + 1), so
+    B(u; C_exact) = x^3/(2u^4) (step - 2 ln|x|) - d^3 (3d + 4)/u^2 with
+    x = d (2 + d): every term is O(d^3), and nothing cancels.  Any other C
+    adds the quadratic of _c_quadratic.  Vectorized over ``offset``.
     """
-    return _sym_bracket(*_resonant_args(delta_u, offset), c)
+    d = np.asarray(delta_u + offset, dtype=float)
+    u, uu, x, log_factor = _factored_args(d)
+    k0, k1, k2 = _c_quadratic(c)
+    return x * x * x / (2.0 * uu * uu) * log_factor - d * d * d * (3.0 * d + 4.0) / uu + (
+        k0 + (k1 + k2 * d) * d)
 
 
-def t2_bracket_change(delta_u, c: NormalizationConstants, offset):
-    """B(u_res + offset) - B(u_res) at u_res = 1 + delta_u, vectorized over
-    ``offset``, without the rounding of B itself.
-
-    The difference of two t2_bracket_resonant values loses the change to the
-    rounding of u = 1 + delta_u + offset in the O(1) terms 1/u^2 - 5/2 +
-    11u^2/6 + C0 + C1 u + C2 u^2 (about 1e-16 of B).  Their change is formed
-    from the offset instead: offset ((u_res + u)(11/6 + C2 - 1/(u_res u)^2)
-    + C1).  The front term F, of size x^3 ln|x|, is differenced as is; its
-    u - 1 rounds to ulp(delta_u), which adds about |dF/du| ulp(delta_u).
-    """
-    offset = np.asarray(offset, dtype=float)
-    u_res = 1.0 + delta_u
-    u = u_res + offset
-    poly = offset * ((u_res + u) * (11.0 / 6.0 + c.c2 - 1.0 / (u_res * u) ** 2) + c.c1)
-    return _front_term(*_resonant_args(delta_u, offset)) - _front_term(
-        *_resonant_args(delta_u, 0.0)) + poly
+def t2_bracket_slope(delta_u, c: NormalizationConstants):
+    """dB/du at u = 1 + delta_u, from the factored form of t2_bracket_resonant:
+    x^2 (u^2 + 2)/u^5 (step - 2 ln|x|) - 2x^2/u^3 - 2d^2 (3u^2 + 2u + 1)/u^3
+    at C_exact, plus the quadratic's k1 + 2 k2 d."""
+    d = np.asarray(delta_u, dtype=float)
+    u, uu, x, log_factor = _factored_args(d)
+    _, k1, k2 = _c_quadratic(c)
+    return (x * x * (uu + 2.0) / (uu * uu * u) * log_factor - 2.0 * x * x / (uu * u)
+            - 2.0 * d * d * (3.0 * uu + 2.0 * u + 1.0) / (uu * u) + (k1 + 2.0 * k2 * d))
 
 
 # ---------------------------------------------------------------------------

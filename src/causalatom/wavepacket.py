@@ -29,15 +29,15 @@ runs over the half spectrum of a real FFT, each bin q_j > 0 standing for
 +-q_j (q = 0 and the Nyquist bin, at -N/2 as np.fft.fftfreq labels it,
 once), with the bracket evaluated in blocks of offsets.
 
-z_closed uses the exact int g^2 dx0 in closed form.  The sum runs over
-B(u_res + q) - B(u_res), which selfenergy.t2_bracket_change forms without
-B's own rounding, and z_numerical adds B(u_res) int |gt|^2 dq back.
-rel_error is the narrow-window reduction error alone, |<B> - B(u_res)| /
-|B(u_res)| with <B> the |gt|^2-weighted mean of the bracket, so it falls
-~ 1/plateau^2 at a fixed ramp fraction on synthetic presets (delta_u ~
-1e-3) and on hydrogen (delta_u ~ 1e-8, 8.5e-18 at 10 periods) alike.
-|z_numerical - z_closed| / |z_closed| also carries the FFT's rounding of
-int |gt|^2 dq = int g^2 dx0, a few 1e-16.
+z_closed uses the exact int g^2 dx0 in closed form.  The bins sum
+B(u_res + q) - B(u_res) at C_exact (selfenergy.t2_bracket_resonant), the
+quadratic another C adds is exact from the moments of |gt|^2, and
+z_numerical adds B(u_res) int |gt|^2 dq back.  rel_error is the narrow-window
+reduction error alone, |<B> - B(u_res)| / |B(u_res)| with <B> the
+|gt|^2-weighted mean of B, so it falls ~ 1/plateau^2 at a fixed ramp fraction
+on synthetic presets and on hydrogen (8.5e-18 at 10 periods) alike, at C = 0
+and at C_exact.  |z_numerical - z_closed| / |z_closed| also carries the FFT's
+rounding of int |gt|^2 dq = int g^2 dx0, a few 1e-16.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalAtomError
-from .observables import TWO_PI, AtomParams, NormalizationConstants, t2_prefactor
-from .selfenergy import t2_bracket_change, t2_bracket_resonant
+from .observables import (NORMALIZATION_EXACT, TWO_PI, AtomParams, NormalizationConstants,
+                          t2_prefactor)
+from .selfenergy import _c_quadratic, t2_bracket_resonant, t2_bracket_slope
 
 __all__ = [
     "TestFunction",
@@ -158,7 +159,7 @@ class ZComparison:
     regime_ok: bool
 
 
-# offsets per t2_bracket_change call: bounds its temporaries
+# offsets per t2_bracket_resonant call: bounds its temporaries
 _BRACKET_BLOCK = 4096
 
 
@@ -189,19 +190,23 @@ def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
     # each bin with q_j > 0 stands for q_j and -q_j; q = 0 and the Nyquist bin once
     mirror = np.where(q > 0.0, weight, 0.0)
     dq = TWO_PI / window
+    # the bins sum the change of B at C_exact; the quadratic another C adds
+    # changes by (k1 + 2 k2 delta_u) q + k2 q^2, exact from the moments
+    at_res = t2_bracket_resonant(delta_u, NORMALIZATION_EXACT)
     change = 0j
     for s in range(0, q.size, _BRACKET_BLOCK):
         b = slice(s, s + _BRACKET_BLOCK)
-        change += (np.sum(weight[b] * t2_bracket_change(delta_u, c_norm, q[b]))
-                   + np.sum(mirror[b] * t2_bracket_change(delta_u, c_norm, -q[b])))
-
-    # int |gt|^2 dq and the window width (rms of |gt|^2), for the regime
-    # metric; each sum runs over the full spectrum
+        change += (np.sum(weight[b] * (t2_bracket_resonant(delta_u, NORMALIZATION_EXACT, q[b])
+                                       - at_res))
+                   + np.sum(mirror[b] * (t2_bracket_resonant(delta_u, NORMALIZATION_EXACT, -q[b])
+                                         - at_res)))
     total = float((np.sum(weight) + np.sum(mirror)) * dq)
-    mean_q = float((np.sum(q * weight) - np.sum(q * mirror)) * dq / total)
-    var_q = float((np.sum((q - mean_q) ** 2 * weight) + np.sum((q + mean_q) ** 2 * mirror))
-                  * dq / total)
-    return total, complex(change * dq), math.sqrt(max(var_q, 0.0))
+    m1 = float((np.sum(q * weight) - np.sum(q * mirror)) * dq)
+    m2 = float((np.sum(q * q * weight) + np.sum(q * q * mirror)) * dq)
+    _, k1, k2 = _c_quadratic(c_norm)
+    change = complex(change * dq) + (k1 + 2.0 * k2 * delta_u) * m1 + k2 * m2
+    # the window width, the rms of |gt|^2, for the regime metric
+    return total, change, math.sqrt(max(m2 / total - (m1 / total) ** 2, 0.0))
 
 
 def z_numerical(delta_u: float,
@@ -211,9 +216,10 @@ def z_numerical(delta_u: float,
                 pad: float = 1.6) -> ZComparison:
     """Evaluate the frequency integral for Z and compare with the frozen-bracket value.
 
-    The regime premise |B'| * width / |B| < 0.1 is checked and reported;
-    a violation flags the result rather than suppressing it.  A window too
-    long for floats overflows in the FFT sums: FloatingPointError.
+    The regime premise |B'| * width / |B| < 0.1, with B' in closed form
+    (selfenergy.t2_bracket_slope), is checked and reported; a violation
+    flags the result rather than suppressing it.  A window too long for
+    floats overflows in the FFT sums: FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         total, change, width = _z_integral_fft(delta_u, c_norm, g, n_fft, pad)
@@ -225,12 +231,7 @@ def z_numerical(delta_u: float,
     # the reduction error alone: int |gt|^2 dq = int g^2 dx0, but the FFT
     # rounds it (a few 1e-16), which |z_num - z_closed| / |z_closed| carries
     rel = abs(change) / (abs(bracket0) * total)
-
-    h = max(width, 1e-9 * delta_u)
-    b_plus = complex(t2_bracket_resonant(delta_u, c_norm, offset=h))
-    b_minus = complex(t2_bracket_resonant(delta_u, c_norm, offset=-h))
-    deriv = abs(b_plus - b_minus) / (2.0 * h)
-    narrowness = deriv * width / abs(bracket0)
+    narrowness = abs(complex(t2_bracket_slope(delta_u, c_norm))) * width / abs(bracket0)
 
     return ZComparison(
         z_numerical=z_num,

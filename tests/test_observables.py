@@ -168,20 +168,17 @@ class TestZFactor:
             c = NormalizationConstants(*rng.uniform(-10, 10, 3))
             assert z_factor(hyd, c).imag == pytest.approx(ref, rel=1e-12)
 
-    def test_real_part_with_solved_c_matches_delta_final(self):
-        # At physical delta_u ~ 1e-8 the zeroed low-order terms sit ~1e-22
-        # below the float noise of the bracket, so the real part is checked
-        # on synthetic atoms where the cubic terms are resolvable; the
-        # residual relative difference is the next series order, O(delta_u).
-        c = NORMALIZATION_EXACT
-        rels = []
-        for du in (1e-2, 1e-3):
-            atom = synthetic_atom(du)
-            re = z_factor(atom, c).real / atom.t_g
-            rel = abs(re / delta_final(atom) - 1.0)
-            rels.append(rel)
-            assert rel < 10.0 * du
-        assert rels[1] < rels[0]
+    def test_real_part_with_solved_c_matches_delta_final(self, hyd):
+        # Re Z/t_g at C_exact is the all-orders shift.  Its relative gap from
+        # delta_final is the next series order, about -3.6 delta_u with the
+        # 1/u_res weight and one delta_u more with weight 1, from hydrogen's
+        # 1.09e-8 up to 1e-2
+        atoms = [hyd] + [synthetic_atom(10.0 ** -k) for k in range(7, 1, -1)]
+        for weight, lo, hi in (("inverse_u", -4.0, -3.5), ("unity", -3.0, -2.5)):
+            for atom in atoms:
+                shift = z_factor(atom, NORMALIZATION_EXACT, weight).real / atom.t_g
+                gap = (shift / delta_final(atom) - 1.0) / atom.delta_u
+                assert lo <= gap <= hi, (weight, atom.delta_u, gap)
 
 
 class TestLineShiftSeries:
@@ -335,7 +332,8 @@ class TestSeriesDesign:
         assert calls == [obs._EXTRACT_POINTS] * 2
 
     def test_decimal_samples_are_the_float_bracket(self):
-        # the decimal sampler and the float path run the one _sym_bracket
+        # the decimal sampler's rational form _sym_bracket against the float
+        # path's factored form at C = 0
         from causalatom import observables as obs
         from causalatom.selfenergy import t2_bracket_resonant
         grid, ln_grid = obs._series_design()[:2]

@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from causalatom.errors import BranchPointError, SingularPointError
-from causalatom.observables import (NormalizationConstants, _sym_bracket, d2_scale,
-                                    hydrogen_1s2p_preset, r2_prefactor, t2_prefactor)
+from causalatom.observables import (NORMALIZATION_EXACT, NormalizationConstants, _sym_bracket,
+                                    d2_scale, hydrogen_1s2p_preset, r2_prefactor,
+                                    t2_prefactor)
 from causalatom.selfenergy import (
     _core,
     as_causal_distribution,
     d2_tilde,
-    d2_tilde_general,
     r2_tilde_closed,
     r2prime_tilde,
     split_check_report,
     split_grid,
     sym_bracket,
-    t2_bracket_change,
     t2_bracket_resonant,
+    t2_bracket_slope,
 )
 from causalatom.splitting import split
 
@@ -47,50 +47,9 @@ class TestD2Tilde:
         assert got.real == 0.0
         assert got.imag == pytest.approx(expect.imag, rel=1e-14)
 
-    def test_matches_general_at_rest(self, atom):
-        lb = atom.lambda_bar_g
-        dvec = np.array([atom.d_eg_abs, 0.0, 0.0], dtype=complex)
-        for u in (1.5, 2.0, -2.0, 3.3):
-            general = d2_tilde_general(u / lb, np.zeros(3), dvec, atom)
-            assert general == pytest.approx(d2_tilde(u, atom), rel=1e-12)
-
     def test_branch_point(self, atom):
         with pytest.raises(BranchPointError):
             d2_tilde(1.0, atom)
-
-
-class TestD2General:
-    def test_spacelike_is_zero(self, atom):
-        lb = atom.lambda_bar_g
-        dvec = np.array([atom.d_eg_abs, 0.0, 0.0], dtype=complex)
-        assert d2_tilde_general(0.5 / lb, [2.0 / lb, 0, 0], dvec, atom) == 0.0
-
-    def test_below_threshold_is_zero(self, atom):
-        lb = atom.lambda_bar_g
-        dvec = np.array([atom.d_eg_abs, 0.0, 0.0], dtype=complex)
-        # p.p > 0 but p.p lb^2 < 1
-        assert d2_tilde_general(0.9 / lb, [0.1 / lb, 0, 0], dvec, atom) == 0.0
-
-    def test_perpendicular_dipole_bracket(self, atom):
-        k = atom.constants
-        lb = atom.lambda_bar_g
-        p0 = 2.5 / lb
-        pvec = np.array([0.8 / lb, 0.0, 0.0])
-        dvec = np.array([0.0, atom.d_eg_abs, 0.0], dtype=complex)  # perp to pvec
-        got = d2_tilde_general(p0, pvec, dvec, atom)
-        # independent recomputation with the p.d term dropped explicitly
-        pp = p0 ** 2 - pvec @ pvec
-        x = pp * lb * lb - 1.0
-        bracket = atom.d_eg_abs ** 2 * (2 * p0 ** 2 - pp)
-        expect = 1j * x ** 3 * bracket / (
-            12 * k.eps0 * k.hbar * k.c * (2 * math.pi * pp) ** 3 * lb ** 7)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_branch_surface(self, atom):
-        lb = atom.lambda_bar_g
-        dvec = np.array([atom.d_eg_abs, 0.0, 0.0], dtype=complex)
-        with pytest.raises(BranchPointError):
-            d2_tilde_general(1.0 / lb, np.zeros(3), dvec, atom)
 
 
 class TestR2Prime:
@@ -329,33 +288,30 @@ class TestT2Sym:
         assert b.real == pytest.approx(expected_log + rational, rel=1e-12)
         assert b.imag == pytest.approx(front * 2 * math.pi, rel=1e-12)
 
-    @pytest.mark.parametrize("c", [C0, NormalizationConstants(1.2, -0.4, 3.0)])
-    @pytest.mark.parametrize("du", [1e-8, 1e-3, 1e-2])
-    def test_change_keeps_its_own_relative_accuracy(self, c, du):
-        # B(u_res + q) - B(u_res) against 50-digit arithmetic, from offsets
-        # whose change is 1e-12 of B (where the difference of two
-        # t2_bracket_resonant values keeps no digit) to offsets past the
-        # branch point u = 1 (x < 0, no step)
+    @pytest.mark.parametrize("c, bound", [
+        (NORMALIZATION_EXACT, 1e-15), (C0, 6.7e-16),
+        (NormalizationConstants(1.2, -0.4, 3.0), 1e-15),
+        # one ulp off the exact triple: B ~ 1.2e-15 of which 2.96e-16 is the
+        # amount by which fl(-29/6) misses -29/6
+        (NormalizationConstants(-3.5, 8.0, math.nextafter(-29 / 6, 0)), 1e-15)])
+    @pytest.mark.parametrize("du", [1e-9, hydrogen_1s2p_preset().delta_u, 1e-6, 1e-4,
+                                    1e-3, 1e-2, 5e-2])
+    def test_resonant_form_against_60_digits(self, c, bound, du):
+        # B and dB/du at u = 1 + du against the rational form _sym_bracket and
+        # mpmath's derivative of it, in 60 digits.  NORMALIZATION_EXACT
+        # stands for C_exact = (-7/2, 8, -29/6), at which B is O(du^3 ln du):
+        # at du = 1e-9 its rational part is 1e-27, from O(1) terms
         def bracket(u):
             x = u * u - 1
-            return _sym_bracket(u, x, mpmath.log(abs(x)), 2j * mpmath.pi if x > 0 else 0, c)
+            return _sym_bracket(u, x, mpmath.log(x), 2j * mpmath.pi, ref_c)
 
-        def exact(q):
-            with mpmath.workdps(50):
-                u_res = 1 + mpmath.mpf(du)
-                return complex(bracket(u_res + mpmath.mpf(q)) - bracket(u_res))
-
-        # the front term is differenced as is, at u - 1 = delta_u + offset
-        # rounded to ulp(delta_u): that adds |dF/du| ulp(delta_u), with
-        # |dF/du| ~ 3 x^2 |step - 2 ln x| near u_res, to the error
-        x0 = du * (2 + du)
-        floor = 3 * x0 ** 2 * (2 * math.pi + 2 * abs(math.log(x0))) * math.ulp(du)
-        qs = np.array([1e-12, 3e-9, 1e-6, 2e-4, 0.3, -0.5 * du, -2.0 * du, -0.4])
-        for offsets in (qs, -qs):
-            for q, got in zip(offsets, t2_bracket_change(du, c, offsets)):
-                ref = exact(q)
-                assert abs(got - ref) <= 1e-14 * abs(ref) + floor, (q, got, ref)
-        assert complex(t2_bracket_change(du, c, 0.0)) == 0
+        with mpmath.workdps(60):
+            ref_c = (NormalizationConstants(mpmath.mpf(-7) / 2, 8, mpmath.mpf(-29) / 6)
+                     if c == NORMALIZATION_EXACT else c)
+            ref, ref_slope = map(complex, mpmath.diffs(bracket, 1 + mpmath.mpf(du), 1))
+        got, slope = complex(t2_bracket_resonant(du, c)), complex(t2_bracket_slope(du, c))
+        assert abs(got - ref) <= bound * abs(ref), (got, ref)
+        assert abs(slope - ref_slope) <= 2e-15 * abs(ref_slope), (slope, ref_slope)
 
 
 class TestCore:

@@ -1,13 +1,16 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
 from causalatom.errors import CausalAtomError
 from causalatom.observables import (
+    NORMALIZATION_EXACT,
     NormalizationConstants,
+    _sym_bracket,
     atom_from_dict,
     hydrogen_1s2p_preset,
     synthetic_atom,
@@ -162,10 +165,11 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("signs", [(1,), (1, -1)])
     def test_nyquist_bin_counted_once_at_minus_half(self, monkeypatch, signs):
-        # a bracket change that is 1 at q = -N/2 (fftfreq's label for the
-        # Nyquist bin), or at +-N/2, and 0 elsewhere picks out that bin's
-        # weight: counted at +N/2 the first would read 0, counted at both the
-        # second would double
+        # a bracket that is 1 at q = -N/2 (fftfreq's label for the Nyquist
+        # bin), or at +-N/2, and 0 elsewhere picks out that bin's weight:
+        # counted at +N/2 the first would read 0, counted at both the second
+        # would double.  At NORMALIZATION_EXACT the bins carry all of the
+        # change, and the moment terms vanish
         from causalatom import selfenergy, wavepacket as wp
         n_fft, pad, delta_u = 64, 1.6, DELTA_U
         period = 2 * math.pi / delta_u
@@ -180,10 +184,10 @@ class TestHalfSpectrum:
             hit = sum(np.isclose(off, sign * nyquist, rtol=1e-12, atol=0.0) for sign in signs)
             return np.where(hit, 1.0 + 0j, 0j)
 
-        monkeypatch.setattr(wp, "t2_bracket_change", spike)
+        monkeypatch.setattr(wp, "t2_bracket_resonant", spike)
         monkeypatch.setattr(selfenergy, "t2_bracket_resonant", spike)
-        _, z_half, _ = wp._z_integral_fft(delta_u, C0, g, n_fft, pad)
-        z_full, _ = _z_integral_full_spectrum(delta_u, C0, g, n_fft, pad)
+        _, z_half, _ = wp._z_integral_fft(delta_u, NORMALIZATION_EXACT, g, n_fft, pad)
+        z_full, _ = _z_integral_full_spectrum(delta_u, NORMALIZATION_EXACT, g, n_fft, pad)
         assert z_full != 0
         assert z_half == pytest.approx(z_full, rel=1e-12)
 
@@ -229,6 +233,37 @@ class TestZNumerical:
             zc = z_numerical(1e-3, C0, g)
             direct = abs(zc.z_numerical - zc.z_closed) / abs(zc.z_closed)
             assert abs(direct - zc.rel_error) <= 1e-15
+
+    @pytest.mark.parametrize("c", [C0, NORMALIZATION_EXACT])
+    @pytest.mark.parametrize("delta_u", [hydrogen_1s2p_preset().delta_u,
+                                         synthetic_atom(1e-3).delta_u])
+    def test_error_and_narrowness_from_the_bracket_derivatives(self, c, delta_u):
+        # with <q^2> = int g'^2 / int g^2 the window's mean square offset,
+        # rel_error ~ (1/2) |B''/B| <q^2> and narrowness = |B'/B| sqrt(<q^2>);
+        # int g'^2 = 2 * 2.31/edge, as int_0^1 s'^2 = 924/400 for the sin^6
+        # edge.  B, B' and B'' of the rational form _sym_bracket in 60
+        # digits, at C_exact = (-7/2, 8, -29/6) for NORMALIZATION_EXACT
+        def bracket(u):
+            x = u * u - 1
+            return _sym_bracket(u, x, mpmath.log(x), 2j * mpmath.pi, ref_c)
+
+        with mpmath.workdps(60):
+            ref_c = (NormalizationConstants(mpmath.mpf(-7) / 2, 8, mpmath.mpf(-29) / 6)
+                     if c == NORMALIZATION_EXACT else c)
+            b, slope, curvature = mpmath.diffs(bracket, 1 + mpmath.mpf(delta_u), 2)
+            slope, curvature = float(abs(slope / b)), float(abs(curvature / b))
+        periods = [10, 100, 1000, 10000]
+        study = convergence_study(delta_u, c, periods, 0.1)
+        for n, zc in zip(periods, study):
+            plateau = n * 2 * math.pi / delta_u
+            g = TestFunction(plateau, 0.2 * plateau)
+            mean_square = 2 * 2.31 / g.edge / g.squared_integral()
+            assert abs(zc.narrowness / (slope * math.sqrt(mean_square)) - 1) <= 1e-12
+            if n >= 100:
+                assert abs(zc.rel_error / (0.5 * curvature * mean_square) - 1) <= 1e-3
+        # at C_exact |B'/B| ~ 3/delta_u: 10 periods are a wide window
+        # (narrowness 0.208 on hydrogen), 100 are not
+        assert [zc.regime_ok for zc in study] == [c == C0, True, True, True]
 
     def test_large_plateau_error(self):
         study = convergence_study(DELTA_U, C0, [10 ** 6])
