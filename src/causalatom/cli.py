@@ -228,18 +228,18 @@ def resolve_preset(name: str) -> AtomParams:
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _divisor(name: str, value: float, atom, fields) -> float:
-    """``value``, which the command divides by; refused if it is 0, as a zero
-    dipole or an underflowing power of omega_eg or 1/lambda_bar_g makes it."""
+def _nonzero(name: str, value: float, atom, fields) -> float:
+    """``value``, which scales or divides the command's results; refused if it
+    is 0, as a zero dipole or an underflowing power of omega_eg or 1/lambda_bar_g makes it."""
     if value == 0.0:
         doc = atom_to_dict(atom)
         named = ", ".join(f"{f} = {doc[f]:.6g}" for f in fields)
-        raise PresetError(f"{name} is 0 for {named}; this command divides by it")
+        raise PresetError(f"{name} is 0 for {named}; this command needs it nonzero")
     return value
 
 
 def _cmd_gamma(atom, opts):
-    g_lead = _divisor("gamma_leading", gamma_leading(atom), atom,
+    g_lead = _nonzero("gamma_leading", gamma_leading(atom), atom,
                       ("d_eg_Cm", "omega_eg_rad_s"))
     g5 = gamma_exact(atom, 5)
     g4 = gamma_exact(atom, 4)
@@ -278,16 +278,20 @@ def _cmd_ratio(atom, opts):
 
 
 def _cmd_split_check(atom, opts):
+    # the check runs in units of r2_prefactor: SI enters here, and only here
     grid = split_grid(opts["u_min"], opts["u_max"], opts["points"])
-    _divisor("r2_prefactor", r2_prefactor(atom), atom, ("d_eg_Cm", "m_g_kg"))
-    rep = split_check_report(atom, grid, tol=opts["tol"])
+    pref = _nonzero("r2_prefactor", r2_prefactor(atom), atom, ("d_eg_Cm", "m_g_kg"))
+    rep = split_check_report(grid, tol=opts["tol"])
+    cols = {name: getattr(rep, name) for name in SPLIT_CHECK_COLUMNS}
+    for name in ("re_closed", "im_closed", "re_numeric", "im_numeric"):
+        cols[name] = cols[name] * pref
     return {
-        "rows": Table({name: getattr(rep, name).tolist() for name in SPLIT_CHECK_COLUMNS}),
+        "rows": Table({name: col.tolist() for name, col in cols.items()}),
         "max_im_rel_err": float(rep.im_rel_err.max()),
         "max_re_rel_err": float(rep.re_rel_err.max()),
         "diagnostics": {
             "quadrature_evaluations": rep.quadrature_evaluations,
-            "max_abs_error_estimate": rep.max_abs_error_estimate,
+            "max_abs_error_estimate": rep.max_abs_error_estimate * pref,
         },
     }
 
@@ -314,9 +318,9 @@ def _cmd_series_check(atom, opts):
 def _cmd_wavepacket_check(atom, opts):
     # the Z check runs in units of lambda_bar_g: SI enters here, and only here
     periods = opts["plateau_periods"]
-    pref = _divisor("t2_prefactor (the scale of z_closed)", t2_prefactor(atom), atom,
+    pref = _nonzero("t2_prefactor (the scale of z_closed)", t2_prefactor(atom), atom,
                     ("d_eg_Cm", "m_g_kg"))
-    delta_u = _divisor("delta_u", atom.delta_u, atom, ("omega_eg_rad_s", "m_g_kg"))
+    delta_u = _nonzero("delta_u", atom.delta_u, atom, ("omega_eg_rad_s", "m_g_kg"))
     study = convergence_study(delta_u, NormalizationConstants(), periods,
                               opts["ramp_fraction"])
     scale = 2.0 * TWO_PI ** 2 * pref * atom.lambda_bar_g
@@ -338,7 +342,7 @@ def _wavepacket_csv(results) -> str:
 
 def _cmd_ww_sim(atom, opts):
     # the oracle runs in units of gamma_leading: SI enters here, and only here
-    gamma = _divisor("gamma_leading", gamma_leading(atom), atom,
+    gamma = _nonzero("gamma_leading", gamma_leading(atom), atom,
                      ("d_eg_Cm", "omega_eg_rad_s"))
     grid = build_grid(opts["bandwidth_gammas"], opts["n_modes"])
     ts, ces, norms = evolve(grid, opts["t_end_gammas"], opts["dt_gammas"])

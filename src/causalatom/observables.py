@@ -52,7 +52,6 @@ __all__ = [
     "lamb_reference",
     "shift_ratio",
     "NormalizationConstants",
-    "d2_scale",
     "r2_prefactor",
     "t2_prefactor",
 ]
@@ -141,15 +140,6 @@ class AtomParams:
         return self.constants.hbar / (self.m_g * self.constants.c)
 
     @property
-    def m_e_state(self) -> float:
-        """Excited-state mass m_g + hbar omega_eg / c^2."""
-        return self.m_g + self.constants.hbar * self.omega_eg / self.constants.c ** 2
-
-    @property
-    def lambda_bar_e(self) -> float:
-        return self.constants.hbar / (self.m_e_state * self.constants.c)
-
-    @property
     def delta_u(self) -> float:
         return self.constants.hbar * self.omega_eg / (self.m_g * self.constants.c ** 2)
 
@@ -164,7 +154,6 @@ def _check_si_prefactors(atom: AtomParams) -> None:
     omega_eg or of 1/lambda_bar_g, so finite fields can still overflow it."""
     prefactors = (
         ("gamma_leading", ("d_eg_abs", "omega_eg"), gamma_leading),
-        ("d2_scale", ("d_eg_abs", "m_g"), d2_scale),
         ("r2_prefactor", ("d_eg_abs", "m_g"), r2_prefactor),
         ("t2_prefactor", ("d_eg_abs", "m_g"), t2_prefactor),
         ("line-shift prefactor", ("d_eg_abs", "m_g"), _shift_prefactor),
@@ -282,13 +271,6 @@ class NormalizationConstants:
         for v in (self.c0, self.c1, self.c2):
             if not math.isfinite(v):
                 raise ValueError("normalization constants must be finite")
-
-
-def d2_scale(atom) -> float:
-    """Magnitude of the causal distribution: |d_eg|^2/(12 eps0 hbar c (2pi)^3 lb^3)."""
-    k = atom.constants
-    return atom.d_eg_abs ** 2 / (
-        12.0 * k.eps0 * k.hbar * k.c * TWO_PI ** 3 * atom.lambda_bar_g ** 3)
 
 
 def r2_prefactor(atom) -> float:

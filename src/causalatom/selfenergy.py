@@ -1,9 +1,9 @@
 """Closed-form momentum-space self-energy distributions for a resting atom.
 
-Dimensionless conventions: energies enter through u = p0 * lambda_bar_g.
-Every closed form is computed as a dimensionless bracket times an SI
-prefactor, applied last (the prefactors involve lambda_bar_g^3 ~ 1e-49 m^3,
-so mixing them into intermediate arithmetic would underflow).
+Unit-free: energies enter through u = p0 * lambda_bar_g, and values are in
+units of r2_prefactor, in which the central splitting of DISTRIBUTION is the
+bracket B(u; C = 0) itself.  The splitting is linear, so the SI prefactor is
+a constant factor that no function here reads: the CLI applies it once.
 
 log((u^2-1)^2) is evaluated as 2 ln|u^2-1|: the squared argument keeps the
 real logarithm single-valued on the real axis, no complex branch needed.
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, GridResolutionError, SingularPointError
-from .observables import (NORMALIZATION_EXACT, NormalizationConstants, _front_term,
-                          _sym_bracket, d2_scale, r2_prefactor)
+from .observables import (NORMALIZATION_EXACT, TWO_PI, NormalizationConstants, _front_term,
+                          _sym_bracket)
 from .splitting import CausalDistribution1D, split
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "sym_bracket",
     "t2_bracket_resonant",
     "t2_bracket_slope",
-    "as_causal_distribution",
+    "DISTRIBUTION",
 ]
 
 MAX_SPLIT_POINTS = 100_000
@@ -56,36 +56,25 @@ def _core(u):
     return cube
 
 
-def d2_tilde(u: float, atom) -> complex:
-    """Momentum-space causal distribution at rest: i sgn(u) theta(u^2-1) (u^2-1)^3
-    |d_eg|^2 / (12 eps0 hbar c (2pi)^3 lb^3 u^4)."""
+def d2_tilde(u: float) -> complex:
+    """Momentum-space causal distribution at rest, in units of r2_prefactor:
+    i pi sgn(u) theta(u^2-1) (u^2-1)^3/u^4."""
     if abs(abs(u) - 1.0) < 1e-14:
         raise BranchPointError(f"u = {u} is on the branch surface |u| = 1")
-    return 1j * d2_scale(atom) * float(_core(np.array([u]))[0])
+    return 1j * math.pi * float(_core(np.array([u]))[0])
 
 
-def r2prime_tilde(u: float, atom) -> complex:
+def r2prime_tilde(u: float) -> complex:
     """Second normal-ordering contribution: d2_tilde on u < -1, 0 elsewhere."""
-    d2 = d2_tilde(u, atom)
+    d2 = d2_tilde(u)
     return d2 if u < -1.0 else 0j
 
 
-def as_causal_distribution(atom, unit_scale: bool = False) -> CausalDistribution1D:
-    """Wrap the rest-frame distribution for the splitting module.
-
-    The object handed to the splitting integral carries both normal-ordering
-    terms of the self-energy, i.e. twice the single-ordering amplitude; this
-    is the normalization whose central retarded part reproduces the closed
-    form r2_tilde_closed (tests pin this): d = i g with g = 2 scale core.
-    With ``unit_scale`` the SI prefactor is dropped (g = 2 core), which is
-    convenient for scale-free polynomial-residual checks.
-    """
-    scale = 1.0 if unit_scale else d2_scale(atom)
-
-    def g(kk):
-        return 2.0 * scale * _core(kk)
-
-    return CausalDistribution1D(g=g, singular_order=2, k_min=1.0)
+# the distribution that split-check splits carries both normal-ordering terms,
+# twice d2_tilde: d = i g, g = 2 pi core, whose central retarded part is
+# B(u; C = 0) with the signed step (tests pin this)
+DISTRIBUTION = CausalDistribution1D(g=lambda k: TWO_PI * _core(k), singular_order=2,
+                                    k_min=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +98,10 @@ def _check_regular(u) -> None:
                                  f"closed form leaves the float range at u = {float(u[j])}")
 
 
-def r2_tilde_closed(u, atom):
-    """Closed-form retarded self-energy at rest, vectorized: r2_prefactor times
-    front + (B(u; C = 0) - front)/2, B with half its rational part, from
-    x = u u - 1 and log|x| as the formula reads.  A scalar u runs as a
+def r2_tilde_closed(u):
+    """Closed-form retarded self-energy at rest, vectorized, in units of
+    r2_prefactor: front + (B(u; C = 0) - front)/2, B with half its rational
+    part, from x = u u - 1 and log|x| as the formula reads.  A scalar u runs as a
     one-point array, so it gets the floats of any batch, and returns a complex.
     """
     _check_regular(u)
@@ -120,8 +109,7 @@ def r2_tilde_closed(u, atom):
     x = v * v - 1.0
     args = (v, x, np.log(np.abs(x)), np.where(x > 0.0, 2j * math.pi * np.sign(v), 0.0))
     front = _front_term(*args)
-    r2 = r2_prefactor(atom) * (front + (_sym_bracket(*args, NormalizationConstants())
-                                        - front) / 2)
+    r2 = front + (_sym_bracket(*args, NormalizationConstants()) - front) / 2
     return complex(r2[0]) if np.ndim(u) == 0 else r2
 
 
@@ -141,8 +129,8 @@ def _real_axis_args(u):
 def sym_bracket(u, c: NormalizationConstants = NormalizationConstants()):
     """Symmetrized bracket B(u; C) at real u, vectorized, in bracket units.
 
-    With the signed step, r2_prefactor * B(u; C = 0) is the central splitting
-    of the wrapped distribution, on and off the support and for either sign
+    With the signed step, B(u; C = 0) is the central splitting of
+    DISTRIBUTION, on and off the support and for either sign
     of u; split-check compares the two.  Raises SingularPointError at
     u in {0, +-1}; near u = 1 use t2_bracket_resonant, which forms u^2 - 1
     without cancellation.
@@ -215,18 +203,19 @@ def t2_bracket_slope(delta_u, c: NormalizationConstants):
 
 @dataclass(frozen=True)
 class SplitCheckReport:
-    """Central splitting of the wrapped distribution vs the closed forms.
+    """Central splitting of DISTRIBUTION vs the closed forms, in units of
+    r2_prefactor; the rel-err fields and the count have no unit.
 
     re_closed and im_closed are r2_tilde_closed, B with half its rational
-    part (re_closed - re_numeric is pref (5/4 - 11u^2/12 - 1/(2u^2))), from
-    u u - 1 as the formula reads.  The splitting's imaginary part is its
+    part (re_closed - re_numeric is 5/4 - 11u^2/12 - 1/(2u^2)), from u u - 1
+    as the formula reads.  The splitting's imaginary part is its
     Sokhotski-Plemelj pole term alone (the distribution is i g with g real);
     im_rel_err compares it with im_closed.  re_rel_err compares its real
-    part with r2_prefactor * Re sym_bracket(u), whose arguments are
-    cancellation-free, relative to r2_prefactor times the sum of the
-    bracket's term magnitudes.  quadrature_evaluations counts the integrand
-    evaluations over the grid; max_abs_error_estimate is the largest
-    quadrature error estimate of a point, scaled like the splitting.
+    part with Re sym_bracket(u), whose arguments are cancellation-free,
+    relative to the sum of the bracket's term magnitudes.
+    quadrature_evaluations counts the integrand evaluations over the grid;
+    max_abs_error_estimate is the largest quadrature error estimate of a
+    point, scaled like the splitting.
     """
 
     u: np.ndarray
@@ -260,18 +249,17 @@ def split_grid(u_min: float, u_max: float, n: int) -> np.ndarray:
     return np.linspace(u_min, u_max, n)
 
 
-def split_check_report(atom, u_values, tol: float = 1e-11) -> SplitCheckReport:
+def split_check_report(u_values, tol: float = 1e-11) -> SplitCheckReport:
     u = np.asarray(list(u_values), dtype=float)
     check_split_points(u.size)
-    pref = r2_prefactor(atom)
-    closed = r2_tilde_closed(u, atom)
-    numeric, evals, errors = split(as_causal_distribution(atom), u, tol=tol)
+    closed = r2_tilde_closed(u)
+    numeric, evals, errors = split(DISTRIBUTION, u, tol=tol)
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale
     args = _real_axis_args(u)   # of sym_bracket(u) and its term scale
-    re_rel = (np.abs(numeric.real - pref * _sym_bracket(*args, NormalizationConstants()).real)
-              / (pref * _bracket_term_scale(*args)))
+    re_rel = (np.abs(numeric.real - _sym_bracket(*args, NormalizationConstants()).real)
+              / _bracket_term_scale(*args))
     return SplitCheckReport(
         u=u, re_closed=closed.real, im_closed=closed.imag,
         re_numeric=numeric.real, im_numeric=numeric.imag, im_rel_err=im_rel,

@@ -17,7 +17,8 @@ choices of q give parts that differ by a polynomial of degree <= omega.
 split is the one entry point: it advances the dispersion integrals of many
 points together, and a point gets the same floats alone as in any batch.
 The quadrature integrates the real g, and the factor i enters where the
-values are formed.
+values are formed.  Nothing here has a unit: the splitting is linear in d,
+so a physical prefactor is the caller's, applied to what split returns.
 """
 
 from __future__ import annotations

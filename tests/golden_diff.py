@@ -51,7 +51,14 @@ PRESETS = {
     "list.json": [ATOM],
     "100%s%%.json": ATOM,   # a % in the name reaches the JSON template as text
     "tiny-omega.json": {**ATOM, "omega_eg_rad_s": 1e-300},   # delta_u is 0
+    # split-check's SI prefactor far from hydrogen's both ways (d2_scale
+    # 1.3e270 and 2.8e-307): it scales the printed columns and enters no
+    # quadrature
+    "big-dipole.json": {**ATOM, "d_eg_Cm": 1e95},
+    "tiny-scale.json": {"m_g_kg": 1e-49, "omega_eg_rad_s": 1.0, "d_eg_Cm": 1e-160,
+                        "t_g_s": 1.0},
 }
+SCALE_GRID = ["--u-min", "1.05", "--u-max", "1e3", "--points", "20"]
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 COMMANDS = ["gamma", "shift", "ratio", "split-check", "series-check",
             "wavepacket-check", "ww-sim", "constants"]
@@ -80,6 +87,8 @@ def cases() -> list:
                 [name, "--preset", "atom.json"], [name, "-h"]]
     out += [["ww-sim", "--out", "-"], ["ww-sim", "--format", "csv", "--out", "-"]]
     out += [["split-check", *grid] for grid in GRIDS]
+    out += [["split-check", "--preset", f, *SCALE_GRID]
+            for f in ("big-dipole.json", "tiny-scale.json")]
     out += [["split-check", "--points", "1"], ["series-check", "--c0", "-1e-3"],
             ["series-check", "--c0", "-inf"],
             # the fit's coefficients overflow: the writer refuses them

@@ -19,7 +19,7 @@ from causalatom.observables import (
     solve_normalization,
     synthetic_atom,
 )
-from causalatom.selfenergy import as_causal_distribution, split_check_report
+from causalatom.selfenergy import DISTRIBUTION, split_check_report
 from causalatom.splitting import polynomial_residual, split
 from causalatom.wavepacket import convergence_study, z_factor
 from causalatom.wworacle import build_grid, evolve, fit_decay
@@ -99,22 +99,21 @@ def test_criterion_3_hydrogen_ratio(hyd):
               f"signed value {r.value:.4f} (sign note applies); {elapsed * 1e3:.0f} ms")
 
 
-def test_criterion_4_splitting_oracle(hyd):
+def test_criterion_4_splitting_oracle():
     t0 = time.perf_counter()
     grid = np.linspace(1.05, 5.0, 50)
-    rep = split_check_report(hyd, grid, tol=1e-11)
+    rep = split_check_report(grid, tol=1e-11)
     assert rep.im_rel_err.max() <= 1e-8
     assert rep.re_rel_err.max() <= 1e-8
 
     # shifted-vs-central ambiguity: strict degree-2 polynomial residual
-    dist = as_causal_distribution(hyd, unit_scale=True)
     pair_grid = [1.3, 1.7, 2.2, 2.8, 3.5, 4.2, 5.0]
-    res = polynomial_residual(dist, 0.5, pair_grid, tol=1e-11)
+    res = polynomial_residual(DISTRIBUTION, 0.5, pair_grid, tol=1e-11)
     assert res.max_abs_deviation <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report(4, f"max im rel err = {rep.im_rel_err.max():.2e}, max re rel err vs "
-              f"r2_prefactor * B(u; C = 0) = {rep.re_rel_err.max():.2e} (both <= 1e-8) "
+              f"B(u; C = 0) = {rep.re_rel_err.max():.2e} (both <= 1e-8) "
               f"on 50 points; shifted-vs-central deg-2 deviation "
               f"{res.max_abs_deviation:.2e} (<= 1e-6); runtime {elapsed:.1f}s")
 
@@ -162,7 +161,7 @@ def test_criterion_6_wavepacket_reduction():
 
 
 def test_criterion_7_property_suites(hyd):
-    dist = as_causal_distribution(hyd, unit_scale=True)
+    dist = DISTRIBUTION
 
     def at(p0, pole_sign=1.0):
         return complex(split(dist, [p0], tol=1e-11, pole_sign=pole_sign)[0][0])
@@ -193,12 +192,11 @@ def test_criterion_7_property_suites(hyd):
         assert z_factor(hyd, c).imag == pytest.approx(ref, rel=1e-12)
 
     # support gap, odd parity and u^2 growth of the wrapped distribution
-    wrapped = as_causal_distribution(hyd)
     rng = np.random.RandomState(0)
-    assert np.all(wrapped.evaluate(rng.uniform(-0.999, 0.999, 64)) == 0)
+    assert np.all(dist.evaluate(rng.uniform(-0.999, 0.999, 64)) == 0)
     k = rng.uniform(1.01, 11.0, 64)
-    assert np.array_equal(wrapped.evaluate(-k), -wrapped.evaluate(k))
-    growth = np.abs(wrapped.evaluate(np.array([100.0, 1000.0]))) / np.array([1e4, 1e6])
+    assert np.array_equal(dist.evaluate(-k), -dist.evaluate(k))
+    growth = np.abs(dist.evaluate(np.array([100.0, 1000.0]))) / np.array([1e4, 1e6])
     assert growth[1] / growth[0] == pytest.approx(1.0, abs=1e-3)
 
     # WW norm conservation

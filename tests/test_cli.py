@@ -19,7 +19,8 @@ import pytest
 
 from causalatom import cli
 from causalatom.cli import main, resolve_preset
-from causalatom.observables import gamma_exact, hydrogen_1s2p_preset, t2_prefactor
+from causalatom.observables import gamma_exact, hydrogen_1s2p_preset, r2_prefactor, t2_prefactor
+from causalatom.selfenergy import split_check_report, split_grid
 from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL, z_factor
 
 
@@ -217,6 +218,51 @@ class TestSplitCheckCommand:
         assert len(rows) == 50
         assert all(r == rows[0] for r in rows)
         assert rows[0]["re_rel_err"] <= 1e-8
+
+
+    @pytest.mark.parametrize("preset", ["hydrogen-1s2p", "synthetic:1e-2"])
+    def test_si_columns_are_the_report_scaled(self, capsys, preset):
+        # the check runs in units of r2_prefactor: the four value columns and
+        # the error estimate are the report's times r2_prefactor, and the
+        # rel-err columns are the report's own; the grid spans both signs,
+        # on and off the support
+        code, out, _ = run_cli(capsys, "split-check", "--preset", preset,
+                               "--u-min", "-2.95", "--u-max", "3.05", "--points", "31")
+        assert code == 0
+        res = json.loads(out)["results"]
+        rows = {name: [r[name] for r in res["rows"]] for name in res["rows"][0]}
+        rep = split_check_report(split_grid(-2.95, 3.05, 31))
+        pref = r2_prefactor(resolve_preset(preset))
+        for name in ("re_closed", "im_closed", "re_numeric", "im_numeric"):
+            assert rows[name] == (pref * getattr(rep, name)).tolist(), name
+        for name in ("u", "im_rel_err", "re_rel_err"):
+            assert rows[name] == getattr(rep, name).tolist(), name
+        assert (res["max_im_rel_err"], res["max_re_rel_err"]) == (
+            rep.im_rel_err.max(), rep.re_rel_err.max())
+        assert res["diagnostics"] == {
+            "quadrature_evaluations": rep.quadrature_evaluations,
+            "max_abs_error_estimate": pref * rep.max_abs_error_estimate}
+
+    def test_extreme_scale_atoms_check_as_hydrogen(self, capsys, tmp_path):
+        # d2_scale 1.3e270 overflowed the integrand, and 2.8e-307 left its
+        # error estimate in the subnormals: scaled after the check, both read
+        # hydrogen's rel-err columns and node count bit for bit
+        import golden_diff
+        seen = []
+        for preset in ("hydrogen-1s2p", "big-dipole.json", "tiny-scale.json"):
+            if preset.endswith(".json"):
+                (tmp_path / preset).write_text(json.dumps(golden_diff.PRESETS[preset]))
+                preset = str(tmp_path / preset)
+            code, out, err = run_cli(capsys, "split-check", "--preset", preset,
+                                     *golden_diff.SCALE_GRID)
+            assert (code, err) == (0, "")
+            res = json.loads(out, parse_float=str)["results"]   # numbers as written
+            seen.append(([[r[name] for name in ("u", "im_rel_err", "re_rel_err")]
+                          for r in res["rows"]],
+                         res["max_im_rel_err"], res["max_re_rel_err"],
+                         res["diagnostics"]["quadrature_evaluations"]))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+        assert float(seen[0][2]) <= 1e-15
 
 
 class TestSeriesCheckCommand:
@@ -468,7 +514,8 @@ class TestErrorPaths:
             "ww-sim-tiny-omega", "wavepacket-check-zero-dipole",
             "wavepacket-check-tiny-omega", "split-check-zero-dipole"])
     def test_zero_rate_preset_refused(self, capsys, tmp_path, command, key, value, named):
-        # a zero dipole is a legal atom, but these commands divide by its rate
+        # a zero dipole is a legal atom, but these commands scale their
+        # results by a prefactor that is then 0, or divide by it
         doc = {"m_g_kg": 1.6735575e-27, "omega_eg_rad_s": 1.5497e16,
                "d_eg_Cm": 6.3e-30, "t_g_s": 1.0, key: value}
         preset_file = tmp_path / "atom.json"

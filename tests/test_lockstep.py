@@ -27,15 +27,14 @@ from causalatom import cli, selfenergy
 from causalatom.cli import main
 from causalatom.errors import BranchPointError, QuadratureConvergenceError
 from causalatom.numerics import STEPS, exp_sinh, ladder, tanh_sinh
-from causalatom.observables import hydrogen_1s2p_preset, r2_prefactor
-from causalatom.selfenergy import (_bracket_term_scale, _core, _real_axis_args,
-                                   as_causal_distribution, r2_tilde_closed, split_check_report)
+from causalatom.selfenergy import (DISTRIBUTION, _bracket_term_scale, _core, _real_axis_args,
+                                   r2_tilde_closed, split_check_report)
 from causalatom.splitting import (SPLIT_CHUNK_POINTS, CausalDistribution1D,
                                   polynomial_residual, split)
 from test_numerics import _terms, finite_lo, integrate, pv
 
-ATOM = hydrogen_1s2p_preset()
-UNIT = as_causal_distribution(ATOM, unit_scale=True)
+# 2 core: a distribution of its own, beside DISTRIBUTION's 2 pi core
+UNIT = CausalDistribution1D(g=lambda k: 2.0 * _core(k), singular_order=2, k_min=1.0)
 # sin(40 k) on the support: no step of the ladder resolves it
 OSCILLATING = CausalDistribution1D(g=lambda k: np.where(k * k > 1.0, np.sin(40.0 * k), 0.0),
                                    singular_order=2, k_min=1.0)
@@ -65,13 +64,13 @@ def reference_report(u):
     """The numeric values as raw words and the node count of a per-point loop,
     after the closed forms that split_check_report evaluates first."""
     for x in u:
-        r2_tilde_closed(float(x), ATOM)
-    values, nodes = reference_loop(as_causal_distribution(ATOM), u)
+        r2_tilde_closed(float(x))
+    values, nodes = reference_loop(DISTRIBUTION, u)
     return bits([values.real, values.imag]), int(nodes.sum())
 
 
 def batched_report(u):
-    rep = split_check_report(ATOM, u)
+    rep = split_check_report(u)
     return bits(np.stack([rep.re_numeric, rep.im_numeric])), rep.quadrature_evaluations
 
 
@@ -85,7 +84,7 @@ def assert_same(u):
 
 
 def closed_real(v):
-    """Re B(v; C = 0), the closed form of the central splitting over
+    """Re B(v; C = 0), the closed form of the central splitting in units of
     r2_prefactor, in mpmath at the working precision."""
     x = v * v - 1
     return x ** 3 / v ** 4 * -mpmath.log(abs(x)) + 1 / v ** 2 - mpmath.mpf(5) / 2 + 11 * v ** 2 / 6
@@ -96,9 +95,7 @@ def real_part_error(rep):
     the float reference's own rounding does not enter."""
     with mpmath.workdps(30):
         closed = np.array([float(closed_real(v)) for v in map(mpmath.mpf, rep.u.tolist())])
-    pref = r2_prefactor(ATOM)
-    return (np.abs(rep.re_numeric - pref * closed)
-            / (pref * _bracket_term_scale(*_real_axis_args(rep.u))))
+    return np.abs(rep.re_numeric - closed) / _bracket_term_scale(*_real_axis_args(rep.u))
 
 
 _MIXED = np.random.default_rng(3).permutation(np.concatenate([
@@ -118,11 +115,11 @@ def test_split_check_bitwise_equal_to_reference_loop(u):
     theirs, ref_evals = reference_report(u)
     assert np.array_equal(mine, theirs)
     assert evals == ref_evals
-    rep = split_check_report(ATOM, u)
+    rep = split_check_report(u)
     assert real_part_error(rep).max() <= 1e-14
     # the imaginary part is the Sokhotski-Plemelj pole term g(u)/2 alone
-    d = as_causal_distribution(ATOM)
-    assert np.array_equal(rep.im_numeric, np.where(np.abs(u) > 1.0, 0.5 * d.g(u), 0.0))
+    assert np.array_equal(rep.im_numeric,
+                          np.where(np.abs(u) > 1.0, 0.5 * DISTRIBUTION.g(u), 0.0))
 
 
 @pytest.mark.parametrize("q, pole_sign", [(0.0, 1.0), (0.5, 1.0), (0.0, -1.0), (-0.7, -1.0)])
@@ -157,7 +154,7 @@ def test_imaginary_part_off_the_support_is_positive_zero(pole_sign):
     plus_zero = bits(np.zeros(u.size))
     for q in (0.0, 0.5):
         assert np.array_equal(bits(split(UNIT, u, q, pole_sign=pole_sign)[0].imag), plus_zero)
-    assert np.array_equal(bits(split_check_report(ATOM, u).im_numeric), plus_zero)
+    assert np.array_equal(bits(split_check_report(u).im_numeric), plus_zero)
 
 
 # every |u| the closed form accepts (from about 1e-77 to 2.4e51), log-uniform,
@@ -173,7 +170,7 @@ _MAGNITUDE = st.one_of(st.floats(-77.0, 51.3).map(lambda e: 10.0 ** e),
 def test_random_grids_bitwise_equal_to_reference_loop(points):
     u = np.array([m * s for m, s in points])
     assert_same(u)
-    rep = outcome(lambda: split_check_report(ATOM, u))
+    rep = outcome(lambda: split_check_report(u))
     if not isinstance(rep, tuple):
         # the closed form is a trustworthy oracle of the real part down to
         # |u| ~ 1e-3; below that its own terms cancel
@@ -201,7 +198,7 @@ def test_failing_grid_cli_stderr(capsys, monkeypatch):
     # no input that split-check accepts fails its quadrature (measured over
     # |u| from 1e-77 to 2.4e51, the support edge and tolerances from 5e-324
     # to 1e300), so the CLI splits a distribution that never converges
-    monkeypatch.setattr(selfenergy, "as_causal_distribution", lambda atom: OSCILLATING)
+    monkeypatch.setattr(selfenergy, "DISTRIBUTION", OSCILLATING)
     code = main(["split-check", "--u-min", "2", "--u-max", "3", "--points", "5"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -242,7 +239,7 @@ def test_tails_mapped_at_the_scale_of_the_point():
     # kernel's features: the 1000-point grid takes 556 490 nodes, at most
     # one step past h = 1/16 per point, and its real part stays at the
     # rounding level
-    rep = split_check_report(ATOM, np.linspace(1.1, 3.0, 1000))
+    rep = split_check_report(np.linspace(1.1, 3.0, 1000))
     assert rep.quadrature_evaluations == 556_490
     assert rep.re_rel_err.max() <= 1e-14
 
@@ -255,7 +252,7 @@ def test_large_u_grid_computes(sign):
     u = sign * np.concatenate([np.geomspace(1e3, 1e50, 40), [1e15, 7.6e15, 2.3e51]])
     for x in u:
         start = time.perf_counter()
-        rep = split_check_report(ATOM, [x])
+        rep = split_check_report([x])
         assert time.perf_counter() - start < 1.0
         assert rep.re_rel_err[0] <= 1e-14 and rep.im_rel_err[0] <= 1e-14
 
@@ -265,7 +262,7 @@ def test_points_at_the_support_edge_compute(sign):
     # from 1 + 1e-3 down to the branch guard, where the adaptive engine this
     # rule replaced ran out of evaluations from 1 + 2e-7
     u = sign * (1.0 + np.geomspace(1.1e-9, 1e-3, 25))
-    rep = split_check_report(ATOM, u)
+    rep = split_check_report(u)
     assert real_part_error(rep).max() <= 1e-14
 
 
@@ -275,10 +272,10 @@ def test_gap_points_match_the_closed_form_at_high_precision(sign):
     # are summed over one denominator; the closed form needs about
     # 8 - 6 log10|u| digits of its own here
     u = sign * np.geomspace(1e-12, 0.95, 25)
-    rep = split_check_report(ATOM, u)
+    rep = split_check_report(u)
     with mpmath.workdps(120):
         closed = np.array([float(closed_real(v)) for v in map(mpmath.mpf, u.tolist())])
-    assert (np.abs(rep.re_numeric / r2_prefactor(ATOM) - closed) <= 1e-14 * np.abs(closed)).all()
+    assert (np.abs(rep.re_numeric - closed) <= 1e-14 * np.abs(closed)).all()
 
 
 @pytest.mark.parametrize("p0", [1e308, -1.7e308])

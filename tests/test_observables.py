@@ -74,11 +74,6 @@ class TestAtomParams:
         atom = synthetic_atom(1e-2)
         assert (atom.omega_eg, atom.d_eg_abs) == (hyd.omega_eg, hyd.d_eg_abs)
 
-    def test_compton_wavelength_identity(self, hyd):
-        lhs = 1.0 / hyd.lambda_bar_e
-        rhs = 1.0 / hyd.lambda_bar_g + hyd.omega_eg / hyd.constants.c
-        assert lhs == pytest.approx(rhs, rel=1e-14)
-
     def test_large_delta_u_rejected(self):
         k = CODATA2018
         with pytest.raises(ValueError):
@@ -477,7 +472,7 @@ class TestScalarLayer:
         assert proc.stdout == f"{expected}\n", proc.stderr
 
     def test_bracket_and_prefactors_have_one_home(self):
-        homes = {name: observables for name in ("NormalizationConstants", "d2_scale",
+        homes = {name: observables for name in ("NormalizationConstants",
                                                 "r2_prefactor", "t2_prefactor",
                                                 "_front_term", "_sym_bracket")}
         homes["z_factor"] = wavepacket
