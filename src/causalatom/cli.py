@@ -35,11 +35,13 @@ from .observables import (
     extract_series_numerically,
     gamma_exact,
     gamma_leading,
+    gamma_ratio_minus_one,
     hydrogen_1s2p_preset,
     lamb_reference,
     lineshift_log_bracket,
     lineshift_series,
     r2_prefactor,
+    shift_prefactor,
     shift_ratio,
     solve_normalization,
     synthetic_atom,
@@ -241,19 +243,18 @@ def _nonzero(name: str, value: float, atom, fields) -> float:
 def _cmd_gamma(atom, opts):
     g_lead = _nonzero("gamma_leading", gamma_leading(atom), atom,
                       ("d_eg_Cm", "omega_eg_rad_s"))
-    g5 = gamma_exact(atom, 5)
-    g4 = gamma_exact(atom, 4)
     return {
         "gamma_leading_per_s": g_lead,
-        "gamma_exact_per_s": g5,
-        "gamma_exact_power4_per_s": g4,
-        "ratio_exact_to_leading_minus_one": g5 / g_lead - 1.0,
+        "gamma_exact_per_s": gamma_exact(atom, 5),
+        "gamma_exact_power4_per_s": gamma_exact(atom, 4),
+        "ratio_exact_to_leading_minus_one": gamma_ratio_minus_one(atom.delta_u, 5),
         "delta_u": atom.delta_u,
     }
 
 
 def _cmd_shift(atom, opts):
-    solved, series = solve_normalization(atom)   # the series is the solve's own check
+    # the series fit is unit-free: SI enters here, as prefactor_per_s
+    solved, series = solve_normalization()   # the series is the solve's own check
     return {
         "delta_final_per_s": delta_final(atom),
         "lamb_reference_per_s": lamb_reference(atom.constants),
@@ -262,7 +263,7 @@ def _cmd_shift(atom, opts):
         "series_with_solved_c": {
             "c0": series.c0, "c1": series.c1, "c2": series.c2,
             "c3": series.c3, "c_log3": series.c_log3,
-            "prefactor_per_s": series.prefactor,
+            "prefactor_per_s": shift_prefactor(atom),
         },
     }
 
@@ -297,9 +298,10 @@ def _cmd_split_check(atom, opts):
 
 
 def _cmd_series_check(atom, opts):
+    # the series fit is unit-free: SI enters here, as prefactor_per_s
     c = NormalizationConstants(opts["c0"], opts["c1"], opts["c2"])
-    ana = lineshift_series(atom, c)
-    fit = extract_series_numerically(atom, c)
+    ana = lineshift_series(c)
+    fit = extract_series_numerically(c)
     names = ("c0", "c1", "c2", "c3", "c_log3")
     rel = {}
     for n in names:
@@ -311,7 +313,7 @@ def _cmd_series_check(atom, opts):
         "fitted": {n: getattr(fit, n) for n in names},
         "rel_error": rel,
         "max_rel_error": max(rel.values()),
-        "prefactor_per_s": ana.prefactor,
+        "prefactor_per_s": shift_prefactor(atom),
     }
 
 

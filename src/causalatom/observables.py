@@ -13,13 +13,15 @@ Series conventions: the atomic line shift is the real part of Z/t_g, where
 Z = 2 (2pi)^2 c t_g T2s(u_res) w(u_res) (wavepacket.z_factor) and the
 resonant weight w is either 1/u_res (the reading consistent with the
 displayed fifth-power decay-rate denominator; default) or exactly 1 (the
-literal proportionality).  The low-order expansion in delta_u = u_res - 1,
+literal proportionality).  It is shift_prefactor(atom) times a bracket whose
+low-order expansion in delta_u = u_res - 1 is
 
-    prefactor * [ -48 du^3 log(2 du) + c0 + c1 du + c2 du^2 + c3 du^3 ],
+    -48 du^3 log(2 du) + c0 + c1 du + c2 du^2 + c3 du^3,
 
-is produced both analytically (lineshift_series) and by fitting samples of
-the bracket (extract_series_numerically); the two must agree, which is the
-oracle pinning the closed form.
+produced both analytically (lineshift_series) and by fitting samples of the
+bracket (extract_series_numerically); the two must agree, which is the
+oracle pinning the closed form.  No atom enters either: the CLI applies
+shift_prefactor once.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "atom_to_dict",
     "gamma_exact",
     "gamma_leading",
+    "gamma_ratio_minus_one",
     "lineshift_series",
     "extract_series_numerically",
     "solve_normalization",
@@ -53,6 +56,7 @@ __all__ = [
     "shift_ratio",
     "NormalizationConstants",
     "r2_prefactor",
+    "shift_prefactor",
     "t2_prefactor",
 ]
 
@@ -156,8 +160,7 @@ def _check_si_prefactors(atom: AtomParams) -> None:
         ("gamma_leading", ("d_eg_abs", "omega_eg"), gamma_leading),
         ("r2_prefactor", ("d_eg_abs", "m_g"), r2_prefactor),
         ("t2_prefactor", ("d_eg_abs", "m_g"), t2_prefactor),
-        ("line-shift prefactor", ("d_eg_abs", "m_g"), _shift_prefactor),
-        ("gamma_exact", ("d_eg_abs", "omega_eg", "m_g"), lambda a: gamma_exact(a, 4)),
+        ("line-shift prefactor", ("d_eg_abs", "m_g"), shift_prefactor),
     )
     for name, fields, prefactor in prefactors:
         try:
@@ -201,20 +204,19 @@ def atom_to_dict(atom: AtomParams) -> dict:
             "d_eg_Cm": atom.d_eg_abs, "t_g_s": atom.t_g}
 
 
-def hydrogen_1s2p_preset(k: PhysicalConstants = CODATA2018, t_g: float = 1.0) -> AtomParams:
+def hydrogen_1s2p_preset(k: PhysicalConstants = CODATA2018) -> AtomParams:
     """Hydrogen 1s->2p parameters: hbar omega = 0.75 * 13.6 eV,
-    |d_eg| = sqrt(2) 2^7 3^-5 e a0, m_g = m_p + m_e.
+    |d_eg| = sqrt(2) 2^7 3^-5 e a0, m_g = m_p + m_e, and t_g = 1 s.
 
     t_g only scales Z; rates and shifts are per unit time.
     """
     omega = 0.75 * 13.6 * k.e_charge / k.hbar
     dipole = math.sqrt(2.0) * 2 ** 7 * 3 ** -5.0 * k.e_charge * k.a0
     return AtomParams(m_g=k.m_proton + k.m_electron, omega_eg=omega,
-                      d_eg_abs=dipole, t_g=t_g, constants=k)
+                      d_eg_abs=dipole, t_g=1.0, constants=k)
 
 
-def synthetic_atom(delta_u: float, k: PhysicalConstants = CODATA2018,
-                   t_g: float = 1.0) -> AtomParams:
+def synthetic_atom(delta_u: float, k: PhysicalConstants = CODATA2018) -> AtomParams:
     """Atom with a chosen delta_u (mass tuned to the hydrogen frequency and
     dipole).  All bracket formulas are scale-free in u, so convergence
     studies run at exaggerated delta_u where double precision can resolve
@@ -222,9 +224,8 @@ def synthetic_atom(delta_u: float, k: PhysicalConstants = CODATA2018,
     """
     if not 0.0 < delta_u < 0.1:
         raise ValueError("delta_u must be in (0, 0.1)")
-    hydrogen = hydrogen_1s2p_preset(k, t_g)
-    m_g = k.hbar * hydrogen.omega_eg / (delta_u * k.c ** 2)
-    return replace(hydrogen, m_g=m_g)
+    hydrogen = hydrogen_1s2p_preset(k)
+    return replace(hydrogen, m_g=k.hbar * hydrogen.omega_eg / (delta_u * k.c ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +239,25 @@ def gamma_leading(atom: AtomParams) -> float:
         3.0 * math.pi * k.hbar * k.eps0 * k.c ** 3)
 
 
+def gamma_ratio_minus_one(delta_u: float, denominator_power: int = 5) -> float:
+    """gamma_exact/gamma_leading - 1 = (1 + delta_u/2)^3/(1 + delta_u)^P - 1,
+    unit-free, as expm1 of its logarithm: nothing cancels at small delta_u."""
+    if denominator_power not in (4, 5):
+        raise ValueError("denominator_power must be 4 or 5")
+    return math.expm1(3.0 * math.log1p(0.5 * delta_u)
+                      - denominator_power * math.log1p(delta_u))
+
+
 def gamma_exact(atom: AtomParams, denominator_power: int = 5) -> float:
-    """All-orders rate delta_u^3 (2+delta_u)^3 |d|^2 / (24 pi (1+delta_u)^P eps0 hbar lb^3).
+    """All-orders rate delta_u^3 (2+delta_u)^3 |d|^2 / (24 pi (1+delta_u)^P eps0 hbar lb^3),
+    as gamma_leading times a ratio <= 1: finite wherever gamma_leading is.
 
     P = 5 is the displayed closed-form denominator; P = 4 is what direct
     substitution of u = 1 + delta_u into the symmetrized bracket gives (the
     difference is the resonant weight, see wavepacket.z_factor).  Both are
     exposed; they differ at relative order delta_u.
     """
-    if denominator_power not in (4, 5):
-        raise ValueError("denominator_power must be 4 or 5")
-    k = atom.constants
-    du = atom.delta_u
-    return (du ** 3 * (2.0 + du) ** 3 * atom.d_eg_abs ** 2 /
-            (24.0 * math.pi * (1.0 + du) ** denominator_power
-             * k.eps0 * k.hbar * atom.lambda_bar_g ** 3))
+    return gamma_leading(atom) * (1.0 + gamma_ratio_minus_one(atom.delta_u, denominator_power))
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +318,24 @@ def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
 
 @dataclass(frozen=True)
 class LineShiftSeries:
-    """Bracket coefficients of the line shift: prefactor * [c_log3 du^3 log(2 du)
-    + c0 + c1 du + c2 du^2 + c3 du^3] + O(du^4)."""
+    """Coefficients of the line-shift bracket, c_log3 du^3 log(2 du)
+    + c0 + c1 du + c2 du^2 + c3 du^3 + O(du^4), in bracket units."""
 
     c_log3: float
     c0: float
     c1: float
     c2: float
     c3: float
-    prefactor: float  # |d|^2 / (144 pi^2 eps0 hbar lb^3),  1/s per bracket unit
 
 
-def _shift_prefactor(atom: AtomParams) -> float:
+def shift_prefactor(atom: AtomParams) -> float:
+    """|d|^2 / (144 pi^2 eps0 hbar lb^3): the line shift in 1/s per bracket unit."""
     k = atom.constants
     return atom.d_eg_abs ** 2 / (144.0 * math.pi ** 2 * k.eps0 * k.hbar
                                  * atom.lambda_bar_g ** 3)
 
 
-def lineshift_series(atom: AtomParams,
-                     c: NormalizationConstants = NormalizationConstants()) -> LineShiftSeries:
+def lineshift_series(c: NormalizationConstants = NormalizationConstants()) -> LineShiftSeries:
     """Analytic expansion coefficients of the line-shift bracket."""
     c0, c1, c2 = c.c0, c.c1, c.c2
     return LineShiftSeries(
@@ -340,7 +344,6 @@ def lineshift_series(atom: AtomParams,
         c1=8.0 - 6.0 * c0 + 6.0 * c2,
         c2=3.0 * (2.0 * c0 + 7.0),
         c3=-3.0 * (2.0 * c0 + 15.0),
-        prefactor=_shift_prefactor(atom),
     )
 
 
@@ -405,9 +408,10 @@ def _lu_solve(lu, b):
 @functools.cache
 def _series_design():
     """Grid, its ln du, column-scaled basis A (du^k, and du^k ln du for
-    k >= 3), column scales and the LU factors of A^T A, as lists of Decimal:
-    the same for every atom and C, so every fit shares them and only reads
-    them."""
+    k >= 3), column scales, the LU factors of A^T A, the samples at C = 0
+    and their derivatives in (C0, C1, C2), as lists of Decimal.  B is linear
+    in C, so the derivatives are 6/u, 6 and 6 u.  All are the same for every
+    C, so every fit shares them and only reads them."""
     from decimal import Decimal
 
     with _digits(_EXTRACT_DPS):
@@ -428,38 +432,18 @@ def _series_design():
         for i, ci in enumerate(cols):
             for j in range(i, len(cols)):
                 lu[i][j] = lu[j][i] = sum(p * q for p, q in zip(ci, cols[j]))
-    with _digits(_EXTRACT_DPS + 10):
-        _lu_factor(lu)
-    return grid, ln_grid, a, scale, lu
-
-
-def _samples(design):
-    """The samples at C = 0 on the design grid, and their derivatives in
-    (C0, C1, C2): B is linear in C, so these are 6/u, 6 and 6 u."""
-    from decimal import Decimal
-
-    grid, ln_grid = design[:2]
-    with _digits(_EXTRACT_DPS):
         columns = ([6 / (1 + du) for du in grid], [Decimal(6)] * len(grid),
                    [6 * (1 + du) for du in grid])
-    return _line_shift_samples(grid, ln_grid), columns
-
-
-def _samples_at(samples, c: NormalizationConstants):
-    """The samples at C, from those of _samples."""
-    from decimal import Decimal
-
-    y0, columns = samples
-    k0, k1, k2 = (Decimal(v) for v in (c.c0, c.c1, c.c2))   # exact
-    with _digits(_EXTRACT_DPS):
-        return [v + k0 * p + k1 * q + k2 * r for v, p, q, r in zip(y0, *columns)]
+    with _digits(_EXTRACT_DPS + 10):
+        _lu_factor(lu)
+    return grid, ln_grid, a, scale, lu, _line_shift_samples(grid, ln_grid), columns
 
 
 def _fit(design, y):
     """Least-squares fit of samples ``y`` on the design: the unscaled
     coefficients of 1, du, du^2, du^3 and du^3 ln du, and the largest
     residual, as Decimal."""
-    _, _, a, scale, lu = design
+    a, scale, lu = design[2:5]
     with _digits(_EXTRACT_DPS):
         aty = [sum(p * v for p, v in zip(col, y)) for col in zip(*a)]
     with _digits(_EXTRACT_DPS + 10):
@@ -469,11 +453,25 @@ def _fit(design, y):
         return [beta[j] / scale[j] for j in range(5)], resid
 
 
-def _fitted_series(atom: AtomParams, design, y) -> LineShiftSeries:
-    """The series fitted to samples ``y``, refused with FitResidualError if
-    the basis does not reproduce them."""
+def extract_series_numerically(c: NormalizationConstants = NormalizationConstants()
+                               ) -> LineShiftSeries:
+    """Fit the line-shift bracket sampled from the closed form.
+
+    This is the independent oracle for the analytic coefficients: samples of
+    6 Re B(1+du)/(1+du) on the standard grid are fitted against
+    {1, du, du^2, du^3, du^3 ln du} (plus higher nuisance orders; the ln 2 of
+    log(2 du) is absorbed into the du^3 column and re-separated analytically).
+    The samples at C are those of the design at C = 0 plus C times their
+    derivatives.  Raises FitResidualError if the basis does not reproduce
+    them.
+    """
     from decimal import Decimal
 
+    design = _series_design()
+    y0, columns = design[5:]
+    k0, k1, k2 = (Decimal(v) for v in (c.c0, c.c1, c.c2))   # exact
+    with _digits(_EXTRACT_DPS):
+        y = [v + k0 * p + k1 * q + k2 * r for v, p, q, r in zip(y0, *columns)]
     (c0, c1, c2, c3, c_log3), resid = _fit(design, y)
     with _digits(_EXTRACT_DPS):
         c3 -= c_log3 * Decimal(2).ln()   # log(2 du) = ln 2 + ln du
@@ -485,21 +483,7 @@ def _fitted_series(atom: AtomParams, design, y) -> LineShiftSeries:
             f"series fit residual {float(resid):.3e} exceeds 1e-6 of the "
             f"leading coefficient scale {leading:.3e}")
     return LineShiftSeries(c_log3=float(c_log3), c0=float(c0), c1=float(c1),
-                           c2=float(c2), c3=float(c3), prefactor=_shift_prefactor(atom))
-
-
-def extract_series_numerically(atom: AtomParams,
-                               c: NormalizationConstants = NormalizationConstants()
-                               ) -> LineShiftSeries:
-    """Fit the line-shift bracket sampled from the closed form.
-
-    This is the independent oracle for the analytic coefficients: samples of
-    6 Re B(1+du)/(1+du) on the standard grid are fitted against
-    {1, du, du^2, du^3, du^3 ln du} (plus higher nuisance orders; the ln 2 of
-    log(2 du) is absorbed into the du^3 column and re-separated analytically).
-    """
-    design = _series_design()
-    return _fitted_series(atom, design, _samples_at(_samples(design), c))
+                           c2=float(c2), c3=float(c3))
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +493,21 @@ def extract_series_numerically(atom: AtomParams,
 NORMALIZATION_EXACT = NormalizationConstants(-3.5, 8.0, -29.0 / 6.0)
 
 
-def solve_normalization(atom: AtomParams) -> tuple[NormalizationConstants, LineShiftSeries]:
+def solve_normalization() -> tuple[NormalizationConstants, LineShiftSeries]:
     """Fix (C0, C1, C2) by requiring the du^0, du^1, du^2 bracket coefficients
     of the numerically extracted series to vanish; returns them and the
     series fitted at them, which is the solve's own check.
 
     The fitted coefficients are exactly linear in C, so the 3x3 system is
-    assembled from one sampling of the bracket at C = 0: its fit, and the
-    fits of the samples' derivatives in C; it is solved in the fit's decimal
-    arithmetic, and the series at the solution is fitted from the same
-    samples.  Its residual cubic coefficient must match -3 (2 C0 + 15); a
+    assembled from the design's sampling of the bracket at C = 0: its fit,
+    and the fits of the samples' derivatives in C; it is solved in the fit's
+    decimal arithmetic, and the check is extract_series_numerically at the
+    solution.  Its residual cubic coefficient must match -3 (2 C0 + 15); a
     violation raises, since it would mean the extraction and the closed
     form disagree.
     """
     design = _series_design()
-    samples = _samples(design)
-    y0, columns = samples
+    y0, columns = design[5:]
 
     # the 3x3 system M C = -v0 from the fitted (c0, c1, c2): v0 of the samples
     # at C = 0, column j of M of their derivative in C_j
@@ -535,7 +518,7 @@ def solve_normalization(atom: AtomParams) -> tuple[NormalizationConstants, LineS
         solved = _lu_solve(m, [-v for v in v0])
     result = NormalizationConstants(*[float(v) for v in solved])
 
-    check = _fitted_series(atom, design, _samples_at(samples, result))
+    check = extract_series_numerically(result)
     expected_cubic = -3.0 * (2.0 * result.c0 + 15.0)
     if abs(check.c3 - expected_cubic) > 1e-8:
         raise CausalAtomError(

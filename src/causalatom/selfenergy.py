@@ -73,8 +73,7 @@ def r2prime_tilde(u: float) -> complex:
 # the distribution that split-check splits carries both normal-ordering terms,
 # twice d2_tilde: d = i g, g = 2 pi core, whose central retarded part is
 # B(u; C = 0) with the signed step (tests pin this)
-DISTRIBUTION = CausalDistribution1D(g=lambda k: TWO_PI * _core(k), singular_order=2,
-                                    k_min=1.0)
+DISTRIBUTION = CausalDistribution1D(g=lambda k: TWO_PI * _core(k), k_min=1.0)
 
 
 # ---------------------------------------------------------------------------

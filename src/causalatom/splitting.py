@@ -1,18 +1,18 @@
 """Retarded/advanced parts of 1-D momentum-space causal distributions.
 
 A causal distribution here is d(k) = i g(k), g real, supported on
-|k| >= k_min > 0 with power-counting singular order omega.  Its retarded
-part, subtracted about a point q of the support gap, is the dispersion
-integral
+|k| >= k_min > 0: a resting-atom self-energy, whose power counting gives
+the singular order omega = 2.  Its retarded part, subtracted about a point
+q of the support gap, is the dispersion integral
 
-    r(p0) = (i/2pi) (p0 - q)^(omega+1) int dk  d(k) / [(k - q)^(omega+1) (p0 - k + i0)]
+    r(p0) = (i/2pi) (p0 - q)^3 int dk  d(k) / [(k - q)^3 (p0 - k + i0)]
 
 with the i0 prescriptions resolved analytically before quadrature: because
 the support excludes the gap, the subtraction kernel is regular there, and
 the p0 pole contributes a principal value plus the Sokhotski-Plemelj term
 -i pi d(p0), i.e. a pole term d(p0)/2 after the prefactor.  No finite-epsilon
 limits are taken numerically.  q = 0 is the central splitting; any two
-choices of q give parts that differ by a polynomial of degree <= omega.
+choices of q give parts that differ by a quadratic C0 + C1 p0 + C2 p0^2.
 
 split is the one entry point: it advances the dispersion integrals of many
 points together, and a point gets the same floats alone as in any batch.
@@ -42,6 +42,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-11
 
+# omega: two splittings differ by a polynomial of this degree
+SINGULAR_ORDER = 2
+
 # evaluation points this close to the support edge are refused
 BRANCH_GUARD = 1e-9
 
@@ -61,12 +64,9 @@ class CausalDistribution1D:
     """
 
     g: Callable[[np.ndarray], np.ndarray]
-    singular_order: int
     k_min: float
 
     def __post_init__(self):
-        if self.singular_order < -1:
-            raise ValueError("singular order must be >= -1")
         if not self.k_min > 0:
             raise ValueError(f"support must exclude k = 0: k_min must be > 0, got {self.k_min}")
 
@@ -83,30 +83,24 @@ class PolynomialResidual:
     max_abs_deviation: float
 
 
-def _power(x, n: int):
-    """x ** n for an int n >= 0 as ((x * x) * x) * ..., one multiplication
-    per order above the first.
+def _cube(x):
+    """x^3 as (x * x) * x.
 
-    The subtraction kernel's (k - q)^(omega+1) is formed this way because
-    numpy's power takes a slow path on a negative base (about 180 ns per
-    element against 5 for a positive one), and every grid meets negative
-    nodes: the other side, and for u < -1 the pole side.  The products are
-    IEEE operations, so their bits do not depend on the CPU; split's
-    prefactor (p0 - q)^(omega+1) is formed the same way.
+    The subtraction kernel's (k - q)^3 is formed this way because numpy's
+    power takes a slow path on a negative base (about 180 ns per element
+    against 5 for a positive one), and every grid meets negative nodes: the
+    other side, and for u < -1 the pole side.  The products are IEEE
+    operations, so their bits do not depend on the CPU; split's prefactor
+    (p0 - q)^3 is formed the same way.
     """
-    if n == 0:
-        return 1.0
-    power = x
-    for _ in range(n - 1):
-        power = power * x
-    return power
+    return x * x * x
 
 
 def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
     """The regular dispersion integral of g at each point p0 of the array p,
     on the step ladder of numerics: (values, error estimates, node counts).
 
-    With s = sgn p0, P = |p0|, S = max(k_min, P) and G(k) = g(k)/(k - q)^(omega+1),
+    With s = sgn p0, P = |p0|, S = max(k_min, P) and G(k) = g(k)/(k - q)^3,
     the integrand is G(k)/(p0 - k), and its pieces are:
       on the support, pole side: the fold int_0^h (G(p0 - st) - G(p0 + st))/(st) dt
         with h = min(P - k_min, P/2), by tanh-sinh; the near piece
@@ -122,12 +116,12 @@ def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
     converge by the last step; a FloatingPointError of the integrand
     propagates.
     """
-    k_min, om1 = d.k_min, d.singular_order + 1
+    k_min = d.k_min
     ln_min = math.log(k_min)
 
     def G(k):
         y = d.g(k)
-        y /= _power(k - q if q else k, om1)
+        y /= _cube(k - q if q else k)
         return y
 
     def term(y, den, weight):
@@ -223,7 +217,7 @@ def split(d: CausalDistribution1D, p0s, q: float = 0.0, tol: float = DEFAULT_TOL
     pole_sign = 1 resolves 1/(p0 - k + i0) (retarded); -1 resolves the
     mirrored 1/(p0 - k - i0), whose pole term has the opposite sign: the
     advanced part, found independently of r - d.  The error estimate is
-    |I_h - I_2h|, scaled like the value by |p0 - q|^(omega+1)/(2 pi).
+    |I_h - I_2h|, scaled like the value by |p0 - q|^3/(2 pi).
 
     The points go through _dispersion SPLIT_CHUNK_POINTS at a time; each
     point gets the floats it gets alone.  Raises ValueError for a tol not
@@ -241,7 +235,7 @@ def split(d: CausalDistribution1D, p0s, q: float = 0.0, tol: float = DEFAULT_TOL
     edge = int(np.argmax(near)) if near.any() else None
     p = p0s[:edge]
     total, err, nodes = np.zeros(len(p)), np.zeros(len(p)), np.zeros(len(p), dtype=int)
-    # at p0 = q = 0 the (p0 - q)^(omega+1) prefactor kills the regular integral
+    # at p0 = q = 0 the (p0 - q)^3 prefactor kills the regular integral
     integrated = np.flatnonzero((p != 0.0) | (q != 0.0))
     for i in range(0, len(integrated), SPLIT_CHUNK_POINTS):
         rows = integrated[i:i + SPLIT_CHUNK_POINTS]
@@ -250,31 +244,30 @@ def split(d: CausalDistribution1D, p0s, q: float = 0.0, tol: float = DEFAULT_TOL
         raise BranchPointError(
             f"|p0| = {abs(float(p0s[edge]))} lies within {guard} of the "
             f"support edge k_min = {d.k_min}")
-    scale = _power(p - q, d.singular_order + 1)
+    scale = _cube(p - q)
     # the integral is that of g; times i, it is that of d
     values = 1j / (2.0 * math.pi) * scale * (1j * total)
     # Sokhotski-Plemelj: 1/(p0-k+i0) -> PV - i pi delta(k-p0); the
-    # (p0-q)^(omega+1) prefactor cancels against the subtraction kernel
+    # (p0-q)^3 prefactor cancels against the subtraction kernel
     values += 1j * np.where(np.abs(p) > d.k_min, 0.5 * pole_sign * d.g(p), 0.0)
     return values, nodes, np.abs(scale) / (2.0 * math.pi) * err
 
 
 def polynomial_residual(d: CausalDistribution1D, q: float, grid,
                         tol: float = DEFAULT_TOL) -> PolynomialResidual:
-    """Fit a polynomial of degree <= omega to the central retarded part of d
-    minus the one subtracted about q, on the grid.
+    """Fit a polynomial of degree SINGULAR_ORDER to the central retarded part
+    of d minus the one subtracted about q, on the grid.
 
     Orientation is fixed as central - shifted.  The deviation is the max
     modulus of the complex difference minus the (real-coefficient) fit, so
     imaginary leftovers are not silently dropped.
     """
-    omega = d.singular_order
     grid = np.asarray(list(grid), dtype=float)
-    if grid.size < omega + 2:
-        raise ValueError(f"need more than omega+1 = {omega + 1} grid points, got {grid.size}")
+    if grid.size < SINGULAR_ORDER + 2:
+        raise ValueError(f"need more than {SINGULAR_ORDER + 1} grid points, got {grid.size}")
     shifted = split(d, grid, q, tol)[0]   # refuses q before any point is integrated
     diff = split(d, grid, tol=tol)[0] - shifted
-    v = np.vander(grid, omega + 1, increasing=True)
+    v = np.vander(grid, SINGULAR_ORDER + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(v, diff.real, rcond=None)
     dev = float(np.abs(diff - v @ coef).max())
     return PolynomialResidual(coefficients=tuple(float(c) for c in coef),

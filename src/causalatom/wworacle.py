@@ -31,7 +31,7 @@ and sum_k |c_k|^2 grows by a^2 G |b_n|^2 + 2 Re(conj(s_n) (-i a) b_n) with
 G = sum_k g_k^2.  For the flat uniform comb (equal g, Delta_k = Delta_c +
 (k - (N-1)/2) delta) K is the Dirichlet sum
 g^2 exp(i Delta_c j dt) sin(N x_j) / sin(x_j), x_j = delta j dt / 2, so the
-comb is four numbers (its edges, mode count and coupling) and the cost does
+comb is three numbers (its edges and mode count) and the cost does
 not depend on the number of modes.
 
 The history sum is the blocked fast convolution of Hairer, Lubich and
@@ -82,15 +82,13 @@ class ModeGrid:
     """Uniform comb of n_modes detunings from lo to hi, each coupled with the
     same strength coupling; all in units of gamma.
 
-    density is the calibration density n_modes/bandwidth used to fix the
-    coupling (2 pi g^2 density = 1); the actual comb spacing is
-    bandwidth/(n_modes - 1).
+    The coupling is calibrated on the density n_modes/bandwidth
+    (2 pi g^2 density = 1); the actual comb spacing is bandwidth/(n_modes - 1).
     """
 
     lo: float
     hi: float
     n_modes: int
-    coupling: float
 
     def __post_init__(self):
         if not (self.lo < self.hi and self.n_modes >= 2):
@@ -99,8 +97,8 @@ class ModeGrid:
                 f"[{self.lo}, {self.hi}] with {self.n_modes}")
 
     @property
-    def density(self) -> float:
-        return self.n_modes / (self.hi - self.lo)
+    def coupling(self) -> float:
+        return math.sqrt((self.hi - self.lo) / (2.0 * math.pi * self.n_modes))
 
     @property
     def spacing(self) -> float:
@@ -124,7 +122,7 @@ def _calibrated_grid(lo: float, hi: float, n_modes: int) -> ModeGrid:
     if spacing > 0.1:
         raise GridResolutionError(
             f"mode spacing {spacing:.4g} exceeds 0.1; the comb would not resolve the line")
-    return ModeGrid(lo, hi, n_modes, math.sqrt((hi - lo) / (2.0 * math.pi * n_modes)))
+    return ModeGrid(lo, hi, n_modes)
 
 
 def build_grid(bandwidth: float, n_modes: int) -> ModeGrid:

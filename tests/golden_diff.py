@@ -87,8 +87,9 @@ def cases() -> list:
                 [name, "--preset", "atom.json"], [name, "-h"]]
     out += [["ww-sim", "--out", "-"], ["ww-sim", "--format", "csv", "--out", "-"]]
     out += [["split-check", *grid] for grid in GRIDS]
-    out += [["split-check", "--preset", f, *SCALE_GRID]
-            for f in ("big-dipole.json", "tiny-scale.json")]
+    for f in ("big-dipole.json", "tiny-scale.json"):
+        out += [["split-check", "--preset", f, *SCALE_GRID], ["shift", "--preset", f],
+                ["series-check", "--c0", "1.5", "--preset", f]]
     out += [["split-check", "--points", "1"], ["series-check", "--c0", "-1e-3"],
             ["series-check", "--c0", "-inf"],
             # the fit's coefficients overflow: the writer refuses them

@@ -62,20 +62,20 @@ def test_criterion_1_decay_rate(hyd):
               f"WW runtime {ww_elapsed:.1f}s")
 
 
-def test_criterion_2_normalization_constants(hyd):
-    solved, _ = solve_normalization(hyd)
+def test_criterion_2_normalization_constants():
+    solved, _ = solve_normalization()
     assert solved.c0 == pytest.approx(-3.5, abs=1e-10)
     assert solved.c1 == pytest.approx(8.0, abs=1e-10)
     assert solved.c2 == pytest.approx(-29.0 / 6.0, abs=1e-10)
 
-    fit = extract_series_numerically(hyd, NORMALIZATION_EXACT)
-    ana = lineshift_series(hyd, NORMALIZATION_EXACT)
+    fit = extract_series_numerically(NORMALIZATION_EXACT)
+    ana = lineshift_series(NORMALIZATION_EXACT)
     tol = 1e-10 * abs(fit.c3)
     for series in (fit, ana):
         assert abs(series.c0) <= tol
         assert abs(series.c1) <= tol
         assert abs(series.c2) <= tol
-    resid = extract_series_numerically(hyd, solved)
+    resid = extract_series_numerically(solved)
     assert resid.c3 == pytest.approx(-24.0, abs=1e-8)
 
     # the ordering discrepancy is emitted as a structured note on every report
@@ -118,12 +118,12 @@ def test_criterion_4_splitting_oracle():
               f"{res.max_abs_deviation:.2e} (<= 1e-6); runtime {elapsed:.1f}s")
 
 
-def test_criterion_5_series_oracle(hyd):
+def test_criterion_5_series_oracle():
     names = ("c_log3", "c0", "c1", "c2", "c3")
 
     def check(c):
-        fit = extract_series_numerically(hyd, c)
-        ana = lineshift_series(hyd, c)
+        fit = extract_series_numerically(c)
+        ana = lineshift_series(c)
         worst = 0.0
         for n in names:
             a, f = getattr(ana, n), getattr(fit, n)

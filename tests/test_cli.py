@@ -19,7 +19,8 @@ import pytest
 
 from causalatom import cli
 from causalatom.cli import main, resolve_preset
-from causalatom.observables import gamma_exact, hydrogen_1s2p_preset, r2_prefactor, t2_prefactor
+from causalatom.observables import (gamma_exact, hydrogen_1s2p_preset, r2_prefactor,
+                                     shift_prefactor, t2_prefactor)
 from causalatom.selfenergy import split_check_report, split_grid
 from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL, z_factor
 
@@ -28,6 +29,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def preset_arg(preset, tmp_path):
+    """A preset name, or for a file of golden_diff.PRESETS its path, written
+    to tmp_path."""
+    import golden_diff
+    if not preset.endswith(".json"):
+        return preset
+    (tmp_path / preset).write_text(json.dumps(golden_diff.PRESETS[preset]))
+    return str(tmp_path / preset)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +115,19 @@ class TestGammaCommand:
         assert code2 == 0
         doc2 = json.loads(out2)
         assert doc2["results"] == doc["results"]
+
+    @pytest.mark.parametrize("preset", ["hydrogen-1s2p", "synthetic:1e-3", "synthetic:1e-2"])
+    def test_minus_one_field_against_fifty_digits(self, capsys, preset):
+        # (1 + du/2)^3/(1 + du)^5 - 1, which cancelled in the quotient of the
+        # two printed rates: hydrogen's read 2.5e-8 relative off
+        import mpmath as mp
+        code, out, _ = run_cli(capsys, "gamma", "--preset", preset)
+        assert code == 0
+        res = json.loads(out)["results"]
+        with mp.workdps(50):
+            du = mp.mpf(res["delta_u"])
+            want = (1 + du / 2) ** 3 / (1 + du) ** 5 - 1
+            assert abs(res["ratio_exact_to_leading_minus_one"] / want - 1) <= 1e-15
 
 
 class TestShiftCommand:
@@ -250,11 +274,8 @@ class TestSplitCheckCommand:
         import golden_diff
         seen = []
         for preset in ("hydrogen-1s2p", "big-dipole.json", "tiny-scale.json"):
-            if preset.endswith(".json"):
-                (tmp_path / preset).write_text(json.dumps(golden_diff.PRESETS[preset]))
-                preset = str(tmp_path / preset)
-            code, out, err = run_cli(capsys, "split-check", "--preset", preset,
-                                     *golden_diff.SCALE_GRID)
+            code, out, err = run_cli(capsys, "split-check", "--preset",
+                                     preset_arg(preset, tmp_path), *golden_diff.SCALE_GRID)
             assert (code, err) == (0, "")
             res = json.loads(out, parse_float=str)["results"]   # numbers as written
             seen.append(([[r[name] for name in ("u", "im_rel_err", "re_rel_err")]
@@ -263,6 +284,26 @@ class TestSplitCheckCommand:
                          res["diagnostics"]["quadrature_evaluations"]))
         assert seen[1] == seen[0] and seen[2] == seen[0]
         assert float(seen[0][2]) <= 1e-15
+
+
+class TestShiftPrefactor:
+    def test_prefactor_is_the_only_atom_in_the_fits(self, capsys, tmp_path):
+        # prefactor_per_s of shift and series-check is shift_prefactor bit for
+        # bit, and every bracket-unit number is the same on every preset
+        seen = []
+        for preset in ("hydrogen-1s2p", "synthetic:1e-2", "tiny-scale.json"):
+            preset = preset_arg(preset, tmp_path)
+            pref = shift_prefactor(resolve_preset(preset))
+            docs = []
+            for argv in (["shift"], ["series-check", "--c0", "1.5"]):
+                code, out, err = run_cli(capsys, *argv, "--preset", preset)
+                assert (code, err) == (0, "")
+                docs.append(json.loads(out)["results"])
+            shift, series = docs
+            assert shift["series_with_solved_c"].pop("prefactor_per_s") == pref
+            assert series.pop("prefactor_per_s") == pref
+            seen.append((shift["solved_normalization"], shift["series_with_solved_c"], series))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 class TestSeriesCheckCommand:

@@ -34,10 +34,10 @@ from causalatom.splitting import (SPLIT_CHUNK_POINTS, CausalDistribution1D,
 from test_numerics import _terms, finite_lo, integrate, pv
 
 # 2 core: a distribution of its own, beside DISTRIBUTION's 2 pi core
-UNIT = CausalDistribution1D(g=lambda k: 2.0 * _core(k), singular_order=2, k_min=1.0)
+UNIT = CausalDistribution1D(g=lambda k: 2.0 * _core(k), k_min=1.0)
 # sin(40 k) on the support: no step of the ladder resolves it
 OSCILLATING = CausalDistribution1D(g=lambda k: np.where(k * k > 1.0, np.sin(40.0 * k), 0.0),
-                                   singular_order=2, k_min=1.0)
+                                   k_min=1.0)
 
 
 def bits(values):
@@ -292,8 +292,7 @@ def test_plain_piece_matches_reference(k_min):
     # with k = k_min kappa every factor of k_min cancels.  The points run
     # through every piece list, the plain near piece [k_min, |p0|/2] among
     # them (from |u| = 2), and the reference is the k_min = 1 splitting
-    d = CausalDistribution1D(g=lambda k: 2.0 * _core(k / k_min), singular_order=2,
-                             k_min=k_min)
+    d = CausalDistribution1D(g=lambda k: 2.0 * _core(k / k_min), k_min=k_min)
     u = np.concatenate([np.linspace(-6.0, -1.1, 20), np.linspace(-0.9, 0.9, 5),
                         np.linspace(1.1, 6.0, 20)])
     values, _, _ = split(d, k_min * u)

@@ -27,6 +27,7 @@ from causalatom.observables import (
     lamb_reference,
     lineshift_log_bracket,
     lineshift_series,
+    shift_prefactor,
     shift_ratio,
     solve_normalization,
     synthetic_atom,
@@ -129,6 +130,20 @@ class TestGamma:
         assert r4 == pytest.approx(-2.5 * du, rel=1e-6)
         assert 0.0 < abs(r5) < 5.0 * du
 
+    @pytest.mark.parametrize("power, ratio_minus_one", [(5, -0.03996), (4, -0.02869)])
+    def test_exact_rate_where_its_numerator_underflows(self, power, ratio_minus_one):
+        # du^3 (2 + du)^3 |d|^2 underflowed to 0 on this atom (du = 0.011734),
+        # where gamma_leading is 4.2e-302
+        import mpmath as mp
+        atom = AtomParams(m_g=1e-49, omega_eg=1.0, d_eg_abs=1e-160, t_g=1.0,
+                          constants=CODATA2018)
+        ratio = gamma_exact(atom, power) / gamma_leading(atom)
+        with mp.workdps(50):
+            du = mp.mpf(atom.delta_u)
+            want = (1 + du / 2) ** 3 / (1 + du) ** power
+            assert abs(ratio / want - 1) <= 1e-15
+        assert ratio - 1.0 == pytest.approx(ratio_minus_one, rel=1e-3)
+
     def test_bad_power(self, hyd):
         with pytest.raises(ValueError):
             gamma_exact(hyd, denominator_power=3)
@@ -177,12 +192,12 @@ class TestZFactor:
 
 
 class TestLineShiftSeries:
-    def test_analytic_c_zero(self, hyd):
-        s = lineshift_series(hyd, C0)
+    def test_analytic_c_zero(self):
+        s = lineshift_series(C0)
         assert (s.c0, s.c1, s.c2, s.c3, s.c_log3) == (2.0, 8.0, 21.0, -45.0, -48.0)
 
-    def test_analytic_solved_c(self, hyd):
-        s = lineshift_series(hyd, NORMALIZATION_EXACT)
+    def test_analytic_solved_c(self):
+        s = lineshift_series(NORMALIZATION_EXACT)
         assert abs(s.c0) < 1e-12
         assert abs(s.c1) < 1e-12
         assert abs(s.c2) < 1e-12
@@ -190,31 +205,32 @@ class TestLineShiftSeries:
 
     def test_prefactor_identity(self, hyd):
         # 144 pi^2 = 6 * 24 pi^2: prefactor * 6 == 2 (2pi)^2 c * t2 prefactor
-        s = lineshift_series(hyd, C0)
         k = hyd.constants
-        assert s.prefactor * 6.0 == pytest.approx(
+        assert shift_prefactor(hyd) * 6.0 == pytest.approx(
             2.0 * (2 * math.pi) ** 2 * k.c * t2_prefactor(hyd), rel=1e-13)
 
-    def test_extraction_matches_analytic_c_zero(self, hyd):
-        fit = extract_series_numerically(hyd, C0)
-        ana = lineshift_series(hyd, C0)
+    def test_extraction_matches_analytic_c_zero(self):
+        fit = extract_series_numerically(C0)
+        ana = lineshift_series(C0)
         for name in ("c_log3", "c0", "c1", "c2", "c3"):
             assert getattr(fit, name) == pytest.approx(getattr(ana, name), rel=1e-10)
 
-    def test_extraction_matches_analytic_random_c(self, hyd):
+    def test_extraction_matches_analytic_random_c(self):
         rng = np.random.RandomState(17)
         for _ in range(100):
             c = NormalizationConstants(*rng.uniform(-10, 10, 3))
-            fit = extract_series_numerically(hyd, c)
-            ana = lineshift_series(hyd, c)
+            fit = extract_series_numerically(c)
+            ana = lineshift_series(c)
             for name in ("c_log3", "c0", "c1", "c2", "c3"):
                 a = getattr(ana, name)
                 # acceptance tolerance is 1e-6 relative; the fit sits far below
                 assert getattr(fit, name) == pytest.approx(a, rel=1e-6, abs=1e-9)
                 assert getattr(fit, name) == pytest.approx(a, rel=1e-9, abs=1e-9)
 
-    def test_extraction_residual_guard(self, hyd, monkeypatch):
-        # a non-smooth sampled function must trip the residual check
+    def test_extraction_residual_guard(self, monkeypatch):
+        # a non-smooth sampled function must trip the residual check.  The
+        # design caches its samples: clear it so that they are the noisy
+        # ones, and again so that they do not reach a later fit
         from decimal import Decimal
         from causalatom import observables as obs
 
@@ -226,20 +242,24 @@ class TestLineShiftSeries:
 
         monkeypatch.setattr(obs, "_line_shift_samples", noisy)
         from causalatom.errors import FitResidualError
-        with pytest.raises(FitResidualError):
-            extract_series_numerically(hyd, C0)
-        with pytest.raises(FitResidualError):
-            solve_normalization(hyd)
+        obs._series_design.cache_clear()
+        try:
+            with pytest.raises(FitResidualError):
+                extract_series_numerically(C0)
+            with pytest.raises(FitResidualError):
+                solve_normalization()
+        finally:
+            obs._series_design.cache_clear()
 
-    def test_fitted_log_coefficient_independent_of_c(self, hyd):
-        f1 = extract_series_numerically(hyd, NormalizationConstants(3.0, -1.0, 2.0))
-        f2 = extract_series_numerically(hyd, C0)
+    def test_fitted_log_coefficient_independent_of_c(self):
+        f1 = extract_series_numerically(NormalizationConstants(3.0, -1.0, 2.0))
+        f2 = extract_series_numerically(C0)
         assert f1.c_log3 == pytest.approx(f2.c_log3, abs=1e-10)
         assert f1.c_log3 == pytest.approx(-48.0, abs=1e-9)
 
-    def test_fitted_constant_shift(self, hyd):
-        base = extract_series_numerically(hyd, C0)
-        up = extract_series_numerically(hyd, NormalizationConstants(1.0, 0.0, 0.0))
+    def test_fitted_constant_shift(self):
+        base = extract_series_numerically(C0)
+        up = extract_series_numerically(NormalizationConstants(1.0, 0.0, 0.0))
         assert up.c0 - base.c0 == pytest.approx(6.0, abs=1e-10)
 
 
@@ -287,32 +307,34 @@ def _reference_extract(c):
 class TestSeriesDesign:
     @pytest.mark.parametrize("c", [C0, NormalizationConstants(1.5, -2.0, 0.5),
                                    NormalizationConstants(-1e4, 3.25, 7e2)])
-    def test_cached_design_matches_per_call_fit(self, hyd, c):
-        fit = extract_series_numerically(hyd, c)
+    def test_cached_design_matches_per_call_fit(self, c):
+        fit = extract_series_numerically(c)
         assert (fit.c_log3, fit.c0, fit.c1, fit.c2, fit.c3) == _reference_extract(c)
 
-    def test_independent_of_call_order(self, hyd):
+    def test_independent_of_call_order(self):
         # a fit that mutated the cached design would change the later ones
         from causalatom import observables as obs
         cs = [C0, NORMALIZATION_EXACT, NormalizationConstants(2.0, -5.0, 9.0)]
         obs._series_design.cache_clear()
-        forward = [extract_series_numerically(hyd, c) for c in cs]
+        forward = [extract_series_numerically(c) for c in cs]
         obs._series_design.cache_clear()
-        backward = [extract_series_numerically(hyd, c) for c in reversed(cs)][::-1]
+        backward = [extract_series_numerically(c) for c in reversed(cs)][::-1]
         assert forward == backward
-        assert [extract_series_numerically(hyd, c) for c in cs] == forward
+        assert [extract_series_numerically(c) for c in cs] == forward
 
-    def test_design_built_once_per_process(self, hyd):
-        # each public fit fetches the design once: the solve's five fits
-        # (C = 0, the three derivative columns, the check) share one fetch
+    def test_design_built_once_per_process(self):
+        # each public fit fetches the design once: the solve's four fits (C =
+        # 0 and the three derivative columns) share one fetch, and its check
+        # is a public fit
         from causalatom import observables as obs
         obs._series_design.cache_clear()
-        solve_normalization(hyd)
-        extract_series_numerically(hyd, NORMALIZATION_EXACT)
+        solve_normalization()
+        extract_series_numerically(NORMALIZATION_EXACT)
         info = obs._series_design.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 2)
 
-    def test_bracket_sampled_once_per_fit(self, hyd, monkeypatch):
+    def test_bracket_sampled_once_per_fit(self, monkeypatch):
+        # the design holds the samples at C = 0: one sampling per process
         from causalatom import observables as obs
         calls = []
         real = obs._line_shift_samples
@@ -322,9 +344,11 @@ class TestSeriesDesign:
             return real(grid, ln_grid)
 
         monkeypatch.setattr(obs, "_line_shift_samples", counted)
-        solve_normalization(hyd)
-        extract_series_numerically(hyd, C0)
-        assert calls == [obs._EXTRACT_POINTS] * 2
+        obs._series_design.cache_clear()
+        solve_normalization()
+        extract_series_numerically(C0)
+        extract_series_numerically(NORMALIZATION_EXACT)
+        assert calls == [obs._EXTRACT_POINTS]
 
     def test_decimal_samples_are_the_float_bracket(self):
         # the decimal sampler's rational form _sym_bracket against the float
@@ -336,50 +360,46 @@ class TestSeriesDesign:
             b = t2_bracket_resonant(float(du), C0).real
             assert float(y) == pytest.approx(6.0 * b / (1.0 + float(du)), rel=1e-12)
 
-    def test_solve_leaves_the_decimal_context_alone(self, hyd):
+    def test_solve_leaves_the_decimal_context_alone(self):
         import decimal
         before = decimal.getcontext().prec
-        solve_normalization(hyd)
+        solve_normalization()
         assert decimal.getcontext().prec == before
 
 
 class TestSolveNormalization:
-    def test_solved_triple(self, hyd):
-        c, _ = solve_normalization(hyd)
+    def test_solved_triple(self):
+        c, _ = solve_normalization()
         assert c.c0 == pytest.approx(-3.5, abs=1e-10)
         assert c.c1 == pytest.approx(8.0, abs=1e-10)
         assert c.c2 == pytest.approx(-29.0 / 6.0, abs=1e-10)
 
-    def test_solution_zeroes_low_coefficients(self, hyd):
+    def test_solution_zeroes_low_coefficients(self):
         # substitute the exact rational triple into both series
-        ana = lineshift_series(hyd, NORMALIZATION_EXACT)
-        fit = extract_series_numerically(hyd, NORMALIZATION_EXACT)
+        ana = lineshift_series(NORMALIZATION_EXACT)
+        fit = extract_series_numerically(NORMALIZATION_EXACT)
         tol = 1e-10 * abs(fit.c3)
         for s in (ana, fit):
             assert abs(s.c0) <= tol
             assert abs(s.c1) <= tol
             assert abs(s.c2) <= tol
 
-    def test_residual_cubic(self, hyd):
-        c, series = solve_normalization(hyd)
-        fit = extract_series_numerically(hyd, c)
+    def test_residual_cubic(self):
+        c, series = solve_normalization()
+        fit = extract_series_numerically(c)
         assert series == fit   # the check the solve returns is the fit at its constants
         assert fit.c3 == pytest.approx(-24.0, abs=1e-8)
         assert fit.c_log3 == pytest.approx(-48.0, abs=1e-8)
 
-    @pytest.mark.parametrize("preset", [hydrogen_1s2p_preset, lambda: synthetic_atom(1e-2),
-                                        lambda: synthetic_atom(1e-5)],
-                             ids=["hydrogen", "synthetic-1e-2", "synthetic-1e-5"])
-    def test_solution_is_the_exact_triple_bit_for_bit(self, preset):
-        # the solve never reads the atom: every preset gets the floats of the
-        # exact (-7/2, 8, -29/6)
-        assert solve_normalization(preset())[0] == NORMALIZATION_EXACT
+    def test_solution_is_the_exact_triple_bit_for_bit(self):
+        # the floats of the exact (-7/2, 8, -29/6)
+        assert solve_normalization()[0] == NORMALIZATION_EXACT
 
-    def test_low_coefficients_are_the_rounding_of_c2(self, hyd):
+    def test_low_coefficients_are_the_rounding_of_c2(self):
         # -29/6 has no float: the series at the solved C keeps 6 (fl(-29/6) +
         # 29/6) in c0 and in c1, which are not fit noise; c2 (~ -2.2e-17) is
         from fractions import Fraction
-        _, series = solve_normalization(hyd)
+        _, series = solve_normalization()
         lost = float(6 * (Fraction(-29.0 / 6.0) + Fraction(29, 6)))
         assert lost == pytest.approx(1.7763568394e-15, rel=1e-10)
         assert abs(series.c0 - lost) <= 1e-20
@@ -403,10 +423,11 @@ class TestShifts:
         # identity is checked where the cubic terms dominate that leftover.
         for du in (1e-2, 1e-3):
             atom = synthetic_atom(du)
-            fit = extract_series_numerically(atom, NORMALIZATION_EXACT)
+            fit = extract_series_numerically(NORMALIZATION_EXACT)
             bracket = (fit.c0 + fit.c1 * du + fit.c2 * du ** 2 + fit.c3 * du ** 3
                        + fit.c_log3 * du ** 3 * math.log(2.0 * du))
-            assert fit.prefactor * bracket == pytest.approx(delta_final(atom), rel=1e-8)
+            assert shift_prefactor(atom) * bracket == pytest.approx(delta_final(atom),
+                                                                    rel=1e-8)
 
     def test_mass_dependence_is_logarithmic(self, hyd):
         heavy = dataclasses.replace(hyd, m_g=2.0 * hyd.m_g)
@@ -463,8 +484,8 @@ class TestScalarLayer:
             "import sys\n"
             "import causalatom.observables as o\n"
             "for atom in (o.hydrogen_1s2p_preset(), o.synthetic_atom(1e-3)):\n"
-            "    o.gamma_exact(atom), o.lineshift_series(atom), o.shift_ratio(atom)\n"
-            "    o.extract_series_numerically(atom), o.solve_normalization(atom)\n"
+            "    o.gamma_exact(atom), o.shift_prefactor(atom), o.shift_ratio(atom)\n"
+            "o.lineshift_series(), o.extract_series_numerically(), o.solve_normalization()\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'causalatom')))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=False)

@@ -4,7 +4,7 @@ symbolic expansion of the closed-form bracket."""
 import pytest
 import sympy as sp
 
-from causalatom.observables import NormalizationConstants, hydrogen_1s2p_preset, lineshift_series
+from causalatom.observables import NormalizationConstants, lineshift_series
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +36,9 @@ def test_symbolic_expansion_matches_analytic_formulas(symbolic_coefficients):
 
 def test_numeric_formulas_match_cas_at_sample_points(symbolic_coefficients):
     x, c0, c1, c2, terms = symbolic_coefficients
-    atom = hydrogen_1s2p_preset()
     for triple in ((0.0, 0.0, 0.0), (1.25, -3.5, 2.0), (-3.5, 8.0, sp.Rational(-29, 6))):
         subs = {c0: triple[0], c1: triple[1], c2: triple[2]}
-        s = lineshift_series(atom, NormalizationConstants(*[float(v) for v in triple]))
+        s = lineshift_series(NormalizationConstants(*[float(v) for v in triple]))
         assert s.c0 == pytest.approx(float(terms[(0, 0)].subs(subs)), abs=1e-12)
         assert s.c1 == pytest.approx(float(terms[(1, 0)].subs(subs)), abs=1e-12)
         assert s.c2 == pytest.approx(float(terms[(2, 0)].subs(subs)), abs=1e-12)

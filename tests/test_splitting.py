@@ -18,7 +18,6 @@ def core_g(k):
 def make_core(scale=1.0):
     return CausalDistribution1D(
         g=lambda k: scale * core_g(k),
-        singular_order=2,
         k_min=1.0,
     )
 
@@ -35,7 +34,6 @@ def advanced(d, p0):
 
 ZERO_DIST = CausalDistribution1D(
     g=lambda k: np.zeros_like(np.asarray(k, dtype=float)),
-    singular_order=2,
     k_min=1.0,
 )
 
@@ -110,11 +108,11 @@ class TestRetardedCentral:
         d1 = make_core(1.0)
         d2 = CausalDistribution1D(
             g=lambda k: np.where(np.abs(k) > 1.0, np.sign(k) / (k ** 2 + (np.abs(k) <= 1.0)), 0.0),
-            singular_order=2, k_min=1.0)
+            k_min=1.0)
         a, b = 2.5, -1.25
         combo = CausalDistribution1D(
             g=lambda k: a * d1.g(k) + b * d2.g(k),
-            singular_order=2, k_min=1.0)
+            k_min=1.0)
         for p0 in (0.5, 2.0, 3.5):
             lhs = at(combo, p0)
             rhs = a * at(d1, p0) + b * at(d2, p0)
@@ -198,7 +196,7 @@ class TestPolynomialResidual:
     def test_q_on_support_refused_before_integrating(self):
         calls = []
         d = CausalDistribution1D(g=lambda k: calls.append(1) or core_g(k),
-                                 singular_order=2, k_min=1.0)
+                                 k_min=1.0)
         with pytest.raises(SupportError):
             polynomial_residual(d, 1.5, [1.5, 2.0, 3.0, 4.0])
         assert calls == []
@@ -209,15 +207,9 @@ class TestPolynomialResidual:
 
 
 class TestFields:
-    def test_bad_order_or_gap_rejected(self):
-        with pytest.raises(ValueError):
-            CausalDistribution1D(g=core_g, singular_order=-2, k_min=1.0)
-        with pytest.raises(ValueError):
-            CausalDistribution1D(g=core_g, singular_order=2, k_min=-1.0)
-
-    @pytest.mark.parametrize("k_min", [0.0, -0.0, float("nan")])
+    @pytest.mark.parametrize("k_min", [0.0, -0.0, -1.0, float("nan")])
     def test_support_touching_the_origin_rejected(self, k_min):
         # the subtraction kernel is regular only if the support excludes
         # k = 0; refused here, split never meets it
         with pytest.raises(ValueError, match="support must exclude k = 0"):
-            CausalDistribution1D(g=core_g, singular_order=2, k_min=k_min)
+            CausalDistribution1D(g=core_g, k_min=k_min)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -120,7 +119,8 @@ class TestBuildGrid:
     def test_calibration_identity(self):
         grid = build_grid(100.0, 2000)
         g = grid.coupling
-        assert 2.0 * math.pi * g * g * grid.density == pytest.approx(1.0, rel=1e-15)
+        density = grid.n_modes / (grid.hi - grid.lo)
+        assert 2.0 * math.pi * g * g * density == pytest.approx(1.0, rel=1e-15)
 
     def test_edges_are_the_detunings_asked_for(self):
         grid = build_grid(100.0, 4000)
@@ -157,7 +157,7 @@ class TestBuildGrid:
     ])
     def test_mode_grid_refuses_empty_comb(self, lo, hi, n_modes):
         with pytest.raises(GridResolutionError, match="lo < hi"):
-            ModeGrid(lo, hi, n_modes, 1.0)
+            ModeGrid(lo, hi, n_modes)
 
     @pytest.mark.parametrize("n_modes, band, hi", [
         (4000, 60.0, None), (4000, 100.0, None), (16000, 60.5, None),
@@ -196,8 +196,8 @@ class TestUnitContract:
 
 class TestEvolve:
     def test_no_coupling_is_static(self):
-        silent = dataclasses.replace(build_grid(100.0, 1500), coupling=0.0)
-        _, ces, _ = evolve(silent, 1.0)
+        center, spacing, n_modes, _ = kernel_comb(build_grid(100.0, 1500))
+        _, ces, _ = evolve_amplitudes(center, spacing, n_modes, 0.0, 0.003, 400, 1)
         assert np.abs(ces - 1.0).max() < 1e-12
 
     def test_single_resonant_mode_rabi(self):
