@@ -45,7 +45,6 @@ from .observables import (
     shift_ratio,
     solve_normalization,
     synthetic_atom,
-    t2_prefactor,
 )
 from .selfenergy import split_check_report, split_grid
 from .wavepacket import convergence_study
@@ -257,7 +256,7 @@ def _cmd_shift(atom, opts):
     solved, series = solve_normalization()   # the series is the solve's own check
     return {
         "delta_final_per_s": delta_final(atom),
-        "lamb_reference_per_s": lamb_reference(atom.constants),
+        "lamb_reference_per_s": lamb_reference(),
         "log_bracket": lineshift_log_bracket(atom.delta_u),
         "solved_normalization": {"c0": solved.c0, "c1": solved.c1, "c2": solved.c2},
         "series_with_solved_c": {
@@ -271,10 +270,10 @@ def _cmd_shift(atom, opts):
 def _cmd_ratio(atom, opts):
     r = shift_ratio(atom)
     return {
-        "ratio_signed": r.value,
-        "ratio_magnitude": r.magnitude,
+        "ratio_signed": r,
+        "ratio_magnitude": abs(r),
         "delta_final_per_s": delta_final(atom),
-        "lamb_reference_per_s": lamb_reference(atom.constants),
+        "lamb_reference_per_s": lamb_reference(),
     }
 
 
@@ -320,12 +319,12 @@ def _cmd_series_check(atom, opts):
 def _cmd_wavepacket_check(atom, opts):
     # the Z check runs in units of lambda_bar_g: SI enters here, and only here
     periods = opts["plateau_periods"]
-    pref = _nonzero("t2_prefactor (the scale of z_closed)", t2_prefactor(atom), atom,
+    pref = _nonzero("shift_prefactor (the scale of z_closed)", shift_prefactor(atom), atom,
                     ("d_eg_Cm", "m_g_kg"))
     delta_u = _nonzero("delta_u", atom.delta_u, atom, ("omega_eg_rad_s", "m_g_kg"))
     study = convergence_study(delta_u, NormalizationConstants(), periods,
                               opts["ramp_fraction"])
-    scale = 2.0 * TWO_PI ** 2 * pref * atom.lambda_bar_g
+    scale = 6.0 * pref * atom.lambda_bar_g / CODATA2018.c
     rows = Table(plateau_periods=periods, t_g_s=[n * (TWO_PI / atom.omega_eg) for n in periods],
                  rel_error=[zc.rel_error for zc in study],
                  regime_flag=["ok" if zc.regime_ok else "wide-window" for zc in study],

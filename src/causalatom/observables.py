@@ -1,8 +1,11 @@
 """Physical constants, atom presets, decay rate and line-shift observables.
 
-Every quantity is computed from an explicit PhysicalConstants instance; no
-module-level globals feed the formulas (the CODATA2018 registry is just a
-frozen instance callers pass around).
+SI enters through one unit on the one registry, CODATA2018: the line shift
+per bracket unit S = shift_prefactor(atom) = |d|^2/(144 pi^2 eps0 hbar lb^3),
+lb = lambda_bar_g = hbar/(m_g c).  Every SI number is S times a unit-free
+factor: the rate 48 pi delta_u^3 S, r2_prefactor 3 S/(2 pi^2 c), and in the
+CLI the Z scale 6 S lb/c.  S is the square of |d|/(12 pi sqrt(eps0 hbar))
+over lb^(3/2), so a dipole whose square is subnormal keeps its digits.
 
 This is the scalar layer: the SI prefactors, the normalization constants
 and the symmetrized bracket live here, and every formula runs on floats or
@@ -37,7 +40,6 @@ __all__ = [
     "CODATA2018",
     "AtomParams",
     "LineShiftSeries",
-    "ShiftRatio",
     "DISCREPANCY_NOTES",
     "hydrogen_1s2p_preset",
     "synthetic_atom",
@@ -57,7 +59,6 @@ __all__ = [
     "NormalizationConstants",
     "r2_prefactor",
     "shift_prefactor",
-    "t2_prefactor",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -122,7 +123,6 @@ class AtomParams:
     omega_eg: float   # rad/s
     d_eg_abs: float   # C m
     t_g: float        # s
-    constants: PhysicalConstants
 
     def __post_init__(self):
         for name in ("m_g", "omega_eg", "d_eg_abs", "t_g"):
@@ -141,11 +141,11 @@ class AtomParams:
 
     @property
     def lambda_bar_g(self) -> float:
-        return self.constants.hbar / (self.m_g * self.constants.c)
+        return CODATA2018.hbar / (self.m_g * CODATA2018.c)
 
     @property
     def delta_u(self) -> float:
-        return self.constants.hbar * self.omega_eg / (self.m_g * self.constants.c ** 2)
+        return CODATA2018.hbar * self.omega_eg / (self.m_g * CODATA2018.c ** 2)
 
     @property
     def u_res(self) -> float:
@@ -153,29 +153,22 @@ class AtomParams:
 
 
 def _check_si_prefactors(atom: AtomParams) -> None:
-    """Raise ValueError, naming the fields, if an SI prefactor of the
-    observables leaves the float range.  Each is |d|^2 times a power of
-    omega_eg or of 1/lambda_bar_g, so finite fields can still overflow it."""
-    prefactors = (
-        ("gamma_leading", ("d_eg_abs", "omega_eg"), gamma_leading),
-        ("r2_prefactor", ("d_eg_abs", "m_g"), r2_prefactor),
-        ("t2_prefactor", ("d_eg_abs", "m_g"), t2_prefactor),
-        ("line-shift prefactor", ("d_eg_abs", "m_g"), shift_prefactor),
-    )
-    for name, fields, prefactor in prefactors:
-        try:
-            if math.isfinite(prefactor(atom)):
-                continue
-        except (OverflowError, ZeroDivisionError):  # x ** 3 overflows; lb ** 3 underflows
-            pass
-        named = ", ".join(f"{f} = {getattr(atom, f):.6g}" for f in fields)
-        raise ValueError(f"{name} leaves the float range for {named}")
+    """Raise ValueError, naming the fields, if the SI unit shift_prefactor
+    leaves the float range, as finite fields can make it.  Every other SI
+    prefactor is at most S, so this one check covers them."""
+    try:
+        if math.isfinite(shift_prefactor(atom)):
+            return
+    except (OverflowError, ZeroDivisionError):   # the square overflows; lb underflows
+        pass
+    raise ValueError(f"shift_prefactor leaves the float range for "
+                     f"d_eg_abs = {atom.d_eg_abs:.6g}, m_g = {atom.m_g:.6g}")
 
 
 _ATOM_KEYS = ("m_g_kg", "omega_eg_rad_s", "d_eg_Cm", "t_g_s")
 
 
-def atom_from_dict(doc: dict, constants: PhysicalConstants = CODATA2018) -> AtomParams:
+def atom_from_dict(doc: dict) -> AtomParams:
     """Build AtomParams from a JSON-style document; unknown keys are rejected,
     and every value must be a number (a JSON true or "1.5e16" is not)."""
     if not isinstance(doc, dict):
@@ -193,8 +186,7 @@ def atom_from_dict(doc: dict, constants: PhysicalConstants = CODATA2018) -> Atom
         return AtomParams(m_g=float(doc["m_g_kg"]),
                           omega_eg=float(doc["omega_eg_rad_s"]),
                           d_eg_abs=float(doc["d_eg_Cm"]),
-                          t_g=float(doc["t_g_s"]),
-                          constants=constants)
+                          t_g=float(doc["t_g_s"]))
     except (OverflowError, ValueError) as exc:   # an int past the float range, or a bad value
         raise PresetError(f"invalid atom document: {exc}") from exc
 
@@ -204,19 +196,20 @@ def atom_to_dict(atom: AtomParams) -> dict:
             "d_eg_Cm": atom.d_eg_abs, "t_g_s": atom.t_g}
 
 
-def hydrogen_1s2p_preset(k: PhysicalConstants = CODATA2018) -> AtomParams:
+def hydrogen_1s2p_preset() -> AtomParams:
     """Hydrogen 1s->2p parameters: hbar omega = 0.75 * 13.6 eV,
     |d_eg| = sqrt(2) 2^7 3^-5 e a0, m_g = m_p + m_e, and t_g = 1 s.
 
     t_g only scales Z; rates and shifts are per unit time.
     """
+    k = CODATA2018
     omega = 0.75 * 13.6 * k.e_charge / k.hbar
     dipole = math.sqrt(2.0) * 2 ** 7 * 3 ** -5.0 * k.e_charge * k.a0
     return AtomParams(m_g=k.m_proton + k.m_electron, omega_eg=omega,
-                      d_eg_abs=dipole, t_g=1.0, constants=k)
+                      d_eg_abs=dipole, t_g=1.0)
 
 
-def synthetic_atom(delta_u: float, k: PhysicalConstants = CODATA2018) -> AtomParams:
+def synthetic_atom(delta_u: float) -> AtomParams:
     """Atom with a chosen delta_u (mass tuned to the hydrogen frequency and
     dipole).  All bracket formulas are scale-free in u, so convergence
     studies run at exaggerated delta_u where double precision can resolve
@@ -224,19 +217,27 @@ def synthetic_atom(delta_u: float, k: PhysicalConstants = CODATA2018) -> AtomPar
     """
     if not 0.0 < delta_u < 0.1:
         raise ValueError("delta_u must be in (0, 0.1)")
-    hydrogen = hydrogen_1s2p_preset(k)
-    return replace(hydrogen, m_g=k.hbar * hydrogen.omega_eg / (delta_u * k.c ** 2))
+    hydrogen = hydrogen_1s2p_preset()
+    return replace(hydrogen, m_g=CODATA2018.hbar * hydrogen.omega_eg
+                   / (delta_u * CODATA2018.c ** 2))
 
 
 # ---------------------------------------------------------------------------
 # decay rate
 # ---------------------------------------------------------------------------
 
+def _dipole_factor(atom: AtomParams) -> float:
+    """|d|/(12 pi sqrt(eps0 hbar)), the square root of S lb^3."""
+    return atom.d_eg_abs / (12.0 * math.pi * math.sqrt(CODATA2018.eps0 * CODATA2018.hbar))
+
+
 def gamma_leading(atom: AtomParams) -> float:
-    """Leading-order two-level spontaneous emission rate |d|^2 w^3/(3 pi hbar eps0 c^3)."""
-    k = atom.constants
-    return atom.d_eg_abs ** 2 * atom.omega_eg ** 3 / (
-        3.0 * math.pi * k.hbar * k.eps0 * k.c ** 3)
+    """Leading-order two-level spontaneous emission rate |d|^2 w^3/(3 pi hbar eps0 c^3)
+    = 48 pi delta_u^3 S, with delta_u/lb = w/c exactly: the mass never enters.
+    Each factor lies between the dipole factor and the root of the rate, so
+    none leaves the float range where the rate does not."""
+    k = atom.omega_eg / CODATA2018.c
+    return 48.0 * math.pi * (_dipole_factor(atom) * math.sqrt(k) * k) ** 2
 
 
 def gamma_ratio_minus_one(delta_u: float, denominator_power: int = 5) -> float:
@@ -279,15 +280,8 @@ class NormalizationConstants:
 
 
 def r2_prefactor(atom) -> float:
-    k = atom.constants
-    return atom.d_eg_abs ** 2 / (
-        6.0 * TWO_PI ** 4 * k.hbar * k.c * k.eps0 * atom.lambda_bar_g ** 3)
-
-
-def t2_prefactor(atom) -> float:
-    k = atom.constants
-    return atom.d_eg_abs ** 2 / (
-        12.0 * TWO_PI ** 4 * k.eps0 * k.c * k.hbar * atom.lambda_bar_g ** 3)
+    """3 S/(2 pi^2 c): the unit of the split check, in 1/m."""
+    return shift_prefactor(atom) * (1.5 / math.pi ** 2) / CODATA2018.c
 
 
 def _front_term(u, x, ln_abs_x, step):
@@ -329,10 +323,10 @@ class LineShiftSeries:
 
 
 def shift_prefactor(atom: AtomParams) -> float:
-    """|d|^2 / (144 pi^2 eps0 hbar lb^3): the line shift in 1/s per bracket unit."""
-    k = atom.constants
-    return atom.d_eg_abs ** 2 / (144.0 * math.pi ** 2 * k.eps0 * k.hbar
-                                 * atom.lambda_bar_g ** 3)
+    """S = |d|^2 / (144 pi^2 eps0 hbar lb^3): the line shift in 1/s per bracket
+    unit, and the one SI unit.  Squared last, so |d|^2 is never formed; only
+    lb^(3/2) can leave the float range before S does, for m_g past 1e163 kg."""
+    return (_dipole_factor(atom) / atom.lambda_bar_g ** 1.5) ** 2
 
 
 def lineshift_series(c: NormalizationConstants = NormalizationConstants()) -> LineShiftSeries:
@@ -544,29 +538,19 @@ def delta_final(atom: AtomParams) -> float:
     return -gamma_leading(atom) / TWO_PI * lineshift_log_bracket(atom.delta_u)
 
 
-def lamb_reference(k: PhysicalConstants = CODATA2018) -> float:
+def lamb_reference() -> float:
     """Reference hydrogen 1s->2p shift (m_e c^2 alpha^5 / pi hbar) *
     (-25.25 + (4/3) ln(alpha^-2)); used as a constant, not re-derived."""
+    k = CODATA2018
     bracket = -25.25 + (4.0 / 3.0) * math.log(k.alpha ** -2.0)
     return k.m_electron * k.c ** 2 * k.alpha ** 5 / (math.pi * k.hbar) * bracket
 
 
-@dataclass(frozen=True)
-class ShiftRatio:
-    value: float       # signed, as propagated from the two shifts
-    magnitude: float
-
-
-def shift_ratio(atom: AtomParams) -> ShiftRatio:
-    """delta_final / lamb_reference, both on ``atom.constants``.  Both the
-    signed value and the magnitude are reported: direct sign propagation gives
-    a negative ratio while the quoted comparison value is positive (see
-    DISCREPANCY_NOTES['ratio_sign'])."""
-    ref = lamb_reference(atom.constants)
-    if ref == 0.0:
-        raise CausalAtomError("reference shift is zero; ratio undefined")
-    value = delta_final(atom) / ref
-    return ShiftRatio(value=value, magnitude=abs(value))
+def shift_ratio(atom: AtomParams) -> float:
+    """delta_final / lamb_reference, signed: direct sign propagation gives a
+    negative ratio while the quoted comparison value is positive (see
+    DISCREPANCY_NOTES['ratio_sign']), so the CLI reports it and its abs."""
+    return delta_final(atom) / lamb_reference()
 
 
 # ---------------------------------------------------------------------------

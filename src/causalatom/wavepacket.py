@@ -12,11 +12,11 @@ numerically at physical scale separations and analytically trivial once the
 premise inequalities hold.  Of the premises, the window's narrowness is
 checked and reported (ZComparison.regime_ok).
 
-Units: T2s is t2_prefactor times the bracket B(u), which reads the atom only
-through delta_u = hbar omega_eg/(m_g c^2).  So the check runs with lengths
-in units of lambda_bar_g, where q is B's offset from u_res = 1 + delta_u
-and one optical period is 2pi/delta_u, and with Z in units of the SI scale
-2 (2pi)^2 t2_prefactor lambda_bar_g: Z/scale = int dq B(u_res + q) |gt(q)|^2.
+Units: T2s is 3 S/(4 pi^2 c) times the bracket B(u), S = shift_prefactor,
+and B reads the atom only through delta_u = hbar omega_eg/(m_g c^2).  So the
+check runs with lengths in units of lambda_bar_g, where q is B's offset from
+u_res = 1 + delta_u and one optical period is 2pi/delta_u, and with Z in
+units of the SI scale 6 S lambda_bar_g/c: Z/scale = int dq B(u_res + q) |gt(q)|^2.
 SI enters only in cli._cmd_wavepacket_check, which multiplies the z columns
 by the scale, and in z_factor, the SI observable.
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import CausalAtomError
 from .observables import (NORMALIZATION_EXACT, TWO_PI, AtomParams, NormalizationConstants,
-                          t2_prefactor)
+                          shift_prefactor)
 from .selfenergy import _c_quadratic, t2_bracket_resonant, t2_bracket_slope
 
 __all__ = [
@@ -130,8 +130,8 @@ def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstant
              resonant_weight: str = "inverse_u") -> complex:
     """Scalar action of the second-order S-matrix term on a slow excited atom.
 
-    Z = 2 (2pi)^2 c t_g T2s(u_res) w.  The slow-atom reduction leaves an
-    O(delta_u) ambiguity in the energy-denominator weight w:
+    Z = 6 t_g S B(u_res) w, S = shift_prefactor(atom).  The slow-atom
+    reduction leaves an O(delta_u) ambiguity in the energy-denominator weight w:
       "inverse_u"  w = 1/u_res, consistent with the displayed closed-form
                    rate (fifth-power denominator); default.
       "unity"      w = 1 exactly (literal proportionality; fourth power).
@@ -140,16 +140,15 @@ def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstant
     """
     if resonant_weight not in ("inverse_u", "unity"):
         raise ValueError("resonant_weight must be 'inverse_u' or 'unity'")
-    k = atom.constants
     bracket = complex(t2_bracket_resonant(atom.delta_u, c))
     w = 1.0 / atom.u_res if resonant_weight == "inverse_u" else 1.0
-    return 2.0 * TWO_PI ** 2 * k.c * atom.t_g * t2_prefactor(atom) * bracket * w
+    return 6.0 * atom.t_g * shift_prefactor(atom) * bracket * w
 
 
 @dataclass(frozen=True)
 class ZComparison:
     """The Z integral against its frozen-bracket value; the z fields are in
-    units of the SI scale 2 (2pi)^2 t2_prefactor lambda_bar_g."""
+    units of the SI scale 6 S lambda_bar_g/c, S = shift_prefactor."""
 
     z_numerical: complex
     z_closed: complex          # uses the exact int g^2

@@ -15,7 +15,9 @@ differing output: the dotted paths of a JSON document (a list index shown
 as []) or the columns of a CSV table, each field of numbers with its
 largest relative and largest absolute difference, so that a change in the
 last bits reads as one, and so does rounding noise around 0.  Then a
-summary; exits 1 if any case differs.
+summary: the count of differing cases, and a line per differing field with
+its largest relative difference over all cases.  Exits 1 if any case
+differs.
 
 With --write, each case runs under SRC alone, and the sha256 of its stdout,
 stderr and each file it writes, with its exit code, go to
@@ -89,7 +91,8 @@ def cases() -> list:
     out += [["split-check", *grid] for grid in GRIDS]
     for f in ("big-dipole.json", "tiny-scale.json"):
         out += [["split-check", "--preset", f, *SCALE_GRID], ["shift", "--preset", f],
-                ["series-check", "--c0", "1.5", "--preset", f]]
+                ["series-check", "--c0", "1.5", "--preset", f], ["ratio", "--preset", f],
+                ["wavepacket-check", "--preset", f], ["ww-sim", "--preset", f]]
     out += [["split-check", "--points", "1"], ["series-check", "--c0", "-1e-3"],
             ["series-check", "--c0", "-inf"],
             # the fit's coefficients overflow: the writer refuses them
@@ -181,39 +184,51 @@ def max_diffs(old: list, new: list):
             max((abs(a - b) for a, b in pairs), default=0.0))
 
 
-def differing_fields(old: bytes, new: bytes) -> list:
+def field_diffs(old: bytes, new: bytes) -> dict:
     """The fields in which two outputs differ: JSON paths if both are JSON,
     CSV columns if both are tables with the same header, else the whole.
-    Numbers compare as written, so -0 and 0 differ; a field of numbers on
-    both sides is followed by its largest relative and absolute differences."""
+    Numbers compare as written, so -0 and 0 differ.  Each field maps to its
+    max_diffs, None if it is not numbers on both sides."""
     try:
         a, b = (_leaves(json.loads(x, parse_float=str, parse_int=str)) for x in (old, new))
     except ValueError:
         try:
             a, b = _columns(old.decode()), _columns(new.decode())
         except (ValueError, UnicodeDecodeError):
-            return ["(not JSON or CSV)"]
+            return {"(not JSON or CSV)": None}
         if list(a) != list(b):
-            return ["(CSV header)"]
-    fields = []
-    for k in dict.fromkeys([*a, *b]):
-        if a.get(k) != b.get(k):
-            diffs = max_diffs(a.get(k, []), b.get(k, []))
-            fields.append(k if diffs is None else
-                          "%s (max rel diff %.2g, max abs diff %.2g)" % (k, *diffs))
-    return fields
+            return {"(CSV header)": None}
+    return {k: max_diffs(a.get(k, []), b.get(k, [])) for k in dict.fromkeys([*a, *b])
+            if a.get(k) != b.get(k)}
 
 
-def describe(a: tuple, b: tuple) -> list:
-    """One line per differing output of two runs of a case."""
+def _field_text(field: str, diffs) -> str:
+    """A field, followed by its largest relative and absolute differences if
+    it is numbers on both sides."""
+    return field if diffs is None else "%s (max rel diff %.2g, max abs diff %.2g)" % (
+        field, *diffs)
+
+
+def differing_fields(old: bytes, new: bytes) -> list:
+    """field_diffs as text, a field a string."""
+    return [_field_text(k, d) for k, d in field_diffs(old, new).items()]
+
+
+def describe(a: tuple, b: tuple, worst: dict) -> list:
+    """One line per differing output of two runs of a case; each differing
+    field's largest relative difference is merged into ``worst`` (None for a
+    field never of numbers)."""
     lines = [] if a[0] == b[0] else [f"exit: {a[0]} -> {b[0]}"]
     outputs = [("stdout", a[1], b[1]), ("stderr", a[2], b[2])]
     outputs += [(name, a[3].get(name, b""), b[3].get(name, b""))
                 for name in sorted(set(a[3]) | set(b[3]))]
     for name, x, y in outputs:
         if x != y:
-            fields = differing_fields(x, y) if x and y else ["(written on one side only)"]
-            lines.append(f"{name}: {', '.join(fields)}")
+            fields = field_diffs(x, y) if x and y else {"(written on one side only)": None}
+            lines.append(f"{name}: " + ", ".join(_field_text(k, d) for k, d in fields.items()))
+            for k, d in fields.items():
+                rels = [r for r in (worst.get(k), d and d[0]) if r is not None]
+                worst[k] = max(rels, default=None)
     return lines
 
 
@@ -256,6 +271,7 @@ def main(argv=None) -> int:
     old, new = (Path(a).resolve() for a in args)
     todo = cases()
     differ = 0
+    worst = {}
     for argv in todo:
         a, b = run(old, argv), run(new, argv)
         if a != b:
@@ -263,9 +279,11 @@ def main(argv=None) -> int:
             parts = [name for name, x, y in zip(("exit", "stdout", "stderr", "files"), a, b)
                      if x != y]
             print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv) or '(no arguments)'}")
-            for line in describe(a, b):
+            for line in describe(a, b, worst):
                 print(f"    {line}")
     print(f"{len(todo)} cases, {differ} differ")
+    for k, rel in worst.items():
+        print(f"    {k}: " + ("not numbers" if rel is None else "max rel diff %.2g" % rel))
     return 1 if differ else 0
 
 

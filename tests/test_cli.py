@@ -19,8 +19,8 @@ import pytest
 
 from causalatom import cli
 from causalatom.cli import main, resolve_preset
-from causalatom.observables import (gamma_exact, hydrogen_1s2p_preset, r2_prefactor,
-                                     shift_prefactor, t2_prefactor)
+from causalatom.observables import (CODATA2018, gamma_exact, hydrogen_1s2p_preset,
+                                     r2_prefactor, shift_prefactor)
 from causalatom.selfenergy import split_check_report, split_grid
 from causalatom.wavepacket import EDGE_SQUARED_INTEGRAL, z_factor
 
@@ -339,8 +339,8 @@ class TestWavepacketCommand:
     def test_si_enters_only_as_the_scale(self, capsys, tmp_path):
         # m_g and omega_eg both doubled keep delta_u bit for bit, while the
         # dipole and t_g_s differ: the unit-free columns then read the same,
-        # and each z column scales by the SI scale 2 (2pi)^2 t2_prefactor
-        # lambda_bar_g
+        # and each z column scales by the SI scale 6 S lambda_bar_g / c,
+        # S = shift_prefactor
         h = hydrogen_1s2p_preset()
         preset_file = tmp_path / "atom.json"
         preset_file.write_text(json.dumps({"m_g_kg": 2 * h.m_g, "omega_eg_rad_s": 2 * h.omega_eg,
@@ -358,7 +358,7 @@ class TestWavepacketCommand:
             assert [r[col] for r in a["rows"]] == [r[col] for r in b["rows"]]
         assert [float(r["t_g_s"]) for r in b["rows"]] == [float(r["t_g_s"]) / 2
                                                           for r in a["rows"]]
-        scale_a, scale_b = (2 * (2 * math.pi) ** 2 * t2_prefactor(x) * x.lambda_bar_g
+        scale_a, scale_b = (6 * shift_prefactor(x) * x.lambda_bar_g / CODATA2018.c
                             for x in (h, other))
         ratio = scale_b / scale_a
         assert ratio != 1.0
@@ -546,7 +546,7 @@ class TestErrorPaths:
         ("ww-sim", "d_eg_Cm", 0, "gamma_leading is 0 for d_eg_Cm = 0,"),
         ("ww-sim", "omega_eg_rad_s", 1e-200, "gamma_leading is 0 for d_eg_Cm = 6.3e-30, "
                                              "omega_eg_rad_s = 1e-200"),
-        ("wavepacket-check", "d_eg_Cm", 0, "t2_prefactor (the scale of z_closed) is 0 "
+        ("wavepacket-check", "d_eg_Cm", 0, "shift_prefactor (the scale of z_closed) is 0 "
                                            "for d_eg_Cm = 0,"),
         ("wavepacket-check", "omega_eg_rad_s", 1e-300, "delta_u is 0 for "
                                                        "omega_eg_rad_s = 1e-300, m_g_kg"),

@@ -6,7 +6,7 @@ import pytest
 
 from causalatom.errors import BranchPointError, SingularPointError
 from causalatom.observables import (NORMALIZATION_EXACT, NormalizationConstants, _sym_bracket,
-                                    hydrogen_1s2p_preset, r2_prefactor, t2_prefactor)
+                                    hydrogen_1s2p_preset, r2_prefactor)
 from causalatom.selfenergy import (
     DISTRIBUTION,
     _core,
@@ -238,20 +238,20 @@ class TestT2Sym:
 
     def test_symmetrization_identity_imaginary(self, atom):
         # (1/2)[r2(u) - r2'(u) + r2(-u) - r2'(-u)] has the imaginary part of
-        # t2_prefactor * B, with r2 and r2' in SI
+        # r2_prefactor/2 * B, with r2 and r2' in SI
         pref = r2_prefactor(atom)
         for u in (1.5, 2.0, 3.0):
             sym = 0.5 * pref * (r2_tilde_closed(u) - r2prime_tilde(u)
                                 + r2_tilde_closed(-u) - r2prime_tilde(-u))
             b = complex(sym_bracket(u, C0))
-            assert sym.imag == pytest.approx(t2_prefactor(atom) * b.imag, rel=1e-12)
+            assert sym.imag == pytest.approx(pref / 2 * b.imag, rel=1e-12)
 
     def test_symmetrization_real_offset_is_the_log_term(self, atom):
-        # the real offset between the symmetrized pair and t2_prefactor * B is
+        # the real offset between the symmetrized pair and r2_prefactor/2 * B is
         # exactly one closed-form log term (not a polynomial)
         us = np.linspace(1.2, 4.0, 12)
-        t2_pref = t2_prefactor(atom)
         pref = r2_prefactor(atom)
+        t2_pref = pref / 2
         offs = []
         for u in us:
             sym = 0.5 * pref * (r2_tilde_closed(u) - r2prime_tilde(u)

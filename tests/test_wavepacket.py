@@ -336,7 +336,7 @@ class TestZNumerical:
     def test_rate_from_imaginary_part(self):
         # converged regime: long plateau, small ramp fraction, small delta_u.
         # gamma_leading t_g is 8 pi delta_u^3 plateau in units of the scale
-        # 2 (2pi)^2 t2_prefactor lambda_bar_g, as plateau = c t_g / lambda_bar_g
+        # 6 S lambda_bar_g / c, S = shift_prefactor, as plateau = c t_g / lambda_bar_g
         # and omega_eg lambda_bar_g / c = delta_u
         delta_u = 1e-3
         plateau = 1000 * 2 * math.pi / delta_u
