@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import CausalAtomError, FitResidualError, PresetError
@@ -154,12 +155,16 @@ class AtomParams:
 
 def _check_si_prefactors(atom: AtomParams) -> None:
     """Raise ValueError, naming the fields, if the SI unit shift_prefactor
-    leaves the float range, as finite fields can make it.  Every other SI
-    prefactor is at most S, so this one check covers them."""
+    leaves the float range, as finite fields can make it, or would lose
+    digits to a subnormal lb^(3/2) (m_g past about 1e163 kg).  Every other
+    SI prefactor is at most S, so this one check covers them."""
     try:
+        if atom.lambda_bar_g ** 1.5 < sys.float_info.min:
+            raise ValueError(f"lambda_bar_g^(3/2) is subnormal for m_g = {atom.m_g:.6g}, "
+                             f"so shift_prefactor would lose digits")
         if math.isfinite(shift_prefactor(atom)):
             return
-    except (OverflowError, ZeroDivisionError):   # the square overflows; lb underflows
+    except OverflowError:   # lb^(3/2) for a tiny m_g, or the square, overflows
         pass
     raise ValueError(f"shift_prefactor leaves the float range for "
                      f"d_eg_abs = {atom.d_eg_abs:.6g}, m_g = {atom.m_g:.6g}")
@@ -325,7 +330,8 @@ class LineShiftSeries:
 def shift_prefactor(atom: AtomParams) -> float:
     """S = |d|^2 / (144 pi^2 eps0 hbar lb^3): the line shift in 1/s per bracket
     unit, and the one SI unit.  Squared last, so |d|^2 is never formed; only
-    lb^(3/2) can leave the float range before S does, for m_g past 1e163 kg."""
+    lb^(3/2) can leave the normal range before S does, for m_g past 1e163 kg,
+    and AtomParams refuses those."""
     return (_dipole_factor(atom) / atom.lambda_bar_g ** 1.5) ** 2
 
 
@@ -341,18 +347,21 @@ def lineshift_series(c: NormalizationConstants = NormalizationConstants()) -> Li
     )
 
 
-# Extraction grid: 40 log-spaced points on [1e-5, 1e-2].  Below 1e-5 the
-# cubic and cubic-log columns are numerically collinear in double precision.
-_EXTRACT_GRID_DECADES = (-5.0, -2.0)
-_EXTRACT_POINTS = 40
-# The sampled bracket is analytic-plus-log to all orders in delta_u, so the
-# finite fit basis is extended with nuisance orders up to du^8 (du^k and
-# du^k ln du) and solved in 50-digit decimal arithmetic, with the LU factors
-# 10 digits higher; truncation bias then sits near 1e-12 on every reported
-# coefficient.  Plain double precision tops out around 5e-3 on the cubic
-# coefficient, far above what the normalization solve needs.
-_EXTRACT_MAX_ORDER = 8
-_EXTRACT_DPS = 50
+# Extraction design: 12 log-spaced points on [1e-9, 1e-7], a basis up to
+# du^5, 60-digit decimal.  The sampled bracket is analytic-plus-log to all
+# orders in delta_u, so the basis carries nuisance orders (du^k and
+# du^k ln du for 3 <= k <= _EXTRACT_MAX_ORDER); the orders it leaves out bias
+# the coefficients by about du_max^(_EXTRACT_MAX_ORDER - 2) times a ratio of
+# series coefficients.  The samples are O(1) while c3 du^3 is at most du_max^3
+# of them, so the arithmetic needs that many digits beyond those c3 keeps.
+# Here the bias is at most 1.8e-18 of the largest coefficient, 55 digits
+# already reach it, and so every fitted coefficient sits at float rounding.
+# The LU factors of the normal matrix (cond 1.9e17, column-scaled) are formed
+# 10 digits higher.
+_EXTRACT_GRID_DECADES = (-9.0, -7.0)
+_EXTRACT_POINTS = 12
+_EXTRACT_MAX_ORDER = 5
+_EXTRACT_DPS = 60
 _C_ZERO = NormalizationConstants(0, 0, 0)   # int zeros, which Decimal accepts
 
 
@@ -365,7 +374,7 @@ def _digits(dps: int):
 
 def _line_shift_samples(grid, ln_grid):
     """6 Re B(1 + du; C = 0) / (1 + du) at each Decimal du of ``grid``, whose
-    ln du is that of ``ln_grid``, in 50-digit arithmetic (bracket units)."""
+    ln du is that of ``ln_grid``, in _EXTRACT_DPS-digit arithmetic (bracket units)."""
     out = []
     with _digits(_EXTRACT_DPS):
         for du, ln_du in zip(grid, ln_grid):
@@ -379,7 +388,7 @@ def _lu_factor(m):
     """Overwrite the square matrix m (a list of rows) with its Doolittle LU
     factors, unpivoted: both systems solved here have nonzero leading minors
     (A^T A is positive definite; the normalization matrix is [[6, 6, 6],
-    [-6, 0, 6], [6, 0, 0]] to within the fit's accuracy)."""
+    [-6, 0, 6], [6, 0, 0]] to within the fit's accuracy, its rows scaled)."""
     n = len(m)
     for j in range(n):
         for i in range(j + 1, n):
@@ -410,9 +419,10 @@ def _series_design():
 
     with _digits(_EXTRACT_DPS):
         lo, hi = _EXTRACT_GRID_DECADES
-        grid = [Decimal(10) ** Decimal(lo + (hi - lo) * i / (_EXTRACT_POINTS - 1))
-                for i in range(_EXTRACT_POINTS)]
-        ln_grid = [du.ln() for du in grid]
+        ln10 = Decimal(10).ln()
+        ln_grid = [ln10 * Decimal(lo + (hi - lo) * i / (_EXTRACT_POINTS - 1))
+                   for i in range(_EXTRACT_POINTS)]
+        grid = [v.exp() for v in ln_grid]
         rows = [[du ** k for k in range(3)]
                 + [v for k in range(3, _EXTRACT_MAX_ORDER + 1)
                    for v in (du ** k, du ** k * ln_du)]
@@ -434,17 +444,20 @@ def _series_design():
 
 
 def _fit(design, y):
-    """Least-squares fit of samples ``y`` on the design: the unscaled
-    coefficients of 1, du, du^2, du^3 and du^3 ln du, and the largest
-    residual, as Decimal."""
-    a, scale, lu = design[2:5]
+    """Least-squares fit of samples ``y`` on the design: the coefficients of
+    every column of the column-scaled basis, as Decimal."""
+    a, lu = design[2], design[4]
     with _digits(_EXTRACT_DPS):
         aty = [sum(p * v for p, v in zip(col, y)) for col in zip(*a)]
     with _digits(_EXTRACT_DPS + 10):
-        beta = _lu_solve(lu, aty)
-    with _digits(_EXTRACT_DPS):
-        resid = max(abs(sum(p * b for p, b in zip(row, beta)) - v) for row, v in zip(a, y))
-        return [beta[j] / scale[j] for j in range(5)], resid
+        return _lu_solve(lu, aty)
+
+
+# The largest fit residual the extraction accepts, relative to the largest
+# sample.  The basis reproduces the samples to 2.3e-31 of it at most (over
+# C = 0, NORMALIZATION_EXACT and 50 random C in [-10, 10]^3): the bound
+# leaves eleven orders of headroom and trips on sample noise of 1e-18.
+_FIT_RESIDUAL_BOUND = 1e-20
 
 
 def extract_series_numerically(c: NormalizationConstants = NormalizationConstants()
@@ -457,25 +470,28 @@ def extract_series_numerically(c: NormalizationConstants = NormalizationConstant
     log(2 du) is absorbed into the du^3 column and re-separated analytically).
     The samples at C are those of the design at C = 0 plus C times their
     derivatives.  Raises FitResidualError if the basis does not reproduce
-    them.
+    them to _FIT_RESIDUAL_BOUND of the largest sample.
     """
     from decimal import Decimal
 
     design = _series_design()
+    a, scale = design[2:4]
     y0, columns = design[5:]
     k0, k1, k2 = (Decimal(v) for v in (c.c0, c.c1, c.c2))   # exact
     with _digits(_EXTRACT_DPS):
         y = [v + k0 * p + k1 * q + k2 * r for v, p, q, r in zip(y0, *columns)]
-    (c0, c1, c2, c3, c_log3), resid = _fit(design, y)
+    beta = _fit(design, y)
     with _digits(_EXTRACT_DPS):
+        resid = max(abs(sum(p * b for p, b in zip(row, beta)) - v) for row, v in zip(a, y))
+        c0, c1, c2, c3, c_log3 = (b / s for b, s in zip(beta[:5], scale))
         c3 -= c_log3 * Decimal(2).ln()   # log(2 du) = ln 2 + ln du
     # the constant coefficient dominates the sampled values on this grid,
     # so the data magnitude is its degenerate-fit-proof proxy
     leading = max(float(abs(v)) for v in y)
-    if float(resid) > 1e-6 * leading:
+    if float(resid) > _FIT_RESIDUAL_BOUND * leading:
         raise FitResidualError(
-            f"series fit residual {float(resid):.3e} exceeds 1e-6 of the "
-            f"leading coefficient scale {leading:.3e}")
+            f"series fit residual {float(resid):.3e} exceeds {_FIT_RESIDUAL_BOUND:.0e} "
+            f"of the leading coefficient scale {leading:.3e}")
     return LineShiftSeries(c_log3=float(c_log3), c0=float(c0), c1=float(c1),
                            c2=float(c2), c3=float(c3))
 
@@ -504,8 +520,10 @@ def solve_normalization() -> tuple[NormalizationConstants, LineShiftSeries]:
     y0, columns = design[5:]
 
     # the 3x3 system M C = -v0 from the fitted (c0, c1, c2): v0 of the samples
-    # at C = 0, column j of M of their derivative in C_j
-    v0, *derivs = [_fit(design, y)[0][:3] for y in (y0, *columns)]
+    # at C = 0, column j of M of their derivative in C_j.  Their column-scaled
+    # coefficients scale row i of the system by a constant, which leaves its
+    # solution alone; no residual is formed, as the check fit below forms one
+    v0, *derivs = [_fit(design, y)[:3] for y in (y0, *columns)]
     m = [list(row) for row in zip(*derivs)]
     with _digits(_EXTRACT_DPS + 10):
         _lu_factor(m)

@@ -144,6 +144,15 @@ class TestShiftCommand:
         assert res["delta_final_per_s"] == pytest.approx(3.4165e9, rel=1e-4)
         assert res["log_bracket"] == pytest.approx(-34.289, rel=1e-4)
 
+    def test_cubic_coefficients_at_float_rounding(self, capsys):
+        # the fit's bias is below float rounding, and it runs in decimal
+        # alone, so these digits are the same on every host
+        code, out, _ = run_cli(capsys, "shift")
+        assert code == 0
+        series = json.loads(out)["results"]["series_with_solved_c"]
+        for name, exact in (("c3", -24.0), ("c_log3", -48.0)):
+            assert abs(series[name] - exact) <= 2 * math.ulp(exact), name
+
 
 class TestSplitCheckCommand:
     def test_csv_row_count_and_tolerance(self, capsys):
@@ -538,6 +547,20 @@ class TestErrorPaths:
         assert diag["error"] == "PresetError"
         assert "d_eg_abs = 1e+150" in diag["message"]
         assert "leaves the float range" in diag["message"]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_preset_with_subnormal_lambda_bar_power_refused(self, capsys, tmp_path, command):
+        # lambda_bar_g^(3/2) is subnormal past m_g = 1e163 kg, where S would
+        # keep only the digits left there (2.7e-14 off on this atom)
+        preset_file = tmp_path / "atom.json"
+        preset_file.write_text(json.dumps({"m_g_kg": 7.04e164, "omega_eg_rad_s": 3e214,
+                                           "d_eg_Cm": 1.1e-178, "t_g_s": 1.0}))
+        code, out, err = run_cli(capsys, command, "--preset", str(preset_file))
+        assert code == 1
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "PresetError"
+        assert "is subnormal for m_g = 7.04e+164" in diag["message"]
 
     @pytest.mark.parametrize("command, key, value, named", [
         ("gamma", "d_eg_Cm", 0, "gamma_leading is 0 for d_eg_Cm = 0,"),
