@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchPointError, GridResolutionError, SingularPointError
+from .errors import GridResolutionError, SingularPointError
 from .observables import (NORMALIZATION_EXACT, TWO_PI, NormalizationConstants, _front_term,
                           _sym_bracket)
-from .splitting import CausalDistribution1D, split
+from .splitting import DEFAULT_TOL, CausalDistribution1D, split
 
 __all__ = [
-    "d2_tilde",
-    "r2prime_tilde",
     "r2_tilde_closed",
     "sym_bracket",
     "t2_bracket_resonant",
@@ -56,23 +54,9 @@ def _core(u):
     return cube
 
 
-def d2_tilde(u: float) -> complex:
-    """Momentum-space causal distribution at rest, in units of r2_prefactor:
-    i pi sgn(u) theta(u^2-1) (u^2-1)^3/u^4."""
-    if abs(abs(u) - 1.0) < 1e-14:
-        raise BranchPointError(f"u = {u} is on the branch surface |u| = 1")
-    return 1j * math.pi * float(_core(np.array([u]))[0])
-
-
-def r2prime_tilde(u: float) -> complex:
-    """Second normal-ordering contribution: d2_tilde on u < -1, 0 elsewhere."""
-    d2 = d2_tilde(u)
-    return d2 if u < -1.0 else 0j
-
-
-# the distribution that split-check splits carries both normal-ordering terms,
-# twice d2_tilde: d = i g, g = 2 pi core, whose central retarded part is
-# B(u; C = 0) with the signed step (tests pin this)
+# the distribution that split-check splits carries both normal-ordering terms:
+# d = i g, g = 2 pi core, whose central retarded part is B(u; C = 0) with the
+# signed step (tests pin this)
 DISTRIBUTION = CausalDistribution1D(g=lambda k: TWO_PI * _core(k), k_min=1.0)
 
 
@@ -248,7 +232,7 @@ def split_grid(u_min: float, u_max: float, n: int) -> np.ndarray:
     return np.linspace(u_min, u_max, n)
 
 
-def split_check_report(u_values, tol: float = 1e-11) -> SplitCheckReport:
+def split_check_report(u_values, tol: float = DEFAULT_TOL) -> SplitCheckReport:
     u = np.asarray(list(u_values), dtype=float)
     check_split_points(u.size)
     closed = r2_tilde_closed(u)

@@ -70,10 +70,6 @@ class CausalDistribution1D:
         if not self.k_min > 0:
             raise ValueError(f"support must exclude k = 0: k_min must be > 0, got {self.k_min}")
 
-    def evaluate(self, k):
-        """d(k) = i g(k)."""
-        return 1j * self.g(k)
-
 
 @dataclass(frozen=True)
 class PolynomialResidual:

@@ -161,6 +161,11 @@ class ZComparison:
 # offsets per t2_bracket_resonant call: bounds its temporaries
 _BRACKET_BLOCK = 4096
 
+# z_numerical's FFT: its number of samples, and the length of its window over
+# that of the test function's support with 2% margins
+_N_FFT = 2 ** 15
+_PAD = 1.6
+
 
 def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
                     g: TestFunction, n_fft: int, pad: float):
@@ -210,9 +215,7 @@ def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
 
 def z_numerical(delta_u: float,
                 c_norm: NormalizationConstants,
-                g: TestFunction,
-                n_fft: int = 2 ** 15,
-                pad: float = 1.6) -> ZComparison:
+                g: TestFunction) -> ZComparison:
     """Evaluate the frequency integral for Z and compare with the frozen-bracket value.
 
     The regime premise |B'| * width / |B| < 0.1, with B' in closed form
@@ -221,7 +224,7 @@ def z_numerical(delta_u: float,
     floats overflows in the FFT sums: FloatingPointError.
     """
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        total, change, width = _z_integral_fft(delta_u, c_norm, g, n_fft, pad)
+        total, change, width = _z_integral_fft(delta_u, c_norm, g, _N_FFT, _PAD)
 
     # int B |gt|^2 dq = B(u_res) int |gt|^2 dq + int (B - B(u_res)) |gt|^2 dq
     bracket0 = complex(t2_bracket_resonant(delta_u, c_norm))

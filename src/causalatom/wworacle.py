@@ -104,10 +104,6 @@ class ModeGrid:
     def spacing(self) -> float:
         return (self.hi - self.lo) / (self.n_modes - 1)
 
-    @property
-    def revival_time(self) -> float:
-        return 2.0 * math.pi / self.spacing
-
     def max_detuning(self) -> float:
         """Largest |Delta_k| over the comb, reached at an edge."""
         return max(abs(self.lo), abs(self.hi))

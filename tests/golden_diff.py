@@ -99,6 +99,9 @@ def cases() -> list:
             ["series-check", "--c0", "1e308", "--c1", "1e308"],
             ["series-check", "--c0", "1e308", "--c1", "1e308", "--format", "csv",
              "--out", "out.txt"],
+            # analytic c0 is 2 beside coefficients of 6e300: each rel_error is
+            # against the largest
+            ["series-check", "--c0", "1e300", "--c1", "-1e300"],
             ["wavepacket-check", "--plateau-periods", "10", "100", "--format", "csv",
              "--out", "out.txt"],
             # rel_error there is the reduction error, not rounding as on hydrogen

@@ -170,13 +170,12 @@ def test_criterion_7_property_suites(hyd):
     for p0 in (1.5, 2.0, -3.0):
         r = at(p0)
         a = at(p0, pole_sign=-1.0)
-        d_val = complex(dist.evaluate(np.array([p0]))[0])
+        d_val = 1j * float(dist.g(np.array([p0]))[0])
         assert abs((r - a) - d_val) <= 1e-9 * abs(d_val)
 
-    # pole-term identity: Im r = -i d/2 on support, 0 in the gap
+    # pole-term identity: Im r = -i d/2 = g/2 on support, 0 in the gap
     r2 = at(2.0)
-    assert r2.imag == pytest.approx((dist.evaluate(np.array([2.0]))[0] / 2j).real,
-                                    rel=1e-12)
+    assert r2.imag == pytest.approx(dist.g(np.array([2.0]))[0] / 2.0, rel=1e-12)
     assert at(0.5).imag == 0.0
 
     # subtraction-point ambiguity: degree <= 2 polynomial
@@ -193,10 +192,10 @@ def test_criterion_7_property_suites(hyd):
 
     # support gap, odd parity and u^2 growth of the wrapped distribution
     rng = np.random.RandomState(0)
-    assert np.all(dist.evaluate(rng.uniform(-0.999, 0.999, 64)) == 0)
+    assert np.all(dist.g(rng.uniform(-0.999, 0.999, 64)) == 0)
     k = rng.uniform(1.01, 11.0, 64)
-    assert np.array_equal(dist.evaluate(-k), -dist.evaluate(k))
-    growth = np.abs(dist.evaluate(np.array([100.0, 1000.0]))) / np.array([1e4, 1e6])
+    assert np.array_equal(dist.g(-k), -dist.g(k))
+    growth = np.abs(dist.g(np.array([100.0, 1000.0]))) / np.array([1e4, 1e6])
     assert growth[1] / growth[0] == pytest.approx(1.0, abs=1e-3)
 
     # WW norm conservation

@@ -325,6 +325,16 @@ class TestSeriesCheckCommand:
         assert doc["results"]["max_rel_error"] < 1e-6
         assert doc["results"]["analytic"]["c_log3"] == -48.0
 
+    def test_error_relative_to_the_largest_coefficient(self, capsys, schema):
+        # analytic c0 is 2 here, while the fit's rounding is that of the
+        # 6e300 coefficients: measured against c0 itself it read 5.6e277
+        code, out, _ = run_cli(capsys, "series-check", "--c0", "1e300", "--c1", "-1e300")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema)
+        assert doc["results"]["analytic"]["c0"] == 2.0
+        assert doc["results"]["max_rel_error"] <= 1e-15
+
 
 class TestWavepacketCommand:
     def test_csv_columns(self, capsys):

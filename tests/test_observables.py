@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from causalatom import observables, selfenergy, wavepacket
-from causalatom.errors import FitResidualError, PresetError
+from causalatom.errors import CausalAtomError, FitResidualError, PresetError
 from causalatom.observables import (
     CODATA2018,
     DISCREPANCY_NOTES,
@@ -299,25 +299,33 @@ class TestLineShiftSeries:
 
 
 @contextlib.contextmanager
-def _noisy_samples(monkeypatch, rel_noise):
-    """The design's samples at C = 0 times 1 + rel_noise sin(1/du).  The
-    design caches its samples: it is cleared so that they are the noisy
-    ones, and again so that they do not reach a later fit."""
-    from decimal import Decimal
+def _perturbed_samples(monkeypatch, perturb):
+    """The design's samples at C = 0, each v at du made perturb(v, du) in
+    the fit's decimal context.  The design caches its samples: it is cleared
+    so that they are the perturbed ones, and again so that they do not
+    reach a later fit."""
     from causalatom import observables as obs
 
     real = obs._line_shift_samples
 
-    def noisy(grid, ln_grid):
-        return [v * (1 + Decimal(rel_noise * math.sin(1.0 / float(du))))
-                for v, du in zip(real(grid, ln_grid), grid)]
+    def perturbed(grid, ln_grid):
+        samples = real(grid, ln_grid)
+        with obs._digits(obs._EXTRACT_DPS):
+            return [perturb(v, du) for v, du in zip(samples, grid)]
 
-    monkeypatch.setattr(obs, "_line_shift_samples", noisy)
+    monkeypatch.setattr(obs, "_line_shift_samples", perturbed)
     obs._series_design.cache_clear()
     try:
         yield
     finally:
         obs._series_design.cache_clear()
+
+
+def _noisy_samples(monkeypatch, rel_noise):
+    """The design's samples at C = 0 times 1 + rel_noise sin(1/du)."""
+    from decimal import Decimal
+    return _perturbed_samples(
+        monkeypatch, lambda v, du: v * (1 + Decimal(rel_noise * math.sin(1.0 / float(du)))))
 
 
 def _bracket_line_shift_mp(du, c):
@@ -447,6 +455,15 @@ class TestSolveNormalization:
         assert series == fit   # the check the solve returns is the fit at its constants
         assert fit.c3 == pytest.approx(-24.0, abs=1e-8)
         assert fit.c_log3 == pytest.approx(-48.0, abs=1e-8)
+
+    def test_check_refuses_a_cubic_off_by_more_than_rounding(self, monkeypatch):
+        # eps du^3 added to the samples stays inside the basis: the solved C
+        # and the residual do not change, and the check's c3 moves by eps,
+        # 1e-12 here, which a bound of 1e-8 let through
+        from decimal import Decimal
+        with _perturbed_samples(monkeypatch, lambda v, du: v + Decimal("1e-12") * du ** 3):
+            with pytest.raises(CausalAtomError, match="residual cubic coefficient"):
+                solve_normalization()
 
     def test_solution_is_the_exact_triple_bit_for_bit(self):
         # the floats of the exact (-7/2, 8, -29/6)

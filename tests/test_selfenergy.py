@@ -4,15 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from causalatom.errors import BranchPointError, SingularPointError
+from causalatom.errors import SingularPointError
 from causalatom.observables import (NORMALIZATION_EXACT, NormalizationConstants, _sym_bracket,
                                     hydrogen_1s2p_preset, r2_prefactor)
 from causalatom.selfenergy import (
     DISTRIBUTION,
     _core,
-    d2_tilde,
     r2_tilde_closed,
-    r2prime_tilde,
     split_check_report,
     split_grid,
     sym_bracket,
@@ -30,42 +28,10 @@ def atom():
 C0 = NormalizationConstants()
 
 
-class TestD2Tilde:
-    def test_gap(self):
-        assert d2_tilde(0.5) == 0.0
-        assert d2_tilde(-0.5) == 0.0
-
-    def test_odd(self):
-        assert d2_tilde(-2.0) == -d2_tilde(2.0)
-        assert d2_tilde(-3.7) == -d2_tilde(3.7)
-
-    def test_value_at_two(self):
-        # (u^2-1)^3/u^4 = 27/16 at u = 2, purely imaginary; d2_scale over
-        # r2_prefactor is pi
-        got = d2_tilde(2.0)
-        assert got.real == 0.0
-        assert got.imag == pytest.approx(math.pi * 27.0 / 16.0, rel=1e-14)
-
-    def test_branch_point(self):
-        with pytest.raises(BranchPointError):
-            d2_tilde(1.0)
-
-
-class TestR2Prime:
-    def test_positive_frequency_vanishes(self):
-        assert r2prime_tilde(2.0) == 0.0
-
-    def test_gap_vanishes(self):
-        assert r2prime_tilde(-0.5) == 0.0
-
-    def test_equals_d2_on_negative_support(self):
-        for u in (-1.0 - 1e-9, -1.5, -2.0, -4.0, -1e40):
-            assert np.array([r2prime_tilde(u)]).view(np.uint64).tolist() == \
-                np.array([d2_tilde(u)]).view(np.uint64).tolist()
-
-    def test_zero_elsewhere(self):
-        for u in (-0.999, -0.5, 0.0, 0.5, 1.0 + 1e-9, 2.0, 1e40):
-            assert r2prime_tilde(u) == 0.0
+def r2prime(u: float) -> complex:
+    """The second normal-ordering term at real u: half of DISTRIBUTION,
+    i pi (u^2-1)^3/u^4, on u < -1, and 0 elsewhere."""
+    return 0.5j * float(DISTRIBUTION.g(np.array([u]))[0]) if u < -1.0 else 0j
 
 
 class TestR2Closed:
@@ -96,11 +62,11 @@ class TestR2Closed:
         assert r2_tilde_closed(1.7) == pytest.approx(parts, rel=1e-14)
 
     def test_pole_term_consistency_with_distribution(self):
-        # Im of the closed form on support equals (1/2i) * 2 d2 = -i d2,
-        # i.e. twice the single-ordering splitting pole term
+        # Im of the closed form on support equals d/(2i) = g/2, the pole term
+        # of the splitting of DISTRIBUTION, d = i g
         for u in (1.5, 2.0, 3.0):
             lhs = r2_tilde_closed(u).imag
-            rhs = (2.0 * d2_tilde(u) / 2j).real
+            rhs = float(DISTRIBUTION.g(np.array([u]))[0]) / 2.0
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_real_analytic_away_from_singular_points(self):
@@ -241,8 +207,8 @@ class TestT2Sym:
         # r2_prefactor/2 * B, with r2 and r2' in SI
         pref = r2_prefactor(atom)
         for u in (1.5, 2.0, 3.0):
-            sym = 0.5 * pref * (r2_tilde_closed(u) - r2prime_tilde(u)
-                                + r2_tilde_closed(-u) - r2prime_tilde(-u))
+            sym = 0.5 * pref * (r2_tilde_closed(u) - r2prime(u)
+                                + r2_tilde_closed(-u) - r2prime(-u))
             b = complex(sym_bracket(u, C0))
             assert sym.imag == pytest.approx(pref / 2 * b.imag, rel=1e-12)
 
@@ -254,8 +220,8 @@ class TestT2Sym:
         t2_pref = pref / 2
         offs = []
         for u in us:
-            sym = 0.5 * pref * (r2_tilde_closed(u) - r2prime_tilde(u)
-                                + r2_tilde_closed(-u) - r2prime_tilde(-u))
+            sym = 0.5 * pref * (r2_tilde_closed(u) - r2prime(u)
+                                + r2_tilde_closed(-u) - r2prime(-u))
             offs.append((sym - t2_pref * complex(sym_bracket(u, C0))).real)
         offs = np.array(offs)
         x = us * us - 1.0
@@ -324,6 +290,10 @@ class TestCore:
     def test_nan_propagates(self):
         assert np.isnan(_core(np.array([np.nan, 2.0]))).tolist() == [True, False]
 
+    def test_odd_and_exact_at_two(self):
+        # (u^2-1)^3/u^4 = 27/16 at u = 2, every step exact in binary
+        assert _core(np.array([2.0, -2.0])).tolist() == [27.0 / 16.0, -27.0 / 16.0]
+
     def test_within_four_eps_of_high_precision(self):
         u = np.geomspace(1.5, 1e150, 300)
         u = np.concatenate([u, -u])
@@ -336,32 +306,31 @@ class TestCore:
 class TestWrappedDistribution:
     def test_invariants(self):
         # sampled: zero throughout the gap, odd on the support
-        d = DISTRIBUTION
+        g = DISTRIBUTION.g
         rng = np.random.RandomState(0)
-        assert np.all(d.evaluate(rng.uniform(-0.999, 0.999, 64)) == 0)
+        assert np.all(g(rng.uniform(-0.999, 0.999, 64)) == 0)
         k = rng.uniform(1.01, 11.0, 64)
-        assert np.array_equal(d.evaluate(-k), -d.evaluate(k))
+        assert np.array_equal(g(-k), -g(k))
 
     def test_support_and_parity(self):
-        d = DISTRIBUTION
-        assert d.evaluate(np.array([0.9]))[0] == 0.0
-        v3 = d.evaluate(np.array([3.0, -3.0]))
+        g = DISTRIBUTION.g
+        assert g(np.array([0.9]))[0] == 0.0
+        v3 = g(np.array([3.0, -3.0]))
         assert v3[1] == -v3[0]
 
     def test_growth_exponent(self):
         # |d(u)|/u^2 approaches the asymptotic coefficient 2 pi
-        d = DISTRIBUTION
-        v100 = abs(d.evaluate(np.array([100.0]))[0]) / 100.0 ** 2
-        v1000 = abs(d.evaluate(np.array([1000.0]))[0]) / 1000.0 ** 2
+        g = DISTRIBUTION.g
+        v100 = abs(g(np.array([100.0]))[0]) / 100.0 ** 2
+        v1000 = abs(g(np.array([1000.0]))[0]) / 1000.0 ** 2
         asym = 2.0 * math.pi
         assert abs(v100 / asym - 1.0) < 0.1
         assert abs(v1000 / asym - 1.0) < 1e-3
 
     def test_value_at_two(self):
-        # twice d2_tilde: both normal-ordering terms
-        assert DISTRIBUTION.evaluate(np.array([2.0]))[0] == pytest.approx(
-            2j * math.pi * 27.0 / 16.0, rel=1e-15)
-        assert DISTRIBUTION.evaluate(np.array([2.0]))[0] == 2.0 * d2_tilde(2.0)
+        # both normal-ordering terms: d = i 2 pi (u^2-1)^3/u^4
+        d = 1j * DISTRIBUTION.g(np.array([2.0]))[0]
+        assert d == pytest.approx(2j * math.pi * 27.0 / 16.0, rel=1e-15)
 
     def test_central_split_matches_closed_imaginary(self):
         for u in (1.2, 2.0, 4.0):

@@ -130,7 +130,7 @@ class TestBuildGrid:
         assert (window.lo, window.hi) == (-50.0, 123.7)
 
     def test_revival_beyond_ten_lifetimes(self):
-        assert build_grid(100.0, 4000).revival_time > 10.0
+        assert 2 * math.pi / build_grid(100.0, 4000).spacing > 10.0
 
     def test_narrow_bandwidth_rejected(self):
         with pytest.raises(GridResolutionError, match="bandwidth 30 below 40"):
@@ -221,7 +221,7 @@ class TestEvolve:
 
     def test_no_revival_before_ten_lifetimes(self):
         grid, (ts, ces, _) = run_sim(n_modes=1200, bandwidth=50.0, t_end=12.0)
-        assert grid.revival_time > 10.0
+        assert 2 * math.pi / grid.spacing > 10.0
         p = np.abs(ces) ** 2
         assert p[ts > 10.0].max() < 1e-3
 
@@ -286,16 +286,17 @@ class TestMemoryKernel:
         assert np.abs(norms - norms_ref).max() <= 1e-12
 
     def test_matches_per_mode_loop_past_revival_time(self):
-        # past grid.revival_time sin(x_j) passes through 0 and the modes
-        # rephase; the loop's own phase rounding grows with the steps (3e-13)
+        # past the revival time 2 pi/spacing sin(x_j) passes through 0 and the
+        # modes rephase; the loop's own phase rounding grows with the steps (3e-13)
         grid = build_grid(40.0, 1000)
+        revival_time = 2 * math.pi / grid.spacing
         dt = 0.19 / grid.max_detuning()
-        n_steps = int(1.1 * grid.revival_time / dt)
+        n_steps = int(1.1 * revival_time / dt)
         ts, ces, norms = evolve_amplitudes(*kernel_comb(grid), dt, n_steps, 7)
         _, ces_ref, norms_ref = per_mode_reference(
             np.linspace(grid.lo, grid.hi, grid.n_modes), np.full(grid.n_modes, grid.coupling),
             dt, n_steps, 7)
-        revived = ts > grid.revival_time
+        revived = ts > revival_time
         assert revived.any() and np.abs(ces[revived]).max() > 1e-3
         assert np.abs(ces - ces_ref).max() <= 1e-11
         assert np.abs(norms - norms_ref).max() <= 1e-11
