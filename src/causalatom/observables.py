@@ -32,7 +32,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import CausalAtomError, FitResidualError, PresetError
 
@@ -315,8 +316,7 @@ def _sym_bracket(u, x, ln_abs_x, step, c: NormalizationConstants):
 # line-shift series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LineShiftSeries:
+class LineShiftSeries(NamedTuple):
     """Coefficients of the line-shift bracket, c_log3 du^3 log(2 du)
     + c0 + c1 du + c2 du^2 + c3 du^3 + O(du^4), in bracket units."""
 
@@ -535,7 +535,7 @@ def solve_normalization() -> tuple[NormalizationConstants, LineShiftSeries]:
     # the extraction's budget, 4e-16 of the largest analytic coefficient
     # (|c_log3| = 48: 1.9e-14).  At the solved C the fitted cubic is off by 0,
     # and a du^3 term of 2e-14 added to the samples trips the bound
-    bound = 4e-16 * max(abs(v) for v in astuple(expected))
+    bound = 4e-16 * max(abs(v) for v in expected)
     if abs(check.c3 - expected.c3) > bound:
         raise CausalAtomError(
             f"residual cubic coefficient {check.c3} does not match "

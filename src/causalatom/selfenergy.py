@@ -15,7 +15,7 @@ nothing cancels at small d; t2_bracket_slope is its closed-form dB/du.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,10 +54,22 @@ def _core(u):
     return cube
 
 
+def _core_kernel(k):
+    """2 pi core(k)/k^3 at k > 0 as 2 pi y^3/k, y = 1 - 1/max(k^2, 1): the
+    y of _core, so exactly 0 for k <= 1, in eight array operations."""
+    y = 1.0 - 1.0 / np.maximum(k * k, 1.0)
+    cube = y * y
+    cube *= y
+    cube /= k
+    cube *= TWO_PI
+    return cube
+
+
 # the distribution that split-check splits carries both normal-ordering terms:
 # d = i g, g = 2 pi core, whose central retarded part is B(u; C = 0) with the
 # signed step (tests pin this)
-DISTRIBUTION = CausalDistribution1D(g=lambda k: TWO_PI * _core(k), k_min=1.0)
+DISTRIBUTION = CausalDistribution1D(g=lambda k: TWO_PI * _core(k), kernel=_core_kernel,
+                                    k_min=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +138,9 @@ def _bracket_term_scale(u, x, ln_abs_x, step):
     """Sum of the magnitudes of the terms of B(u; C = 0), from the arguments
     of _sym_bracket.  Its rounding error is relative to this; B itself
     cancels for small |u|."""
-    return (np.abs(x ** 3 / (2.0 * u ** 4)) * (np.abs(step) + 2.0 * np.abs(ln_abs_x))
-            + 1.0 / u ** 2 + 2.5 + 11.0 * u ** 2 / 6.0)
+    uu = u * u   # products, not numpy's power, slow on a negative base
+    return (np.abs(x * x * x / (2.0 * (uu * uu))) * (np.abs(step) + 2.0 * np.abs(ln_abs_x))
+            + 1.0 / uu + 2.5 + 11.0 * uu / 6.0)
 
 
 # NORMALIZATION_EXACT.c2 - (-29/6), by which fl(-29/6) misses -29/6: exactly
@@ -184,8 +197,7 @@ def t2_bracket_slope(delta_u, c: NormalizationConstants):
 # numeric-vs-closed-form comparison (surfaced by the CLI split-check)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitCheckReport:
+class SplitCheckReport(NamedTuple):
     """Central splitting of DISTRIBUTION vs the closed forms, in units of
     r2_prefactor; the rel-err fields and the count have no unit.
 

@@ -17,8 +17,11 @@ choices of q give parts that differ by a quadratic C0 + C1 p0 + C2 p0^2.
 split is the one entry point: it advances the dispersion integrals of many
 points together, and a point gets the same floats alone as in any batch.
 The quadrature integrates the real g, and the factor i enters where the
-values are formed.  Nothing here has a unit: the splitting is linear in d,
-so a physical prefactor is the caller's, applied to what split returns.
+values are formed.  Every distribution here is odd, so the integral over
+k < 0 is one over k > 0: the quadrature reads the distribution's kernel
+g(k)/k^3 at k > 0 only, and g under a subtraction point q != 0.  Nothing
+here has a unit: the splitting is linear in d, so a physical prefactor is
+the caller's, applied to what split returns.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BranchPointError, QuadratureConvergenceError, SupportError
-from .numerics import STEPS, check_tol, exp_sinh, ladder, tanh_sinh
+from .numerics import STEPS, _frozen, check_tol, exp_sinh, ladder, tanh_sinh
 
 __all__ = [
     "CausalDistribution1D",
@@ -58,12 +61,18 @@ class CausalDistribution1D:
     """Momentum-space causal distribution d(k) = i g(k) with a support gap
     at the origin.
 
-    g is real: the distributions of a resting atom are imaginary (or zero).
-    It must be numpy-vectorized, return a new float array (the dispersion
-    integrand is formed in it) and return exactly 0 for |k| < k_min.
+    g is real and odd, g(-k) = -g(k): the distributions of a resting atom
+    are imaginary (or zero) and odd.  It must be numpy-vectorized and
+    return exactly 0 for |k| < k_min.  kernel is g(k)/k^3 at k > 0,
+    numpy-vectorized, returning a new float array (the dispersion integrand
+    is formed in it); its values below k_min are never read.  The dispersion
+    integral runs on k > 0 through the oddness of g and reads the kernel
+    there; g itself is read at the points, for the pole term, and under a
+    subtraction point q != 0.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
+    kernel: Callable[[np.ndarray], np.ndarray]
     k_min: float
 
     def __post_init__(self):
@@ -71,8 +80,7 @@ class CausalDistribution1D:
             raise ValueError(f"support must exclude k = 0: k_min must be > 0, got {self.k_min}")
 
 
-@dataclass(frozen=True)
-class PolynomialResidual:
+class PolynomialResidual(NamedTuple):
     """Least-squares polynomial fitted to the difference of two retarded parts."""
 
     coefficients: tuple
@@ -80,25 +88,35 @@ class PolynomialResidual:
 
 
 def _cube(x):
-    """x^3 as (x * x) * x.
+    """x^3 as (x * x) * x: split's prefactor (p0 - q)^3 and the subtraction
+    kernel's (k - s q)^3.
 
-    The subtraction kernel's (k - q)^3 is formed this way because numpy's
-    power takes a slow path on a negative base (about 180 ns per element
-    against 5 for a positive one), and every grid meets negative nodes: the
-    other side, and for u < -1 the pole side.  The products are IEEE
-    operations, so their bits do not depend on the CPU; split's prefactor
-    (p0 - q)^3 is formed the same way.
+    numpy's power takes a slow path on a negative base (about 180 ns per
+    element against 5 for a positive one), which every p0 < q meets.  The
+    products are IEEE operations, so their bits do not depend on the CPU.
     """
     return x * x * x
+
+
+@functools.cache
+def _tables(n: int):
+    """The nodes that step 1/n adds and their node-only factors: tanh-sinh's
+    (x, w, w/x) and exp-sinh's (e, v, 1 + e)."""
+    x, w = tanh_sinh(n)
+    e, v = exp_sinh(n)
+    return (x, w, *_frozen(w / x), e, v, *_frozen(1.0 + e))
 
 
 def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
     """The regular dispersion integral of g at each point p0 of the array p,
     on the step ladder of numerics: (values, error estimates, node counts).
 
-    With s = sgn p0, P = |p0|, S = max(k_min, P) and G(k) = g(k)/(k - q)^3,
-    the integrand is G(k)/(p0 - k), and its pieces are:
-      on the support, pole side: the fold int_0^h (G(p0 - st) - G(p0 + st))/(st) dt
+    With s = sgn p0, P = |p0| and S = max(k_min, P), the integrand is
+    g(k)/((k - q)^3 (p0 - k)).  g is odd, so at k > 0 the pole side k -> s k
+    reads s G_s(k)/(P - k) and the other side k -> -s k reads
+    s G_-s(k)/(P + k), with G_s(k) = g(k)/(k - s q)^3: the kernel g(k)/k^3
+    at q = 0.  Every node is a k > 0, and the pieces are:
+      on the support, pole side: the fold int_0^h (G_s(P - t) - G_s(P + t))/t dt
         with h = min(P - k_min, P/2), by tanh-sinh; the near piece
         [k_min, P - h], by tanh-sinh in ln k (empty unless P > 2 k_min); and
         the far piece [P + h, inf), by exp-sinh at the scale S;
@@ -106,19 +124,20 @@ def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
         [S, inf) by exp-sinh at the scale S (one exp-sinh rule on
         [k_min, inf) at the scale S reads 30% low at |p0| = 1e30);
       off the support: both sides summed in one exp-sinh rule on [k_min, inf).
-    Each p0 - k is formed where it cannot cancel.  The points of each of the
-    three piece lists run through one ladder.  Raises
-    QuadratureConvergenceError for the first point in order that does not
-    converge by the last step; a FloatingPointError of the integrand
-    propagates.
+    Each P - k is formed where it cannot cancel.  A piece's terms carry the
+    factors of its nodes alone (w/x, 1 + e); the factors of a point (s, the
+    span of a ln k map, S) multiply its row sums, and their moduli the sums
+    of |terms|.  The points of each of the three piece lists run through
+    one ladder.  Raises QuadratureConvergenceError for the first point in
+    order that does not converge by the last step; a FloatingPointError of
+    the integrand propagates.
     """
     k_min = d.k_min
     ln_min = math.log(k_min)
 
-    def G(k):
-        y = d.g(k)
-        y /= _cube(k - q if q else k)
-        return y
+    def G(k, sq):
+        """G_s(k) at k > 0, for sq = s q."""
+        return d.g(k) / _cube(k - sq) if q else d.kernel(k)
 
     def term(y, den, weight):
         """y / den * weight, formed in y."""
@@ -126,56 +145,58 @@ def _dispersion(d: CausalDistribution1D, p, q: float, tol: float):
         y *= weight
         return y
 
-    def off_terms(n, p0, s, P, S, h):
-        e, v = exp_sinh(n)
-        k = k_min + k_min * e
-        # G(k)/(p0 - k) + G(-k)/(p0 + k) over one denominator: the two
-        # sides cancel to O(p0) at small p0, and for odd g exactly so
-        up, down = G(k), G(-k)
-        y = p0 * (up + down)
-        y += k * (up - down)
-        return [term(y, (p0 - k) * (p0 + k), k_min * v)]
+    def off_pieces(n, s, P, S, h, sq):
+        e, v, e1 = _tables(n)[3:]
+        k = k_min * e1
+        # s G_s(k)/(P - k) + s G_-s(k)/(P + k) over one denominator: the two
+        # sides cancel to O(p0) at small p0 (at q = 0, up - down is 0)
+        up, down = G(k, sq), G(k, -sq)
+        y = P * ((up + down) * v)
+        y += (k * v) * (up - down)
+        y /= (P - k) * (P + k)
+        yield y, k_min * s
 
-    def on_terms(n, p0, s, P, S, h, wide):
-        x, w = tanh_sinh(n)
-        e, v = exp_sinh(n)
-        st = s * (h * x)
-        fold = G(p0 - st)
-        fold -= G(p0 + st)
-        terms = [term(fold, st, h * w)]
-        near = [(s, np.log(P - h))] if wide else []
-        for side, top in near + [(-s, np.log(S))]:
-            span = top - ln_min
+    def on_pieces(n, s, P, S, h, sq, wide):
+        x, w, wx, e, v, e1 = _tables(n)
+        t = h * x
+        y = G(P - t, sq)
+        y -= G(P + t, sq)
+        y *= wx
+        yield y, s
+        # in ln k, with the weight k (top - ln k_min) w of the map: the pole
+        # side's near piece (sigma = 1) and the other side's (sigma = -1)
+        for sigma, top in ([(1.0, P - h)] if wide else []) + [(-1.0, S)]:
+            span = np.log(top) - ln_min
             k = np.exp(ln_min + span * x)
-            sk = side * k
-            k *= span
-            k *= w   # the weight k (top - ln k_min) w of the map to ln k
-            terms.append(term(G(sk), p0 - sk, k))
-        Se, Sv = S * e, S * v
-        sk = s * (h + Se)   # s times the far piece's k - P
-        terms.append(term(G(p0 + sk), -sk, Sv))
-        Se += S
-        Se *= s             # s k on the other side's tail, k = S + S e
-        terms.append(term(G(-Se), p0 + Se, Sv))
-        return terms
+            yield term(G(k, sigma * sq), sigma * P - k, k * w), sigma * s * span
+        a = h + S * e   # the far piece's k - P
+        yield term(G(P + a, sq), a, v), -s * S
+        k = S * e1      # the other side's tail
+        yield term(G(k, -sq), P + k, v), s * S
 
-    s, P = np.sign(p), np.abs(p)
+    s, P = np.copysign(1.0, p), np.abs(p)
     S = np.maximum(k_min, P)
     wide = 0.5 * P > k_min
     h = np.where(wide, 0.5 * P, P - k_min)
     on = P > k_min
     value, err = np.zeros(len(p)), np.zeros(len(p))
     nodes, failed = np.zeros(len(p), dtype=int), []
-    for rows, terms in ((~on, off_terms), (on & ~wide, functools.partial(on_terms, wide=False)),
-                        (wide, functools.partial(on_terms, wide=True))):
+    for rows, pieces in ((~on, off_pieces), (on & ~wide, functools.partial(on_pieces, wide=False)),
+                         (wide, functools.partial(on_pieces, wide=True))):
         idx = np.flatnonzero(rows)
         if not idx.size:
             continue
-        cols = [c[idx, None] for c in (p, s, P, S, h)]
+        cols = [c[idx, None] for c in (s, P, S, h, s * q)]
 
-        def sums(n, r, terms=terms, cols=cols):
-            y = np.concatenate(terms(n, *(c[r] for c in cols)), axis=1)
-            return y.sum(axis=1), np.abs(y).sum(axis=1), np.full(len(r), y.shape[1])
+        def sums(n, r, pieces=pieces, cols=cols):
+            total = mag = 0.0
+            count = 0
+            for y, f in pieces(n, *(c[r] for c in cols)):
+                f = f[:, 0]
+                total = total + f * y.sum(axis=1)
+                mag = mag + np.abs(f) * np.abs(y, out=y).sum(axis=1)
+                count += y.shape[1]
+            return total, mag, np.full(len(r), count)
 
         value[idx], err[idx], nodes[idx], bad = ladder(sums, len(idx), tol)
         failed += idx[bad].tolist()

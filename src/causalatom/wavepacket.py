@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +146,7 @@ def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstant
     return 6.0 * atom.t_g * shift_prefactor(atom) * bracket * w
 
 
-@dataclass(frozen=True)
-class ZComparison:
+class ZComparison(NamedTuple):
     """The Z integral against its frozen-bracket value; the z fields are in
     units of the SI scale 6 S lambda_bar_g/c, S = shift_prefactor."""
 

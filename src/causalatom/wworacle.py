@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,8 +293,7 @@ def evolve(grid: ModeGrid, t_end: float, dt: float | None = None):
     return ts, ces, norms
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     rate: float          # decay rate of |c_e|^2, in the inverse time unit of ts
     shift: float         # energy shift of the excited level, in the same unit
     fit_residual: float  # RMS residual of the log-magnitude fit

@@ -29,15 +29,14 @@ from causalatom.errors import BranchPointError, QuadratureConvergenceError
 from causalatom.numerics import STEPS, exp_sinh, ladder, tanh_sinh
 from causalatom.selfenergy import (DISTRIBUTION, _bracket_term_scale, _core, _real_axis_args,
                                    r2_tilde_closed, split_check_report)
-from causalatom.splitting import (SPLIT_CHUNK_POINTS, CausalDistribution1D,
-                                  polynomial_residual, split)
+from causalatom.splitting import SPLIT_CHUNK_POINTS, polynomial_residual, split
 from test_numerics import _terms, finite_lo, integrate, pv
+from test_splitting import odd_distribution
 
 # 2 core: a distribution of its own, beside DISTRIBUTION's 2 pi core
-UNIT = CausalDistribution1D(g=lambda k: 2.0 * _core(k), k_min=1.0)
+UNIT = odd_distribution(lambda k: 2.0 * _core(k))
 # sin(40 k) on the support: no step of the ladder resolves it
-OSCILLATING = CausalDistribution1D(g=lambda k: np.where(k * k > 1.0, np.sin(40.0 * k), 0.0),
-                                   k_min=1.0)
+OSCILLATING = odd_distribution(lambda k: np.where(k * k > 1.0, np.sin(40.0 * k), 0.0))
 
 
 def bits(values):
@@ -218,10 +217,13 @@ def test_failing_grid_is_not_integrated_far_past_its_failure():
     nodes = []
 
     def counted(d):
-        def g(k):
-            nodes[-1] += np.size(k)
-            return d.g(k)
-        return dataclasses.replace(d, g=g)
+        # the integrand reads the kernel (g under q != 0), the pole term g
+        def count(f):
+            def counting(k):
+                nodes[-1] += np.size(k)
+                return f(k)
+            return counting
+        return dataclasses.replace(d, g=count(d.g), kernel=count(d.kernel))
 
     message = r"dispersion integral at p0 = 1e\+308 failed: overflow"
     nodes.append(0)
@@ -230,17 +232,22 @@ def test_failing_grid_is_not_integrated_far_past_its_failure():
     nodes.append(0)
     split(counted(UNIT), u[:1])
     batched, one_point = nodes
-    # a fold node evaluates g twice
-    assert batched <= 2 * SPLIT_CHUNK_POINTS * one_point
+    # a fold node evaluates the kernel twice
+    assert 0 < batched <= 2 * SPLIT_CHUNK_POINTS * one_point
 
 
-def test_tails_mapped_at_the_scale_of_the_point():
+@pytest.mark.parametrize("u, nodes", [
+    (np.linspace(1.1, 3.0, 1000), 556_490),
+    (np.linspace(3.1330, 3.1336, 200), 122_200),   # the pole-fold band
+    (np.linspace(0.15, 0.85, 1000), 133_000),      # off the support
+], ids=["on-support", "pole-fold-band", "off-support"])
+def test_tails_mapped_at_the_scale_of_the_point(u, nodes):
     # the far pieces run by exp-sinh at the scale max(1, |u|) of the
-    # kernel's features: the 1000-point grid takes 556 490 nodes, at most
-    # one step past h = 1/16 per point, and its real part stays at the
-    # rounding level
-    rep = split_check_report(np.linspace(1.1, 3.0, 1000))
-    assert rep.quadrature_evaluations == 556_490
+    # kernel's features: the 1000-point grid on the support takes 556 490
+    # nodes, at most one step past h = 1/16 per point, and each grid's real
+    # part stays at the rounding level
+    rep = split_check_report(u)
+    assert rep.quadrature_evaluations == nodes
     assert rep.re_rel_err.max() <= 1e-14
 
 
@@ -292,7 +299,7 @@ def test_plain_piece_matches_reference(k_min):
     # with k = k_min kappa every factor of k_min cancels.  The points run
     # through every piece list, the plain near piece [k_min, |p0|/2] among
     # them (from |u| = 2), and the reference is the k_min = 1 splitting
-    d = CausalDistribution1D(g=lambda k: 2.0 * _core(k / k_min), k_min=k_min)
+    d = odd_distribution(lambda k: 2.0 * _core(k / k_min), k_min)
     u = np.concatenate([np.linspace(-6.0, -1.1, 20), np.linspace(-0.9, 0.9, 5),
                         np.linspace(1.1, 6.0, 20)])
     values, _, _ = split(d, k_min * u)

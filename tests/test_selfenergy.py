@@ -312,6 +312,25 @@ class TestWrappedDistribution:
         k = rng.uniform(1.01, 11.0, 64)
         assert np.array_equal(g(-k), -g(k))
 
+    def test_odd_bit_for_bit(self):
+        # the dispersion integral reads g at k > 0 alone and takes the other
+        # side from g(-k) = -g(k); signed zeros in the gap included
+        support = np.geomspace(np.nextafter(1.0, 2.0), 1e150, 400)
+        k = np.concatenate([[0.0, 5e-324, 0.5, 1.0], support])
+        assert np.array_equal(DISTRIBUTION.g(-k).view(np.uint64),
+                              (-DISTRIBUTION.g(k)).view(np.uint64))
+
+    def test_kernel_is_g_over_k_cubed(self):
+        # within 4 ulp of g(k)/k^3, the quotient of g's floats rounded once,
+        # and exactly 0 below k_min
+        k = np.geomspace(1.0, 1e150, 2000)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.mpf(g) / mpmath.mpf(v) ** 3)
+                            for g, v in zip(DISTRIBUTION.g(k).tolist(), k.tolist())])
+        assert (np.abs(DISTRIBUTION.kernel(k) - ref) <= 4 * np.spacing(np.abs(ref))).all()
+        gap = np.array([1e-300, 0.5, np.nextafter(1.0, 0.0)])
+        assert (DISTRIBUTION.kernel(gap) == 0.0).all()
+
     def test_support_and_parity(self):
         g = DISTRIBUTION.g
         assert g(np.array([0.9]))[0] == 0.0

@@ -15,11 +15,13 @@ def core_g(k):
     return out
 
 
+def odd_distribution(g, k_min=1.0):
+    """The distribution i g of an odd g, with its kernel g(k)/k^3 formed from g."""
+    return CausalDistribution1D(g=g, kernel=lambda k: g(k) / (k * k * k), k_min=k_min)
+
+
 def make_core(scale=1.0):
-    return CausalDistribution1D(
-        g=lambda k: scale * core_g(k),
-        k_min=1.0,
-    )
+    return odd_distribution(lambda k: scale * core_g(k))
 
 
 def at(d, p0, q=0.0, pole_sign=1.0):
@@ -32,10 +34,7 @@ def advanced(d, p0):
     return at(d, p0) - 1j * float(d.g(np.array([p0]))[0])
 
 
-ZERO_DIST = CausalDistribution1D(
-    g=lambda k: np.zeros_like(np.asarray(k, dtype=float)),
-    k_min=1.0,
-)
+ZERO_DIST = odd_distribution(lambda k: np.zeros_like(np.asarray(k, dtype=float)))
 
 
 class TestRetardedCentral:
@@ -106,13 +105,10 @@ class TestRetardedCentral:
 
     def test_linearity(self):
         d1 = make_core(1.0)
-        d2 = CausalDistribution1D(
-            g=lambda k: np.where(np.abs(k) > 1.0, np.sign(k) / (k ** 2 + (np.abs(k) <= 1.0)), 0.0),
-            k_min=1.0)
+        d2 = odd_distribution(
+            lambda k: np.where(np.abs(k) > 1.0, np.sign(k) / (k ** 2 + (np.abs(k) <= 1.0)), 0.0))
         a, b = 2.5, -1.25
-        combo = CausalDistribution1D(
-            g=lambda k: a * d1.g(k) + b * d2.g(k),
-            k_min=1.0)
+        combo = odd_distribution(lambda k: a * d1.g(k) + b * d2.g(k))
         for p0 in (0.5, 2.0, 3.5):
             lhs = at(combo, p0)
             rhs = a * at(d1, p0) + b * at(d2, p0)
@@ -195,8 +191,7 @@ class TestPolynomialResidual:
 
     def test_q_on_support_refused_before_integrating(self):
         calls = []
-        d = CausalDistribution1D(g=lambda k: calls.append(1) or core_g(k),
-                                 k_min=1.0)
+        d = odd_distribution(lambda k: calls.append(1) or core_g(k))
         with pytest.raises(SupportError):
             polynomial_residual(d, 1.5, [1.5, 2.0, 3.0, 4.0])
         assert calls == []
@@ -212,4 +207,4 @@ class TestFields:
         # the subtraction kernel is regular only if the support excludes
         # k = 0; refused here, split never meets it
         with pytest.raises(ValueError, match="support must exclude k = 0"):
-            CausalDistribution1D(g=core_g, k_min=k_min)
+            odd_distribution(core_g, k_min)
