@@ -7,9 +7,9 @@ a constant factor that no function here reads: the CLI applies it once.
 
 log((u^2-1)^2) is evaluated as 2 ln|u^2-1|: the squared argument keeps the
 real logarithm single-valued on the real axis, no complex branch needed.
-u in {0, +-1} are hard errors for the closed forms.  Near u = 1 the one
-evaluator is t2_bracket_resonant, a form factored in d = u - 1 in which
-nothing cancels at small d; t2_bracket_slope is its closed-form dB/du.
+u in {0, +-1} are hard errors for the closed forms.  The one float evaluator
+of B(u; C) is sym_bracket, factored in d = |u| - 1 so that nothing cancels
+near |u| = 1; t2_bracket_slope is the factored form's closed-form dB/du.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .splitting import DEFAULT_TOL, CausalDistribution1D, split
 __all__ = [
     "r2_tilde_closed",
     "sym_bracket",
-    "t2_bracket_resonant",
     "t2_bracket_slope",
     "DISTRIBUTION",
 ]
@@ -108,39 +107,17 @@ def r2_tilde_closed(u):
     return complex(r2[0]) if np.ndim(u) == 0 else r2
 
 
-def _real_axis_args(u):
-    """The (u, x, ln|x|, step) arguments of _sym_bracket at real u, as arrays,
-    with the step 2 pi i sgn(u) on the support |u| > 1 and 0 off it.  x is
-    (|u| - 1)(|u| + 1), and ln|x| below |u| = 1/sqrt 2 is log1p(-u u): the
-    log of u u - 1 loses the digits of u u (at u = 1e-10 all of them)."""
-    u = np.asarray(u, dtype=float)
+_FACTORED_FROM = math.sqrt(0.5)   # sym_bracket: factored from this |u| on, direct below
+
+
+def _bracket_term_scale(u):
+    """Sum of the magnitudes of the terms of B(u; C = 0), as B cancels for small |u|,
+    with ln|x| as sym_bracket reads it: log1p(-u u), u u clamped to 1/2, below 1/sqrt 2."""
     a = np.abs(u)
-    x = (a - 1.0) * (a + 1.0)
-    uu = np.minimum(u * u, 0.5)   # clamped: log1p(-uu) is dropped above 1/sqrt 2
-    ln_abs_x = np.where(a < math.sqrt(0.5), np.log1p(-uu), np.log(np.abs(x)))
-    return u, x, ln_abs_x, np.where(x > 0.0, 2j * math.pi * np.sign(u), 0.0)
-
-
-def sym_bracket(u, c: NormalizationConstants = NormalizationConstants()):
-    """Symmetrized bracket B(u; C) at real u, vectorized, in bracket units.
-
-    With the signed step, B(u; C = 0) is the central splitting of
-    DISTRIBUTION, on and off the support and for either sign
-    of u; split-check compares the two.  Raises SingularPointError at
-    u in {0, +-1}; near u = 1 use t2_bracket_resonant, which forms u^2 - 1
-    without cancellation.
-    """
-    _check_regular(u)
-    return _sym_bracket(*_real_axis_args(u), c)
-
-
-def _bracket_term_scale(u, x, ln_abs_x, step):
-    """Sum of the magnitudes of the terms of B(u; C = 0), from the arguments
-    of _sym_bracket.  Its rounding error is relative to this; B itself
-    cancels for small |u|."""
-    uu = u * u   # products, not numpy's power, slow on a negative base
-    return (np.abs(x * x * x / (2.0 * (uu * uu))) * (np.abs(step) + 2.0 * np.abs(ln_abs_x))
-            + 1.0 / uu + 2.5 + 11.0 * uu / 6.0)
+    uu, x = a * a, (a - 1.0) * (a + 1.0)
+    ln_abs_x = np.where(a < _FACTORED_FROM, np.log1p(-np.minimum(uu, 0.5)), np.log(np.abs(x)))
+    return (np.abs(x * x * x / (2.0 * uu * uu)) * (np.where(x > 0.0, TWO_PI, 0.0)
+            + 2.0 * np.abs(ln_abs_x)) + 1.0 / uu + 2.5 + 11.0 * uu / 6.0)
 
 
 # NORMALIZATION_EXACT.c2 - (-29/6), by which fl(-29/6) misses -29/6: exactly
@@ -159,35 +136,60 @@ def _c_quadratic(c: NormalizationConstants):
     return (a0 + a1) + a2 + e, (a1 + 2.0 * a2) + 2.0 * e, a2 + e
 
 
-def _factored_args(d):
-    """u = 1 + d, u^2, x = u^2 - 1 = d (2 + d) and the log factor
-    step - 2 ln|x| of the front term, from d = u - 1 held exactly."""
-    u, x = 1.0 + d, d * (2.0 + d)
-    ax = np.maximum(np.abs(x), 1e-300)  # clamp: log finite even at grid points
-    return u, u * u, x, np.where(x > 0.0, 2j * math.pi, 0.0) - 2.0 * np.log(ax)
+def _factored_terms(a, d):
+    """u^2, x = d (2 + d) and ln|x| (finite at x = 0) at |u| = a = 1 + d."""
+    x = d * (2.0 + d)
+    return a * a, x, np.log(np.maximum(np.abs(x), 1e-300))
 
 
-def t2_bracket_resonant(delta_u, c: NormalizationConstants, offset=0.0):
-    """Symmetrized bracket at u = 1 + d, d = delta_u + offset held exactly.
+def _factored(a, d, s, c: NormalizationConstants):
+    """B(u; C) at u = s a, a >= 1/sqrt 2: at C_exact x^3/(2u^4) (step - 2 ln|x|)
+    - d^3 (3d + 4)/u^2, all O(d^3), plus _c_quadratic's quadratic with C1 signed.
+    Re and Im are formed apart: the floats of the complex sum, but faster."""
+    uu, x, ln_abs_x = _factored_terms(a, d)
+    front, b = x * x * x / (2.0 * uu * uu), np.empty(np.shape(x), complex)
+    b.real = front * (-2.0 * ln_abs_x) - d * d * d * (3.0 * d + 4.0) / uu
+    b.imag = np.maximum(front, 0.0) * (s * TWO_PI)   # front > 0 where x > 0
+    k0, k1, k2 = _c_quadratic(c if s > 0.0 else NormalizationConstants(c.c0, -c.c1, c.c2))
+    if k0 or k1 or k2:
+        b.real += k0 + (k1 + k2 * d) * d
+    return b
 
-    At C_exact u^2 times the rational part is -d^3 (3u + 1), so
-    B(u; C_exact) = x^3/(2u^4) (step - 2 ln|x|) - d^3 (3d + 4)/u^2 with
-    x = d (2 + d): every term is O(d^3), and nothing cancels.  Any other C
-    adds the quadratic of _c_quadratic.  Vectorized over ``offset``.
-    """
-    d = np.asarray(delta_u + offset, dtype=float)
-    u, uu, x, log_factor = _factored_args(d)
-    k0, k1, k2 = _c_quadratic(c)
-    return x * x * x / (2.0 * uu * uu) * log_factor - d * d * d * (3.0 * d + 4.0) / uu + (
-        k0 + (k1 + k2 * d) * d)
+
+def sym_bracket(u, c: NormalizationConstants = NormalizationConstants(), d=None):
+    """Symmetrized bracket B(u; C) at real u, vectorized, in bracket units, with the
+    step 2 pi i sgn(u); at C = 0 the central splitting of DISTRIBUTION.  _factored from
+    |u| = 1/sqrt 2 on; below, _sym_bracket's sum left to right with x^3 and u^4 as
+    products (numpy's power is slow on a negative base).  ``d`` is u - 1 held exactly
+    (delta_u at u_res); without it, u in {0, +-1} or past the float range is refused."""
+    u = np.asarray(u, dtype=float)
+    lowest = u.min(initial=math.inf)
+    a = u if lowest >= 0.0 else np.abs(u)
+    if d is None:
+        _check_regular(u)
+        d = a - 1.0
+    else:   # |u| - 1 is -2 - d at u < 0, exact where |u| is near 1
+        d = np.where(u < 0.0, -2.0 - d, d) if lowest < 0.0 else np.asarray(d, dtype=float)
+    if lowest >= _FACTORED_FROM or u.max(initial=-math.inf) <= -_FACTORED_FROM:   # no mask
+        return _factored(a, d, math.copysign(1.0, lowest), c)   # as at most Z bins
+    far, out = a >= _FACTORED_FROM, np.empty(u.shape, complex)
+    for on, s in ((far & (u > 0.0), 1.0), (far & (u < 0.0), -1.0)):
+        if on.any():
+            out[on] = _factored(a[on], d[on], s, c)
+    v, av = u[~far], a[~far]   # ln|x| = log1p(-u u): log(u u - 1) loses u u's digits
+    uu, x = av * av, (av - 1.0) * (av + 1.0)
+    out[~far] = (x * x * x / (2.0 * uu * uu) * (-2.0 * np.log1p(-uu)) + 1.0 / uu - 2.5
+                 + 11.0 * uu / 6.0 + c.c0 + c.c1 * v + c.c2 * uu)
+    return out
 
 
 def t2_bracket_slope(delta_u, c: NormalizationConstants):
-    """dB/du at u = 1 + delta_u, from the factored form of t2_bracket_resonant:
-    x^2 (u^2 + 2)/u^5 (step - 2 ln|x|) - 2x^2/u^3 - 2d^2 (3u^2 + 2u + 1)/u^3
-    at C_exact, plus the quadratic's k1 + 2 k2 d."""
+    """dB/du at u = 1 + delta_u from _factored: x^2 (u^2 + 2)/u^5 (step - 2 ln|x|)
+    - 2x^2/u^3 - 2d^2 (3u^2 + 2u + 1)/u^3 at C_exact, plus the quadratic's k1 + 2 k2 d."""
     d = np.asarray(delta_u, dtype=float)
-    u, uu, x, log_factor = _factored_args(d)
+    u = 1.0 + d
+    uu, x, ln_abs_x = _factored_terms(u, d)
+    log_factor = np.where(x > 0.0, 2j * math.pi, 0.0) - 2.0 * ln_abs_x
     _, k1, k2 = _c_quadratic(c)
     return (x * x * (uu + 2.0) / (uu * uu * u) * log_factor - 2.0 * x * x / (uu * u)
             - 2.0 * d * d * (3.0 * uu + 2.0 * u + 1.0) / (uu * u) + (k1 + 2.0 * k2 * d))
@@ -201,16 +203,15 @@ class SplitCheckReport(NamedTuple):
     """Central splitting of DISTRIBUTION vs the closed forms, in units of
     r2_prefactor; the rel-err fields and the count have no unit.
 
-    re_closed and im_closed are r2_tilde_closed, B with half its rational
-    part (re_closed - re_numeric is 5/4 - 11u^2/12 - 1/(2u^2)), from u u - 1
-    as the formula reads.  The splitting's imaginary part is its
-    Sokhotski-Plemelj pole term alone (the distribution is i g with g real);
-    im_rel_err compares it with im_closed.  re_rel_err compares its real
-    part with Re sym_bracket(u), whose arguments are cancellation-free,
-    relative to the sum of the bracket's term magnitudes.
-    quadrature_evaluations counts the integrand evaluations over the grid;
-    max_abs_error_estimate is the largest quadrature error estimate of a
-    point, scaled like the splitting.
+    re_closed and im_closed are r2_tilde_closed, B with half its rational part
+    (re_closed - re_numeric is 5/4 - 11u^2/12 - 1/(2u^2)), from u u - 1 as the
+    formula reads.  im_rel_err compares im_closed with the splitting's
+    imaginary part, its Sokhotski-Plemelj pole term alone (the distribution
+    is i g, g real); re_rel_err compares its real part with Re sym_bracket(u),
+    relative to the sum of B's term magnitudes.  quadrature_evaluations
+    counts integrand evaluations over the grid; max_abs_error_estimate is the
+    largest change of a point from its previous quadrature step, scaled like
+    the splitting: it holds no rounding, and reads 0 once a point converged.
     """
 
     u: np.ndarray
@@ -252,9 +253,7 @@ def split_check_report(u_values, tol: float = DEFAULT_TOL) -> SplitCheckReport:
     # off the support the closed form is real: scale by its modulus instead
     scale = np.where(closed.imag != 0.0, np.abs(closed.imag), np.abs(closed))
     im_rel = np.abs(numeric.imag - closed.imag) / scale
-    args = _real_axis_args(u)   # of sym_bracket(u) and its term scale
-    re_rel = (np.abs(numeric.real - _sym_bracket(*args, NormalizationConstants()).real)
-              / _bracket_term_scale(*args))
+    re_rel = np.abs(numeric.real - sym_bracket(u).real) / _bracket_term_scale(u)
     return SplitCheckReport(
         u=u, re_closed=closed.real, im_closed=closed.imag,
         re_numeric=numeric.real, im_numeric=numeric.imag, im_rel_err=im_rel,

@@ -30,14 +30,14 @@ runs over the half spectrum of a real FFT, each bin q_j > 0 standing for
 once), with the bracket evaluated in blocks of offsets.
 
 z_closed uses the exact int g^2 dx0 in closed form.  The bins sum
-B(u_res + q) - B(u_res) at C_exact (selfenergy.t2_bracket_resonant), the
-quadratic another C adds is exact from the moments of |gt|^2, and
-z_numerical adds B(u_res) int |gt|^2 dq back.  rel_error is the narrow-window
-reduction error alone, |<B> - B(u_res)| / |B(u_res)| with <B> the
-|gt|^2-weighted mean of B, so it falls ~ 1/plateau^2 at a fixed ramp fraction
-on synthetic presets and on hydrogen (8.5e-18 at 10 periods) alike, at C = 0
-and at C_exact.  |z_numerical - z_closed| / |z_closed| also carries the FFT's
-rounding of int |gt|^2 dq = int g^2 dx0, a few 1e-16.
+B(u_res + q) - B(u_res) at C_exact (selfenergy.sym_bracket, u - 1 held
+exactly, step -2 pi i at u < 0); another C's quadratic is exact from the
+moments of |gt|^2, and z_numerical adds B(u_res) int |gt|^2 dq back.
+rel_error, the narrow-window reduction error |<B> - B(u_res)| / |B(u_res)|
+with <B> the |gt|^2-weighted mean of B, falls ~ 1/plateau^2 at a fixed ramp
+fraction on synthetic presets and on hydrogen (8.5e-18 at 10 periods) alike,
+at C = 0 and at C_exact.  |z_numerical - z_closed| / |z_closed| also carries
+the FFT's rounding of int |gt|^2 dq = int g^2 dx0, a few 1e-16.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import CausalAtomError
 from .observables import (NORMALIZATION_EXACT, TWO_PI, AtomParams, NormalizationConstants,
                           shift_prefactor)
-from .selfenergy import _c_quadratic, t2_bracket_resonant, t2_bracket_slope
+from .selfenergy import _c_quadratic, sym_bracket, t2_bracket_slope
 
 __all__ = [
     "TestFunction",
@@ -136,12 +136,12 @@ def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstant
       "inverse_u"  w = 1/u_res, consistent with the displayed closed-form
                    rate (fifth-power denominator); default.
       "unity"      w = 1 exactly (literal proportionality; fourth power).
-    The bracket is evaluated in the cancellation-free delta_u form, so
-    arbitrarily small delta_u > 0 is fine.
+    The bracket is sym_bracket with delta_u held exactly, in which nothing
+    cancels, so arbitrarily small delta_u > 0 is fine.
     """
     if resonant_weight not in ("inverse_u", "unity"):
         raise ValueError("resonant_weight must be 'inverse_u' or 'unity'")
-    bracket = complex(t2_bracket_resonant(atom.delta_u, c))
+    bracket = complex(sym_bracket(atom.u_res, c, atom.delta_u))
     w = 1.0 / atom.u_res if resonant_weight == "inverse_u" else 1.0
     return 6.0 * atom.t_g * shift_prefactor(atom) * bracket * w
 
@@ -158,7 +158,7 @@ class ZComparison(NamedTuple):
     regime_ok: bool
 
 
-# offsets per t2_bracket_resonant call: bounds its temporaries
+# offsets per sym_bracket call: bounds its temporaries
 _BRACKET_BLOCK = 4096
 
 # z_numerical's FFT: its number of samples, and the length of its window over
@@ -196,14 +196,12 @@ def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
     dq = TWO_PI / window
     # the bins sum the change of B at C_exact; the quadratic another C adds
     # changes by (k1 + 2 k2 delta_u) q + k2 q^2, exact from the moments
-    at_res = t2_bracket_resonant(delta_u, NORMALIZATION_EXACT)
+    at_res = sym_bracket(1.0 + delta_u, NORMALIZATION_EXACT, delta_u)
     change = 0j
     for s in range(0, q.size, _BRACKET_BLOCK):
         b = slice(s, s + _BRACKET_BLOCK)
-        change += (np.sum(weight[b] * (t2_bracket_resonant(delta_u, NORMALIZATION_EXACT, q[b])
-                                       - at_res))
-                   + np.sum(mirror[b] * (t2_bracket_resonant(delta_u, NORMALIZATION_EXACT, -q[b])
-                                         - at_res)))
+        change += sum(np.sum(w * (sym_bracket(1.0 + d, NORMALIZATION_EXACT, d) - at_res))
+                      for w, d in ((weight[b], delta_u + q[b]), (mirror[b], delta_u - q[b])))
     total = float((np.sum(weight) + np.sum(mirror)) * dq)
     m1 = float((np.sum(q * weight) - np.sum(q * mirror)) * dq)
     m2 = float((np.sum(q * q * weight) + np.sum(q * q * mirror)) * dq)
@@ -227,7 +225,7 @@ def z_numerical(delta_u: float,
         total, change, width = _z_integral_fft(delta_u, c_norm, g, _N_FFT, _PAD)
 
     # int B |gt|^2 dq = B(u_res) int |gt|^2 dq + int (B - B(u_res)) |gt|^2 dq
-    bracket0 = complex(t2_bracket_resonant(delta_u, c_norm))
+    bracket0 = complex(sym_bracket(1.0 + delta_u, c_norm, delta_u))
     z_num = bracket0 * total + change
     z_closed = bracket0 * g.squared_integral()
     # the reduction error alone: int |gt|^2 dq = int g^2 dx0, but the FFT

@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from causalatom import errors
@@ -111,6 +111,8 @@ WIDE_U = st.tuples(st.floats(-77.0, 51.3), st.sampled_from([-1.0, 1.0])).map(
                       st.tuples(*[st.one_of(EDGE_FLOATS, ANY_FLOAT)] * 2)),
        points=st.integers(1, 12),
        tol=st.one_of(st.floats(1e-13, 1e-6), EDGE_FLOATS))
+# |u| - 1 rounds to -1 here: a form in d = |u| - 1 alone divides by zero
+@example(preset="synthetic:0.01", ends=(1.1754943508222875e-38, 0.5), points=1, tol=1e-10)
 def test_split_check_ends_cleanly(capfd, tmp_path, preset, ends, points, tol):
     check_invocation(capfd, tmp_path, ["split-check", "--preset", preset,
                                        *flag("u-min", ends[0]), *flag("u-max", ends[1]),

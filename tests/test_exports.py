@@ -15,7 +15,6 @@ SRC = Path(causalatom.__file__).parent
 
 # exported names that no code in the package references, and why each stays
 KEEP = {
-    "sym_bracket": "the tests' reference bracket B(u; C) at real u, on and off the support",
     "z_factor": "the scalar Z observable, an oracle of the rate and the shift at resonance",
     "polynomial_residual": "fits the quadratic between two splittings; C from the "
                            "threshold split will read it",

@@ -27,7 +27,7 @@ from causalatom import cli, selfenergy
 from causalatom.cli import main
 from causalatom.errors import BranchPointError, QuadratureConvergenceError
 from causalatom.numerics import STEPS, exp_sinh, ladder, tanh_sinh
-from causalatom.selfenergy import (DISTRIBUTION, _bracket_term_scale, _core, _real_axis_args,
+from causalatom.selfenergy import (DISTRIBUTION, _bracket_term_scale, _core,
                                    r2_tilde_closed, split_check_report)
 from causalatom.splitting import SPLIT_CHUNK_POINTS, polynomial_residual, split
 from test_numerics import _terms, finite_lo, integrate, pv
@@ -94,7 +94,7 @@ def real_part_error(rep):
     the float reference's own rounding does not enter."""
     with mpmath.workdps(30):
         closed = np.array([float(closed_real(v)) for v in map(mpmath.mpf, rep.u.tolist())])
-    return np.abs(rep.re_numeric - closed) / _bracket_term_scale(*_real_axis_args(rep.u))
+    return np.abs(rep.re_numeric - closed) / _bracket_term_scale(rep.u)
 
 
 _MIXED = np.random.default_rng(3).permutation(np.concatenate([

@@ -417,12 +417,12 @@ class TestSeriesDesign:
 
     def test_decimal_samples_are_the_float_bracket(self):
         # the decimal sampler's rational form _sym_bracket against the float
-        # path's factored form at C = 0
+        # evaluator's factored form at C = 0
         from causalatom import observables as obs
-        from causalatom.selfenergy import t2_bracket_resonant
+        from causalatom.selfenergy import sym_bracket
         grid, ln_grid = obs._series_design()[:2]
         for du, y in zip(grid, obs._line_shift_samples(grid, ln_grid)):
-            b = t2_bracket_resonant(float(du), C0).real
+            b = sym_bracket(1.0 + float(du), C0, float(du)).real
             assert float(y) == pytest.approx(6.0 * b / (1.0 + float(du)), rel=1e-12)
 
     def test_solve_leaves_the_decimal_context_alone(self):

@@ -9,12 +9,12 @@ from causalatom.observables import (NORMALIZATION_EXACT, NormalizationConstants,
                                     hydrogen_1s2p_preset, r2_prefactor)
 from causalatom.selfenergy import (
     DISTRIBUTION,
+    _bracket_term_scale,
     _core,
     r2_tilde_closed,
     split_check_report,
     split_grid,
     sym_bracket,
-    t2_bracket_resonant,
     t2_bracket_slope,
 )
 from causalatom.splitting import split
@@ -233,16 +233,18 @@ class TestT2Sym:
         assert dev > 1e-3  # genuinely not a degree-2 polynomial
 
     def test_resonant_form_matches_direct(self):
+        # the Z integral's call, with d = u - 1 held exactly, against the
+        # d that sym_bracket reads from u itself, which rounds 1 + du
         c = NormalizationConstants(1.2, -0.4, 3.0)
         for du in (1e-3, 1e-2, 5e-2):
             direct = complex(sym_bracket(1.0 + du, c))
-            res = complex(t2_bracket_resonant(du, c))
+            res = complex(sym_bracket(1.0 + du, c, du))
             assert res == pytest.approx(direct, rel=1e-11)
 
     def test_resonant_form_stable_at_tiny_delta(self):
         # no cancellation: the bracket's log term matches ln(du) + ln(2+du)
         du = 1e-14
-        b = complex(t2_bracket_resonant(du, C0))
+        b = complex(sym_bracket(1.0 + du, C0, du))
         x = du * (2 + du)
         front = x ** 3 / 2.0
         expected_log = front * (-2.0 * (math.log(du) + math.log(2 + du)))
@@ -250,30 +252,74 @@ class TestT2Sym:
         assert b.real == pytest.approx(expected_log + rational, rel=1e-12)
         assert b.imag == pytest.approx(front * 2 * math.pi, rel=1e-12)
 
-    @pytest.mark.parametrize("c, bound", [
-        (NORMALIZATION_EXACT, 1e-15), (C0, 6.7e-16),
-        (NormalizationConstants(1.2, -0.4, 3.0), 1e-15),
-        # one ulp off the exact triple: B ~ 1.2e-15 of which 2.96e-16 is the
-        # amount by which fl(-29/6) misses -29/6
-        (NormalizationConstants(-3.5, 8.0, math.nextafter(-29 / 6, 0)), 1e-15)])
-    @pytest.mark.parametrize("du", [1e-9, hydrogen_1s2p_preset().delta_u, 1e-6, 1e-4,
-                                    1e-3, 1e-2, 5e-2])
-    def test_resonant_form_against_60_digits(self, c, bound, du):
-        # B and dB/du at u = 1 + du against the rational form _sym_bracket and
-        # mpmath's derivative of it, in 60 digits.  NORMALIZATION_EXACT
-        # stands for C_exact = (-7/2, 8, -29/6), at which B is O(du^3 ln du):
-        # at du = 1e-9 its rational part is 1e-27, from O(1) terms
-        def bracket(u):
-            x = u * u - 1
-            return _sym_bracket(u, x, mpmath.log(x), 2j * mpmath.pi, ref_c)
+    @pytest.mark.parametrize("d", [-3.0, -2.5, -2.001, -2.0 - 1e-9, -35.0])
+    def test_held_d_takes_the_signed_step(self, d):
+        # the Z bins reach u = 1 + d < 0 (u ~ -6 at delta_u = 1e-2 with 10
+        # periods): there B has the step -2 pi i, as at the same u read alone
+        for c in (C0, NORMALIZATION_EXACT):
+            held = complex(sym_bracket(1.0 + d, c, d))
+            assert held == pytest.approx(complex(sym_bracket(1.0 + d, c)), rel=1e-15)
+            assert held.imag < 0.0
+        # u = -2: Im B = -2 pi (3/2)^3/4, whatever C
+        assert complex(sym_bracket(-2.0, NORMALIZATION_EXACT, -3.0)).imag == pytest.approx(
+            -math.pi * 27 / 16, rel=1e-15)
+
+    def test_each_point_alone_or_in_a_batch(self):
+        # each form runs on its own points of a mixed batch, bit for bit as
+        # alone, and without a float warning at the ends of the accepted range
+        # (about 7.26e-78 and 2.38e51) and at 2^-126, where |u| - 1 rounds to -1
+        ends = [7.262123179505771e-78, 2.3756689782295768e+51, 1.1754943508222875e-38]
+        u = np.array([-1e50, -3.0, -1.001, -0.9, -0.5, 1e-12, 0.7, 0.999, 1.0 + 2e-10, 2.0,
+                      *ends, *(-v for v in ends)])
+        for c in (C0, NORMALIZATION_EXACT):
+            batch = sym_bracket(u, c)
+            assert (bits(batch) == bits([complex(sym_bracket(float(v), c)) for v in u])).all()
+
+    @pytest.mark.parametrize("c, held, far, near", [
+        (NORMALIZATION_EXACT, 1e-15, 1e-15, 5e-16), (C0, 6.7e-16, 1.5e-15, 5e-16),
+        (NormalizationConstants(1.2, -0.4, 3.0), 1e-15, 1e-15, 5e-16),
+        # one ulp off the exact triple: B ~ 1.2e-15 at du = 1e-9, of which
+        # 2.96e-16 is the amount by which fl(-29/6) misses -29/6
+        (NormalizationConstants(-3.5, 8.0, math.nextafter(-29 / 6, 0)), 1e-15, 1e-15, 5e-16)])
+    @pytest.mark.parametrize("u, du", [
+        *((1.0 + du, du) for du in (1e-9, hydrogen_1s2p_preset().delta_u, 1e-6, 1e-4,
+                                    1e-3, 1e-2, 5e-2)),
+        *((s * u, None) for s in (1.0, -1.0) for u in (
+            1e-12, 1e-6, 0.01, 0.5, math.nextafter(math.sqrt(0.5), 0.0), math.sqrt(0.5),
+            0.9, 0.999, 1.0 - 1e-6, 1.0 - 2e-10, 1.0 + 2e-10, 1.001, 1.05, 2.0, 3.1333,
+            1e3, 1e10, 1e30, 1e50))])
+    def test_resonant_form_against_60_digits(self, c, held, far, near, u, du):
+        # B against the rational form _sym_bracket in 60 digits, with the
+        # step 2 pi i sgn(u) on the support: on both signs of u, on both sides
+        # of |u| = 1 and for |u| from 1e-12 to 1e50.  NORMALIZATION_EXACT
+        # stands for C_exact = (-7/2, 8, -29/6), at which B is O(d^3 ln d) at
+        # |u| = 1 + d: at d = 1e-9 its rational part is 1e-27, from O(1)
+        # terms.  From |u| = 1/sqrt 2 on the error is relative to B (at
+        # u = 1 + du, du held exactly as the Z integral holds it, within
+        # ``held``, and dB/du too); below it, where B's 1/u^2 terms cancel,
+        # relative to the sum of the term magnitudes.  Measured at these
+        # points: at most 7.3e-16 at C_exact, 1.4e-15 at C = 0 (at 1/sqrt 2)
+        # and 1.4e-16 of the terms below 1/sqrt 2, 3.65e-16 over 600
+        # log-spaced |u| from 1e-12 to 1/sqrt 2, either sign
+        def bracket(v):
+            x = v * v - 1
+            step = 2j * mpmath.pi * mpmath.sign(v) if x > 0 else 0
+            return _sym_bracket(v, x, mpmath.log(abs(x)), step, ref_c)
 
         with mpmath.workdps(60):
             ref_c = (NormalizationConstants(mpmath.mpf(-7) / 2, 8, mpmath.mpf(-29) / 6)
                      if c == NORMALIZATION_EXACT else c)
-            ref, ref_slope = map(complex, mpmath.diffs(bracket, 1 + mpmath.mpf(du), 1))
-        got, slope = complex(t2_bracket_resonant(du, c)), complex(t2_bracket_slope(du, c))
-        assert abs(got - ref) <= bound * abs(ref), (got, ref)
-        assert abs(slope - ref_slope) <= 2e-15 * abs(ref_slope), (slope, ref_slope)
+            at = mpmath.mpf(u) if du is None else 1 + mpmath.mpf(du)
+            ref, ref_slope = map(complex, mpmath.diffs(bracket, at, 1))
+        got = complex(sym_bracket(u, c, du))
+        if abs(u) >= math.sqrt(0.5):
+            assert abs(got - ref) <= (far if du is None else held) * abs(ref), (got, ref)
+        else:
+            terms = (_bracket_term_scale(u) + abs(c.c0) + abs(c.c1 * u) + abs(c.c2 * u * u))
+            assert abs(got - ref) <= near * terms, (got, ref)
+        if du is not None:
+            slope = complex(t2_bracket_slope(du, c))
+            assert abs(slope - ref_slope) <= 2e-15 * abs(ref_slope), (slope, ref_slope)
 
 
 class TestCore:

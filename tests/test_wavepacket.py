@@ -15,7 +15,7 @@ from causalatom.observables import (
     hydrogen_1s2p_preset,
     synthetic_atom,
 )
-from causalatom.selfenergy import t2_bracket_resonant
+from causalatom.selfenergy import sym_bracket
 from causalatom.wavepacket import (
     EDGE_SQUARED_INTEGRAL,
     TestFunction,
@@ -115,10 +115,15 @@ class TestGFourier:
         assert g_fourier(g, -q) == pytest.approx(np.conj(g_fourier(g, q)), rel=1e-10)
 
 
+def at_resonance(d, c):
+    """B(1 + d; C) with d held exactly, as the Z integral evaluates it."""
+    return complex(sym_bracket(1.0 + d, c, d))
+
+
 def _z_integral_full_spectrum(delta_u, c_norm, g, n_fft, pad):
     """The Z integral over the full FFT spectrum: the complex transform with
     its phase e^{i q x0}, and the bracket at every q of np.fft.fftfreq."""
-    from causalatom.selfenergy import t2_bracket_resonant   # as a test patches it
+    from causalatom.selfenergy import sym_bracket   # as a test patches it
 
     two_pi = 2.0 * math.pi
     lo, hi = g.support
@@ -131,7 +136,7 @@ def _z_integral_full_spectrum(delta_u, c_norm, g, n_fft, pad):
     gt = dx / math.sqrt(two_pi) * np.exp(1j * q * x0) * np.fft.ifft(gx) * n_fft
     weight = np.abs(gt) ** 2
     dq = two_pi / window
-    z = np.sum(t2_bracket_resonant(delta_u, c_norm, offset=q) * weight) * dq
+    z = np.sum(sym_bracket(1.0 + (delta_u + q), c_norm, delta_u + q) * weight) * dq
     total = float(np.sum(weight) * dq)
     mean_q = float(np.sum(q * weight) * dq / total)
     var_q = float(np.sum((q - mean_q) ** 2 * weight) * dq / total)
@@ -158,7 +163,7 @@ class TestHalfSpectrum:
             plateau = n * 2 * math.pi / delta_u
             g = TestFunction(plateau, 0.2 * plateau)
             total, change, width_half = wp._z_integral_fft(delta_u, C0, g, n_fft, 1.6)
-            z_half = complex(t2_bracket_resonant(delta_u, C0)) * total + change
+            z_half = at_resonance(delta_u, C0) * total + change
             z_full, width_full = _z_integral_full_spectrum(delta_u, C0, g, n_fft, 1.6)
             assert abs(z_half - z_full) <= 1e-14 * abs(z_full)
             assert abs(width_half - width_full) <= 1e-14 * width_full
@@ -179,17 +184,38 @@ class TestHalfSpectrum:
         nyquist = 2 * math.pi * np.fft.fftfreq(n_fft, d=dx)[n_fft // 2]
         assert nyquist < 0
 
-        def spike(delta_u, c, offset=0.0):
-            off = np.asarray(offset, dtype=float)
+        def spike(u, c, d):
+            off = np.asarray(d, dtype=float) - delta_u
             hit = sum(np.isclose(off, sign * nyquist, rtol=1e-12, atol=0.0) for sign in signs)
             return np.where(hit, 1.0 + 0j, 0j)
 
-        monkeypatch.setattr(wp, "t2_bracket_resonant", spike)
-        monkeypatch.setattr(selfenergy, "t2_bracket_resonant", spike)
+        monkeypatch.setattr(wp, "sym_bracket", spike)
+        monkeypatch.setattr(selfenergy, "sym_bracket", spike)
         _, z_half, _ = wp._z_integral_fft(delta_u, NORMALIZATION_EXACT, g, n_fft, pad)
         z_full, _ = _z_integral_full_spectrum(delta_u, NORMALIZATION_EXACT, g, n_fft, pad)
         assert z_full != 0
         assert z_half == pytest.approx(z_full, rel=1e-12)
+
+    def test_bins_below_zero_take_the_signed_step(self, monkeypatch):
+        # at delta_u = 1e-2 with 10 periods the mirrored bins reach u ~ -6,
+        # where B has the step -2 pi i, as at the same u read alone
+        from causalatom import wavepacket as wp
+        seen = []
+
+        def spy(u, c, d):
+            b = sym_bracket(u, c, d)
+            seen.append((np.atleast_1d(u), np.atleast_1d(b)))
+            return b
+
+        monkeypatch.setattr(wp, "sym_bracket", spy)
+        plateau = 10 * 2 * math.pi / 1e-2
+        wp._z_integral_fft(1e-2, C0, TestFunction(plateau, 0.2 * plateau), 2 ** 15, 1.6)
+        u, b = (np.concatenate(part) for part in zip(*seen))
+        below = u < -1.0
+        assert u.min() < -5.0
+        assert (b[below].imag < 0.0).all()
+        alone = sym_bracket(u[below], NORMALIZATION_EXACT)
+        assert np.abs(b[below] - alone).max() <= 1e-14 * np.abs(alone).max()
 
 
 class TestZNumerical:
@@ -317,11 +343,11 @@ class TestZNumerical:
         assert gobj.support[0] < center - 10 * s_len
         assert gobj.support[1] > center + 10 * s_len
         total, change, _ = wp._z_integral_fft(delta_u, C0, gobj, n_fft=2 ** 14, pad=1.8)
-        z_fft = complex(t2_bracket_resonant(delta_u, C0)) * total + change
+        z_fft = at_resonance(delta_u, C0) * total + change
 
         def integrand(q, part):
             # |gt|^2 of the shifted Gaussian: the shift is a pure phase
-            v = (complex(t2_bracket_resonant(delta_u, C0, offset=q))
+            v = (at_resonance(delta_u + q, C0)
                  * s_len ** 2 * math.exp(-s_len ** 2 * q ** 2))
             return v.real if part == "re" else v.imag
 
@@ -351,7 +377,7 @@ class TestZNumerical:
         zc = z_numerical(delta_u, C0, g)
         # the plateau approximation int g^2 ~ plateau differs by the edge
         # fraction of int g^2
-        ratio = (zc.z_closed / (complex(t2_bracket_resonant(delta_u, C0)) * g.plateau)).real
+        ratio = (zc.z_closed / (at_resonance(delta_u, C0) * g.plateau)).real
         expect = 1.0 + 2 * EDGE_SQUARED_INTEGRAL * g.edge / g.plateau
         assert ratio == pytest.approx(expect, rel=1e-9)
         # rate-consistent weight divides by u_res
