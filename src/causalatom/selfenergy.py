@@ -136,17 +136,17 @@ def _c_quadratic(c: NormalizationConstants):
     return (a0 + a1) + a2 + e, (a1 + 2.0 * a2) + 2.0 * e, a2 + e
 
 
-def _factored_terms(a, d):
-    """u^2, x = d (2 + d) and ln|x| (finite at x = 0) at |u| = a = 1 + d."""
+def _factored_terms(u, d):
+    """u^2, x = d (2 + d) and ln|x| (finite at x = 0) at |u| = 1 + d."""
     x = d * (2.0 + d)
-    return a * a, x, np.log(np.maximum(np.abs(x), 1e-300))
+    return u * u, x, np.log(np.maximum(np.abs(x), 1e-300))
 
 
-def _factored(a, d, s, c: NormalizationConstants):
-    """B(u; C) at u = s a, a >= 1/sqrt 2: at C_exact x^3/(2u^4) (step - 2 ln|x|)
-    - d^3 (3d + 4)/u^2, all O(d^3), plus _c_quadratic's quadratic with C1 signed.
-    Re and Im are formed apart: the floats of the complex sum, but faster."""
-    uu, x, ln_abs_x = _factored_terms(a, d)
+def _factored(u, d, s, c: NormalizationConstants):
+    """B(u; C) at |u| = 1 + d >= 1/sqrt 2, s = sgn(u): x^3/(2u^4) (step - 2 ln|x|) - d^3
+    (3d + 4)/u^2 at C_exact, all O(d^3), plus _c_quadratic's quadratic with C1 signed;
+    Re and Im apart, the quadratic skipped at C_exact: the complex sum's floats, faster."""
+    uu, x, ln_abs_x = _factored_terms(u, d)
     front, b = x * x * x / (2.0 * uu * uu), np.empty(np.shape(x), complex)
     b.real = front * (-2.0 * ln_abs_x) - d * d * d * (3.0 * d + 4.0) / uu
     b.imag = np.maximum(front, 0.0) * (s * TWO_PI)   # front > 0 where x > 0
@@ -156,29 +156,30 @@ def _factored(a, d, s, c: NormalizationConstants):
     return b
 
 
-def sym_bracket(u, c: NormalizationConstants = NormalizationConstants(), d=None):
-    """Symmetrized bracket B(u; C) at real u, vectorized, in bracket units, with the
-    step 2 pi i sgn(u); at C = 0 the central splitting of DISTRIBUTION.  _factored from
-    |u| = 1/sqrt 2 on; below, _sym_bracket's sum left to right with x^3 and u^4 as
-    products (numpy's power is slow on a negative base).  ``d`` is u - 1 held exactly
-    (delta_u at u_res); without it, u in {0, +-1} or past the float range is refused."""
-    u = np.asarray(u, dtype=float)
-    lowest = u.min(initial=math.inf)
-    a = u if lowest >= 0.0 else np.abs(u)
+def sym_bracket(u=None, c: NormalizationConstants = NormalizationConstants(), d=None):
+    """Symmetrized bracket B(u; C) at real u, vectorized, in bracket units, step 2 pi i sgn(u);
+    at C = 0 DISTRIBUTION's central splitting.  Takes u, refused in {0, +-1} and past the float
+    range, or in its place d = u - 1 held exactly.  _factored from |u| = 1/sqrt 2 on; below,
+    _sym_bracket's sum left to right, x^3 and u^4 as products (numpy's power: slow at u < 0)."""
+    if (u is None) == (d is None):
+        raise TypeError("sym_bracket takes one of u and d")
     if d is None:
         _check_regular(u)
-        d = a - 1.0
-    else:   # |u| - 1 is -2 - d at u < 0, exact where |u| is near 1
-        d = np.where(u < 0.0, -2.0 - d, d) if lowest < 0.0 else np.asarray(d, dtype=float)
-    if lowest >= _FACTORED_FROM or u.max(initial=-math.inf) <= -_FACTORED_FROM:   # no mask
-        return _factored(a, d, math.copysign(1.0, lowest), c)   # as at most Z bins
-    far, out = a >= _FACTORED_FROM, np.empty(u.shape, complex)
-    for on, s in ((far & (u > 0.0), 1.0), (far & (u < 0.0), -1.0)):
+        u = np.asarray(u, dtype=float)
+        d = below = np.abs(u) - 1.0
+    else:   # |u| - 1 at u < 0 is -2 - d, exact where |u| is near 1
+        d = np.asarray(d, dtype=float)
+        u, below = 1.0 + d, -2.0 - d
+    pos, neg, out = u >= _FACTORED_FROM, u <= -_FACTORED_FROM, np.empty(u.shape, complex)
+    for on, s, dd in ((pos, 1.0, d), (neg, -1.0, below)):
+        if on.all():   # no gather and scatter: most Z-bin blocks, on-support grids
+            return _factored(u, dd, s, c)
         if on.any():
-            out[on] = _factored(a[on], d[on], s, c)
-    v, av = u[~far], a[~far]   # ln|x| = log1p(-u u): log(u u - 1) loses u u's digits
-    uu, x = av * av, (av - 1.0) * (av + 1.0)
-    out[~far] = (x * x * x / (2.0 * uu * uu) * (-2.0 * np.log1p(-uu)) + 1.0 / uu - 2.5
+            out[on] = _factored(u[on], dd[on], s, c)
+    near = ~(pos | neg)   # ln|x| = log1p(-u u): log(u u - 1) loses u u's digits
+    v = u[near]
+    uu, x = v * v, (v - 1.0) * (v + 1.0)
+    out[near] = (x * x * x / (2.0 * uu * uu) * (-2.0 * np.log1p(-uu)) + 1.0 / uu - 2.5
                  + 11.0 * uu / 6.0 + c.c0 + c.c1 * v + c.c2 * uu)
     return out
 

@@ -29,15 +29,14 @@ runs over the half spectrum of a real FFT, each bin q_j > 0 standing for
 +-q_j (q = 0 and the Nyquist bin, at -N/2 as np.fft.fftfreq labels it,
 once), with the bracket evaluated in blocks of offsets.
 
-z_closed uses the exact int g^2 dx0 in closed form.  The bins sum
-B(u_res + q) - B(u_res) at C_exact (selfenergy.sym_bracket, u - 1 held
-exactly, step -2 pi i at u < 0); another C's quadratic is exact from the
-moments of |gt|^2, and z_numerical adds B(u_res) int |gt|^2 dq back.
-rel_error, the narrow-window reduction error |<B> - B(u_res)| / |B(u_res)|
-with <B> the |gt|^2-weighted mean of B, falls ~ 1/plateau^2 at a fixed ramp
-fraction on synthetic presets and on hydrogen (8.5e-18 at 10 periods) alike,
-at C = 0 and at C_exact.  |z_numerical - z_closed| / |z_closed| also carries
-the FFT's rounding of int |gt|^2 dq = int g^2 dx0, a few 1e-16.
+z_closed uses the exact int g^2 dx0 in closed form.  The bins sum B(u_res + q)
+- B(u_res) at C_exact (selfenergy.sym_bracket given d = u - 1, step -2 pi i at
+u < 0); another C's quadratic is exact from the moments of |gt|^2, and
+z_numerical adds B(u_res) int |gt|^2 dq back.  rel_error, the reduction error
+|<B> - B(u_res)| / |B(u_res)| with <B> the |gt|^2-weighted mean of B, falls
+~ 1/plateau^2 at a fixed ramp fraction on synthetic presets and on hydrogen
+(8.5e-18 at 10 periods) alike, at C = 0 and C_exact.  |z_numerical - z_closed|
+/ |z_closed| also carries the FFT's rounding of int |gt|^2 = int g^2, ~1e-16.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ def z_factor(atom: AtomParams, c: NormalizationConstants = NormalizationConstant
     """
     if resonant_weight not in ("inverse_u", "unity"):
         raise ValueError("resonant_weight must be 'inverse_u' or 'unity'")
-    bracket = complex(sym_bracket(atom.u_res, c, atom.delta_u))
+    bracket = complex(sym_bracket(c=c, d=atom.delta_u))
     w = 1.0 / atom.u_res if resonant_weight == "inverse_u" else 1.0
     return 6.0 * atom.t_g * shift_prefactor(atom) * bracket * w
 
@@ -196,11 +195,11 @@ def _z_integral_fft(delta_u: float, c_norm: NormalizationConstants,
     dq = TWO_PI / window
     # the bins sum the change of B at C_exact; the quadratic another C adds
     # changes by (k1 + 2 k2 delta_u) q + k2 q^2, exact from the moments
-    at_res = sym_bracket(1.0 + delta_u, NORMALIZATION_EXACT, delta_u)
+    at_res = sym_bracket(c=NORMALIZATION_EXACT, d=delta_u)
     change = 0j
     for s in range(0, q.size, _BRACKET_BLOCK):
         b = slice(s, s + _BRACKET_BLOCK)
-        change += sum(np.sum(w * (sym_bracket(1.0 + d, NORMALIZATION_EXACT, d) - at_res))
+        change += sum(np.sum(w * (sym_bracket(c=NORMALIZATION_EXACT, d=d) - at_res))
                       for w, d in ((weight[b], delta_u + q[b]), (mirror[b], delta_u - q[b])))
     total = float((np.sum(weight) + np.sum(mirror)) * dq)
     m1 = float((np.sum(q * weight) - np.sum(q * mirror)) * dq)
@@ -225,7 +224,7 @@ def z_numerical(delta_u: float,
         total, change, width = _z_integral_fft(delta_u, c_norm, g, _N_FFT, _PAD)
 
     # int B |gt|^2 dq = B(u_res) int |gt|^2 dq + int (B - B(u_res)) |gt|^2 dq
-    bracket0 = complex(sym_bracket(1.0 + delta_u, c_norm, delta_u))
+    bracket0 = complex(sym_bracket(c=c_norm, d=delta_u))
     z_num = bracket0 * total + change
     z_closed = bracket0 * g.squared_integral()
     # the reduction error alone: int |gt|^2 dq = int g^2 dx0, but the FFT

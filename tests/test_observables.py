@@ -422,7 +422,7 @@ class TestSeriesDesign:
         from causalatom.selfenergy import sym_bracket
         grid, ln_grid = obs._series_design()[:2]
         for du, y in zip(grid, obs._line_shift_samples(grid, ln_grid)):
-            b = sym_bracket(1.0 + float(du), C0, float(du)).real
+            b = sym_bracket(c=C0, d=float(du)).real
             assert float(y) == pytest.approx(6.0 * b / (1.0 + float(du)), rel=1e-12)
 
     def test_solve_leaves_the_decimal_context_alone(self):

@@ -195,6 +195,12 @@ class TestT2Sym:
         with pytest.raises(SingularPointError):
             sym_bracket(np.array([2.0, -1.0]))
 
+    def test_takes_u_or_d(self):
+        # with d given, u is 1 + d: the two cannot disagree
+        for args in ({}, {"u": 2.0, "d": 1.0}):
+            with pytest.raises(TypeError):
+                sym_bracket(**args)
+
     def test_signed_step_and_vectorized(self):
         u = np.array([-2.0, -0.5, 0.5, 2.0])
         b = sym_bracket(u, C0)
@@ -238,13 +244,13 @@ class TestT2Sym:
         c = NormalizationConstants(1.2, -0.4, 3.0)
         for du in (1e-3, 1e-2, 5e-2):
             direct = complex(sym_bracket(1.0 + du, c))
-            res = complex(sym_bracket(1.0 + du, c, du))
+            res = complex(sym_bracket(c=c, d=du))
             assert res == pytest.approx(direct, rel=1e-11)
 
     def test_resonant_form_stable_at_tiny_delta(self):
         # no cancellation: the bracket's log term matches ln(du) + ln(2+du)
         du = 1e-14
-        b = complex(sym_bracket(1.0 + du, C0, du))
+        b = complex(sym_bracket(c=C0, d=du))
         x = du * (2 + du)
         front = x ** 3 / 2.0
         expected_log = front * (-2.0 * (math.log(du) + math.log(2 + du)))
@@ -257,11 +263,11 @@ class TestT2Sym:
         # the Z bins reach u = 1 + d < 0 (u ~ -6 at delta_u = 1e-2 with 10
         # periods): there B has the step -2 pi i, as at the same u read alone
         for c in (C0, NORMALIZATION_EXACT):
-            held = complex(sym_bracket(1.0 + d, c, d))
+            held = complex(sym_bracket(c=c, d=d))
             assert held == pytest.approx(complex(sym_bracket(1.0 + d, c)), rel=1e-15)
             assert held.imag < 0.0
         # u = -2: Im B = -2 pi (3/2)^3/4, whatever C
-        assert complex(sym_bracket(-2.0, NORMALIZATION_EXACT, -3.0)).imag == pytest.approx(
+        assert complex(sym_bracket(c=NORMALIZATION_EXACT, d=-3.0)).imag == pytest.approx(
             -math.pi * 27 / 16, rel=1e-15)
 
     def test_each_point_alone_or_in_a_batch(self):
@@ -311,7 +317,7 @@ class TestT2Sym:
                      if c == NORMALIZATION_EXACT else c)
             at = mpmath.mpf(u) if du is None else 1 + mpmath.mpf(du)
             ref, ref_slope = map(complex, mpmath.diffs(bracket, at, 1))
-        got = complex(sym_bracket(u, c, du))
+        got = complex(sym_bracket(u, c) if du is None else sym_bracket(c=c, d=du))
         if abs(u) >= math.sqrt(0.5):
             assert abs(got - ref) <= (far if du is None else held) * abs(ref), (got, ref)
         else:

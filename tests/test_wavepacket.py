@@ -117,7 +117,7 @@ class TestGFourier:
 
 def at_resonance(d, c):
     """B(1 + d; C) with d held exactly, as the Z integral evaluates it."""
-    return complex(sym_bracket(1.0 + d, c, d))
+    return complex(sym_bracket(c=c, d=d))
 
 
 def _z_integral_full_spectrum(delta_u, c_norm, g, n_fft, pad):
@@ -136,7 +136,7 @@ def _z_integral_full_spectrum(delta_u, c_norm, g, n_fft, pad):
     gt = dx / math.sqrt(two_pi) * np.exp(1j * q * x0) * np.fft.ifft(gx) * n_fft
     weight = np.abs(gt) ** 2
     dq = two_pi / window
-    z = np.sum(sym_bracket(1.0 + (delta_u + q), c_norm, delta_u + q) * weight) * dq
+    z = np.sum(sym_bracket(c=c_norm, d=delta_u + q) * weight) * dq
     total = float(np.sum(weight) * dq)
     mean_q = float(np.sum(q * weight) * dq / total)
     var_q = float(np.sum((q - mean_q) ** 2 * weight) * dq / total)
@@ -184,7 +184,7 @@ class TestHalfSpectrum:
         nyquist = 2 * math.pi * np.fft.fftfreq(n_fft, d=dx)[n_fft // 2]
         assert nyquist < 0
 
-        def spike(u, c, d):
+        def spike(c, d):
             off = np.asarray(d, dtype=float) - delta_u
             hit = sum(np.isclose(off, sign * nyquist, rtol=1e-12, atol=0.0) for sign in signs)
             return np.where(hit, 1.0 + 0j, 0j)
@@ -202,9 +202,9 @@ class TestHalfSpectrum:
         from causalatom import wavepacket as wp
         seen = []
 
-        def spy(u, c, d):
-            b = sym_bracket(u, c, d)
-            seen.append((np.atleast_1d(u), np.atleast_1d(b)))
+        def spy(c, d):
+            b = sym_bracket(c=c, d=d)
+            seen.append((np.atleast_1d(1.0 + d), np.atleast_1d(b)))
             return b
 
         monkeypatch.setattr(wp, "sym_bracket", spy)
