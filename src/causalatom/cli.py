@@ -48,7 +48,7 @@ from .observables import (
 )
 from .selfenergy import split_check_report, split_grid
 from .splitting import DEFAULT_TOL
-from .wavepacket import convergence_study
+from .wavepacket import DEFAULT_RAMP_FRACTION, convergence_study
 from .wworacle import build_grid, evolve, fit_decay
 
 __all__ = ["COMMANDS", "run", "emit_report", "main"]
@@ -420,7 +420,7 @@ COMMANDS = {
     "wavepacket-check": (_cmd_wavepacket_check, _report_render(_wavepacket_csv),
                          "slow-atom reduction convergence study",
                          {"plateau_periods": [10, 100, 1000, 10000],
-                          "ramp_fraction": 0.1}),
+                          "ramp_fraction": DEFAULT_RAMP_FRACTION}),
     "ww-sim": (_cmd_ww_sim, _ww_sim_render, "mode-discretized emission simulation",
                {"n_modes": 4000, "bandwidth_gammas": 100.0, "t_end_gammas": 5.0,
                 "dt_gammas": None}),

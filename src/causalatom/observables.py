@@ -386,9 +386,8 @@ def _line_shift_samples(grid, ln_grid):
 
 def _lu_factor(m):
     """Overwrite the square matrix m (a list of rows) with its Doolittle LU
-    factors, unpivoted: both systems solved here have nonzero leading minors
-    (A^T A is positive definite; the normalization matrix is [[6, 6, 6],
-    [-6, 0, 6], [6, 0, 0]] to within the fit's accuracy, its rows scaled)."""
+    factors, unpivoted: the normal matrix A^T A is positive definite, so its
+    leading minors are nonzero."""
     n = len(m)
     for j in range(n):
         for i in range(j + 1, n):
@@ -412,9 +411,8 @@ def _lu_solve(lu, b):
 def _series_design():
     """Grid, its ln du, column-scaled basis A (du^k, and du^k ln du for
     k >= 3), column scales, the LU factors of A^T A, the samples at C = 0
-    and their derivatives in (C0, C1, C2), as lists of Decimal.  B is linear
-    in C, so the derivatives are 6/u, 6 and 6 u.  All are the same for every
-    C, so every fit shares them and only reads them."""
+    and their derivatives 6/u, 6 and 6 u in (C0, C1, C2), as lists of
+    Decimal: the same for every C, so every fit shares them and only reads them."""
     from decimal import Decimal
 
     with _digits(_EXTRACT_DPS):
@@ -443,16 +441,6 @@ def _series_design():
     return grid, ln_grid, a, scale, lu, _line_shift_samples(grid, ln_grid), columns
 
 
-def _fit(design, y):
-    """Least-squares fit of samples ``y`` on the design: the coefficients of
-    every column of the column-scaled basis, as Decimal."""
-    a, lu = design[2], design[4]
-    with _digits(_EXTRACT_DPS):
-        aty = [sum(p * v for p, v in zip(col, y)) for col in zip(*a)]
-    with _digits(_EXTRACT_DPS + 10):
-        return _lu_solve(lu, aty)
-
-
 # The largest fit residual the extraction accepts, relative to the largest
 # sample.  The basis reproduces the samples to 2.3e-31 of it at most (over
 # C = 0, NORMALIZATION_EXACT and 50 random C in [-10, 10]^3): the bound
@@ -474,13 +462,13 @@ def extract_series_numerically(c: NormalizationConstants = NormalizationConstant
     """
     from decimal import Decimal
 
-    design = _series_design()
-    a, scale = design[2:4]
-    y0, columns = design[5:]
+    _, _, a, scale, lu, y0, columns = _series_design()
     k0, k1, k2 = (Decimal(v) for v in (c.c0, c.c1, c.c2))   # exact
     with _digits(_EXTRACT_DPS):
         y = [v + k0 * p + k1 * q + k2 * r for v, p, q, r in zip(y0, *columns)]
-    beta = _fit(design, y)
+        aty = [sum(p * v for p, v in zip(col, y)) for col in zip(*a)]
+    with _digits(_EXTRACT_DPS + 10):
+        beta = _lu_solve(lu, aty)
     with _digits(_EXTRACT_DPS):
         resid = max(abs(sum(p * b for p, b in zip(row, beta)) - v) for row, v in zip(a, y))
         c0, c1, c2, c3, c_log3 = (b / s for b, s in zip(beta[:5], scale))
@@ -508,27 +496,22 @@ def solve_normalization() -> tuple[NormalizationConstants, LineShiftSeries]:
     of the numerically extracted series to vanish; returns them and the
     series fitted at them, which is the solve's own check.
 
-    The fitted coefficients are exactly linear in C, so the 3x3 system is
-    assembled from the design's sampling of the bracket at C = 0: its fit,
-    and the fits of the samples' derivatives in C; it is solved in the fit's
-    decimal arithmetic, and the check is extract_series_numerically at the
-    solution.  Its residual cubic coefficient must match -3 (2 C0 + 15) to
-    the extraction's float rounding; a violation raises, since it would mean
-    the extraction and the closed form disagree.
+    C enters the samples 6 Re B/u as 6 C0/u + 6 C1 + 6 C2 u, so it moves the
+    fitted (c0, c1, c2) by exactly (6 (C0 + C1 + C2), 6 (C2 - C0), 6 C0).  The
+    fit at C = 0 gives (c0, c1, c2), and that map is inverted in the fit's
+    decimal arithmetic.  The check fit's cubic coefficient must match
+    -3 (2 C0 + 15) to the extraction's float rounding; a violation raises,
+    since it would mean the extraction and the closed form disagree.
     """
-    design = _series_design()
-    y0, columns = design[5:]
+    from decimal import Decimal
 
-    # the 3x3 system M C = -v0 from the fitted (c0, c1, c2): v0 of the samples
-    # at C = 0, column j of M of their derivative in C_j.  Their column-scaled
-    # coefficients scale row i of the system by a constant, which leaves its
-    # solution alone; no residual is formed, as the check fit below forms one
-    v0, *derivs = [_fit(design, y)[:3] for y in (y0, *columns)]
-    m = [list(row) for row in zip(*derivs)]
-    with _digits(_EXTRACT_DPS + 10):
-        _lu_factor(m)
-        solved = _lu_solve(m, [-v for v in v0])
-    result = NormalizationConstants(*[float(v) for v in solved])
+    fit = extract_series_numerically()
+    c0, c1, c2 = (Decimal(v) for v in (fit.c0, fit.c1, fit.c2))   # exact
+    with _digits(_EXTRACT_DPS):
+        k0 = -c2 / 6
+        k2 = k0 - c1 / 6
+        k1 = -c0 / 6 - k0 - k2
+    result = NormalizationConstants(float(k0), float(k1), float(k2))
 
     check = extract_series_numerically(result)
     expected = lineshift_series(result)

@@ -15,6 +15,7 @@ near |u| = 1; t2_bracket_slope is the factored form's closed-form dB/du.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -77,14 +78,16 @@ DISTRIBUTION = CausalDistribution1D(g=lambda k: TWO_PI * _core(k), kernel=_core_
 
 def _check_regular(u) -> None:
     """Refuse the first u, in order, at which the closed forms cannot be
-    evaluated: u in {0, +-1}, or where the front term's x^3/(2u^4) leaves
-    the float range (about |u| < 7e-78 or |u| > 2.4e51)."""
+    evaluated: u in {0, +-1}, where u^4 is subnormal (|u| < 1.2e-77: products
+    and numpy's power round it apart), or where the front term's x^3/(2u^4)
+    overflows (|u| > 2.4e51)."""
     u = np.asarray(u, dtype=float).ravel()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         singular = (u == 0.0) | (np.abs(np.abs(u) - 1.0) < 1e-14)
         u2 = u * u
         x = u2 - 1.0
-        bad = singular | ~((u2 * u2 > 0.0) & np.isfinite(x * x * x / (2.0 * u2 * u2)))
+        bad = singular | ~((u2 * u2 >= sys.float_info.min)
+                           & np.isfinite(x * x * x / (2.0 * u2 * u2)))
     if bad.any():
         j = int(np.argmax(bad))
         raise SingularPointError(f"closed form singular at u = {float(u[j])} (u in {{0, +-1}})"

@@ -63,6 +63,9 @@ __all__ = [
 # premise metric for freezing T2s across the window
 REGIME_LIMIT = 0.1
 
+# convergence_study's ramp_fraction unless given, as for wavepacket-check
+DEFAULT_RAMP_FRACTION = 0.1
+
 
 def _edge_profile(y):
     """Monotone C^6 step on [0, 1]: the normalized integral of sin^6(pi t).
@@ -245,7 +248,7 @@ def z_numerical(delta_u: float,
 def convergence_study(delta_u: float,
                       c_norm: NormalizationConstants,
                       plateau_periods,
-                      ramp_fraction: float = 0.1):
+                      ramp_fraction: float = DEFAULT_RAMP_FRACTION):
     """ZComparison per plateau of n optical periods, 2 pi n / delta_u in
     lambda_bar_g, each edge 2 ramp_fraction times the plateau.  Every count
     and the fraction are checked before any integral runs."""

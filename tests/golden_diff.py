@@ -77,6 +77,12 @@ GRIDS = [["--u-min", "1.1", "--u-max", "3", "--points", "1000"],
          ["--u-min", "-0.05", "--u-max=-1e-10", "--points", "5"],
          ["--u-min", "-1e-3", "--u-max", "2", "--points", "3"],
          ["--u-min", "-inf", "--u-max", "2"],
+         # u^4 is subnormal at the first and normal at the second, the
+         # lowest |u| the closed form accepts
+         ["--u-min", "7.262123179505771e-78", "--u-max", "7.262123179505771e-78",
+          "--points", "1"],
+         ["--u-min", "1.221338669755462e-77", "--u-max", "1.221338669755462e-77",
+          "--points", "1"],
          ["--preset", "synthetic:1e-2", "--tol", "1e-3"]]
 
 

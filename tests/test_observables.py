@@ -388,15 +388,29 @@ class TestSeriesDesign:
         assert [extract_series_numerically(c) for c in cs] == forward
 
     def test_design_built_once_per_process(self):
-        # each public fit fetches the design once: the solve's four fits (C =
-        # 0 and the three derivative columns) share one fetch, and its check
-        # is a public fit
+        # each public fit fetches the design once: the solve's two fits (C =
+        # 0 and the check at the solved C) are public fits
         from causalatom import observables as obs
         obs._series_design.cache_clear()
         solve_normalization()
         extract_series_numerically(NORMALIZATION_EXACT)
         info = obs._series_design.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+    def test_solve_makes_two_normal_matrix_solves(self, monkeypatch):
+        # the fit at C = 0 and the check fit; the map from C to the fitted
+        # low coefficients is exact, so no fit of a derivative column is made
+        from causalatom import observables as obs
+        calls = []
+        real = obs._lu_solve
+
+        def counted(lu, b):
+            calls.append(b)
+            return real(lu, b)
+
+        monkeypatch.setattr(obs, "_lu_solve", counted)
+        solve_normalization()
+        assert len(calls) == 2
 
     def test_bracket_sampled_once_per_fit(self, monkeypatch):
         # the design holds the samples at C = 0: one sampling per process
