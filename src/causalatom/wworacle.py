@@ -65,7 +65,6 @@ from .errors import FitResidualError, GridResolutionError, NormDriftError
 __all__ = [
     "ModeGrid",
     "build_grid",
-    "build_grid_window",
     "evolve",
     "evolve_amplitudes",
     "fit_decay",
@@ -85,6 +84,9 @@ class ModeGrid:
 
     The coupling is calibrated on the density n_modes/bandwidth
     (2 pi g^2 density = 1); the actual comb spacing is bandwidth/(n_modes - 1).
+    A comb has MIN_MODES to MAX_MODES modes, contains the transition
+    (lo < 0 < hi) and spaces its modes by at most 0.1, so that it resolves
+    the line; GridResolutionError names the first of these rules broken.
     """
 
     lo: float
@@ -92,10 +94,16 @@ class ModeGrid:
     n_modes: int
 
     def __post_init__(self):
-        if not (self.lo < self.hi and self.n_modes >= 2):
+        if self.n_modes < MIN_MODES:
+            raise GridResolutionError(f"need at least {MIN_MODES} modes, got {self.n_modes}")
+        if self.n_modes > MAX_MODES:
+            raise GridResolutionError(f"at most {MAX_MODES} modes allowed, got {self.n_modes}")
+        if not self.lo < 0.0 < self.hi:
             raise GridResolutionError(
-                f"a comb needs lo < hi and at least 2 modes, got "
-                f"[{self.lo}, {self.hi}] with {self.n_modes}")
+                f"window [{self.lo}, {self.hi}] must contain detuning 0, the transition")
+        if self.spacing > 0.1:
+            raise GridResolutionError(f"mode spacing {self.spacing:.4g} exceeds 0.1; "
+                                      "the comb would not resolve the line")
 
     @property
     def coupling(self) -> float:
@@ -110,33 +118,13 @@ class ModeGrid:
         return max(abs(self.lo), abs(self.hi))
 
 
-def _calibrated_grid(lo: float, hi: float, n_modes: int) -> ModeGrid:
-    if n_modes < MIN_MODES:
-        raise GridResolutionError(f"need at least {MIN_MODES} modes, got {n_modes}")
-    if n_modes > MAX_MODES:
-        raise GridResolutionError(f"at most {MAX_MODES} modes allowed, got {n_modes}")
-    spacing = (hi - lo) / (n_modes - 1)
-    if spacing > 0.1:
-        raise GridResolutionError(
-            f"mode spacing {spacing:.4g} exceeds 0.1; the comb would not resolve the line")
-    return ModeGrid(lo, hi, n_modes)
-
-
 def build_grid(bandwidth: float, n_modes: int) -> ModeGrid:
     """Uniform comb of width bandwidth centred on the transition."""
     if not math.isfinite(bandwidth):
         raise GridResolutionError(f"bandwidth must be finite, got {bandwidth}")
     if bandwidth < 40.0:
         raise GridResolutionError(f"bandwidth {bandwidth:.12g} below 40")
-    return _calibrated_grid(-0.5 * bandwidth, 0.5 * bandwidth, n_modes)
-
-
-def build_grid_window(lo: float, hi: float, n_modes: int) -> ModeGrid:
-    """Asymmetric window of detunings [lo, hi]; used for cutoff studies."""
-    if not lo < 0.0 < hi:
-        raise GridResolutionError(
-            f"window [{lo}, {hi}] must contain detuning 0, the transition")
-    return _calibrated_grid(lo, hi, n_modes)
+    return ModeGrid(-0.5 * bandwidth, 0.5 * bandwidth, n_modes)
 
 
 def _dirichlet_kernel(center, spacing, n_modes, g2, dt, n_lags):

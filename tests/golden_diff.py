@@ -122,6 +122,11 @@ def cases() -> list:
             ["wavepacket-check", "--ramp-fraction", "inf"],
             ["wavepacket-check", "--ramp-fraction", "1e300", "--plateau-periods", "10"],
             ["wavepacket-check", "--preset", "tiny-omega.json"],
+            # a ramp too narrow for the Z integral's FFT grid, refused, and
+            # MIN_RAMP_FRACTION, the narrowest it resolves
+            ["wavepacket-check", "--ramp-fraction", "1e-4"],
+            ["wavepacket-check", "--ramp-fraction", "0.001455692721143495",
+             "--plateau-periods", "10", "100"],
             ["ww-sim", "--n-modes", "2000", "--bandwidth-gammas", "60", "--t-end-gammas", "4",
              "--dt-gammas", "0.005", "--out", "out.txt"],
             # refused, each in the units of its flags: a step too long for

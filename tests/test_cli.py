@@ -618,6 +618,9 @@ class TestErrorPaths:
          "ramp_fraction must be finite and > 0, got inf"),
         (["wavepacket-check", "--plateau-periods", "10", "0"],
          "plateau_periods must be >= 1, got 0"),
+        (["wavepacket-check", "--ramp-fraction", "1e-4"],
+         "ramp_fraction must be >= 0.001455692721143495 (57 FFT samples per edge of the "
+         "Z integral), got 0.0001"),
     ])
     def test_nan_refused_before_evaluation(self, capsys, monkeypatch, argv, message):
         # split-check's tol widens its branch guard, so an infinite one

@@ -19,7 +19,6 @@ KEEP = {
     "polynomial_residual": "fits the quadratic between two splittings; C from the "
                            "threshold split will read it",
     "PolynomialResidual": "the result of polynomial_residual",
-    "build_grid_window": "the asymmetric WW window that a band-edge shift study needs",
 }
 
 

@@ -18,6 +18,7 @@ from causalatom.observables import (
 from causalatom.selfenergy import sym_bracket
 from causalatom.wavepacket import (
     EDGE_SQUARED_INTEGRAL,
+    MIN_RAMP_FRACTION,
     TestFunction,
     convergence_study,
     z_numerical,
@@ -154,17 +155,16 @@ _Z_ATOMS = {
 
 class TestHalfSpectrum:
     @pytest.mark.parametrize("name", sorted(_Z_ATOMS))
-    @pytest.mark.parametrize("n_fft", [2 ** 15, 2 ** 12 + 1])
-    def test_matches_full_spectrum(self, name, n_fft):
-        # the default plateau decades; an odd N has no Nyquist bin
+    def test_matches_full_spectrum(self, name):
+        # the default plateau decades
         from causalatom import wavepacket as wp
         delta_u = _Z_ATOMS[name]().delta_u
         for n in (10, 100, 1000, 10000):
             plateau = n * 2 * math.pi / delta_u
             g = TestFunction(plateau, 0.2 * plateau)
-            total, change, width_half = wp._z_integral_fft(delta_u, C0, g, n_fft, 1.6)
+            total, change, width_half = wp._z_integral_fft(delta_u, C0, g)
             z_half = at_resonance(delta_u, C0) * total + change
-            z_full, width_full = _z_integral_full_spectrum(delta_u, C0, g, n_fft, 1.6)
+            z_full, width_full = _z_integral_full_spectrum(delta_u, C0, g, wp._N_FFT, wp._PAD)
             assert abs(z_half - z_full) <= 1e-14 * abs(z_full)
             assert abs(width_half - width_full) <= 1e-14 * width_full
 
@@ -191,7 +191,9 @@ class TestHalfSpectrum:
 
         monkeypatch.setattr(wp, "sym_bracket", spike)
         monkeypatch.setattr(selfenergy, "sym_bracket", spike)
-        _, z_half, _ = wp._z_integral_fft(delta_u, NORMALIZATION_EXACT, g, n_fft, pad)
+        monkeypatch.setattr(wp, "_N_FFT", n_fft)
+        monkeypatch.setattr(wp, "_PAD", pad)
+        _, z_half, _ = wp._z_integral_fft(delta_u, NORMALIZATION_EXACT, g)
         z_full, _ = _z_integral_full_spectrum(delta_u, NORMALIZATION_EXACT, g, n_fft, pad)
         assert z_full != 0
         assert z_half == pytest.approx(z_full, rel=1e-12)
@@ -209,7 +211,7 @@ class TestHalfSpectrum:
 
         monkeypatch.setattr(wp, "sym_bracket", spy)
         plateau = 10 * 2 * math.pi / 1e-2
-        wp._z_integral_fft(1e-2, C0, TestFunction(plateau, 0.2 * plateau), 2 ** 15, 1.6)
+        wp._z_integral_fft(1e-2, C0, TestFunction(plateau, 0.2 * plateau))
         u, b = (np.concatenate(part) for part in zip(*seen))
         below = u < -1.0
         assert u.min() < -5.0
@@ -301,6 +303,10 @@ class TestZNumerical:
         ([10], 0.0, "ramp_fraction must be finite and > 0, got 0.0"),
         ([10], math.inf, "ramp_fraction must be finite and > 0, got inf"),
         ([10], math.nan, "ramp_fraction must be finite and > 0, got nan"),
+        # the next float below the narrowest ramp the FFT grid resolves
+        ([10], math.nextafter(MIN_RAMP_FRACTION, 0.0),
+         f"ramp_fraction must be >= {MIN_RAMP_FRACTION!r} (57 FFT samples per edge of the "
+         f"Z integral), got {math.nextafter(MIN_RAMP_FRACTION, 0.0)!r}"),
     ])
     def test_bad_arguments_refused_before_any_integral(self, monkeypatch, periods,
                                                        ramp_fraction, message):
@@ -313,6 +319,20 @@ class TestZNumerical:
             convergence_study(DELTA_U, C0, periods, ramp_fraction)
         assert str(info.value) == message
 
+    def test_smallest_ramp_keeps_the_z_columns_at_rounding(self):
+        # at MIN_RAMP_FRACTION each edge spans 57 FFT samples, and the z
+        # columns part from rel_error by no more than at the default ramp's
+        # rounding; at 1e-4 (4 samples) they part by 4.5e-7
+        from causalatom import wavepacket as wp
+        study = convergence_study(hydrogen_1s2p_preset().delta_u, C0,
+                                  [10, 100, 1000, 10000], MIN_RAMP_FRACTION)
+        for zc in study:
+            direct = abs(zc.z_numerical - zc.z_closed) / abs(zc.z_closed)
+            assert abs(direct - zc.rel_error) <= 5e-16
+        g = TestFunction(1.0, 2 * MIN_RAMP_FRACTION)
+        dx = (1.0 + 2 * g.edge) * 1.04 * wp._PAD / wp._N_FFT
+        assert g.edge / dx == pytest.approx(57, rel=1e-12)
+
     def test_float_range_refusal_names_the_arguments(self):
         with pytest.raises(CausalAtomError) as info:
             convergence_study(DELTA_U, C0, [10], 1e300)
@@ -322,7 +342,7 @@ class TestZNumerical:
         with pytest.raises(CausalAtomError, match="plateau_periods value of 1329 bits"):
             convergence_study(DELTA_U, C0, [10, 10 ** 400])
 
-    def test_pipeline_against_gaussian_reference(self):
+    def test_pipeline_against_gaussian_reference(self, monkeypatch):
         # replace the bump by a Gaussian (centered inside the FFT window)
         # whose transform is analytic, and compare the FFT pipeline against
         # direct quadrature of the analytically transformed integrand
@@ -342,7 +362,9 @@ class TestZNumerical:
         gobj = GaussianProfile(plateau, plateau)
         assert gobj.support[0] < center - 10 * s_len
         assert gobj.support[1] > center + 10 * s_len
-        total, change, _ = wp._z_integral_fft(delta_u, C0, gobj, n_fft=2 ** 14, pad=1.8)
+        monkeypatch.setattr(wp, "_N_FFT", 2 ** 14)
+        monkeypatch.setattr(wp, "_PAD", 1.8)
+        total, change, _ = wp._z_integral_fft(delta_u, C0, gobj)
         z_fft = at_resonance(delta_u, C0) * total + change
 
         def integrand(q, part):

@@ -17,7 +17,6 @@ from causalatom.wworacle import (
     _block_response,
     _dirichlet_kernel,
     build_grid,
-    build_grid_window,
     evolve,
     evolve_amplitudes,
     fit_decay,
@@ -65,7 +64,7 @@ def make_grid(n_modes, bandwidth, hi=None):
     """build_grid's comb, or with hi the window [-bandwidth/2, hi]."""
     if hi is None:
         return build_grid(bandwidth, n_modes)
-    return build_grid_window(-0.5 * bandwidth, hi, n_modes)
+    return ModeGrid(-0.5 * bandwidth, hi, n_modes)
 
 
 def run_sim(n_modes=2000, bandwidth=100.0, t_end=5.0, dt=None, hi=None):
@@ -126,7 +125,7 @@ class TestBuildGrid:
         grid = build_grid(100.0, 4000)
         assert (grid.lo, grid.hi) == (-50.0, 50.0)
         assert grid.spacing == 100.0 / 3999
-        window = build_grid_window(-50.0, 123.7, 20000)
+        window = ModeGrid(-50.0, 123.7, 20000)
         assert (window.lo, window.hi) == (-50.0, 123.7)
 
     def test_revival_beyond_ten_lifetimes(self):
@@ -136,27 +135,29 @@ class TestBuildGrid:
         with pytest.raises(GridResolutionError, match="bandwidth 30 below 40"):
             build_grid(30.0, 2000)
 
-    def test_underresolved_rejected(self):
+    @pytest.mark.parametrize("make", [lambda: build_grid(400.0, 1001),
+                                      lambda: ModeGrid(-50.0, 123.7, 1000)],
+                             ids=["build_grid", "window"])
+    def test_underresolved_rejected(self, make):
         # spacing > 1/10
         with pytest.raises(GridResolutionError, match="exceeds 0.1"):
-            build_grid(400.0, 1001)
+            make()
 
-    def test_too_few_modes_rejected(self):
-        with pytest.raises(GridResolutionError):
-            build_grid(100.0, 500)
-
-    @pytest.mark.parametrize("lo, hi", [(1.0, 50.0), (-50.0, -1.0), (0.0, 50.0),
-                                        (-50.0, 0.0), (math.nan, 50.0)])
-    def test_window_must_contain_transition(self, lo, hi):
-        with pytest.raises(GridResolutionError, match="must contain detuning 0"):
-            build_grid_window(lo, hi, 2000)
+    @pytest.mark.parametrize("make", [lambda: build_grid(100.0, 500),
+                                      lambda: ModeGrid(1.0, 2.0, 1)],
+                             ids=["build_grid", "window"])
+    def test_too_few_modes_rejected(self, make):
+        # the mode count is checked first, before the window
+        with pytest.raises(GridResolutionError, match="need at least 1000 modes, got "):
+            make()
 
     @pytest.mark.parametrize("lo, hi, n_modes", [
-        (2.0, 1.0, 1000), (1.0, 1.0, 1000), (1.0, 2.0, 1),
+        (1.0, 50.0, 2000), (-50.0, -1.0, 2000), (0.0, 50.0, 2000), (-50.0, 0.0, 2000),
+        (math.nan, 50.0, 2000), (2.0, 1.0, 1000), (1.0, 1.0, 1000),
         (math.nan, 2.0, 1000), (1.0, math.nan, 1000),
     ])
-    def test_mode_grid_refuses_empty_comb(self, lo, hi, n_modes):
-        with pytest.raises(GridResolutionError, match="lo < hi"):
+    def test_window_must_contain_transition(self, lo, hi, n_modes):
+        with pytest.raises(GridResolutionError, match="must contain detuning 0"):
             ModeGrid(lo, hi, n_modes)
 
     @pytest.mark.parametrize("n_modes, band, hi", [
